@@ -222,108 +222,90 @@ class InversionResult:
     nullspace_dim: int
 
 
-class _SolverState:
-    """Active-set least squares over {x >= 0, sum x = 1}.
+#: cap on the least-squares solves of one inversion (``converged=False``)
+MAX_ITERATIONS = 100_000
+_EPS = np.finfo(float).eps
 
-    Equality-constrained subproblems are solved through their KKT system
-    with a minimum-norm least-squares solve, which doubles as the
-    documented tie-break on rank-deficient (non-unique) problems.
+
+def _solve_on(a: np.ndarray, c: np.ndarray, cols: list[int]):
+    """Least squares on ``cols`` by complete QR: Q, the solution, and the
+    residual's coordinates in the orthogonal complement of those columns."""
+    q, r = np.linalg.qr(a[:, cols], mode="complete")
+    qc = q.T @ c
+    k = len(cols)
+    z = np.zeros(a.shape[1])
+    z[cols] = np.linalg.solve(r[:k], qc[:k])
+    return q, z, qc[k:]
+
+
+def _nnls(a: np.ndarray, c: np.ndarray):
+    """Lawson-Hanson argmin ||a x - c|| over x >= 0: x, solves, converged.
+
+    Duals come from the residual's coordinates outside the passive span, so
+    they stay accurate far below the rounding level of c - a x.  A column
+    enters only if it passes the original dependence test (part outside the
+    span > 100 eps * part inside) and gets a positive trial coefficient; a
+    refused column waits until x changes.  The solve stops when no dual is
+    positive, or when an outer step fails to reduce the residual (in exact
+    arithmetic every step does, so the duals left are rounding noise).
     """
-
-    def __init__(self, m: np.ndarray, b: np.ndarray):
-        self.m = m
-        self.b = b
-        self.n = m.shape[1]
-        self.gram = m.T @ m
-        self.mtb = m.T @ b
-
-    def solve_on(self, passive: np.ndarray) -> np.ndarray:
-        cols = np.nonzero(passive)[0]
-        k = cols.size
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = self.gram[np.ix_(cols, cols)]
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.concatenate([self.mtb[cols], [1.0]])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        z = np.zeros(self.n)
-        z[cols] = sol[:k]
-        return z
-
-    def kkt_residual(self, x: np.ndarray, passive: np.ndarray) -> float:
-        g = self.gram @ x - self.mtb
-        lam = -float(np.mean(g[passive])) if passive.any() else 0.0
-        res = max(abs(x.sum() - 1.0), max(0.0, -float(x.min())))
-        if passive.any():
-            res = max(res, float(np.max(np.abs(g[passive] + lam))))
-        if (~passive).any():
-            res = max(res, max(0.0, -float(np.min(g[~passive] + lam))))
-        return res
-
-
-def _solve_simplex_lstsq(m: np.ndarray, b: np.ndarray, max_iter: int):
-    st = _SolverState(m, b)
-    n = st.n
-    scale = max(1.0, float(np.abs(st.gram).max()), float(np.abs(st.mtb).max()))
-    feas_tol = 1e-13
-    dual_tol = 1e-12 * scale
-    x = np.full(n, 1.0 / n)
-    passive = np.ones(n, dtype=bool)
+    x = np.zeros(a.shape[1])
+    cols: list[int] = []
+    refused: list[int] = []
+    q, rest = np.eye(a.shape[0]), c
     iters = 0
-    converged = True
-    while True:
-        # inner loop: feasible optimum on the passive set
-        while True:
+    while iters < MAX_ITERATIONS:
+        k = len(cols)
+        qa = q.T @ a
+        dual = qa[k:].T @ rest
+        dual[cols + refused] = -np.inf
+        j = int(np.argmax(dual))
+        if dual[j] <= 0:
+            return x, iters, True
+        refused.append(j)
+        if np.linalg.norm(qa[k:, j]) <= 100 * _EPS * np.linalg.norm(qa[:k, j]):
+            continue
+        trial = cols + [j]
+        iters += 1
+        q_t, z, rest_t = _solve_on(a, c, trial)
+        if z[j] <= 0:
+            continue
+        y = x
+        while z[trial].min() <= 0:
+            if iters >= MAX_ITERATIONS:
+                return x, iters, False
+            # step towards z until the first passive coefficient hits zero
+            bad = [i for i in trial if z[i] <= 0]
+            ratios = y[bad] / (y[bad] - z[bad])
+            t = int(np.argmin(ratios))
+            y = y + ratios[t] * (z - y)
+            y[bad[t]] = 0.0
+            trial = [i for i in trial if y[i] > 0]
             iters += 1
-            if iters > max_iter:
-                converged = False
-                break
-            z = st.solve_on(passive)
-            if z[passive].min() >= -feas_tol:
-                x = np.where(passive, z, 0.0)
-                break
-            viol = passive & (z < -feas_tol)
-            denom = x[viol] - z[viol]
-            alphas = np.where(denom > 0, x[viol] / denom, np.inf)
-            alpha = min(1.0, float(np.min(alphas)))
-            x = x + alpha * (z - x)
-            drop = passive & (x <= feas_tol)
-            if drop.sum() >= passive.sum():
-                drop[np.argmax(x)] = False
-            passive &= ~drop
-            x = np.where(passive, x, 0.0)
-        if not converged:
-            break
-        g = st.gram @ x - st.mtb
-        lam = -float(np.mean(g[passive])) if passive.any() else 0.0
-        active = ~passive
-        if not active.any():
-            break
-        duals = g[active] + lam
-        if duals.min() >= -dual_tol:
-            break
-        j = np.nonzero(active)[0][int(np.argmin(duals))]
-        passive[j] = True
-    kkt = st.kkt_residual(x, passive)
-    return x, kkt, converged, iters
+            q_t, z, rest_t = _solve_on(a, c, trial)
+        if np.linalg.norm(rest_t) >= np.linalg.norm(rest):
+            return x, iters, True
+        x, cols, q, rest, refused = z, trial, q_t, rest_t, []
+    return x, iters, False
 
 
 def invert_cq(
-    channel: ClassicalQuantumChannel,
-    probes,
-    data: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int = 100_000,
+    channel: ClassicalQuantumChannel, probes, data: np.ndarray
 ) -> InversionResult:
     """Recover a probability weight from probe expectations.
 
-    Minimizes ||M rho - data||_2 over the probability simplex with a
-    deterministic active-set scheme (KKT residual <= 1e-10 on solvable
-    problems, iteration cap ``max_iter`` with an explicit converged flag).
-    Inconsistent data shows up as a positive residual, never an exception.
-    Non-uniqueness (rank-deficient augmented design) is flagged together
-    with the nullspace dimension; the reported solution is then the
-    minimum-norm tie-break.
+    Minimizes ||M rho - data||_2 over the probability simplex, where
+    M rho - data = (M - data 1^T) rho: one Lawson-Hanson NNLS solve on
+    [M - data 1^T; 1^T] against (0, ..., 0, 1), scaled to sum 1, as for
+    least-distance programming (Lawson & Hanson 1974, ch. 23); M^T M is
+    never formed.  ``iterations`` counts least-squares solves; ``converged``
+    is False only if ``MAX_ITERATIONS`` cut the solve short; ``kkt_residual``
+    is the largest violation of the simplex optimality conditions at the
+    reported weight.  Inconsistent data gives a positive residual, never an
+    exception.  If [M; 1^T] is rank-deficient (non-unique, nullspace
+    dimension reported) the weight is the minimum-norm solution of
+    [M; 1^T] rho = [M; 1^T] rho_hat for the NNLS optimum rho_hat when that
+    is non-negative (it fits equally well), else rho_hat.
     """
     probes = list(probes)
     if not probes:
@@ -331,22 +313,33 @@ def invert_cq(
     data = np.asarray(data, dtype=float).reshape(-1)
     if data.shape[0] != len(probes):
         raise ValueError("data length must match the probe count")
+    if not np.isfinite(data).all():
+        raise ValueError("probe data must be finite")
     m = design_matrix(channel, probes)
-    x, kkt, converged, iters = _solve_simplex_lstsq(m, data, max_iter)
-    # final projection: exact constraint satisfaction
-    x = np.clip(x, 0.0, None)
-    x /= x.sum()
+    n = channel.space.size
+    target = np.concatenate([np.zeros(len(probes)), [1.0]])
+    x, iters, converged = _nnls(np.vstack([m - data[:, None], np.ones(n)]), target)
     sep = separation_check(channel, probes)
-    residual = float(np.linalg.norm(m @ x - data))
-    weight = ProbabilityWeight(channel.space, x)
+    if not sep.passed:
+        aug = np.vstack([m, np.ones(n)])
+        tie = np.linalg.lstsq(aug, aug @ x, rcond=None)[0]
+        # the rounding slack of ProbabilityWeight
+        if tie.min() >= -1e-12:
+            x = np.clip(tie, 0.0, None)
+    x /= x.sum()
+    # KKT: with g the gradient and lam the multiplier of sum x = 1,
+    # g + lam = 0 on the support and g + lam >= 0 off it
+    g = m.T @ (m @ x - data)
+    g -= g[x > 0].mean()
+    kkt = max(np.abs(g[x > 0]).max(), -g[x == 0].min(initial=0.0))
     return InversionResult(
-        weight=weight,
-        residual=residual,
-        kkt_residual=kkt,
+        weight=ProbabilityWeight(channel.space, x),
+        residual=float(np.linalg.norm(m @ x - data)),
+        kkt_residual=float(kkt),
         converged=converged,
         iterations=iters,
         unique=sep.passed,
         rank=sep.rank,
         sigma_min=sep.sigma_min,
-        nullspace_dim=channel.space.size - sep.rank,
+        nullspace_dim=n - sep.rank,
     )

@@ -2,8 +2,10 @@
 
 Exit codes: 0 = success (criterion satisfied where one applies),
 1 = criterion rejection (a successful computation whose selection
-criterion failed), 2 = input error.  All reports are deterministic for a
-fixed seed and print numbers with 17 significant digits.
+criterion failed), 2 = input error, 3 = computation failed (a spectrum
+that could not be split into sectors or central projections).  All
+reports are deterministic for a fixed seed and print numbers with 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import sys
 import numpy as np
 
 from . import serialize as io
-from .algebra import DimensionCapError
-from .channels import design_matrix, invert_cq, separation_check
+from . import _linalg as la
+from .algebra import CentralProjectionError, DimensionCapError
+from .channels import design_matrix, invert_cq
 from .config import with_overrides
 from .cuntz import ExpressionError, parse_expression
 from .dhrnet import dhr_check, invert_selected_state
+from .groups import IsotypicError
 from .models import bundle_examples
 from .sectors import decompose_sectors, estimate_charge, sector_energies
 from .thermal import build_thermal_channel, hierarchy_report, thermal_function
@@ -27,6 +31,7 @@ from .thermal import build_thermal_channel, hierarchy_report, thermal_function
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_COMPUTATION_FAILED = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,8 +315,7 @@ def _run_channels_invert(args) -> int:
     mats = [m for _, m in probes]
     data = np.array([measured[n] for n, _ in probes])
     crit_tol = _criterion_tol(args)
-    result = invert_cq(channel, mats, data, tol=crit_tol)
-    sep = separation_check(channel, mats)
+    result = invert_cq(channel, mats, data)
     payload = {
         "labels": [io._label_to_json(l) for l in channel.space.labels],
         "weights": [float(w) for w in result.weight.weights],
@@ -319,8 +323,8 @@ def _run_channels_invert(args) -> int:
         "kkt_residual": result.kkt_residual,
         "converged": result.converged,
         "unique": result.unique,
-        "rank": sep.rank,
-        "sigma_min": sep.sigma_min,
+        "rank": result.rank,
+        "sigma_min": result.sigma_min,
         "nullspace_dim": result.nullspace_dim,
     }
     _emit(payload, args)
@@ -377,6 +381,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (IsotypicError, CentralProjectionError, la.EigenvalueGapError) as err:
+        print(f"error: computation failed: {err}", file=sys.stderr)
+        return EXIT_COMPUTATION_FAILED
 
 
 if __name__ == "__main__":

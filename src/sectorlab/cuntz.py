@@ -355,10 +355,6 @@ def gauge_act(g: np.ndarray, p: CuntzPolynomial) -> CuntzPolynomial:
         v = g[j - 1, i - 1]
         return QRat.of(v) if exact else complex(v)
 
-    def conj_entry(j: int, i: int):
-        e = entry(j, i)
-        return e.conjugate() if exact else e.conjugate()
-
     out: dict[CuntzWord, object] = {}
     letters = range(1, p.d + 1)
     for w, c in (p.terms if exact else p._coerced_terms(False)).items():
@@ -375,10 +371,10 @@ def gauge_act(g: np.ndarray, p: CuntzPolynomial) -> CuntzPolynomial:
             ]
         for letter in w.nu:
             images = [
-                (mu, nu + (j,), coeff * conj_entry(j, letter))
+                (mu, nu + (j,), coeff * entry(j, letter).conjugate())
                 for mu, nu, coeff in images
                 for j in letters
-                if conj_entry(j, letter)
+                if entry(j, letter)
             ]
         for mu, nu, coeff in images:
             word = CuntzWord(mu, nu)
@@ -418,10 +414,7 @@ def fock_dimension(d: int, level: int) -> int:
 
 
 def _string_offsets(d: int, level: int) -> np.ndarray:
-    return np.array([fock_dimension(d, l) for l in range(-1, level + 1)]) \
-        if False else np.concatenate(
-            [[0], np.cumsum([d ** l for l in range(level + 1)])]
-    )
+    return np.concatenate([[0], np.cumsum([d ** l for l in range(level + 1)])])
 
 
 def _string_index(d: int, offsets: np.ndarray, s: tuple[int, ...]) -> int:

@@ -472,7 +472,9 @@ def isotypic_decomposition(
     last_err: Exception | None = None
     for attempt in range(max_retries):
         rng = rng_from_seed(seed + attempt)
-        coeff = rng.standard_normal(center_basis.shape[0])
+        # real coefficients would merge each pair of conjugate irreps
+        k = center_basis.shape[0]
+        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         h = np.tensordot(coeff, center_basis, axes=(0, 0))
         h = (h + la.dagger(h)) / 2
         evals, evecs = np.linalg.eigh(h)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,42 @@ class TestInvertCq:
     def test_design_matrix_values(self, two_point_channel):
         m = design_matrix(two_point_channel, [SZ])
         assert np.allclose(m, [[1.0, -1.0]])
+
+    def test_non_finite_data_rejected(self, two_point_channel):
+        with pytest.raises(ValueError):
+            invert_cq(two_point_channel, [SZ], np.array([np.nan]))
+
+
+def simplex_optimum(m, b):
+    """Brute-force oracle: least squares on every support of the simplex."""
+    best = np.inf
+    n = m.shape[1]
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            s = list(support)
+            kkt = np.block([[m[:, s].T @ m[:, s], np.ones((k, 1))],
+                            [np.ones((1, k)), np.zeros((1, 1))]])
+            rhs = np.concatenate([m[:, s].T @ b, [1.0]])
+            z = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+            if z.min() >= -1e-12:
+                best = min(best, float(np.linalg.norm(m[:, s] @ z - b)))
+    return best
+
+
+class TestInconsistentData:
+    """The reported weight is the simplex optimum, not just a fit of the data."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_residual_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = 5, 3
+        fibres = [State(np.diag(w), label=str(i))
+                  for i, w in enumerate(rng.dirichlet(np.ones(d), size=n))]
+        ch = ClassicalQuantumChannel(ClassifyingSpace(tuple(range(n))), fibres)
+        probes = [np.diag(rng.standard_normal(d)).astype(complex) for _ in range(3)]
+        data = 3.0 * rng.standard_normal(3)
+        result = invert_cq(ch, probes, data)
+        oracle = simplex_optimum(design_matrix(ch, probes), data)
+        assert result.residual == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        assert result.kkt_residual <= 1e-9
+        assert result.converged and result.iterations >= 1

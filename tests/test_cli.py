@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from sectorlab import channels, cli
 from sectorlab import serialize as io
 from sectorlab.algebra import vector_state
 from sectorlab.channels import ClassifyingSpace
-from sectorlab.groups import cyclic_group, regular_rep
+from sectorlab.groups import IsotypicError, cyclic_group, regular_rep
 from sectorlab.models import (
     coupled_chain_hamiltonian,
     moment_grid,
@@ -244,3 +245,50 @@ class TestCliCommands:
                        "--state", str(bad), "--vacuum", str(bad))
         assert proc.returncode == 2
         assert "line" in proc.stderr and "column" in proc.stderr
+
+
+class TestExitCodes:
+    def test_computation_failure_exits_3(self, example_tree, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise IsotypicError("unresolved")
+
+        monkeypatch.setattr(cli, "decompose_sectors", fail)
+        d = example_tree / "z2_chain_2"
+        code = cli.main(["sectors", "analyze", "--field", str(d / "field.json"),
+                         "--group", str(d / "group.json"), "--rep", str(d / "rep.json")])
+        assert code == cli.EXIT_COMPUTATION_FAILED == 3
+        assert "computation failed" in capsys.readouterr().err
+
+    def test_z3_clock_sectors(self, tmp_path):
+        w = np.exp(2j * np.pi / 3)
+        clock = np.diag([1, w, w * w])
+        (tmp_path / "field.json").write_text(json.dumps({"full_dim": 3}))
+        io.write_report(tmp_path / "rep.json", {
+            "group": "cyclic:3",
+            "matrices": [io.matrix_to_json(np.linalg.matrix_power(clock, k))
+                         for k in range(3)],
+        })
+        proc = run_cli("sectors", "analyze", "--field", str(tmp_path / "field.json"),
+                       "--group", "cyclic:3", "--rep", str(tmp_path / "rep.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["center_dim"] == 3
+
+
+def test_channels_invert_checks_separation_once(example_tree, monkeypatch, capsys):
+    calls = []
+    original = channels.separation_check
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "separation_check", counted)
+    monkeypatch.setattr(cli, "separation_check", counted, raising=False)
+    d = example_tree / "moment_grid_12"
+    code = cli.main(["channels", "invert", "--channel", str(d / "channel.json"),
+                     "--probes", str(d / "probes.json"),
+                     "--data", str(d / "measured.json")])
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["rank"] == 11 and report["sigma_min"] > 0

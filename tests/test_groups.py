@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sectorlab import _linalg as la
 from sectorlab.algebra import full_matrix_algebra, generate_algebra, commutant
@@ -222,3 +223,47 @@ class TestIntertwiners:
         with pytest.raises(ValueError):
             intertwiner_space(trivial_rep(cyclic_group(2)),
                               trivial_rep(cyclic_group(3)))
+
+
+def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    """Table of G1 x G2 on the index pairs (a, b) -> a * |G2| + b."""
+    t1, t2 = g1.table, g2.table
+    n2 = g2.order
+    table = np.array([
+        [t1[a1, a2] * n2 + t2[b1, b2] for a2 in range(g1.order) for b2 in range(n2)]
+        for a1 in range(g1.order) for b1 in range(n2)
+    ])
+    return FiniteGroup(table)
+
+
+def _clock_rep():
+    w = np.exp(2j * np.pi / 3)
+    return cyclic_rep_from_unitary(np.diag([1, w, w * w]), 3)
+
+
+#: representations containing every irrep of their group, several with
+#: non-real characters
+COMPLETE_REPS = (
+    [lambda n=n: regular_rep(cyclic_group(n)) for n in range(3, 13)]
+    + [_clock_rep,
+       lambda: regular_rep(direct_product(symmetric_group(3), cyclic_group(3)))]
+)
+
+
+class TestIsotypicProperties:
+    def test_direct_product_is_a_group(self):
+        group = direct_product(symmetric_group(3), cyclic_group(3))
+        group.validate()
+        assert len(group.conjugacy_classes()) == 9
+
+    @settings(max_examples=40, deadline=None)
+    @given(make=st.sampled_from(COMPLETE_REPS), seed=st.integers(0, 10_000))
+    def test_every_irrep_resolved(self, make, seed):
+        rep = make()
+        dec = isotypic_decomposition(rep, seed=seed)
+        group = rep.group
+        assert dec.n_sectors == len(group.conjugacy_classes())
+        assert sum(d * d for d in dec.irrep_dims) == group.order
+        assert dec.irrep_dims[0] == 1
+        assert np.allclose(dec.characters()[0], 1.0)
+        assert dec.reconstruction_residual(rep) <= 1e-10

@@ -1,7 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 
 from sectorlab import _linalg as la
+from sectorlab import thermal
 from sectorlab.algebra import full_matrix_algebra
 from sectorlab.channels import (
     ProbabilityWeight,
@@ -100,6 +103,25 @@ class TestGibbsState:
             h /= np.linalg.norm(h, 2)
             res = kms_residual(HamiltonianSystem(h), 1.3, n_samples=10)
             assert res <= 1e-8
+
+    def test_kms_wide_spectrum_stays_finite(self):
+        # beta * spread = 800: exp(+beta H) would overflow
+        sys = HamiltonianSystem(np.diag([0.0, 1.0, 2.0, 800.0]).astype(complex))
+        with np.errstate(over="raise", invalid="raise"):
+            res = kms_residual(sys, 1.0)
+        assert np.isfinite(res) and res <= 1e-12
+
+    def test_kms_detects_coherent_state(self, monkeypatch):
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        monkeypatch.setattr(thermal, "gibbs_state",
+                            lambda *a: types.SimpleNamespace(density=plus))
+        assert kms_residual(HamiltonianSystem(SZ), 1.0) > 1e-3
+
+    def test_kms_non_finite_is_never_a_pass(self, monkeypatch):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        monkeypatch.setattr(thermal, "gibbs_state",
+                            lambda *a: types.SimpleNamespace(density=nan))
+        assert kms_residual(HamiltonianSystem(SZ), 1.0) == np.inf
 
     def test_chemical_potential_shifts_weights(self):
         sys = HamiltonianSystem(SZ, number=np.diag([1.0, 0.0]).astype(complex))
@@ -231,3 +253,38 @@ class TestHierarchy:
         truth = moment_true_weights().moments()["beta"]
         assert mean == pytest.approx(truth[0], abs=1e-6)
         assert var == pytest.approx(truth[1], abs=1e-6)
+
+
+def gibbs_mixture_case(seed: int):
+    """32 levels on [0, 10], 50 betas on [0.05, 5], 20 occupation probes and
+    an exact mixture of three Gibbs states, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n, g, p = 32, 50, 20
+    energies = np.sort(rng.uniform(0, 10, n))
+    energies[0] = 0.0
+    betas = np.geomspace(0.05, 5, g)
+    levels = sorted(rng.choice(n, p, replace=False))
+    weights = np.zeros(g)
+    weights[rng.choice(g, 3, replace=False)] = rng.dirichlet(np.ones(3))
+    pops = np.exp(-np.outer(betas, energies))
+    pops /= pops.sum(axis=1, keepdims=True)
+    state = weights @ pops
+    probes = []
+    for k in levels:
+        occ = np.zeros((n, n), dtype=complex)
+        occ[k, k] = 1.0
+        probes.append((f"occ{k}", occ))
+    measured = {f"occ{k}": float(state[k]) for k in levels}
+    sys = HamiltonianSystem(np.diag(energies).astype(complex))
+    return measured, probes, build_thermal_channel(sys, beta_grid(betas))
+
+
+class TestIllConditionedGibbsMixtures:
+    """Exact mixtures whose design is too ill-conditioned for normal equations."""
+
+    @pytest.mark.parametrize("seed", [3, 6])
+    def test_exact_mixture_accepted(self, seed):
+        measured, probes, channel = gibbs_mixture_case(seed)
+        verdict = s_thermal_check(measured, probes, channel, tol=1e-8)
+        assert verdict.accepted
+        assert verdict.residual <= 1e-10
