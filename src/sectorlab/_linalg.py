@@ -109,16 +109,28 @@ def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
     )
 
 
+def _svd_rank(s: np.ndarray, tol_rank: float | None) -> int:
+    """Number of singular values above ``tol_rank`` * max(sigma_max, 1)."""
+    tol = DEFAULT_TOL.rank if tol_rank is None else tol_rank
+    smax = s[0] if s.size else 0.0
+    return int(np.sum(s > tol * max(smax, 1.0)))
+
+
 def nullspace(a: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
     """Orthonormal basis (rows) of the nullspace of ``a``, via SVD."""
-    tol = DEFAULT_TOL.rank if tol_rank is None else tol_rank
     a = np.asarray(a, dtype=complex)
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(smax, 1.0)))
-    return vh[rank:].conj()
+    # a wide system needs the full V for its nullspace; a tall one never
+    # needs the full U, which would be (rows x rows)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vh[_svd_rank(s, tol_rank):].conj()
+
+
+def row_space(a: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
+    """Orthonormal basis (rows) of the row space of ``a``, via SVD."""
+    _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)
+    return vh[:_svd_rank(s, tol_rank)]
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:

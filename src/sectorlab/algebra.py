@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .config import DEFAULT_TOL, DIMENSION_CAP, Tolerances, rng_from_seed
+from .config import DEFAULT_SEED, DEFAULT_TOL, DIMENSION_CAP, Tolerances, rng_from_seed
 
 
 class DimensionCapError(ValueError):
@@ -31,6 +31,12 @@ class OperatorAlgebra:
     <A, B> = tr(A* B).  ``generators`` optionally records a small subset
     whose generated algebra equals the span; commutant computations use it
     to avoid stacking every basis element.
+
+    Commutants (and through them centres and central projections) are
+    solved on the eigenspace blocks of a seeded generic Hermitian element
+    of the algebra: the unknowns shrink from d^2 to sum m_a^2 over the
+    eigenspace dimensions m_a, and a Gram eigenvalue counts as null when
+    it is <= 1e-12 * max(lambda_max, 1).
     """
 
     ambient_dim: int
@@ -193,50 +199,73 @@ def generate_algebra(
     )
 
 
-def _commutant_basis(mats, d: int, tol_rank: float | None) -> np.ndarray:
-    """Joint nullspace of X -> [X, M] over the given matrices (row-major vec).
+def _commutant_basis(mats, d: int) -> np.ndarray:
+    """Orthonormal basis of {Y : [Y, M] = 0 for every M in ``mats``}.
 
-    Small systems are stacked and SVD'd directly.  Larger ones go through
-    the Hermitian form Q = sum_i L_i* L_i of the commutator maps L_i,
-    assembled with batched tensor contractions; the nullspace is then the
-    bottom eigenspace of Q (eigenvalues are squared singular values, so the
-    relative cut sits at 1e-12).
+    A seeded generic Hermitian element X = (Z + Z*)/2, Z a random complex
+    combination of ``mats``, satisfies A' <= {X}', so every solution is
+    block-diagonal on X's eigenspaces (Murota, Kanno, Kojima & Kojima,
+    Japan J. Indust. Appl. Math. 27, 2010).  Eigenvalues closer than
+    ``DEFAULT_TOL.gap`` times the largest |eigenvalue| share a block;
+    merging only adds unknowns, so an unlucky X costs time, never
+    correctness.  In X's eigenbasis the n = sum m_a^2 block entries are
+    the only unknowns, and their Gram matrix G = sum_M L_M* L_M of the
+    commutator maps is assembled from the rotated matrices directly.  Its
+    null vectors are the eigenvectors with eigenvalue
+    <= 1e-12 * max(lambda_max, 1) (squared singular values, so about 1e-6
+    in singular-value terms).  Placing them into their blocks and rotating
+    back is an isometry, so the result is orthonormal as it stands.
     """
     mats = np.asarray(list(mats), dtype=complex)
-    k = mats.shape[0]
-    eye = np.eye(d, dtype=complex)
-    if k * d * d <= 1024:
-        blocks = [np.kron(m, eye) - np.kron(eye, m.T) for m in mats]
-        null_rows = la.nullspace(np.concatenate(blocks, axis=0), tol_rank)
-        return la.orthonormalize_mats(la.rows_to_mats(null_rows, d), tol_rank)
-    md = la.dagger(mats)
-    mdm = np.einsum("kij,kjl->il", md, mats)
-    mmd = np.einsum("kij,kjl->il", mats, md)
-    q = np.einsum("ac,bd->abcd", mdm, eye)
-    q += np.einsum("ac,bd->abcd", eye, mmd.T)
-    q -= np.einsum("kac,kbd->abcd", md, mats.transpose(0, 2, 1))
-    q -= np.einsum("kac,kbd->abcd", mats, mats.conj())
-    q = q.reshape(d * d, d * d)
-    evals, evecs = np.linalg.eigh((q + la.dagger(q)) / 2)
-    cut = max(float(evals[-1]), 1.0) * 1e-12
-    null_rows = evecs[:, evals <= cut].T
-    return la.orthonormalize_mats(la.rows_to_mats(null_rows, d), tol_rank)
+    rng = rng_from_seed(DEFAULT_SEED)
+    coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    z = np.tensordot(coeff, mats, axes=(0, 0))
+    evals, q = np.linalg.eigh((z + la.dagger(z)) / 2)
+    scale = max(abs(evals[0]), abs(evals[-1]))
+    cuts = np.flatnonzero(np.diff(evals) > DEFAULT_TOL.gap * scale) + 1
+    blocks = np.split(np.arange(d), cuts)
+    # unknown j is the entry Y[row[j], col[j]] of one diagonal block
+    row = np.concatenate([np.repeat(c, c.size) for c in blocks])
+    col = np.concatenate([np.tile(c, c.size) for c in blocks])
+    n, k = row.size, mats.shape[0]
+    b = la.dagger(q) @ mats @ q
+    wide = b.transpose(1, 0, 2).reshape(d, k * d)
+    tall = b.reshape(k * d, d)
+    bbd = wide @ la.dagger(wide)  # sum_M M M*
+    bdb = la.dagger(tall) @ tall  # sum_M M* M
+    gram = ((row[:, None] == row[None, :]) * bbd[col[None, :], col[:, None]]
+            + (col[:, None] == col[None, :]) * bdb[row[:, None], row[None, :]])
+    # T[i, j] = sum_M M[row_i, row_j] conj(M[col_i, col_j]), in chunks of mats
+    t = np.zeros((n, n), dtype=complex)
+    step = max(1, (1 << 20) // (n * n))
+    for lo in range(0, k, step):
+        chunk = b[lo:lo + step]
+        t += np.einsum("kij,kij->ij", chunk[:, row[:, None], row[None, :]],
+                       chunk[:, col[:, None], col[None, :]].conj())
+    gram -= t + la.dagger(t)
+    lam, vecs = np.linalg.eigh(gram)
+    null = vecs[:, lam <= 1e-12 * max(float(lam[-1]), 1.0)]
+    y = np.zeros((null.shape[1], d, d), dtype=complex)
+    y[:, row, col] = null.T
+    return q @ y @ la.dagger(q)
 
 
-def commutant(alg: OperatorAlgebra, tol_rank: float | None = None) -> OperatorAlgebra:
+def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     """The relative commutant {X : XB = BX for all B in alg} inside B(C^d).
 
     Uses the algebra's recorded generating set when available (augmented
     with adjoints: the commutant of a self-adjoint set equals the
-    commutant of the *-algebra it generates).
+    commutant of the *-algebra it generates).  The solve runs on the
+    eigenspace blocks of a seeded generic Hermitian element of the algebra
+    and keeps the Gram eigenvalues <= 1e-12 * max(lambda_max, 1) as null;
+    see :func:`_commutant_basis`.  The returned basis is orthonormal.
     """
     d = alg.ambient_dim
     if alg.generators is not None:
         mats = list(alg.generators) + [la.dagger(g) for g in alg.generators]
     else:
         mats = alg.basis
-    basis = _commutant_basis(mats, d, tol_rank)
-    return OperatorAlgebra(d, basis, contains_unit=True)
+    return OperatorAlgebra(d, _commutant_basis(mats, d), contains_unit=True)
 
 
 def center(alg: OperatorAlgebra, tol_rank: float | None = None) -> OperatorAlgebra:
@@ -244,12 +273,16 @@ def center(alg: OperatorAlgebra, tol_rank: float | None = None) -> OperatorAlgeb
 
     For a unital *-subalgebra the trace projection is a conditional
     expectation, so projecting the commutant basis into alg lands exactly
-    on the centre.
+    on the centre.  The rank is decided by one SVD of the projected stack,
+    taken in alg's orthonormal coordinates: singular values above
+    ``tol_rank`` * max(sigma_max, 1) are kept, and their right singular
+    vectors are the basis.
     """
-    comm = commutant(alg, tol_rank)
-    projected = np.array([alg.project(c) for c in comm.basis])
-    basis = la.orthonormalize_mats(projected, tol_rank)
-    return OperatorAlgebra(alg.ambient_dim, basis, contains_unit=True)
+    comm = la.mats_to_rows(commutant(alg).basis)
+    own = la.mats_to_rows(alg.basis)
+    rows = la.row_space(comm @ la.dagger(own), tol_rank) @ own
+    return OperatorAlgebra(alg.ambient_dim, la.rows_to_mats(rows, alg.ambient_dim),
+                           contains_unit=True)
 
 
 def minimal_central_projections(

@@ -26,7 +26,7 @@ from .dhrnet import dhr_check, invert_selected_state
 from .groups import IsotypicError
 from .models import bundle_examples
 from .sectors import decompose_sectors, estimate_charge, sector_energies
-from .thermal import build_thermal_channel, hierarchy_report, thermal_function
+from .thermal import build_thermal_channel, hierarchy_report
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -230,10 +230,12 @@ def _run_thermal_estimate(args, tol) -> int:
         probes = hierarchy.levels[-1][1] if hierarchy.levels else ()
         header = ["beta", "mu"] + [name for name, _ in probes]
         rows = []
-        values = [thermal_function(system, grid, m) for _, m in probes]
+        # probe expectations on the channel's Gibbs states, column i = point i
+        values = (design_matrix(channel, [m for _, m in probes]) if probes
+                  else np.zeros((0, len(grid.points))))
         for i, (beta, mu) in enumerate(grid.points):
             rows.append([beta, 0.0 if mu is None else mu]
-                        + [float(col[i]) for col in values])
+                        + [float(v) for v in values[:, i]])
         with open(args.csv, "w") as fh:
             fh.write(io.format_csv(rows, header))
     return EXIT_OK if payload["max_accepted_level"] is not None else EXIT_REJECTED

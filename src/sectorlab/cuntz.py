@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _linalg as la
 
@@ -424,7 +423,7 @@ def _string_index(d: int, offsets: np.ndarray, s: tuple[int, ...]) -> int:
     return int(offsets[len(s)] + idx)
 
 
-def fock_matrix(p: CuntzPolynomial, level: int) -> sp.csr_matrix:
+def fock_matrix(p: CuntzPolynomial, level: int) -> "scipy.sparse.csr_matrix":
     """Matrix of ``p`` on index strings of length <= level (sparse CSR).
 
     Generators act by prepending a letter (annihilating strings already at
@@ -436,6 +435,10 @@ def fock_matrix(p: CuntzPolynomial, level: int) -> sp.csr_matrix:
     normal forms and matrix products agree exactly; see
     :func:`fock_product_defect`.
     """
+    # imported here: scipy.sparse costs a third of a second and only
+    # this oracle needs it
+    import scipy.sparse as sp
+
     if level < p.max_word_length():
         raise ValueError(
             f"truncation level {level} below the longest word "

@@ -342,19 +342,14 @@ def haag_duality_check(
 
     The defect dim LHS - dim RHS vanishes exactly on the field net; on the
     observable net a positive defect is the signature of superselection
-    structure.  The double commutant is computed literally for total
-    dimension <= 16; above that the span of A(O) is used directly (its
-    bicommutant equals its span, the finite-dimensional density theorem
-    the algebra tests verify independently).
+    structure.  Both sides are computed literally at every size: the
+    commutant of the complement's algebra, and the double commutant of the
+    region's algebra.
     """
     sites = normalize_region(net, region)
     comp = complement_sites(net, sites)
     lhs = commutant(region_algebra(net, comp, observable=observable))
-    inner = region_algebra(net, sites, observable=observable)
-    if net.total_dim <= 16:
-        rhs = commutant(commutant(inner))
-    else:
-        rhs = inner
+    rhs = commutant(commutant(region_algebra(net, sites, observable=observable)))
     defect = lhs.dim - rhs.dim
     return HaagReport(
         region=sites,

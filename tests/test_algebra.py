@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sectorlab import _linalg as la
 from sectorlab.algebra import (
@@ -64,6 +65,32 @@ def commutant_entrywise(basis, d):
     _, s, vh = np.linalg.svd(np.array(rows))
     rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
     return vh[rank:].conj()
+
+
+def block_algebra(blocks, seed):
+    """Basis and two generators of V (+_i M_k (x) 1_m) V* for a seeded unitary V.
+
+    ``blocks`` lists (k, m) pairs; two generic elements generate the algebra.
+    """
+    rng = np.random.default_rng(seed)
+    d = sum(k * m for k, m in blocks)
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    basis, gens = [], [np.zeros((d, d), dtype=complex) for _ in range(2)]
+    off = 0
+    for k, m in blocks:
+        sl = slice(off, off + k * m)
+        for a in range(k):
+            for b in range(k):
+                blk = np.zeros((d, d), dtype=complex)
+                blk[sl, sl] = np.kron(np.outer(np.eye(k)[a], np.eye(k)[b]), np.eye(m))
+                basis.append(v @ blk @ v.conj().T / np.sqrt(m))
+        for g in gens:
+            x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            blk = np.zeros((d, d), dtype=complex)
+            blk[sl, sl] = np.kron(x, np.eye(m))
+            g += v @ blk @ v.conj().T
+        off += k * m
+    return d, np.array(basis), tuple(gens)
 
 
 class TestGenerateAlgebra:
@@ -133,6 +160,42 @@ class TestCommutant:
                 assert la.span_residual(alg.basis, b) <= 1e-8
 
 
+BLOCK_LISTS = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3
+).filter(lambda bl: sum(k * m for k, m in bl) <= 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=BLOCK_LISTS, seed=st.integers(0, 10_000), use_gens=st.booleans())
+@example(blocks=[(1, 2), (1, 2)], seed=0, use_gens=False)
+@example(blocks=[(2, 1), (2, 1), (1, 2)], seed=1, use_gens=True)
+@example(blocks=[(1, 5)], seed=2, use_gens=False)
+@example(blocks=[(1, 5)], seed=2, use_gens=True)
+@example(blocks=[(5, 1)], seed=3, use_gens=False)
+@example(blocks=[(5, 1)], seed=3, use_gens=True)
+def test_structure_of_block_algebras(blocks, seed, use_gens):
+    """commutant, center and central projections of V(+ M_k (x) 1_m)V*.
+
+    Checked against the entrywise commutant oracle (dimension and span)
+    and the block structure (centre dimension and projection ranks), from
+    the basis and from a generating set; the commutant basis must be
+    orthonormal.
+    """
+    d, basis, gens = block_algebra(blocks, seed)
+    alg = OperatorAlgebra(d, basis, generators=gens if use_gens else None)
+    comm = commutant(alg)
+    oracle = la.rows_to_mats(commutant_entrywise(basis, d), d)
+    assert comm.dim == oracle.shape[0] == sum(m * m for _, m in blocks)
+    assert la.same_span(comm.basis, oracle, 1e-8)
+    rows = la.mats_to_rows(comm.basis)
+    assert np.allclose(rows @ rows.conj().T, np.eye(comm.dim), atol=1e-12)
+    assert center(alg).dim == len(blocks)
+    projs = minimal_central_projections(alg)
+    assert sorted(int(round(np.trace(p).real)) for p in projs) == sorted(
+        k * m for k, m in blocks)
+    assert np.allclose(sum(projs), np.eye(d), atol=1e-10)
+
+
 class TestCenter:
     def test_center_of_full_algebra(self):
         assert center(full_matrix_algebra(2)).dim == 1
@@ -153,6 +216,23 @@ class TestCenter:
     def test_center_counts_sectors(self):
         comm = commutant(generate_algebra([kron_all(SZ, SZ)]))
         assert center(comm).dim == 2
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_rank_from_singular_values(self, seed):
+        # Thresholded Gram-Schmidt on these projected commutant stacks
+        # accepts a residual of about 1e-9, normalises its noise into a
+        # spurious fifth direction and reports dimension 5.  The singular
+        # values are 1, 1, 1, 1, then below 1e-14.
+        blocks = [(1, 2), (3, 3), (5, 1), (2, 4)]
+        d, basis, _ = block_algebra(blocks, seed)
+        alg = OperatorAlgebra(d, basis)
+        z = center(alg)
+        assert z.dim == 4
+        for a in z.basis:
+            assert all(np.linalg.norm(a @ b - b @ a) <= 1e-10 for b in basis)
+        ranks = sorted(int(round(np.trace(p).real))
+                       for p in minimal_central_projections(alg))
+        assert ranks == [2, 5, 8, 9]
 
     def test_center_is_commutative_and_unital(self):
         comm = commutant(generate_algebra([kron_all(SZ, SZ)]))

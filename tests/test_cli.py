@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sectorlab import channels, cli
+from sectorlab import channels, cli, thermal
 from sectorlab import serialize as io
 from sectorlab.algebra import vector_state
 from sectorlab.channels import ClassifyingSpace
@@ -17,7 +17,12 @@ from sectorlab.models import (
     two_level_hierarchy,
     z2_chain_net,
 )
-from sectorlab.thermal import HamiltonianSystem, build_thermal_channel, gibbs_state
+from sectorlab.thermal import (
+    HamiltonianSystem,
+    build_thermal_channel,
+    gibbs_state,
+    thermal_function,
+)
 
 from conftest import SZ
 
@@ -147,6 +152,43 @@ class TestCliCommands:
         assert report["max_accepted_level"] == "energy"
         header = csv_path.read_text().splitlines()[0]
         assert header == "beta,mu,unit,energy"
+
+    def test_thermal_estimate_csv_matches_thermal_function(
+            self, example_tree, tmp_path, monkeypatch):
+        d = example_tree / "gibbs_two_level"
+        csv_path = tmp_path / "tf.csv"
+        calls = []
+        original = thermal.gibbs_state
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(thermal, "gibbs_state", counted)
+        code = cli.main([
+            "thermal", "estimate", "--system", str(d / "system.json"),
+            "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+            "--hierarchy", str(d / "hierarchy.json"), "--csv", str(csv_path),
+        ])
+        assert code == 0
+        system = io.system_from_json(io.load_json(d / "system.json"))
+        grid = io.grid_from_json(io.load_json(d / "grid.json"))
+        assert len(calls) == len(grid.points)  # one Gibbs state per grid point
+        probes = io.hierarchy_from_json(io.load_json(d / "hierarchy.json")).levels[-1][1]
+        table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape == (len(grid.points), 2 + len(probes))
+        for j, (_, m) in enumerate(probes):
+            assert np.allclose(table[:, 2 + j], thermal_function(system, grid, m),
+                               rtol=0, atol=1e-12)
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sectorlab.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_thermal_estimate_rejects_infeasible(self, example_tree, tmp_path):
         d = example_tree / "gibbs_two_level"

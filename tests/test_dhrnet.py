@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sectorlab import _linalg as la
+from sectorlab import _linalg as la, dhrnet
 from sectorlab.algebra import State, vector_state
 from sectorlab.dhrnet import (
     LatticeNet,
@@ -261,6 +261,24 @@ class TestHaagDuality:
         report = haag_duality_check(net2, [0, 1], observable=False)
         assert report.lhs_dim == 16
         assert report.defect == 0
+
+    @pytest.mark.parametrize("region", [(0,), (1, 2), (1, 2, 3), (0, 1, 2, 3)])
+    def test_observable_five_sites_literal(self, region, monkeypatch):
+        # A(O) = M_a + M_a with a = 2^(m-1), so dim A(O)'' = 2 * 4^(m-1);
+        # A(O') carries the complement's parity, so dim A(O')' = 2 * 4^m
+        calls = []
+        original = dhrnet.commutant
+
+        def counted(alg):
+            calls.append(alg.dim)
+            return original(alg)
+
+        monkeypatch.setattr(dhrnet, "commutant", counted)
+        m = len(region)
+        report = haag_duality_check(z2_chain_net(5), region, observable=True)
+        assert report.lhs_dim == 2 * 4 ** m
+        assert report.rhs_dim == 2 * 4 ** (m - 1)
+        assert len(calls) == 3  # A(O')' and both commutants of A(O)''
 
 
 class TestInversionSearch:

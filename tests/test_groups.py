@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +222,24 @@ class TestIntertwiners:
             for g in range(2):
                 assert np.linalg.norm(
                     s @ reg.matrices[g] - reg.matrices[g] @ s) <= 1e-10
+
+    def test_tall_system_under_memory_cap(self):
+        # The S4 regular system is 13824 x 576; a full U would take 2.85 GiB.
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "cap = 2500 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from sectorlab.groups import builtin_group, intertwiner_space, regular_rep\n"
+            "rep = regular_rep(builtin_group('symmetric:4'))\n"
+            "print(len(intertwiner_space(rep, rep)))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "24"
 
     def test_group_mismatch_rejected(self):
         with pytest.raises(ValueError):
