@@ -102,8 +102,14 @@ class State:
     def expect(self, a: np.ndarray) -> complex:
         return complex(np.trace(self.density @ a))
 
+    def check_finite(self) -> None:
+        """Raise ``ValueError`` when the density has a NaN or infinite entry."""
+        if not np.all(np.isfinite(self.density)):
+            raise ValueError(f"density has non-finite entries ({self.label!r})")
+
     def validate(self, tol: float | None = None) -> None:
         t = DEFAULT_TOL.state if tol is None else tol
+        self.check_finite()
         rho = self.density
         if np.linalg.norm(rho - la.dagger(rho)) > t * max(1.0, la.hs_norm(rho)):
             raise ValueError(f"density not Hermitian ({self.label!r})")

@@ -416,65 +416,11 @@ def _string_offsets(d: int, level: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum([d ** l for l in range(level + 1)])])
 
 
-def _string_index(d: int, offsets: np.ndarray, s: tuple[int, ...]) -> int:
-    idx = 0
-    for letter in s:
-        idx = idx * d + (letter - 1)
-    return int(offsets[len(s)] + idx)
-
-
-def fock_matrix(p: CuntzPolynomial, level: int) -> "scipy.sparse.csr_matrix":
-    """Matrix of ``p`` on index strings of length <= level (sparse CSR).
-
-    Generators act by prepending a letter (annihilating strings already at
-    the top length: the truncation edge) and their adjoints by stripping a
-    matching first letter.  As matrix products, psi_i* psi_j = delta_ij
-    holds on strings below the top level and sum_i psi_i psi_i* equals
-    1 - |empty><empty| (the Fock vacuum is the bottom edge).  Oracle
-    comparisons therefore restrict to the safe columns, where word-level
-    normal forms and matrix products agree exactly; see
-    :func:`fock_product_defect`.
-    """
-    # imported here: scipy.sparse costs a third of a second and only
-    # this oracle needs it
-    import scipy.sparse as sp
-
-    if level < p.max_word_length():
-        raise ValueError(
-            f"truncation level {level} below the longest word "
-            f"({p.max_word_length()})"
-        )
-    d = p.d
-    offsets = _string_offsets(d, level)
-    n = int(offsets[-1])
-    rows_list, cols_list, vals_list = [], [], []
-    for w, c in p.terms.items():
-        cval = complex(c)
-        mu_idx = 0
-        for letter in w.mu:
-            mu_idx = mu_idx * d + (letter - 1)
-        nu_idx = 0
-        for letter in w.nu:
-            nu_idx = nu_idx * d + (letter - 1)
-        for t in range(level - w.max_length() + 1):
-            span = d ** t
-            tails = np.arange(span)
-            rows_list.append(offsets[len(w.mu) + t] + mu_idx * span + tails)
-            cols_list.append(offsets[len(w.nu) + t] + nu_idx * span + tails)
-            vals_list.append(np.full(span, cval))
-    if not rows_list:
-        return sp.csr_matrix((n, n), dtype=complex)
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    vals = np.concatenate(vals_list)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
-
-
 _TAILS_CACHE: dict[int, np.ndarray] = {}
 
 
 def _tails(span: int) -> np.ndarray:
-    """Read-only arange cache shared by the index-map fast path."""
+    """Read-only arange cache for the word index maps."""
     cached = _TAILS_CACHE.get(span)
     if cached is None:
         cached = np.arange(span, dtype=np.int64)
@@ -501,6 +447,44 @@ def _word_index_map(
     if not cols_list:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(cols_list), np.concatenate(rows_list)
+
+
+def fock_matrix(p: CuntzPolynomial, level: int) -> "scipy.sparse.csr_matrix":
+    """Matrix of ``p`` on index strings of length <= level (sparse CSR).
+
+    Generators act by prepending a letter (annihilating strings already at
+    the top length: the truncation edge) and their adjoints by stripping a
+    matching first letter.  As matrix products, psi_i* psi_j = delta_ij
+    holds on strings below the top level and sum_i psi_i psi_i* equals
+    1 - |empty><empty| (the Fock vacuum is the bottom edge).  Oracle
+    comparisons therefore restrict to the safe columns, away from the top
+    edge; :func:`fock_product_defect` says where the bottom edge still
+    shows.
+    """
+    # imported here: scipy.sparse costs a third of a second and only
+    # this oracle needs it
+    import scipy.sparse as sp
+
+    if level < p.max_word_length():
+        raise ValueError(
+            f"truncation level {level} below the longest word "
+            f"({p.max_word_length()})"
+        )
+    d = p.d
+    offsets = _string_offsets(d, level)
+    n = int(offsets[-1])
+    rows_list, cols_list, vals_list = [], [], []
+    for w, c in p.terms.items():
+        cols, rows = _word_index_map(d, offsets, level, w)
+        rows_list.append(rows)
+        cols_list.append(cols)
+        vals_list.append(np.full(cols.size, complex(c)))
+    if not rows_list:
+        return sp.csr_matrix((n, n), dtype=complex)
+    rows = np.concatenate(rows_list)
+    cols = np.concatenate(cols_list)
+    vals = np.concatenate(vals_list)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
 
 
 def _is_plain_word(p: CuntzPolynomial) -> bool:
@@ -540,7 +524,13 @@ def fock_product_defect(
 
     Safe columns are index strings of length <= level - len(p) - len(q)
     (word lengths measured by the longer of the two index strings); on
-    them the truncation never interferes and the defect is zero up to
+    them the truncation at the top level never interferes.  The safe
+    columns include the Fock vacuum, where sum_i psi_i psi_i* acts as
+    1 - |empty><empty|.  So where the normal form of p q contracts a full
+    sum s_mu (sum_i s_i s_i*) s_nu* to s_mu s_nu*, the matrix product
+    differs from it by |mu><nu|, on the column of the string nu: the
+    vacuum column when nu is empty, as for (s1 + s2)(s1* + s2*), whose
+    defect is 1.  On every other safe column the defect is zero up to
     coefficient rounding.  Returns (max absolute deviation, #safe columns).
 
     Single words with unit coefficient are composed as 0/1 index maps,

@@ -22,10 +22,9 @@ from .algebra import (
     commutant,
     full_matrix_algebra,
     scalar_algebra,
-    state_distance_mod,
 )
 from .config import DIMENSION_CAP
-from .groups import UnitaryRep, fixed_point_algebra, tensor_power_rep
+from .groups import UnitaryRep, average, fixed_point_algebra, tensor_power_rep
 from .sectors import ChargedMultiplet
 
 
@@ -156,6 +155,40 @@ def enumerate_regions(
     return regions
 
 
+def _check_states(omega: State, omega0: State, net: LatticeNet) -> None:
+    if omega.dim != net.total_dim or omega0.dim != net.total_dim:
+        raise ValueError("states must live on the net's total space")
+    omega.check_finite()
+    omega0.check_finite()
+
+
+def _observable_distance(delta: np.ndarray, net: LatticeNet, sites) -> float:
+    """Norm of the functional tr(delta .) restricted to A(sites).
+
+    A(sites) is the invariant part of the sites' tensor factor.  The other
+    sites are traced out, the reduced operator is averaged over the
+    symmetry acting on ``sites`` (the trace-preserving conditional
+    expectation onto A(sites)) and its trace norm is returned: that is
+    sup |tr(delta A)| over A in A(sites) with ||A|| <= 1, with no basis of
+    A(sites).  With no sites the algebra is the scalars and the norm is
+    |tr delta|.
+    """
+    if not sites:
+        return float(abs(np.trace(delta)))
+    n = net.n_sites
+    if len(sites) == n:
+        reduced, rep = delta, net.global_rep
+    else:
+        d0 = net.onsite_dim
+        k = d0 ** len(sites)
+        rest = net.total_dim // k
+        perm = list(sites) + [s for s in net.sites if s not in sites]
+        tensor = delta.reshape([d0] * (2 * n)).transpose(perm + [p + n for p in perm])
+        reduced = np.trace(tensor.reshape(k, rest, k, rest), axis1=1, axis2=3)
+        rep = tensor_power_rep(net.onsite_rep, len(sites))
+    return float(np.linalg.svd(average(reduced, rep), compute_uv=False).sum())
+
+
 @dataclass(frozen=True)
 class DhrReport:
     passes: bool
@@ -173,18 +206,22 @@ def dhr_check(
 ) -> DhrReport:
     """Locality criterion: does omega match the vacuum outside some region?
 
-    For every candidate region O the states are compared on the observable
-    algebra of the complement; O is a witness when the distance falls
-    within ``tol``.  The criterion passes when at least one witness exists.
+    For every candidate region O the distance is the norm of the
+    difference functional omega - omega0 restricted to the observables of
+    the complement, ||omega - omega0|_A(O')||: the trace norm of the group
+    average of tr_O(rho - rho0).  It does not depend on any basis of
+    A(O') and is never below the largest difference on an orthonormal
+    basis of A(O') (the distance of earlier versions).  O is a witness
+    when the distance falls within ``tol``; the criterion passes when at
+    least one witness exists.  Densities with non-finite entries raise
+    ``ValueError``.
     """
-    if omega.dim != net.total_dim or omega0.dim != net.total_dim:
-        raise ValueError("states must live on the net's total space")
+    _check_states(omega, omega0, net)
+    delta = omega.density - omega0.density
     distances = []
     witnesses = []
     for region in enumerate_regions(net, all_subsets):
-        comp = complement_sites(net, region)
-        alg = region_algebra(net, comp, observable=True)
-        dist = state_distance_mod(omega, omega0, alg)
+        dist = _observable_distance(delta, net, complement_sites(net, region))
         distances.append((region, dist))
         if dist <= tol:
             witnesses.append(region)
@@ -268,8 +305,8 @@ def apply_morphism(
 ) -> np.ndarray:
     """Apply the morphism to an observable; rejects non-observables."""
     a = la.as_complex_matrix(a)
-    obs = morph.net.observable_algebra()
-    res = la.span_residual(obs.basis, a)
+    # the group average is the trace-orthogonal projection onto the observables
+    res = la.hs_norm(a - average(a, morph.net.global_rep))
     if res > tol * max(1.0, la.hs_norm(a)):
         raise ValueError(
             f"operator is outside the observable algebra (residual {res:.3e})"
@@ -394,23 +431,29 @@ def invert_selected_state(
 ) -> InversionSearchReport:
     """Search for a localized morphism rho with omega = omega_0 o rho.
 
-    Scans tensor products of candidate on-site unitaries over every
-    interval, keeping only assignments that normalize the observable
-    algebra.  A hit must reproduce omega on the full observable basis.
-    Heuristic by design: a miss is not a proof that no morphism exists.
+    Scans tensor products u of candidate on-site unitaries over every
+    interval, keeping only those that normalize the observable algebra:
+    u U(g) u* must lie in the span of the U(h) for every g, which by the
+    bicommutant theorem is Ad u mapping the invariant algebra onto itself.
+    A hit must reproduce omega on the whole observable algebra: the
+    distance is the norm of the difference functional restricted to it,
+    the trace norm of the group average of rho - u* rho0 u (never below
+    the largest difference on an orthonormal observable basis, the
+    distance of earlier versions).  Densities with non-finite entries
+    raise ``ValueError``.  Heuristic by design: a miss is not a proof that
+    no morphism exists.
     """
+    _check_states(omega, omega0, net)
     cands = candidates if candidates is not None else default_onsite_candidates(
         net.onsite_dim
     )
-    obs = net.observable_algebra()
-    target = np.einsum("kij,ji->k", obs.basis, omega.density)
+    sites = net.sites
+    group_span = la.orthonormalize_mats(net.global_rep.matrices)
     tried = 0
     best = np.inf
     for region in enumerate_regions(net):
         if not region:
-            dist = float(np.max(np.abs(
-                target - np.einsum("kij,ji->k", obs.basis, omega0.density)
-            )))
+            dist = _observable_distance(omega.density - omega0.density, net, sites)
             best = min(best, dist)
             tried += 1
             if dist <= tol:
@@ -424,14 +467,20 @@ def invert_selected_state(
                 u = np.kron(u, nxt)
             name = "".join(n for n, _ in combo)
             morph = localized_morphism(net, region, [u], f"{name}@{region}")
-            images = [morph.apply_raw(b) for b in obs.basis]
-            if any(la.span_residual(obs.basis, img) > 1e-9 for img in images):
+            if not _normalizes(morph.multiplet.matrices[0], net, group_span):
                 continue
             rho = morph.multiplet.pullback_density(omega0.density)
-            dist = float(np.max(np.abs(
-                target - np.einsum("kij,ji->k", obs.basis, rho)
-            )))
+            dist = _observable_distance(omega.density - rho, net, sites)
             best = min(best, dist)
             if dist <= tol:
                 return InversionSearchReport(True, morph, region, dist, tried)
     return InversionSearchReport(False, None, None, best, tried)
+
+
+def _normalizes(u: np.ndarray, net: LatticeNet, group_span: np.ndarray) -> bool:
+    """Whether u U(g) u* lies in span{U(h)} for every g (relative 1e-9)."""
+    for ug in net.global_rep.matrices:
+        img = u @ ug @ la.dagger(u)
+        if la.span_residual(group_span, img) > 1e-9 * la.hs_norm(img):
+            return False
+    return True

@@ -238,13 +238,20 @@ def average(f: np.ndarray, rep: UnitaryRep) -> np.ndarray:
     f = la.as_complex_matrix(f)
     if f.shape[0] != rep.dim:
         raise ValueError("dimension mismatch between F and the representation")
-    u = rep.matrices
-    return np.einsum("gij,jk,glk->il", u, f, u.conj()) / rep.group.order
+    return _average(f, rep)
 
 
 def average_stack(fs: np.ndarray, rep: UnitaryRep) -> np.ndarray:
-    u = rep.matrices
-    return np.einsum("gij,ajk,glk->ail", u, fs, u.conj()) / rep.group.order
+    """The group average of every matrix in a (k, d, d) stack."""
+    return _average(fs, rep)
+
+
+def _average(fs: np.ndarray, rep: UnitaryRep) -> np.ndarray:
+    """One batched U(g) F U(g)* per group element, summed."""
+    out = np.zeros(np.shape(fs), dtype=complex)
+    for u in rep.matrices:
+        out += u @ fs @ la.dagger(u)
+    return out / rep.group.order
 
 
 def fixed_point_algebra(

@@ -295,6 +295,12 @@ class TestStates:
         with pytest.raises(ValueError):
             State(np.diag([0.7, 0.7])).validate()
 
+    def test_validate_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            State(np.array([[0.5, np.nan], [np.nan, 0.5]])).validate()
+        with pytest.raises(ValueError, match="non-finite"):
+            State(np.diag([np.inf, 0.0])).validate()
+
     def test_distance_zero_on_equal_states(self):
         s = vector_state([1, 0])
         assert state_distance_mod(s, s, full_matrix_algebra(2)) == 0.0

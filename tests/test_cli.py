@@ -243,6 +243,21 @@ class TestCliCommands:
         report = json.loads(proc.stdout)
         assert report["found"] and report["region"] == [1]
 
+    def test_dhr_non_finite_state_is_an_input_error(self, example_tree, tmp_path):
+        d = example_tree / "z2_chain_3"
+        state = json.loads((d / "flipped_state.json").read_text())
+        rho = io.matrix_from_json(state["density"])
+        rho[0, 1] = rho[1, 0] = np.nan
+        state["density"] = io.matrix_to_json(rho)
+        bad = tmp_path / "nan_state.json"
+        bad.write_text(json.dumps(state))
+        for sub in ("check", "invert"):
+            proc = run_cli("dhr", sub, "--net", str(d / "net.json"),
+                           "--state", str(bad), "--vacuum", str(d / "vacuum.json"))
+            assert proc.returncode == 2
+            assert "density has non-finite entries" in proc.stderr
+            assert proc.stdout == ""
+
     def test_cuntz_nf_text_and_json(self):
         proc = run_cli("--format", "text", "cuntz", "nf", "--d", "2",
                        "--expr", "s1* s2 s2* s1")

@@ -221,6 +221,31 @@ class TestFockRepresentation:
             assert n_safe > 0
             assert defect <= 1e-12
 
+    def test_full_sum_contraction_differs_at_the_vacuum_only(self):
+        # the normal form contracts s1 s1* + s2 s2* to 1; on the Fock space
+        # that sum is 1 - |empty><empty|
+        p = parse_expression("s1 + s2", 2)
+        q = parse_expression("s1* + s2*", 2)
+        assert fock_product_defect(p, q, 4) == (1.0, 7)
+        for level in (4, 6, 8):
+            defect, n_safe = fock_product_defect(p, q, level)
+            diff = (fock_matrix(p, level) @ fock_matrix(q, level)
+                    - fock_matrix(multiply(p, q), level)).toarray()[:, :n_safe]
+            assert defect == 1.0 and n_safe == fock_dimension(2, level - 2)
+            assert np.abs(diff[:, 0]).max() == 1.0
+            assert not diff[:, 1:].any()
+
+    def test_inner_full_sum_differs_on_the_suffix_column(self):
+        # s1 (s1 s1* + s2 s2*) s2* -> s1 s2*: the difference is |1><2|
+        p = parse_expression("s1 s1 + s1 s2", 2)
+        q = parse_expression("s1* s2* + s2* s2*", 2)
+        defect, n_safe = fock_product_defect(p, q, 6)
+        diff = (fock_matrix(p, 6) @ fock_matrix(q, 6)
+                - fock_matrix(multiply(p, q), 6)).toarray()[:, :n_safe]
+        assert defect == 1.0
+        rows, cols = np.nonzero(diff)
+        assert list(zip(rows, cols)) == [(1, 2)]  # strings "1" and "2"
+
     def test_product_consistency_polynomials_full_depth(self, rng):
         # the sparse path at the full oracle depth (d <= 3, length <= 6, L = 12)
         for _ in range(10):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,114 @@ class TestInversionSearch:
         result = invert_selected_state(State(gibbs.density), vac, net2, tol=1e-8)
         assert not result.found
         assert result.distance > 1e-3
+
+
+def _random_density(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _flip_state(n, flips):
+    vec = np.zeros(2 ** n)
+    vec[sum(1 << (n - 1 - s) for s in flips)] = 1.0
+    return vector_state(vec, "flipped")
+
+
+class TestBasisFreeDistance:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("all_subsets", [False, True])
+    def test_norm_of_projected_difference(self, n, all_subsets, rng):
+        # the norm of (omega - omega0) on A(O') is the trace norm of the
+        # trace-orthogonal projection of rho - rho0 onto A(O')
+        net = z2_chain_net(n)
+        for _ in range(3):
+            omega = State(_random_density(rng, net.total_dim))
+            omega0 = State(_random_density(rng, net.total_dim))
+            delta = omega.density - omega0.density
+            report = dhr_check(omega, omega0, net, all_subsets=all_subsets)
+            assert len(report.distances) == len(enumerate_regions(net, all_subsets))
+            for region, dist in report.distances:
+                alg = region_algebra(net, complement_sites(net, region),
+                                     observable=True)
+                expected = np.linalg.svd(alg.project(delta), compute_uv=False).sum()
+                assert abs(dist - expected) <= 1e-12, region
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_witnesses_are_the_regions_holding_every_flip(self, n):
+        net = z2_chain_net(n)
+        vac = z2_vacuum(n)
+        flip_sets = [(s,) for s in range(n)] + list(itertools.combinations(range(n), 2))
+        for all_subsets in (False, True):
+            regions = enumerate_regions(net, all_subsets)
+            for flips in flip_sets:
+                report = dhr_check(_flip_state(n, flips), vac, net,
+                                   all_subsets=all_subsets)
+                expected = {r for r in regions if set(flips) <= set(r)}
+                assert set(report.witness_regions) == expected, (flips, all_subsets)
+                assert report.passes == bool(expected)
+
+    def test_eight_sites(self):
+        net = z2_chain_net(8)
+        vac = z2_vacuum(8)
+        omega = _flip_state(8, (2,))
+        report = dhr_check(omega, vac, net)
+        expected = {r for r in enumerate_regions(net) if 2 in r}
+        assert set(report.witness_regions) == expected
+        result = invert_selected_state(omega, vac, net)
+        assert result.found and result.region == (2,)
+        assert result.morphism.label == "X@(2,)"
+        assert result.distance <= 1e-12
+
+    def test_no_basis_on_the_hot_path(self, net3, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("basis of an observable algebra built")
+
+        for name in ("region_algebra", "fixed_point_algebra", "full_matrix_algebra"):
+            monkeypatch.setattr(dhrnet, name, forbidden)
+        monkeypatch.setattr(LatticeNet, "observable_algebra", forbidden)
+        vac = z2_vacuum(3)
+        omega = _flip_state(3, (1,))
+        assert dhr_check(omega, vac, net3).witness_regions == ((1,), (0, 1), (1, 2))
+        assert invert_selected_state(omega, vac, net3).region == (1,)
+        m = localized_morphism(net3, [0], [SX], "f0")
+        assert np.allclose(apply_morphism(m, kron_all(SZ, I2, I2)), -kron_all(SZ, I2, I2))
+
+
+class TestNormalizerTest:
+    def test_agrees_with_basis_images(self, net3, rng):
+        # the old test: every image of the observable basis stays in its span
+        obs = net3.observable_algebra()
+        group_span = la.orthonormalize_mats(net3.global_rep.matrices)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                            + 1j * rng.standard_normal((2, 2)))
+        cands = dhrnet.default_onsite_candidates(2) + [
+            ("H", (SX + SZ) / np.sqrt(2)), ("S", np.diag([1, 1j])), ("Y", SY),
+            ("Q", q),
+        ]
+        verdicts = set()
+        for region in enumerate_regions(net3, all_subsets=True)[1:]:
+            for combo in itertools.product(cands, repeat=len(region)):
+                u = kron_all(*(m for _, m in combo))
+                morph = localized_morphism(net3, region, [u], "u")
+                old = all(la.span_residual(obs.basis, morph.apply_raw(b)) <= 1e-9
+                          for b in obs.basis)
+                new = dhrnet._normalizes(morph.multiplet.matrices[0], net3, group_span)
+                assert new == old, (region, [name for name, _ in combo])
+                verdicts.add(new)
+        assert verdicts == {True, False}
+
+
+class TestNonFiniteStates:
+    def nan_state(self, n):
+        rho = z2_vacuum(n).density.copy()
+        rho[0, 1] = rho[1, 0] = np.nan
+        return State(rho, "nan")
+
+    def test_criteria_reject_nan(self, net3):
+        vac = z2_vacuum(3)
+        for omega, omega0 in ((self.nan_state(3), vac), (vac, self.nan_state(3))):
+            with pytest.raises(ValueError, match="non-finite"):
+                dhr_check(omega, omega0, net3)
+            with pytest.raises(ValueError, match="non-finite"):
+                invert_selected_state(omega, omega0, net3)

@@ -11,6 +11,7 @@ from sectorlab.algebra import full_matrix_algebra, generate_algebra, commutant
 from sectorlab.groups import (
     FiniteGroup,
     average,
+    average_stack,
     builtin_group,
     cyclic_group,
     cyclic_rep_from_unitary,
@@ -103,6 +104,16 @@ class TestAverage:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             average(np.eye(3), z2_rep())
+
+    def test_stack_matches_the_defining_sum(self, rng):
+        rep = regular_rep(symmetric_group(3))
+        fs = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        direct = np.einsum("gij,ajk,glk->ail", rep.matrices, fs,
+                           rep.matrices.conj()) / 6
+        out = average_stack(fs, rep)
+        assert np.abs(out - direct).max() <= 1e-14
+        for f, mf in zip(fs, out):
+            assert np.array_equal(average(f, rep), mf)
 
 
 class TestFixedPointAlgebra:
