@@ -8,7 +8,7 @@ expectations, solved as least squares on the probability simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,8 @@ class ClassicalQuantumChannel:
 
     space: ClassifyingSpace
     fibre_states: tuple[State, ...]
+    _densities: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fibre_states", tuple(self.fibre_states))
@@ -99,7 +101,16 @@ class ClassicalQuantumChannel:
         return self.fibre_states[0].dim
 
     def densities(self) -> np.ndarray:
-        return np.array([s.density for s in self.fibre_states])
+        """The (labels, d, d) stack of fibre densities.
+
+        Built on first use and kept; the stack is read-only because every
+        later call returns the same array.
+        """
+        if self._densities is None:
+            stack = np.array([s.density for s in self.fibre_states], dtype=complex)
+            stack.setflags(write=False)
+            object.__setattr__(self, "_densities", stack)
+        return self._densities
 
 
 def apply_cq(channel: ClassicalQuantumChannel, rho: ProbabilityWeight) -> State:
@@ -170,10 +181,17 @@ def verify_positive_unital(
 
 
 def design_matrix(channel: ClassicalQuantumChannel, probes) -> np.ndarray:
-    """M[j, i] = tr(probe_j fibre_i); real parts (probes are Hermitian)."""
+    """M[j, i] = Re tr(probe_j fibre_i) (probes are Hermitian).
+
+    One real matrix product: Re tr(P F) = sum_ab Re(P_ba F_ab) is the real
+    inner product of conj(P^T) and F, both read as float arrays.  Exact for
+    any P and F, Hermitian or not.
+    """
     ps = np.asarray(list(probes), dtype=complex)
-    m = np.einsum("pij,kji->pk", ps, channel.densities())
-    return np.ascontiguousarray(m.real)
+    lhs = np.ascontiguousarray(ps.conj().transpose(0, 2, 1))
+    fibres = channel.densities()
+    return lhs.view(float).reshape(len(ps), -1) @ fibres.view(float).reshape(
+        len(fibres), -1).T
 
 
 def forward_data(

@@ -213,6 +213,8 @@ def _run_thermal_estimate(args, tol) -> int:
                 "residual": v.residual,
                 "tolerance": v.tolerance,
                 "unique": v.unique,
+                "rank": v.rank,
+                "sigma_min": v.sigma_min,
                 "nullspace_dim": v.nullspace_dim,
                 "weights": [float(w) for w in v.weight_estimate.weights],
                 "moments": {

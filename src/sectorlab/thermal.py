@@ -10,7 +10,7 @@ probe sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,18 +28,26 @@ from .config import rng_from_seed
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Energy operator, optionally with a commuting particle number."""
+    """Energy operator, optionally with a commuting particle number.
+
+    ``hamiltonian`` and ``number`` are stored as read-only copies, so a
+    caller who later changes the array it passed in cannot change the
+    system.  The eigendecomposition of H - mu N is computed once per mu
+    asked about and kept; every Gibbs quantity of this module reads it.
+    """
 
     hamiltonian: np.ndarray
     number: np.ndarray | None = None
+    _spectra: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        h = la.as_complex_matrix(self.hamiltonian)
+        h = _frozen_operator(self.hamiltonian, "Hamiltonian")
         object.__setattr__(self, "hamiltonian", h)
         if np.linalg.norm(h - la.dagger(h)) > 1e-10 * max(1.0, la.hs_norm(h)):
             raise ValueError("Hamiltonian must be Hermitian")
         if self.number is not None:
-            n = la.as_complex_matrix(self.number)
+            n = _frozen_operator(self.number, "number operator")
             object.__setattr__(self, "number", n)
             if np.linalg.norm(n - la.dagger(n)) > 1e-10 * max(1.0, la.hs_norm(n)):
                 raise ValueError("number operator must be Hermitian")
@@ -57,6 +65,42 @@ class HamiltonianSystem:
             raise ValueError("chemical potential given but no number operator")
         return self.hamiltonian - mu * self.number
 
+    def _spectrum(self, mu: float | None) -> tuple[np.ndarray, np.ndarray]:
+        """``eigh(H - mu N)``: eigenvalues and eigenvectors, cached per mu.
+
+        The arrays are shared by every later call, so they are read-only.
+        """
+        cached = self._spectra.get(mu)
+        if cached is None:
+            _check_finite(mu, "chemical potential")
+            h = self.effective_hamiltonian(mu)
+            if not np.isfinite(h).all():
+                raise ValueError(f"H - mu N has non-finite entries at mu={mu}")
+            cached = np.linalg.eigh(h)
+            for a in cached:
+                a.setflags(write=False)
+            self._spectra[mu] = cached
+        return cached
+
+
+def _frozen_operator(a, what: str) -> np.ndarray:
+    m = la.as_complex_matrix(a).copy()
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
+    m.setflags(write=False)
+    return m
+
+
+def _check_finite(value: float | None, what: str) -> None:
+    if value is not None and not np.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
+def _check_beta(beta: float) -> None:
+    _check_finite(beta, "inverse temperature")
+    if beta <= 0:
+        raise ValueError(f"inverse temperature must be positive, got {beta}")
+
 
 @dataclass(frozen=True)
 class ThermalGrid:
@@ -70,10 +114,12 @@ class ThermalGrid:
             beta, mu = (p if len(p) == 2 else (p[0], None)) if isinstance(
                 p, (tuple, list)
             ) else (float(p), None)
-            beta = float(beta)
+            beta, mu = float(beta), None if mu is None else float(mu)
+            if not (np.isfinite(beta) and (mu is None or np.isfinite(mu))):
+                raise ValueError(f"grid point {(beta, mu)} is not finite")
             if beta <= 0:
                 raise ValueError(f"inverse temperature must be positive, got {beta}")
-            pts.append((beta, None if mu is None else float(mu)))
+            pts.append((beta, mu))
         if len(set(pts)) != len(pts):
             raise ValueError("grid points must be distinct")
         has_mu = [p[1] is not None for p in pts]
@@ -104,20 +150,29 @@ def beta_grid(betas: Sequence[float]) -> ThermalGrid:
 def gibbs_state(
     sys: HamiltonianSystem, beta: float, mu: float | None = None
 ) -> State:
-    """exp(-beta (H - mu N)) / Z, overflow-guarded by a spectral shift."""
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
-    h = sys.effective_hamiltonian(mu)
-    evals, vecs = np.linalg.eigh(h)
-    w = np.exp(-beta * (evals - evals.min()))
-    w /= w.sum()
+    """exp(-beta (H - mu N)) / Z, overflow-guarded by a spectral shift.
+
+    Reads the system's cached spectrum of H - mu N, so repeated calls at
+    one mu cost a scaled outer product each, not a diagonalisation.
+    """
+    _check_beta(beta)
+    evals, vecs = sys._spectrum(mu)
+    w = _boltzmann(evals, beta)
     label = f"gibbs(beta={beta:g}" + ("" if mu is None else f",mu={mu:g}") + ")"
     return State((vecs * w) @ la.dagger(vecs), label=label)
 
 
+def _boltzmann(evals: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-beta e) / Z, from the spectrum shifted to start at 0 (no overflow)."""
+    w = np.exp(-beta * (evals - evals.min()))
+    w /= w.sum()
+    return w
+
+
 def log_partition(sys: HamiltonianSystem, beta: float, mu: float | None = None) -> float:
     """ln Z with the same spectral shift as gibbs_state."""
-    evals = np.linalg.eigvalsh(sys.effective_hamiltonian(mu))
+    _check_beta(beta)
+    evals = sys._spectrum(mu)[0]
     shift = evals.min()
     return float(np.log(np.exp(-beta * (evals - shift)).sum()) - beta * shift)
 
@@ -136,7 +191,7 @@ def kms_residual(
     second trace is sum_ij rho_j B_ij A_ji, so exp(+bH') is never formed;
     a non-finite residual is reported as inf, never as a pass.
     """
-    vecs = np.linalg.eigh(sys.effective_hamiltonian(mu))[1]
+    vecs = sys._spectrum(mu)[1]
     rho = la.dagger(vecs) @ gibbs_state(sys, beta, mu).density @ vecs
     rng = rng_from_seed(seed)
     diffs = []
@@ -191,9 +246,8 @@ def entropy_density(
     """
     out = []
     for beta, mu in grid.points:
-        h = sys.effective_hamiltonian(mu)
-        rho = gibbs_state(sys, beta, mu).density
-        u = float(np.trace(rho @ h).real)
+        evals = sys._spectrum(mu)[0]
+        u = float(_boltzmann(evals, beta) @ evals)
         f = -log_partition(sys, beta, mu) / beta
         out.append(beta * (u - f))
     return np.array(out)
@@ -229,7 +283,8 @@ class ObservableHierarchy:
         for (n1, p1), (n2, p2) in zip(self.levels, self.levels[1:]):
             if not p2:
                 raise ValueError(f"level {n2!r} is empty but follows {n1!r}")
-            span = la.orthonormalize_mats(np.array([m for _, m in p2]))
+            d = p2[0][1].shape[0]
+            span = la.rows_to_mats(la.row_space(la.mats_to_rows([m for _, m in p2])), d)
             for pname, m in p1:
                 if la.span_residual(span, m) > tol * max(1.0, la.hs_norm(m)):
                     raise ValueError(
@@ -239,7 +294,12 @@ class ObservableHierarchy:
 
 @dataclass(frozen=True)
 class ThermalVerdict:
-    """Outcome of the thermality check at one probe level."""
+    """Outcome of the thermality check at one probe level.
+
+    ``rank`` and ``sigma_min`` are the rank and smallest singular value of
+    the level's design matrix with the normalization row, as in
+    ``InversionResult``.
+    """
 
     level: str
     accepted: bool
@@ -247,6 +307,8 @@ class ThermalVerdict:
     residual: float
     tolerance: float
     unique: bool
+    rank: int
+    sigma_min: float
     nullspace_dim: int
     moments: dict
 
@@ -278,6 +340,8 @@ def s_thermal_check(
         residual=result.residual,
         tolerance=tol,
         unique=result.unique,
+        rank=result.rank,
+        sigma_min=result.sigma_min,
         nullspace_dim=result.nullspace_dim,
         moments=result.weight.moments(),
     )

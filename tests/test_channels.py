@@ -192,6 +192,27 @@ class TestInvertCq:
         m = design_matrix(two_point_channel, [SZ])
         assert np.allclose(m, [[1.0, -1.0]])
 
+    def test_design_matrix_matches_trace_definition(self, rng):
+        # non-Hermitian probes and fibres: the float-view product is exact
+        # for any pair, not only for Hermitian ones
+        d, p, k = 5, 4, 7
+        probes = rng.standard_normal((p, d, d)) + 1j * rng.standard_normal((p, d, d))
+        fibres = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+        channel = ClassicalQuantumChannel(
+            ClassifyingSpace(tuple(range(k))), tuple(State(f) for f in fibres))
+        expected = np.einsum("pij,kji->pk", probes, fibres).real
+        got = design_matrix(channel, list(probes))
+        assert got.shape == (p, k)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_densities_built_lazily_and_read_only(self, two_point_channel):
+        assert two_point_channel._densities is None  # not built by __init__
+        stack = two_point_channel.densities()
+        assert stack is two_point_channel.densities()
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+
     def test_non_finite_data_rejected(self, two_point_channel):
         with pytest.raises(ValueError):
             invert_cq(two_point_channel, [SZ], np.array([np.nan]))

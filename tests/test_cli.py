@@ -212,6 +212,63 @@ class TestCliCommands:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["max_accepted_level"] is None
 
+    def test_thermal_estimate_reports_rank_and_sigma_min(self, example_tree, capsys):
+        d = example_tree / "moment_grid_12"
+        args = ["thermal", "estimate", "--system", str(d / "system.json"),
+                "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+                "--hierarchy", str(d / "hierarchy.json")]
+        assert cli.main(args) == 0
+        text = capsys.readouterr().out
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == text  # byte-reproducible
+        channel = build_thermal_channel(
+            io.system_from_json(io.load_json(d / "system.json")),
+            io.grid_from_json(io.load_json(d / "grid.json")))
+        hierarchy = io.hierarchy_from_json(io.load_json(d / "hierarchy.json"))
+        levels = json.loads(text)["levels"]
+        assert len(levels) == hierarchy.n_levels
+        for level, (_, probes) in zip(levels, hierarchy.levels):
+            sep = channels.separation_check(channel, [m for _, m in probes])
+            assert level["rank"] == sep.rank
+            assert level["sigma_min"] == sep.sigma_min
+            assert level["nullspace_dim"] == channel.space.size - sep.rank
+        assert levels[-1]["rank"] == 11 and levels[-1]["sigma_min"] > 0
+
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+    def test_thermal_estimate_non_finite_beta_is_an_input_error(
+            self, example_tree, tmp_path, beta):
+        d = example_tree / "gibbs_two_level"
+        grid = json.loads((d / "grid.json").read_text())
+        grid["points"][1]["beta"] = beta
+        bad = tmp_path / "grid.json"
+        bad.write_text(json.dumps(grid))
+        proc = run_cli(
+            "thermal", "estimate", "--system", str(d / "system.json"),
+            "--grid", str(bad), "--measured", str(d / "measured.json"),
+            "--hierarchy", str(d / "hierarchy.json"),
+        )
+        assert proc.returncode == 2
+        assert "grid point" in proc.stderr and "is not finite" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_thermal_estimate_non_finite_hamiltonian_is_an_input_error(
+            self, example_tree, tmp_path):
+        d = example_tree / "gibbs_two_level"
+        system = json.loads((d / "system.json").read_text())
+        h = io.matrix_from_json(system["hamiltonian"])
+        h[0, 0] = np.nan
+        system["hamiltonian"] = io.matrix_to_json(h)
+        bad = tmp_path / "system.json"
+        bad.write_text(json.dumps(system))
+        proc = run_cli(
+            "thermal", "estimate", "--system", str(bad),
+            "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+            "--hierarchy", str(d / "hierarchy.json"),
+        )
+        assert proc.returncode == 2
+        assert "Hamiltonian has non-finite entries" in proc.stderr
+        assert proc.stdout == ""
+
     def test_dhr_check_pass_and_fail(self, example_tree, tmp_path):
         d = example_tree / "z2_chain_3"
         proc = run_cli(

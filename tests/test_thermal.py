@@ -35,6 +35,7 @@ from sectorlab.thermal import (
     gibbs_state,
     hierarchy_report,
     kms_residual,
+    log_partition,
     s_thermal_check,
     thermal_function,
 )
@@ -56,7 +57,41 @@ class TestHamiltonianSystem:
             gibbs_state(HamiltonianSystem(SZ), 1.0, mu=0.5)
 
 
+    def test_non_finite_hamiltonian_rejected(self):
+        h = np.diag([0.0, 1.0, np.nan]).astype(complex)
+        with pytest.raises(ValueError, match="Hamiltonian has non-finite entries"):
+            HamiltonianSystem(h)
+
+    def test_non_finite_number_rejected(self):
+        with pytest.raises(ValueError, match="number operator has non-finite"):
+            HamiltonianSystem(SZ, number=np.diag([np.inf, 0.0]))
+
+    def test_stored_operators_are_read_only_copies(self):
+        h = np.diag([0.0, 1.0, 3.0]).astype(complex)
+        n = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        sys = HamiltonianSystem(h, number=n)
+        expected = gibbs_state(HamiltonianSystem(h.copy(), number=n.copy()), 1.0, 0.5)
+        h[2, 2] = -5.0  # changing the caller's arrays leaves the system alone
+        n[0, 0] = 7.0
+        assert not sys.hamiltonian.flags.writeable
+        assert not sys.number.flags.writeable
+        assert np.array_equal(gibbs_state(sys, 1.0, 0.5).density, expected.density)
+        h[1, 1] = -9.0  # also once the spectrum is cached
+        assert np.array_equal(gibbs_state(sys, 1.0, 0.5).density, expected.density)
+
+
 class TestThermalGrid:
+    @pytest.mark.parametrize("point", [
+        (np.nan, None), (np.inf, None), (1.0, np.nan), (1.0, -np.inf)])
+    def test_non_finite_point_rejected(self, point):
+        pts = ((0.5, None if point[1] is None else 0.0), point)
+        with pytest.raises(ValueError, match=r"grid point .* is not finite"):
+            ThermalGrid(pts)
+
+    def test_non_finite_beta_grid_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            beta_grid([1.0, np.nan])
+
     def test_positive_beta_required(self):
         with pytest.raises(ValueError):
             beta_grid([1.0, -0.5])
@@ -97,6 +132,21 @@ class TestGibbsState:
         with pytest.raises(ValueError):
             gibbs_state(two_level_system(), 0.0)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    @pytest.mark.parametrize("func", [gibbs_state, log_partition])
+    def test_non_finite_beta_rejected(self, func, beta):
+        with pytest.raises(ValueError, match="inverse temperature must be finite"):
+            func(two_level_system(), beta)
+
+    def test_log_partition_needs_positive_beta(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            log_partition(two_level_system(), -1.0)
+
+    def test_non_finite_mu_rejected(self):
+        sys = HamiltonianSystem(SZ, number=np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(ValueError, match="chemical potential must be finite"):
+            gibbs_state(sys, 1.0, mu=np.nan)
+
     def test_kms_identity_random_hamiltonians(self, rng):
         for d in (2, 5, 16):
             h = la.random_hermitian(rng, d)
@@ -128,6 +178,65 @@ class TestGibbsState:
         neutral = gibbs_state(sys, 1.0, mu=0.0)
         shifted = gibbs_state(sys, 1.0, mu=2.0)
         assert shifted.density[0, 0].real > neutral.density[0, 0].real
+
+
+class TestCachedSpectrum:
+    """One eigendecomposition per (system, mu), shared by every Gibbs quantity."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(1)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @staticmethod
+    def mu_system():
+        return HamiltonianSystem(np.diag([0.0, 1.0, 2.5]).astype(complex),
+                                 number=np.diag([0.0, 1.0, 2.0]).astype(complex))
+
+    MU_GRID = ThermalGrid(((0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 0.3), (1.0, 0.3)))
+
+    def test_channel_diagonalises_once_per_mu(self, eigh_calls, monkeypatch):
+        gibbs_calls = []
+        original = thermal.gibbs_state
+
+        def counted(*args, **kwargs):
+            gibbs_calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(thermal, "gibbs_state", counted)
+        build_thermal_channel(self.mu_system(), self.MU_GRID)
+        assert len(eigh_calls) == 2  # two distinct mu
+        assert len(gibbs_calls) == self.MU_GRID.size  # one Gibbs state per point
+
+    def test_fibres_equal_direct_diagonalisation(self, rng):
+        # bit for bit the per-point formula exp(-beta (e - e_min)) / Z
+        h = la.random_hermitian(rng, 6)
+        sys = HamiltonianSystem(h)
+        grid = beta_grid([0.1, 0.7, 2.0, 9.0])
+        channel = build_thermal_channel(sys, grid)
+        for (beta, _), rho in zip(grid.points, channel.densities()):
+            evals, vecs = np.linalg.eigh(la.as_complex_matrix(h))
+            w = np.exp(-beta * (evals - evals.min()))
+            w /= w.sum()
+            assert np.array_equal(rho, (vecs * w) @ la.dagger(vecs))
+
+    def test_kms_residual_diagonalises_once(self, eigh_calls):
+        sys = self.mu_system()
+        for beta in (0.5, 1.0, 2.0):
+            assert kms_residual(sys, beta, mu=0.3, n_samples=3) <= 1e-10
+        assert len(eigh_calls) == 1
+
+    def test_entropy_density_diagonalises_once_per_mu(self, eigh_calls):
+        s = entropy_density(self.mu_system(), self.MU_GRID)
+        assert len(eigh_calls) == 2
+        assert np.all(np.isfinite(s)) and np.all(s > 0)
 
 
 class TestThermalFunctions:
@@ -188,6 +297,27 @@ class TestHierarchy:
         ))
         with pytest.raises(ValueError):
             bad.validate_nesting()
+
+    def test_nesting_accepts_combination_of_finer_probes(self, rng):
+        fine = [la.random_hermitian(rng, 3) for _ in range(3)]
+        coarse = 0.3 * fine[0] - 1.2 * fine[1] + 2.0 * fine[2]
+        hier = ObservableHierarchy((
+            ("coarse", (("c", coarse),)),
+            ("fine", tuple((f"f{i}", m) for i, m in enumerate(fine))),
+        ))
+        hier.validate_nesting()
+
+    def test_nesting_rejects_small_deviation(self, rng):
+        fine = [la.random_hermitian(rng, 3) for _ in range(3)]
+        off = la.random_hermitian(rng, 3)
+        coarse = 0.3 * fine[0] - 1.2 * fine[1] + 2.0 * fine[2]
+        coarse = coarse + 1e-6 * off / la.hs_norm(off)
+        hier = ObservableHierarchy((
+            ("coarse", (("c", coarse),)),
+            ("fine", tuple((f"f{i}", m) for i, m in enumerate(fine))),
+        ))
+        with pytest.raises(ValueError, match="not within level 'fine'"):
+            hier.validate_nesting()
 
     def test_on_grid_data_accepted(self):
         channel = build_thermal_channel(two_level_system(), two_level_grid())
