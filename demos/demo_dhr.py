@@ -53,8 +53,9 @@ r0 = localized_morphism(net2, [0], [SIGMA_X], "flip0")
 r1 = localized_morphism(net2, [1], [SIGMA_X], "flip1")
 space = solve_intertwiners(r0, r1)
 print("  intertwiner space dimension:", len(space))
-print("  first transporter (real part):")
-print(np.round(space[0].real, 3))
+defect = max(np.linalg.norm(t @ r0.apply_raw(a) - r1.apply_raw(a) @ t)
+             for t in space for a in net2.observable_algebra().basis)
+print(f"  largest ||T rho0(A) - rho1(A) T|| over the observables: {defect:.1e}")
 
 print("\n== Haag duality: exact for fields, defective for observables ==")
 field = haag_duality_check(net2, [0], observable=False)

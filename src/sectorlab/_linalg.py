@@ -2,7 +2,9 @@
 
 Matrices are numpy ``complex128`` arrays.  Subspaces of d x d matrices are
 represented by stacked arrays of shape (k, d, d) whose slices are
-orthonormal under the trace inner product <A, B> = tr(A* B).
+orthonormal under the trace inner product <A, B> = tr(A* B).  Every span
+is orthonormalised by one SVD, whose rank cut keeps the singular values
+above ``tol_rank`` * max(sigma_max, 1) (:func:`row_space`).
 """
 
 from __future__ import annotations
@@ -43,40 +45,16 @@ def rows_to_mats(rows: np.ndarray, d: int) -> np.ndarray:
     return rows.reshape(rows.shape[0], d, d)
 
 
-def orthonormalize_rows(rows: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
-    """Orthonormalize row vectors by modified Gram-Schmidt.
-
-    A second projection pass is applied to each accepted vector to keep
-    orthogonality near machine precision.  Rows whose residual norm falls
-    below ``tol_rank`` (relative to the largest input norm) are dropped, so
-    the output rank is a hard decision at that threshold.
-    """
-    tol = DEFAULT_TOL.rank if tol_rank is None else tol_rank
-    rows = np.asarray(rows, dtype=complex)
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
-    scale = max(float(np.max(np.linalg.norm(rows, axis=1))), 1.0)
-    out = np.empty_like(rows)
-    k = 0
-    for v in rows:
-        w = v.copy()
-        for _ in range(2):  # re-orthogonalization pass
-            if k:
-                w -= out[:k].T @ (out[:k].conj() @ w)
-        n = np.linalg.norm(w)
-        if n > tol * scale:
-            out[k] = w / n
-            k += 1
-    return out[:k].copy()
-
-
 def orthonormalize_mats(mats: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
-    """Orthonormalize a (k, d, d) stack under the trace inner product."""
+    """Orthonormal basis of the span of a (k, d, d) stack, by one SVD.
+
+    The rank is the SVD rank cut of :func:`row_space`: singular values
+    above ``tol_rank`` * max(sigma_max, 1) are kept.
+    """
     mats = np.asarray(mats, dtype=complex)
     if mats.size == 0:
         return mats
-    d = mats.shape[-1]
-    return rows_to_mats(orthonormalize_rows(mats_to_rows(mats), tol_rank), d)
+    return rows_to_mats(row_space(mats_to_rows(mats), tol_rank), mats.shape[-1])
 
 
 def span_coefficients(basis: np.ndarray, m: np.ndarray) -> np.ndarray:

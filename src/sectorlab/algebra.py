@@ -150,27 +150,15 @@ def scalar_algebra(d: int) -> OperatorAlgebra:
                            generators=(np.eye(d, dtype=complex),))
 
 
-def algebra_from_span(
-    mats, contains_unit: bool | None = None, tol_rank: float | None = None,
-    generators: tuple[np.ndarray, ...] | None = None,
-) -> OperatorAlgebra:
-    """Wrap an (already *-and product-closed) span as an OperatorAlgebra."""
-    stack = np.asarray(list(mats), dtype=complex)
-    d = stack.shape[-1]
-    basis = la.orthonormalize_mats(stack, tol_rank)
-    if contains_unit is None:
-        contains_unit = la.span_residual(basis, np.eye(d, dtype=complex)) <= 1e-10 * d
-    return OperatorAlgebra(d, basis, contains_unit=contains_unit, generators=generators)
-
-
 def generate_algebra(
-    generators, include_unit: bool = True, tol_rank: float | None = None,
-    dimension_cap: int = DIMENSION_CAP,
+    generators, tol_rank: float | None = None, dimension_cap: int = DIMENSION_CAP,
 ) -> OperatorAlgebra:
     """Smallest unital *-closed subalgebra containing the generators.
 
     Closure is computed by iterating products of basis pairs and adjoints
-    until the dimension stabilizes, orthonormalizing after every round.
+    until the dimension stabilizes; after every round the span is
+    orthonormalised by one SVD, whose rank cut keeps the singular values
+    above ``tol_rank`` * max(sigma_max, 1).
     """
     gens = [la.as_complex_matrix(g) for g in generators]
     if gens:
@@ -180,14 +168,10 @@ def generate_algebra(
                 raise ValueError("generators must be square with equal dimension")
     else:
         d = 1
-        include_unit = True
     if d > dimension_cap:
         raise DimensionCapError(f"ambient dimension {d} exceeds cap {dimension_cap}")
 
-    seed = list(gens)
-    if include_unit:
-        seed.append(np.eye(d, dtype=complex))
-    seed += [la.dagger(g) for g in gens]
+    seed = gens + [np.eye(d, dtype=complex)] + [la.dagger(g) for g in gens]
     basis = la.orthonormalize_mats(np.array(seed), tol_rank)
     while True:
         candidates = [basis]
@@ -200,7 +184,7 @@ def generate_algebra(
             break
         basis = new_basis
     return OperatorAlgebra(
-        d, basis, contains_unit=include_unit,
+        d, basis, contains_unit=True,
         generators=tuple(gens) if gens else (np.eye(d, dtype=complex),),
     )
 

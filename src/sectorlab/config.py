@@ -15,7 +15,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: rank / span-membership decisions (Gram-Schmidt acceptance, nullspaces)
+    #: rank / span-membership decisions (the SVD rank cut of a span, span residuals)
     rank: float = 1e-9
     #: eigenvalue grouping gap when extracting spectral projections
     gap: float = 1e-8

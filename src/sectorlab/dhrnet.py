@@ -24,7 +24,13 @@ from .algebra import (
     scalar_algebra,
 )
 from .config import DIMENSION_CAP
-from .groups import UnitaryRep, average, fixed_point_algebra, tensor_power_rep
+from .groups import (
+    UnitaryRep,
+    _intertwiners,
+    average,
+    fixed_point_algebra,
+    tensor_power_rep,
+)
 from .sectors import ChargedMultiplet
 
 
@@ -337,29 +343,24 @@ def compose_morphisms(
 
 
 def solve_intertwiners(
-    rho: LocalizedMorphism,
-    sigma: LocalizedMorphism,
-    tol_rank: float | None = None,
+    rho: LocalizedMorphism, sigma: LocalizedMorphism
 ) -> list[np.ndarray]:
     """Basis of {T observable : T rho(A) = sigma(A) T on the whole algebra}.
 
-    An empty result means the morphisms are disjoint (no common sector
-    content); the returned basis is orthonormal under the trace inner
-    product.  Composition closure (rho->sigma times sigma->tau lands in
-    rho->tau) is a property the test suite asserts.
+    The lower-left block of the commutant of the pairs rho(B) (+) sigma(B)
+    over the observable basis together with U(g) (+) U(g), which makes T
+    commute with the symmetry, i.e. observable.  An empty result means the
+    morphisms are disjoint (no common sector content); the returned basis
+    is orthonormal under the trace inner product.  Composition closure
+    (rho->sigma times sigma->tau lands in rho->tau) is a property the test
+    suite asserts.
     """
     net = rho.net
-    obs = net.observable_algebra()
-    rho_imgs = np.array([rho.apply_raw(b) for b in obs.basis])
-    sig_imgs = np.array([sigma.apply_raw(b) for b in obs.basis])
-    cols = []
-    for bk in obs.basis:
-        cols.append(np.concatenate([
-            (bk @ r - s @ bk).ravel() for r, s in zip(rho_imgs, sig_imgs)
-        ]))
-    system = np.array(cols).T
-    null_rows = la.nullspace(system, tol_rank)
-    return [np.tensordot(c, obs.basis, axes=(0, 0)) for c in null_rows]
+    obs = net.observable_algebra().basis
+    group = net.global_rep.matrices
+    m1 = np.concatenate([[rho.apply_raw(b) for b in obs], group])
+    m2 = np.concatenate([[sigma.apply_raw(b) for b in obs], group])
+    return list(_intertwiners(m1, m2))
 
 
 @dataclass(frozen=True)

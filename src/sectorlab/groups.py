@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra
+from .algebra import OperatorAlgebra, _commutant_basis, commutant
 from .config import DEFAULT_TOL, Tolerances, rng_from_seed
 
 
@@ -224,7 +224,7 @@ def tensor_power_rep(rep: UnitaryRep, sites: int) -> UnitaryRep:
 
 
 # ---------------------------------------------------------------------------
-# conditional expectation and fixed points
+# conditional expectation, fixed points and intertwiners
 # ---------------------------------------------------------------------------
 
 
@@ -238,53 +238,59 @@ def average(f: np.ndarray, rep: UnitaryRep) -> np.ndarray:
     f = la.as_complex_matrix(f)
     if f.shape[0] != rep.dim:
         raise ValueError("dimension mismatch between F and the representation")
-    return _average(f, rep)
-
-
-def average_stack(fs: np.ndarray, rep: UnitaryRep) -> np.ndarray:
-    """The group average of every matrix in a (k, d, d) stack."""
-    return _average(fs, rep)
-
-
-def _average(fs: np.ndarray, rep: UnitaryRep) -> np.ndarray:
-    """One batched U(g) F U(g)* per group element, summed."""
-    out = np.zeros(np.shape(fs), dtype=complex)
+    out = np.zeros_like(f)
     for u in rep.matrices:
-        out += u @ fs @ la.dagger(u)
+        out += u @ f @ la.dagger(u)
     return out / rep.group.order
 
 
-def fixed_point_algebra(
-    f_alg: OperatorAlgebra, rep: UnitaryRep, tol_rank: float | None = None
-) -> OperatorAlgebra:
+def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlgebra:
     """The invariant subalgebra {A in F : tau_g(A) = A for all g}.
 
-    Computed as the range of the averaging projection restricted to F,
-    re-orthonormalized.
+    For a unital F this is F inter U' = (F' union {U(g)})': one commutant
+    solve on a basis of F' stacked with the representation matrices (see
+    :func:`~sectorlab.algebra._commutant_basis`).  A non-unital F is
+    rejected with ``ValueError``.
     """
     if rep.dim != f_alg.ambient_dim:
         raise ValueError("representation dimension must match the ambient algebra")
-    averaged = average_stack(f_alg.basis, rep)
-    basis = la.orthonormalize_mats(averaged, tol_rank)
-    return OperatorAlgebra(f_alg.ambient_dim, basis,
-                           contains_unit=f_alg.contains_unit)
+    if not f_alg.contains_unit:
+        raise ValueError("fixed points are computed for unital algebras only")
+    d = f_alg.ambient_dim
+    mats = np.concatenate([commutant(f_alg).basis, rep.matrices])
+    return OperatorAlgebra(d, _commutant_basis(mats, d), contains_unit=True)
 
 
-def intertwiner_space(
-    rep1: UnitaryRep, rep2: UnitaryRep, tol_rank: float | None = None
-) -> list[np.ndarray]:
-    """Basis of {S : S U1(g) = U2(g) S}; empty means disjoint representations."""
+def _intertwiners(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (k, d2, d1) of {S : S m1[i] = m2[i] S for every i}.
+
+    The commutant of the pairs m1[i] (+) m2[i] splits into four blocks
+    that solve their own equations; its lower-left d2 x d1 block is this
+    space, orthonormalised by the SVD rank cut of ``row_space``.  The
+    commutant solve needs the pairs to span a *-closed space, as they do
+    for two unitary representations of one group, or for the images of a
+    *-closed span under two *-maps.
+    """
+    m1 = np.asarray(m1, dtype=complex)
+    m2 = np.asarray(m2, dtype=complex)
+    d1, d2 = m1.shape[-1], m2.shape[-1]
+    pairs = np.zeros((len(m1), d1 + d2, d1 + d2), dtype=complex)
+    pairs[:, :d1, :d1] = m1
+    pairs[:, d1:, d1:] = m2
+    lower = _commutant_basis(pairs, d1 + d2)[:, d1:, :d1]
+    return la.row_space(lower.reshape(len(lower), -1)).reshape(-1, d2, d1)
+
+
+def intertwiner_space(rep1: UnitaryRep, rep2: UnitaryRep) -> list[np.ndarray]:
+    """Orthonormal basis of {S : S U1(g) = U2(g) S}; empty means disjoint.
+
+    The lower-left block of the commutant of {U1(g) (+) U2(g)}.
+    """
     if rep1.group.order != rep2.group.order or not np.array_equal(
         rep1.group.table, rep2.group.table
     ):
         raise ValueError("representations must share the group")
-    d1, d2 = rep1.dim, rep2.dim
-    blocks = [
-        np.kron(np.eye(d2), rep1.matrices[g].T) - np.kron(rep2.matrices[g], np.eye(d1))
-        for g in range(rep1.group.order)
-    ]
-    null_rows = la.nullspace(np.concatenate(blocks, axis=0), tol_rank)
-    return [row.reshape(d2, d1) for row in null_rows]
+    return list(_intertwiners(rep1.matrices, rep2.matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +432,13 @@ def _split_isotypic_block(
     columns = [copies[0]]
     for v in copies[1:]:
         gamma_j = np.einsum("pi,gpq,qj->gij", v.conj(), u_restricted, v)
-        blocks = [
-            np.kron(np.eye(irrep_dim), gamma[g].T) -
-            np.kron(gamma_j[g], np.eye(irrep_dim))
-            for g in range(n)
-        ]
-        null_rows = la.nullspace(np.concatenate(blocks, axis=0), tol.rank)
-        if null_rows.shape[0] != 1:
+        space = _intertwiners(gamma, gamma_j)
+        if space.shape[0] != 1:
             raise la.EigenvalueGapError(
                 f"intertwiner space within a block has dimension "
-                f"{null_rows.shape[0]}, expected 1"
+                f"{space.shape[0]}, expected 1"
             )
-        t = null_rows[0].reshape(irrep_dim, irrep_dim)
+        t = space[0]
         t *= np.sqrt(irrep_dim) / np.linalg.norm(t)
         # canonical phase: largest entry real positive
         pivot = np.unravel_index(np.argmax(np.abs(t)), t.shape)

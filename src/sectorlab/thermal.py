@@ -283,8 +283,7 @@ class ObservableHierarchy:
         for (n1, p1), (n2, p2) in zip(self.levels, self.levels[1:]):
             if not p2:
                 raise ValueError(f"level {n2!r} is empty but follows {n1!r}")
-            d = p2[0][1].shape[0]
-            span = la.rows_to_mats(la.row_space(la.mats_to_rows([m for _, m in p2])), d)
+            span = la.orthonormalize_mats([m for _, m in p2])
             for pname, m in p1:
                 if la.span_residual(span, m) > tol * max(1.0, la.hs_norm(m)):
                     raise ValueError(

@@ -17,3 +17,22 @@ def kron_all(*mats):
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def svd_rows(rows, tol=1e-9):
+    """Oracle: orthonormal rows spanning the rows of ``rows``, by SVD."""
+    _, s, vh = np.linalg.svd(np.asarray(rows, dtype=complex), full_matrices=False)
+    return vh[: int(np.sum(s > tol * max(s[0], 1.0)))]
+
+
+def averaged_span(basis, rep):
+    """Oracle: orthonormal rows spanning the group averages of a (k, d, d) basis."""
+    avg = np.einsum("gij,ajk,glk->ail", rep.matrices, basis,
+                    rep.matrices.conj()) / rep.group.order
+    return svd_rows(avg.reshape(len(avg), -1))
+
+
+def assert_same_span(a, b, tol=1e-8):
+    """Two orthonormal row stacks span the same space (equal projectors)."""
+    assert a.shape == b.shape
+    assert np.linalg.norm(a.T @ a.conj() - b.T @ b.conj()) <= tol

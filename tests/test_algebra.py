@@ -95,7 +95,7 @@ def block_algebra(blocks, seed):
 
 class TestGenerateAlgebra:
     def test_empty_generators_give_scalars(self):
-        alg = generate_algebra([], include_unit=True)
+        alg = generate_algebra([])
         assert alg.dim == 1
         assert alg.contains(np.eye(1))
 

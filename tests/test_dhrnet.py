@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sectorlab import _linalg as la, dhrnet
-from sectorlab.algebra import State, vector_state
+from sectorlab.algebra import State, full_matrix_algebra, vector_state
 from sectorlab.dhrnet import (
     LatticeNet,
     apply_morphism,
@@ -21,10 +21,17 @@ from sectorlab.dhrnet import (
     selected_state,
     solve_intertwiners,
 )
+from sectorlab.groups import (
+    builtin_group,
+    fixed_point_algebra,
+    intertwiner_space,
+    isotypic_decomposition,
+    regular_rep,
+)
 from sectorlab.models import coupled_chain_hamiltonian, z2_chain_net, z2_vacuum
 from sectorlab.thermal import HamiltonianSystem, gibbs_state
 
-from conftest import SX, SY, SZ, I2, kron_all
+from conftest import SX, SY, SZ, I2, assert_same_span, averaged_span, kron_all
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +210,24 @@ class TestMorphisms:
                     assert np.linalg.norm(s1.density - s2.density) > 0.5
 
 
+def kronecker_solve_intertwiners(rho, sigma):
+    """Oracle: the literal system T rho(B) = sigma(B) T with T in the observables.
+
+    The observable basis spans the group averages of the matrix units; the
+    unknowns are T's coefficients in it.  Rows are vectorised solutions.
+    """
+    net = rho.net
+    d = net.total_dim
+    obs = la.rows_to_mats(
+        averaged_span(np.eye(d * d).reshape(d * d, d, d), net.global_rep), d)
+    pairs = [(rho.apply_raw(b), sigma.apply_raw(b)) for b in obs]
+    system = np.array([
+        np.concatenate([(bk @ r - s @ bk).ravel() for r, s in pairs]) for bk in obs
+    ]).T
+    return np.array([np.tensordot(c, obs, axes=(0, 0)).ravel()
+                     for c in la.nullspace(system)]).reshape(-1, d * d)
+
+
 class TestIntertwiners:
     def test_identity_intertwines_with_itself(self, net2):
         m = identity_morphism(net2)
@@ -229,6 +254,17 @@ class TestIntertwiners:
         ident = identity_morphism(net2)
         r0 = localized_morphism(net2, [0], [SX], "f0")
         assert solve_intertwiners(ident, r0) == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_kronecker_system(self, n):
+        net = z2_chain_net(n)
+        morphs = [identity_morphism(net)] + [
+            localized_morphism(net, [s], [SX], f"f{s}") for s in range(n)]
+        for rho in morphs:
+            for sigma in morphs:
+                space = solve_intertwiners(rho, sigma)
+                rows = np.reshape(space, (len(space), net.total_dim ** 2))
+                assert_same_span(rows, kronecker_solve_intertwiners(rho, sigma))
 
     def test_composition_closure(self, net2):
         r0 = localized_morphism(net2, [0], [SX], "f0")
@@ -376,6 +412,26 @@ class TestBasisFreeDistance:
         assert invert_selected_state(omega, vac, net3).region == (1,)
         m = localized_morphism(net3, [0], [SX], "f0")
         assert np.allclose(apply_morphism(m, kron_all(SZ, I2, I2)), -kron_all(SZ, I2, I2))
+
+
+    def test_no_kronecker_nullspace(self, net3, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Kronecker nullspace solved")
+
+        monkeypatch.setattr(la, "nullspace", forbidden)
+        reg = regular_rep(builtin_group("symmetric:3"))
+        assert len(intertwiner_space(reg, reg)) == 6
+        for name in ("symmetric:4", "quaternion:8"):
+            dec = isotypic_decomposition(regular_rep(builtin_group(name)))
+            assert dec.mult_dims == dec.irrep_dims
+        for n in (3, 4):
+            net = z2_chain_net(n)
+            r0 = localized_morphism(net, [0], [SX], "f0")
+            r1 = localized_morphism(net, [1], [SX], "f1")
+            assert len(solve_intertwiners(r0, r1)) == 2
+        assert fixed_point_algebra(full_matrix_algebra(8), net3.global_rep).dim == 32
+        omega = _flip_state(3, (1,))
+        assert invert_selected_state(omega, z2_vacuum(3), net3).region == (1,)
 
 
 class TestNormalizerTest:

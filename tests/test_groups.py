@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sectorlab import _linalg as la
-from sectorlab.algebra import full_matrix_algebra, generate_algebra, commutant
+from sectorlab.algebra import (
+    OperatorAlgebra,
+    commutant,
+    full_matrix_algebra,
+    generate_algebra,
+)
+from sectorlab.dhrnet import region_algebra
 from sectorlab.groups import (
     FiniteGroup,
     average,
-    average_stack,
     builtin_group,
     cyclic_group,
     cyclic_rep_from_unitary,
@@ -26,11 +31,26 @@ from sectorlab.groups import (
     trivial_rep,
 )
 
-from conftest import SX, SZ, I2, kron_all
+from sectorlab.models import z2_chain_net
+
+from conftest import SX, SZ, I2, assert_same_span, averaged_span, kron_all
 
 
 def z2_rep():
     return cyclic_rep_from_unitary(SZ, 2)
+
+
+def kronecker_intertwiners(rep1, rep2):
+    """Oracle: nullspace of the stacked Kronecker system S U1(g) = U2(g) S.
+
+    Rows are the row-major vectorisations of the solutions S (d2 x d1).
+    """
+    d1, d2 = rep1.dim, rep2.dim
+    system = np.concatenate([
+        np.kron(np.eye(d2), u1.T) - np.kron(u2, np.eye(d1))
+        for u1, u2 in zip(rep1.matrices, rep2.matrices)
+    ])
+    return la.nullspace(system)
 
 
 class TestFiniteGroup:
@@ -110,10 +130,8 @@ class TestAverage:
         fs = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
         direct = np.einsum("gij,ajk,glk->ail", rep.matrices, fs,
                            rep.matrices.conj()) / 6
-        out = average_stack(fs, rep)
-        assert np.abs(out - direct).max() <= 1e-14
-        for f, mf in zip(fs, out):
-            assert np.array_equal(average(f, rep), mf)
+        for f, mf in zip(fs, direct):
+            assert np.abs(average(f, rep) - mf).max() <= 1e-14
 
 
 class TestFixedPointAlgebra:
@@ -145,6 +163,21 @@ class TestFixedPointAlgebra:
         for _ in range(10):
             m = average(la.random_hermitian(rng, 4), rep)
             assert la.span_residual(fixed.basis, m) <= 1e-9
+
+    @pytest.mark.parametrize("region, dim", [((0,), 2), ((0, 1), 8), ((0, 2), 8)])
+    def test_proper_subalgebra_matches_averaged_span(self, region, dim):
+        net = z2_chain_net(3)
+        f = region_algebra(net, region)
+        fixed = fixed_point_algebra(f, net.global_rep)
+        assert fixed.dim == dim
+        assert_same_span(la.mats_to_rows(fixed.basis), averaged_span(f.basis, net.global_rep))
+        fixed.validate()
+
+    def test_non_unital_algebra_rejected(self):
+        p = np.diag([1.0, 0.0]).astype(complex)
+        f = OperatorAlgebra(2, p[None], contains_unit=False)
+        with pytest.raises(ValueError, match="unital"):
+            fixed_point_algebra(f, z2_rep())
 
     def test_commutant_of_fixed_points_is_group_algebra(self):
         rep = tensor_power_rep(z2_rep(), 2)
@@ -234,8 +267,27 @@ class TestIntertwiners:
                 assert np.linalg.norm(
                     s @ reg.matrices[g] - reg.matrices[g] @ s) <= 1e-10
 
+    @pytest.mark.parametrize("name", [
+        "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "symmetric:3", "quaternion:8",
+    ])
+    def test_matches_kronecker_nullspace(self, name):
+        # the regular representation, its irreps and every mixed pair
+        group = builtin_group(name)
+        reg = regular_rep(group)
+        reps = [reg] + [rep_from_matrices(group, irr)
+                        for irr in isotypic_decomposition(reg).irreps]
+        for r1 in reps:
+            for r2 in reps:
+                space = intertwiner_space(r1, r2)
+                rows = np.reshape(space, (len(space), r2.dim * r1.dim))
+                assert_same_span(rows, kronecker_intertwiners(r1, r2))
+                assert np.allclose(rows @ rows.conj().T, np.eye(len(space)), atol=1e-10)
+                for s in space:
+                    assert max(np.linalg.norm(s @ u1 - u2 @ s) for u1, u2
+                               in zip(r1.matrices, r2.matrices)) <= 1e-10
+
     def test_tall_system_under_memory_cap(self):
-        # The S4 regular system is 13824 x 576; a full U would take 2.85 GiB.
+        # Regular S4 must fit under a 2.5 GB address-space cap.
         pytest.importorskip("resource")
         script = (
             "import resource\n"
