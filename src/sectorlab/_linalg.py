@@ -146,5 +146,15 @@ def group_eigenvalues(vals: np.ndarray, gap: float, ambiguity_floor: float = 1e-
     return [np.array(g) for g in groups]
 
 
+def eigenspaces(h: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Orthonormal column blocks of the eigenspaces of a Hermitian ``h``.
+
+    One ``eigh``, grouped by :func:`group_eigenvalues` at ``gap`` (whose
+    ``EigenvalueGapError`` propagates); blocks in ascending eigenvalue order.
+    """
+    evals, evecs = np.linalg.eigh(h)
+    return [evecs[:, g] for g in group_eigenvalues(evals, gap)]
+
+
 class EigenvalueGapError(RuntimeError):
     """Spectrum could not be clustered at the configured gap threshold."""

@@ -283,10 +283,11 @@ def minimal_central_projections(
 ) -> list[np.ndarray]:
     """Spectral resolution of the centre into minimal orthogonal projections.
 
-    A seeded pseudo-random Hermitian element of the centre is diagonalized
-    and its eigenspaces grouped at the gap threshold; generically the
-    grouping separates every minimal projection.  Ambiguous spectra are
-    retried with a fresh seed up to ``max_retries`` times.
+    The eigenspaces of a seeded pseudo-random Hermitian element of the
+    centre, grouped at the gap threshold by
+    :func:`~sectorlab._linalg.eigenspaces`, generically separate every
+    minimal projection.  Ambiguous spectra, and projections that leave the
+    centre, are retried with a fresh seed up to ``max_retries`` times.
 
     Projections are canonically ordered by descending rank, then by
     lexicographically largest real diagonal.
@@ -302,16 +303,12 @@ def minimal_central_projections(
         coeff = rng.standard_normal(z.dim) + 1j * rng.standard_normal(z.dim)
         h = np.tensordot(coeff, z.basis, axes=(0, 0))
         h = (h + la.dagger(h)) / 2
-        evals, evecs = np.linalg.eigh(h)
         try:
-            groups = la.group_eigenvalues(evals, t.gap)
+            spaces = la.eigenspaces(h, t.gap)
         except la.EigenvalueGapError as err:
             last_err = err
             continue
-        projs = []
-        for g in groups:
-            v = evecs[:, g]
-            projs.append(v @ la.dagger(v))
+        projs = [v @ la.dagger(v) for v in spaces]
         # sanity: each projection must itself lie in the centre
         if any(la.span_residual(z.basis, p) > 1e-7 * max(1.0, la.hs_norm(p))
                for p in projs):

@@ -217,14 +217,17 @@ def separation_check(
     Full column rank means the probe family discriminates every weight on
     the grid, so the moment problem has a unique solution.
     """
-    m = design_matrix(channel, probes)
+    return _separation(design_matrix(channel, probes), channel.space.size)
+
+
+def _separation(m: np.ndarray, n_labels: int) -> SeparationReport:
+    """The rank test of :func:`separation_check` on a given design matrix."""
     aug = np.vstack([m, np.ones(m.shape[1])])
     svals = np.linalg.svd(aug, compute_uv=False)
     cutoff = max(aug.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
     rank = int(np.sum(svals > cutoff))
     sigma_min = float(svals[-1]) if svals.size else 0.0
-    return SeparationReport(rank == channel.space.size, rank, sigma_min,
-                            channel.space.size)
+    return SeparationReport(rank == n_labels, rank, sigma_min, n_labels)
 
 
 @dataclass(frozen=True)
@@ -337,7 +340,7 @@ def invert_cq(
     n = channel.space.size
     target = np.concatenate([np.zeros(len(probes)), [1.0]])
     x, iters, converged = _nnls(np.vstack([m - data[:, None], np.ones(n)]), target)
-    sep = separation_check(channel, probes)
+    sep = _separation(m, n)
     if not sep.passed:
         aug = np.vstack([m, np.ones(n)])
         tie = np.linalg.lstsq(aug, aug @ x, rcond=None)[0]

@@ -47,9 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json",
                    help="report rendering")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--tol.rank", dest="tol_rank", type=float, default=None)
     p.add_argument("--tol.gap", dest="tol_gap", type=float, default=None)
-    p.add_argument("--tol.state", dest="tol_state", type=float, default=None)
     p.add_argument("--tol.criterion", dest="tol_criterion", type=float, default=None)
 
     sub = p.add_subparsers(dest="command", required=True)
@@ -168,10 +166,11 @@ def _load_group_arg(value: str):
     )
 
 
-def _run_sectors_analyze(args, tol) -> int:
+def _run_sectors_analyze(args) -> int:
     field = io.algebra_from_json(io.load_json(args.field))
     group = _load_group_arg(args.group)
     rep = io.rep_from_json(io.load_json(args.rep), group=group)
+    tol = with_overrides(gap=args.tol_gap)
     decomp = decompose_sectors(field, rep, tol=tol, seed=args.seed)
     report = {
         "labels": list(decomp.labels),
@@ -197,7 +196,7 @@ def _run_sectors_analyze(args, tol) -> int:
     return EXIT_OK
 
 
-def _run_thermal_estimate(args, tol) -> int:
+def _run_thermal_estimate(args) -> int:
     system = io.system_from_json(io.load_json(args.system))
     grid = io.grid_from_json(io.load_json(args.grid))
     measured = io.measured_from_json(io.load_json(args.measured))
@@ -243,7 +242,7 @@ def _run_thermal_estimate(args, tol) -> int:
     return EXIT_OK if payload["max_accepted_level"] is not None else EXIT_REJECTED
 
 
-def _run_dhr_check(args, tol) -> int:
+def _run_dhr_check(args) -> int:
     net = io.net_from_json(io.load_json(args.net))
     omega = io.state_from_json(io.load_json(args.state))
     vacuum = io.state_from_json(io.load_json(args.vacuum))
@@ -262,7 +261,7 @@ def _run_dhr_check(args, tol) -> int:
     return EXIT_OK if report.passes else EXIT_REJECTED
 
 
-def _run_dhr_invert(args, tol) -> int:
+def _run_dhr_invert(args) -> int:
     net = io.net_from_json(io.load_json(args.net))
     omega = io.state_from_json(io.load_json(args.state))
     vacuum = io.state_from_json(io.load_json(args.vacuum))
@@ -350,18 +349,14 @@ def _run_examples_init(args) -> int:
 
 
 def run(args) -> int:
-    tol = with_overrides(
-        rank=args.tol_rank, gap=args.tol_gap,
-        state=args.tol_state, criterion=args.tol_criterion,
-    )
     if args.command == "sectors":
-        return _run_sectors_analyze(args, tol)
+        return _run_sectors_analyze(args)
     if args.command == "thermal":
-        return _run_thermal_estimate(args, tol)
+        return _run_thermal_estimate(args)
     if args.command == "dhr":
         if args.subcommand == "check":
-            return _run_dhr_check(args, tol)
-        return _run_dhr_invert(args, tol)
+            return _run_dhr_check(args)
+        return _run_dhr_invert(args)
     if args.command == "cuntz":
         return _run_cuntz_nf(args)
     if args.command == "channels":

@@ -396,58 +396,6 @@ class IsotypicError(RuntimeError):
     """Decomposition failed to resolve after the retry budget."""
 
 
-def _split_isotypic_block(
-    rep: UnitaryRep, block_basis: np.ndarray, tol: Tolerances,
-    rng: np.random.Generator,
-):
-    """Factor one isotypic block into multiplicity x irrep structure.
-
-    Returns (columns, irrep_matrices, mult_dim, irrep_dim) where ``columns``
-    is d x (mult*irrep) with W-ordering (multiplicity index outer).
-    """
-    r = block_basis.shape[1]
-    n = rep.group.order
-    u_restricted = np.einsum(
-        "pi,gpq,qj->gij", block_basis.conj(), rep.matrices, block_basis
-    )
-    # generic Hermitian element of the block commutant
-    k = la.random_hermitian(rng, r)
-    k = np.einsum("gij,jk,glk->il", u_restricted, k, u_restricted.conj()) / n
-    k = (k + la.dagger(k)) / 2
-    evals, evecs = np.linalg.eigh(k)
-    groups = la.group_eigenvalues(evals, tol.gap)
-    sizes = {len(g) for g in groups}
-    if len(sizes) != 1:
-        raise la.EigenvalueGapError(
-            f"unequal eigenspace sizes {sorted(len(g) for g in groups)} "
-            "in an isotypic block"
-        )
-    irrep_dim = sizes.pop()
-    mult = len(groups)
-    if mult * irrep_dim != r:
-        raise la.EigenvalueGapError("block size mismatch after grouping")
-
-    copies = [evecs[:, g] for g in groups]
-    gamma = np.einsum("pi,gpq,qj->gij", copies[0].conj(), u_restricted, copies[0])
-    columns = [copies[0]]
-    for v in copies[1:]:
-        gamma_j = np.einsum("pi,gpq,qj->gij", v.conj(), u_restricted, v)
-        space = _intertwiners(gamma, gamma_j)
-        if space.shape[0] != 1:
-            raise la.EigenvalueGapError(
-                f"intertwiner space within a block has dimension "
-                f"{space.shape[0]}, expected 1"
-            )
-        t = space[0]
-        t *= np.sqrt(irrep_dim) / np.linalg.norm(t)
-        # canonical phase: largest entry real positive
-        pivot = np.unravel_index(np.argmax(np.abs(t)), t.shape)
-        t *= np.exp(-1j * np.angle(t[pivot]))
-        columns.append(v @ t)
-    cols = np.concatenate(columns, axis=1)
-    return block_basis @ cols, gamma, mult, irrep_dim
-
-
 def _character_sort_key(irrep: np.ndarray):
     chars = [np.trace(u) for u in irrep]
     return tuple(
@@ -463,55 +411,69 @@ def isotypic_decomposition(
 ) -> SectorDecomposition:
     """Decompose a representation into isotypic blocks H_gamma (x) V_gamma.
 
-    Central projections come from a seeded random Hermitian element of the
-    span of conjugacy-class sums (the centre of the group image); each
-    block is then split by a generic element of its commutant.  Labels are
-    canonical: sorted by irrep dimension ascending, then by character
-    values in descending lexicographic order (the trivial irrep sorts
-    first among one-dimensional labels).
+    One seeded generic Hermitian element K of the commutant U' (the group
+    average of a random Hermitian matrix) has the irreducible copies as
+    its eigenspaces (Murota, Kanno, Kojima & Kojima 2010), grouped at the
+    gap threshold by :func:`~sectorlab._linalg.eigenspaces`.  The
+    characters chi_j(g) = tr V_j* U(g) V_j of the copies come from one
+    batched product; every copy must have <chi_j, chi_j> = |G|, else the
+    next seed is tried.  These inner products are integers, so copies with
+    <chi_i, chi_j> / |G| > 1/2 form one sector.  By Schur's lemma
+    V_j* X V_1, for X a second generic element of U', is a multiple of the
+    unitary intertwiner from the sector's first copy to copy j; it is
+    scaled to Frobenius norm sqrt(d_gamma) with its largest entry real and
+    positive.  Labels are canonical: sorted by irrep dimension ascending,
+    then by character values in descending lexicographic order (the
+    trivial irrep sorts first among one-dimensional labels).
     """
     t = tol or DEFAULT_TOL
     d = rep.dim
     n = rep.group.order
-    class_sums = np.array(
-        [rep.matrices[cls].sum(axis=0) for cls in rep.group.conjugacy_classes()]
-    )
-    center_basis = la.orthonormalize_mats(class_sums, t.rank)
     last_err: Exception | None = None
     for attempt in range(max_retries):
         rng = rng_from_seed(seed + attempt)
-        # real coefficients would merge each pair of conjugate irreps
-        k = center_basis.shape[0]
-        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        h = np.tensordot(coeff, center_basis, axes=(0, 0))
-        h = (h + la.dagger(h)) / 2
-        evals, evecs = np.linalg.eigh(h)
         try:
-            groups = la.group_eigenvalues(evals, t.gap)
-            blocks = []
-            for g in groups:
-                basis = evecs[:, g]
-                blocks.append(_split_isotypic_block(rep, basis, t, rng))
+            copies = la.eigenspaces(average(la.random_hermitian(rng, d), rep), t.gap)
         except la.EigenvalueGapError as err:
             last_err = err
             continue
-        order = sorted(
-            range(len(blocks)),
-            key=lambda i: (blocks[i][3], _character_sort_key(blocks[i][1])),
-        )
-        w = np.concatenate([blocks[i][0] for i in order], axis=1)
-        projections = np.array([
-            blocks[i][0] @ la.dagger(blocks[i][0]) for i in order
-        ])
+        e = np.concatenate(copies, axis=1)
+        starts = np.cumsum([0] + [v.shape[1] for v in copies])
+        blocks = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+        restricted = la.dagger(e) @ rep.matrices @ e
+        diag = np.einsum("gii->gi", restricted)
+        chars = np.add.reduceat(diag, starts[:-1], axis=1).T
+        overlaps = (chars.conj() @ chars.T).real / n
+        if not np.all(np.rint(np.diag(overlaps)) == 1):
+            last_err = IsotypicError("an eigenspace of K is reducible")
+            continue
+        # each copy's sector is led by the first copy equivalent to it
+        leader = np.argmax(overlaps > 0.5, axis=0)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = la.dagger(e) @ average(z, rep) @ e
+        sectors = []
+        for lead in np.unique(leader):
+            columns = []
+            for j in np.flatnonzero(leader == lead):
+                s = x[blocks[j], blocks[lead]]
+                # scale to norm sqrt(d_gamma); phase: largest entry real positive
+                pivot = np.unravel_index(np.argmax(np.abs(s)), s.shape)
+                s = s * (np.sqrt(s.shape[0]) / np.linalg.norm(s)
+                         * np.exp(-1j * np.angle(s[pivot])))
+                columns.append(copies[j] @ s)
+            cols = np.concatenate(columns, axis=1)
+            irrep = restricted[:, blocks[lead], blocks[lead]].copy()
+            sectors.append((cols, irrep, len(columns), irrep.shape[-1]))
+        sectors.sort(key=lambda sec: (sec[3], _character_sort_key(sec[1])))
         return SectorDecomposition(
             group=rep.group,
             ambient_dim=d,
-            labels=tuple(f"gamma{k}" for k in range(len(order))),
-            mult_dims=tuple(blocks[i][2] for i in order),
-            irrep_dims=tuple(blocks[i][3] for i in order),
-            unitary=w,
-            projections=projections,
-            irreps=tuple(blocks[i][1] for i in order),
+            labels=tuple(f"gamma{k}" for k in range(len(sectors))),
+            mult_dims=tuple(sec[2] for sec in sectors),
+            irrep_dims=tuple(sec[3] for sec in sectors),
+            unitary=np.concatenate([sec[0] for sec in sectors], axis=1),
+            projections=np.array([sec[0] @ la.dagger(sec[0]) for sec in sectors]),
+            irreps=tuple(sec[1] for sec in sectors),
         )
     raise IsotypicError(
         f"isotypic decomposition unresolved after {max_retries} seeds: {last_err}"

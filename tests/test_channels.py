@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sectorlab import _linalg as la
+from sectorlab import channels
 from sectorlab.algebra import State, full_matrix_algebra, vector_state
 from sectorlab.channels import (
     ClassicalQuantumChannel,
@@ -216,6 +217,19 @@ class TestInvertCq:
     def test_non_finite_data_rejected(self, two_point_channel):
         with pytest.raises(ValueError):
             invert_cq(two_point_channel, [SZ], np.array([np.nan]))
+
+    def test_one_design_matrix_per_inversion(self, monkeypatch, two_point_channel):
+        # the separation test reuses the inversion's own design matrix
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return design_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(channels, "design_matrix", counted)
+        result = invert_cq(two_point_channel, [SZ], np.array([0.2]))
+        assert result.unique and result.rank == 2
+        assert len(calls) == 1
 
 
 def simplex_optimum(m, b):

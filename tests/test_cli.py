@@ -373,6 +373,13 @@ class TestExitCodes:
         assert code == cli.EXIT_COMPUTATION_FAILED == 3
         assert "computation failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--tol.rank", "--tol.state"])
+    def test_removed_tolerance_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([f"{flag}=1e-9", "cuntz", "nf", "--d", "2", "--expr", "s1"])
+        assert exc.value.code == cli.EXIT_INPUT_ERROR == 2
+        assert f"unrecognized arguments: {flag}=1e-9" in capsys.readouterr().err
+
     def test_z3_clock_sectors(self, tmp_path):
         w = np.exp(2j * np.pi / 3)
         clock = np.diag([1, w, w * w])
@@ -389,15 +396,16 @@ class TestExitCodes:
 
 
 def test_channels_invert_checks_separation_once(example_tree, monkeypatch, capsys):
+    # the rank test behind separation_check, which invert_cq runs on its
+    # own design matrix; a second separation_check would count here too
     calls = []
-    original = channels.separation_check
+    original = channels._separation
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(channels, "separation_check", counted)
-    monkeypatch.setattr(cli, "separation_check", counted, raising=False)
+    monkeypatch.setattr(channels, "_separation", counted)
     d = example_tree / "moment_grid_12"
     code = cli.main(["channels", "invert", "--channel", str(d / "channel.json"),
                      "--probes", str(d / "probes.json"),

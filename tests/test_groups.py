@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sectorlab import _linalg as la
+from sectorlab import groups
 from sectorlab.algebra import (
     OperatorAlgebra,
     commutant,
@@ -33,7 +35,7 @@ from sectorlab.groups import (
 
 from sectorlab.models import z2_chain_net
 
-from conftest import SX, SZ, I2, assert_same_span, averaged_span, kron_all
+from conftest import SX, SY, SZ, I2, assert_same_span, averaged_span, kron_all
 
 
 def z2_rep():
@@ -326,12 +328,48 @@ def _clock_rep():
     return cyclic_rep_from_unitary(np.diag([1, w, w * w]), 3)
 
 
+def dihedral_group(n: int) -> FiniteGroup:
+    """D_n on the indices k + n f for r^k s^f, with s r s = r^-1."""
+    table = np.array([
+        [(a + (-1) ** f * b) % n + n * ((f + g) % 2)
+         for g in range(2) for b in range(n)]
+        for f in range(2) for a in range(n)
+    ])
+    return FiniteGroup(table, name=f"dihedral:{n}")
+
+
+def permutation_rep(n: int):
+    """S_n permuting the basis of C^n, in the order of ``symmetric_group``."""
+    mats = []
+    for p in sorted(itertools.permutations(range(n))):
+        m = np.zeros((n, n))
+        m[list(p), range(n)] = 1.0
+        mats.append(m)
+    return rep_from_matrices(symmetric_group(n), mats)
+
+
+def quaternion_spin_rep():
+    """Q8's 2-dimensional irrep, in the element order of ``quaternion_group``."""
+    units = [I2, 1j * SX, 1j * SY, 1j * SZ]
+    return rep_from_matrices(quaternion_group(), [s * u for u in units for s in (1, -1)])
+
+
 #: representations containing every irrep of their group, several with
 #: non-real characters
 COMPLETE_REPS = (
     [lambda n=n: regular_rep(cyclic_group(n)) for n in range(3, 13)]
     + [_clock_rep,
-       lambda: regular_rep(direct_product(symmetric_group(3), cyclic_group(3)))]
+       lambda: regular_rep(direct_product(symmetric_group(3), cyclic_group(3))),
+       lambda: regular_rep(symmetric_group(4)),
+       lambda: regular_rep(quaternion_group()),
+       lambda: regular_rep(dihedral_group(5))]
+)
+
+#: representations whose irreps repeat with multiplicities other than d_gamma
+MULTIPLICITY_REPS = (
+    [lambda n=n, k=k: tensor_power_rep(permutation_rep(n), k)
+     for n in (3, 4) for k in (2, 3)]
+    + [lambda k=k: tensor_power_rep(quaternion_spin_rep(), k) for k in (3, 4)]
 )
 
 
@@ -351,4 +389,51 @@ class TestIsotypicProperties:
         assert sum(d * d for d in dec.irrep_dims) == group.order
         assert dec.irrep_dims[0] == 1
         assert np.allclose(dec.characters()[0], 1.0)
+        assert dec.reconstruction_residual(rep) <= 1e-10
+
+    def test_dihedral_group_is_a_group(self):
+        group = dihedral_group(5)
+        group.validate()
+        assert len(group.conjugacy_classes()) == 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(make=st.sampled_from(MULTIPLICITY_REPS), seed=st.integers(0, 10_000))
+    def test_character_oracle(self, make, seed):
+        rep = make()
+        dec = isotypic_decomposition(rep, seed=seed)
+        n = rep.group.order
+        chars = dec.characters()
+        # Schur orthogonality of the returned irreps
+        assert np.allclose(chars.conj() @ chars.T, n * np.eye(dec.n_sectors), atol=1e-9)
+        # multiplicities from the character of the whole representation
+        total = np.trace(rep.matrices, axis1=1, axis2=2)
+        assert np.allclose(chars.conj() @ total / n, dec.mult_dims, atol=1e-9)
+        assert sum(m * v for m, v in zip(dec.mult_dims, dec.irrep_dims)) == rep.dim
+        assert dec.reconstruction_residual(rep) <= 1e-10
+
+
+class TestIsotypicWithoutSolves:
+    def test_no_commutant_or_intertwiner_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the decomposition solved a linear system")
+
+        monkeypatch.setattr(groups, "_commutant_basis", forbidden)
+        monkeypatch.setattr(groups, "_intertwiners", forbidden)
+        for rep in (regular_rep(symmetric_group(4)), regular_rep(quaternion_group()),
+                    tensor_power_rep(z2_rep(), 4)):
+            dec = isotypic_decomposition(rep)
+            assert dec.reconstruction_residual(rep) <= 1e-10
+
+    def test_regular_s5(self):
+        rep = regular_rep(symmetric_group(5))
+        dec = isotypic_decomposition(rep)
+        assert dec.irrep_dims == (1, 1, 4, 4, 5, 5, 6)
+        assert dec.mult_dims == dec.irrep_dims
+        assert dec.reconstruction_residual(rep) <= 1e-10
+
+    def test_eight_site_parity(self):
+        rep = tensor_power_rep(z2_rep(), 8)
+        dec = isotypic_decomposition(rep)
+        assert dec.mult_dims == (128, 128)
+        assert dec.irrep_dims == (1, 1)
         assert dec.reconstruction_residual(rep) <= 1e-10
