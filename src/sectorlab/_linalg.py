@@ -2,25 +2,36 @@
 
 Matrices are numpy ``complex128`` arrays.  Subspaces of d x d matrices are
 represented by stacked arrays of shape (k, d, d) whose slices are
-orthonormal under the trace inner product <A, B> = tr(A* B).  Every span
-is orthonormalised by one SVD, whose rank cut keeps the singular values
-above ``tol_rank`` * max(sigma_max, 1) (:func:`row_space`).
+orthonormal under the trace inner product <A, B> = tr(A* B).
+
+This module makes every rank, null and eigenvalue-grouping decision of the
+package, at the fixed cuts below or by numpy's eps rule (:func:`eps_rank`);
+only the grouping gap of :func:`group_eigenvalues` is the caller's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_SEED, rng_from_seed
+
+#: singular values above SPAN_RANK_CUT * max(sigma_max, 1) span; also the
+#: relative residual of span membership
+SPAN_RANK_CUT = 1e-9
+#: commutant Gram eigenvalues <= GRAM_NULL_CUT * max(lambda_max, 1) are null
+GRAM_NULL_CUT = 1e-12
+#: eigenvalues of the commutant's generic element closer than
+#: COMMUTANT_MERGE_GAP * max|eigenvalue| share a block
+COMMUTANT_MERGE_GAP = 1e-8
+#: eigenvalue differences below AMBIGUITY_FLOOR are ties when grouping
+AMBIGUITY_FLOOR = 1e-12
+#: a vector whose part outside a span is <= DEPENDENCE_CUT times its part
+#: inside lies in the span (the column test of Lawson-Hanson NNLS)
+DEPENDENCE_CUT = 100 * np.finfo(float).eps
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Trace (Hilbert-Schmidt) inner product tr(a* b)."""
-    return complex(np.vdot(a, b))
 
 
 def hs_norm(a: np.ndarray) -> float:
@@ -45,16 +56,15 @@ def rows_to_mats(rows: np.ndarray, d: int) -> np.ndarray:
     return rows.reshape(rows.shape[0], d, d)
 
 
-def orthonormalize_mats(mats: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
+def orthonormalize_mats(mats: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of a (k, d, d) stack, by one SVD.
 
-    The rank is the SVD rank cut of :func:`row_space`: singular values
-    above ``tol_rank`` * max(sigma_max, 1) are kept.
+    The rank is the SVD rank cut of :func:`row_space`.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.size == 0:
         return mats
-    return rows_to_mats(row_space(mats_to_rows(mats), tol_rank), mats.shape[-1])
+    return rows_to_mats(row_space(mats_to_rows(mats)), mats.shape[-1])
 
 
 def span_coefficients(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -87,14 +97,23 @@ def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
     )
 
 
-def _svd_rank(s: np.ndarray, tol_rank: float | None) -> int:
-    """Number of singular values above ``tol_rank`` * max(sigma_max, 1)."""
-    tol = DEFAULT_TOL.rank if tol_rank is None else tol_rank
+def _svd_rank(s: np.ndarray) -> int:
+    """Number of singular values above ``SPAN_RANK_CUT`` * max(sigma_max, 1)."""
     smax = s[0] if s.size else 0.0
-    return int(np.sum(s > tol * max(smax, 1.0)))
+    return int(np.sum(s > SPAN_RANK_CUT * max(smax, 1.0)))
 
 
-def nullspace(a: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
+def eps_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """Number of singular values above max(shape) * eps * sigma_max.
+
+    numpy's ``matrix_rank`` rule, for the singular values ``s`` (descending)
+    of a matrix of the given shape.
+    """
+    cutoff = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    return int(np.sum(s > cutoff))
+
+
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the nullspace of ``a``, via SVD."""
     a = np.asarray(a, dtype=complex)
     if a.shape[0] == 0:
@@ -102,13 +121,13 @@ def nullspace(a: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
     # a wide system needs the full V for its nullspace; a tall one never
     # needs the full U, which would be (rows x rows)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    return vh[_svd_rank(s, tol_rank):].conj()
+    return vh[_svd_rank(s):].conj()
 
 
-def row_space(a: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
+def row_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the row space of ``a``, via SVD."""
     _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)
-    return vh[:_svd_rank(s, tol_rank)]
+    return vh[:_svd_rank(s)]
 
 
 def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -116,30 +135,25 @@ def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
     return scale * (a + a.conj().T) / 2.0
 
 
-def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
-def group_eigenvalues(vals: np.ndarray, gap: float, ambiguity_floor: float = 1e-12):
+def group_eigenvalues(vals: np.ndarray, gap: float):
     """Partition sorted real eigenvalues into clusters separated by ``gap``.
 
     Returns a list of index arrays.  Raises ``EigenvalueGapError`` when two
-    eigenvalues are closer than ``gap`` but farther apart than the ambiguity
-    floor: such a spectrum cannot be clustered reliably and the caller is
-    expected to retry with a fresh random element.
+    eigenvalues are closer than ``gap`` but not closer than
+    ``AMBIGUITY_FLOOR``: such a spectrum cannot be clustered reliably and
+    the caller is expected to retry with a fresh random element.
     """
     order = np.argsort(vals)
     sv = vals[order]
     groups: list[list[int]] = [[int(order[0])]]
     for prev, idx in zip(range(len(sv) - 1), order[1:]):
         diff = sv[prev + 1] - sv[prev]
-        if diff < ambiguity_floor:
+        if diff < AMBIGUITY_FLOOR:
             groups[-1].append(int(idx))
         elif diff < gap:
             raise EigenvalueGapError(
                 f"eigenvalue gap {diff:.3e} between grouping threshold "
-                f"{gap:.1e} and ambiguity floor {ambiguity_floor:.1e}"
+                f"{gap:.1e} and ambiguity floor {AMBIGUITY_FLOOR:.1e}"
             )
         else:
             groups.append([int(idx)])
@@ -154,6 +168,57 @@ def eigenspaces(h: np.ndarray, gap: float) -> list[np.ndarray]:
     """
     evals, evecs = np.linalg.eigh(h)
     return [evecs[:, g] for g in group_eigenvalues(evals, gap)]
+
+
+def commutant_basis(mats, d: int) -> np.ndarray:
+    """Orthonormal basis of {Y : [Y, M] = 0 for every M in ``mats``}.
+
+    A seeded generic Hermitian element X = (Z + Z*)/2, Z a random complex
+    combination of ``mats``, satisfies A' <= {X}', so every solution is
+    block-diagonal on X's eigenspaces (Murota, Kanno, Kojima & Kojima,
+    Japan J. Indust. Appl. Math. 27, 2010).  Eigenvalues closer than
+    ``COMMUTANT_MERGE_GAP`` times the largest |eigenvalue| share a block;
+    merging only adds unknowns, so an unlucky X costs time, never
+    correctness.  In X's eigenbasis the n = sum m_a^2 block entries are
+    the only unknowns, and their Gram matrix G = sum_M L_M* L_M of the
+    commutator maps is assembled from the rotated matrices directly.  Its
+    null vectors are the eigenvectors with eigenvalue
+    <= ``GRAM_NULL_CUT`` * max(lambda_max, 1) (squared singular values, so
+    about 1e-6 in singular-value terms).  Placing them into their blocks and
+    rotating back is an isometry, so the result is orthonormal as it stands.
+    """
+    mats = np.asarray(list(mats), dtype=complex)
+    rng = rng_from_seed(DEFAULT_SEED)
+    coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    z = np.tensordot(coeff, mats, axes=(0, 0))
+    evals, q = np.linalg.eigh((z + dagger(z)) / 2)
+    scale = max(abs(evals[0]), abs(evals[-1]))
+    cuts = np.flatnonzero(np.diff(evals) > COMMUTANT_MERGE_GAP * scale) + 1
+    blocks = np.split(np.arange(d), cuts)
+    # unknown j is the entry Y[row[j], col[j]] of one diagonal block
+    row = np.concatenate([np.repeat(c, c.size) for c in blocks])
+    col = np.concatenate([np.tile(c, c.size) for c in blocks])
+    n, k = row.size, mats.shape[0]
+    b = dagger(q) @ mats @ q
+    wide = b.transpose(1, 0, 2).reshape(d, k * d)
+    tall = b.reshape(k * d, d)
+    bbd = wide @ dagger(wide)  # sum_M M M*
+    bdb = dagger(tall) @ tall  # sum_M M* M
+    gram = ((row[:, None] == row[None, :]) * bbd[col[None, :], col[:, None]]
+            + (col[:, None] == col[None, :]) * bdb[row[:, None], row[None, :]])
+    # T[i, j] = sum_M M[row_i, row_j] conj(M[col_i, col_j]), in chunks of mats
+    t = np.zeros((n, n), dtype=complex)
+    step = max(1, (1 << 20) // (n * n))
+    for lo in range(0, k, step):
+        chunk = b[lo:lo + step]
+        t += np.einsum("kij,kij->ij", chunk[:, row[:, None], row[None, :]],
+                       chunk[:, col[:, None], col[None, :]].conj())
+    gram -= t + dagger(t)
+    lam, vecs = np.linalg.eigh(gram)
+    null = vecs[:, lam <= GRAM_NULL_CUT * max(float(lam[-1]), 1.0)]
+    y = np.zeros((null.shape[1], d, d), dtype=complex)
+    y[:, row, col] = null.T
+    return q @ y @ dagger(q)
 
 
 class EigenvalueGapError(RuntimeError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .config import DEFAULT_SEED, DEFAULT_TOL, DIMENSION_CAP, Tolerances, rng_from_seed
+from .config import DEFAULT_TOL, DIMENSION_CAP, SEED_RETRIES, STATE_TOL, rng_from_seed
 
 
 class DimensionCapError(ValueError):
@@ -34,9 +34,7 @@ class OperatorAlgebra:
 
     Commutants (and through them centres and central projections) are
     solved on the eigenspace blocks of a seeded generic Hermitian element
-    of the algebra: the unknowns shrink from d^2 to sum m_a^2 over the
-    eigenspace dimensions m_a, and a Gram eigenvalue counts as null when
-    it is <= 1e-12 * max(lambda_max, 1).
+    of the algebra by :func:`~sectorlab._linalg.commutant_basis`.
     """
 
     ambient_dim: int
@@ -48,21 +46,20 @@ class OperatorAlgebra:
     def dim(self) -> int:
         return int(self.basis.shape[0])
 
-    def contains(self, m: np.ndarray, tol: float | None = None) -> bool:
-        t = DEFAULT_TOL.rank if tol is None else tol
-        return la.span_contains(self.basis, np.asarray(m, dtype=complex), t)
+    def contains(self, m: np.ndarray) -> bool:
+        return la.span_contains(self.basis, np.asarray(m, dtype=complex),
+                                la.SPAN_RANK_CUT)
 
     def project(self, m: np.ndarray) -> np.ndarray:
         """Trace-orthogonal projection onto the span of the algebra."""
         return la.project_onto_span(self.basis, np.asarray(m, dtype=complex))
 
-    def validate(self, tol: Tolerances | None = None) -> None:
+    def validate(self) -> None:
         """Check orthonormality, *-closure, product closure, and the unit.
 
         Product closure is O(k^2) matrix products; intended for tests and
         input validation, not for hot paths.
         """
-        t = tol or DEFAULT_TOL
         k, d = self.dim, self.ambient_dim
         if self.basis.shape != (k, d, d):
             raise ValueError("basis stack shape does not match ambient_dim")
@@ -81,7 +78,7 @@ class OperatorAlgebra:
                 raise ValueError("unit not contained in span")
         if self.generators is not None:
             for g in self.generators:
-                if not self.contains(g, t.rank):
+                if not self.contains(g):
                     raise ValueError("declared generator outside the span")
 
 
@@ -99,18 +96,15 @@ class State:
     def dim(self) -> int:
         return self.density.shape[0]
 
-    def expect(self, a: np.ndarray) -> complex:
-        return complex(np.trace(self.density @ a))
-
     def check_finite(self) -> None:
         """Raise ``ValueError`` when the density has a NaN or infinite entry."""
         if not np.all(np.isfinite(self.density)):
             raise ValueError(f"density has non-finite entries ({self.label!r})")
 
-    def validate(self, tol: float | None = None) -> None:
-        t = DEFAULT_TOL.state if tol is None else tol
+    def validate(self) -> None:
+        """Check Hermiticity, positivity and unit trace at ``STATE_TOL``."""
         self.check_finite()
-        rho = self.density
+        rho, t = self.density, STATE_TOL
         if np.linalg.norm(rho - la.dagger(rho)) > t * max(1.0, la.hs_norm(rho)):
             raise ValueError(f"density not Hermitian ({self.label!r})")
         evals = np.linalg.eigvalsh((rho + la.dagger(rho)) / 2)
@@ -150,15 +144,13 @@ def scalar_algebra(d: int) -> OperatorAlgebra:
                            generators=(np.eye(d, dtype=complex),))
 
 
-def generate_algebra(
-    generators, tol_rank: float | None = None, dimension_cap: int = DIMENSION_CAP,
-) -> OperatorAlgebra:
+def generate_algebra(generators) -> OperatorAlgebra:
     """Smallest unital *-closed subalgebra containing the generators.
 
     Closure is computed by iterating products of basis pairs and adjoints
     until the dimension stabilizes; after every round the span is
-    orthonormalised by one SVD, whose rank cut keeps the singular values
-    above ``tol_rank`` * max(sigma_max, 1).
+    orthonormalised by one SVD at the rank cut of
+    :func:`~sectorlab._linalg.row_space`.
     """
     gens = [la.as_complex_matrix(g) for g in generators]
     if gens:
@@ -168,17 +160,17 @@ def generate_algebra(
                 raise ValueError("generators must be square with equal dimension")
     else:
         d = 1
-    if d > dimension_cap:
-        raise DimensionCapError(f"ambient dimension {d} exceeds cap {dimension_cap}")
+    if d > DIMENSION_CAP:
+        raise DimensionCapError(f"ambient dimension {d} exceeds cap {DIMENSION_CAP}")
 
     seed = gens + [np.eye(d, dtype=complex)] + [la.dagger(g) for g in gens]
-    basis = la.orthonormalize_mats(np.array(seed), tol_rank)
+    basis = la.orthonormalize_mats(np.array(seed))
     while True:
         candidates = [basis]
         candidates.append(la.dagger(basis))
         prods = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, d, d)
         candidates.append(prods)
-        new_basis = la.orthonormalize_mats(np.concatenate(candidates), tol_rank)
+        new_basis = la.orthonormalize_mats(np.concatenate(candidates))
         if new_basis.shape[0] == basis.shape[0]:
             basis = new_basis
             break
@@ -189,122 +181,65 @@ def generate_algebra(
     )
 
 
-def _commutant_basis(mats, d: int) -> np.ndarray:
-    """Orthonormal basis of {Y : [Y, M] = 0 for every M in ``mats``}.
-
-    A seeded generic Hermitian element X = (Z + Z*)/2, Z a random complex
-    combination of ``mats``, satisfies A' <= {X}', so every solution is
-    block-diagonal on X's eigenspaces (Murota, Kanno, Kojima & Kojima,
-    Japan J. Indust. Appl. Math. 27, 2010).  Eigenvalues closer than
-    ``DEFAULT_TOL.gap`` times the largest |eigenvalue| share a block;
-    merging only adds unknowns, so an unlucky X costs time, never
-    correctness.  In X's eigenbasis the n = sum m_a^2 block entries are
-    the only unknowns, and their Gram matrix G = sum_M L_M* L_M of the
-    commutator maps is assembled from the rotated matrices directly.  Its
-    null vectors are the eigenvectors with eigenvalue
-    <= 1e-12 * max(lambda_max, 1) (squared singular values, so about 1e-6
-    in singular-value terms).  Placing them into their blocks and rotating
-    back is an isometry, so the result is orthonormal as it stands.
-    """
-    mats = np.asarray(list(mats), dtype=complex)
-    rng = rng_from_seed(DEFAULT_SEED)
-    coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-    z = np.tensordot(coeff, mats, axes=(0, 0))
-    evals, q = np.linalg.eigh((z + la.dagger(z)) / 2)
-    scale = max(abs(evals[0]), abs(evals[-1]))
-    cuts = np.flatnonzero(np.diff(evals) > DEFAULT_TOL.gap * scale) + 1
-    blocks = np.split(np.arange(d), cuts)
-    # unknown j is the entry Y[row[j], col[j]] of one diagonal block
-    row = np.concatenate([np.repeat(c, c.size) for c in blocks])
-    col = np.concatenate([np.tile(c, c.size) for c in blocks])
-    n, k = row.size, mats.shape[0]
-    b = la.dagger(q) @ mats @ q
-    wide = b.transpose(1, 0, 2).reshape(d, k * d)
-    tall = b.reshape(k * d, d)
-    bbd = wide @ la.dagger(wide)  # sum_M M M*
-    bdb = la.dagger(tall) @ tall  # sum_M M* M
-    gram = ((row[:, None] == row[None, :]) * bbd[col[None, :], col[:, None]]
-            + (col[:, None] == col[None, :]) * bdb[row[:, None], row[None, :]])
-    # T[i, j] = sum_M M[row_i, row_j] conj(M[col_i, col_j]), in chunks of mats
-    t = np.zeros((n, n), dtype=complex)
-    step = max(1, (1 << 20) // (n * n))
-    for lo in range(0, k, step):
-        chunk = b[lo:lo + step]
-        t += np.einsum("kij,kij->ij", chunk[:, row[:, None], row[None, :]],
-                       chunk[:, col[:, None], col[None, :]].conj())
-    gram -= t + la.dagger(t)
-    lam, vecs = np.linalg.eigh(gram)
-    null = vecs[:, lam <= 1e-12 * max(float(lam[-1]), 1.0)]
-    y = np.zeros((null.shape[1], d, d), dtype=complex)
-    y[:, row, col] = null.T
-    return q @ y @ la.dagger(q)
-
-
 def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     """The relative commutant {X : XB = BX for all B in alg} inside B(C^d).
 
     Uses the algebra's recorded generating set when available (augmented
     with adjoints: the commutant of a self-adjoint set equals the
     commutant of the *-algebra it generates).  The solve runs on the
-    eigenspace blocks of a seeded generic Hermitian element of the algebra
-    and keeps the Gram eigenvalues <= 1e-12 * max(lambda_max, 1) as null;
-    see :func:`_commutant_basis`.  The returned basis is orthonormal.
+    eigenspace blocks of a seeded generic Hermitian element of the algebra;
+    see :func:`~sectorlab._linalg.commutant_basis`.  The returned basis is
+    orthonormal.
     """
     d = alg.ambient_dim
     if alg.generators is not None:
         mats = list(alg.generators) + [la.dagger(g) for g in alg.generators]
     else:
         mats = alg.basis
-    return OperatorAlgebra(d, _commutant_basis(mats, d), contains_unit=True)
+    return OperatorAlgebra(d, la.commutant_basis(mats, d), contains_unit=True)
 
 
-def center(alg: OperatorAlgebra, tol_rank: float | None = None) -> OperatorAlgebra:
+def center(alg: OperatorAlgebra) -> OperatorAlgebra:
     """Centre alg' inter alg, via trace-orthogonal projection onto alg.
 
     For a unital *-subalgebra the trace projection is a conditional
     expectation, so projecting the commutant basis into alg lands exactly
     on the centre.  The rank is decided by one SVD of the projected stack,
-    taken in alg's orthonormal coordinates: singular values above
-    ``tol_rank`` * max(sigma_max, 1) are kept, and their right singular
-    vectors are the basis.
+    taken in alg's orthonormal coordinates, at the rank cut of
+    :func:`~sectorlab._linalg.row_space`; the kept right singular vectors
+    are the basis.
     """
     comm = la.mats_to_rows(commutant(alg).basis)
     own = la.mats_to_rows(alg.basis)
-    rows = la.row_space(comm @ la.dagger(own), tol_rank) @ own
+    rows = la.row_space(comm @ la.dagger(own)) @ own
     return OperatorAlgebra(alg.ambient_dim, la.rows_to_mats(rows, alg.ambient_dim),
                            contains_unit=True)
 
 
-def minimal_central_projections(
-    alg: OperatorAlgebra,
-    tol: Tolerances | None = None,
-    seed: int = 0,
-    max_retries: int = 5,
-) -> list[np.ndarray]:
+def minimal_central_projections(alg: OperatorAlgebra, seed: int = 0) -> list[np.ndarray]:
     """Spectral resolution of the centre into minimal orthogonal projections.
 
     The eigenspaces of a seeded pseudo-random Hermitian element of the
-    centre, grouped at the gap threshold by
+    centre, grouped at the default gap threshold by
     :func:`~sectorlab._linalg.eigenspaces`, generically separate every
     minimal projection.  Ambiguous spectra, and projections that leave the
-    centre, are retried with a fresh seed up to ``max_retries`` times.
+    centre, are retried with a fresh seed, ``SEED_RETRIES`` seeds in all.
 
     Projections are canonically ordered by descending rank, then by
     lexicographically largest real diagonal.
     """
-    t = tol or DEFAULT_TOL
-    z = center(alg, t.rank)
+    z = center(alg)
     d = alg.ambient_dim
     if z.dim == 0:
         raise ValueError("algebra has an empty centre basis; not unital?")
     last_err: Exception | None = None
-    for attempt in range(max_retries):
+    for attempt in range(SEED_RETRIES):
         rng = rng_from_seed(seed + attempt)
         coeff = rng.standard_normal(z.dim) + 1j * rng.standard_normal(z.dim)
         h = np.tensordot(coeff, z.basis, axes=(0, 0))
         h = (h + la.dagger(h)) / 2
         try:
-            spaces = la.eigenspaces(h, t.gap)
+            spaces = la.eigenspaces(h, DEFAULT_TOL.gap)
         except la.EigenvalueGapError as err:
             last_err = err
             continue
@@ -321,7 +256,7 @@ def minimal_central_projections(
         projs.sort(key=sort_key)
         return projs
     raise CentralProjectionError(
-        f"could not resolve the centre after {max_retries} seeds: {last_err}"
+        f"could not resolve the centre after {SEED_RETRIES} seeds: {last_err}"
     )
 
 

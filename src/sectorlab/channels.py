@@ -145,13 +145,14 @@ def verify_positive_unital(
     alg: OperatorAlgebra,
     n_samples: int = 50,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> PositiveUnitalReport:
     """Check unitality and positivity of a map given on the algebra basis.
 
     The codomain is commutative, so complete positivity reduces to entrywise
     positivity on elements A*A; positivity is sampled with seeded random
-    algebra elements.  Failures are reported, never raised.
+    algebra elements.  The map passes when the unit's image is within 1e-9
+    of 1 and no sampled value is below -1e-9.  Failures are reported, never
+    raised.
     """
     m = np.asarray(map_matrix)
     if m.shape[1] != alg.dim:
@@ -171,7 +172,7 @@ def verify_positive_unital(
         vals = m @ la.span_coefficients(alg.basis, sq)
         margin = min(margin, float(np.min(vals.real)))
         leak = max(leak, float(np.max(np.abs(vals.imag))))
-    passed = unitality <= tol and margin >= -tol
+    passed = unitality <= 1e-9 and margin >= -1e-9
     return PositiveUnitalReport(unitality, margin, leak, n_samples, passed)
 
 
@@ -221,11 +222,13 @@ def separation_check(
 
 
 def _separation(m: np.ndarray, n_labels: int) -> SeparationReport:
-    """The rank test of :func:`separation_check` on a given design matrix."""
+    """The rank test of :func:`separation_check` on a given design matrix.
+
+    The rank is numpy's eps rule, :func:`~sectorlab._linalg.eps_rank`.
+    """
     aug = np.vstack([m, np.ones(m.shape[1])])
     svals = np.linalg.svd(aug, compute_uv=False)
-    cutoff = max(aug.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > cutoff))
+    rank = la.eps_rank(svals, aug.shape)
     sigma_min = float(svals[-1]) if svals.size else 0.0
     return SeparationReport(rank == n_labels, rank, sigma_min, n_labels)
 
@@ -245,7 +248,6 @@ class InversionResult:
 
 #: cap on the least-squares solves of one inversion (``converged=False``)
 MAX_ITERATIONS = 100_000
-_EPS = np.finfo(float).eps
 
 
 def _solve_on(a: np.ndarray, c: np.ndarray, cols: list[int]):
@@ -265,8 +267,8 @@ def _nnls(a: np.ndarray, c: np.ndarray):
     Duals come from the residual's coordinates outside the passive span, so
     they stay accurate far below the rounding level of c - a x.  A column
     enters only if it passes the original dependence test (part outside the
-    span > 100 eps * part inside) and gets a positive trial coefficient; a
-    refused column waits until x changes.  The solve stops when no dual is
+    span > 100 eps times part inside, ``_linalg.DEPENDENCE_CUT``) and gets a
+    positive trial coefficient; a refused column waits until x changes.  The solve stops when no dual is
     positive, or when an outer step fails to reduce the residual (in exact
     arithmetic every step does, so the duals left are rounding noise).
     """
@@ -284,7 +286,7 @@ def _nnls(a: np.ndarray, c: np.ndarray):
         if dual[j] <= 0:
             return x, iters, True
         refused.append(j)
-        if np.linalg.norm(qa[k:, j]) <= 100 * _EPS * np.linalg.norm(qa[:k, j]):
+        if np.linalg.norm(qa[k:, j]) <= la.DEPENDENCE_CUT * np.linalg.norm(qa[:k, j]):
             continue
         trial = cols + [j]
         iters += 1

@@ -1,9 +1,11 @@
 """Numerical tolerances and seeding conventions used across the package.
 
-Every rank/gap/state decision in the package goes through one of these
-thresholds; functions accept explicit overrides and fall back to the
-module default.  Randomness is always drawn from a seeded generator so
-that reports are reproducible byte for byte.
+``Tolerances`` carries the two thresholds a caller may choose: the
+eigenvalue grouping gap and the criterion acceptance threshold.  Every
+rank, null and eigenvalue-grouping cut besides the gap is fixed and lives
+in :mod:`sectorlab._linalg`; states are validated at ``STATE_TOL``.
+Randomness is always drawn from a seeded generator so that reports are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -15,29 +17,30 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: rank / span-membership decisions (the SVD rank cut of a span, span residuals)
-    rank: float = 1e-9
     #: eigenvalue grouping gap when extracting spectral projections
     gap: float = 1e-8
-    #: state validity (hermiticity, positivity, normalization)
-    state: float = 1e-10
     #: acceptance threshold for selection criteria (CLI-overridable)
     criterion: float = 1e-8
 
 
 DEFAULT_TOL = Tolerances()
 
+#: state validity (Hermiticity, positivity, unit trace)
+STATE_TOL = 1e-10
+
 DEFAULT_SEED = 0
+
+#: seeds a randomised spectral split tries before it gives up
+SEED_RETRIES = 5
 
 #: dense-matrix feasibility cap on the ambient dimension
 DIMENSION_CAP = 256
 
 
-def with_overrides(tol: Tolerances | None = None, **kwargs: float) -> Tolerances:
-    """Return ``tol`` (or the default) with any keyword overrides applied."""
-    base = tol if tol is not None else DEFAULT_TOL
+def with_overrides(**kwargs: float | None) -> Tolerances:
+    """The default tolerances with any non-None keyword overrides applied."""
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(base, **kwargs) if kwargs else base
+    return replace(DEFAULT_TOL, **kwargs) if kwargs else DEFAULT_TOL
 
 
 def rng_from_seed(seed: int | np.random.Generator | None) -> np.random.Generator:

@@ -75,9 +75,6 @@ class LatticeNet:
         """Global invariant algebra (the full chain's observables)."""
         return self._observable_algebra
 
-    def field_algebra(self) -> OperatorAlgebra:
-        return full_matrix_algebra(self.total_dim)
-
 
 def normalize_region(net: LatticeNet, region) -> tuple[int, ...]:
     sites = tuple(sorted(set(int(s) for s in region)))
@@ -261,8 +258,12 @@ class LocalizedMorphism:
         """The action without the observable-membership precondition."""
         return self.multiplet.apply(a)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check unitality, localization, and that observables map to observables."""
+    def validate(self) -> None:
+        """Check unitality, localization, and that observables map to observables.
+
+        Each check allows a residual of 1e-9 (1e-9 * d for unitality).
+        """
+        tol = 1e-9
         d = self.net.total_dim
         total = sum(p @ la.dagger(p) for p in self.multiplet.matrices)
         if np.linalg.norm(total - np.eye(d)) > tol * d:
@@ -306,14 +307,16 @@ def identity_morphism(net: LatticeNet, label: str = "identity") -> LocalizedMorp
     return LocalizedMorphism(net, (), mult)
 
 
-def apply_morphism(
-    morph: LocalizedMorphism, a: np.ndarray, tol: float = 1e-9
-) -> np.ndarray:
-    """Apply the morphism to an observable; rejects non-observables."""
+def apply_morphism(morph: LocalizedMorphism, a: np.ndarray) -> np.ndarray:
+    """Apply the morphism to an observable; rejects non-observables.
+
+    ``a`` is an observable when its distance from its group average is at
+    most 1e-9 * max(1, ||a||).
+    """
     a = la.as_complex_matrix(a)
     # the group average is the trace-orthogonal projection onto the observables
     res = la.hs_norm(a - average(a, morph.net.global_rep))
-    if res > tol * max(1.0, la.hs_norm(a)):
+    if res > 1e-9 * max(1.0, la.hs_norm(a)):
         raise ValueError(
             f"operator is outside the observable algebra (residual {res:.3e})"
         )

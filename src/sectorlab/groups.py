@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, _commutant_basis, commutant
-from .config import DEFAULT_TOL, Tolerances, rng_from_seed
+from .algebra import OperatorAlgebra, commutant
+from .config import DEFAULT_SEED, DEFAULT_TOL, SEED_RETRIES, Tolerances, rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class FiniteGroup:
             raise ValueError("multiplication table has non-invertible elements")
         return inv
 
-    def validate(self, rng_seed: int = 0) -> None:
+    def validate(self) -> None:
         """Check group laws; associativity fully for order <= 64, sampled above."""
         n = self.order
         if self.table.shape != (n, n) or self.table.min() < 0 or self.table.max() >= n:
@@ -71,7 +71,7 @@ class FiniteGroup:
                     if t[t[a, b], c] != t[a, t[b, c]]:
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
         else:
-            rng = rng_from_seed(rng_seed)
+            rng = rng_from_seed(DEFAULT_SEED)
             for a, b, c in rng.integers(0, n, size=(2000, 3)):
                 if t[t[a, b], c] != t[a, t[b, c]]:
                     raise ValueError(f"associativity fails at ({a},{b},{c})")
@@ -165,7 +165,9 @@ class UnitaryRep:
     def dim(self) -> int:
         return int(self.matrices.shape[-1])
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        """Check unitarity and the homomorphism law to 1e-10 * dim."""
+        tol = 1e-10
         n = self.group.order
         if self.matrices.shape != (n, self.dim, self.dim):
             raise ValueError("need one matrix per group element")
@@ -249,7 +251,7 @@ def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlge
 
     For a unital F this is F inter U' = (F' union {U(g)})': one commutant
     solve on a basis of F' stacked with the representation matrices (see
-    :func:`~sectorlab.algebra._commutant_basis`).  A non-unital F is
+    :func:`~sectorlab._linalg.commutant_basis`).  A non-unital F is
     rejected with ``ValueError``.
     """
     if rep.dim != f_alg.ambient_dim:
@@ -258,7 +260,7 @@ def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlge
         raise ValueError("fixed points are computed for unital algebras only")
     d = f_alg.ambient_dim
     mats = np.concatenate([commutant(f_alg).basis, rep.matrices])
-    return OperatorAlgebra(d, _commutant_basis(mats, d), contains_unit=True)
+    return OperatorAlgebra(d, la.commutant_basis(mats, d), contains_unit=True)
 
 
 def _intertwiners(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -277,7 +279,7 @@ def _intertwiners(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     pairs = np.zeros((len(m1), d1 + d2, d1 + d2), dtype=complex)
     pairs[:, :d1, :d1] = m1
     pairs[:, d1:, d1:] = m2
-    lower = _commutant_basis(pairs, d1 + d2)[:, d1:, :d1]
+    lower = la.commutant_basis(pairs, d1 + d2)[:, d1:, :d1]
     return la.row_space(lower.reshape(len(lower), -1)).reshape(-1, d2, d1)
 
 
@@ -407,7 +409,6 @@ def isotypic_decomposition(
     rep: UnitaryRep,
     tol: Tolerances | None = None,
     seed: int = 0,
-    max_retries: int = 5,
 ) -> SectorDecomposition:
     """Decompose a representation into isotypic blocks H_gamma (x) V_gamma.
 
@@ -430,7 +431,7 @@ def isotypic_decomposition(
     d = rep.dim
     n = rep.group.order
     last_err: Exception | None = None
-    for attempt in range(max_retries):
+    for attempt in range(SEED_RETRIES):
         rng = rng_from_seed(seed + attempt)
         try:
             copies = la.eigenspaces(average(la.random_hermitian(rng, d), rep), t.gap)
@@ -476,5 +477,5 @@ def isotypic_decomposition(
             irreps=tuple(sec[1] for sec in sectors),
         )
     raise IsotypicError(
-        f"isotypic decomposition unresolved after {max_retries} seeds: {last_err}"
+        f"isotypic decomposition unresolved after {SEED_RETRIES} seeds: {last_err}"
     )

@@ -142,12 +142,8 @@ def state_from_json(obj) -> State:
     if "density" not in obj:
         raise InputFormatError("state object needs a 'density' field")
     s = State(matrix_from_json(obj["density"]), label=str(obj.get("label", "")))
-    s.validate(tol=1e-8)
+    s.validate()
     return s
-
-
-def algebra_to_json(alg: OperatorAlgebra) -> list:
-    return [matrix_to_json(b) for b in alg.basis]
 
 
 def algebra_from_json(obj) -> OperatorAlgebra:

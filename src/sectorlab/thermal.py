@@ -278,14 +278,14 @@ class ObservableHierarchy:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def validate_nesting(self, tol: float = 1e-9) -> None:
-        """Span inclusion of consecutive levels."""
+    def validate_nesting(self) -> None:
+        """Span inclusion of consecutive levels, to a relative residual of 1e-9."""
         for (n1, p1), (n2, p2) in zip(self.levels, self.levels[1:]):
             if not p2:
                 raise ValueError(f"level {n2!r} is empty but follows {n1!r}")
             span = la.orthonormalize_mats([m for _, m in p2])
             for pname, m in p1:
-                if la.span_residual(span, m) > tol * max(1.0, la.hs_norm(m)):
+                if la.span_residual(span, m) > 1e-9 * max(1.0, la.hs_norm(m)):
                     raise ValueError(
                         f"probe {pname!r} of level {n1!r} not within level {n2!r}"
                     )

@@ -125,7 +125,7 @@ class TestGenerateAlgebra:
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
-            generate_algebra([np.eye(300)], dimension_cap=256)
+            generate_algebra([np.eye(300)])
 
 
 class TestCommutant:

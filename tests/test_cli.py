@@ -315,6 +315,21 @@ class TestCliCommands:
             assert "density has non-finite entries" in proc.stderr
             assert proc.stdout == ""
 
+    def test_state_trace_checked_at_state_tolerance(self, example_tree, tmp_path):
+        # a trace off by 1e-9 is beyond the 1e-10 state tolerance
+        d = example_tree / "z2_chain_3"
+        state = json.loads((d / "flipped_state.json").read_text())
+        rho = io.matrix_from_json(state["density"])
+        rho[0, 0] += 1e-9
+        state["density"] = io.matrix_to_json(rho)
+        bad = tmp_path / "trace_state.json"
+        bad.write_text(json.dumps(state))
+        proc = run_cli("dhr", "check", "--net", str(d / "net.json"),
+                       "--state", str(bad), "--vacuum", str(d / "vacuum.json"))
+        assert proc.returncode == 2
+        assert "density trace != 1" in proc.stderr
+        assert proc.stdout == ""
+
     def test_cuntz_nf_text_and_json(self):
         proc = run_cli("--format", "text", "cuntz", "nf", "--d", "2",
                        "--expr", "s1* s2 s2* s1")

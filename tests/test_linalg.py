@@ -1,0 +1,96 @@
+"""Every rank, null and grouping cut of ``_linalg``, just inside and just outside.
+
+Each test puts one input 1 % on either side of a cut, written out as a
+number, so a change that moves a cut fails here instead of silently
+changing a dimension.
+"""
+
+import numpy as np
+import pytest
+
+from sectorlab import _linalg as la
+from sectorlab import channels
+from sectorlab.config import DEFAULT_SEED, rng_from_seed
+
+INSIDE, OUTSIDE = 0.99, 1.01
+
+
+def _commutant_coefficients(k):
+    """The seeded coefficients of the generic element in ``commutant_basis``."""
+    rng = rng_from_seed(DEFAULT_SEED)
+    return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+
+@pytest.mark.parametrize("smax", [1.0, 0.5, 4.0])
+@pytest.mark.parametrize("factor, rank", [(INSIDE, 1), (OUTSIDE, 2)])
+def test_span_rank_cut(smax, factor, rank):
+    # singular values above 1e-9 * max(sigma_max, 1) span
+    small = factor * 1e-9 * max(smax, 1.0)
+    a = np.diag([smax, small]).astype(complex)
+    assert la.row_space(a).shape[0] == rank
+    assert la.nullspace(a).shape[0] == 2 - rank
+    mats = np.array([np.diag([smax, 0.0]), np.diag([0.0, small])], dtype=complex)
+    assert la.orthonormalize_mats(mats).shape[0] == rank
+
+
+@pytest.mark.parametrize("factor, dim", [(INSIDE, 4), (OUTSIDE, 2)])
+def test_gram_null_cut(factor, dim):
+    # X = Re(c1) 1 is degenerate (c2 K is anti-Hermitian), so the whole
+    # 2 x 2 block is unknown; K's commutator Gram has eigenvalue t^2 on the
+    # off-diagonal units and 0 on the diagonal ones
+    c = _commutant_coefficients(2)
+    t = np.sqrt(factor * 1e-12)
+    k = 1j * abs(c[1]) / c[1] * np.diag([t / 2, -t / 2])
+    basis = la.commutant_basis([np.eye(2, dtype=complex), k], 2)
+    assert basis.shape[0] == dim
+
+
+@pytest.mark.parametrize("factor, dim", [(INSIDE, 4), (OUTSIDE, 2)])
+def test_commutant_merge_gap(factor, dim):
+    # X = diag(Re c1, Re c1 + Re c2 eps): merged, the off-diagonal units are
+    # unknowns whose Gram eigenvalue eps^2 is below the null cut; split,
+    # they are not solved for
+    c = _commutant_coefficients(2)
+    eps = factor * 1e-8 * abs(c[0].real) / abs(c[1].real)
+    mats = [np.eye(2, dtype=complex), np.diag([0.0, eps]).astype(complex)]
+    assert la.commutant_basis(mats, 2).shape[0] == dim
+
+
+def test_ambiguity_floor():
+    inside = INSIDE * 1e-12
+    groups = la.group_eigenvalues(np.array([0.0, inside, 1.0]), 1e-8)
+    assert [g.tolist() for g in groups] == [[0, 1], [2]]
+    with pytest.raises(la.EigenvalueGapError):
+        la.group_eigenvalues(np.array([0.0, OUTSIDE * 1e-12, 1.0]), 1e-8)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 5)])
+@pytest.mark.parametrize("factor, rank", [(INSIDE, 1), (OUTSIDE, 2)])
+def test_eps_rank(shape, factor, rank):
+    # numpy's rule: above max(shape) * eps * sigma_max
+    smax = 3.0
+    s = np.array([smax, factor * max(shape) * np.finfo(float).eps * smax])
+    assert la.eps_rank(s, shape) == rank
+
+
+def test_separation_rank_is_numpys_rule():
+    # [m; 1 1] = [[0, k eps], [1, 1]]: sigma_min crosses the cut near k = 4
+    ranks = set()
+    for k in range(1, 9):
+        m = np.array([[0.0, k * np.finfo(float).eps]])
+        sep = channels._separation(m, 2)
+        assert sep.rank == np.linalg.matrix_rank(np.vstack([m, np.ones(2)]))
+        ranks.add(sep.rank)
+    assert ranks == {1, 2}
+
+
+@pytest.mark.parametrize("factor, weights", [(INSIDE, [0.5, 0.0]), (OUTSIDE, [0.0, 1.0])])
+def test_nnls_dependence_cut(factor, weights):
+    # after column 0 enters, column 1's part outside its span is eta against
+    # 1 inside: a dependent column is refused, an independent one replaces
+    # column 0 (it fits c = (1, 1) better)
+    eta = factor * 100 * np.finfo(float).eps
+    a = np.array([[2.0, 1.0], [0.0, eta]])
+    x, _, converged = channels._nnls(a, np.array([1.0, 1.0]))
+    assert converged
+    assert np.allclose(x, weights, rtol=0, atol=1e-12)

@@ -10,7 +10,13 @@ from sectorlab.algebra import (
     vector_state,
 )
 from sectorlab.channels import ProbabilityWeight, apply_cq
-from sectorlab.groups import cyclic_group, cyclic_rep_from_unitary, tensor_power_rep, trivial_rep
+from sectorlab.groups import (
+    average,
+    cyclic_group,
+    cyclic_rep_from_unitary,
+    tensor_power_rep,
+    trivial_rep,
+)
 from sectorlab.models import z2_chain_sector_model
 from sectorlab.sectors import (
     ChargedMultiplet,
@@ -205,6 +211,38 @@ class TestInducedChargedState:
         assert np.allclose(report.psi, expected)
         assert report.max_deviation <= 1e-8
         assert report.norm_deviation <= 1e-10
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.3, 0.7], [1.0, 0.0]])
+    def test_deviation_matches_matrix_unit_loop(self, chain2, rng, weights):
+        # oracle: the group average of every matrix unit E_ab, one at a time
+        dec, rep = chain2["decomposition"], chain2["net"].global_rep
+        nu = ProbabilityWeight(charge_space(dec), np.array(weights))
+        mults = {m.label: m for m in chain2["charge_morphisms"]}
+        obs = dec.observable_algebra()
+        vacua = [np.array([1, 0, 0, 0], dtype=complex)]
+        for _ in range(4):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            vacua.append(v / np.linalg.norm(v))
+        worst = []
+        for vac in vacua:
+            report = induce_charged_state(nu, mults, vac, rep, obs)
+            rho0 = np.outer(vac, vac.conj())
+            mixture = sum(w * mults[lab].pullback_density(rho0)
+                          for lab, w in zip(dec.labels, weights) if w > 0)
+            psi = report.psi
+            loop = 0.0
+            for a in range(4):
+                for b in range(4):
+                    unit = np.zeros((4, 4), dtype=complex)
+                    unit[a, b] = 1.0
+                    mf = average(unit, rep)
+                    loop = max(loop, abs(np.trace(mixture @ mf) - psi.conj() @ mf @ psi))
+            assert report.max_deviation == pytest.approx(loop, rel=0, abs=1e-14)
+            assert report.n_checked == 16
+            worst.append(loop)
+        # the random vacua exercise non-zero deviations
+        if weights != [1.0, 0.0]:
+            assert max(worst) > 0.05
 
     def test_missing_multiplet_rejected(self, chain2):
         dec = chain2["decomposition"]
