@@ -128,10 +128,7 @@ def full_matrix_algebra(d: int) -> OperatorAlgebra:
     """
     if d > DIMENSION_CAP:
         raise DimensionCapError(f"ambient dimension {d} exceeds cap {DIMENSION_CAP}")
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            basis[a * d + b, a, b] = 1.0
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     diag = np.diag(np.arange(1, d + 1, dtype=complex))
     gens = (shift, diag) if d > 1 else (np.eye(1, dtype=complex),)
@@ -147,10 +144,13 @@ def scalar_algebra(d: int) -> OperatorAlgebra:
 def generate_algebra(generators) -> OperatorAlgebra:
     """Smallest unital *-closed subalgebra containing the generators.
 
-    Closure is computed by iterating products of basis pairs and adjoints
-    until the dimension stabilizes; after every round the span is
-    orthonormalised by one SVD at the rank cut of
-    :func:`~sectorlab._linalg.row_space`.
+    In finite dimensions the unital *-algebra generated by S is its
+    double commutant S'' (von Neumann's bicommutant theorem), so the basis
+    is two solves of :func:`~sectorlab._linalg.commutant_basis`: the first
+    on an orthonormal basis of span(S, 1, S*), taken at the SVD rank cut of
+    :func:`~sectorlab._linalg.row_space`, the second on that commutant.  The
+    dimension of S'' is decided by the commutant's Gram null cut and
+    block-merge gap.
     """
     gens = [la.as_complex_matrix(g) for g in generators]
     if gens:
@@ -164,17 +164,10 @@ def generate_algebra(generators) -> OperatorAlgebra:
         raise DimensionCapError(f"ambient dimension {d} exceeds cap {DIMENSION_CAP}")
 
     seed = gens + [np.eye(d, dtype=complex)] + [la.dagger(g) for g in gens]
-    basis = la.orthonormalize_mats(np.array(seed))
-    while True:
-        candidates = [basis]
-        candidates.append(la.dagger(basis))
-        prods = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, d, d)
-        candidates.append(prods)
-        new_basis = la.orthonormalize_mats(np.concatenate(candidates))
-        if new_basis.shape[0] == basis.shape[0]:
-            basis = new_basis
-            break
-        basis = new_basis
+    # unit-norm directions: a generator part far smaller than the rest would
+    # otherwise fall under the Gram null cut and drop out of S''
+    span = la.orthonormalize_mats(np.array(seed))
+    basis = la.commutant_basis(la.commutant_basis(span, d), d)
     return OperatorAlgebra(
         d, basis, contains_unit=True,
         generators=tuple(gens) if gens else (np.eye(d, dtype=complex),),

@@ -115,6 +115,27 @@ class TestGenerateAlgebra:
         zz = kron_all(SZ, SZ)
         assert generate_algebra([zz]).dim == closure_dim_bruteforce([zz]) == 2
 
+    def test_near_unit_generates_scalars(self):
+        # the split of 3e-10 is under the commutant's block-merge gap, so
+        # the generator commutes with all of M2 and S'' is C1
+        near = np.diag([1.0, 1.0 + 3e-10]).astype(complex)
+        alg = generate_algebra([near])
+        assert alg.dim == 1
+        assert alg.contains(np.eye(2))
+
+    @pytest.mark.parametrize("gens", [
+        [np.diag([1.0, 1.0 + 5e-9]).astype(complex)],
+        [np.diag([1.0, 2.0]).astype(complex), 1e-5 * SX],
+        [np.diag([1.0, 2.0]).astype(complex), 1e-8 * SX],
+    ])
+    def test_small_generator_parts_are_kept(self, gens):
+        # each small part is above the span rank cut; unless the seed is
+        # orthonormalised first, it falls under the commutant's merge gap
+        # or Gram null cut
+        alg = generate_algebra(gens)
+        assert alg.dim == closure_dim_bruteforce(gens)
+        assert all(alg.contains(g) for g in gens)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             generate_algebra([np.ones((2, 3))])
@@ -196,6 +217,29 @@ def test_structure_of_block_algebras(blocks, seed, use_gens):
     assert np.allclose(sum(projs), np.eye(d), atol=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(blocks=BLOCK_LISTS, seed=st.integers(0, 10_000))
+@example(blocks=[(2, 1), (2, 1), (1, 2)], seed=1)
+@example(blocks=[(3, 2)], seed=4)
+def test_generate_block_algebras(blocks, seed):
+    """Two generic generators of V(+ M_k (x) 1_m)V* generate all of it."""
+    d, basis, gens = block_algebra(blocks, seed)
+    alg = generate_algebra(gens)
+    assert alg.dim == sum(k * k for k, _ in blocks)
+    assert la.same_span(alg.basis, basis, 1e-8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_full_matrix_algebra_matrix_unit_order(d):
+    basis = full_matrix_algebra(d).basis
+    assert basis.shape == (d * d, d, d)
+    for a in range(d):
+        for b in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[a, b] = 1.0
+            assert np.array_equal(basis[a * d + b], unit)
+
+
 class TestCenter:
     def test_center_of_full_algebra(self):
         assert center(full_matrix_algebra(2)).dim == 1
@@ -267,10 +311,10 @@ class TestMinimalCentralProjections:
         assert any(np.allclose(p, odd, atol=1e-9) for p in projs)
 
     def test_ambiguous_gap_exhausts_retries(self):
-        # a generator whose spectrum splits inside the ambiguity band
-        # (between 1e-12 and the 1e-8 grouping gap) cannot be resolved
+        # a one-element algebra whose spectrum splits inside the ambiguity
+        # band (between 1e-12 and the 1e-8 grouping gap) cannot be resolved
         near = np.diag([1.0, 1.0 + 3e-10]).astype(complex)
-        alg = generate_algebra([near])
+        alg = OperatorAlgebra(2, (near / la.hs_norm(near))[None], contains_unit=True)
         with pytest.raises(CentralProjectionError):
             minimal_central_projections(alg)
 
