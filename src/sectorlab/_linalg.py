@@ -20,6 +20,9 @@ from .config import DEFAULT_SEED, rng_from_seed
 SPAN_RANK_CUT = 1e-9
 #: commutant Gram eigenvalues <= GRAM_NULL_CUT * max(lambda_max, 1) are null
 GRAM_NULL_CUT = 1e-12
+#: with ``refine``, Gram eigenvalues <= GRAM_WINDOW * max(lambda_max, 1) are
+#: the candidates whose recomputed commutators are cut at SPAN_RANK_CUT
+GRAM_WINDOW = 1e-6
 #: eigenvalues of the commutant's generic element closer than
 #: COMMUTANT_MERGE_GAP * max|eigenvalue| share a block
 COMMUTANT_MERGE_GAP = 1e-8
@@ -170,7 +173,7 @@ def eigenspaces(h: np.ndarray, gap: float) -> list[np.ndarray]:
     return [evecs[:, g] for g in group_eigenvalues(evals, gap)]
 
 
-def commutant_basis(mats, d: int) -> np.ndarray:
+def commutant_basis(mats, d: int, refine: bool = False) -> np.ndarray:
     """Orthonormal basis of {Y : [Y, M] = 0 for every M in ``mats``}.
 
     A seeded generic Hermitian element X = (Z + Z*)/2, Z a random complex
@@ -186,6 +189,16 @@ def commutant_basis(mats, d: int) -> np.ndarray:
     <= ``GRAM_NULL_CUT`` * max(lambda_max, 1) (squared singular values, so
     about 1e-6 in singular-value terms).  Placing them into their blocks and
     rotating back is an isometry, so the result is orthonormal as it stands.
+
+    The Gram resolves singular values only to about sqrt(eps), and an
+    eigenvalue just above its cut leaves null vectors off by up to
+    eps / GRAM_NULL_CUT.  With ``refine``, the eigenvectors up to
+    ``GRAM_WINDOW`` * max(lambda_max, 1) are candidates: their commutators
+    are recomputed from ``mats`` and their null space is cut at
+    ``SPAN_RANK_CUT`` * max(sigma_max, 1), as a span would be, with null
+    vectors off by about eps / GRAM_WINDOW.  This costs (candidates) x
+    len(mats) x d^3 and is meant for a few matrices of unit scale, such as
+    an orthonormal generating set.
     """
     mats = np.asarray(list(mats), dtype=complex)
     rng = rng_from_seed(DEFAULT_SEED)
@@ -215,10 +228,39 @@ def commutant_basis(mats, d: int) -> np.ndarray:
                        chunk[:, col[:, None], col[None, :]].conj())
     gram -= t + dagger(t)
     lam, vecs = np.linalg.eigh(gram)
-    null = vecs[:, lam <= GRAM_NULL_CUT * max(float(lam[-1]), 1.0)]
+    floor = max(float(lam[-1]), 1.0)
+    if refine:
+        null = _refined_null(b, vecs[:, lam <= GRAM_WINDOW * floor], row, col, floor)
+    else:
+        null = vecs[:, lam <= GRAM_NULL_CUT * floor]
     y = np.zeros((null.shape[1], d, d), dtype=complex)
     y[:, row, col] = null.T
     return q @ y @ dagger(q)
+
+
+def _refined_null(b, cand, row, col, floor: float) -> np.ndarray:
+    """The null space, within the candidate columns ``cand``, of the
+    commutators with the stack ``b``, at the span cut on singular values.
+
+    The commutators are recomputed from the matrices, not read off the Gram
+    matrix, whose entries carry rounding errors of eps * lambda_max.
+    """
+    c, d = cand.shape[1], b.shape[-1]
+    y = np.zeros((c, d, d), dtype=complex)
+    y[:, row, col] = cand.T
+    step = max(1, (1 << 20) // max(1, c * d * d))
+
+    def comms():  # rows: the candidates; columns: their commutators, chunked
+        for lo in range(0, b.shape[0], step):
+            chunk = b[lo:lo + step, None]
+            yield (chunk @ y - y @ chunk).transpose(1, 0, 2, 3).reshape(c, -1)
+
+    cut = SPAN_RANK_CUT ** 2 * floor
+    # when the candidates' commutators together are under the cut, so is each
+    if sum(np.vdot(r, r).real for r in comms()) <= cut:
+        return cand
+    mu, u = np.linalg.eigh(sum(r.conj() @ r.T for r in comms()))
+    return cand @ u[:, mu <= cut]
 
 
 class EigenvalueGapError(RuntimeError):

@@ -23,6 +23,10 @@ class CentralProjectionError(RuntimeError):
     """Eigenvalue grouping stayed ambiguous after the retry budget."""
 
 
+class GenerationError(RuntimeError):
+    """A generated algebra does not contain one of its generators."""
+
+
 @dataclass(frozen=True)
 class OperatorAlgebra:
     """A *-closed subspace of B(C^d) with an orthonormal basis stack.
@@ -144,13 +148,12 @@ def scalar_algebra(d: int) -> OperatorAlgebra:
 def generate_algebra(generators) -> OperatorAlgebra:
     """Smallest unital *-closed subalgebra containing the generators.
 
-    In finite dimensions the unital *-algebra generated by S is its
-    double commutant S'' (von Neumann's bicommutant theorem), so the basis
-    is two solves of :func:`~sectorlab._linalg.commutant_basis`: the first
-    on an orthonormal basis of span(S, 1, S*), taken at the SVD rank cut of
-    :func:`~sectorlab._linalg.row_space`, the second on that commutant.  The
-    dimension of S'' is decided by the commutant's Gram null cut and
-    block-merge gap.
+    In finite dimensions this is S'' (von Neumann's bicommutant theorem):
+    two solves of :func:`~sectorlab._linalg.commutant_basis`.  The first,
+    on an orthonormal basis of span(S, 1, S*) at the rank cut of
+    :func:`~sectorlab._linalg.row_space`, refines its null space at that
+    same cut; the second, on S', needs only the Gram null cut.  Raises
+    ``GenerationError`` if a generator still falls outside the result.
     """
     gens = [la.as_complex_matrix(g) for g in generators]
     if gens:
@@ -164,14 +167,17 @@ def generate_algebra(generators) -> OperatorAlgebra:
         raise DimensionCapError(f"ambient dimension {d} exceeds cap {DIMENSION_CAP}")
 
     seed = gens + [np.eye(d, dtype=complex)] + [la.dagger(g) for g in gens]
-    # unit-norm directions: a generator part far smaller than the rest would
-    # otherwise fall under the Gram null cut and drop out of S''
+    # unit-norm directions, so the first solve's cut is relative to each
     span = la.orthonormalize_mats(np.array(seed))
-    basis = la.commutant_basis(la.commutant_basis(span, d), d)
-    return OperatorAlgebra(
+    basis = la.commutant_basis(la.commutant_basis(span, d, refine=True), d)
+    alg = OperatorAlgebra(
         d, basis, contains_unit=True,
         generators=tuple(gens) if gens else (np.eye(d, dtype=complex),),
     )
+    missing = [i for i, g in enumerate(gens) if not alg.contains(g)]
+    if missing:
+        raise GenerationError(f"generators {missing} lie outside the generated algebra")
+    return alg
 
 
 def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:

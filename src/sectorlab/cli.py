@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize as io
 from . import _linalg as la
-from .algebra import CentralProjectionError, DimensionCapError
+from .algebra import CentralProjectionError, DimensionCapError, GenerationError
 from .channels import design_matrix, invert_cq
 from .config import with_overrides
 from .cuntz import ExpressionError, parse_expression
@@ -380,7 +380,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (IsotypicError, CentralProjectionError, la.EigenvalueGapError) as err:
+    except (IsotypicError, CentralProjectionError, GenerationError,
+            la.EigenvalueGapError) as err:
         print(f"error: computation failed: {err}", file=sys.stderr)
         return EXIT_COMPUTATION_FAILED
 

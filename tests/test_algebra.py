@@ -6,6 +6,7 @@ from sectorlab import _linalg as la
 from sectorlab.algebra import (
     CentralProjectionError,
     DimensionCapError,
+    GenerationError,
     OperatorAlgebra,
     State,
     center,
@@ -116,8 +117,9 @@ class TestGenerateAlgebra:
         assert generate_algebra([zz]).dim == closure_dim_bruteforce([zz]) == 2
 
     def test_near_unit_generates_scalars(self):
-        # the split of 3e-10 is under the commutant's block-merge gap, so
-        # the generator commutes with all of M2 and S'' is C1
+        # the seed's second singular value, about 2.4e-10, is under the span
+        # rank cut (1e-9 times sigma_max, about 2.4e-9), so the span of
+        # {near, 1, near*} is C1 and so is S''
         near = np.diag([1.0, 1.0 + 3e-10]).astype(complex)
         alg = generate_algebra([near])
         assert alg.dim == 1
@@ -127,14 +129,36 @@ class TestGenerateAlgebra:
         [np.diag([1.0, 1.0 + 5e-9]).astype(complex)],
         [np.diag([1.0, 2.0]).astype(complex), 1e-5 * SX],
         [np.diag([1.0, 2.0]).astype(complex), 1e-8 * SX],
-    ])
+        [np.diag([0.0, 5e-9, 1.0]).astype(complex)],
+        [np.diag([0.0, 2e-8, 1.0]).astype(complex)],
+        [np.diag([2.4e-5, 1.0], 1).astype(complex)],
+        [np.diag([1e-8, 1.0], 1).astype(complex)],
+        [la.random_hermitian(np.random.default_rng(0), 3),
+         1e4 * la.random_hermitian(np.random.default_rng(1), 3)],
+    ], ids=["near-unit", "small-x-1e-5", "small-x-1e-8", "split-5e-9",
+            "split-2e-8", "shift-2.4e-5", "shift-1e-8", "scale-1e4"])
     def test_small_generator_parts_are_kept(self, gens):
-        # each small part is above the span rank cut; unless the seed is
-        # orthonormalised first, it falls under the commutant's merge gap
-        # or Gram null cut
+        # each small part is above the span rank cut.  A split within one
+        # generator (diagonals) or a commutator of the size of a small
+        # weight (shifts) falls under the Gram null cut unless the first
+        # solve refines its null space at the span cut; the Gram's null
+        # vectors, off by up to eps / 1e-12, would also make the second
+        # solve split the scalars of S' (shift-2.4e-5).  Without unit-norm
+        # seed directions the refined cut is too fine for the rounding of
+        # a generator 1e4 times larger (scale-1e4)
         alg = generate_algebra(gens)
         assert alg.dim == closure_dim_bruteforce(gens)
         assert all(alg.contains(g) for g in gens)
+
+    def test_generator_outside_result_raises(self, monkeypatch):
+        # a commutant solve that loses structure must not yield an algebra
+        # that misses its own generator
+        real = la.commutant_basis
+        monkeypatch.setattr(
+            la, "commutant_basis",
+            lambda mats, d, refine=False: real(mats[:1] if refine else mats, d))
+        with pytest.raises(GenerationError):
+            generate_algebra([SX, SZ])
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -194,15 +218,21 @@ BLOCK_LISTS = st.lists(
 @example(blocks=[(1, 5)], seed=2, use_gens=True)
 @example(blocks=[(5, 1)], seed=3, use_gens=False)
 @example(blocks=[(5, 1)], seed=3, use_gens=True)
+@example(blocks=[(3, 2)], seed=4, use_gens=False)
 def test_structure_of_block_algebras(blocks, seed, use_gens):
-    """commutant, center and central projections of V(+ M_k (x) 1_m)V*.
+    """generate_algebra, commutant, center and central projections of
+    V(+ M_k (x) 1_m)V*.
 
-    Checked against the entrywise commutant oracle (dimension and span)
+    The two generic generators must generate the whole algebra.  The rest
+    is checked against the entrywise commutant oracle (dimension and span)
     and the block structure (centre dimension and projection ranks), from
     the basis and from a generating set; the commutant basis must be
     orthonormal.
     """
     d, basis, gens = block_algebra(blocks, seed)
+    generated = generate_algebra(gens)
+    assert generated.dim == sum(k * k for k, _ in blocks)
+    assert la.same_span(generated.basis, basis, 1e-8)
     alg = OperatorAlgebra(d, basis, generators=gens if use_gens else None)
     comm = commutant(alg)
     oracle = la.rows_to_mats(commutant_entrywise(basis, d), d)
@@ -215,18 +245,6 @@ def test_structure_of_block_algebras(blocks, seed, use_gens):
     assert sorted(int(round(np.trace(p).real)) for p in projs) == sorted(
         k * m for k, m in blocks)
     assert np.allclose(sum(projs), np.eye(d), atol=1e-10)
-
-
-@settings(max_examples=40, deadline=None)
-@given(blocks=BLOCK_LISTS, seed=st.integers(0, 10_000))
-@example(blocks=[(2, 1), (2, 1), (1, 2)], seed=1)
-@example(blocks=[(3, 2)], seed=4)
-def test_generate_block_algebras(blocks, seed):
-    """Two generic generators of V(+ M_k (x) 1_m)V* generate all of it."""
-    d, basis, gens = block_algebra(blocks, seed)
-    alg = generate_algebra(gens)
-    assert alg.dim == sum(k * k for k, _ in blocks)
-    assert la.same_span(alg.basis, basis, 1e-8)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

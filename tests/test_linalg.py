@@ -46,6 +46,20 @@ def test_gram_null_cut(factor, dim):
 
 
 @pytest.mark.parametrize("factor, dim", [(INSIDE, 4), (OUTSIDE, 2)])
+def test_refined_null_cut(factor, dim):
+    # the input of test_gram_null_cut with a commutator of singular value t
+    # far under the Gram's resolution: refined, the null space is cut at
+    # 1e-9 * max(sigma_max, 1) on recomputed commutators.  GRAM_WINDOW only
+    # selects the candidates (here all four unknowns), so it has no test
+    c = _commutant_coefficients(2)
+    t = factor * 1e-9
+    k = 1j * abs(c[1]) / c[1] * np.diag([t / 2, -t / 2])
+    basis = la.commutant_basis([np.eye(2, dtype=complex), k], 2, refine=True)
+    assert basis.shape[0] == dim
+    assert la.commutant_basis([np.eye(2, dtype=complex), k], 2).shape[0] == 4
+
+
+@pytest.mark.parametrize("factor, dim", [(INSIDE, 4), (OUTSIDE, 2)])
 def test_commutant_merge_gap(factor, dim):
     # X = diag(Re c1, Re c1 + Re c2 eps): merged, the off-diagonal units are
     # unknowns whose Gram eigenvalue eps^2 is below the null cut; split,
