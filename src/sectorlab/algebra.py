@@ -185,14 +185,18 @@ def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
 
     Uses the algebra's recorded generating set when available (augmented
     with adjoints: the commutant of a self-adjoint set equals the
-    commutant of the *-algebra it generates).  The solve runs on the
-    eigenspace blocks of a seeded generic Hermitian element of the algebra;
-    see :func:`~sectorlab._linalg.commutant_basis`.  The returned basis is
+    commutant of the *-algebra it generates).  Each generator is scaled to
+    unit Hilbert-Schmidt norm, so the solve's null cut is relative to every
+    generator, not to the largest; zero generators commute with everything
+    and are skipped.  The solve runs on the eigenspace blocks of a seeded
+    generic Hermitian element of the algebra; see
+    :func:`~sectorlab._linalg.commutant_basis`.  The returned basis is
     orthonormal.
     """
     d = alg.ambient_dim
-    if alg.generators is not None:
-        mats = list(alg.generators) + [la.dagger(g) for g in alg.generators]
+    gens = [g / n for g in alg.generators or () if (n := la.hs_norm(g)) > 0]
+    if gens:
+        mats = gens + [la.dagger(g) for g in gens]
     else:
         mats = alg.basis
     return OperatorAlgebra(d, la.commutant_basis(mats, d), contains_unit=True)

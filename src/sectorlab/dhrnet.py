@@ -2,9 +2,12 @@
 
 Sites of a finite chain carry a common on-site dimension and a symmetry
 action; regions are site subsets, region algebras are tensor factors
-(fields) or their invariant parts (observables).  Isotony and locality
-hold by construction and are asserted by tests, not assumed silently.
-The "causal complement" of a region is its set complement.
+(fields) or their invariant parts (observables).  The observables are
+the commutant of the symmetry on the sites, built from its isotypic
+decomposition (:func:`~sectorlab.groups.isotypic_decomposition`), so the
+sector grouping, not a commutant solve, sets their dimension.  Isotony
+and locality hold by construction and are asserted by tests, not assumed
+silently.  The "causal complement" of a region is its set complement.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .groups import (
     UnitaryRep,
     _intertwiners,
     average,
-    fixed_point_algebra,
+    isotypic_decomposition,
     tensor_power_rep,
 )
 from .sectors import ChargedMultiplet
@@ -68,11 +71,16 @@ class LatticeNet:
 
     @cached_property
     def _observable_algebra(self) -> OperatorAlgebra:
-        return fixed_point_algebra(full_matrix_algebra(self.total_dim),
-                                   self.global_rep)
+        return isotypic_decomposition(self.global_rep).observable_algebra()
 
     def observable_algebra(self) -> OperatorAlgebra:
-        """Global invariant algebra (the full chain's observables)."""
+        """Global invariant algebra (the full chain's observables).
+
+        The commutant of ``global_rep``, built block by block from its
+        isotypic decomposition, so its dimension is set by that
+        decomposition's eigenvalue grouping; raises ``IsotypicError`` when
+        the grouping stays ambiguous for every seed.
+        """
         return self._observable_algebra
 
 
@@ -110,8 +118,11 @@ def region_algebra(
     """Local algebra of a site set: full factor, or its invariant part.
 
     The field version carries a two-element generating set (a shift and a
-    generic diagonal on the factor) so commutants stay cheap.  The empty
-    region gives the scalars.
+    generic diagonal on the factor) so commutants stay cheap.  The
+    observable version is the commutant of the symmetry on the factor,
+    built from its isotypic decomposition (see
+    :meth:`LatticeNet.observable_algebra`), tensored with the identity.
+    The empty region gives the scalars.
     """
     sites = normalize_region(net, region)
     d = net.total_dim
@@ -119,12 +130,12 @@ def region_algebra(
         return scalar_algebra(d)
     k = net.onsite_dim ** len(sites)
     rest_dim = d // k
-    factor = full_matrix_algebra(k)
     if observable:
         local_rep = tensor_power_rep(net.onsite_rep, len(sites))
-        factor = fixed_point_algebra(factor, local_rep)
+        factor = isotypic_decomposition(local_rep).observable_algebra()
         gens = None
     else:
+        factor = full_matrix_algebra(k)
         gens = tuple(embed_factor_operator(net, sites, g) for g in factor.generators)
     basis = np.array([
         embed_factor_operator(net, sites, b) / np.sqrt(rest_dim)

@@ -251,8 +251,11 @@ def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlge
 
     For a unital F this is F inter U' = (F' union {U(g)})': one commutant
     solve on a basis of F' stacked with the representation matrices (see
-    :func:`~sectorlab._linalg.commutant_basis`).  A non-unital F is
-    rejected with ``ValueError``.
+    :func:`~sectorlab._linalg.commutant_basis`), whose Gram null cut sets
+    the dimension.  A non-unital F is rejected with ``ValueError``.  For
+    the full matrix algebra the fixed points are U' itself, which
+    ``isotypic_decomposition(rep).observable_algebra()`` builds without a
+    basis of B(C^d); the nets' observables come from there.
     """
     if rep.dim != f_alg.ambient_dim:
         raise ValueError("representation dimension must match the ambient algebra")
@@ -378,20 +381,21 @@ class SectorDecomposition:
     def observable_algebra(self) -> OperatorAlgebra:
         """The commutant of the representation, built block by block.
 
-        Basis elements are W (E_ab^{H} (x) 1_V) W* (normalized); dimension
-        is the sum of mult_dim^2 over labels.
+        Basis elements are W (E_ab^{H} (x) 1_V) W* / sqrt(dim V), label by
+        label with (a, b) in row-major order; they are orthonormal because
+        W is unitary.  Dimension is the sum of mult_dim^2 over labels, and
+        the eigenvalue grouping of :func:`isotypic_decomposition` decides it.
         """
         d = self.ambient_dim
-        mats = []
+        basis = np.empty((sum(m * m for m in self.mult_dims), d, d), dtype=complex)
+        start = 0
         for sl, m, dv in zip(self.block_slices(), self.mult_dims, self.irrep_dims):
-            for a in range(m):
-                for b in range(m):
-                    blk = np.zeros((d, d), dtype=complex)
-                    unit = np.zeros((m, m))
-                    unit[a, b] = 1.0
-                    blk[sl, sl] = np.kron(unit, np.eye(dv)) / np.sqrt(dv)
-                    mats.append(self.unitary @ blk @ la.dagger(self.unitary))
-        return OperatorAlgebra(d, np.array(mats), contains_unit=True)
+            # columns of a sector run copy by copy: w[:, a, k] is copy a's k-th
+            w = self.unitary[:, sl].reshape(d, m, dv)
+            units = basis[start:start + m * m].reshape(m, m, d, d)
+            np.einsum("iak,jbk->abij", w / np.sqrt(dv), w.conj(), out=units)
+            start += m * m
+        return OperatorAlgebra(d, basis, contains_unit=True)
 
 
 class IsotypicError(RuntimeError):

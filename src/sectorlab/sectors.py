@@ -41,10 +41,13 @@ def decompose_sectors(
     """Sector decomposition of a symmetry acting on a field algebra.
 
     The observable algebra is the fixed-point algebra of the action; for a
-    full field algebra its blocks are exactly the isotypic components of
-    the implementing representation.  A non-full field algebra still gets
-    the decomposition relative to the representation's commutant, with the
-    ``field_algebra_full`` flag cleared.
+    full field algebra it is the representation's commutant, whose blocks
+    are exactly the isotypic components of the implementing
+    representation, and :meth:`SectorDecomposition.observable_algebra`
+    builds it from them (no commutant solve).  A non-full field algebra
+    still gets the decomposition relative to the representation's
+    commutant, with the ``field_algebra_full`` flag cleared; its own fixed
+    points are :func:`~sectorlab.groups.fixed_point_algebra`.
     """
     if rep.dim != f_alg.ambient_dim:
         raise ValueError("representation and field algebra dimensions differ")

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+
+from sectorlab.groups import rep_from_matrices, symmetric_group
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -36,3 +40,13 @@ def assert_same_span(a, b, tol=1e-8):
     """Two orthonormal row stacks span the same space (equal projectors)."""
     assert a.shape == b.shape
     assert np.linalg.norm(a.T @ a.conj() - b.T @ b.conj()) <= tol
+
+
+def permutation_rep(n: int):
+    """S_n permuting the basis of C^n, in the order of ``symmetric_group``."""
+    mats = []
+    for p in sorted(itertools.permutations(range(n))):
+        m = np.zeros((n, n))
+        m[list(p), range(n)] = 1.0
+        mats.append(m)
+    return rep_from_matrices(symmetric_group(n), mats)

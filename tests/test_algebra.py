@@ -184,6 +184,24 @@ class TestCommutant:
         alg = generate_algebra([kron_all(SZ, SZ)])
         assert commutant(alg).dim == 8
 
+    @pytest.mark.parametrize("gens", [
+        [la.random_hermitian(np.random.default_rng(0), 3),
+         1e4 * la.random_hermitian(np.random.default_rng(1), 3)],
+        [np.diag([1.0, 2.0]).astype(complex), 1e-7 * SX],
+        [SX, np.zeros((2, 2), dtype=complex), SZ],
+    ], ids=["scale-1e4", "small-x-1e-7", "zero"])
+    def test_recorded_generators_at_any_scale(self, gens):
+        # each generator generates the full matrix algebra with the others,
+        # however far apart their norms; unscaled, the Gram null cut follows
+        # the largest and the commutant lost even the unit (scale-1e4) or
+        # kept the diagonal of the small-x pair
+        d = gens[0].shape[0]
+        alg = OperatorAlgebra(d, full_matrix_algebra(d).basis, generators=tuple(gens))
+        comm = commutant(alg)
+        assert comm.dim == 1
+        assert comm.contains(np.eye(d))
+        assert center(comm).dim == 1
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_entrywise_oracle(self, d, rng):
         h = la.random_hermitian(rng, d)

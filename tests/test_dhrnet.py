@@ -28,10 +28,20 @@ from sectorlab.groups import (
     isotypic_decomposition,
     regular_rep,
 )
-from sectorlab.models import coupled_chain_hamiltonian, z2_chain_net, z2_vacuum
+from sectorlab.models import (
+    coupled_chain_hamiltonian, z2_chain_net, z2_onsite_rep, z2_vacuum,
+)
 from sectorlab.thermal import HamiltonianSystem, gibbs_state
 
-from conftest import SX, SY, SZ, I2, assert_same_span, averaged_span, kron_all
+from conftest import (
+    SX, SY, SZ, I2, assert_same_span, averaged_span, kron_all, permutation_rep,
+)
+
+
+def _assert_orthonormal_span(alg, oracle):
+    rows = la.mats_to_rows(alg.basis)
+    assert np.linalg.norm(rows @ rows.conj().T - np.eye(alg.dim)) <= 1e-10
+    assert_same_span(rows, la.mats_to_rows(oracle.basis))
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +95,22 @@ class TestRegionAlgebras:
     def test_empty_region_scalars(self, net3):
         assert region_algebra(net3, [], observable=True).dim == 1
 
-    def test_isotony(self, net3):
-        small = region_algebra(net3, [0], observable=True)
-        big = region_algebra(net3, [0, 1], observable=True)
-        for b in small.basis:
-            assert la.span_residual(big.basis, b) <= 1e-10
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_isotony(self, n):
+        # every region's observables against the fixed points of its field
+        # algebra, F(O)^G = F(O) inter U', then isotony on every nested pair
+        net = z2_chain_net(n)
+        regions = enumerate_regions(net, all_subsets=True) + [net.sites]
+        algs = {}
+        for r in regions:
+            alg = region_algebra(net, r, observable=True)
+            oracle = fixed_point_algebra(region_algebra(net, r), net.global_rep)
+            _assert_orthonormal_span(alg, oracle)
+            algs[r] = alg
+        for small, big in itertools.product(regions, repeat=2):
+            if set(small) <= set(big):
+                for b in algs[small].basis:
+                    assert la.span_residual(algs[big].basis, b) <= 1e-10, (small, big)
 
     def test_locality(self, net3):
         a1 = region_algebra(net3, [0], observable=False)
@@ -98,12 +119,32 @@ class TestRegionAlgebras:
             for y in a2.basis:
                 assert np.linalg.norm(x @ y - y @ x) <= 1e-12
 
-    def test_global_observable_algebra(self, net2):
-        obs = net2.observable_algebra()
-        assert obs.dim == 8
-        u = net2.global_rep.matrices[1]
-        for b in obs.basis:
-            assert np.linalg.norm(u @ b @ u.conj().T - b) <= 1e-10
+    @pytest.mark.parametrize("onsite, n, dim", [
+        (z2_onsite_rep(), 2, 8), (z2_onsite_rep(), 3, 32), (z2_onsite_rep(), 4, 128),
+        (z2_onsite_rep(), 5, 512),
+        (regular_rep(builtin_group("symmetric:3")), 1, 6),
+        (regular_rep(builtin_group("symmetric:3")), 2, 216),
+        (permutation_rep(3), 3, 122),
+    ], ids=["z2-2", "z2-3", "z2-4", "z2-5", "s3-regular-1", "s3-regular-2",
+            "s3-permutation-3"])
+    def test_global_observable_algebra(self, onsite, n, dim):
+        net = LatticeNet(n, onsite)
+        obs = net.observable_algebra()
+        assert obs.dim == dim
+        oracle = fixed_point_algebra(full_matrix_algebra(net.total_dim), net.global_rep)
+        _assert_orthonormal_span(obs, oracle)
+        for u in net.global_rep.matrices:
+            assert np.linalg.norm(u @ obs.basis @ u.conj().T - obs.basis) <= 1e-10
+
+    def test_observables_without_full_matrix_algebra(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("observables built from the full matrix algebra")
+
+        monkeypatch.setattr(dhrnet, "full_matrix_algebra", forbidden)
+        net = z2_chain_net(3)  # a fresh net: its observable algebra is cached
+        assert net.observable_algebra().dim == 32
+        for r in enumerate_regions(net, all_subsets=True)[1:] + [net.sites]:
+            assert region_algebra(net, r, observable=True).dim == 2 * 4 ** (len(r) - 1)
 
 
 class TestDhrCheck:
@@ -403,7 +444,7 @@ class TestBasisFreeDistance:
         def forbidden(*args, **kwargs):
             raise AssertionError("basis of an observable algebra built")
 
-        for name in ("region_algebra", "fixed_point_algebra", "full_matrix_algebra"):
+        for name in ("region_algebra", "isotypic_decomposition", "full_matrix_algebra"):
             monkeypatch.setattr(dhrnet, name, forbidden)
         monkeypatch.setattr(LatticeNet, "observable_algebra", forbidden)
         vac = z2_vacuum(3)

@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -35,7 +34,9 @@ from sectorlab.groups import (
 
 from sectorlab.models import z2_chain_net
 
-from conftest import SX, SY, SZ, I2, assert_same_span, averaged_span, kron_all
+from conftest import (
+    SX, SY, SZ, I2, assert_same_span, averaged_span, kron_all, permutation_rep,
+)
 
 
 def z2_rep():
@@ -237,6 +238,27 @@ class TestIsotypicDecomposition:
         w = dec.unitary
         assert np.linalg.norm(w @ la.dagger(w) - np.eye(8)) <= 1e-10
 
+    @pytest.mark.parametrize("make", [
+        lambda: regular_rep(symmetric_group(3)),
+        lambda: regular_rep(quaternion_group()),
+        lambda: tensor_power_rep(permutation_rep(3), 2),
+        lambda: tensor_power_rep(z2_rep(), 3),
+    ], ids=["s3-regular", "q8-regular", "s3-permutation-2", "z2-3"])
+    def test_observable_algebra_matches_matrix_unit_loop(self, make):
+        # reference: W (E_ab (x) 1_V) W* / sqrt(dim V), one matrix unit at a time
+        dec = isotypic_decomposition(make())
+        d, w = dec.ambient_dim, dec.unitary
+        expected = []
+        for sl, m, dv in zip(dec.block_slices(), dec.mult_dims, dec.irrep_dims):
+            for a in range(m):
+                for b in range(m):
+                    unit = np.zeros((m, m))
+                    unit[a, b] = 1.0
+                    blk = np.zeros((d, d), dtype=complex)
+                    blk[sl, sl] = np.kron(unit, np.eye(dv)) / np.sqrt(dv)
+                    expected.append(w @ blk @ la.dagger(w))
+        assert np.abs(dec.observable_algebra().basis - np.array(expected)).max() <= 1e-14
+
     def test_inequivalent_blocks_have_no_intertwiners(self):
         rep = regular_rep(symmetric_group(3))
         dec = isotypic_decomposition(rep)
@@ -336,16 +358,6 @@ def dihedral_group(n: int) -> FiniteGroup:
         for f in range(2) for a in range(n)
     ])
     return FiniteGroup(table, name=f"dihedral:{n}")
-
-
-def permutation_rep(n: int):
-    """S_n permuting the basis of C^n, in the order of ``symmetric_group``."""
-    mats = []
-    for p in sorted(itertools.permutations(range(n))):
-        m = np.zeros((n, n))
-        m[list(p), range(n)] = 1.0
-        mats.append(m)
-    return rep_from_matrices(symmetric_group(n), mats)
 
 
 def quaternion_spin_rep():
