@@ -145,6 +145,17 @@ def scalar_algebra(d: int) -> OperatorAlgebra:
                            generators=(np.eye(d, dtype=complex),))
 
 
+def _seed_span(gens, d: int) -> np.ndarray:
+    """Orthonormal basis of span(S, 1, S*) at the rank cut of ``row_space``.
+
+    Unit-norm directions, so a commutant solve on it cuts relative to each
+    generator rather than to the largest.  It contains the unit, so it is
+    never empty.
+    """
+    seed = list(gens) + [np.eye(d, dtype=complex)] + [la.dagger(g) for g in gens]
+    return la.orthonormalize_mats(np.array(seed))
+
+
 def generate_algebra(generators) -> OperatorAlgebra:
     """Smallest unital *-closed subalgebra containing the generators.
 
@@ -166,9 +177,7 @@ def generate_algebra(generators) -> OperatorAlgebra:
     if d > DIMENSION_CAP:
         raise DimensionCapError(f"ambient dimension {d} exceeds cap {DIMENSION_CAP}")
 
-    seed = gens + [np.eye(d, dtype=complex)] + [la.dagger(g) for g in gens]
-    # unit-norm directions, so the first solve's cut is relative to each
-    span = la.orthonormalize_mats(np.array(seed))
+    span = _seed_span(gens, d)
     basis = la.commutant_basis(la.commutant_basis(span, d, refine=True), d)
     alg = OperatorAlgebra(
         d, basis, contains_unit=True,
@@ -185,20 +194,16 @@ def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
 
     Uses the algebra's recorded generating set when available (augmented
     with adjoints: the commutant of a self-adjoint set equals the
-    commutant of the *-algebra it generates).  Each generator is scaled to
-    unit Hilbert-Schmidt norm, so the solve's null cut is relative to every
-    generator, not to the largest; zero generators commute with everything
-    and are skipped.  The solve runs on the eigenspace blocks of a seeded
-    generic Hermitian element of the algebra; see
-    :func:`~sectorlab._linalg.commutant_basis`.  The returned basis is
-    orthonormal.
+    commutant of the *-algebra it generates).  The solve runs on the same
+    orthonormal span(S, 1, S*) that :func:`generate_algebra` starts from, so
+    its null cut is relative to every generator, not to the largest, and a
+    generator part below the span cut is dropped here as it was there.  The
+    solve runs on the eigenspace blocks of a seeded generic Hermitian
+    element of the algebra; see :func:`~sectorlab._linalg.commutant_basis`.
+    The returned basis is orthonormal.
     """
     d = alg.ambient_dim
-    gens = [g / n for g in alg.generators or () if (n := la.hs_norm(g)) > 0]
-    if gens:
-        mats = gens + [la.dagger(g) for g in gens]
-    else:
-        mats = alg.basis
+    mats = alg.basis if alg.generators is None else _seed_span(alg.generators, d)
     return OperatorAlgebra(d, la.commutant_basis(mats, d), contains_unit=True)
 
 

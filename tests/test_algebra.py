@@ -202,6 +202,15 @@ class TestCommutant:
         assert comm.contains(np.eye(d))
         assert center(comm).dim == 1
 
+    def test_generator_below_the_span_cut_stays_dropped(self):
+        # generate_algebra drops the 1e-10 part at the span cut, and its
+        # membership check still accepts it; the commutant must drop it too,
+        # or the commutative diagonal algebra gets a trivial centre
+        alg = generate_algebra([SZ, 1e-10 * SX])
+        assert alg.dim == 2
+        assert commutant(alg).dim == 2
+        assert center(alg).dim == 2
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_entrywise_oracle(self, d, rng):
         h = la.random_hermitian(rng, d)
