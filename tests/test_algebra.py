@@ -184,32 +184,27 @@ class TestCommutant:
         alg = generate_algebra([kron_all(SZ, SZ)])
         assert commutant(alg).dim == 8
 
-    @pytest.mark.parametrize("gens", [
-        [la.random_hermitian(np.random.default_rng(0), 3),
-         1e4 * la.random_hermitian(np.random.default_rng(1), 3)],
-        [np.diag([1.0, 2.0]).astype(complex), 1e-7 * SX],
-        [SX, np.zeros((2, 2), dtype=complex), SZ],
-    ], ids=["scale-1e4", "small-x-1e-7", "zero"])
-    def test_recorded_generators_at_any_scale(self, gens):
-        # each generator generates the full matrix algebra with the others,
-        # however far apart their norms; unscaled, the Gram null cut follows
-        # the largest and the commutant lost even the unit (scale-1e4) or
-        # kept the diagonal of the small-x pair
+    @pytest.mark.parametrize("gens, dim", [
+        ([la.random_hermitian(np.random.default_rng(0), 3),
+          1e4 * la.random_hermitian(np.random.default_rng(1), 3)], 1),
+        ([np.diag([1.0, 2.0]).astype(complex), 1e-7 * SX], 1),
+        ([SX, np.zeros((2, 2), dtype=complex), SZ], 1),
+        ([SZ, 1e-10 * SX], 2),
+    ], ids=["scale-1e4", "small-x-1e-7", "zero", "below-span-cut-1e-10"])
+    def test_recorded_generators_at_any_scale(self, gens, dim):
+        # the first three generate the full matrix algebra, however far
+        # apart their norms; unscaled, the Gram null cut follows the largest
+        # and the commutant lost even the unit (scale-1e4) or kept the
+        # diagonal of the small-x pair.  generate_algebra drops the 1e-10
+        # part at the span cut, so the commutant must drop it too, or the
+        # commutative diagonal algebra gets a trivial centre
         d = gens[0].shape[0]
-        alg = OperatorAlgebra(d, full_matrix_algebra(d).basis, generators=tuple(gens))
+        alg = generate_algebra(gens)
         comm = commutant(alg)
-        assert comm.dim == 1
+        assert comm.dim == dim
         assert comm.contains(np.eye(d))
-        assert center(comm).dim == 1
-
-    def test_generator_below_the_span_cut_stays_dropped(self):
-        # generate_algebra drops the 1e-10 part at the span cut, and its
-        # membership check still accepts it; the commutant must drop it too,
-        # or the commutative diagonal algebra gets a trivial centre
-        alg = generate_algebra([SZ, 1e-10 * SX])
-        assert alg.dim == 2
-        assert commutant(alg).dim == 2
-        assert center(alg).dim == 2
+        assert center(alg).dim == dim
+        assert center(comm).dim == dim
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_matches_entrywise_oracle(self, d, rng):
