@@ -32,9 +32,11 @@ class OperatorAlgebra:
     """A *-closed subspace of B(C^d) with an orthonormal basis stack.
 
     ``basis`` has shape (k, d, d); slices are orthonormal under
-    <A, B> = tr(A* B).  ``generators`` optionally records a small subset
-    whose generated algebra equals the span; commutant computations use it
-    to avoid stacking every basis element.
+    <A, B> = tr(A* B).  ``generators`` optionally records a few elements
+    whose generated algebra equals the span; commutant computations use them
+    to avoid stacking every basis element.  :func:`full_matrix_algebra` and
+    :meth:`~sectorlab.groups.SectorDecomposition.observable_algebra` record
+    two: a shift and a diagonal.
 
     Commutants (and through them centres and central projections) are
     solved on the eigenspace blocks of a seeded generic Hermitian element

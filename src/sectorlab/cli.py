@@ -3,7 +3,8 @@
 Exit codes: 0 = success (criterion satisfied where one applies),
 1 = criterion rejection (a successful computation whose selection
 criterion failed), 2 = input error, 3 = computation failed (a spectrum
-that could not be split into sectors or central projections).  All
+that could not be split into sectors or central projections, a failed
+linear-algebra routine, or memory exhausted).  All
 reports are deterministic for a fixed seed and print numbers with 17
 significant digits.
 """
@@ -377,13 +378,15 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err.filename}: file not found", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    # before ValueError: numpy's LinAlgError is one
+    except (IsotypicError, CentralProjectionError, GenerationError,
+            la.EigenvalueGapError, np.linalg.LinAlgError, MemoryError) as err:
+        print(f"error: computation failed: {str(err) or type(err).__name__}",
+              file=sys.stderr)
+        return EXIT_COMPUTATION_FAILED
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (IsotypicError, CentralProjectionError, GenerationError,
-            la.EigenvalueGapError) as err:
-        print(f"error: computation failed: {err}", file=sys.stderr)
-        return EXIT_COMPUTATION_FAILED
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .config import DIMENSION_CAP
 from .groups import (
+    SectorDecomposition,
     UnitaryRep,
     _intertwiners,
     average,
@@ -70,16 +71,22 @@ class LatticeNet:
         return tensor_power_rep(self.onsite_rep, self.n_sites)
 
     @cached_property
+    def decomposition(self) -> SectorDecomposition:
+        """Isotypic decomposition of ``global_rep``; raises ``IsotypicError``
+        when its eigenvalue grouping stays ambiguous for every seed."""
+        return isotypic_decomposition(self.global_rep)
+
+    @cached_property
     def _observable_algebra(self) -> OperatorAlgebra:
-        return isotypic_decomposition(self.global_rep).observable_algebra()
+        return self.decomposition.observable_algebra()
 
     def observable_algebra(self) -> OperatorAlgebra:
         """Global invariant algebra (the full chain's observables).
 
-        The commutant of ``global_rep``, built block by block from its
-        isotypic decomposition, so its dimension is set by that
-        decomposition's eigenvalue grouping; raises ``IsotypicError`` when
-        the grouping stays ambiguous for every seed.
+        The commutant of ``global_rep``, built block by block from
+        :attr:`decomposition`, so its dimension is set by that
+        decomposition's eigenvalue grouping.  Morphism checks and
+        intertwiners read only the decomposition's two generators.
         """
         return self._observable_algebra
 
@@ -117,12 +124,13 @@ def region_algebra(
 ) -> OperatorAlgebra:
     """Local algebra of a site set: full factor, or its invariant part.
 
-    The field version carries a two-element generating set (a shift and a
-    generic diagonal on the factor) so commutants stay cheap.  The
-    observable version is the commutant of the symmetry on the factor,
-    built from its isotypic decomposition (see
-    :meth:`LatticeNet.observable_algebra`), tensored with the identity.
-    The empty region gives the scalars.
+    The field version is the full factor, the observable version the
+    commutant of the symmetry on the factor, built from its isotypic
+    decomposition (see :meth:`LatticeNet.observable_algebra`); either is
+    tensored with the identity.  Both carry the factor's two generators (a
+    shift and a diagonal), embedded, so commutants are solved on a handful
+    of seed matrices rather than on the basis.  The empty region gives the
+    scalars.
     """
     sites = normalize_region(net, region)
     d = net.total_dim
@@ -133,10 +141,9 @@ def region_algebra(
     if observable:
         local_rep = tensor_power_rep(net.onsite_rep, len(sites))
         factor = isotypic_decomposition(local_rep).observable_algebra()
-        gens = None
     else:
         factor = full_matrix_algebra(k)
-        gens = tuple(embed_factor_operator(net, sites, g) for g in factor.generators)
+    gens = tuple(embed_factor_operator(net, sites, g) for g in factor.generators)
     basis = np.array([
         embed_factor_operator(net, sites, b) / np.sqrt(rest_dim)
         for b in factor.basis
@@ -189,18 +196,26 @@ def _observable_distance(delta: np.ndarray, net: LatticeNet, sites) -> float:
     """
     if not sites:
         return float(abs(np.trace(delta)))
-    n = net.n_sites
-    if len(sites) == n:
+    if len(sites) == net.n_sites:
         reduced, rep = delta, net.global_rep
     else:
-        d0 = net.onsite_dim
-        k = d0 ** len(sites)
-        rest = net.total_dim // k
-        perm = list(sites) + [s for s in net.sites if s not in sites]
-        tensor = delta.reshape([d0] * (2 * n)).transpose(perm + [p + n for p in perm])
-        reduced = np.trace(tensor.reshape(k, rest, k, rest), axis1=1, axis2=3)
+        reduced = _partial_trace(delta, net, sites)
         rep = tensor_power_rep(net.onsite_rep, len(sites))
     return float(np.linalg.svd(average(reduced, rep), compute_uv=False).sum())
+
+
+def _partial_trace(m: np.ndarray, net: LatticeNet, sites) -> np.ndarray:
+    """Trace of a d x d operator over every site outside ``sites``.
+
+    The result acts on the sites' tensor factor, in the site order of
+    :func:`embed_factor_operator`; with no sites it is the 1 x 1 trace.
+    """
+    n, d0 = net.n_sites, net.onsite_dim
+    k = d0 ** len(sites)
+    rest = net.total_dim // k
+    perm = list(sites) + [s for s in net.sites if s not in sites]
+    tensor = m.reshape([d0] * (2 * n)).transpose(perm + [p + n for p in perm])
+    return np.trace(tensor.reshape(k, rest, k, rest), axis1=1, axis2=3)
 
 
 @dataclass(frozen=True)
@@ -272,30 +287,43 @@ class LocalizedMorphism:
     def validate(self) -> None:
         """Check unitality, localization, and that observables map to observables.
 
-        Each check allows a residual of 1e-9 (1e-9 * d for unitality).
+        With unitality sum psi_i psi_i* = 1, each check is exact on a small set:
+
+        - localization: rho is trivial on the complement's fields F(O') exactly
+          when every psi_i commutes with F(O'), i.e. equals its normalised
+          partial trace over O' embedded back into the region;
+        - multiplicativity: rho is multiplicative on a *-algebra exactly when
+          psi_i A = rho(A) psi_i for every A in it (Stinespring), and the A
+          with this relation form an algebra, so it suffices to check it on
+          the unit and the *-closed generating set of
+          :meth:`~sectorlab.groups.SectorDecomposition.observable_generators`;
+        - observables map to observables: rho is then a *-homomorphism, so
+          it suffices that rho(A) equals its group average on that same set.
+
+        Each generator and the unit are taken at unit Hilbert-Schmidt norm,
+        as the orthonormal basis elements of earlier versions were.  Each
+        check allows a residual of 1e-9 (1e-9 * d for unitality).
         """
         tol = 1e-9
-        d = self.net.total_dim
-        total = sum(p @ la.dagger(p) for p in self.multiplet.matrices)
+        net, psis = self.net, self.multiplet.matrices
+        d = net.total_dim
+        total = sum(p @ la.dagger(p) for p in psis)
         if np.linalg.norm(total - np.eye(d)) > tol * d:
             raise ValueError("multiplet is not unital (sum psi psi* != 1)")
-        comp = complement_sites(self.net, self.region)
-        comp_alg = region_algebra(self.net, comp, observable=False)
-        for b in comp_alg.basis:
-            if np.linalg.norm(self.apply_raw(b) - b) > tol:
+        rest = d // net.onsite_dim ** len(self.region)
+        for p in psis:
+            local = _partial_trace(p, net, self.region) / rest
+            if np.linalg.norm(p - embed_factor_operator(net, self.region, local)) > tol:
                 raise ValueError("morphism does not act trivially on the complement")
-        obs = self.net.observable_algebra()
-        images = [self.apply_raw(b) for b in obs.basis]
-        for img in images:
-            if la.span_residual(obs.basis, img) > tol:
+        gens = net.decomposition.observable_generators()
+        seeds = [np.eye(d, dtype=complex) / np.sqrt(d), *gens,
+                 *(la.dagger(g) for g in gens)]
+        for a in seeds:
+            img = self.apply_raw(a)
+            if np.linalg.norm(img - average(img, net.global_rep)) > tol:
                 raise ValueError("morphism image leaves the observable algebra")
-        for i, bi in enumerate(obs.basis):
-            for j, bj in enumerate(obs.basis):
-                res = self.apply_raw(bi @ bj) - images[i] @ images[j]
-                if np.linalg.norm(res) > tol:
-                    raise ValueError(
-                        f"morphism is not multiplicative on basis pair ({i},{j})"
-                    )
+            if any(np.linalg.norm(p @ a - img @ p) > tol for p in psis):
+                raise ValueError("morphism is not multiplicative on the observables")
 
 
 def localized_morphism(
@@ -361,19 +389,24 @@ def solve_intertwiners(
 ) -> list[np.ndarray]:
     """Basis of {T observable : T rho(A) = sigma(A) T on the whole algebra}.
 
-    The lower-left block of the commutant of the pairs rho(B) (+) sigma(B)
-    over the observable basis together with U(g) (+) U(g), which makes T
-    commute with the symmetry, i.e. observable.  An empty result means the
-    morphisms are disjoint (no common sector content); the returned basis
-    is orthonormal under the trace inner product.  Composition closure
-    (rho->sigma times sigma->tau lands in rho->tau) is a property the test
-    suite asserts.
+    The lower-left block of the commutant of the pairs rho(A) (+) sigma(A),
+    for A in the net's two observable generators and their adjoints,
+    together with U(g) (+) U(g), which makes T commute with the symmetry,
+    i.e. observable.  Precondition: rho and sigma are *-homomorphisms of
+    the observables (what :meth:`LocalizedMorphism.validate` checks); then
+    T intertwines on the generators exactly when it intertwines on every
+    product of them, so no observable basis is needed.  An empty result
+    means the morphisms are disjoint (no common sector content); the
+    returned basis is orthonormal under the trace inner product.
+    Composition closure (rho->sigma times sigma->tau lands in rho->tau) is
+    a property the test suite asserts.
     """
     net = rho.net
-    obs = net.observable_algebra().basis
+    gens = net.decomposition.observable_generators()
+    seeds = [*gens, *(la.dagger(g) for g in gens)]
     group = net.global_rep.matrices
-    m1 = np.concatenate([[rho.apply_raw(b) for b in obs], group])
-    m2 = np.concatenate([[sigma.apply_raw(b) for b in obs], group])
+    m1 = np.concatenate([[rho.apply_raw(a) for a in seeds], group])
+    m2 = np.concatenate([[sigma.apply_raw(a) for a in seeds], group])
     return list(_intertwiners(m1, m2))
 
 

@@ -378,6 +378,30 @@ class SectorDecomposition:
                     res = max(res, float(np.linalg.norm(conj[si, sj])))
         return res
 
+    def observable_generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two elements generating the commutant U' = W (+ M_mult (x) 1_V) W*.
+
+        W (+ shift_mult (x) 1_V) W*, which moves each copy of a sector to
+        the next, and W (+ diag (x) 1_V) W*, whose value on each copy
+        (1, 2, ... across all sectors) differs from every other copy's.
+        The diagonal's spectral projections are the copies, the shift links
+        the copies of one sector, so together they generate U' exactly, the
+        same description as :func:`~sectorlab.algebra.full_matrix_algebra`
+        has.  Each is scaled to unit Hilbert-Schmidt norm.
+        """
+        d = self.ambient_dim
+        shifted, values, start = [], [], 1
+        for sl, m, dv in zip(self.block_slices(), self.mult_dims, self.irrep_dims):
+            w = self.unitary[:, sl].reshape(d, m, dv)
+            # column (a, k) of the shifted W is copy a + 1's k-th vector
+            shifted.append(np.roll(w, -1, axis=1).reshape(d, m * dv))
+            values.append(np.repeat(np.arange(start, start + m), dv))
+            start += m
+        w_star = la.dagger(self.unitary)
+        shift = np.concatenate(shifted, axis=1) @ w_star
+        diag = (self.unitary * np.concatenate(values)) @ w_star
+        return shift / la.hs_norm(shift), diag / la.hs_norm(diag)
+
     def observable_algebra(self) -> OperatorAlgebra:
         """The commutant of the representation, built block by block.
 
@@ -385,6 +409,8 @@ class SectorDecomposition:
         label with (a, b) in row-major order; they are orthonormal because
         W is unitary.  Dimension is the sum of mult_dim^2 over labels, and
         the eigenvalue grouping of :func:`isotypic_decomposition` decides it.
+        The two elements of :meth:`observable_generators` are recorded as
+        its ``generators``.
         """
         d = self.ambient_dim
         basis = np.empty((sum(m * m for m in self.mult_dims), d, d), dtype=complex)
@@ -395,7 +421,8 @@ class SectorDecomposition:
             units = basis[start:start + m * m].reshape(m, m, d, d)
             np.einsum("iak,jbk->abij", w / np.sqrt(dv), w.conj(), out=units)
             start += m * m
-        return OperatorAlgebra(d, basis, contains_unit=True)
+        return OperatorAlgebra(d, basis, contains_unit=True,
+                               generators=self.observable_generators())
 
 
 class IsotypicError(RuntimeError):

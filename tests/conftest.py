@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from sectorlab import _linalg as la
+from sectorlab.algebra import generate_algebra
 from sectorlab.groups import rep_from_matrices, symmetric_group
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,6 +42,19 @@ def assert_same_span(a, b, tol=1e-8):
     """Two orthonormal row stacks span the same space (equal projectors)."""
     assert a.shape == b.shape
     assert np.linalg.norm(a.T @ a.conj() - b.T @ b.conj()) <= tol
+
+
+def assert_observable_generators(obs, rep):
+    """The two recorded generators of a representation's commutant ``obs``:
+    unit Hilbert-Schmidt norm, invariant under U(g), and generating ``obs``."""
+    assert len(obs.generators) == 2
+    u = rep.matrices
+    for g in obs.generators:
+        assert abs(np.linalg.norm(g) - 1.0) <= 1e-12
+        assert np.linalg.norm(u @ g @ u.conj().transpose(0, 2, 1) - g) <= 1e-10
+    generated = generate_algebra(obs.generators)
+    assert generated.dim == obs.dim
+    assert_same_span(la.mats_to_rows(generated.basis), la.mats_to_rows(obs.basis))
 
 
 def permutation_rep(n: int):

@@ -388,6 +388,25 @@ class TestExitCodes:
         assert code == cli.EXIT_COMPUTATION_FAILED == 3
         assert "computation failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 4.00 GiB"), MemoryError(),
+        np.linalg.LinAlgError("SVD did not converge"),
+    ], ids=["memory", "memory-bare", "linalg"])
+    def test_resource_failure_exits_3(self, error, example_tree, monkeypatch, capsys):
+        # a crash is never exit 1, the code of a rejected criterion; and
+        # LinAlgError, a ValueError, is not an input error
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "decompose_sectors", fail)
+        d = example_tree / "z2_chain_2"
+        code = cli.main(["sectors", "analyze", "--field", str(d / "field.json"),
+                         "--group", str(d / "group.json"), "--rep", str(d / "rep.json")])
+        assert code == cli.EXIT_COMPUTATION_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: computation failed: ")
+        assert (str(error) or type(error).__name__) in err
+
     @pytest.mark.parametrize("flag", ["--tol.rank", "--tol.state"])
     def test_removed_tolerance_flags_exit_2(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

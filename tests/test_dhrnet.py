@@ -7,6 +7,7 @@ from sectorlab import _linalg as la, dhrnet
 from sectorlab.algebra import State, full_matrix_algebra, vector_state
 from sectorlab.dhrnet import (
     LatticeNet,
+    LocalizedMorphism,
     apply_morphism,
     complement_sites,
     compose_morphisms,
@@ -31,10 +32,12 @@ from sectorlab.groups import (
 from sectorlab.models import (
     coupled_chain_hamiltonian, z2_chain_net, z2_onsite_rep, z2_vacuum,
 )
+from sectorlab.sectors import ChargedMultiplet
 from sectorlab.thermal import HamiltonianSystem, gibbs_state
 
 from conftest import (
-    SX, SY, SZ, I2, assert_same_span, averaged_span, kron_all, permutation_rep,
+    SX, SY, SZ, I2, assert_observable_generators, assert_same_span, averaged_span,
+    kron_all, permutation_rep,
 )
 
 
@@ -120,12 +123,12 @@ class TestRegionAlgebras:
                 assert np.linalg.norm(x @ y - y @ x) <= 1e-12
 
     @pytest.mark.parametrize("onsite, n, dim", [
-        (z2_onsite_rep(), 2, 8), (z2_onsite_rep(), 3, 32), (z2_onsite_rep(), 4, 128),
-        (z2_onsite_rep(), 5, 512),
+        (z2_onsite_rep(), 1, 2), (z2_onsite_rep(), 2, 8), (z2_onsite_rep(), 3, 32),
+        (z2_onsite_rep(), 4, 128), (z2_onsite_rep(), 5, 512),
         (regular_rep(builtin_group("symmetric:3")), 1, 6),
         (regular_rep(builtin_group("symmetric:3")), 2, 216),
         (permutation_rep(3), 3, 122),
-    ], ids=["z2-2", "z2-3", "z2-4", "z2-5", "s3-regular-1", "s3-regular-2",
+    ], ids=["z2-1", "z2-2", "z2-3", "z2-4", "z2-5", "s3-regular-1", "s3-regular-2",
             "s3-permutation-3"])
     def test_global_observable_algebra(self, onsite, n, dim):
         net = LatticeNet(n, onsite)
@@ -135,6 +138,7 @@ class TestRegionAlgebras:
         _assert_orthonormal_span(obs, oracle)
         for u in net.global_rep.matrices:
             assert np.linalg.norm(u @ obs.basis @ u.conj().T - obs.basis) <= 1e-10
+        assert_observable_generators(obs, net.global_rep)
 
     def test_observables_without_full_matrix_algebra(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -239,6 +243,39 @@ class TestMorphisms:
         expected = np.zeros(8); expected[5] = 1.0  # |101>
         assert np.allclose(np.diag(st.density).real, expected)
 
+    def test_no_observable_basis(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("basis of an algebra built")
+
+        for name in ("region_algebra", "full_matrix_algebra"):
+            monkeypatch.setattr(dhrnet, name, forbidden)
+        monkeypatch.setattr(LatticeNet, "observable_algebra", forbidden)
+        net = z2_chain_net(3)
+        r0 = localized_morphism(net, [0], [SX], "f0")
+        r1 = localized_morphism(net, [1], [SX], "f1")
+        r0.validate()
+        identity_morphism(net).validate()
+        with pytest.raises(ValueError, match="leaves the observable"):
+            localized_morphism(net, [0], [(SX + SZ) / np.sqrt(2)], "h").validate()
+        assert len(solve_intertwiners(r0, r1)) == 2
+        assert len(solve_intertwiners(r0, r0)) == 2  # the centre of the observables
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_large_chains(self, n):
+        net = z2_chain_net(n)
+        r0 = localized_morphism(net, [0], [SX], "f0")
+        r1 = localized_morphism(net, [n // 2], [SX], "f1")
+        r1.validate()
+        bad = localized_morphism(net, [1], [(SX + SZ) / np.sqrt(2)], "h")
+        with pytest.raises(ValueError, match="leaves the observable"):
+            bad.validate()
+        if n == 6:
+            space = solve_intertwiners(r0, r1)
+            assert len(space) == 2
+            t = np.array(space)
+            target = embed_factor_operator(net, [0, n // 2], kron_all(SX, SX))
+            assert la.span_residual(t, target / np.linalg.norm(target)) <= 1e-9
+
     def test_w_injective_on_bundled_family(self, net3):
         vac = z2_vacuum(3)
         family = [identity_morphism(net3)] + [
@@ -249,6 +286,95 @@ class TestMorphisms:
             for j, s2 in enumerate(states):
                 if i != j:
                     assert np.linalg.norm(s1.density - s2.density) > 0.5
+
+
+def basis_validate(morph) -> bool:
+    """Oracle: the basis loops of earlier versions of ``validate``, as a verdict.
+
+    Unitality, every element of the complement's field basis fixed, every
+    image of the observable basis inside its span, and multiplicativity on
+    every pair of observable basis elements, each at 1e-9 (1e-9 * d).
+    """
+    tol = 1e-9
+    net = morph.net
+    d = net.total_dim
+    total = sum(p @ p.conj().T for p in morph.multiplet.matrices)
+    if np.linalg.norm(total - np.eye(d)) > tol * d:
+        return False
+    comp = region_algebra(net, complement_sites(net, morph.region))
+    if any(np.linalg.norm(morph.apply_raw(b) - b) > tol for b in comp.basis):
+        return False
+    obs = net.observable_algebra().basis
+    images = np.array([morph.apply_raw(b) for b in obs])
+    if any(la.span_residual(obs, img) > tol for img in images):
+        return False
+    products = obs[:, None] @ obs[None, :]  # B_i B_j for every pair
+    lhs = sum(p @ products @ p.conj().T for p in morph.multiplet.matrices)
+    res = np.linalg.norm(lhs - images[:, None] @ images[None, :], axis=(2, 3))
+    return bool(np.all(res <= tol))
+
+
+def _verdict(morph) -> bool:
+    try:
+        morph.validate()
+    except ValueError:
+        return False
+    return True
+
+
+class TestValidateAgainstBasisLoops:
+    @pytest.fixture(scope="class")
+    def candidates(self):
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        return [("X", SX), ("Z", SZ), ("H", (SX + SZ) / np.sqrt(2)),
+                ("S", np.diag([1, 1j])), ("Y", SY), ("Q", q), ("1", I2)]
+
+    def _sweep(self, net, candidates):
+        """Every morphism family of the sweep on ``net``, as (name, morphism)."""
+        n = net.n_sites
+        for region in enumerate_regions(net, all_subsets=True)[1:] + [net.sites]:
+            for combo in itertools.product(candidates, repeat=len(region)):
+                u = kron_all(*(m for _, m in combo))
+                name = "".join(c for c, _ in combo)
+                yield f"{name}@{region}", localized_morphism(net, region, [u], name)
+        for s in range(n):
+            for (a, u), (b, v) in itertools.combinations_with_replacement(candidates, 2):
+                mult = [u / np.sqrt(2), v / np.sqrt(2)]
+                yield f"({a},{b})@{s}", localized_morphism(net, [s], mult, a + b)
+            # the unit half of the O2 relations, sum psi psi* = 1, by two
+            # partial isometries (psi* psi = 1 cannot hold in finite dimension)
+            for name, pair in (("P0,P1", [np.diag([1, 0]), np.diag([0, 1])]),
+                               ("E00,E10", [np.diag([1, 0]), SX @ np.diag([1, 0])])):
+                yield f"({name})@{s}", localized_morphism(net, [s], pair, name)
+            for k in range(-12, -5):
+                name = f"X+1e{k}Z"
+                yield f"{name}@{s}", localized_morphism(net, [s], [SX + 10.0 ** k * SZ],
+                                                        name)
+        rest = [I2] * (n - 2)
+        for name, p in (("XX", SX), ("ZZ", SZ)):
+            wide = kron_all(p, p, *rest)
+            mult = ChargedMultiplet(name, (wide,), region=frozenset({0}))
+            yield f"{name}@(0,)", LocalizedMorphism(net, (0,), mult)
+
+    @pytest.mark.parametrize("n, moved", [(2, {"X+1e-9Z@0"}), (3, set())])
+    def test_same_verdicts(self, n, moved, candidates):
+        # One verdict moves, at eps = tol: X + eps Z is Ad of a multiple of a
+        # unitary, and leaves the observables by eps (X A Z + Z A X).  On the
+        # orthonormal basis the largest such residual is sqrt(2) eps; on the
+        # unit-norm generators of the 2-site chain it is 0.80 eps at site 0
+        # (1.24 to 1.86 eps elsewhere), so the basis loops reject and validate
+        # accepts there.
+        net = z2_chain_net(n)
+        verdicts, differ = {}, set()
+        for name, morph in self._sweep(net, candidates):
+            verdicts[name] = _verdict(morph)
+            if verdicts[name] != basis_validate(morph):
+                differ.add(name)
+        assert differ == moved
+        assert set(verdicts.values()) == {True, False}
+        assert verdicts["X+1e-12Z@0"] and not verdicts["X+1e-6Z@0"]
+        assert not verdicts["XX@(0,)"] and not verdicts["ZZ@(0,)"]
 
 
 def kronecker_solve_intertwiners(rho, sigma):

@@ -35,7 +35,8 @@ from sectorlab.groups import (
 from sectorlab.models import z2_chain_net
 
 from conftest import (
-    SX, SY, SZ, I2, assert_same_span, averaged_span, kron_all, permutation_rep,
+    SX, SY, SZ, I2, assert_observable_generators, assert_same_span, averaged_span,
+    kron_all, permutation_rep,
 )
 
 
@@ -243,10 +244,12 @@ class TestIsotypicDecomposition:
         lambda: regular_rep(quaternion_group()),
         lambda: tensor_power_rep(permutation_rep(3), 2),
         lambda: tensor_power_rep(z2_rep(), 3),
-    ], ids=["s3-regular", "q8-regular", "s3-permutation-2", "z2-3"])
+        lambda: regular_rep(symmetric_group(4)),
+    ], ids=["s3-regular", "q8-regular", "s3-permutation-2", "z2-3", "s4-regular"])
     def test_observable_algebra_matches_matrix_unit_loop(self, make):
         # reference: W (E_ab (x) 1_V) W* / sqrt(dim V), one matrix unit at a time
-        dec = isotypic_decomposition(make())
+        rep = make()
+        dec = isotypic_decomposition(rep)
         d, w = dec.ambient_dim, dec.unitary
         expected = []
         for sl, m, dv in zip(dec.block_slices(), dec.mult_dims, dec.irrep_dims):
@@ -257,7 +260,9 @@ class TestIsotypicDecomposition:
                     blk = np.zeros((d, d), dtype=complex)
                     blk[sl, sl] = np.kron(unit, np.eye(dv)) / np.sqrt(dv)
                     expected.append(w @ blk @ la.dagger(w))
-        assert np.abs(dec.observable_algebra().basis - np.array(expected)).max() <= 1e-14
+        obs = dec.observable_algebra()
+        assert np.abs(obs.basis - np.array(expected)).max() <= 1e-14
+        assert_observable_generators(obs, rep)
 
     def test_inequivalent_blocks_have_no_intertwiners(self):
         rep = regular_rep(symmetric_group(3))
