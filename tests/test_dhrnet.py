@@ -377,6 +377,31 @@ class TestValidateAgainstBasisLoops:
         assert not verdicts["XX@(0,)"] and not verdicts["ZZ@(0,)"]
 
 
+def _flip_morphisms(n):
+    net = z2_chain_net(n)
+    return [identity_morphism(net)] + [
+        localized_morphism(net, [s], [SX], f"f{s}") for s in range(n)]
+
+
+def _s3_regular_morphisms():
+    """Identity and Ad of a left translation, a right translation and a
+    conjugation permutation on regular S3, whose observables are
+    C + C + (M_2 (x) 1_2)."""
+    group = builtin_group("symmetric:3")
+    table, inv = group.table, group.inverses
+    net = LatticeNet(1, regular_rep(group))
+
+    def permutation(f):
+        m = np.zeros((group.order, group.order))
+        m[[f(h) for h in range(group.order)], range(group.order)] = 1.0
+        return m
+
+    units = [net.global_rep.matrices[1], permutation(lambda h: table[h, inv[1]]),
+             permutation(lambda h: table[table[3, h], inv[3]])]
+    return [identity_morphism(net)] + [
+        localized_morphism(net, [0], [u], f"u{i}") for i, u in enumerate(units)]
+
+
 def kronecker_solve_intertwiners(rho, sigma):
     """Oracle: the literal system T rho(B) = sigma(B) T with T in the observables.
 
@@ -422,11 +447,15 @@ class TestIntertwiners:
         r0 = localized_morphism(net2, [0], [SX], "f0")
         assert solve_intertwiners(ident, r0) == []
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_kronecker_system(self, n):
-        net = z2_chain_net(n)
-        morphs = [identity_morphism(net)] + [
-            localized_morphism(net, [s], [SX], f"f{s}") for s in range(n)]
+    @pytest.mark.parametrize("case", ["2", "3", "s3-regular-1"])
+    def test_matches_kronecker_system(self, case):
+        if case == "s3-regular-1":
+            morphs = _s3_regular_morphisms()
+        else:
+            morphs = _flip_morphisms(int(case))
+        net = morphs[0].net
+        for m in morphs:
+            m.validate()  # the precondition of solve_intertwiners
         for rho in morphs:
             for sigma in morphs:
                 space = solve_intertwiners(rho, sigma)
