@@ -4,9 +4,10 @@ Matrices are numpy ``complex128`` arrays.  Subspaces of d x d matrices are
 represented by stacked arrays of shape (k, d, d) whose slices are
 orthonormal under the trace inner product <A, B> = tr(A* B).
 
-This module makes every rank, null and eigenvalue-grouping decision of the
-package, at the fixed cuts below or by numpy's eps rule (:func:`eps_rank`);
-only the grouping gap of :func:`group_eigenvalues` is the caller's.
+This module makes every rank, null, eigenvalue-grouping and copy-linkage
+decision of the package, at the fixed cuts below or by numpy's eps rule
+(:func:`eps_rank`); only the grouping gap of :func:`group_eigenvalues` is
+the caller's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from .config import DEFAULT_SEED, rng_from_seed
 #: singular values above SPAN_RANK_CUT * max(sigma_max, 1) span; also the
 #: relative residual of span membership
 SPAN_RANK_CUT = 1e-9
-#: commutant Gram eigenvalues <= GRAM_NULL_CUT * max(lambda_max, 1) are null
+#: commutant Gram eigenvalues <= GRAM_NULL_CUT * max(lambda_max, 1) are null;
+#: a generic element links two copies of an algebra's block when the squared
+#: norm of its part between them is above GRAM_NULL_CUT times its own
 GRAM_NULL_CUT = 1e-12
 #: with ``refine``, Gram eigenvalues <= GRAM_WINDOW * max(lambda_max, 1) are
 #: the candidates whose recomputed commutators are cut at SPAN_RANK_CUT
@@ -88,16 +91,11 @@ def span_residual(basis: np.ndarray, m: np.ndarray) -> float:
     return hs_norm(m - project_onto_span(basis, m))
 
 
-def span_contains(basis: np.ndarray, m: np.ndarray, tol: float) -> bool:
-    return span_residual(basis, m) <= tol * max(1.0, hs_norm(m))
-
-
 def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
     if b1.shape[0] != b2.shape[0]:
         return False
-    return all(span_contains(b2, m, tol) for m in b1) and all(
-        span_contains(b1, m, tol) for m in b2
-    )
+    return all(span_residual(b, m) <= tol * max(1.0, hs_norm(m))
+               for b, other in ((b2, b1), (b1, b2)) for m in other)
 
 
 def _svd_rank(s: np.ndarray) -> int:
@@ -171,6 +169,23 @@ def eigenspaces(h: np.ndarray, gap: float) -> list[np.ndarray]:
     """
     evals, evecs = np.linalg.eigh(h)
     return [evecs[:, g] for g in group_eigenvalues(evals, gap)]
+
+
+def copy_leaders(ey: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """For each copy, the first copy that ``ey`` links to it; -1 for none.
+
+    ``ey`` is a generic element in the basis of the copies, copy j at
+    indices ``starts[j]:starts[j + 1]``.  Copies i and j are linked when
+    the (i, j) part of ``ey`` has squared Frobenius norm above
+    ``GRAM_NULL_CUT`` times that of ``ey`` (1e-6 on the norms): the
+    resolution of a commutant solve, so the rounding of an algebra's basis
+    computed by one (about eps / SPAN_RANK_CUT at worst) links nothing.  A
+    copy not linked even to itself lies outside the algebra.
+    """
+    sq = np.abs(ey) ** 2
+    sq = np.add.reduceat(np.add.reduceat(sq, starts[:-1], axis=0), starts[:-1], axis=1)
+    linked = sq > GRAM_NULL_CUT * np.sum(sq)
+    return np.where(linked.any(axis=0), np.argmax(linked, axis=0), -1)
 
 
 def commutant_basis(mats, d: int, refine: bool = False) -> np.ndarray:

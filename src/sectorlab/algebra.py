@@ -1,13 +1,16 @@
 """Finite-dimensional matrix *-algebras, commutants, centres, and states.
 
-An :class:`OperatorAlgebra` is a unital *-closed subspace of d x d complex
-matrices, stored as a stack of basis matrices orthonormal under the trace
-inner product.  All operations are pure functions of their inputs.
+An :class:`OperatorAlgebra` is held as its Wedderburn data: a unitary W
+and block sizes (k_a, n_a) with A = W (+_a M_{k_a} (x) 1_{n_a}) W*.  Its
+dimension, membership, commutant, centre, central projections and
+generators are closed forms in those data; a basis is built only when
+read.  All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,68 +27,183 @@ class CentralProjectionError(RuntimeError):
 
 
 class GenerationError(RuntimeError):
-    """A generated algebra does not contain one of its generators."""
+    """A generated algebra is unresolved or misses one of its generators."""
 
 
-@dataclass(frozen=True)
+def wedderburn_blocks(draw, leaders, seed: int, gap: float, error, what: str):
+    """Blocks of an algebra from two generic elements h (Hermitian) and y.
+
+    The eigenspaces of h = W (+ X_a (x) 1) W*, grouped at ``gap``, are the
+    copies.  ``leaders(e, starts, ey)``, given their columns ``e`` (copy j
+    in columns ``starts[j]:starts[j + 1]``) and ey = e* y e, names each
+    copy's first copy in its block, or raises ``error`` for the next seed.
+    By Schur's lemma the (copy, leader) part of ey is a multiple of a
+    unitary; scaled to norm sqrt(n_a), largest entry real and positive, it
+    aligns the copy with its leader (Murota, Kanno, Kojima & Kojima, Japan
+    J. Indust. Appl. Math. 27, 2010).  Returns (columns, k, n, leader) per
+    block; raises ``error`` after ``SEED_RETRIES`` seeds from ``seed``.
+    """
+    last_err: Exception | None = None
+    for attempt in range(SEED_RETRIES):
+        h, y = draw(rng_from_seed(seed + attempt))
+        try:
+            copies = la.eigenspaces(h, gap)
+            e = np.concatenate(copies, axis=1)
+            starts = np.cumsum([0] + [v.shape[1] for v in copies])
+            ey = la.dagger(e) @ y @ e
+            leader = leaders(e, starts, ey)
+        except (la.EigenvalueGapError, error) as err:
+            last_err = err
+            continue
+        blocks = []
+        for lead in np.unique(leader):
+            columns = []
+            for j in np.flatnonzero(leader == lead):
+                s = ey[starts[j]:starts[j + 1], starts[lead]:starts[lead + 1]]
+                pivot = np.unravel_index(np.argmax(np.abs(s)), s.shape)
+                s = s * (np.sqrt(s.shape[0]) / np.linalg.norm(s)
+                         * np.exp(-1j * np.angle(s[pivot])))
+                columns.append(copies[j] @ s)
+            blocks.append((np.concatenate(columns, axis=1), len(columns),
+                           copies[lead].shape[1], int(lead)))
+        return blocks
+    raise error(f"{what} unresolved after {SEED_RETRIES} seeds: {last_err}")
+
+
+def _linked_leaders(e, starts, ey) -> np.ndarray:
+    """``leaders`` for :func:`wedderburn_blocks`: the copies y links, cut by
+    :func:`~sectorlab._linalg.copy_leaders`, when they are those of blocks."""
+    leader = la.copy_leaders(ey, starts)
+    if np.any(leader < 0):
+        raise ValueError("the basis spans no unital algebra: a copy lies outside it")
+    sizes = np.diff(starts)
+    if np.any(leader[leader] != leader) or np.any(sizes[leader] != sizes):
+        raise CentralProjectionError("the second element links copies inconsistently")
+    return leader
+
+
 class OperatorAlgebra:
-    """A *-closed subspace of B(C^d) with an orthonormal basis stack.
+    """A unital *-subalgebra A = W (+_a M_{k_a} (x) 1_{n_a}) W* of B(C^d).
 
-    ``basis`` has shape (k, d, d); slices are orthonormal under
-    <A, B> = tr(A* B).  ``generators`` optionally records a few elements
-    whose generated algebra equals the span; commutant computations use them
-    to avoid stacking every basis element.  :func:`full_matrix_algebra` and
-    :meth:`~sectorlab.groups.SectorDecomposition.observable_algebra` record
-    two: a shift and a diagonal.
+    Held as its Wedderburn data: the unitary ``unitary`` W, block a's
+    columns copy by copy (``W_a.reshape(d, k_a, n_a)[:, i, l]`` is copy i's
+    l-th vector), and ``blocks``, the (k_a, n_a).  Everything else is a
+    closed form in the data; :attr:`basis` is built on first read.
 
-    Commutants (and through them centres and central projections) are
-    solved on the eigenspace blocks of a seeded generic Hermitian element
-    of the algebra by :func:`~sectorlab._linalg.commutant_basis`.
+    ``OperatorAlgebra(d, basis)`` keeps a (k, d, d) basis, orthonormal
+    under tr(A* B), and finds the data of its span by
+    :func:`wedderburn_blocks` on two random combinations: copies join a
+    block when the second links them (:func:`~sectorlab._linalg.copy_leaders`).  It raises
+    ``ValueError`` unless the data fill C^d with dimension sum k_a^2 = k.
     """
 
-    ambient_dim: int
-    basis: np.ndarray
-    contains_unit: bool = True
-    generators: tuple[np.ndarray, ...] | None = None
+    def __init__(self, ambient_dim: int, basis, contains_unit: bool = True):
+        d = int(ambient_dim)
+        basis = np.asarray(basis, dtype=complex)
+        if basis.ndim != 3 or basis.shape[1:] != (d, d):
+            raise ValueError("basis stack shape does not match ambient_dim")
+        if not contains_unit:
+            raise ValueError("only unital algebras are held")
+        if len(basis) == 1:
+            # C1: every seed would draw a multiple of the same element
+            w, blocks = np.eye(d, dtype=complex), [(1, d)]
+        else:
+            def draw(rng):
+                c = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
+                x, y = np.tensordot(c, basis, axes=(1, 0))
+                return (x + la.dagger(x)) / 2, y
+
+            found = wedderburn_blocks(draw, _linked_leaders, 0, DEFAULT_TOL.gap,
+                                      CentralProjectionError, "Wedderburn decomposition")
+            w = np.concatenate([b[0] for b in found], axis=1)
+            blocks = [(k, n) for _, k, n, _ in found]
+        self.ambient_dim, self.unitary, self.blocks, self.basis = d, w, tuple(blocks), basis
+        if self.dim != len(basis) or len(basis) == 1 and not self.contains(basis[0]):
+            raise ValueError(f"a basis of {len(basis)} elements spans no *-algebra "
+                             f"with unit: its blocks are {self.blocks}")
+
+    @classmethod
+    def from_blocks(cls, unitary: np.ndarray, blocks) -> OperatorAlgebra:
+        """The algebra of given Wedderburn data."""
+        alg = cls.__new__(cls)
+        alg.ambient_dim, alg.unitary = unitary.shape[0], np.asarray(unitary, dtype=complex)
+        alg.blocks = tuple((int(k), int(n)) for k, n in blocks)
+        return alg
+
+    def block_columns(self):
+        """(W_a, k_a, n_a) per block."""
+        start = 0
+        for k, n in self.blocks:
+            yield self.unitary[:, start:start + k * n], k, n
+            start += k * n
 
     @property
     def dim(self) -> int:
-        return int(self.basis.shape[0])
+        return sum(k * k for k, _ in self.blocks)
 
-    def contains(self, m: np.ndarray) -> bool:
-        return la.span_contains(self.basis, np.asarray(m, dtype=complex),
-                                la.SPAN_RANK_CUT)
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis W_a (E_ij (x) 1) W_a* / sqrt(n_a), block by
+        block with (i, j) in row-major order."""
+        d = self.ambient_dim
+        basis = np.empty((self.dim, d, d), dtype=complex)
+        start = 0
+        for w, k, n in self.block_columns():
+            w = w.reshape(d, k, n)
+            units = basis[start:start + k * k].reshape(k, k, d, d)
+            np.einsum("iak,jbk->abij", w / np.sqrt(n), w.conj(), out=units)
+            start += k * k
+        return basis
+
+    @cached_property
+    def generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two elements generating the algebra, each of unit Hilbert-Schmidt norm.
+
+        W (+ shift_k (x) 1) W* moves each copy of a block to the next; the
+        copies are the spectral projections of W (+ diag (x) 1) W*, whose
+        value 1, 2, ... differs on every copy of every block.
+        """
+        d = self.ambient_dim
+        shifted, values, start = [], [], 1
+        for w, k, n in self.block_columns():
+            # column (i, l) of the shifted W is copy i + 1's l-th vector
+            shifted.append(np.roll(w.reshape(d, k, n), -1, axis=1).reshape(d, k * n))
+            values.append(np.repeat(np.arange(start, start + k), n))
+            start += k
+        w_star = la.dagger(self.unitary)
+        shift = np.concatenate(shifted, axis=1) @ w_star
+        diag = (self.unitary * np.concatenate(values)) @ w_star
+        return shift / la.hs_norm(shift), diag / la.hs_norm(diag)
 
     def project(self, m: np.ndarray) -> np.ndarray:
-        """Trace-orthogonal projection onto the span of the algebra."""
-        return la.project_onto_span(self.basis, np.asarray(m, dtype=complex))
+        """Trace-orthogonal projection, W_a (tr_n(W_a* m W_a) / n_a (x) 1) W_a*
+        summed over the blocks."""
+        m = np.asarray(m, dtype=complex)
+        d = self.ambient_dim
+        out = np.zeros((d, d), dtype=complex)
+        for w, k, n in self.block_columns():
+            x = np.einsum("ikjk->ij", (la.dagger(w) @ m @ w).reshape(k, n, k, n)) / n
+            # column (j, l) of v is sum_i x[i, j] times copy i's l-th vector
+            v = np.einsum("dil,ij->djl", w.reshape(d, k, n), x).reshape(d, k * n)
+            out += v @ la.dagger(w)
+        return out
+
+    def contains(self, m: np.ndarray) -> bool:
+        """Whether ``m`` lies in the algebra, to ``SPAN_RANK_CUT`` * max(1, ||m||)."""
+        m = np.asarray(m, dtype=complex)
+        return la.hs_norm(m - self.project(m)) <= la.SPAN_RANK_CUT * max(1.0, la.hs_norm(m))
 
     def validate(self) -> None:
-        """Check orthonormality, *-closure, product closure, and the unit.
-
-        Product closure is O(k^2) matrix products; intended for tests and
-        input validation, not for hot paths.
-        """
-        k, d = self.dim, self.ambient_dim
-        if self.basis.shape != (k, d, d):
-            raise ValueError("basis stack shape does not match ambient_dim")
-        gram = la.mats_to_rows(self.basis) @ la.mats_to_rows(self.basis).conj().T
-        if not np.allclose(gram, np.eye(k), atol=1e-10):
+        """Check that W is unitary and the basis an orthonormal basis of the
+        algebra the data describe (a unital *-algebra by construction)."""
+        rows = la.mats_to_rows(self.basis)
+        w = self.unitary
+        if not np.allclose(la.dagger(w) @ w, np.eye(self.ambient_dim), atol=1e-10):
+            raise ValueError("unitary is not unitary to 1e-10")
+        if not np.allclose(rows @ rows.conj().T, np.eye(self.dim), atol=1e-10):
             raise ValueError("basis is not orthonormal to 1e-10")
-        for b in self.basis:
-            if la.span_residual(self.basis, la.dagger(b)) > 1e-9:
-                raise ValueError("basis not closed under adjoint")
-        for b1 in self.basis:
-            for b2 in self.basis:
-                if la.span_residual(self.basis, b1 @ b2) > 1e-9:
-                    raise ValueError("basis not closed under multiplication")
-        if self.contains_unit:
-            if la.span_residual(self.basis, np.eye(d, dtype=complex)) > 1e-10 * d:
-                raise ValueError("unit not contained in span")
-        if self.generators is not None:
-            for g in self.generators:
-                if not self.contains(g):
-                    raise ValueError("declared generator outside the span")
+        if not all(self.contains(b) for b in self.basis):
+            raise ValueError("basis element outside the algebra")
 
 
 @dataclass(frozen=True)
@@ -127,46 +245,28 @@ def vector_state(vec: np.ndarray, label: str = "") -> State:
 
 
 def full_matrix_algebra(d: int) -> OperatorAlgebra:
-    """B(C^d) with the matrix-unit basis (orthonormal as given).
-
-    Records a two-element generating set (cyclic shift and a generic
-    diagonal), which keeps commutant computations cheap.
-    """
+    """B(C^d): W = 1 and one block (d, 1); its basis is the E_ab, row-major."""
     if d > DIMENSION_CAP:
         raise DimensionCapError(f"ambient dimension {d} exceeds cap {DIMENSION_CAP}")
-    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    diag = np.diag(np.arange(1, d + 1, dtype=complex))
-    gens = (shift, diag) if d > 1 else (np.eye(1, dtype=complex),)
-    return OperatorAlgebra(d, basis, contains_unit=True, generators=gens)
+    return OperatorAlgebra.from_blocks(np.eye(d, dtype=complex), [(d, 1)])
 
 
 def scalar_algebra(d: int) -> OperatorAlgebra:
-    basis = np.eye(d, dtype=complex)[None, :, :] / np.sqrt(d)
-    return OperatorAlgebra(d, basis, contains_unit=True,
-                           generators=(np.eye(d, dtype=complex),))
-
-
-def _seed_span(gens, d: int) -> np.ndarray:
-    """Orthonormal basis of span(S, 1, S*) at the rank cut of ``row_space``.
-
-    Unit-norm directions, so a commutant solve on it cuts relative to each
-    generator rather than to the largest.  It contains the unit, so it is
-    never empty.
-    """
-    seed = list(gens) + [np.eye(d, dtype=complex)] + [la.dagger(g) for g in gens]
-    return la.orthonormalize_mats(np.array(seed))
+    """C1: one block, k = 1 and n = d."""
+    return OperatorAlgebra.from_blocks(np.eye(d, dtype=complex), [(1, d)])
 
 
 def generate_algebra(generators) -> OperatorAlgebra:
     """Smallest unital *-closed subalgebra containing the generators.
 
-    In finite dimensions this is S'' (von Neumann's bicommutant theorem):
-    two solves of :func:`~sectorlab._linalg.commutant_basis`.  The first,
-    on an orthonormal basis of span(S, 1, S*) at the rank cut of
-    :func:`~sectorlab._linalg.row_space`, refines its null space at that
-    same cut; the second, on S', needs only the Gram null cut.  Raises
-    ``GenerationError`` if a generator still falls outside the result.
+    In finite dimensions this is S'' (von Neumann's bicommutant theorem).
+    S' is one solve of :func:`~sectorlab._linalg.commutant_basis` on an
+    orthonormal basis of span(S, 1, S*) at the rank cut of
+    :func:`~sectorlab._linalg.row_space`: unit-norm directions, so the
+    solve, which refines its null space at that same cut, resolves each
+    generator rather than only the largest.  S'' is the :func:`commutant`
+    of S''s Wedderburn data.  Raises ``GenerationError`` if those data do
+    not resolve, or if a generator still falls outside the result.
     """
     gens = [la.as_complex_matrix(g) for g in generators]
     if gens:
@@ -179,12 +279,12 @@ def generate_algebra(generators) -> OperatorAlgebra:
     if d > DIMENSION_CAP:
         raise DimensionCapError(f"ambient dimension {d} exceeds cap {DIMENSION_CAP}")
 
-    span = _seed_span(gens, d)
-    basis = la.commutant_basis(la.commutant_basis(span, d, refine=True), d)
-    alg = OperatorAlgebra(
-        d, basis, contains_unit=True,
-        generators=tuple(gens) if gens else (np.eye(d, dtype=complex),),
-    )
+    span = la.orthonormalize_mats(np.array([*gens, np.eye(d), *(la.dagger(g) for g in gens)]))
+    first = la.commutant_basis(span, d, refine=True)
+    try:
+        alg = commutant(OperatorAlgebra(d, first))
+    except (ValueError, CentralProjectionError) as err:
+        raise GenerationError(f"the generators' commutant is not resolved: {err}") from err
     missing = [i for i, g in enumerate(gens) if not alg.contains(g)]
     if missing:
         raise GenerationError(f"generators {missing} lie outside the generated algebra")
@@ -194,80 +294,33 @@ def generate_algebra(generators) -> OperatorAlgebra:
 def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     """The relative commutant {X : XB = BX for all B in alg} inside B(C^d).
 
-    Uses the algebra's recorded generating set when available (augmented
-    with adjoints: the commutant of a self-adjoint set equals the
-    commutant of the *-algebra it generates).  The solve runs on the same
-    orthonormal span(S, 1, S*) that :func:`generate_algebra` starts from, so
-    its null cut is relative to every generator, not to the largest, and a
-    generator part below the span cut is dropped here as it was there.  The
-    solve runs on the eigenspace blocks of a seeded generic Hermitian
-    element of the algebra; see :func:`~sectorlab._linalg.commutant_basis`.
-    The returned basis is orthonormal.
+    The same copies with k_a and n_a swapped: W (+ 1_k (x) M_n) W*.
     """
     d = alg.ambient_dim
-    mats = alg.basis if alg.generators is None else _seed_span(alg.generators, d)
-    return OperatorAlgebra(d, la.commutant_basis(mats, d), contains_unit=True)
+    cols = [w.reshape(d, k, n).transpose(0, 2, 1).reshape(d, k * n)
+            for w, k, n in alg.block_columns()]
+    return OperatorAlgebra.from_blocks(np.concatenate(cols, axis=1),
+                                       [(n, k) for k, n in alg.blocks])
 
 
 def center(alg: OperatorAlgebra) -> OperatorAlgebra:
-    """Centre alg' inter alg, via trace-orthogonal projection onto alg.
+    """Centre alg' inter alg: the span of the block projections, so the
+    same W with blocks (1, k_a n_a)."""
+    return OperatorAlgebra.from_blocks(
+        alg.unitary, [(1, k * n) for k, n in alg.blocks])
 
-    For a unital *-subalgebra the trace projection is a conditional
-    expectation, so projecting the commutant basis into alg lands exactly
-    on the centre.  The rank is decided by one SVD of the projected stack,
-    taken in alg's orthonormal coordinates, at the rank cut of
-    :func:`~sectorlab._linalg.row_space`; the kept right singular vectors
-    are the basis.
+
+def minimal_central_projections(alg: OperatorAlgebra) -> list[np.ndarray]:
+    """The block projections P_a = W_a W_a*, the minimal projections of the centre.
+
+    Canonically ordered by descending rank, then by lexicographically
+    largest real diagonal.
     """
-    comm = la.mats_to_rows(commutant(alg).basis)
-    own = la.mats_to_rows(alg.basis)
-    rows = la.row_space(comm @ la.dagger(own)) @ own
-    return OperatorAlgebra(alg.ambient_dim, la.rows_to_mats(rows, alg.ambient_dim),
-                           contains_unit=True)
-
-
-def minimal_central_projections(alg: OperatorAlgebra, seed: int = 0) -> list[np.ndarray]:
-    """Spectral resolution of the centre into minimal orthogonal projections.
-
-    The eigenspaces of a seeded pseudo-random Hermitian element of the
-    centre, grouped at the default gap threshold by
-    :func:`~sectorlab._linalg.eigenspaces`, generically separate every
-    minimal projection.  Ambiguous spectra, and projections that leave the
-    centre, are retried with a fresh seed, ``SEED_RETRIES`` seeds in all.
-
-    Projections are canonically ordered by descending rank, then by
-    lexicographically largest real diagonal.
-    """
-    z = center(alg)
-    d = alg.ambient_dim
-    if z.dim == 0:
-        raise ValueError("algebra has an empty centre basis; not unital?")
-    last_err: Exception | None = None
-    for attempt in range(SEED_RETRIES):
-        rng = rng_from_seed(seed + attempt)
-        coeff = rng.standard_normal(z.dim) + 1j * rng.standard_normal(z.dim)
-        h = np.tensordot(coeff, z.basis, axes=(0, 0))
-        h = (h + la.dagger(h)) / 2
-        try:
-            spaces = la.eigenspaces(h, DEFAULT_TOL.gap)
-        except la.EigenvalueGapError as err:
-            last_err = err
-            continue
-        projs = [v @ la.dagger(v) for v in spaces]
-        # sanity: each projection must itself lie in the centre
-        if any(la.span_residual(z.basis, p) > 1e-7 * max(1.0, la.hs_norm(p))
-               for p in projs):
-            last_err = CentralProjectionError("eigenprojection left the centre")
-            continue
-        def sort_key(p: np.ndarray):
-            rank = int(round(np.trace(p).real))
-            diag = tuple(np.round(np.diag(p).real, 9))
-            return (-rank, tuple(-x for x in diag))
-        projs.sort(key=sort_key)
-        return projs
-    raise CentralProjectionError(
-        f"could not resolve the centre after {SEED_RETRIES} seeds: {last_err}"
-    )
+    def sort_key(p: np.ndarray):
+        rank = int(round(np.trace(p).real))
+        diag = tuple(np.round(np.diag(p).real, 9))
+        return (-rank, tuple(-x for x in diag))
+    return sorted((w @ la.dagger(w) for w, _, _ in alg.block_columns()), key=sort_key)
 
 
 def state_distance_mod(

@@ -28,14 +28,13 @@ from .algebra import (
 )
 from .config import DIMENSION_CAP
 from .groups import (
-    SectorDecomposition,
     UnitaryRep,
     _intertwiners,
     average,
     isotypic_decomposition,
     tensor_power_rep,
 )
-from .sectors import ChargedMultiplet
+from .sectors import ChargedMultiplet, implementing_deviations
 
 
 @dataclass(frozen=True)
@@ -71,22 +70,16 @@ class LatticeNet:
         return tensor_power_rep(self.onsite_rep, self.n_sites)
 
     @cached_property
-    def decomposition(self) -> SectorDecomposition:
-        """Isotypic decomposition of ``global_rep``; raises ``IsotypicError``
-        when its eigenvalue grouping stays ambiguous for every seed."""
-        return isotypic_decomposition(self.global_rep)
-
-    @cached_property
     def _observable_algebra(self) -> OperatorAlgebra:
-        return self.decomposition.observable_algebra()
+        return isotypic_decomposition(self.global_rep).observable_algebra()
 
     def observable_algebra(self) -> OperatorAlgebra:
         """Global invariant algebra (the full chain's observables).
 
-        The commutant of ``global_rep``, built block by block from
-        :attr:`decomposition`, so its dimension is set by that
-        decomposition's eigenvalue grouping.  Morphism checks and
-        intertwiners read only the decomposition's two generators.
+        The commutant of ``global_rep``, held as the Wedderburn data of its
+        isotypic decomposition, whose eigenvalue grouping sets the
+        dimension (``IsotypicError`` when it stays ambiguous).  Morphism
+        checks and intertwiners read only its two generators.
         """
         return self._observable_algebra
 
@@ -103,20 +96,24 @@ def complement_sites(net: LatticeNet, region) -> tuple[int, ...]:
     return tuple(s for s in net.sites if s not in region)
 
 
+def _site_order(net: LatticeNet, sites) -> np.ndarray:
+    """Row i in the chain's site order is row ``_site_order(net, sites)[i]``
+    of an operator written as factor (x) rest."""
+    rest = [s for s in net.sites if s not in sites]
+    perm = list(np.argsort(list(sites) + rest))
+    return np.arange(net.total_dim).reshape([net.onsite_dim] * net.n_sites) \
+        .transpose(perm).reshape(-1)
+
+
 def embed_factor_operator(net: LatticeNet, region, m: np.ndarray) -> np.ndarray:
     """Embed an operator on the region's tensor factor, identity outside."""
     sites = normalize_region(net, region)
-    d0 = net.onsite_dim
     m = la.as_complex_matrix(m)
-    if m.shape[0] != d0 ** len(sites):
+    if m.shape[0] != net.onsite_dim ** len(sites):
         raise ValueError("operator dimension does not match the region factor")
-    rest = [s for s in net.sites if s not in sites]
-    full = np.kron(m, np.eye(d0 ** len(rest), dtype=complex))
-    n = net.n_sites
-    perm = list(np.argsort(list(sites) + rest))
-    tensor = full.reshape([d0] * (2 * n))
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(tensor.reshape(net.total_dim, net.total_dim))
+    full = np.kron(m, np.eye(net.total_dim // m.shape[0], dtype=complex))
+    order = _site_order(net, sites)
+    return full[np.ix_(order, order)]
 
 
 def region_algebra(
@@ -125,30 +122,25 @@ def region_algebra(
     """Local algebra of a site set: full factor, or its invariant part.
 
     The field version is the full factor, the observable version the
-    commutant of the symmetry on the factor, built from its isotypic
-    decomposition (see :meth:`LatticeNet.observable_algebra`); either is
-    tensored with the identity.  Both carry the factor's two generators (a
-    shift and a diagonal), embedded, so commutants are solved on a handful
-    of seed matrices rather than on the basis.  The empty region gives the
-    scalars.
+    commutant of the symmetry on the factor, from its isotypic
+    decomposition (see :meth:`LatticeNet.observable_algebra`).  Either is
+    tensored with the identity: the factor's data (W_f, (k, n)) become
+    (W_f (x) 1, (k, n * rest)), rows in the chain's site order.  The
+    empty region gives the scalars.
     """
     sites = normalize_region(net, region)
     d = net.total_dim
     if not sites:
         return scalar_algebra(d)
     k = net.onsite_dim ** len(sites)
-    rest_dim = d // k
     if observable:
         local_rep = tensor_power_rep(net.onsite_rep, len(sites))
         factor = isotypic_decomposition(local_rep).observable_algebra()
     else:
         factor = full_matrix_algebra(k)
-    gens = tuple(embed_factor_operator(net, sites, g) for g in factor.generators)
-    basis = np.array([
-        embed_factor_operator(net, sites, b) / np.sqrt(rest_dim)
-        for b in factor.basis
-    ])
-    return OperatorAlgebra(d, basis, contains_unit=True, generators=gens)
+    rest = d // k
+    w = np.kron(factor.unitary, np.eye(rest, dtype=complex))[_site_order(net, sites)]
+    return OperatorAlgebra.from_blocks(w, [(m, n * rest) for m, n in factor.blocks])
 
 
 def enumerate_regions(
@@ -210,12 +202,10 @@ def _partial_trace(m: np.ndarray, net: LatticeNet, sites) -> np.ndarray:
     The result acts on the sites' tensor factor, in the site order of
     :func:`embed_factor_operator`; with no sites it is the 1 x 1 trace.
     """
-    n, d0 = net.n_sites, net.onsite_dim
-    k = d0 ** len(sites)
+    k = net.onsite_dim ** len(sites)
     rest = net.total_dim // k
-    perm = list(sites) + [s for s in net.sites if s not in sites]
-    tensor = m.reshape([d0] * (2 * n)).transpose(perm + [p + n for p in perm])
-    return np.trace(tensor.reshape(k, rest, k, rest), axis1=1, axis2=3)
+    back = np.argsort(_site_order(net, sites))
+    return np.trace(m[np.ix_(back, back)].reshape(k, rest, k, rest), axis1=1, axis2=3)
 
 
 @dataclass(frozen=True)
@@ -295,8 +285,8 @@ class LocalizedMorphism:
         - multiplicativity: rho is multiplicative on a *-algebra exactly when
           psi_i A = rho(A) psi_i for every A in it (Stinespring), and the A
           with this relation form an algebra, so it suffices to check it on
-          the unit and the *-closed generating set of
-          :meth:`~sectorlab.groups.SectorDecomposition.observable_generators`;
+          the unit and the observables' two generators with their adjoints
+          (:func:`~sectorlab.sectors.implementing_deviations`);
         - observables map to observables: rho is then a *-homomorphism, so
           it suffices that rho(A) equals its group average on that same set.
 
@@ -315,14 +305,10 @@ class LocalizedMorphism:
             local = _partial_trace(p, net, self.region) / rest
             if np.linalg.norm(p - embed_factor_operator(net, self.region, local)) > tol:
                 raise ValueError("morphism does not act trivially on the complement")
-        gens = net.decomposition.observable_generators()
-        seeds = [np.eye(d, dtype=complex) / np.sqrt(d), *gens,
-                 *(la.dagger(g) for g in gens)]
-        for a in seeds:
-            img = self.apply_raw(a)
+        for img, dev in implementing_deviations(self.multiplet, net.observable_algebra()):
             if np.linalg.norm(img - average(img, net.global_rep)) > tol:
                 raise ValueError("morphism image leaves the observable algebra")
-            if any(np.linalg.norm(p @ a - img @ p) > tol for p in psis):
+            if dev > tol:
                 raise ValueError("morphism is not multiplicative on the observables")
 
 
@@ -402,7 +388,7 @@ def solve_intertwiners(
     a property the test suite asserts.
     """
     net = rho.net
-    gens = net.decomposition.observable_generators()
+    gens = net.observable_algebra().generators
     seeds = [*gens, *(la.dagger(g) for g in gens)]
     group = net.global_rep.matrices
     m1 = np.concatenate([[rho.apply_raw(a) for a in seeds], group])
@@ -427,9 +413,9 @@ def haag_duality_check(
 
     The defect dim LHS - dim RHS vanishes exactly on the field net; on the
     observable net a positive defect is the signature of superselection
-    structure.  Both sides are computed literally at every size: the
-    commutant of the complement's algebra, and the double commutant of the
-    region's algebra.
+    structure.  Both sides are closed forms from the data at every size:
+    the commutant of the complement's algebra, and the double commutant of
+    the region's algebra, each a swap of block sizes with no basis.
     """
     sites = normalize_region(net, region)
     comp = complement_sites(net, sites)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, commutant
-from .config import DEFAULT_SEED, DEFAULT_TOL, SEED_RETRIES, Tolerances, rng_from_seed
+from .algebra import OperatorAlgebra, commutant, wedderburn_blocks
+from .config import DEFAULT_SEED, DEFAULT_TOL, Tolerances, rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -249,18 +249,15 @@ def average(f: np.ndarray, rep: UnitaryRep) -> np.ndarray:
 def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlgebra:
     """The invariant subalgebra {A in F : tau_g(A) = A for all g}.
 
-    For a unital F this is F inter U' = (F' union {U(g)})': one commutant
-    solve on a basis of F' stacked with the representation matrices (see
+    This is F inter U' = (F' union {U(g)})': one commutant solve on a
+    basis of F' stacked with the representation matrices (see
     :func:`~sectorlab._linalg.commutant_basis`), whose Gram null cut sets
-    the dimension.  A non-unital F is rejected with ``ValueError``.  For
-    the full matrix algebra the fixed points are U' itself, which
-    ``isotypic_decomposition(rep).observable_algebra()`` builds without a
-    basis of B(C^d); the nets' observables come from there.
+    the dimension.  For the full matrix algebra the fixed points are U'
+    itself, which ``isotypic_decomposition(rep).observable_algebra()``
+    holds as Wedderburn data; the nets' observables come from there.
     """
     if rep.dim != f_alg.ambient_dim:
         raise ValueError("representation dimension must match the ambient algebra")
-    if not f_alg.contains_unit:
-        raise ValueError("fixed points are computed for unital algebras only")
     d = f_alg.ambient_dim
     mats = np.concatenate([commutant(f_alg).basis, rep.matrices])
     return OperatorAlgebra(d, la.commutant_basis(mats, d), contains_unit=True)
@@ -358,71 +355,15 @@ class SectorDecomposition:
             res = max(res, float(np.linalg.norm(rep.matrices[g] - rebuilt)))
         return res
 
-    def observable_block_residual(self, a: np.ndarray) -> float:
-        """Distance of W* a W from the repeated-block form X_gamma (x) 1_V.
-
-        Zero exactly for elements of the commutant of the representation.
-        """
-        conj = la.dagger(self.unitary) @ a @ self.unitary
-        res = 0.0
-        slices = self.block_slices()
-        for sl, m, dv in zip(slices, self.mult_dims, self.irrep_dims):
-            block = conj[sl, sl]
-            t = block.reshape(m, dv, m, dv)
-            x = np.einsum("ikjk->ij", t) / dv
-            res = max(res, float(np.linalg.norm(t - np.einsum(
-                "ij,kl->ikjl", x, np.eye(dv)))))
-        for i, si in enumerate(slices):
-            for j, sj in enumerate(slices):
-                if i != j:
-                    res = max(res, float(np.linalg.norm(conj[si, sj])))
-        return res
-
-    def observable_generators(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two elements generating the commutant U' = W (+ M_mult (x) 1_V) W*.
-
-        W (+ shift_mult (x) 1_V) W*, which moves each copy of a sector to
-        the next, and W (+ diag (x) 1_V) W*, whose value on each copy
-        (1, 2, ... across all sectors) differs from every other copy's.
-        The diagonal's spectral projections are the copies, the shift links
-        the copies of one sector, so together they generate U' exactly, the
-        same description as :func:`~sectorlab.algebra.full_matrix_algebra`
-        has.  Each is scaled to unit Hilbert-Schmidt norm.
-        """
-        d = self.ambient_dim
-        shifted, values, start = [], [], 1
-        for sl, m, dv in zip(self.block_slices(), self.mult_dims, self.irrep_dims):
-            w = self.unitary[:, sl].reshape(d, m, dv)
-            # column (a, k) of the shifted W is copy a + 1's k-th vector
-            shifted.append(np.roll(w, -1, axis=1).reshape(d, m * dv))
-            values.append(np.repeat(np.arange(start, start + m), dv))
-            start += m
-        w_star = la.dagger(self.unitary)
-        shift = np.concatenate(shifted, axis=1) @ w_star
-        diag = (self.unitary * np.concatenate(values)) @ w_star
-        return shift / la.hs_norm(shift), diag / la.hs_norm(diag)
-
     def observable_algebra(self) -> OperatorAlgebra:
-        """The commutant of the representation, built block by block.
+        """The commutant of the representation, W (+ M_mult (x) 1_V) W*.
 
-        Basis elements are W (E_ab^{H} (x) 1_V) W* / sqrt(dim V), label by
-        label with (a, b) in row-major order; they are orthonormal because
-        W is unitary.  Dimension is the sum of mult_dim^2 over labels, and
-        the eigenvalue grouping of :func:`isotypic_decomposition` decides it.
-        The two elements of :meth:`observable_generators` are recorded as
-        its ``generators``.
+        Held as these Wedderburn data: its dimension, sum of mult_dim^2
+        over labels, is set by the eigenvalue grouping of
+        :func:`isotypic_decomposition`, and no basis is built until read.
         """
-        d = self.ambient_dim
-        basis = np.empty((sum(m * m for m in self.mult_dims), d, d), dtype=complex)
-        start = 0
-        for sl, m, dv in zip(self.block_slices(), self.mult_dims, self.irrep_dims):
-            # columns of a sector run copy by copy: w[:, a, k] is copy a's k-th
-            w = self.unitary[:, sl].reshape(d, m, dv)
-            units = basis[start:start + m * m].reshape(m, m, d, d)
-            np.einsum("iak,jbk->abij", w / np.sqrt(dv), w.conj(), out=units)
-            start += m * m
-        return OperatorAlgebra(d, basis, contains_unit=True,
-                               generators=self.observable_generators())
+        return OperatorAlgebra.from_blocks(
+            self.unitary, list(zip(self.mult_dims, self.irrep_dims)))
 
 
 class IsotypicError(RuntimeError):
@@ -443,70 +384,56 @@ def isotypic_decomposition(
 ) -> SectorDecomposition:
     """Decompose a representation into isotypic blocks H_gamma (x) V_gamma.
 
-    One seeded generic Hermitian element K of the commutant U' (the group
-    average of a random Hermitian matrix) has the irreducible copies as
-    its eigenspaces (Murota, Kanno, Kojima & Kojima 2010), grouped at the
-    gap threshold by :func:`~sectorlab._linalg.eigenspaces`.  The
-    characters chi_j(g) = tr V_j* U(g) V_j of the copies come from one
-    batched product; every copy must have <chi_j, chi_j> = |G|, else the
-    next seed is tried.  These inner products are integers, so copies with
-    <chi_i, chi_j> / |G| > 1/2 form one sector.  By Schur's lemma
-    V_j* X V_1, for X a second generic element of U', is a multiple of the
-    unitary intertwiner from the sector's first copy to copy j; it is
-    scaled to Frobenius norm sqrt(d_gamma) with its largest entry real and
-    positive.  Labels are canonical: sorted by irrep dimension ascending,
-    then by character values in descending lexicographic order (the
-    trivial irrep sorts first among one-dimensional labels).
+    The blocks of the commutant U' by :func:`~sectorlab.algebra.wedderburn_blocks`:
+    the generic Hermitian element is the group average K of a random
+    Hermitian matrix, whose eigenspaces, grouped at the gap threshold, are
+    the irreducible copies.  The characters chi_j(g) = tr V_j* U(g) V_j of
+    the copies come from the diagonal of V* U(g) V alone; every copy must
+    have <chi_j, chi_j> = |G|, else the next seed is tried.  These inner
+    products are integers, so copies with <chi_i, chi_j> / |G| > 1/2 form
+    one sector, exactly.  The copies are aligned with the group average of
+    a random complex matrix.  Labels are canonical: sorted by irrep
+    dimension ascending, then by character values in descending
+    lexicographic order (the trivial irrep sorts first among
+    one-dimensional labels).
     """
     t = tol or DEFAULT_TOL
     d = rep.dim
     n = rep.group.order
-    last_err: Exception | None = None
-    for attempt in range(SEED_RETRIES):
-        rng = rng_from_seed(seed + attempt)
-        try:
-            copies = la.eigenspaces(average(la.random_hermitian(rng, d), rep), t.gap)
-        except la.EigenvalueGapError as err:
-            last_err = err
-            continue
-        e = np.concatenate(copies, axis=1)
-        starts = np.cumsum([0] + [v.shape[1] for v in copies])
-        blocks = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
-        restricted = la.dagger(e) @ rep.matrices @ e
-        diag = np.einsum("gii->gi", restricted)
+    seen = {}
+
+    def draw(rng):
+        k = average(la.random_hermitian(rng, d), rep)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return k, average(z, rep)
+
+    def leaders(e, starts, ey):
+        ue = rep.matrices @ e
+        diag = np.einsum("dc,gdc->gc", e.conj(), ue)
         chars = np.add.reduceat(diag, starts[:-1], axis=1).T
         overlaps = (chars.conj() @ chars.T).real / n
         if not np.all(np.rint(np.diag(overlaps)) == 1):
-            last_err = IsotypicError("an eigenspace of K is reducible")
-            continue
+            raise IsotypicError("an eigenspace of K is reducible")
+        seen.update(e=e, starts=starts, ue=ue)
         # each copy's sector is led by the first copy equivalent to it
-        leader = np.argmax(overlaps > 0.5, axis=0)
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        x = la.dagger(e) @ average(z, rep) @ e
-        sectors = []
-        for lead in np.unique(leader):
-            columns = []
-            for j in np.flatnonzero(leader == lead):
-                s = x[blocks[j], blocks[lead]]
-                # scale to norm sqrt(d_gamma); phase: largest entry real positive
-                pivot = np.unravel_index(np.argmax(np.abs(s)), s.shape)
-                s = s * (np.sqrt(s.shape[0]) / np.linalg.norm(s)
-                         * np.exp(-1j * np.angle(s[pivot])))
-                columns.append(copies[j] @ s)
-            cols = np.concatenate(columns, axis=1)
-            irrep = restricted[:, blocks[lead], blocks[lead]].copy()
-            sectors.append((cols, irrep, len(columns), irrep.shape[-1]))
-        sectors.sort(key=lambda sec: (sec[3], _character_sort_key(sec[1])))
-        return SectorDecomposition(
-            group=rep.group,
-            ambient_dim=d,
-            labels=tuple(f"gamma{k}" for k in range(len(sectors))),
-            mult_dims=tuple(sec[2] for sec in sectors),
-            irrep_dims=tuple(sec[3] for sec in sectors),
-            unitary=np.concatenate([sec[0] for sec in sectors], axis=1),
-            projections=np.array([sec[0] @ la.dagger(sec[0]) for sec in sectors]),
-            irreps=tuple(sec[1] for sec in sectors),
-        )
-    raise IsotypicError(
-        f"isotypic decomposition unresolved after {SEED_RETRIES} seeds: {last_err}"
+        return np.argmax(overlaps > 0.5, axis=0)
+
+    found = wedderburn_blocks(draw, leaders, seed, t.gap, IsotypicError,
+                              "isotypic decomposition")
+    e, starts, ue = seen["e"], seen["starts"], seen["ue"]
+    sectors = []
+    for cols, mult, dim, lead in found:
+        lead_cols = slice(starts[lead], starts[lead + 1])
+        irrep = la.dagger(e[:, lead_cols]) @ ue[:, :, lead_cols]
+        sectors.append((cols, irrep, mult, dim))
+    sectors.sort(key=lambda sec: (sec[3], _character_sort_key(sec[1])))
+    return SectorDecomposition(
+        group=rep.group,
+        ambient_dim=d,
+        labels=tuple(f"gamma{k}" for k in range(len(sectors))),
+        mult_dims=tuple(sec[2] for sec in sectors),
+        irrep_dims=tuple(sec[3] for sec in sectors),
+        unitary=np.concatenate([sec[0] for sec in sectors], axis=1),
+        projections=np.array([sec[0] @ la.dagger(sec[0]) for sec in sectors]),
+        irreps=tuple(sec[1] for sec in sectors),
     )

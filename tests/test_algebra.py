@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +21,12 @@ from sectorlab.algebra import (
     vector_state,
 )
 
-from conftest import SX, SZ, I2, kron_all
+from sectorlab.dhrnet import LatticeNet, haag_duality_check, region_algebra
+from sectorlab.groups import builtin_group, regular_rep, tensor_power_rep
+from sectorlab.models import z2_chain_net, z2_onsite_rep
+from sectorlab.sectors import decompose_sectors
+
+from conftest import SX, SZ, I2, kron_all, permutation_rep
 
 
 def closure_dim_bruteforce(generators, include_unit=True):
@@ -247,15 +254,15 @@ def test_structure_of_block_algebras(blocks, seed, use_gens):
 
     The two generic generators must generate the whole algebra.  The rest
     is checked against the entrywise commutant oracle (dimension and span)
-    and the block structure (centre dimension and projection ranks), from
-    the basis and from a generating set; the commutant basis must be
-    orthonormal.
+    and the block structure (centre dimension and projection ranks), on
+    the data found from the basis and on those of the generated algebra;
+    the commutant basis must be orthonormal.
     """
     d, basis, gens = block_algebra(blocks, seed)
     generated = generate_algebra(gens)
     assert generated.dim == sum(k * k for k, _ in blocks)
     assert la.same_span(generated.basis, basis, 1e-8)
-    alg = OperatorAlgebra(d, basis, generators=gens if use_gens else None)
+    alg = generated if use_gens else OperatorAlgebra(d, basis)
     comm = commutant(alg)
     oracle = la.rows_to_mats(commutant_entrywise(basis, d), d)
     assert comm.dim == oracle.shape[0] == sum(m * m for _, m in blocks)
@@ -351,12 +358,22 @@ class TestMinimalCentralProjections:
         assert any(np.allclose(p, odd, atol=1e-9) for p in projs)
 
     def test_ambiguous_gap_exhausts_retries(self):
-        # a one-element algebra whose spectrum splits inside the ambiguity
-        # band (between 1e-12 and the 1e-8 grouping gap) cannot be resolved
+        # every generic element of this span splits its spectrum inside the
+        # ambiguity band (between 1e-12 and the 1e-8 grouping gap), so the
+        # copies cannot be resolved on any seed
+        basis = np.array([np.eye(2) / np.sqrt(2), 1e-10 * np.diag([1.0, -1.0])], dtype=complex)
+        with pytest.raises(CentralProjectionError):
+            OperatorAlgebra(2, basis)
+
+    def test_one_dimensional_algebra_is_the_scalars(self):
+        # every seed would draw a multiple of the one element, so no retry
+        # could split it; a one-dimensional unital algebra is C1
         near = np.diag([1.0, 1.0 + 3e-10]).astype(complex)
         alg = OperatorAlgebra(2, (near / la.hs_norm(near))[None], contains_unit=True)
-        with pytest.raises(CentralProjectionError):
-            minimal_central_projections(alg)
+        projs = minimal_central_projections(alg)
+        assert len(projs) == 1 and np.allclose(projs[0], np.eye(2))
+        with pytest.raises(ValueError, match="spans no"):
+            OperatorAlgebra(2, np.diag([1.0, 0.0]).astype(complex)[None])
 
     def test_partition_of_unity(self, rng):
         h = la.random_hermitian(rng, 4)
@@ -420,3 +437,145 @@ class TestStates:
         with pytest.raises(ValueError):
             state_distance_mod(vector_state([1, 0]), vector_state([1, 0, 0]),
                                scalar_algebra(2))
+
+
+# ---------------------------------------------------------------------------
+# closed forms on Wedderburn data against dense solves on the basis
+# ---------------------------------------------------------------------------
+
+
+def _random_data(blocks, seed):
+    """Data of V (+ M_k (x) 1_n) V* for a seeded unitary V."""
+    rng = np.random.default_rng(seed)
+    d = sum(k * n for k, n in blocks)
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return OperatorAlgebra.from_blocks(v, blocks)
+
+
+def assert_closed_forms(alg, rng):
+    """Every closed form of ``alg`` against a dense oracle on its basis.
+
+    Commutants by the entrywise defining equations up to d = 8 and by
+    ``la.commutant_basis`` above; the centre as the commutant of A and A'
+    together; the generators by the commutant they have.
+    """
+    d, basis = alg.ambient_dim, alg.basis
+    rows = la.mats_to_rows(basis)
+    assert basis.shape == (alg.dim, d, d)
+    assert np.allclose(rows @ rows.conj().T, np.eye(alg.dim), atol=1e-10)
+    if d <= 8:
+        oracle = la.orthonormalize_mats(la.rows_to_mats(commutant_entrywise(basis, d), d))
+    else:
+        oracle = la.commutant_basis(basis, d)
+    comm = commutant(alg)
+    assert comm.dim == len(oracle)
+    assert la.same_span(comm.basis, oracle, 1e-8)
+    z_oracle = la.commutant_basis(np.concatenate([basis, oracle]), d)
+    z = center(alg)
+    assert z.dim == len(z_oracle) == len(alg.blocks)
+    assert la.same_span(z.basis, z_oracle, 1e-8)
+    projs = minimal_central_projections(alg)
+    assert len(projs) == z.dim
+    assert np.linalg.norm(sum(projs) - np.eye(d)) <= 1e-9
+    for i, p in enumerate(projs):
+        assert la.span_residual(z_oracle, p) <= 1e-9
+        for j, q in enumerate(projs):
+            assert np.linalg.norm(p @ q - (p if i == j else 0)) <= 1e-9
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert np.linalg.norm(alg.project(m) - la.project_onto_span(basis, m)) <= 1e-9
+    inside = np.tensordot(rng.standard_normal(alg.dim), basis, axes=(0, 0))
+    assert alg.contains(inside)
+    assert alg.contains(np.eye(d))
+    assert alg.contains(m) == (alg.dim == d * d)
+    gens = list(alg.generators) + [g.conj().T for g in alg.generators]
+    assert all(abs(la.hs_norm(g) - 1.0) <= 1e-12 for g in alg.generators)
+    assert la.same_span(la.commutant_basis(gens, d), oracle, 1e-8)
+
+
+DATA_BLOCKS = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4
+).filter(lambda bl: sum(k * n for k, n in bl) <= 32)
+
+
+class TestClosedForms:
+    @settings(max_examples=30, deadline=None)
+    @given(blocks=DATA_BLOCKS, seed=st.integers(0, 10_000))
+    @example(blocks=[(4, 3), (3, 4), (2, 2), (2, 2)], seed=0)
+    @example(blocks=[(1, 1)], seed=1)
+    def test_random_data(self, blocks, seed):
+        alg = _random_data(blocks, seed)
+        assert_closed_forms(alg, np.random.default_rng(seed))
+        # the same algebra found again from its basis alone
+        again = OperatorAlgebra(alg.ambient_dim, alg.basis)
+        assert sorted(again.blocks) == sorted(alg.blocks)
+        assert_closed_forms(again, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("n, region, observable", [
+        (2, (0,), False), (3, (0, 2), True), (4, (1, 2), True), (4, (3,), False),
+        (5, (0, 1), True), (5, (2,), False), (3, (), True),
+    ])
+    def test_region_algebras(self, n, region, observable, rng):
+        assert_closed_forms(region_algebra(z2_chain_net(n), region, observable), rng)
+
+    @pytest.mark.parametrize("onsite, n", [
+        (z2_onsite_rep(), 5), (regular_rep(builtin_group("symmetric:3")), 1),
+        (regular_rep(builtin_group("quaternion:8")), 1),
+        (regular_rep(builtin_group("symmetric:4")), 1), (permutation_rep(3), 3),
+    ], ids=["z2-5", "s3-regular", "q8-regular", "s4-regular", "s3-permutation-3"])
+    def test_observable_algebras(self, onsite, n, rng):
+        assert_closed_forms(LatticeNet(n, onsite).observable_algebra(), rng)
+
+    def test_no_commutant_solve(self, monkeypatch, rng):
+        d, basis, _ = block_algebra([(2, 1), (1, 2), (2, 2)], 0)
+        algs = [OperatorAlgebra(d, basis), _random_data([(3, 2), (1, 5)], 0),
+                full_matrix_algebra(5), scalar_algebra(4)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a commutant was solved")
+
+        monkeypatch.setattr(la, "commutant_basis", forbidden)
+        for alg in algs:
+            assert commutant(commutant(alg)).dim == alg.dim
+            assert center(alg).dim == len(minimal_central_projections(alg))
+
+    def test_basis_of_no_algebra_is_rejected(self):
+        # span{1, X, Z} is not closed under products: its copies link into
+        # M_2, whose dimension is 4
+        basis = la.orthonormalize_mats(np.array([I2, SX, SZ]))
+        with pytest.raises(ValueError, match="spans no"):
+            OperatorAlgebra(2, basis)
+        with pytest.raises(ValueError, match="unital"):
+            OperatorAlgebra(2, [np.eye(2) / np.sqrt(2)], contains_unit=False)
+
+
+def _peak_mb(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoBasisAtScale:
+    # none may build a basis of B(C^d): 4 GiB at d = 128, 64 GiB at d = 256
+    def test_commutant_of_full_matrix_algebra_256(self):
+        comm, peak = _peak_mb(lambda: commutant(full_matrix_algebra(256)))
+        assert comm.dim == 1 and peak < 64
+
+    def test_decompose_sectors_on_full_matrix_algebra_128(self):
+        rep = tensor_power_rep(z2_onsite_rep(), 7)
+        dec, peak = _peak_mb(lambda: decompose_sectors(full_matrix_algebra(128), rep))
+        assert dec.mult_dims == (64, 64) and dec.field_algebra_full
+        assert peak < 64
+
+    def test_haag_duality_on_eight_sites(self):
+        net = z2_chain_net(8)
+
+        def both():
+            return (haag_duality_check(net, (3, 4), observable=True),
+                    haag_duality_check(net, (0, 1, 2), observable=False))
+        (obs, field), peak = _peak_mb(both)
+        assert (obs.lhs_dim, obs.rhs_dim) == (2 * 4 ** 2, 2 * 4)
+        assert field.passes and field.lhs_dim == 4 ** 3
+        assert peak < 64

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sectorlab import _linalg as la, dhrnet
-from sectorlab.algebra import State, full_matrix_algebra, vector_state
+from sectorlab.algebra import OperatorAlgebra, State, full_matrix_algebra, vector_state
 from sectorlab.dhrnet import (
     LatticeNet,
     LocalizedMorphism,
@@ -249,7 +249,7 @@ class TestMorphisms:
 
         for name in ("region_algebra", "full_matrix_algebra"):
             monkeypatch.setattr(dhrnet, name, forbidden)
-        monkeypatch.setattr(LatticeNet, "observable_algebra", forbidden)
+        monkeypatch.setattr(OperatorAlgebra, "basis", property(forbidden))
         net = z2_chain_net(3)
         r0 = localized_morphism(net, [0], [SX], "f0")
         r1 = localized_morphism(net, [1], [SX], "f1")

@@ -179,9 +179,10 @@ class TestFixedPointAlgebra:
 
     def test_non_unital_algebra_rejected(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        f = OperatorAlgebra(2, p[None], contains_unit=False)
         with pytest.raises(ValueError, match="unital"):
-            fixed_point_algebra(f, z2_rep())
+            fixed_point_algebra(OperatorAlgebra(2, p[None], contains_unit=False), z2_rep())
+        with pytest.raises(ValueError, match="unital"):
+            OperatorAlgebra(2, np.array([p, np.diag([0.0, 0.0])]))
 
     def test_commutant_of_fixed_points_is_group_algebra(self):
         rep = tensor_power_rep(z2_rep(), 2)

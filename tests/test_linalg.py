@@ -1,4 +1,4 @@
-"""Every rank, null and grouping cut of ``_linalg``, just inside and just outside.
+"""Every rank, null, grouping and linkage cut of ``_linalg``, just inside and outside.
 
 Each test puts one input 1 % on either side of a cut, written out as a
 number, so a change that moves a cut fails here instead of silently
@@ -68,6 +68,16 @@ def test_commutant_merge_gap(factor, dim):
     eps = factor * 1e-8 * abs(c[0].real) / abs(c[1].real)
     mats = [np.eye(2, dtype=complex), np.diag([0.0, eps]).astype(complex)]
     assert la.commutant_basis(mats, 2).shape[0] == dim
+
+
+@pytest.mark.parametrize("factor, leaders", [(INSIDE, [0, 1, -1]), (OUTSIDE, [0, 0, -1])])
+def test_copy_linkage_cut(factor, leaders):
+    # copies 0 and 1 are joined by t^2 against a total squared norm of
+    # 2 + 2 t^2: linked above 1e-12 of it; copy 2, where the element
+    # vanishes, is outside the algebra
+    t = factor * 1e-6 * np.sqrt(2)
+    ey = np.array([[1.0, t, 0.0], [t, 1.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    assert la.copy_leaders(ey, np.array([0, 1, 2, 3])).tolist() == leaders
 
 
 def test_ambiguity_floor():
