@@ -5,18 +5,26 @@ followed by an annihilation string, psi_mu psi_nu*.  Multiplication
 contracts by prefix matching (psi_i* psi_j = delta_ij); the completeness
 relation sum_i psi_i psi_i* = 1 is applied as a one-directional
 simplification that collapses a literal full sum with equal coefficients
-into its parent word.  This keeps normal forms unique without general
+into its parent word.  This gives normal forms without general
 rewriting machinery; it is a convention of the representation, not a
-canonical form for the underlying algebra element.
+canonical form for the underlying algebra element (see
+:func:`_contract_full_sums` for the order it depends on).
 
 Coefficients stay exact complex rationals as long as every input is
 rational; any float input switches the polynomial to floating mode.
+The exact kernels (products, the gauge action) do not multiply ``QRat``
+values pair by pair: they write the inputs as Gaussian-integer numerators
+over one common denominator, accumulate integer pairs per output word
+and reduce one fraction per word at the end.  The canonical endomorphism
+is a relabelling of words and does no arithmetic at all.
 A truncated Fock representation (sparse matrices over index strings of
 bounded length) serves as the independent oracle for the rewriting rules.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,8 +124,12 @@ def _contract_full_sums(d: int, terms: dict) -> dict:
     """Collapse every literal complete sum psi_{mu i} psi_{nu i}* with equal
     coefficients into its parent word, repeatedly to a fixpoint.
 
-    Groups never overlap (the parent of a word is unique), so the result
-    is independent of scan order.
+    Groups never overlap (the parent of a word is unique), but a family
+    and the family of its parent can both qualify in one pass; then the
+    normal form depends on the order of ``terms``:
+    s1 s1* + s2 s2* + 2 s1 s1 s1* s1* + 2 s1 s2 s2* s1* gives 1 + 2 s1 s1*
+    when its first two words come first and 3 s1 s1* + s2 s2* otherwise.
+    The kernels insert words in the order of term-by-term accumulation.
     """
     letters = set(range(1, d + 1))
     while True:
@@ -131,6 +143,10 @@ def _contract_full_sums(d: int, terms: dict) -> dict:
             if len(kids) != d:
                 continue
             if {w.mu[-1] for w in kids} != letters:
+                continue
+            if any(w not in terms for w in kids):
+                # a kid cancelled as the parent of a family merged earlier in
+                # this pass; the next pass reads the family again
                 continue
             coeffs = [terms[w] for w in kids]
             if any(c != coeffs[0] for c in coeffs[1:]):
@@ -297,13 +313,65 @@ class CuntzPolynomial:
         return format_polynomial(self)
 
 
+def _numerators(terms: dict) -> tuple[list, int]:
+    """Exact coefficients as Gaussian-integer numerators over one denominator.
+
+    Returns ([(key, re, im), ...], den) in the order of ``terms``: each
+    coefficient is (re + im i) / den, with den the lcm of the denominators.
+    """
+    coeffs = [QRat.of(c) for c in terms.values()]
+    den = math.lcm(*(c.re.denominator for c in coeffs),
+                   *(c.im.denominator for c in coeffs))
+    return [
+        (key, c.re.numerator * (den // c.re.denominator),
+         c.im.numerator * (den // c.im.denominator))
+        for key, c in zip(terms, coeffs)
+    ], den
+
+
+def _accumulate(out: dict, w: CuntzWord, re: int, im: int) -> None:
+    """Add the numerator re + im i to ``out[w]``; drop the word if it cancels.
+
+    A word that cancels and comes back is re-inserted at the end, so the
+    order of ``out`` is the order of pairwise ``QRat`` accumulation.
+    """
+    acc = out.get(w)
+    if acc is None:
+        out[w] = [re, im]
+        return
+    acc[0] += re
+    acc[1] += im
+    if not (acc[0] or acc[1]):
+        del out[w]
+
+
+def _from_numerators(d: int, out: dict, den: int) -> dict:
+    """Accumulated numerators over ``den`` as contracted exact terms."""
+    return _contract_full_sums(d, {
+        w: QRat(Fraction(re, den), Fraction(im, den)) for w, (re, im) in out.items()
+    })
+
+
 def multiply(p: CuntzPolynomial, q: CuntzPolynomial) -> CuntzPolynomial:
-    """Product in normal form: prefix contraction term by term."""
+    """Product in normal form: prefix contraction term by term.
+
+    Exact products accumulate Gaussian-integer numerators over the product
+    of the two common denominators and reduce one fraction per output word.
+    """
     if p.d != q.d:
         raise ValueError("polynomials have different dimensions")
-    exact = p.exact and q.exact
-    pt = p._coerced_terms(exact)
-    qt = q._coerced_terms(exact)
+    if p.exact and q.exact:
+        pn, pden = _numerators(p.terms)
+        qn, qden = _numerators(q.terms)
+        acc: dict[CuntzWord, list[int]] = {}
+        for w1, a, b in pn:
+            for w2, c, e in qn:
+                w = _word_product(w1, w2)
+                if w is not None:
+                    _accumulate(acc, w, a * c - b * e, a * e + b * c)
+        return CuntzPolynomial(p.d, _from_numerators(p.d, acc, pden * qden), True)
+    pt = p._coerced_terms(False)
+    qt = q._coerced_terms(False)
     out: dict[CuntzWord, object] = {}
     for w1, c1 in pt.items():
         for w2, c2 in qt.items():
@@ -319,62 +387,128 @@ def multiply(p: CuntzPolynomial, q: CuntzPolynomial) -> CuntzPolynomial:
                     del out[w]
             elif c:
                 out[w] = c
-    return CuntzPolynomial(p.d, _contract_full_sums(p.d, out), exact)
+    return CuntzPolynomial(p.d, _contract_full_sums(p.d, out), False)
 
 
 def canonical_endomorphism(p: CuntzPolynomial) -> CuntzPolynomial:
-    """sigma(C) = sum_i psi_i C psi_i*; unital and multiplicative."""
-    out = CuntzPolynomial.zero(p.d)
+    """sigma(C) = sum_i psi_i C psi_i*; unital and multiplicative.
+
+    In closed form psi_mu psi_nu* -> sum_i psi_{i mu} psi_{i nu}*, with the
+    unit word kept as it is (sum_i psi_i psi_i* is 1 in normal form).
+    """
+    out: dict[CuntzWord, object] = {}
     for i in range(1, p.d + 1):
-        gen = CuntzPolynomial.generator(p.d, i)
-        out = out + multiply(multiply(gen, p), gen.adjoint())
-    return out
+        for w, c in p.terms.items():
+            if w != UNIT_WORD and c:
+                out[CuntzWord((i,) + w.mu, (i,) + w.nu)] = c
+    unit = p.terms.get(UNIT_WORD)
+    if unit:
+        out[UNIT_WORD] = unit
+    return CuntzPolynomial(p.d, _contract_full_sums(p.d, out), p.exact)
 
 
 def _matrix_is_exact(g: np.ndarray) -> bool:
-    return g.dtype.kind in "iu" or g.dtype == object
+    return all(_is_exact_scalar(v) for v in g.flat)
+
+
+def _expand(s: tuple[int, ...], memo: dict, cols: dict) -> list:
+    """Images (letters, re, im) of the string ``s`` under the column table.
+
+    Each string extends the memoised expansion of its prefix by one letter.
+    """
+    images = memo.get(s)
+    if images is None:
+        images = [
+            (m + (j,), a * x - b * y, a * y + b * x)
+            for m, a, b in _expand(s[:-1], memo, cols)
+            for j, x, y in cols[s[-1]]
+        ]
+        memo[s] = images
+    return images
+
+
+def _gauge_exact(entry: dict, gden: int, p: CuntzPolynomial) -> CuntzPolynomial:
+    """Exact gauge image for g = G / gden, ``entry[j, i]`` = G_ji as (re, im).
+
+    p's coefficients are written over one denominator Q; each mu string is
+    expanded under G and each nu string under conj(G) once (memoised by
+    prefix); numerators accumulate over Q gden^Lmax, Lmax the longest
+    |mu| + |nu|, and one fraction is reduced per output word.
+    """
+    letters = range(1, p.d + 1)
+    mu_cols = {i: [(j, *entry[j, i]) for j in letters if any(entry[j, i])]
+               for i in letters}
+    nu_cols = {i: [(j, x, -y) for j, x, y in mu_cols[i]] for i in letters}
+    mu_memo: dict = {(): [((), 1, 0)]}
+    nu_memo: dict = {(): [((), 1, 0)]}
+    terms, den = _numerators(p.terms)
+    lmax = max((len(w.mu) + len(w.nu) for w, _, _ in terms), default=0)
+    acc: dict[CuntzWord, list[int]] = {}
+    for w, a, b in terms:
+        scale = gden ** (lmax - len(w.mu) - len(w.nu))
+        a *= scale
+        b *= scale
+        nus = _expand(w.nu, nu_memo, nu_cols)
+        for m, x, y in _expand(w.mu, mu_memo, mu_cols):
+            ca, cb = a * x - b * y, a * y + b * x
+            for n, u, v in nus:
+                _accumulate(acc, CuntzWord(m, n), ca * u - cb * v, ca * v + cb * u)
+    return CuntzPolynomial(p.d, _from_numerators(p.d, acc, den * gden ** lmax), True)
 
 
 def gauge_act(g: np.ndarray, p: CuntzPolynomial) -> CuntzPolynomial:
     """The gauge automorphism psi_i -> sum_j g_ji psi_j, extended to words.
 
-    ``g`` must be unitary.  Exact coefficients survive only for integer or
-    object (Fraction) matrices; floating matrices switch the result to
-    floating mode.
+    ``g`` must be unitary.  It is exact when every entry is an integer,
+    ``Fraction`` or ``QRat`` (whatever the array's dtype); an exact g must
+    satisfy g* g = 1 exactly.  Any other g is checked in floating point and
+    must be finite.  The image is exact when both g and p are.
+
+    Exact mode writes g = G / D with Gaussian-integer G and accumulates
+    integer numerators per output word (:func:`_gauge_exact`); floating
+    mode expands term by term, letter by letter.
     """
     g = np.asarray(g)
-    if g.shape != (p.d, p.d):
+    d = p.d
+    if g.shape != (d, d):
         raise ValueError("gauge matrix must be d x d")
-    gc = np.asarray(g, dtype=complex)
-    if np.linalg.norm(la.dagger(gc) @ gc - np.eye(p.d)) > 1e-10 * p.d:
-        raise ValueError("gauge matrix is not unitary")
-    exact = p.exact and _matrix_is_exact(g)
+    letters = range(1, d + 1)
+    if _matrix_is_exact(g):
+        gn, gden = _numerators({(j, i): g[j - 1, i - 1]
+                                for i in letters for j in letters})
+        entry = {key: (re, im) for key, re, im in gn}
+        for i in letters:
+            for k in letters:
+                # (g* g)_ik D^2 = sum_j conj(G_ji) G_jk
+                re = im = 0
+                for j in letters:
+                    a, b = entry[j, i]
+                    c, e = entry[j, k]
+                    re += a * c + b * e
+                    im += a * e - b * c
+                if re != (gden * gden if i == k else 0) or im:
+                    raise ValueError("gauge matrix is not unitary")
+        if p.exact:
+            return _gauge_exact(entry, gden, p)
+    else:
+        gc = np.asarray(g, dtype=complex)
+        if not np.isfinite(gc).all():
+            raise ValueError("gauge matrix has non-finite entries")
+        if np.linalg.norm(la.dagger(gc) @ gc - np.eye(d)) > 1e-10 * d:
+            raise ValueError("gauge matrix is not unitary")
 
-    def entry(j: int, i: int):
-        v = g[j - 1, i - 1]
-        return QRat.of(v) if exact else complex(v)
-
+    mu_cols = {i: [(j, z) for j in letters if (z := complex(g[j - 1, i - 1]))]
+               for i in letters}
+    nu_cols = {i: [(j, z.conjugate()) for j, z in mu_cols[i]] for i in letters}
     out: dict[CuntzWord, object] = {}
-    letters = range(1, p.d + 1)
-    for w, c in (p.terms if exact else p._coerced_terms(False)).items():
-        base = QRat.of(c) if exact else complex(c)
-        images: list[tuple[tuple[int, ...], tuple[int, ...], object]] = [
-            ((), (), base)
-        ]
+    for w, c in p._coerced_terms(False).items():
+        images: list[tuple[tuple[int, ...], tuple[int, ...], complex]] = [((), (), c)]
         for letter in w.mu:
-            images = [
-                (mu + (j,), nu, coeff * entry(j, letter))
-                for mu, nu, coeff in images
-                for j in letters
-                if entry(j, letter)
-            ]
+            images = [(mu + (j,), nu, coeff * z)
+                      for mu, nu, coeff in images for j, z in mu_cols[letter]]
         for letter in w.nu:
-            images = [
-                (mu, nu + (j,), coeff * entry(j, letter).conjugate())
-                for mu, nu, coeff in images
-                for j in letters
-                if entry(j, letter)
-            ]
+            images = [(mu, nu + (j,), coeff * z)
+                      for mu, nu, coeff in images for j, z in nu_cols[letter]]
         for mu, nu, coeff in images:
             word = CuntzWord(mu, nu)
             if word in out:
@@ -385,17 +519,21 @@ def gauge_act(g: np.ndarray, p: CuntzPolynomial) -> CuntzPolynomial:
                     del out[word]
             elif coeff:
                 out[word] = coeff
-    return CuntzPolynomial(p.d, _contract_full_sums(p.d, out), exact)
+    return CuntzPolynomial(d, _contract_full_sums(d, out), False)
 
 
 def gauge_defect(g: np.ndarray, p: CuntzPolynomial) -> float:
-    """max coefficient deviation between p and its gauge image."""
+    """max coefficient deviation between p and its gauge image.
+
+    ``inf`` when a coefficient of p or of its image is not finite.
+    """
     q = gauge_act(g, p)
-    words = set(p.terms) | set(q.terms)
     worst = 0.0
-    for w in words:
-        a = complex(p.terms[w]) if w in p.terms else 0.0
-        b = complex(q.terms[w]) if w in q.terms else 0.0
+    for w in set(p.terms) | set(q.terms):
+        a = complex(p.terms.get(w, 0))
+        b = complex(q.terms.get(w, 0))
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            return math.inf
         worst = max(worst, abs(a - b))
     return worst
 

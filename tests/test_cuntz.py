@@ -7,6 +7,8 @@ from sectorlab.cuntz import (
     CuntzWord,
     ExpressionError,
     QRat,
+    _contract_full_sums,
+    _word_product,
     canonical_endomorphism,
     fock_dimension,
     fock_matrix,
@@ -70,6 +72,15 @@ class TestRelations:
             for j in (1, 2):
                 terms[CuntzWord((i, j), (i, j))] = 1
         assert P.build(2, terms) == P.unit(2)
+
+    def test_family_whose_kid_cancels_in_the_same_pass(self):
+        # merging the s1s1* family cancels s1 s1*, a kid of the family
+        # under 1; the next pass reads that family again
+        kids_first = {CuntzWord((1, 1), (1, 1)): -1, CuntzWord((1, 2), (1, 2)): -1,
+                      CuntzWord((1,), (1,)): 1, CuntzWord((2,), (2,)): 1}
+        assert P.build(2, kids_first) == P.word(2, (2,), (2,))
+        assert P.build(1, {CuntzWord((1, 1), (1, 1)): -1,
+                           CuntzWord((1,), (1,)): 1}).is_zero()
 
 
 class TestAlgebraLaws:
@@ -332,3 +343,253 @@ class TestExpressionGrammar:
             p = random_poly(rng, 2, n_terms=3, max_len=2)
             again = parse_expression(str(p), 2)
             assert again == p
+
+
+# ---------------------------------------------------------------------------
+# exact kernels against the pairwise QRat loops they replace
+# ---------------------------------------------------------------------------
+
+
+def reference_multiply(p, q):
+    """Product by pairwise QRat (or complex) arithmetic, term by term."""
+    exact = p.exact and q.exact
+    out = {}
+    for w1, c1 in p._coerced_terms(exact).items():
+        for w2, c2 in q._coerced_terms(exact).items():
+            w = _word_product(w1, w2)
+            if w is None:
+                continue
+            c = c1 * c2
+            if w in out:
+                merged = out[w] + c
+                if merged:
+                    out[w] = merged
+                else:
+                    del out[w]
+            elif c:
+                out[w] = c
+    return P(p.d, _contract_full_sums(p.d, out), exact)
+
+
+def reference_gauge_act(g, p, exact):
+    """Gauge image expanded letter by letter with one QRat product per image."""
+    def entry(j, i):
+        v = g[j - 1, i - 1]
+        return QRat.of(v) if exact else complex(v)
+
+    out = {}
+    letters = range(1, p.d + 1)
+    for w, c in (p.terms if exact else p._coerced_terms(False)).items():
+        images = [((), (), c)]
+        for letter in w.mu:
+            images = [(mu + (j,), nu, coeff * entry(j, letter))
+                      for mu, nu, coeff in images for j in letters if entry(j, letter)]
+        for letter in w.nu:
+            images = [(mu, nu + (j,), coeff * entry(j, letter).conjugate())
+                      for mu, nu, coeff in images for j in letters if entry(j, letter)]
+        for mu, nu, coeff in images:
+            word = CuntzWord(mu, nu)
+            if word in out:
+                merged = out[word] + coeff
+                if merged:
+                    out[word] = merged
+                else:
+                    del out[word]
+            elif coeff:
+                out[word] = coeff
+    return P(p.d, _contract_full_sums(p.d, out), exact)
+
+
+def reference_sigma(p):
+    out = P.zero(p.d)
+    for i in range(1, p.d + 1):
+        gen = P.generator(p.d, i)
+        out = out + multiply(multiply(gen, p), gen.adjoint())
+    return out
+
+
+def profile_poly(rng, d, n_terms, max_len, exact=True):
+    """Seeded terms whose (|mu|, |nu|) run through every pair up to max_len,
+    longest first, with small Gaussian-rational or normal complex coefficients."""
+    pairs = sorted(((a, b) for a in range(max_len + 1) for b in range(max_len + 1)),
+                   key=lambda ab: (-(ab[0] + ab[1]), ab))
+    terms = {}
+    for t in range(n_terms):
+        a, b = pairs[t % len(pairs)]
+        w = CuntzWord(tuple(int(x) for x in rng.integers(1, d + 1, a)),
+                      tuple(int(x) for x in rng.integers(1, d + 1, b)))
+        if exact:
+            c = QRat(Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5))),
+                     Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 4))))
+        else:
+            c = complex(rng.standard_normal(), rng.standard_normal())
+        if c:
+            terms[w] = c
+    return P.build(d, terms)
+
+
+def float_bits(p):
+    return [(w, complex(c).real.hex(), complex(c).imag.hex()) for w, c in p.terms.items()]
+
+
+F = Fraction
+ROTATION = np.array([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]], dtype=object)
+GAUSSIAN = np.array([[QRat(F(3, 5), F(0)), QRat(F(0), F(4, 5))],
+                     [QRat(F(0), F(4, 5)), QRat(F(3, 5), F(0))]], dtype=object)
+
+
+def signed_permutation(rng, d):
+    g = np.zeros((d, d), dtype=int)
+    g[rng.permutation(d), np.arange(d)] = rng.choice([-1, 1], d)
+    return g
+
+
+def exact_gauges(rng, d):
+    gs = [np.eye(d, dtype=int), signed_permutation(rng, d), signed_permutation(rng, d)]
+    if d == 1:
+        gs.append(np.array([[QRat(F(0), F(1))]], dtype=object))
+    if d == 2:
+        gs += [ROTATION, GAUSSIAN]
+    return gs
+
+
+class TestExactKernels:
+    def test_multiply_matches_pairwise_reference(self, rng):
+        for d in (1, 2, 3):
+            for _ in range(12):
+                p = profile_poly(rng, d, int(rng.integers(1, 16)), 3)
+                q = profile_poly(rng, d, int(rng.integers(1, 16)), 3)
+                got = multiply(p, q)
+                want = reference_multiply(p, q)
+                assert got.exact and got == want
+                assert list(got.terms) == list(want.terms)
+                assert str(got) == str(want)
+                cube = multiply(got, p)
+                assert cube == reference_multiply(want, p)
+
+    def test_gauge_matches_letter_by_letter_reference(self, rng):
+        for d in (1, 2, 3):
+            for g in exact_gauges(rng, d):
+                for _ in range(3):
+                    p = profile_poly(rng, d, 16, 2 if d == 3 else 3)
+                    got = gauge_act(g, p)
+                    want = reference_gauge_act(g, p, True)
+                    assert got.exact and got == want
+                    assert list(got.terms) == list(want.terms)
+                    assert str(got) == str(want)
+
+    def test_heavy_rotation_matches_reference(self, rng):
+        p = profile_poly(rng, 2, 32, 4)
+        assert gauge_act(ROTATION, p) == reference_gauge_act(ROTATION, p, True)
+
+    def test_gauge_composition_is_exact(self, rng):
+        # alpha_g alpha_h = alpha_{gh}: psi_i -> sum_k (g h)_ki psi_k
+        for d in (1, 2, 3):
+            gs = exact_gauges(rng, d)
+            as_qrat = np.vectorize(QRat.of, otypes=[object])
+            for g in gs:
+                for h in gs:
+                    p = profile_poly(rng, d, 8, 2)
+                    gh = as_qrat(g) @ as_qrat(h)
+                    assert gauge_act(g, gauge_act(h, p)) == gauge_act(gh, p)
+
+    def test_float_coefficients_bit_identical(self, rng):
+        for d in (1, 2, 3):
+            for _ in range(6):
+                p = profile_poly(rng, d, 12, 3, exact=False)
+                q = profile_poly(rng, d, 12, 3, exact=bool(rng.integers(0, 2)))
+                assert float_bits(multiply(p, q)) == float_bits(reference_multiply(p, q))
+                assert float_bits(multiply(q, p)) == float_bits(reference_multiply(q, p))
+                u = np.linalg.qr(rng.standard_normal((d, d))
+                                 + 1j * rng.standard_normal((d, d)))[0]
+                for g, pp in ((u, p), (u, q), (signed_permutation(rng, d), p)):
+                    got = gauge_act(g, pp)
+                    assert not got.exact
+                    assert float_bits(got) == float_bits(reference_gauge_act(g, pp, False))
+
+    def test_sigma_is_the_sum_of_products(self, rng):
+        for d in (1, 2, 3):
+            for _ in range(10):
+                p = profile_poly(rng, d, int(rng.integers(0, 20)), 3,
+                                 exact=bool(rng.integers(0, 2)))
+                assert canonical_endomorphism(p) == reference_sigma(p)
+
+    def test_sigma_on_terms_not_in_normal_form(self):
+        one, half = QRat(F(1), F(0)), QRat(F(1, 2), F(0))
+        # s1 s1* + s2 s2* and a full family under s1 s2*, held uncontracted
+        raw = {CuntzWord((1,), (1,)): one, CuntzWord((2,), (2,)): one,
+               CuntzWord((1, 1), (2, 1)): half, CuntzWord((1, 2), (2, 2)): half,
+               CuntzWord((2,), ()): one}
+        for d, terms in ((2, raw), (1, {CuntzWord((1, 1), (1,)): one,
+                                        CuntzWord((), ()): half})):
+            p = P(d, dict(terms), True)
+            assert canonical_endomorphism(p) == reference_sigma(p)
+            assert canonical_endomorphism(p) == canonical_endomorphism(P.build(d, terms))
+
+
+class TestGaugeMatrixChecks:
+    def test_near_unitary_rational_rejected(self):
+        g = np.array([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5) + F(1, 10 ** 12)]], dtype=object)
+        # the floating test at 1e-10 d would accept it
+        gc = np.asarray(g, dtype=complex)
+        assert np.linalg.norm(gc.conj().T @ gc - np.eye(2)) <= 1e-10
+        with pytest.raises(ValueError, match="not unitary"):
+            gauge_act(g, P.generator(2, 1))
+
+    def test_object_array_of_floats_is_floating(self, rng):
+        g = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=object)
+        p = profile_poly(rng, 2, 8, 2)
+        got = gauge_act(g, p)
+        assert not got.exact
+        assert float_bits(got) == float_bits(gauge_act(g.astype(float), p))
+
+    def test_gaussian_rational_object_array_is_exact(self, rng):
+        p = profile_poly(rng, 2, 8, 2)
+        got = gauge_act(GAUSSIAN, p)
+        assert got.exact
+        assert got == reference_gauge_act(GAUSSIAN, p, True)
+        assert gauge_act(GAUSSIAN, P.generator(2, 1)) == P.build(
+            2, {CuntzWord((1,), ()): QRat(F(3, 5), F(0)),
+                CuntzWord((2,), ()): QRat(F(0), F(4, 5))})
+
+    def test_non_finite_gauge_rejected(self):
+        for bad in (np.nan, np.inf):
+            g = np.array([[1.0, 0.0], [0.0, bad]])
+            with pytest.raises(ValueError, match="non-finite"):
+                gauge_act(g, P.generator(2, 1))
+
+    def test_defect_of_non_finite_coefficient_is_inf(self):
+        g = np.diag([1.0, -1.0])
+        for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            p = P.build(2, {CuntzWord((1,), (2,)): bad, CuntzWord((), ()): 1.0})
+            assert gauge_defect(g, p) == np.inf
+        assert gauge_defect(g, P.word(2, (1,), (2,))) == 2.0
+
+
+class TestNoPairwiseFractionArithmetic:
+    """Exact kernels accumulate integer numerators: no QRat product per image."""
+
+    @pytest.fixture
+    def qrat_products(self, monkeypatch):
+        calls = [0]
+        original = QRat.__mul__
+
+        def counted(self, other):
+            calls[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(QRat, "__mul__", counted)
+        return calls
+
+    def test_multiply_and_sigma(self, rng, qrat_products):
+        p, q = profile_poly(rng, 3, 24, 3), profile_poly(rng, 3, 24, 3)
+        assert multiply(multiply(p, q), p).n_terms > 0
+        canonical_endomorphism(p)
+        assert qrat_products[0] == 0
+
+    def test_gauge_act(self, rng, qrat_products):
+        for d, g in ((2, ROTATION), (2, GAUSSIAN), (3, signed_permutation(rng, 3))):
+            for n_terms in (1, 32):
+                qrat_products[0] = 0
+                gauge_act(g, profile_poly(rng, d, n_terms, 3))
+                assert qrat_products[0] <= d ** 3
