@@ -73,17 +73,11 @@ def orthonormalize_mats(mats: np.ndarray) -> np.ndarray:
     return rows_to_mats(row_space(mats_to_rows(mats)), mats.shape[-1])
 
 
-def span_coefficients(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Coefficients of ``m`` against an orthonormal (k, d, d) basis stack."""
-    return mats_to_rows(basis).conj() @ m.reshape(-1)
-
-
 def project_onto_span(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Orthogonal projection of ``m`` onto the span of an orthonormal stack."""
     if basis.shape[0] == 0:
         return np.zeros_like(m)
-    coeff = span_coefficients(basis, m)
-    return np.tensordot(coeff, basis, axes=(0, 0))
+    return np.tensordot(mats_to_rows(basis).conj() @ m.reshape(-1), basis, axes=(0, 0))
 
 
 def span_residual(basis: np.ndarray, m: np.ndarray) -> float:

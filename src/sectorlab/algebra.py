@@ -70,6 +70,17 @@ def wedderburn_blocks(draw, leaders, seed: int, gap: float, error, what: str):
     raise error(f"{what} unresolved after {SEED_RETRIES} seeds: {last_err}")
 
 
+def algebra_of(draw) -> OperatorAlgebra:
+    """The algebra of which ``draw(rng)`` returns two generic elements, a
+    Hermitian one and a general one: :func:`wedderburn_blocks` with copies
+    joining a block when the second links them
+    (:func:`~sectorlab._linalg.copy_leaders`)."""
+    found = wedderburn_blocks(draw, _linked_leaders, 0, DEFAULT_TOL.gap,
+                              CentralProjectionError, "Wedderburn decomposition")
+    return OperatorAlgebra.from_blocks(np.concatenate([b[0] for b in found], axis=1),
+                                       [(k, n) for _, k, n, _ in found])
+
+
 def _linked_leaders(e, starts, ey) -> np.ndarray:
     """``leaders`` for :func:`wedderburn_blocks`: the copies y links, cut by
     :func:`~sectorlab._linalg.copy_leaders`, when they are those of blocks."""
@@ -88,13 +99,12 @@ class OperatorAlgebra:
     Held as its Wedderburn data: the unitary ``unitary`` W, block a's
     columns copy by copy (``W_a.reshape(d, k_a, n_a)[:, i, l]`` is copy i's
     l-th vector), and ``blocks``, the (k_a, n_a).  Everything else is a
-    closed form in the data; :attr:`basis` is built on first read.
+    closed form in the data; :attr:`basis`, the matrix units, is an export
+    built on first read, and no operation of the package reads it.
 
-    ``OperatorAlgebra(d, basis)`` keeps a (k, d, d) basis, orthonormal
-    under tr(A* B), and finds the data of its span by
-    :func:`wedderburn_blocks` on two random combinations: copies join a
-    block when the second links them (:func:`~sectorlab._linalg.copy_leaders`).  It raises
-    ``ValueError`` unless the data fill C^d with dimension sum k_a^2 = k.
+    ``OperatorAlgebra(d, basis)`` finds the data of the span of a (k, d, d)
+    basis by :func:`algebra_of` on two random combinations and drops the
+    basis; ``ValueError`` unless they fill C^d with sum k_a^2 = k.
     """
 
     def __init__(self, ambient_dim: int, basis, contains_unit: bool = True):
@@ -106,18 +116,15 @@ class OperatorAlgebra:
             raise ValueError("only unital algebras are held")
         if len(basis) == 1:
             # C1: every seed would draw a multiple of the same element
-            w, blocks = np.eye(d, dtype=complex), [(1, d)]
+            data = scalar_algebra(d)
         else:
             def draw(rng):
                 c = rng.standard_normal((2, len(basis))) + 1j * rng.standard_normal((2, len(basis)))
                 x, y = np.tensordot(c, basis, axes=(1, 0))
                 return (x + la.dagger(x)) / 2, y
 
-            found = wedderburn_blocks(draw, _linked_leaders, 0, DEFAULT_TOL.gap,
-                                      CentralProjectionError, "Wedderburn decomposition")
-            w = np.concatenate([b[0] for b in found], axis=1)
-            blocks = [(k, n) for _, k, n, _ in found]
-        self.ambient_dim, self.unitary, self.blocks, self.basis = d, w, tuple(blocks), basis
+            data = algebra_of(draw)
+        self.ambient_dim, self.unitary, self.blocks = d, data.unitary, data.blocks
         if self.dim != len(basis) or len(basis) == 1 and not self.contains(basis[0]):
             raise ValueError(f"a basis of {len(basis)} elements spans no *-algebra "
                              f"with unit: its blocks are {self.blocks}")
@@ -175,17 +182,24 @@ class OperatorAlgebra:
         diag = (self.unitary * np.concatenate(values)) @ w_star
         return shift / la.hs_norm(shift), diag / la.hs_norm(diag)
 
+    def partial_traces(self, m: np.ndarray):
+        """(W_a, k_a, n_a, tr_n(W_a* m W_a)) per block, for ``m`` one matrix or
+        a stack (..., d, d).  tr(m B) on the matrix unit (a, i, j) of
+        :attr:`basis` is tr_n(W_a* m W_a)[j, i] / sqrt(n_a)."""
+        m = np.asarray(m, dtype=complex)
+        for w, k, n in self.block_columns():
+            wmw = (la.dagger(w) @ m @ w).reshape(m.shape[:-2] + (k, n, k, n))
+            yield w, k, n, np.einsum("...ikjk->...ij", wmw)
+
     def project(self, m: np.ndarray) -> np.ndarray:
         """Trace-orthogonal projection, W_a (tr_n(W_a* m W_a) / n_a (x) 1) W_a*
         summed over the blocks."""
-        m = np.asarray(m, dtype=complex)
         d = self.ambient_dim
         out = np.zeros((d, d), dtype=complex)
-        for w, k, n in self.block_columns():
-            x = np.einsum("ikjk->ij", (la.dagger(w) @ m @ w).reshape(k, n, k, n)) / n
-            # column (j, l) of v is sum_i x[i, j] times copy i's l-th vector
-            v = np.einsum("dil,ij->djl", w.reshape(d, k, n), x).reshape(d, k * n)
-            out += v @ la.dagger(w)
+        for w, k, n, t in self.partial_traces(m):
+            # column (j, l) of v is sum_i t[i, j] / n times copy i's l-th vector
+            v = np.tensordot(w.reshape(d, k, n), t / n, axes=(1, 0)).swapaxes(1, 2)
+            out += v.reshape(d, k * n) @ la.dagger(w)
         return out
 
     def contains(self, m: np.ndarray) -> bool:
@@ -194,16 +208,11 @@ class OperatorAlgebra:
         return la.hs_norm(m - self.project(m)) <= la.SPAN_RANK_CUT * max(1.0, la.hs_norm(m))
 
     def validate(self) -> None:
-        """Check that W is unitary and the basis an orthonormal basis of the
-        algebra the data describe (a unital *-algebra by construction)."""
-        rows = la.mats_to_rows(self.basis)
-        w = self.unitary
-        if not np.allclose(la.dagger(w) @ w, np.eye(self.ambient_dim), atol=1e-10):
-            raise ValueError("unitary is not unitary to 1e-10")
-        if not np.allclose(rows @ rows.conj().T, np.eye(self.dim), atol=1e-10):
-            raise ValueError("basis is not orthonormal to 1e-10")
-        if not all(self.contains(b) for b in self.basis):
-            raise ValueError("basis element outside the algebra")
+        """Check that W is a d x d unitary to 1e-10: exactly when the matrix
+        units of the algebra the data describe are orthonormal."""
+        w, d = self.unitary, self.ambient_dim
+        if w.shape != (d, d) or not np.allclose(la.dagger(w) @ w, np.eye(d), atol=1e-10):
+            raise ValueError("unitary is not a d x d unitary to 1e-10")
 
 
 @dataclass(frozen=True)
@@ -326,13 +335,13 @@ def minimal_central_projections(alg: OperatorAlgebra) -> list[np.ndarray]:
 def state_distance_mod(
     omega1: State, omega2: State, sub: OperatorAlgebra
 ) -> float:
-    """max_B |omega1(B) - omega2(B)| over the orthonormal basis of ``sub``.
+    """max_B |omega1(B) - omega2(B)| over the matrix units B of ``sub``.
 
     Zero exactly when the two states agree on the subalgebra; a pseudo-metric
-    on states for fixed ``sub``.
+    on states for fixed ``sub``.  The values are the block partial traces
+    of the density difference (:meth:`OperatorAlgebra.partial_traces`).
     """
     if omega1.dim != omega2.dim or omega1.dim != sub.ambient_dim:
         raise ValueError("states and subalgebra must share the ambient dimension")
     diff = omega1.density - omega2.density
-    vals = np.einsum("kij,ji->k", sub.basis, diff)
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
+    return max(float(np.abs(t).max() / np.sqrt(n)) for _, _, n, t in sub.partial_traces(diff))

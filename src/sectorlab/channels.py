@@ -14,7 +14,6 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, State
-from .config import rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,12 @@ def evaluation_matrix(kernels, alg: OperatorAlgebra) -> np.ndarray:
     """Value table map[i, j] = tr(kernel_i basis_j) of a functional family.
 
     With the fibre densities as kernels this is the channel's map on the
-    algebra basis (value of the classical function at each label).
+    algebra's matrix units (value of the classical function at each label),
+    read off :meth:`~sectorlab.algebra.OperatorAlgebra.partial_traces`.
     """
     ks = np.asarray(list(kernels), dtype=complex)
-    return np.einsum("kij,aji->ka", ks, alg.basis)
+    return np.concatenate([(np.swapaxes(t, 1, 2) / np.sqrt(n)).reshape(len(ks), k * k)
+                           for _, k, n, t in alg.partial_traces(ks)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -136,44 +137,33 @@ class PositiveUnitalReport:
     unitality_residual: float
     positivity_margin: float
     imag_leakage: float
-    n_samples: int
     passed: bool
 
 
-def verify_positive_unital(
-    map_matrix: np.ndarray,
-    alg: OperatorAlgebra,
-    n_samples: int = 50,
-    seed: int = 0,
-) -> PositiveUnitalReport:
-    """Check unitality and positivity of a map given on the algebra basis.
+def verify_positive_unital(map_matrix: np.ndarray, alg: OperatorAlgebra) -> PositiveUnitalReport:
+    """Check unitality and positivity of a map given on the algebra's matrix units.
 
-    The codomain is commutative, so complete positivity reduces to entrywise
-    positivity on elements A*A; positivity is sampled with seeded random
-    algebra elements.  The map passes when the unit's image is within 1e-9
-    of 1 and no sampled value is below -1e-9.  Failures are reported, never
-    raised.
+    Exact, with no sampling: a row's values on block a's units give Y_a with
+    phi(W (+ x_a (x) 1) W*) = sum_a tr(Y_a x_a), so phi(1) = sum_a tr Y_a,
+    the margin is the least eigenvalue of the Hermitian parts of the Y_a
+    (the least Re phi on a pure state of one block), and the leakage the
+    largest |Im phi| there.  The codomain is commutative, so positivity is
+    complete positivity.  Passes when every phi(1) is within 1e-9 of 1 and
+    the margin is at least -1e-9; failures are reported, never raised.
     """
     m = np.asarray(map_matrix)
     if m.shape[1] != alg.dim:
         raise ValueError("map matrix columns must match the algebra dimension")
-    d = alg.ambient_dim
-    unit_coeff = la.span_coefficients(alg.basis, np.eye(d, dtype=complex))
-    image_of_unit = m @ unit_coeff
-    unitality = float(np.max(np.abs(image_of_unit - 1.0)))
-    rng = rng_from_seed(seed)
-    margin = np.inf
-    leak = 0.0
-    for _ in range(n_samples):
-        coeff = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        a = np.tensordot(coeff, alg.basis, axes=(0, 0))
-        sq = la.dagger(a) @ a
-        sq /= max(1.0, la.hs_norm(sq))
-        vals = m @ la.span_coefficients(alg.basis, sq)
-        margin = min(margin, float(np.min(vals.real)))
-        leak = max(leak, float(np.max(np.abs(vals.imag))))
+    unit, margin, leak, start = 0.0, np.inf, 0.0, 0
+    for _, k, n in alg.block_columns():
+        y = np.sqrt(n) * np.swapaxes(m[:, start:start + k * k].reshape(-1, k, k), 1, 2)
+        start += k * k
+        unit += np.trace(y, axis1=1, axis2=2)
+        margin = min(margin, float(np.linalg.eigvalsh((y + la.dagger(y)) / 2).min()))
+        leak = max(leak, float(np.abs(np.linalg.eigvalsh((y - la.dagger(y)) / 2j)).max()))
+    unitality = float(np.max(np.abs(unit - 1.0)))
     passed = unitality <= 1e-9 and margin >= -1e-9
-    return PositiveUnitalReport(unitality, margin, leak, n_samples, passed)
+    return PositiveUnitalReport(unitality, margin, leak, passed)
 
 
 # ---------------------------------------------------------------------------

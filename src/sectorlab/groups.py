@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, commutant, wedderburn_blocks
+from .algebra import OperatorAlgebra, algebra_of, wedderburn_blocks
 from .config import DEFAULT_SEED, DEFAULT_TOL, Tolerances, rng_from_seed
 
 
@@ -247,20 +247,28 @@ def average(f: np.ndarray, rep: UnitaryRep) -> np.ndarray:
 
 
 def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlgebra:
-    """The invariant subalgebra {A in F : tau_g(A) = A for all g}.
+    """The invariant subalgebra {A in F : tau_g(A) = A for all g}, F^G.
 
-    This is F inter U' = (F' union {U(g)})': one commutant solve on a
-    basis of F' stacked with the representation matrices (see
-    :func:`~sectorlab._linalg.commutant_basis`), whose Gram null cut sets
-    the dimension.  For the full matrix algebra the fixed points are U'
-    itself, which ``isotypic_decomposition(rep).observable_algebra()``
-    holds as Wedderburn data; the nets' observables come from there.
+    Requires tau_g(F) = F, checked on F's two generators for every g
+    (``ValueError`` otherwise).  Then the group average maps F onto F^G, so
+    the averages of F's projections of a random Hermitian and a random
+    complex matrix are generic elements of F^G, from which
+    :func:`~sectorlab.algebra.algebra_of` finds its Wedderburn data.  For
+    F = B(C^d) this is U', which ``isotypic_decomposition(rep)`` labels.
     """
     if rep.dim != f_alg.ambient_dim:
         raise ValueError("representation dimension must match the ambient algebra")
     d = f_alg.ambient_dim
-    mats = np.concatenate([commutant(f_alg).basis, rep.matrices])
-    return OperatorAlgebra(d, la.commutant_basis(mats, d), contains_unit=True)
+    for g in range(rep.group.order):
+        if not all(f_alg.contains(rep.conjugate(g, x)) for x in f_alg.generators):
+            raise ValueError(f"group element {g} does not map the algebra onto itself")
+
+    def draw(rng):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (average(f_alg.project(la.random_hermitian(rng, d)), rep),
+                average(f_alg.project(z), rep))
+
+    return algebra_of(draw)
 
 
 def _intertwiners(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

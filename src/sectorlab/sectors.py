@@ -46,8 +46,8 @@ def decompose_sectors(
     representation, and :meth:`SectorDecomposition.observable_algebra`
     builds it from them (no commutant solve).  A non-full field algebra
     still gets the decomposition relative to the representation's
-    commutant, with the ``field_algebra_full`` flag cleared; its own fixed
-    points are :func:`~sectorlab.groups.fixed_point_algebra`.
+    commutant, with the ``field_algebra_full`` flag cleared; if the action
+    maps F onto itself, F^G is :func:`~sectorlab.groups.fixed_point_algebra`.
     """
     if rep.dim != f_alg.ambient_dim:
         raise ValueError("representation and field algebra dimensions differ")
@@ -133,16 +133,6 @@ def implementing_deviations(morphism: ChargedMultiplet, alg: OperatorAlgebra):
         yield image, max(float(np.linalg.norm(p @ a - image @ p)) for p in morphism.matrices)
 
 
-def algebra_preservation_defect(
-    morphism: ChargedMultiplet, alg: OperatorAlgebra
-) -> float:
-    """max residual of morphism(B) against span(alg) over the basis."""
-    worst = 0.0
-    for b in alg.basis:
-        worst = max(worst, la.span_residual(alg.basis, morphism.apply(b)))
-    return worst
-
-
 def k_map(
     a: np.ndarray,
     vacuum: State,
@@ -151,18 +141,23 @@ def k_map(
 ) -> np.ndarray:
     """The classifying map: label gamma -> omega_0(rho_gamma(A)).
 
-    Unital and positive by construction (each omega_0 o rho_gamma is a
-    state).  When ``obs_algebra`` is supplied, every morphism is checked
-    to preserve it on the basis, to a span residual of ``SPAN_RANK_CUT``.
+    Unital and positive when each rho_gamma is a unital *-endomorphism of
+    the observables.  Given ``obs_algebra``, each rho must fix its unit and,
+    on the elements of :func:`implementing_deviations`, be implemented
+    (so multiplicative) and map into ``obs_algebra``, to ``SPAN_RANK_CUT``.
     """
     a = la.as_complex_matrix(a)
     if obs_algebra is not None:
+        d = obs_algebra.ambient_dim
         for m in morphisms:
-            defect = algebra_preservation_defect(m, obs_algebra)
+            checks = list(implementing_deviations(m, obs_algebra))  # rho(1/sqrt(d)) first
+            defect = max(la.hs_norm(checks[0][0] - np.eye(d) / np.sqrt(d)),
+                         *(max(dev, la.hs_norm(img - obs_algebra.project(img)))
+                           for img, dev in checks))
             if defect > la.SPAN_RANK_CUT:
                 raise ValueError(
-                    f"morphism {m.label!r} leaves the observable algebra "
-                    f"(defect {defect:.3e})"
+                    f"morphism {m.label!r} is no unital *-endomorphism of the "
+                    f"observable algebra (defect {defect:.3e})"
                 )
     return np.array([
         np.trace(vacuum.density @ m.apply(a)) for m in morphisms

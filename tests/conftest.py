@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sectorlab import _linalg as la
-from sectorlab.algebra import generate_algebra
+from sectorlab.algebra import OperatorAlgebra, commutant, generate_algebra
 from sectorlab.groups import rep_from_matrices, symmetric_group
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -65,3 +65,19 @@ def permutation_rep(n: int):
         m[list(p), range(n)] = 1.0
         mats.append(m)
     return rep_from_matrices(symmetric_group(n), mats)
+
+
+def dense_fixed_points(f_alg, rep):
+    """Oracle: F inter U' = (F' union {U(g)})', one dense commutant solve on
+    a basis of F' stacked with the representation matrices."""
+    d = f_alg.ambient_dim
+    mats = np.concatenate([commutant(f_alg).basis, rep.matrices])
+    return OperatorAlgebra(d, la.commutant_basis(mats, d))
+
+
+def assert_same_algebra(alg, oracle):
+    """Same blocks up to order, and each contains the other's generators."""
+    assert sorted(alg.blocks) == sorted(oracle.blocks)
+    for a, b in ((alg, oracle), (oracle, alg)):
+        for g in b.generators:
+            assert a.contains(g) and a.contains(g.conj().T)

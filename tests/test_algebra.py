@@ -22,9 +22,9 @@ from sectorlab.algebra import (
 )
 
 from sectorlab.dhrnet import LatticeNet, haag_duality_check, region_algebra
-from sectorlab.groups import builtin_group, regular_rep, tensor_power_rep
-from sectorlab.models import z2_chain_net, z2_onsite_rep
-from sectorlab.sectors import decompose_sectors
+from sectorlab.groups import builtin_group, fixed_point_algebra, regular_rep, tensor_power_rep
+from sectorlab.models import z2_chain_net, z2_flip_morphism, z2_onsite_rep, z2_vacuum
+from sectorlab.sectors import decompose_sectors, identity_multiplet, k_map
 
 from conftest import SX, SZ, I2, kron_all, permutation_rep
 
@@ -579,3 +579,28 @@ class TestNoBasisAtScale:
         assert (obs.lhs_dim, obs.rhs_dim) == (2 * 4 ** 2, 2 * 4)
         assert field.passes and field.lhs_dim == 4 ** 3
         assert peak < 64
+
+    @pytest.mark.parametrize("region, blocks", [(None, [(128, 1)] * 2), ((1,), [(1, 128)] * 2)],
+                             ids=["full", "1"])
+    def test_fixed_point_algebra_on_eight_sites(self, region, blocks):
+        net = z2_chain_net(8)
+        f = full_matrix_algebra(256) if region is None else region_algebra(net, region)
+        fixed, peak = _peak_mb(lambda: fixed_point_algebra(f, net.global_rep))
+        assert sorted(fixed.blocks) == blocks and peak < 64
+
+    def test_k_map_and_state_distance_on_eight_sites(self):
+        net, vac = z2_chain_net(8), z2_vacuum(8)
+        obs = net.observable_algebra()
+        flipped = State(np.roll(vac.density, (32, 32), axis=(0, 1)))  # site 2 flipped
+        morphisms = [identity_multiplet("id", 256), z2_flip_morphism(net, 2).multiplet]
+        sz2 = kron_all(np.eye(4), SZ, np.eye(32))
+
+        def both():
+            return (k_map(sz2, vac, morphisms, obs_algebra=obs),
+                    state_distance_mod(flipped, vac, obs))
+        (vals, dist), peak = _peak_mb(both)
+        assert np.allclose(vals, [1.0, -1.0]) and peak < 64
+        # every block has n = 1: the values are the entries of W_a* (rho - rho_0) W_a
+        diff = flipped.density - vac.density
+        assert dist == pytest.approx(max(np.abs(w.conj().T @ diff @ w).max()
+                                         for w, _, _ in obs.block_columns()), abs=1e-14)

@@ -5,7 +5,7 @@ import pytest
 
 from sectorlab import _linalg as la
 from sectorlab import channels
-from sectorlab.algebra import State, full_matrix_algebra, vector_state
+from sectorlab.algebra import OperatorAlgebra, State, full_matrix_algebra, vector_state
 from sectorlab.channels import (
     ClassicalQuantumChannel,
     ClassifyingSpace,
@@ -22,6 +22,14 @@ from sectorlab.channels import (
 )
 
 from conftest import SZ, I2
+
+
+def _rotated(evals, seed):
+    """V diag(evals) V* for a seeded random unitary V."""
+    rng = np.random.default_rng(seed)
+    d = len(evals)
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (v * evals) @ v.conj().T
 
 
 @pytest.fixture
@@ -119,6 +127,45 @@ class TestVerifyPositiveUnital:
         alg = full_matrix_algebra(2)
         report = verify_positive_unital(evaluation_matrix(ch.densities(), alg), alg)
         assert report.passed
+
+    @pytest.mark.parametrize("kernel", [
+        np.diag([1.01, -0.01]), np.diag([1.001, -0.001]),
+        _rotated([0.5, 0.3, 0.201, -0.001], seed=0),
+    ], ids=["1e-2", "1e-3", "rotated-4x4"])
+    def test_one_negative_direction_fails(self, kernel):
+        # unital but not positive: random positive samples miss the direction
+        alg = full_matrix_algebra(len(kernel))
+        report = verify_positive_unital(evaluation_matrix([kernel], alg), alg)
+        assert report.unitality_residual <= 1e-12
+        assert not report.passed
+        assert report.positivity_margin == pytest.approx(
+            np.linalg.eigvalsh(kernel).min(), abs=1e-12)
+
+    def test_exact_forms_on_blocks(self, rng):
+        # A = V (M_2 (x) 1_3 (+) M_3) V*; phi = tr(K .) on block a's pure
+        # state v is v* M_a v, M_a[i, j] = tr(K V_a (E_ji (x) 1_n) V_a*)
+        blocks = [(2, 3), (3, 1)]
+        v, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+        alg = OperatorAlgebra.from_blocks(v, blocks)
+        ks = rng.standard_normal((2, 9, 9)) + 1j * rng.standard_normal((2, 9, 9))
+        ks /= np.trace(ks, axis1=1, axis2=2)[:, None, None]
+        table = evaluation_matrix(ks, alg)
+        assert np.abs(table - np.einsum("kij,aji->ka", ks, alg.basis)).max() <= 1e-12
+        forms, start = [], 0
+        for k, n in blocks:
+            va = v[:, start:start + k * n]
+            start += k * n
+            for kern in ks:
+                unit = lambda i, j: np.kron(np.outer(np.eye(k)[j], np.eye(k)[i]), np.eye(n))
+                forms.append(np.array([[np.trace(kern @ va @ unit(i, j) @ va.conj().T)
+                                        for j in range(k)] for i in range(k)]))
+        report = verify_positive_unital(table, alg)
+        assert report.unitality_residual <= 1e-12
+        assert report.positivity_margin == pytest.approx(
+            min(np.linalg.eigvalsh((m + m.conj().T) / 2).min() for m in forms), abs=1e-12)
+        assert report.imag_leakage == pytest.approx(
+            max(np.abs(np.linalg.eigvalsh((m - m.conj().T) / 2j)).max() for m in forms), abs=1e-12)
+        assert not report.passed
 
 
 class TestSeparation:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from sectorlab import _linalg as la, dhrnet
-from sectorlab.algebra import OperatorAlgebra, State, full_matrix_algebra, vector_state
+from sectorlab.algebra import (
+    OperatorAlgebra, State, full_matrix_algebra, generate_algebra, state_distance_mod,
+    vector_state,
+)
+from sectorlab.channels import evaluation_matrix, verify_positive_unital
 from sectorlab.dhrnet import (
     LatticeNet,
     LocalizedMorphism,
@@ -32,12 +36,12 @@ from sectorlab.groups import (
 from sectorlab.models import (
     coupled_chain_hamiltonian, z2_chain_net, z2_onsite_rep, z2_vacuum,
 )
-from sectorlab.sectors import ChargedMultiplet
+from sectorlab.sectors import ChargedMultiplet, k_map
 from sectorlab.thermal import HamiltonianSystem, gibbs_state
 
 from conftest import (
     SX, SY, SZ, I2, assert_observable_generators, assert_same_span, averaged_span,
-    kron_all, permutation_rep,
+    dense_fixed_points, kron_all, permutation_rep,
 )
 
 
@@ -107,7 +111,7 @@ class TestRegionAlgebras:
         algs = {}
         for r in regions:
             alg = region_algebra(net, r, observable=True)
-            oracle = fixed_point_algebra(region_algebra(net, r), net.global_rep)
+            oracle = dense_fixed_points(region_algebra(net, r), net.global_rep)
             _assert_orthonormal_span(alg, oracle)
             algs[r] = alg
         for small, big in itertools.product(regions, repeat=2):
@@ -134,7 +138,7 @@ class TestRegionAlgebras:
         net = LatticeNet(n, onsite)
         obs = net.observable_algebra()
         assert obs.dim == dim
-        oracle = fixed_point_algebra(full_matrix_algebra(net.total_dim), net.global_rep)
+        oracle = dense_fixed_points(full_matrix_algebra(net.total_dim), net.global_rep)
         _assert_orthonormal_span(obs, oracle)
         for u in net.global_rep.matrices:
             assert np.linalg.norm(u @ obs.basis @ u.conj().T - obs.basis) <= 1e-10
@@ -609,6 +613,24 @@ class TestBasisFreeDistance:
         m = localized_morphism(net3, [0], [SX], "f0")
         assert np.allclose(apply_morphism(m, kron_all(SZ, I2, I2)), -kron_all(SZ, I2, I2))
 
+    def test_no_library_path_reads_a_basis(self, net3, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("basis of an algebra built")
+
+        obs, vac = net3.observable_algebra(), z2_vacuum(3)
+        omega = _flip_state(3, (1,))
+        flip = ChargedMultiplet("flip", (kron_all(I2, SX, I2),))
+        diff = np.einsum("kij,ji->k", obs.basis, omega.density - vac.density)
+        monkeypatch.setattr(OperatorAlgebra, "basis", property(forbidden))
+        fixed = fixed_point_algebra(region_algebra(net3, (0, 1)), net3.global_rep)
+        assert fixed.dim == 8
+        fixed.validate()
+        assert np.allclose(k_map(kron_all(SZ, SZ, I2), vac, [flip], obs_algebra=obs), [-1.0])
+        assert state_distance_mod(omega, vac, obs) == pytest.approx(np.abs(diff).max(), abs=1e-14)
+        table = evaluation_matrix([vac.density, omega.density], obs)
+        assert verify_positive_unital(table, obs).passed
+        obs.validate()
+        assert generate_algebra(obs.generators).dim == obs.dim
 
     def test_no_kronecker_nullspace(self, net3, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -35,8 +35,8 @@ from sectorlab.groups import (
 from sectorlab.models import z2_chain_net
 
 from conftest import (
-    SX, SY, SZ, I2, assert_observable_generators, assert_same_span, averaged_span,
-    kron_all, permutation_rep,
+    SX, SY, SZ, I2, assert_observable_generators, assert_same_algebra, assert_same_span,
+    averaged_span, dense_fixed_points, kron_all, permutation_rep,
 )
 
 
@@ -183,6 +183,31 @@ class TestFixedPointAlgebra:
             fixed_point_algebra(OperatorAlgebra(2, p[None], contains_unit=False), z2_rep())
         with pytest.raises(ValueError, match="unital"):
             OperatorAlgebra(2, np.array([p, np.diag([0.0, 0.0])]))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("region", [None, (0, 1), (1,)], ids=["full", "01", "1"])
+    def test_agrees_with_dense_oracle_on_chains(self, n, region):
+        net = z2_chain_net(n)
+        f = full_matrix_algebra(net.total_dim) if region is None else region_algebra(net, region)
+        assert_same_algebra(fixed_point_algebra(f, net.global_rep),
+                            dense_fixed_points(f, net.global_rep))
+
+    @pytest.mark.parametrize("onsite, n", [
+        (regular_rep(builtin_group("symmetric:3")), 2), (permutation_rep(3), 3),
+    ], ids=["s3-regular-2", "s3-permutation-3"])
+    def test_agrees_with_dense_oracle_on_nonabelian_nets(self, onsite, n):
+        rep = tensor_power_rep(onsite, n)
+        f = full_matrix_algebra(rep.dim)
+        fixed = fixed_point_algebra(f, rep)
+        assert_same_algebra(fixed, dense_fixed_points(f, rep))
+        assert fixed.dim == isotypic_decomposition(rep).observable_algebra().dim
+
+    def test_non_invariant_algebra_rejected(self):
+        # the Hadamard swaps Z and X, so it moves the diagonal algebra of M_2
+        hadamard = cyclic_rep_from_unitary((SX + SZ) / np.sqrt(2), 2)
+        diagonal = OperatorAlgebra.from_blocks(np.eye(2), [(1, 1), (1, 1)])
+        with pytest.raises(ValueError, match="onto itself"):
+            fixed_point_algebra(diagonal, hadamard)
 
     def test_commutant_of_fixed_points_is_group_algebra(self):
         rep = tensor_power_rep(z2_rep(), 2)

@@ -108,6 +108,23 @@ class TestKMap:
             k_map(np.eye(4), chain2["vacuum"],
                   [chain2["charge_morphisms"][0], bad], obs_algebra=obs)
 
+    def test_non_unital_multiplet_rejected(self, chain2):
+        # omega_0(rho(1)) = 1/2 for psi = 1 / sqrt(2): omega_0 o rho is no state
+        obs = chain2["decomposition"].observable_algebra()
+        half = ChargedMultiplet("half", (np.eye(4) / np.sqrt(2),))
+        assert k_map(np.eye(4), chain2["vacuum"], [half]) == pytest.approx([0.5])
+        with pytest.raises(ValueError, match="unital"):
+            k_map(np.eye(4), chain2["vacuum"], [half], obs_algebra=obs)
+
+    def test_central_projection_multiplet_rejected(self, chain2):
+        # psi = P, the even projection, implements rho = P . P on the
+        # observables and maps them into themselves, but rho(1) = P
+        dec = chain2["decomposition"]
+        even = ChargedMultiplet("even", (dec.projections[0],))
+        with pytest.raises(ValueError, match="unital"):
+            k_map(np.eye(4), chain2["vacuum"], [even],
+                  obs_algebra=dec.observable_algebra())
+
     def test_positivity(self, chain2, rng):
         for _ in range(25):
             a = la.random_hermitian(rng, 4)
