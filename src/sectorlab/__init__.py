@@ -29,7 +29,7 @@ from .channels import (
     separation_check,
     verify_positive_unital,
 )
-from .config import DEFAULT_SEED, DEFAULT_TOL, DIMENSION_CAP, Tolerances
+from .config import DEFAULT_SEED, DIMENSION_CAP
 from .cuntz import CuntzPolynomial, canonical_endomorphism, fock_matrix, gauge_act
 from .dhrnet import (
     LatticeNet,
@@ -80,7 +80,7 @@ __all__ = [
     "ClassicalQuantumChannel", "ClassifyingSpace", "ProbabilityWeight",
     "apply_cq", "invert_cq", "separation_check", "verify_positive_unital",
     # config
-    "DEFAULT_SEED", "DEFAULT_TOL", "DIMENSION_CAP", "Tolerances",
+    "DEFAULT_SEED", "DIMENSION_CAP",
     # cuntz
     "CuntzPolynomial", "canonical_endomorphism", "fock_matrix", "gauge_act",
     # dhrnet

@@ -6,8 +6,8 @@ orthonormal under the trace inner product <A, B> = tr(A* B).
 
 This module makes every rank, null, eigenvalue-grouping and copy-linkage
 decision of the package, at the fixed cuts below or by numpy's eps rule
-(:func:`eps_rank`); only the grouping gap of :func:`group_eigenvalues` is
-the caller's.
+(:func:`eps_rank`); no caller sets any of them.  Eigenvalues are grouped
+by one rule on one scale, relative to the largest |eigenvalue|.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ GRAM_NULL_CUT = 1e-12
 #: with ``refine``, Gram eigenvalues <= GRAM_WINDOW * max(lambda_max, 1) are
 #: the candidates whose recomputed commutators are cut at SPAN_RANK_CUT
 GRAM_WINDOW = 1e-6
-#: eigenvalues of the commutant's generic element closer than
-#: COMMUTANT_MERGE_GAP * max|eigenvalue| share a block
-COMMUTANT_MERGE_GAP = 1e-8
-#: eigenvalue differences below AMBIGUITY_FLOOR are ties when grouping
+#: sorted eigenvalues more than GROUPING_GAP * max|eigenvalue| apart are in
+#: different groups (eigenspaces, sectors, blocks of the commutant solve)
+GROUPING_GAP = 1e-8
+#: eigenvalue differences <= AMBIGUITY_FLOOR * max|eigenvalue| are ties
 AMBIGUITY_FLOOR = 1e-12
 #: a vector whose part outside a span is <= DEPENDENCE_CUT times its part
 #: inside lies in the span (the column test of Lawson-Hanson NNLS)
@@ -130,39 +130,39 @@ def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
     return scale * (a + a.conj().T) / 2.0
 
 
-def group_eigenvalues(vals: np.ndarray, gap: float):
-    """Partition sorted real eigenvalues into clusters separated by ``gap``.
+def group_eigenvalues(vals: np.ndarray):
+    """Partition real eigenvalues into clusters, in ascending order.
 
-    Returns a list of index arrays.  Raises ``EigenvalueGapError`` when two
-    eigenvalues are closer than ``gap`` but not closer than
-    ``AMBIGUITY_FLOOR``: such a spectrum cannot be clustered reliably and
-    the caller is expected to retry with a fresh random element.
+    With s = max|eigenvalue|, sorted neighbours more than ``GROUPING_GAP`` * s
+    apart start a new cluster and those at most ``AMBIGUITY_FLOOR`` * s
+    apart are ties.  Returns a list of index arrays.  Raises
+    ``EigenvalueGapError`` for a gap between the two: such a spectrum cannot
+    be clustered reliably and the caller is expected to retry with a fresh
+    random element.
     """
     order = np.argsort(vals)
     sv = vals[order]
-    groups: list[list[int]] = [[int(order[0])]]
-    for prev, idx in zip(range(len(sv) - 1), order[1:]):
-        diff = sv[prev + 1] - sv[prev]
-        if diff < AMBIGUITY_FLOOR:
-            groups[-1].append(int(idx))
-        elif diff < gap:
-            raise EigenvalueGapError(
-                f"eigenvalue gap {diff:.3e} between grouping threshold "
-                f"{gap:.1e} and ambiguity floor {AMBIGUITY_FLOOR:.1e}"
-            )
-        else:
-            groups.append([int(idx)])
-    return [np.array(g) for g in groups]
+    scale = max(abs(sv[0]), abs(sv[-1]))
+    diffs = np.diff(sv)
+    ambiguous = (diffs > AMBIGUITY_FLOOR * scale) & (diffs <= GROUPING_GAP * scale)
+    if ambiguous.any():
+        diff = diffs[np.argmax(ambiguous)]
+        raise EigenvalueGapError(
+            f"eigenvalue gap {diff:.3e} between grouping threshold "
+            f"{GROUPING_GAP * scale:.1e} and ambiguity floor "
+            f"{AMBIGUITY_FLOOR * scale:.1e}"
+        )
+    return np.split(order, np.flatnonzero(diffs > GROUPING_GAP * scale) + 1)
 
 
-def eigenspaces(h: np.ndarray, gap: float) -> list[np.ndarray]:
+def eigenspaces(h: np.ndarray) -> list[np.ndarray]:
     """Orthonormal column blocks of the eigenspaces of a Hermitian ``h``.
 
-    One ``eigh``, grouped by :func:`group_eigenvalues` at ``gap`` (whose
+    One ``eigh``, grouped by :func:`group_eigenvalues` (whose
     ``EigenvalueGapError`` propagates); blocks in ascending eigenvalue order.
     """
     evals, evecs = np.linalg.eigh(h)
-    return [evecs[:, g] for g in group_eigenvalues(evals, gap)]
+    return [evecs[:, g] for g in group_eigenvalues(evals)]
 
 
 def copy_leaders(ey: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -188,16 +188,17 @@ def commutant_basis(mats, d: int, refine: bool = False) -> np.ndarray:
     A seeded generic Hermitian element X = (Z + Z*)/2, Z a random complex
     combination of ``mats``, satisfies A' <= {X}', so every solution is
     block-diagonal on X's eigenspaces (Murota, Kanno, Kojima & Kojima,
-    Japan J. Indust. Appl. Math. 27, 2010).  Eigenvalues closer than
-    ``COMMUTANT_MERGE_GAP`` times the largest |eigenvalue| share a block;
-    merging only adds unknowns, so an unlucky X costs time, never
-    correctness.  In X's eigenbasis the n = sum m_a^2 block entries are
-    the only unknowns, and their Gram matrix G = sum_M L_M* L_M of the
-    commutator maps is assembled from the rotated matrices directly.  Its
-    null vectors are the eigenvectors with eigenvalue
-    <= ``GRAM_NULL_CUT`` * max(lambda_max, 1) (squared singular values, so
-    about 1e-6 in singular-value terms).  Placing them into their blocks and
-    rotating back is an isometry, so the result is orthonormal as it stands.
+    Japan J. Indust. Appl. Math. 27, 2010).  Eigenvalues at most
+    ``GROUPING_GAP`` times the largest |eigenvalue| apart share a block, the
+    rule of :func:`group_eigenvalues` without its ambiguity error: merging
+    only adds unknowns, so an unlucky X costs time, never correctness.  In
+    X's eigenbasis the n = sum m_a^2 block entries are the only unknowns,
+    and their Gram matrix G = sum_M L_M* L_M of the commutator maps is
+    assembled from the rotated matrices directly.  Its null vectors are the
+    eigenvectors with eigenvalue <= ``GRAM_NULL_CUT`` * max(lambda_max, 1)
+    (squared singular values, so about 1e-6 in singular-value terms).
+    Placing them into their blocks and rotating back is an isometry, so the
+    result is orthonormal as it stands.
 
     The Gram resolves singular values only to about sqrt(eps), and an
     eigenvalue just above its cut leaves null vectors off by up to
@@ -215,7 +216,7 @@ def commutant_basis(mats, d: int, refine: bool = False) -> np.ndarray:
     z = np.tensordot(coeff, mats, axes=(0, 0))
     evals, q = np.linalg.eigh((z + dagger(z)) / 2)
     scale = max(abs(evals[0]), abs(evals[-1]))
-    cuts = np.flatnonzero(np.diff(evals) > COMMUTANT_MERGE_GAP * scale) + 1
+    cuts = np.flatnonzero(np.diff(evals) > GROUPING_GAP * scale) + 1
     blocks = np.split(np.arange(d), cuts)
     # unknown j is the entry Y[row[j], col[j]] of one diagonal block
     row = np.concatenate([np.repeat(c, c.size) for c in blocks])
@@ -273,4 +274,4 @@ def _refined_null(b, cand, row, col, floor: float) -> np.ndarray:
 
 
 class EigenvalueGapError(RuntimeError):
-    """Spectrum could not be clustered at the configured gap threshold."""
+    """Spectrum could not be clustered at the grouping gap."""

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg as la
-from .config import DEFAULT_TOL, DIMENSION_CAP, SEED_RETRIES, STATE_TOL, rng_from_seed
+from .config import DIMENSION_CAP, SEED_RETRIES, STATE_TOL, rng_from_seed
 
 
 class DimensionCapError(ValueError):
@@ -30,13 +30,14 @@ class GenerationError(RuntimeError):
     """A generated algebra is unresolved or misses one of its generators."""
 
 
-def wedderburn_blocks(draw, leaders, seed: int, gap: float, error, what: str):
+def wedderburn_blocks(draw, leaders, seed: int, error, what: str):
     """Blocks of an algebra from two generic elements h (Hermitian) and y.
 
-    The eigenspaces of h = W (+ X_a (x) 1) W*, grouped at ``gap``, are the
-    copies.  ``leaders(e, starts, ey)``, given their columns ``e`` (copy j
-    in columns ``starts[j]:starts[j + 1]``) and ey = e* y e, names each
-    copy's first copy in its block, or raises ``error`` for the next seed.
+    The eigenspaces of h = W (+ X_a (x) 1) W*, grouped by
+    :func:`~sectorlab._linalg.group_eigenvalues`, are the copies.
+    ``leaders(e, starts, ey)``, given their columns ``e`` (copy j in columns
+    ``starts[j]:starts[j + 1]``) and ey = e* y e, names each copy's first
+    copy in its block, or raises ``error`` for the next seed.
     By Schur's lemma the (copy, leader) part of ey is a multiple of a
     unitary; scaled to norm sqrt(n_a), largest entry real and positive, it
     aligns the copy with its leader (Murota, Kanno, Kojima & Kojima, Japan
@@ -47,7 +48,7 @@ def wedderburn_blocks(draw, leaders, seed: int, gap: float, error, what: str):
     for attempt in range(SEED_RETRIES):
         h, y = draw(rng_from_seed(seed + attempt))
         try:
-            copies = la.eigenspaces(h, gap)
+            copies = la.eigenspaces(h)
             e = np.concatenate(copies, axis=1)
             starts = np.cumsum([0] + [v.shape[1] for v in copies])
             ey = la.dagger(e) @ y @ e
@@ -75,8 +76,8 @@ def algebra_of(draw) -> OperatorAlgebra:
     Hermitian one and a general one: :func:`wedderburn_blocks` with copies
     joining a block when the second links them
     (:func:`~sectorlab._linalg.copy_leaders`)."""
-    found = wedderburn_blocks(draw, _linked_leaders, 0, DEFAULT_TOL.gap,
-                              CentralProjectionError, "Wedderburn decomposition")
+    found = wedderburn_blocks(draw, _linked_leaders, 0, CentralProjectionError,
+                              "Wedderburn decomposition")
     return OperatorAlgebra.from_blocks(np.concatenate([b[0] for b in found], axis=1),
                                        [(k, n) for _, k, n, _ in found])
 

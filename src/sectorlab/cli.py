@@ -21,7 +21,7 @@ from . import serialize as io
 from . import _linalg as la
 from .algebra import CentralProjectionError, DimensionCapError, GenerationError
 from .channels import design_matrix, invert_cq
-from .config import with_overrides
+from .config import CRITERION_TOL
 from .cuntz import ExpressionError, parse_expression
 from .dhrnet import dhr_check, invert_selected_state
 from .groups import IsotypicError
@@ -36,8 +36,7 @@ EXIT_COMPUTATION_FAILED = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev off: "--tol" on subcommands must not be taken for an
-    # abbreviation of the global --tol.* family
+    # allow_abbrev off: every option is spelled out in full
     p = argparse.ArgumentParser(
         prog="sectorlab",
         description="operator-algebra laboratory: sectors, channels, "
@@ -48,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json",
                    help="report rendering")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--tol.gap", dest="tol_gap", type=float, default=None)
-    p.add_argument("--tol.criterion", dest="tol_criterion", type=float, default=None)
 
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -69,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--grid", required=True)
     est.add_argument("--measured", required=True)
     est.add_argument("--hierarchy", required=True)
+    est.add_argument("--tol", type=float, default=CRITERION_TOL)
     est.add_argument("--csv", help="write thermal functions of the finest "
                                    "level's probes here")
 
@@ -78,13 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--net", required=True)
     chk.add_argument("--state", required=True)
     chk.add_argument("--vacuum", required=True)
-    chk.add_argument("--tol", type=float, default=None)
+    chk.add_argument("--tol", type=float, default=CRITERION_TOL)
     chk.add_argument("--all-subsets", action="store_true")
     inv = dhr_sub.add_parser("invert")
     inv.add_argument("--net", required=True)
     inv.add_argument("--state", required=True)
     inv.add_argument("--vacuum", required=True)
-    inv.add_argument("--tol", type=float, default=None)
+    inv.add_argument("--tol", type=float, default=CRITERION_TOL)
 
     cz = sub.add_parser("cuntz", help="word arithmetic")
     cz_sub = cz.add_subparsers(dest="subcommand", required=True)
@@ -100,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     cin.add_argument("--channel", required=True)
     cin.add_argument("--probes", required=True)
     cin.add_argument("--data", required=True)
-    cin.add_argument("--tol", type=float, default=None)
+    cin.add_argument("--tol", type=float, default=CRITERION_TOL)
     cin.add_argument("--design-csv", dest="design_csv",
                      help="export the design matrix for external audit")
 
@@ -149,13 +147,6 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _criterion_tol(args) -> float:
-    explicit = getattr(args, "tol", None)
-    if explicit is not None:
-        return explicit
-    return with_overrides(criterion=args.tol_criterion).criterion
-
-
 def _load_group_arg(value: str):
     """A group argument is either a JSON file or a built-in name (cyclic:2)."""
     if os.path.exists(value):
@@ -171,8 +162,7 @@ def _run_sectors_analyze(args) -> int:
     field = io.algebra_from_json(io.load_json(args.field))
     group = _load_group_arg(args.group)
     rep = io.rep_from_json(io.load_json(args.rep), group=group)
-    tol = with_overrides(gap=args.tol_gap)
-    decomp = decompose_sectors(field, rep, tol=tol, seed=args.seed)
+    decomp = decompose_sectors(field, rep, seed=args.seed)
     report = {
         "labels": list(decomp.labels),
         "dims": [
@@ -203,8 +193,7 @@ def _run_thermal_estimate(args) -> int:
     measured = io.measured_from_json(io.load_json(args.measured))
     hierarchy = io.hierarchy_from_json(io.load_json(args.hierarchy))
     channel = build_thermal_channel(system, grid)
-    crit_tol = _criterion_tol(args)
-    report = hierarchy_report(measured, hierarchy, channel, tol=crit_tol)
+    report = hierarchy_report(measured, hierarchy, channel, tol=args.tol)
     payload = {
         "levels": [
             {
@@ -247,8 +236,7 @@ def _run_dhr_check(args) -> int:
     net = io.net_from_json(io.load_json(args.net))
     omega = io.state_from_json(io.load_json(args.state))
     vacuum = io.state_from_json(io.load_json(args.vacuum))
-    crit_tol = _criterion_tol(args)
-    report = dhr_check(omega, vacuum, net, tol=crit_tol,
+    report = dhr_check(omega, vacuum, net, tol=args.tol,
                        all_subsets=args.all_subsets)
     payload = {
         "passes": report.passes,
@@ -266,8 +254,7 @@ def _run_dhr_invert(args) -> int:
     net = io.net_from_json(io.load_json(args.net))
     omega = io.state_from_json(io.load_json(args.state))
     vacuum = io.state_from_json(io.load_json(args.vacuum))
-    crit_tol = _criterion_tol(args)
-    result = invert_selected_state(omega, vacuum, net, tol=crit_tol)
+    result = invert_selected_state(omega, vacuum, net, tol=args.tol)
     payload = {
         "found": result.found,
         "region": None if result.region is None else list(result.region),
@@ -318,7 +305,6 @@ def _run_channels_invert(args) -> int:
         raise io.InputFormatError(f"data missing probe values: {missing}")
     mats = [m for _, m in probes]
     data = np.array([measured[n] for n, _ in probes])
-    crit_tol = _criterion_tol(args)
     result = invert_cq(channel, mats, data)
     payload = {
         "labels": [io._label_to_json(l) for l in channel.space.labels],
@@ -340,7 +326,7 @@ def _run_channels_invert(args) -> int:
                 for j, (name, _) in enumerate(probes)]
         with open(args.design_csv, "w") as fh:
             fh.write(io.format_csv(rows, header))
-    return EXIT_OK if result.residual <= crit_tol else EXIT_REJECTED
+    return EXIT_OK if result.residual <= args.tol else EXIT_REJECTED
 
 
 def _run_examples_init(args) -> int:

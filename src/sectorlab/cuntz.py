@@ -5,10 +5,10 @@ followed by an annihilation string, psi_mu psi_nu*.  Multiplication
 contracts by prefix matching (psi_i* psi_j = delta_ij); the completeness
 relation sum_i psi_i psi_i* = 1 is applied as a one-directional
 simplification that collapses a literal full sum with equal coefficients
-into its parent word.  This gives normal forms without general
-rewriting machinery; it is a convention of the representation, not a
-canonical form for the underlying algebra element (see
-:func:`_contract_full_sums` for the order it depends on).
+into its parent word, deepest sums first.  This gives normal forms
+without general rewriting machinery; a normal form is a function of the
+term map (not of its order), but not a canonical form for the underlying
+algebra element: 1 + 2 s1 s1* and 3 s1 s1* + s2 s2* are one element.
 
 Coefficients stay exact complex rationals as long as every input is
 rational; any float input switches the polynomial to floating mode.
@@ -122,48 +122,48 @@ def _is_exact_scalar(c) -> bool:
 
 def _contract_full_sums(d: int, terms: dict) -> dict:
     """Collapse every literal complete sum psi_{mu i} psi_{nu i}* with equal
-    coefficients into its parent word, repeatedly to a fixpoint.
+    coefficients into its parent word psi_mu psi_nu*, deepest families first.
 
-    Groups never overlap (the parent of a word is unique), but a family
-    and the family of its parent can both qualify in one pass; then the
-    normal form depends on the order of ``terms``:
-    s1 s1* + s2 s2* + 2 s1 s1 s1* s1* + 2 s1 s2 s2* s1* gives 1 + 2 s1 s1*
-    when its first two words come first and 3 s1 s1* + s2 s2* otherwise.
-    The kernels insert words in the order of term-by-term accumulation.
+    The parent of a word is unique, so the families of one depth are
+    disjoint, and merging one changes only its parent, two letters shorter:
+    after the families of depth n, only those of depth n - 2 can gain or
+    lose kids.  One pass from the deepest families up is therefore complete,
+    and its result depends only on the term map, not on its order:
+    s1 s1* + s2 s2* + 2 s1 s1 s1* s1* + 2 s1 s2 s2* s1* gives
+    3 s1 s1* + s2 s2* however its terms are ordered.
     """
-    letters = set(range(1, d + 1))
-    while True:
-        families: dict[CuntzWord, list[CuntzWord]] = {}
-        for w in terms:
-            if w.mu and w.nu and w.mu[-1] == w.nu[-1]:
-                parent = CuntzWord(w.mu[:-1], w.nu[:-1])
-                families.setdefault(parent, []).append(w)
-        applied = False
-        for parent, kids in families.items():
-            if len(kids) != d:
-                continue
-            if {w.mu[-1] for w in kids} != letters:
-                continue
-            if any(w not in terms for w in kids):
-                # a kid cancelled as the parent of a family merged earlier in
-                # this pass; the next pass reads the family again
-                continue
-            coeffs = [terms[w] for w in kids]
-            if any(c != coeffs[0] for c in coeffs[1:]):
+    counts: dict[CuntzWord, int] = {}
+    for w in terms:
+        if w.mu and w.nu and w.mu[-1] == w.nu[-1]:
+            parent = CuntzWord(w.mu[:-1], w.nu[:-1])
+            counts[parent] = counts.get(parent, 0) + 1
+    # parents whose family may be complete, by depth len(mu) + len(nu)
+    pending: dict[int, list[CuntzWord]] = {}
+    for parent, n in counts.items():
+        if n == d:
+            pending.setdefault(len(parent.mu) + len(parent.nu), []).append(parent)
+    if not pending:
+        return terms
+    letters = range(1, d + 1)
+    for depth in range(max(pending), -1, -1):
+        for parent in pending.pop(depth, ()):
+            kids = [CuntzWord(parent.mu + (i,), parent.nu + (i,)) for i in letters]
+            c = terms.get(kids[0])
+            if c is None or any(terms.get(w) != c for w in kids[1:]):
                 continue
             for w in kids:
                 del terms[w]
-            if parent in terms:
-                merged = terms[parent] + coeffs[0]
-                if merged:
-                    terms[parent] = merged
-                else:
-                    del terms[parent]
+            old = terms.get(parent)
+            merged = c if old is None else old + c
+            if merged:
+                terms[parent] = merged
             else:
-                terms[parent] = coeffs[0]
-            applied = True
-        if not applied:
-            return terms
+                del terms[parent]
+            if old is None and parent.mu and parent.nu and parent.mu[-1] == parent.nu[-1]:
+                # a new kid may complete its own parent's family
+                grand = CuntzWord(parent.mu[:-1], parent.nu[:-1])
+                pending.setdefault(depth - 2, []).append(grand)
+    return terms
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from .algebra import (
     full_matrix_algebra,
     scalar_algebra,
 )
-from .config import DIMENSION_CAP
+from .config import CRITERION_TOL, DIMENSION_CAP
 from .groups import (
     UnitaryRep,
     _intertwiners,
@@ -220,7 +220,7 @@ def dhr_check(
     omega: State,
     omega0: State,
     net: LatticeNet,
-    tol: float = 1e-8,
+    tol: float = CRITERION_TOL,
     all_subsets: bool = False,
 ) -> DhrReport:
     """Locality criterion: does omega match the vacuum outside some region?
@@ -461,7 +461,7 @@ def invert_selected_state(
     omega0: State,
     net: LatticeNet,
     candidates: list[tuple[str, np.ndarray]] | None = None,
-    tol: float = 1e-8,
+    tol: float = CRITERION_TOL,
 ) -> InversionSearchReport:
     """Search for a localized morphism rho with omega = omega_0 o rho.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, algebra_of, wedderburn_blocks
-from .config import DEFAULT_SEED, DEFAULT_TOL, Tolerances, rng_from_seed
+from .config import DEFAULT_SEED, rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -385,19 +385,16 @@ def _character_sort_key(irrep: np.ndarray):
     )
 
 
-def isotypic_decomposition(
-    rep: UnitaryRep,
-    tol: Tolerances | None = None,
-    seed: int = 0,
-) -> SectorDecomposition:
+def isotypic_decomposition(rep: UnitaryRep, seed: int = 0) -> SectorDecomposition:
     """Decompose a representation into isotypic blocks H_gamma (x) V_gamma.
 
     The blocks of the commutant U' by :func:`~sectorlab.algebra.wedderburn_blocks`:
     the generic Hermitian element is the group average K of a random
-    Hermitian matrix, whose eigenspaces, grouped at the gap threshold, are
-    the irreducible copies.  The characters chi_j(g) = tr V_j* U(g) V_j of
-    the copies come from the diagonal of V* U(g) V alone; every copy must
-    have <chi_j, chi_j> = |G|, else the next seed is tried.  These inner
+    Hermitian matrix, whose eigenspaces (grouped by
+    :func:`~sectorlab._linalg.group_eigenvalues`) are the irreducible
+    copies.  The characters chi_j(g) = tr V_j* U(g) V_j of the copies come
+    from the diagonal of V* U(g) V alone; every copy must have
+    <chi_j, chi_j> = |G|, else the next seed is tried.  These inner
     products are integers, so copies with <chi_i, chi_j> / |G| > 1/2 form
     one sector, exactly.  The copies are aligned with the group average of
     a random complex matrix.  Labels are canonical: sorted by irrep
@@ -405,7 +402,6 @@ def isotypic_decomposition(
     lexicographic order (the trivial irrep sorts first among
     one-dimensional labels).
     """
-    t = tol or DEFAULT_TOL
     d = rep.dim
     n = rep.group.order
     seen = {}
@@ -426,7 +422,7 @@ def isotypic_decomposition(
         # each copy's sector is led by the first copy equivalent to it
         return np.argmax(overlaps > 0.5, axis=0)
 
-    found = wedderburn_blocks(draw, leaders, seed, t.gap, IsotypicError,
+    found = wedderburn_blocks(draw, leaders, seed, IsotypicError,
                               "isotypic decomposition")
     e, starts, ue = seen["e"], seen["starts"], seen["ue"]
     sectors = []

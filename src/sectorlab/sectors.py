@@ -21,7 +21,6 @@ from .channels import (
     ClassifyingSpace,
     ProbabilityWeight,
 )
-from .config import Tolerances
 from .groups import SectorDecomposition, UnitaryRep, average, isotypic_decomposition
 
 #: a charge distribution is a probability weight over sector labels
@@ -32,12 +31,8 @@ def charge_space(decomp: SectorDecomposition) -> ClassifyingSpace:
     return ClassifyingSpace(decomp.labels)
 
 
-def decompose_sectors(
-    f_alg: OperatorAlgebra,
-    rep: UnitaryRep,
-    tol: Tolerances | None = None,
-    seed: int = 0,
-) -> SectorDecomposition:
+def decompose_sectors(f_alg: OperatorAlgebra, rep: UnitaryRep,
+                      seed: int = 0) -> SectorDecomposition:
     """Sector decomposition of a symmetry acting on a field algebra.
 
     The observable algebra is the fixed-point algebra of the action; for a
@@ -51,7 +46,7 @@ def decompose_sectors(
     """
     if rep.dim != f_alg.ambient_dim:
         raise ValueError("representation and field algebra dimensions differ")
-    dec = isotypic_decomposition(rep, tol, seed)
+    dec = isotypic_decomposition(rep, seed)
     full = f_alg.dim == f_alg.ambient_dim ** 2
     return replace(dec, field_algebra_full=full)
 

@@ -23,7 +23,7 @@ from .channels import (
     InversionResult,
     invert_cq,
 )
-from .config import rng_from_seed
+from .config import CRITERION_TOL, rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def s_thermal_check(
     measured: Mapping[str, float],
     level: ProbeSet,
     channel: ClassicalQuantumChannel,
-    tol: float = 1e-8,
+    tol: float = CRITERION_TOL,
     level_name: str = "",
 ) -> ThermalVerdict:
     """Test whether the measured expectations look thermal at this level.
@@ -357,7 +357,7 @@ def hierarchy_report(
     measured: Mapping[str, float],
     hierarchy: ObservableHierarchy,
     channel: ClassicalQuantumChannel,
-    tol: float = 1e-8,
+    tol: float = CRITERION_TOL,
 ) -> HierarchyReport:
     """Run the thermality check at every level of the hierarchy.
 

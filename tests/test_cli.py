@@ -212,6 +212,26 @@ class TestCliCommands:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["max_accepted_level"] is None
 
+    def test_thermal_estimate_tol_below_the_residual_rejects(self, example_tree, tmp_path):
+        # a unit value off by 1e-10 leaves that residual at every level:
+        # accepted at the default 1e-8, rejected at --tol 1e-12
+        d = example_tree / "gibbs_two_level"
+        measured = io.load_json(d / "measured.json")
+        measured["values"]["unit"] = 1.0 + 1e-10
+        (tmp_path / "measured.json").write_text(json.dumps(measured))
+        args = ["thermal", "estimate", "--system", str(d / "system.json"),
+                "--grid", str(d / "grid.json"), "--measured", str(tmp_path / "measured.json"),
+                "--hierarchy", str(d / "hierarchy.json")]
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        levels = json.loads(proc.stdout)["levels"]
+        assert all(1e-12 < v["residual"] <= 1e-8 for v in levels)
+        proc = run_cli(*args, "--tol", "1e-12")
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["max_accepted_level"] is None
+        assert all(v["tolerance"] == 1e-12 for v in report["levels"])
+
     def test_thermal_estimate_reports_rank_and_sigma_min(self, example_tree, capsys):
         d = example_tree / "moment_grid_12"
         args = ["thermal", "estimate", "--system", str(d / "system.json"),
@@ -407,7 +427,8 @@ class TestExitCodes:
         assert err.startswith("error: computation failed: ")
         assert (str(error) or type(error).__name__) in err
 
-    @pytest.mark.parametrize("flag", ["--tol.rank", "--tol.state"])
+    @pytest.mark.parametrize("flag", ["--tol.rank", "--tol.state", "--tol.gap",
+                                      "--tol.criterion"])
     def test_removed_tolerance_flags_exit_2(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([f"{flag}=1e-9", "cuntz", "nf", "--d", "2", "--expr", "s1"])

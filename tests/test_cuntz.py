@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -81,6 +83,72 @@ class TestRelations:
         assert P.build(2, kids_first) == P.word(2, (2,), (2,))
         assert P.build(1, {CuntzWord((1, 1), (1, 1)): -1,
                            CuntzWord((1,), (1,)): 1}).is_zero()
+
+
+def family_rich_terms(rng, d):
+    """A term map with complete families under random parents, two deep at
+    random, the parents' own families complete too at random, and a few
+    stray words; small integer coefficients, so equal ones are common."""
+    def coeff():
+        return QRat.of(int(rng.choice([-2, -1, 1, 2])))
+
+    terms = {}
+    for _ in range(int(rng.integers(1, 4))):
+        base = random_word(rng, d, 1)
+        x = int(rng.integers(1, d + 1))
+        if rng.integers(0, 2):
+            c = coeff()
+            for i in range(1, d + 1):
+                terms[CuntzWord(base.mu + (i,), base.nu + (i,))] = c
+        c = coeff()
+        for tail in itertools.product(range(1, d + 1), repeat=int(rng.integers(1, 3))):
+            terms[CuntzWord(base.mu + (x,) + tail, base.nu + (x,) + tail)] = c
+    for _ in range(int(rng.integers(0, 4))):
+        terms[random_word(rng, d, 3)] = coeff()
+    return terms
+
+
+def shuffled(rng, terms):
+    items = list(terms.items())
+    return dict(items[i] for i in rng.permutation(len(items)))
+
+
+class TestContractionOrder:
+    FOUND = {CuntzWord((1,), (1,)): 1, CuntzWord((2,), (2,)): 1,
+             CuntzWord((1, 1), (1, 1)): 2, CuntzWord((1, 2), (1, 2)): 2}
+
+    def test_every_order_of_a_family_and_its_parents_family(self):
+        # both families qualify; the deeper one is contracted first
+        forms = [P.build(2, dict(order)) for order in itertools.permutations(self.FOUND.items())]
+        assert len(forms) == 24
+        assert {str(p) for p in forms} == {"3 s1 s1* + s2 s2*"}
+        assert all(p == forms[0] for p in forms)
+
+    def test_random_family_rich_maps(self, rng):
+        for _ in range(300):
+            d = int(rng.integers(1, 4))
+            terms = family_rich_terms(rng, d)
+            first = P.build(d, dict(terms))
+            for _ in range(4):
+                again = P.build(d, shuffled(rng, terms))
+                assert again == first and str(again) == str(first)
+
+    def test_normal_form_agrees_with_the_fock_oracle(self, rng):
+        # contracting c (sum_i psi_{mu i} psi_{nu i}*) to c psi_mu psi_nu*
+        # changes the element by c psi_mu (1 - sum_i psi_i psi_i*) psi_nu*,
+        # which on the Fock space is c |mu><nu|: it acts only on the string
+        # nu, shorter than the longest word L of the map.  So the map and its
+        # normal form agree on every column of a string of length >= L
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            terms = family_rich_terms(rng, d)
+            raw = P(d, dict(terms), True)
+            nf = P.build(d, dict(terms))
+            top = raw.max_word_length()
+            level = 2 * top + 1
+            long_cols = fock_dimension(d, top - 1) if top else 0
+            diff = fock_matrix(raw, level) - fock_matrix(nf, level)
+            assert abs(diff[:, long_cols:]).max() == 0
 
 
 class TestAlgebraLaws:

@@ -61,6 +61,7 @@ def test_refined_null_cut(factor, dim):
 
 @pytest.mark.parametrize("factor, dim", [(INSIDE, 4), (OUTSIDE, 2)])
 def test_commutant_merge_gap(factor, dim):
+    # GROUPING_GAP in the commutant solve, which merges instead of raising.
     # X = diag(Re c1, Re c1 + Re c2 eps): merged, the off-diagonal units are
     # unknowns whose Gram eigenvalue eps^2 is below the null cut; split,
     # they are not solved for
@@ -80,12 +81,33 @@ def test_copy_linkage_cut(factor, leaders):
     assert la.copy_leaders(ey, np.array([0, 1, 2, 3])).tolist() == leaders
 
 
+@pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("factor", [INSIDE, OUTSIDE])
+def test_grouping_gap(scale, factor):
+    # sorted eigenvalues more than 1e-8 * max|eigenvalue| apart split; a gap
+    # inside that and above the ambiguity floor raises, at every scale
+    vals = scale * np.array([-1.0, 0.0, factor * 1e-8])
+    if factor == OUTSIDE:
+        assert [g.tolist() for g in la.group_eigenvalues(vals)] == [[0], [1], [2]]
+    else:
+        with pytest.raises(la.EigenvalueGapError):
+            la.group_eigenvalues(vals)
+
+
 def test_ambiguity_floor():
-    inside = INSIDE * 1e-12
-    groups = la.group_eigenvalues(np.array([0.0, inside, 1.0]), 1e-8)
-    assert [g.tolist() for g in groups] == [[0, 1], [2]]
-    with pytest.raises(la.EigenvalueGapError):
-        la.group_eigenvalues(np.array([0.0, OUTSIDE * 1e-12, 1.0]), 1e-8)
+    # differences up to 1e-12 * max|eigenvalue| are ties, at every scale
+    for scale in (0.25, 1.0, 4.0):
+        inside = scale * np.array([0.0, INSIDE * 1e-12, 1.0])
+        groups = la.group_eigenvalues(inside)
+        assert [g.tolist() for g in groups] == [[0, 1], [2]]
+        with pytest.raises(la.EigenvalueGapError):
+            la.group_eigenvalues(scale * np.array([0.0, OUTSIDE * 1e-12, 1.0]))
+
+
+@pytest.mark.parametrize("value", [2.5, 0.0])
+def test_equal_spectrum_is_one_group(value):
+    groups = la.group_eigenvalues(np.full(4, value))
+    assert [g.tolist() for g in groups] == [[0, 1, 2, 3]]
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (2, 5)])
