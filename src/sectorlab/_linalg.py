@@ -19,12 +19,11 @@ from .config import DEFAULT_SEED, rng_from_seed
 #: singular values above SPAN_RANK_CUT * max(sigma_max, 1) span; also the
 #: relative residual of span membership
 SPAN_RANK_CUT = 1e-9
-#: commutant Gram eigenvalues <= GRAM_NULL_CUT * max(lambda_max, 1) are null;
 #: a generic element links two copies of an algebra's block when the squared
 #: norm of its part between them is above GRAM_NULL_CUT times its own
 GRAM_NULL_CUT = 1e-12
-#: with ``refine``, Gram eigenvalues <= GRAM_WINDOW * max(lambda_max, 1) are
-#: the candidates whose recomputed commutators are cut at SPAN_RANK_CUT
+#: commutant Gram eigenvalues <= GRAM_WINDOW * max(lambda_max, 1) are the
+#: candidates whose recomputed commutators are cut at SPAN_RANK_CUT
 GRAM_WINDOW = 1e-6
 #: sorted eigenvalues more than GROUPING_GAP * max|eigenvalue| apart are in
 #: different groups (eigenspaces, sectors, blocks of the commutant solve)
@@ -182,7 +181,7 @@ def copy_leaders(ey: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(linked.any(axis=0), np.argmax(linked, axis=0), -1)
 
 
-def commutant_basis(mats, d: int, refine: bool = False) -> np.ndarray:
+def commutant_basis(mats, d: int) -> np.ndarray:
     """Orthonormal basis of {Y : [Y, M] = 0 for every M in ``mats``}.
 
     A seeded generic Hermitian element X = (Z + Z*)/2, Z a random complex
@@ -194,21 +193,17 @@ def commutant_basis(mats, d: int, refine: bool = False) -> np.ndarray:
     only adds unknowns, so an unlucky X costs time, never correctness.  In
     X's eigenbasis the n = sum m_a^2 block entries are the only unknowns,
     and their Gram matrix G = sum_M L_M* L_M of the commutator maps is
-    assembled from the rotated matrices directly.  Its null vectors are the
-    eigenvectors with eigenvalue <= ``GRAM_NULL_CUT`` * max(lambda_max, 1)
-    (squared singular values, so about 1e-6 in singular-value terms).
-    Placing them into their blocks and rotating back is an isometry, so the
-    result is orthonormal as it stands.
-
-    The Gram resolves singular values only to about sqrt(eps), and an
-    eigenvalue just above its cut leaves null vectors off by up to
-    eps / GRAM_NULL_CUT.  With ``refine``, the eigenvectors up to
-    ``GRAM_WINDOW`` * max(lambda_max, 1) are candidates: their commutators
-    are recomputed from ``mats`` and their null space is cut at
+    assembled from the rotated matrices directly.  It resolves singular
+    values only to about sqrt(eps) and its entries carry rounding errors of
+    eps * lambda_max, so its eigenvectors with eigenvalue <= ``GRAM_WINDOW``
+    * max(lambda_max, 1) are only candidates: their commutators are
+    recomputed from ``mats`` and their null space is cut at
     ``SPAN_RANK_CUT`` * max(sigma_max, 1), as a span would be, with null
-    vectors off by about eps / GRAM_WINDOW.  This costs (candidates) x
-    len(mats) x d^3 and is meant for a few matrices of unit scale, such as
-    an orthonormal generating set.
+    vectors off by about eps / GRAM_WINDOW.  Placing them into their blocks
+    and rotating back is an isometry, so the result is orthonormal as it
+    stands.  The recomputation costs (candidates) x len(mats) x d^3; the
+    solve is meant for a few matrices of unit scale, such as an orthonormal
+    generating set.
     """
     mats = np.asarray(list(mats), dtype=complex)
     rng = rng_from_seed(DEFAULT_SEED)
@@ -239,38 +234,25 @@ def commutant_basis(mats, d: int, refine: bool = False) -> np.ndarray:
     gram -= t + dagger(t)
     lam, vecs = np.linalg.eigh(gram)
     floor = max(float(lam[-1]), 1.0)
-    if refine:
-        null = _refined_null(b, vecs[:, lam <= GRAM_WINDOW * floor], row, col, floor)
-    else:
-        null = vecs[:, lam <= GRAM_NULL_CUT * floor]
-    y = np.zeros((null.shape[1], d, d), dtype=complex)
-    y[:, row, col] = null.T
-    return q @ y @ dagger(q)
-
-
-def _refined_null(b, cand, row, col, floor: float) -> np.ndarray:
-    """The null space, within the candidate columns ``cand``, of the
-    commutators with the stack ``b``, at the span cut on singular values.
-
-    The commutators are recomputed from the matrices, not read off the Gram
-    matrix, whose entries carry rounding errors of eps * lambda_max.
-    """
-    c, d = cand.shape[1], b.shape[-1]
-    y = np.zeros((c, d, d), dtype=complex)
-    y[:, row, col] = cand.T
+    null = vecs[:, lam <= GRAM_WINDOW * floor]
+    c = null.shape[1]
+    cand = np.zeros((c, d, d), dtype=complex)
+    cand[:, row, col] = null.T
     step = max(1, (1 << 20) // max(1, c * d * d))
 
     def comms():  # rows: the candidates; columns: their commutators, chunked
-        for lo in range(0, b.shape[0], step):
+        for lo in range(0, k, step):
             chunk = b[lo:lo + step, None]
-            yield (chunk @ y - y @ chunk).transpose(1, 0, 2, 3).reshape(c, -1)
+            yield (chunk @ cand - cand @ chunk).transpose(1, 0, 2, 3).reshape(c, -1)
 
     cut = SPAN_RANK_CUT ** 2 * floor
     # when the candidates' commutators together are under the cut, so is each
-    if sum(np.vdot(r, r).real for r in comms()) <= cut:
-        return cand
-    mu, u = np.linalg.eigh(sum(r.conj() @ r.T for r in comms()))
-    return cand @ u[:, mu <= cut]
+    if sum(np.vdot(r, r).real for r in comms()) > cut:
+        mu, u = np.linalg.eigh(sum(r.conj() @ r.T for r in comms()))
+        null = null @ u[:, mu <= cut]
+    y = np.zeros((null.shape[1], d, d), dtype=complex)
+    y[:, row, col] = null.T
+    return q @ y @ dagger(q)
 
 
 class EigenvalueGapError(RuntimeError):

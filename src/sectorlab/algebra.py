@@ -290,7 +290,7 @@ def generate_algebra(generators) -> OperatorAlgebra:
         raise DimensionCapError(f"ambient dimension {d} exceeds cap {DIMENSION_CAP}")
 
     span = la.orthonormalize_mats(np.array([*gens, np.eye(d), *(la.dagger(g) for g in gens)]))
-    first = la.commutant_basis(span, d, refine=True)
+    first = la.commutant_basis(span, d)
     try:
         alg = commutant(OperatorAlgebra(d, first))
     except (ValueError, CentralProjectionError) as err:
@@ -336,13 +336,14 @@ def minimal_central_projections(alg: OperatorAlgebra) -> list[np.ndarray]:
 def state_distance_mod(
     omega1: State, omega2: State, sub: OperatorAlgebra
 ) -> float:
-    """max_B |omega1(B) - omega2(B)| over the matrix units B of ``sub``.
-
-    Zero exactly when the two states agree on the subalgebra; a pseudo-metric
-    on states for fixed ``sub``.  The values are the block partial traces
-    of the density difference (:meth:`OperatorAlgebra.partial_traces`).
+    """Norm of omega1 - omega2 restricted to ``sub``: sup |omega1(B) - omega2(B)|
+    over B in ``sub`` with ||B|| <= 1, the trace norm of the projection
+    W (+ t_a / n_a (x) 1_n) W* of the density difference onto ``sub`` (as
+    :func:`~sectorlab.dhrnet.dhr_check`): the sum of the trace norms of the
+    partial traces t_a.  Zero exactly when the states agree on ``sub``; a
+    pseudo-metric for fixed ``sub``, independent of its Wedderburn unitary.
     """
     if omega1.dim != omega2.dim or omega1.dim != sub.ambient_dim:
         raise ValueError("states and subalgebra must share the ambient dimension")
     diff = omega1.density - omega2.density
-    return max(float(np.abs(t).max() / np.sqrt(n)) for _, _, n, t in sub.partial_traces(diff))
+    return float(sum(np.linalg.norm(t, "nuc") for *_, t in sub.partial_traces(diff)))

@@ -79,7 +79,7 @@ class LatticeNet:
         The commutant of ``global_rep``, held as the Wedderburn data of its
         isotypic decomposition, whose eigenvalue grouping sets the
         dimension (``IsotypicError`` when it stays ambiguous).  Morphism
-        checks and intertwiners read only its two generators.
+        checks read only its two generators.
         """
         return self._observable_algebra
 
@@ -354,12 +354,18 @@ def selected_state(morph: LocalizedMorphism, omega0: State) -> State:
     return State(rho, label=f"W({morph.label})")
 
 
+def _check_same_net(m1: LocalizedMorphism, m2: LocalizedMorphism) -> None:
+    """``ValueError`` unless the nets have one length and one on-site action."""
+    if m1.net.n_sites != m2.net.n_sites or not np.array_equal(
+            m1.net.onsite_rep.matrices, m2.net.onsite_rep.matrices):
+        raise ValueError("morphisms live on different nets")
+
+
 def compose_morphisms(
     m1: LocalizedMorphism, m2: LocalizedMorphism, label: str | None = None
 ) -> LocalizedMorphism:
     """Composition (doubling as the monoidal product of the category)."""
-    if m1.net is not m2.net and m1.net != m2.net:
-        raise ValueError("morphisms live on different nets")
+    _check_same_net(m1, m2)
     mats = tuple(
         a @ b for a in m1.multiplet.matrices for b in m2.multiplet.matrices
     )
@@ -375,25 +381,24 @@ def solve_intertwiners(
 ) -> list[np.ndarray]:
     """Basis of {T observable : T rho(A) = sigma(A) T on the whole algebra}.
 
-    The lower-left block of the commutant of the pairs rho(A) (+) sigma(A),
-    for A in the net's two observable generators and their adjoints,
-    together with U(g) (+) U(g), which makes T commute with the symmetry,
-    i.e. observable.  Precondition: rho and sigma are *-homomorphisms of
-    the observables (what :meth:`LocalizedMorphism.validate` checks); then
-    T intertwines on the generators exactly when it intertwines on every
-    product of them, so no observable basis is needed.  An empty result
-    means the morphisms are disjoint (no common sector content); the
-    returned basis is orthonormal under the trace inner product.
-    Composition closure (rho->sigma times sigma->tau lands in rho->tau) is
-    a property the test suite asserts.
+    :func:`~sectorlab.groups._intertwiners` of pi(A) U(G), pi = rho (+) sigma:
+    its commutant holds the T that intertwine and commute with U (are
+    observable), and sum_g pi(a_g) U(g), a_g group averages of random complex
+    matrices, is generic in it.  Precondition: rho and sigma are unital
+    *-homomorphisms of A = U' into A (:meth:`LocalizedMorphism.validate`), so
+    U(g) commutes with pi(A) and pi(A) U(G) is a *-algebra.  ``ValueError``
+    for morphisms on different nets.  An empty result means the morphisms
+    are disjoint; the basis is orthonormal under the trace inner product.
     """
-    net = rho.net
-    gens = net.observable_algebra().generators
-    seeds = [*gens, *(la.dagger(g) for g in gens)]
-    group = net.global_rep.matrices
-    m1 = np.concatenate([[rho.apply_raw(a) for a in seeds], group])
-    m2 = np.concatenate([[sigma.apply_raw(a) for a in seeds], group])
-    return list(_intertwiners(m1, m2))
+    _check_same_net(rho, sigma)
+    rep = rho.net.global_rep
+
+    def element(rng):
+        shape = (rep.group.order, rep.dim, rep.dim)
+        a = [average(z, rep) for z in rng.standard_normal(shape) + 1j * rng.standard_normal(shape)]
+        return [sum(m.apply_raw(ag) @ u for ag, u in zip(a, rep.matrices)) for m in (rho, sigma)]
+
+    return list(_intertwiners(element, rep.dim))
 
 
 @dataclass(frozen=True)

@@ -271,36 +271,48 @@ def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlge
     return algebra_of(draw)
 
 
-def _intertwiners(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (k, d2, d1) of {S : S m1[i] = m2[i] S for every i}.
+def _intertwiners(element, d1: int) -> np.ndarray:
+    """Orthonormal basis (k, d2, d1) of {S : S x1 = x2 S for every (x1, x2) in B}.
 
-    The commutant of the pairs m1[i] (+) m2[i] splits into four blocks
-    that solve their own equations; its lower-left d2 x d1 block is this
-    space, orthonormalised by the SVD rank cut of ``row_space``.  The
-    commutant solve needs the pairs to span a *-closed space, as they do
-    for two unitary representations of one group, or for the images of a
-    *-closed span under two *-maps.
+    ``element(rng)`` returns a generic element of a *-algebra B as the pair
+    (x1, x2) of its actions on C^d1 and C^d2.  The space is P2 B' P1, P1 the
+    projection onto C^d1, and B' = W (+ 1_k (x) M_n) W* (Wedderburn data by
+    :func:`~sectorlab.algebra.algebra_of`).  P1 acts on every copy of a block
+    as one n x n projection p (eigenvalues 0 or 1 up to rounding, split at
+    1/2).  In p's eigenbasis the units sum_i |copy i, l2><copy i, l1| / sqrt(k)
+    with p(l1) = 1, p(l2) = 0 are an orthonormal basis of P2 B' P1.
     """
-    m1 = np.asarray(m1, dtype=complex)
-    m2 = np.asarray(m2, dtype=complex)
-    d1, d2 = m1.shape[-1], m2.shape[-1]
-    pairs = np.zeros((len(m1), d1 + d2, d1 + d2), dtype=complex)
-    pairs[:, :d1, :d1] = m1
-    pairs[:, d1:, d1:] = m2
-    lower = la.commutant_basis(pairs, d1 + d2)[:, d1:, :d1]
-    return la.row_space(lower.reshape(len(lower), -1)).reshape(-1, d2, d1)
+    def draw(rng):
+        (x1, x2), (y1, y2) = element(rng), element(rng)
+        z = np.zeros((d1, len(x2)))
+        return (np.block([[x1 + la.dagger(x1), z], [z.T, x2 + la.dagger(x2)]]) / 2,
+                np.block([[y1, z], [z.T, y2]]))
+
+    alg = algebra_of(draw)
+    units = []
+    for w, k, n in alg.block_columns():
+        mu, u = np.linalg.eigh(la.dagger(w[:d1, :n]) @ w[:d1, :n])  # copy 0
+        w = w.reshape(-1, k, n) @ u
+        one, zero = w[:d1, :, mu > 0.5], w[d1:, :, mu <= 0.5]
+        s = np.einsum("yib,xia->bayx", zero, one.conj()) / np.sqrt(k)
+        units.append(s.reshape(-1, len(w) - d1, d1))
+    return np.concatenate(units)
 
 
 def intertwiner_space(rep1: UnitaryRep, rep2: UnitaryRep) -> list[np.ndarray]:
     """Orthonormal basis of {S : S U1(g) = U2(g) S}; empty means disjoint.
 
-    The lower-left block of the commutant of {U1(g) (+) U2(g)}.
+    :func:`_intertwiners` of the group algebra, whose generic element is
+    sum_g c_g (U1(g), U2(g)) for random complex c_g.
     """
-    if rep1.group.order != rep2.group.order or not np.array_equal(
-        rep1.group.table, rep2.group.table
-    ):
+    if not np.array_equal(rep1.group.table, rep2.group.table):
         raise ValueError("representations must share the group")
-    return list(_intertwiners(rep1.matrices, rep2.matrices))
+
+    def element(rng):
+        c = rng.standard_normal(rep1.group.order) + 1j * rng.standard_normal(rep1.group.order)
+        return [np.tensordot(c, rep.matrices, axes=(0, 0)) for rep in (rep1, rep2)]
+
+    return list(_intertwiners(element, rep1.dim))
 
 
 # ---------------------------------------------------------------------------

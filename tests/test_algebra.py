@@ -22,7 +22,9 @@ from sectorlab.algebra import (
 )
 
 from sectorlab.dhrnet import LatticeNet, haag_duality_check, region_algebra
-from sectorlab.groups import builtin_group, fixed_point_algebra, regular_rep, tensor_power_rep
+from sectorlab.groups import (
+    average, builtin_group, fixed_point_algebra, regular_rep, tensor_power_rep,
+)
 from sectorlab.models import z2_chain_net, z2_flip_morphism, z2_onsite_rep, z2_vacuum
 from sectorlab.sectors import decompose_sectors, identity_multiplet, k_map
 
@@ -163,7 +165,7 @@ class TestGenerateAlgebra:
         real = la.commutant_basis
         monkeypatch.setattr(
             la, "commutant_basis",
-            lambda mats, d, refine=False: real(mats[:1] if refine else mats, d))
+            lambda mats, d: real(mats[:1], d))
         with pytest.raises(GenerationError):
             generate_algebra([SX, SZ])
 
@@ -413,12 +415,29 @@ class TestStates:
     def test_distance_on_diagonal_algebra(self):
         s0, s1 = vector_state([1, 0]), vector_state([0, 1])
         diag = generate_algebra([SZ])
-        # brute-force maximum over the 2 orthonormal basis elements
-        expected = max(
-            abs(np.trace((s0.density - s1.density) @ b)) for b in diag.basis
-        )
-        assert expected > 0
+        # trace norm of the projection onto the span of the basis
+        proj = la.project_onto_span(diag.basis, s0.density - s1.density)
+        expected = np.linalg.svd(proj, compute_uv=False).sum()
+        assert expected == pytest.approx(2.0)
         assert state_distance_mod(s0, s1, diag) == pytest.approx(expected)
+
+    def test_distance_does_not_depend_on_the_unitary(self):
+        # W is fixed only up to a unitary on each block's copy index, which
+        # moves the matrix units but not the algebra
+        net, vac = z2_chain_net(3), z2_vacuum(3)
+        obs = net.observable_algebra()
+        flip = kron_all(I2, SX, I2)
+        flipped = State(flip @ vac.density @ flip)
+        rng, d = np.random.default_rng(0), obs.ambient_dim
+        cols = []
+        for w, k, n in obs.block_columns():
+            u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+            cols.append(np.einsum("xin,ij->xjn", w.reshape(d, k, n), u).reshape(d, k * n))
+        rotated = OperatorAlgebra.from_blocks(np.concatenate(cols, axis=1), obs.blocks)
+        assert all(rotated.contains(g) and obs.contains(h)
+                   for g, h in zip(obs.generators, rotated.generators))
+        for sub in (obs, rotated):
+            assert state_distance_mod(flipped, vac, sub) == pytest.approx(2.0, abs=1e-12)
 
     def test_pseudo_metric_properties(self, rng):
         sub = generate_algebra([SZ])
@@ -600,7 +619,7 @@ class TestNoBasisAtScale:
                     state_distance_mod(flipped, vac, obs))
         (vals, dist), peak = _peak_mb(both)
         assert np.allclose(vals, [1.0, -1.0]) and peak < 64
-        # every block has n = 1: the values are the entries of W_a* (rho - rho_0) W_a
-        diff = flipped.density - vac.density
-        assert dist == pytest.approx(max(np.abs(w.conj().T @ diff @ w).max()
-                                         for w, _, _ in obs.block_columns()), abs=1e-14)
+        # the group average is the trace-preserving projection onto the observables
+        proj = average(flipped.density - vac.density, net.global_rep)
+        assert dist == pytest.approx(np.linalg.svd(proj, compute_uv=False).sum(), abs=1e-12)
+        assert dist == pytest.approx(2.0, abs=1e-12)

@@ -28,6 +28,7 @@ from sectorlab.dhrnet import (
 )
 from sectorlab.groups import (
     builtin_group,
+    cyclic_rep_from_unitary,
     fixed_point_algebra,
     intertwiner_space,
     isotypic_decomposition,
@@ -273,12 +274,11 @@ class TestMorphisms:
         bad = localized_morphism(net, [1], [(SX + SZ) / np.sqrt(2)], "h")
         with pytest.raises(ValueError, match="leaves the observable"):
             bad.validate()
-        if n == 6:
-            space = solve_intertwiners(r0, r1)
-            assert len(space) == 2
-            t = np.array(space)
-            target = embed_factor_operator(net, [0, n // 2], kron_all(SX, SX))
-            assert la.span_residual(t, target / np.linalg.norm(target)) <= 1e-9
+        space = solve_intertwiners(r0, r1)
+        assert len(space) == 2
+        t = np.array(space)
+        target = embed_factor_operator(net, [0, n // 2], kron_all(SX, SX))
+        assert la.span_residual(t, target / np.linalg.norm(target)) <= 1e-9
 
     def test_w_injective_on_bundled_family(self, net3):
         vac = z2_vacuum(3)
@@ -466,6 +466,36 @@ class TestIntertwiners:
                 rows = np.reshape(space, (len(space), net.total_dim ** 2))
                 assert_same_span(rows, kronecker_solve_intertwiners(rho, sigma))
 
+    def test_different_nets_rejected(self, net2):
+        # a Z2-chain flip and a Z4 shift on another net of dimension 4
+        shift = np.roll(np.eye(4), 1, axis=0)
+        z4_net = LatticeNet(1, cyclic_rep_from_unitary(shift, 4))
+        flip = localized_morphism(net2, [0], [SX], "f0")
+        shifted = localized_morphism(z4_net, [0], [shift], "s")
+        for rho, sigma in ((flip, shifted), (shifted, flip)):
+            with pytest.raises(ValueError, match="different nets"):
+                solve_intertwiners(rho, sigma)
+
+    def test_one_net_built_twice(self, net2):
+        # nets compare by content: two builds of one chain are one net
+        flip = localized_morphism(net2, [0], [SX], "f0")
+        again = localized_morphism(z2_chain_net(2), [1], [SX], "f1")
+        assert len(solve_intertwiners(flip, again)) == 2
+        assert compose_morphisms(flip, again).region == (0, 1)
+
+    def test_no_linear_solve(self, net3, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a linear system was solved")
+
+        for name in ("commutant_basis", "row_space", "nullspace"):
+            monkeypatch.setattr(la, name, forbidden)
+        reg = regular_rep(builtin_group("symmetric:3"))
+        assert len(intertwiner_space(reg, reg)) == 6
+        r0 = localized_morphism(net3, [0], [SX], "f0")
+        r1 = localized_morphism(net3, [1], [SX], "f1")
+        assert len(solve_intertwiners(r0, r1)) == 2
+        assert len(solve_intertwiners(identity_morphism(net3), r0)) == 0
+
     def test_composition_closure(self, net2):
         r0 = localized_morphism(net2, [0], [SX], "f0")
         r1 = localized_morphism(net2, [1], [SX], "f1")
@@ -620,13 +650,14 @@ class TestBasisFreeDistance:
         obs, vac = net3.observable_algebra(), z2_vacuum(3)
         omega = _flip_state(3, (1,))
         flip = ChargedMultiplet("flip", (kron_all(I2, SX, I2),))
-        diff = np.einsum("kij,ji->k", obs.basis, omega.density - vac.density)
+        proj = la.project_onto_span(obs.basis, omega.density - vac.density)
+        distance = np.linalg.svd(proj, compute_uv=False).sum()
         monkeypatch.setattr(OperatorAlgebra, "basis", property(forbidden))
         fixed = fixed_point_algebra(region_algebra(net3, (0, 1)), net3.global_rep)
         assert fixed.dim == 8
         fixed.validate()
         assert np.allclose(k_map(kron_all(SZ, SZ, I2), vac, [flip], obs_algebra=obs), [-1.0])
-        assert state_distance_mod(omega, vac, obs) == pytest.approx(np.abs(diff).max(), abs=1e-14)
+        assert state_distance_mod(omega, vac, obs) == pytest.approx(distance, abs=1e-12)
         table = evaluation_matrix([vac.density, omega.density], obs)
         assert verify_positive_unital(table, obs).passed
         obs.validate()

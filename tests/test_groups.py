@@ -341,6 +341,19 @@ class TestIntertwiners:
                     assert max(np.linalg.norm(s @ u1 - u2 @ s) for u1, u2
                                in zip(r1.matrices, r2.matrices)) <= 1e-10
 
+    def test_regular_s5(self):
+        reg = regular_rep(symmetric_group(5))
+        space = np.array(intertwiner_space(reg, reg))
+        rows = space.reshape(len(space), -1)
+        assert len(space) == 120
+        assert np.allclose(rows @ rows.conj().T, np.eye(120), atol=1e-10)
+        # U(g) e_h = e_{gh}, so S U(g) = U(g) S reads S[gh, gk] = S[h, k];
+        # rows are the entries (h, k), columns the 120 solutions
+        entries = space.transpose(1, 2, 0).reshape(-1, 120)
+        for p in reg.group.table:
+            moved = entries[(p[:, None] * 120 + p).ravel()]
+            assert np.abs((moved - entries).view(float)).max() <= 1e-10
+
     def test_tall_system_under_memory_cap(self):
         # Regular S4 must fit under a 2.5 GB address-space cap.
         pytest.importorskip("resource")
