@@ -99,11 +99,27 @@ class ClassicalQuantumChannel:
     def dim(self) -> int:
         return self.fibre_states[0].dim
 
+    @classmethod
+    def from_densities(cls, space: ClassifyingSpace, densities: np.ndarray,
+                       labels) -> "ClassicalQuantumChannel":
+        """The channel on a (labels, d, d) stack of densities, copying nothing.
+
+        The stack is made read-only and kept as :meth:`densities`; each fibre
+        state is a read-only view of its slice, named by ``labels``.
+        """
+        stack = np.asarray(densities, dtype=complex)
+        stack.setflags(write=False)
+        channel = cls(space, tuple(State(rho, label=name)
+                                   for rho, name in zip(stack, labels)))
+        object.__setattr__(channel, "_densities", stack)
+        return channel
+
     def densities(self) -> np.ndarray:
         """The (labels, d, d) stack of fibre densities.
 
-        Built on first use and kept; the stack is read-only because every
-        later call returns the same array.
+        Built on first use and kept (a channel made by :meth:`from_densities`
+        returns the stack it was made from); the stack is read-only because
+        every later call returns the same array.
         """
         if self._densities is None:
             stack = np.array([s.density for s in self.fibre_states], dtype=complex)
@@ -179,7 +195,7 @@ def design_matrix(channel: ClassicalQuantumChannel, probes) -> np.ndarray:
     any P and F, Hermitian or not.
     """
     ps = np.asarray(list(probes), dtype=complex)
-    lhs = np.ascontiguousarray(ps.conj().transpose(0, 2, 1))
+    lhs = np.conjugate(ps.transpose(0, 2, 1), order="C")
     fibres = channel.densities()
     return lhs.view(float).reshape(len(ps), -1) @ fibres.view(float).reshape(
         len(fibres), -1).T
@@ -307,6 +323,20 @@ def invert_cq(
 ) -> InversionResult:
     """Recover a probability weight from probe expectations.
 
+    :func:`invert_design` on the channel's :func:`design_matrix` for the
+    probes.
+    """
+    probes = list(probes)
+    if not probes:
+        raise ValueError("at least one probe is required")
+    return invert_design(design_matrix(channel, probes), data, channel.space)
+
+
+def invert_design(
+    m: np.ndarray, data: np.ndarray, space: ClassifyingSpace
+) -> InversionResult:
+    """Recover a weight on ``space`` from design rows M and their values.
+
     Minimizes ||M rho - data||_2 over the probability simplex, where
     M rho - data = (M - data 1^T) rho: one Lawson-Hanson NNLS solve on
     [M - data 1^T; 1^T] against (0, ..., 0, 1), scaled to sum 1, as for
@@ -319,19 +349,31 @@ def invert_cq(
     dimension reported) the weight is the minimum-norm solution of
     [M; 1^T] rho = [M; 1^T] rho_hat for the NNLS optimum rho_hat when that
     is non-negative (it fits equally well), else rho_hat.
+
+    Raises ``ValueError`` before any solve when M has no row, a NaN or
+    infinite entry, or a shape that does not match the data and the space,
+    or when the data are not finite; and after the solve when it overflowed
+    to a weight that is not finite.
     """
-    probes = list(probes)
-    if not probes:
-        raise ValueError("at least one probe is required")
+    m = np.asarray(m, dtype=float)
     data = np.asarray(data, dtype=float).reshape(-1)
-    if data.shape[0] != len(probes):
+    if m.shape[0] == 0:
+        raise ValueError("at least one probe is required")
+    if data.shape[0] != m.shape[0]:
         raise ValueError("data length must match the probe count")
+    n = space.size
+    if m.shape[1] != n:
+        raise ValueError("design columns must match the label count")
     if not np.isfinite(data).all():
         raise ValueError("probe data must be finite")
-    m = design_matrix(channel, probes)
-    n = channel.space.size
-    target = np.concatenate([np.zeros(len(probes)), [1.0]])
+    if not np.isfinite(m).all():
+        raise ValueError("design matrix has non-finite entries")
+    target = np.concatenate([np.zeros(m.shape[0]), [1.0]])
     x, iters, converged = _nnls(np.vstack([m - data[:, None], np.ones(n)]), target)
+    total = x.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError("the inversion overflowed: the probes' scale gives "
+                         "no finite weight")
     sep = _separation(m, n)
     if not sep.passed:
         aug = np.vstack([m, np.ones(n)])
@@ -346,7 +388,7 @@ def invert_cq(
     g -= g[x > 0].mean()
     kkt = max(np.abs(g[x > 0]).max(), -g[x == 0].min(initial=0.0))
     return InversionResult(
-        weight=ProbabilityWeight(channel.space, x),
+        weight=ProbabilityWeight(space, x),
         residual=float(np.linalg.norm(m @ x - data)),
         kkt_residual=float(kkt),
         converged=converged,

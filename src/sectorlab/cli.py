@@ -200,6 +200,8 @@ def _run_thermal_estimate(args) -> int:
                 "level": v.level,
                 "accepted": v.accepted,
                 "residual": v.residual,
+                "kkt_residual": v.kkt_residual,
+                "converged": v.converged,
                 "tolerance": v.tolerance,
                 "unique": v.unique,
                 "rank": v.rank,

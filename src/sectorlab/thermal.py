@@ -21,7 +21,9 @@ from .channels import (
     ClassicalQuantumChannel,
     ClassifyingSpace,
     InversionResult,
+    design_matrix,
     invert_cq,
+    invert_design,
 )
 from .config import CRITERION_TOL, rng_from_seed
 
@@ -158,14 +160,21 @@ def gibbs_state(
     _check_beta(beta)
     evals, vecs = sys._spectrum(mu)
     w = _boltzmann(evals, beta)
-    label = f"gibbs(beta={beta:g}" + ("" if mu is None else f",mu={mu:g}") + ")"
-    return State((vecs * w) @ la.dagger(vecs), label=label)
+    return State((vecs * w) @ la.dagger(vecs), label=_gibbs_label(beta, mu))
 
 
-def _boltzmann(evals: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-beta e) / Z, from the spectrum shifted to start at 0 (no overflow)."""
-    w = np.exp(-beta * (evals - evals.min()))
-    w /= w.sum()
+def _gibbs_label(beta: float, mu: float | None) -> str:
+    return f"gibbs(beta={beta:g}" + ("" if mu is None else f",mu={mu:g}") + ")"
+
+
+def _boltzmann(evals: np.ndarray, beta) -> np.ndarray:
+    """exp(-beta e) / Z, from the spectrum shifted to start at 0 (no overflow).
+
+    For a (g,) array of betas, the (g, d) array of the g weight rows; each
+    row is bit for bit the row of its beta alone.
+    """
+    w = np.exp(np.multiply.outer(-np.asarray(beta), evals - evals.min()))
+    w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
@@ -229,9 +238,29 @@ def thermal_function(
 def build_thermal_channel(
     sys: HamiltonianSystem, grid: ThermalGrid
 ) -> ClassicalQuantumChannel:
-    """The c->q channel whose fibres are the grid's Gibbs states."""
-    fibres = tuple(gibbs_state(sys, b, m) for b, m in grid.points)
-    return ClassicalQuantumChannel(grid.to_space(), fibres)
+    """The c->q channel whose fibres are the grid's Gibbs states.
+
+    One batched product (V w) V* per distinct mu, over the (points, d)
+    Boltzmann weights of that mu's points, fills the read-only (points, d, d)
+    density stack; the fibre states are read-only views of it, each bit for
+    bit :func:`gibbs_state` at its point.
+    """
+    by_mu: dict = {}
+    for i, (_, mu) in enumerate(grid.points):
+        by_mu.setdefault(mu, []).append(i)
+    blocks = []
+    for mu, idx in by_mu.items():
+        evals, vecs = sys._spectrum(mu)
+        w = _boltzmann(evals, [grid.points[i][0] for i in idx])
+        blocks.append((idx, (vecs * w[:, None, :]) @ la.dagger(vecs)))
+    if len(blocks) == 1:
+        stack = blocks[0][1]
+    else:
+        stack = np.empty((grid.size, sys.dim, sys.dim), dtype=complex)
+        for idx, fibres in blocks:
+            stack[idx] = fibres
+    labels = [_gibbs_label(b, m) for b, m in grid.points]
+    return ClassicalQuantumChannel.from_densities(grid.to_space(), stack, labels)
 
 
 def entropy_density(
@@ -263,7 +292,11 @@ ProbeSet = Sequence[tuple[str, np.ndarray]]
 
 @dataclass(frozen=True)
 class ObservableHierarchy:
-    """Nested, named probe sets S_1 <= S_2 <= ... ordered coarse to fine."""
+    """Nested, named probe sets S_1 <= S_2 <= ... ordered coarse to fine.
+
+    A probe name names one matrix: measured values are keyed by name, so a
+    name bound to two different matrices is a ``ValueError``.
+    """
 
     levels: tuple  # of (level_name, ProbeSet)
 
@@ -273,13 +306,28 @@ class ObservableHierarchy:
             for name, probes in self.levels
         )
         object.__setattr__(self, "levels", norm)
+        first: dict[str, np.ndarray] = {}
+        for _, probes in norm:
+            for pname, m in probes:
+                seen = first.setdefault(pname, m)
+                if seen is not m and not np.array_equal(seen, m, equal_nan=True):
+                    raise ValueError(f"probe {pname!r} names two different matrices")
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
 
     def validate_nesting(self) -> None:
-        """Span inclusion of consecutive levels, to a relative residual of 1e-9."""
+        """Span inclusion of consecutive levels, to a relative residual of 1e-9.
+
+        A probe with a NaN or infinite entry is a ``ValueError``: its residual
+        could be NaN, which no comparison rejects.
+        """
+        for lname, probes in self.levels:
+            for pname, m in probes:
+                if not np.isfinite(m).all():
+                    raise ValueError(
+                        f"probe {pname!r} of level {lname!r} has non-finite entries")
         for (n1, p1), (n2, p2) in zip(self.levels, self.levels[1:]):
             if not p2:
                 raise ValueError(f"level {n2!r} is empty but follows {n1!r}")
@@ -296,7 +344,8 @@ class ThermalVerdict:
     """Outcome of the thermality check at one probe level.
 
     ``rank`` and ``sigma_min`` are the rank and smallest singular value of
-    the level's design matrix with the normalization row, as in
+    the level's design matrix with the normalization row; ``iterations``,
+    ``kkt_residual`` and ``converged`` are the solver's state; all as in
     ``InversionResult``.
     """
 
@@ -310,6 +359,36 @@ class ThermalVerdict:
     sigma_min: float
     nullspace_dim: int
     moments: dict
+    iterations: int
+    kkt_residual: float
+    converged: bool
+
+
+def _verdict(level_name: str, result: InversionResult, tol: float) -> ThermalVerdict:
+    return ThermalVerdict(
+        level=level_name,
+        accepted=result.residual <= tol,
+        weight_estimate=result.weight,
+        residual=result.residual,
+        tolerance=tol,
+        unique=result.unique,
+        rank=result.rank,
+        sigma_min=result.sigma_min,
+        nullspace_dim=result.nullspace_dim,
+        moments=result.weight.moments(),
+        iterations=result.iterations,
+        kkt_residual=result.kkt_residual,
+        converged=result.converged,
+    )
+
+
+def _level_data(measured: Mapping[str, float], level: ProbeSet) -> tuple[list, np.ndarray]:
+    """The level's probe names and their measured values; ``KeyError`` if any is missing."""
+    names = [str(n) for n, _ in level]
+    missing = [n for n in names if n not in measured]
+    if missing:
+        raise KeyError(f"probes without measured values: {missing}")
+    return names, np.array([float(measured[n]) for n in names])
 
 
 def s_thermal_check(
@@ -325,25 +404,9 @@ def s_thermal_check(
     to within ``tol`` (inversion residual); the witness weight is returned
     as the conditional thermal interpretation of the measured state.
     """
-    names = [str(n) for n, _ in level]
-    missing = [n for n in names if n not in measured]
-    if missing:
-        raise KeyError(f"probes without measured values: {missing}")
-    probes = [m for _, m in level]
-    data = np.array([float(measured[n]) for n in names])
-    result: InversionResult = invert_cq(channel, probes, data)
-    return ThermalVerdict(
-        level=level_name,
-        accepted=result.residual <= tol,
-        weight_estimate=result.weight,
-        residual=result.residual,
-        tolerance=tol,
-        unique=result.unique,
-        rank=result.rank,
-        sigma_min=result.sigma_min,
-        nullspace_dim=result.nullspace_dim,
-        moments=result.weight.moments(),
-    )
+    _, data = _level_data(measured, level)
+    result = invert_cq(channel, [m for _, m in level], data)
+    return _verdict(level_name, result, tol)
 
 
 @dataclass(frozen=True)
@@ -361,15 +424,34 @@ def hierarchy_report(
 ) -> HierarchyReport:
     """Run the thermality check at every level of the hierarchy.
 
-    Residuals are non-decreasing with the level (larger probe sets can
-    only fit worse); the report records the finest accepted level, or
-    None when even the coarsest fails (or the hierarchy is empty).
+    One :func:`~sectorlab.channels.design_matrix` over the hierarchy's
+    distinct probe names serves every level, and each level inverts on its
+    own rows of it, so a probe has one row however many levels list it.
+    Where every design entry has one nonzero product (occupation probes)
+    the rows are bit for bit those :func:`s_thermal_check` builds for the
+    level alone; otherwise they agree to rounding, since a BLAS product's
+    summation order depends on the block's shape.  Residuals are
+    non-decreasing with the level (larger probe sets can only fit worse);
+    the report records the finest accepted level, or None when even the
+    coarsest fails (or the hierarchy is empty).
     """
-    verdicts = []
+    row: dict[str, int] = {}
+    mats = []
+    levels = []
     for name, probes in hierarchy.levels:
-        verdicts.append(
-            s_thermal_check(measured, probes, channel, tol=tol, level_name=name)
-        )
+        names, data = _level_data(measured, probes)
+        if not names:
+            raise ValueError("at least one probe is required")
+        for pname, m in probes:
+            if pname not in row:
+                row[pname] = len(mats)
+                mats.append(m)
+        levels.append((name, [row[n] for n in names], data))
+    design = design_matrix(channel, mats) if mats else None
+    verdicts = [
+        _verdict(name, invert_design(design[idx], data, channel.space), tol)
+        for name, idx, data in levels
+    ]
     residuals = [v.residual for v in verdicts]
     monotone = all(
         r1 <= r2 + 1e-12 for r1, r2 in zip(residuals, residuals[1:])

@@ -157,14 +157,14 @@ class TestCliCommands:
             self, example_tree, tmp_path, monkeypatch):
         d = example_tree / "gibbs_two_level"
         csv_path = tmp_path / "tf.csv"
-        calls = []
-        original = thermal.gibbs_state
+        built = []
+        original = thermal.build_thermal_channel
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def kept(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(thermal, "gibbs_state", counted)
+        monkeypatch.setattr(cli, "build_thermal_channel", kept)
         code = cli.main([
             "thermal", "estimate", "--system", str(d / "system.json"),
             "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
@@ -173,7 +173,11 @@ class TestCliCommands:
         assert code == 0
         system = io.system_from_json(io.load_json(d / "system.json"))
         grid = io.grid_from_json(io.load_json(d / "grid.json"))
-        assert len(calls) == len(grid.points)  # one Gibbs state per grid point
+        # one channel, one fibre per grid point, bit for bit its Gibbs state
+        (channel,) = built
+        assert channel.space.size == len(grid.points)
+        for (beta, mu), fibre in zip(grid.points, channel.fibre_states):
+            assert np.array_equal(fibre.density, gibbs_state(system, beta, mu).density)
         probes = io.hierarchy_from_json(io.load_json(d / "hierarchy.json")).levels[-1][1]
         table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         assert table.shape == (len(grid.points), 2 + len(probes))
@@ -288,6 +292,42 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert "Hamiltonian has non-finite entries" in proc.stderr
         assert proc.stdout == ""
+
+    def test_thermal_estimate_infinite_probe_is_an_input_error(
+            self, example_tree, tmp_path):
+        d = example_tree / "gibbs_two_level"
+        probe = io.matrix_to_json(np.diag([1.0, np.inf]).astype(complex))
+        bad = tmp_path / "hierarchy.json"
+        bad.write_text(json.dumps({"levels": [{"name": "only", "probes": [
+            {"name": "energy", "matrix": probe}]}]}))
+        assert "Infinity" in bad.read_text()
+        proc = run_cli(
+            "thermal", "estimate", "--system", str(d / "system.json"),
+            "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+            "--hierarchy", str(bad),
+        )
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_thermal_estimate_reports_solver_state(self, example_tree, capsys):
+        d = example_tree / "moment_grid_12"
+        args = ["thermal", "estimate", "--system", str(d / "system.json"),
+                "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+                "--hierarchy", str(d / "hierarchy.json")]
+        assert cli.main(args) == 0
+        levels = json.loads(capsys.readouterr().out)["levels"]
+        channel = build_thermal_channel(
+            io.system_from_json(io.load_json(d / "system.json")),
+            io.grid_from_json(io.load_json(d / "grid.json")))
+        hierarchy = io.hierarchy_from_json(io.load_json(d / "hierarchy.json"))
+        measured = io.measured_from_json(io.load_json(d / "measured.json"))
+        for level, (_, probes) in zip(levels, hierarchy.levels):
+            result = channels.invert_cq(channel, [m for _, m in probes],
+                                        np.array([measured[n] for n, _ in probes]))
+            assert list(level)[2:5] == ["residual", "kkt_residual", "converged"]
+            assert level["converged"] is True
+            assert level["kkt_residual"] == pytest.approx(result.kkt_residual, abs=1e-12)
 
     def test_dhr_check_pass_and_fail(self, example_tree, tmp_path):
         d = example_tree / "z2_chain_3"

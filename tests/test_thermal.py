@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -11,6 +13,7 @@ from sectorlab.channels import (
     apply_cq,
     evaluation_matrix,
     forward_data,
+    invert_cq,
     verify_positive_unital,
 )
 from sectorlab.models import (
@@ -202,18 +205,16 @@ class TestCachedSpectrum:
 
     MU_GRID = ThermalGrid(((0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 0.3), (1.0, 0.3)))
 
-    def test_channel_diagonalises_once_per_mu(self, eigh_calls, monkeypatch):
-        gibbs_calls = []
-        original = thermal.gibbs_state
-
-        def counted(*args, **kwargs):
-            gibbs_calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(thermal, "gibbs_state", counted)
-        build_thermal_channel(self.mu_system(), self.MU_GRID)
+    def test_channel_diagonalises_once_per_mu(self, eigh_calls):
+        sys = self.mu_system()
+        channel = build_thermal_channel(sys, self.MU_GRID)
         assert len(eigh_calls) == 2  # two distinct mu
-        assert len(gibbs_calls) == self.MU_GRID.size  # one Gibbs state per point
+        # one fibre per point, bit for bit its Gibbs state
+        for (beta, mu), fibre in zip(self.MU_GRID.points, channel.fibre_states):
+            direct = gibbs_state(sys, beta, mu)
+            assert np.array_equal(fibre.density, direct.density)
+            assert fibre.label == direct.label
+        assert len(eigh_calls) == 2
 
     def test_fibres_equal_direct_diagonalisation(self, rng):
         # bit for bit the per-point formula exp(-beta (e - e_min)) / Z
@@ -418,3 +419,183 @@ class TestIllConditionedGibbsMixtures:
         verdict = s_thermal_check(measured, probes, channel, tol=1e-8)
         assert verdict.accepted
         assert verdict.residual <= 1e-10
+
+
+def nested_occupations(seed: int, mu: bool = False, inverted: bool = False):
+    """A rotated system, a grid wider than the coarse levels, nested
+    occupation levels and the populations of a three-point Gibbs mixture
+    (end for end if ``inverted``), all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n, g = int(rng.integers(4, 11)), int(rng.integers(6, 25))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    energies = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 4.0, n - 1))])
+    number = rng.integers(0, 3, n).astype(float)
+    sys = HamiltonianSystem((v * energies) @ la.dagger(v),
+                            number=(v * number) @ la.dagger(v) if mu else None)
+    betas = np.geomspace(0.05, 10.0, g) * np.exp(rng.uniform(-0.05, 0.05, g))
+    grid = (ThermalGrid(tuple((b, (0.0, 0.4)[i % 2]) for i, b in enumerate(betas)))
+            if mu else beta_grid(betas))
+    channel = build_thermal_channel(sys, grid)
+    order = rng.permutation(n)
+    sizes = sorted({1, 2, *rng.integers(2, n, 2).tolist(), n})
+    hier = ObservableHierarchy(tuple(
+        (f"L{s}", tuple((f"occ{k}", _occupation(n, k)) for k in order[:s]))
+        for s in sizes))
+    weights = np.zeros(g)
+    weights[rng.choice(g, 3, replace=False)] = rng.dirichlet(np.ones(3))
+    pops = np.tensordot(weights, channel.densities(), axes=1).diagonal().real
+    if inverted:
+        pops = pops[::-1]
+    return {f"occ{k}": float(p) for k, p in enumerate(pops)}, hier, channel
+
+
+def _occupation(n: int, k: int) -> np.ndarray:
+    p = np.zeros((n, n), dtype=complex)
+    p[k, k] = 1.0
+    return p
+
+
+def verdict_bytes(v):
+    """Every field of a verdict, floats and weights as their exact bytes."""
+    return (v.level, v.accepted, v.weight_estimate.weights.tobytes(),
+            float(v.residual).hex(), v.tolerance, v.unique, v.rank,
+            float(v.sigma_min).hex(), v.nullspace_dim,
+            [(k, float(m).hex(), float(s).hex()) for k, (m, s) in v.moments.items()],
+            v.iterations, float(v.kkt_residual).hex(), v.converged)
+
+
+class TestSharedDesign:
+    """One design matrix per hierarchy; each level inverts on its own rows."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("mu", [False, True])
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_report_equals_per_level_checks(self, seed, mu, inverted):
+        measured, hier, channel = nested_occupations(seed, mu, inverted)
+        report = hierarchy_report(measured, hier, channel, tol=1e-8)
+        alone = [s_thermal_check(measured, probes, channel, tol=1e-8, level_name=name)
+                 for name, probes in hier.levels]
+        assert [verdict_bytes(v) for v in report.verdicts] == [verdict_bytes(v) for v in alone]
+        assert not report.verdicts[0].unique  # the coarse levels are rank-deficient
+        if inverted:
+            assert not report.verdicts[-1].accepted
+        else:
+            assert all(v.accepted for v in report.verdicts)
+
+    def test_dense_probes_agree_to_rounding(self, rng):
+        # dense probes: the shared rows and a level's own rows may differ in
+        # the last bit (the BLAS sums each block in its own order)
+        sys = HamiltonianSystem(la.random_hermitian(rng, 5))
+        channel = build_thermal_channel(sys, beta_grid(np.geomspace(0.1, 5.0, 8)))
+        probes = [(f"p{i}", la.random_hermitian(rng, 5)) for i in range(6)]
+        hier = ObservableHierarchy(tuple((f"L{s}", tuple(probes[:s])) for s in (1, 3, 6)))
+        mix = channel.densities().mean(axis=0)
+        measured = {name: float(np.trace(m @ mix).real) for name, m in probes}
+        report = hierarchy_report(measured, hier, channel, tol=1e-8)
+        for v, (name, level) in zip(report.verdicts, hier.levels):
+            alone = s_thermal_check(measured, level, channel, tol=1e-8, level_name=name)
+            assert (v.accepted, v.unique, v.rank) == (alone.accepted, alone.unique, alone.rank)
+            assert v.accepted and v.residual <= 1e-12 and alone.residual <= 1e-12
+
+    def test_one_design_matrix_per_report(self, monkeypatch):
+        calls = []
+        original = thermal.design_matrix
+
+        def counted(channel, probes):
+            calls.append(len(list(probes)))
+            return original(channel, probes)
+
+        monkeypatch.setattr(thermal, "design_matrix", counted)
+        measured, hier, channel = nested_occupations(0)
+        hierarchy_report(measured, hier, channel)
+        assert calls == [len(hier.levels[-1][1])]  # the distinct probes, once
+
+    def test_missing_value_error_unchanged(self):
+        measured, hier, channel = nested_occupations(1)
+        name = hier.levels[2][1][-1][0]
+        del measured[name]
+        with pytest.raises(KeyError) as alone:
+            for _, probes in hier.levels:
+                s_thermal_check(measured, probes, channel)
+        with pytest.raises(KeyError) as shared:
+            hierarchy_report(measured, hier, channel)
+        assert str(shared.value) == str(alone.value)
+        assert name in str(shared.value)
+
+    def test_empty_level_rejected(self):
+        channel = build_thermal_channel(two_level_system(), two_level_grid())
+        hier = ObservableHierarchy((("unit", (("unit", I2),)), ("none", ())))
+        with pytest.raises(ValueError, match="at least one probe"):
+            hierarchy_report({"unit": 1.0}, hier, channel)
+
+
+class TestProbeNames:
+    def test_one_name_two_matrices_rejected(self):
+        with pytest.raises(ValueError, match="'z' names two different matrices"):
+            ObservableHierarchy((("a", (("z", SZ),)), ("b", (("z", SX), ("u", I2)))))
+
+    def test_equal_copies_and_shared_arrays_accepted(self):
+        hier = ObservableHierarchy((("a", (("z", SZ),)),
+                                    ("b", (("z", SZ.copy()), ("u", I2))),
+                                    ("c", (("z", SZ), ("u", I2)))))
+        assert hier.n_levels == 3
+
+
+class TestNonFiniteProbes:
+    """A NaN, infinite or overflowing probe is an input error, raised at once."""
+
+    SYSTEM = HamiltonianSystem(np.diag([0.0, 1.0, 2.0]).astype(complex))
+    BETAS = (0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("entry, message", [
+        (np.inf, "non-finite"), (np.nan, "non-finite"), (1e308, "overflowed")])
+    def test_hierarchy_report(self, entry, message):
+        channel = build_thermal_channel(self.SYSTEM, beta_grid(self.BETAS))
+        probe = np.diag([1.0, entry, 0.0]).astype(complex)
+        unit = np.eye(3, dtype=complex)
+        hier = ObservableHierarchy((("unit", (("unit", unit),)),
+                                    ("probe", (("unit", unit), ("p", probe)))))
+        measured = {"unit": 1.0, "p": 0.5}
+        with pytest.raises(ValueError, match=message):
+            hierarchy_report(measured, hier, channel)
+        with pytest.raises(ValueError, match=message):
+            s_thermal_check(measured, hier.levels[1][1], channel)
+        with pytest.raises(ValueError, match=message):
+            invert_cq(channel, [unit, probe], np.array([1.0, 0.5]))
+
+    def test_nesting_check_rejects_nan(self):
+        unit = np.eye(3, dtype=complex)
+        probe = np.diag([1.0, np.nan, 0.0]).astype(complex)
+        hier = ObservableHierarchy((("p", (("p", probe),)),
+                                    ("all", (("unit", unit), ("p", probe)))))
+        with pytest.raises(ValueError, match="probe 'p' of level 'p' has non-finite"):
+            hier.validate_nesting()
+
+
+class TestBatchedChannel:
+    def test_fibres_are_read_only_views_of_the_stack(self, rng):
+        sys = HamiltonianSystem(la.random_hermitian(rng, 4))
+        channel = build_thermal_channel(sys, beta_grid([0.3, 1.0, 4.0]))
+        stack = channel.densities()
+        assert stack is channel.densities() and not stack.flags.writeable
+        for i, fibre in enumerate(channel.fibre_states):
+            assert np.shares_memory(fibre.density, stack[i])
+            assert not fibre.density.flags.writeable
+
+    def test_thermal_path_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from sectorlab import thermal, channels\n"
+            "sys_ = thermal.HamiltonianSystem(np.diag([0.0, 1.0, 2.0]).astype(complex))\n"
+            "ch = thermal.build_thermal_channel(sys_, thermal.beta_grid([0.5, 1.0, 2.0]))\n"
+            "occ = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]\n"
+            "h = thermal.ObservableHierarchy((('a', (('o0', occ[0]),)),"
+            " ('b', tuple((f'o{k}', occ[k]) for k in range(3)))))\n"
+            "data = {f'o{k}': 1 / 3 for k in range(3)}\n"
+            "thermal.hierarchy_report(data, h, ch)\n"
+            "channels.invert_cq(ch, occ, np.full(3, 1 / 3))\n"
+            "print('scipy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
