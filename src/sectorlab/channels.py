@@ -352,8 +352,9 @@ def invert_design(
 
     Raises ``ValueError`` before any solve when M has no row, a NaN or
     infinite entry, or a shape that does not match the data and the space,
-    or when the data are not finite; and after the solve when it overflowed
-    to a weight that is not finite.
+    or when the data are not finite; and when the solve overflows (a numpy
+    overflow inside it, or a weight that is not finite), with no
+    ``RuntimeWarning``.
     """
     m = np.asarray(m, dtype=float)
     data = np.asarray(data, dtype=float).reshape(-1)
@@ -369,11 +370,17 @@ def invert_design(
     if not np.isfinite(m).all():
         raise ValueError("design matrix has non-finite entries")
     target = np.concatenate([np.zeros(m.shape[0]), [1.0]])
-    x, iters, converged = _nnls(np.vstack([m - data[:, None], np.ones(n)]), target)
+    overflowed = ValueError("the inversion overflowed: the probes' scale gives "
+                            "no finite weight")
+    try:
+        with np.errstate(over="raise"):
+            x, iters, converged = _nnls(np.vstack([m - data[:, None], np.ones(n)]),
+                                        target)
+    except FloatingPointError as err:
+        raise overflowed from err
     total = x.sum()
     if not (np.isfinite(total) and total > 0):
-        raise ValueError("the inversion overflowed: the probes' scale gives "
-                         "no finite weight")
+        raise overflowed
     sep = _separation(m, n)
     if not sep.passed:
         aug = np.vstack([m, np.ones(n)])

@@ -12,11 +12,11 @@ algebra element: 1 + 2 s1 s1* and 3 s1 s1* + s2 s2* are one element.
 
 Coefficients stay exact complex rationals as long as every input is
 rational; any float input switches the polynomial to floating mode.
-The exact kernels (products, the gauge action) do not multiply ``QRat``
-values pair by pair: they write the inputs as Gaussian-integer numerators
-over one common denominator, accumulate integer pairs per output word
-and reduce one fraction per word at the end.  The canonical endomorphism
-is a relabelling of words and does no arithmetic at all.
+Both modes share the kernels (products, the gauge action): they write
+the inputs as numerator pairs over one common denominator (Gaussian
+integers when exact, float parts over 1 when not), accumulate pairs per
+output word and build one coefficient per word at the end.  The
+canonical endomorphism is a relabelling of words and does no arithmetic.
 A truncated Fock representation (sparse matrices over index strings of
 bounded length) serves as the independent oracle for the rewriting rules.
 """
@@ -179,11 +179,13 @@ class CuntzPolynomial:
     terms: dict
     exact: bool
 
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("dimension must be at least 1")
+
     @staticmethod
     def build(d: int, raw_terms: dict) -> "CuntzPolynomial":
         """Normalize a word -> coefficient mapping into a polynomial."""
-        if d < 1:
-            raise ValueError("dimension must be at least 1")
         exact = all(_is_exact_scalar(c) for c in raw_terms.values())
         terms: dict[CuntzWord, object] = {}
         for w, c in raw_terms.items():
@@ -313,12 +315,16 @@ class CuntzPolynomial:
         return format_polynomial(self)
 
 
-def _numerators(terms: dict) -> tuple[list, int]:
-    """Exact coefficients as Gaussian-integer numerators over one denominator.
+def _numerators(terms: dict, exact: bool) -> tuple[list, int]:
+    """Coefficients as numerator pairs over one common denominator.
 
     Returns ([(key, re, im), ...], den) in the order of ``terms``: each
-    coefficient is (re + im i) / den, with den the lcm of the denominators.
+    coefficient is (re + im i) / den: Gaussian integers over the lcm of the
+    denominators when exact, else float parts over den = 1.
     """
+    if not exact:
+        return [(key, z.real, z.imag)
+                for key, z in zip(terms, map(complex, terms.values()))], 1
     coeffs = [QRat.of(c) for c in terms.values()]
     den = math.lcm(*(c.re.denominator for c in coeffs),
                    *(c.im.denominator for c in coeffs))
@@ -329,11 +335,11 @@ def _numerators(terms: dict) -> tuple[list, int]:
     ], den
 
 
-def _accumulate(out: dict, w: CuntzWord, re: int, im: int) -> None:
+def _accumulate(out: dict, w: CuntzWord, re, im) -> None:
     """Add the numerator re + im i to ``out[w]``; drop the word if it cancels.
 
     A word that cancels and comes back is re-inserted at the end, so the
-    order of ``out`` is the order of pairwise ``QRat`` accumulation.
+    order of ``out`` is the order of pairwise accumulation.
     """
     acc = out.get(w)
     if acc is None:
@@ -345,49 +351,35 @@ def _accumulate(out: dict, w: CuntzWord, re: int, im: int) -> None:
         del out[w]
 
 
-def _from_numerators(d: int, out: dict, den: int) -> dict:
-    """Accumulated numerators over ``den`` as contracted exact terms."""
-    return _contract_full_sums(d, {
-        w: QRat(Fraction(re, den), Fraction(im, den)) for w, (re, im) in out.items()
-    })
+def _from_numerators(d: int, out: dict, den: int, exact: bool) -> dict:
+    """Accumulated numerators over ``den`` as contracted terms; a floating
+    (0, 0) pair, which only underflow makes, is dropped."""
+    if exact:
+        terms = {w: QRat(Fraction(re, den), Fraction(im, den))
+                 for w, (re, im) in out.items()}
+    else:
+        terms = {w: complex(re, im) for w, (re, im) in out.items() if re or im}
+    return _contract_full_sums(d, terms)
 
 
 def multiply(p: CuntzPolynomial, q: CuntzPolynomial) -> CuntzPolynomial:
     """Product in normal form: prefix contraction term by term.
 
-    Exact products accumulate Gaussian-integer numerators over the product
-    of the two common denominators and reduce one fraction per output word.
+    Numerator pairs accumulate per output word over the product of the two
+    common denominators; a floating pair is CPython's complex product.
     """
     if p.d != q.d:
         raise ValueError("polynomials have different dimensions")
-    if p.exact and q.exact:
-        pn, pden = _numerators(p.terms)
-        qn, qden = _numerators(q.terms)
-        acc: dict[CuntzWord, list[int]] = {}
-        for w1, a, b in pn:
-            for w2, c, e in qn:
-                w = _word_product(w1, w2)
-                if w is not None:
-                    _accumulate(acc, w, a * c - b * e, a * e + b * c)
-        return CuntzPolynomial(p.d, _from_numerators(p.d, acc, pden * qden), True)
-    pt = p._coerced_terms(False)
-    qt = q._coerced_terms(False)
-    out: dict[CuntzWord, object] = {}
-    for w1, c1 in pt.items():
-        for w2, c2 in qt.items():
+    exact = p.exact and q.exact
+    pn, pden = _numerators(p.terms, exact)
+    qn, qden = _numerators(q.terms, exact)
+    acc: dict[CuntzWord, list] = {}
+    for w1, a, b in pn:
+        for w2, c, e in qn:
             w = _word_product(w1, w2)
-            if w is None:
-                continue
-            c = c1 * c2
-            if w in out:
-                merged = out[w] + c
-                if merged:
-                    out[w] = merged
-                else:
-                    del out[w]
-            elif c:
-                out[w] = c
-    return CuntzPolynomial(p.d, _contract_full_sums(p.d, out), False)
+            if w is not None:
+                _accumulate(acc, w, a * c - b * e, a * e + b * c)
+    return CuntzPolynomial(p.d, _from_numerators(p.d, acc, pden * qden, exact), exact)
 
 
 def canonical_endomorphism(p: CuntzPolynomial) -> CuntzPolynomial:
@@ -427,13 +419,14 @@ def _expand(s: tuple[int, ...], memo: dict, cols: dict) -> list:
     return images
 
 
-def _gauge_exact(entry: dict, gden: int, p: CuntzPolynomial) -> CuntzPolynomial:
-    """Exact gauge image for g = G / gden, ``entry[j, i]`` = G_ji as (re, im).
+def _gauge(entry: dict, gden: int, p: CuntzPolynomial, exact: bool) -> CuntzPolynomial:
+    """Gauge image for g = G / gden, ``entry[j, i]`` = G_ji as (re, im).
 
     p's coefficients are written over one denominator Q; each mu string is
     expanded under G and each nu string under conj(G) once (memoised by
     prefix); numerators accumulate over Q gden^Lmax, Lmax the longest
-    |mu| + |nu|, and one fraction is reduced per output word.
+    |mu| + |nu|, and one coefficient is built per output word.  An image is
+    c (prod of mu entries) (prod of conjugated nu entries), left to right.
     """
     letters = range(1, p.d + 1)
     mu_cols = {i: [(j, *entry[j, i]) for j in letters if any(entry[j, i])]
@@ -441,9 +434,9 @@ def _gauge_exact(entry: dict, gden: int, p: CuntzPolynomial) -> CuntzPolynomial:
     nu_cols = {i: [(j, x, -y) for j, x, y in mu_cols[i]] for i in letters}
     mu_memo: dict = {(): [((), 1, 0)]}
     nu_memo: dict = {(): [((), 1, 0)]}
-    terms, den = _numerators(p.terms)
+    terms, den = _numerators(p.terms, exact)
     lmax = max((len(w.mu) + len(w.nu) for w, _, _ in terms), default=0)
-    acc: dict[CuntzWord, list[int]] = {}
+    acc: dict[CuntzWord, list] = {}
     for w, a, b in terms:
         scale = gden ** (lmax - len(w.mu) - len(w.nu))
         a *= scale
@@ -453,7 +446,8 @@ def _gauge_exact(entry: dict, gden: int, p: CuntzPolynomial) -> CuntzPolynomial:
             ca, cb = a * x - b * y, a * y + b * x
             for n, u, v in nus:
                 _accumulate(acc, CuntzWord(m, n), ca * u - cb * v, ca * v + cb * u)
-    return CuntzPolynomial(p.d, _from_numerators(p.d, acc, den * gden ** lmax), True)
+    return CuntzPolynomial(p.d, _from_numerators(p.d, acc, den * gden ** lmax, exact),
+                           exact)
 
 
 def gauge_act(g: np.ndarray, p: CuntzPolynomial) -> CuntzPolynomial:
@@ -464,18 +458,17 @@ def gauge_act(g: np.ndarray, p: CuntzPolynomial) -> CuntzPolynomial:
     satisfy g* g = 1 exactly.  Any other g is checked in floating point and
     must be finite.  The image is exact when both g and p are.
 
-    Exact mode writes g = G / D with Gaussian-integer G and accumulates
-    integer numerators per output word (:func:`_gauge_exact`); floating
-    mode expands term by term, letter by letter.
+    Both modes run :func:`_gauge`: exact work writes g = G / D with
+    Gaussian-integer G, floating work passes g's float parts over D = 1.
     """
     g = np.asarray(g)
     d = p.d
     if g.shape != (d, d):
         raise ValueError("gauge matrix must be d x d")
     letters = range(1, d + 1)
+    cells = {(j, i): g[j - 1, i - 1] for i in letters for j in letters}
     if _matrix_is_exact(g):
-        gn, gden = _numerators({(j, i): g[j - 1, i - 1]
-                                for i in letters for j in letters})
+        gn, gden = _numerators(cells, True)
         entry = {key: (re, im) for key, re, im in gn}
         for i in letters:
             for k in letters:
@@ -489,37 +482,15 @@ def gauge_act(g: np.ndarray, p: CuntzPolynomial) -> CuntzPolynomial:
                 if re != (gden * gden if i == k else 0) or im:
                     raise ValueError("gauge matrix is not unitary")
         if p.exact:
-            return _gauge_exact(entry, gden, p)
+            return _gauge(entry, gden, p, True)
     else:
         gc = np.asarray(g, dtype=complex)
         if not np.isfinite(gc).all():
             raise ValueError("gauge matrix has non-finite entries")
         if np.linalg.norm(la.dagger(gc) @ gc - np.eye(d)) > 1e-10 * d:
             raise ValueError("gauge matrix is not unitary")
-
-    mu_cols = {i: [(j, z) for j in letters if (z := complex(g[j - 1, i - 1]))]
-               for i in letters}
-    nu_cols = {i: [(j, z.conjugate()) for j, z in mu_cols[i]] for i in letters}
-    out: dict[CuntzWord, object] = {}
-    for w, c in p._coerced_terms(False).items():
-        images: list[tuple[tuple[int, ...], tuple[int, ...], complex]] = [((), (), c)]
-        for letter in w.mu:
-            images = [(mu + (j,), nu, coeff * z)
-                      for mu, nu, coeff in images for j, z in mu_cols[letter]]
-        for letter in w.nu:
-            images = [(mu, nu + (j,), coeff * z)
-                      for mu, nu, coeff in images for j, z in nu_cols[letter]]
-        for mu, nu, coeff in images:
-            word = CuntzWord(mu, nu)
-            if word in out:
-                merged = out[word] + coeff
-                if merged:
-                    out[word] = merged
-                else:
-                    del out[word]
-            elif coeff:
-                out[word] = coeff
-    return CuntzPolynomial(d, _contract_full_sums(d, out), False)
+    gn, _ = _numerators(cells, False)
+    return _gauge({key: (re, im) for key, re, im in gn}, 1, p, False)
 
 
 def gauge_defect(g: np.ndarray, p: CuntzPolynomial) -> float:

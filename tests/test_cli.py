@@ -475,6 +475,14 @@ class TestExitCodes:
         assert exc.value.code == cli.EXIT_INPUT_ERROR == 2
         assert f"unrecognized arguments: {flag}=1e-9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_cuntz_nf_dimension_below_one_exits_2(self, d, capsys):
+        code = cli.main(["cuntz", "nf", "--d", d, "--expr", "2 + 1/2"])
+        assert code == cli.EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension must be at least 1" in captured.err
+
     def test_z3_clock_sectors(self, tmp_path):
         w = np.exp(2j * np.pi / 3)
         clock = np.diag([1, w, w * w])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from sectorlab import cuntz
 from sectorlab.cuntz import (
     CuntzPolynomial,
     CuntzWord,
@@ -414,7 +415,7 @@ class TestExpressionGrammar:
 
 
 # ---------------------------------------------------------------------------
-# exact kernels against the pairwise QRat loops they replace
+# the kernels against the pairwise QRat and complex loops they replace
 # ---------------------------------------------------------------------------
 
 
@@ -439,8 +440,8 @@ def reference_multiply(p, q):
     return P(p.d, _contract_full_sums(p.d, out), exact)
 
 
-def reference_gauge_act(g, p, exact):
-    """Gauge image expanded letter by letter with one QRat product per image."""
+def letter_by_letter_gauge_act(g, p, exact):
+    """Gauge image expanded letter by letter: (((c g) g) ...) per image."""
     def entry(j, i):
         v = g[j - 1, i - 1]
         return QRat.of(v) if exact else complex(v)
@@ -466,6 +467,45 @@ def reference_gauge_act(g, p, exact):
             elif coeff:
                 out[word] = coeff
     return P(p.d, _contract_full_sums(p.d, out), exact)
+
+
+def reference_gauge_act(g, p, exact):
+    """Gauge image with the kernel's association, as a plain loop.
+
+    Exact images are letter by letter (association is immaterial).  A
+    floating image is c times the left-to-right product of the mu entries,
+    times the left-to-right product of the conjugated nu entries.
+    """
+    if exact:
+        return letter_by_letter_gauge_act(g, p, True)
+
+    def images(s, conj):
+        out = [((), 1)]
+        for letter in s:
+            nxt = []
+            for m, z in out:
+                for j in range(1, p.d + 1):
+                    e = complex(g[j - 1, letter - 1])
+                    if e:
+                        nxt.append((m + (j,), z * (e.conjugate() if conj else e)))
+            out = nxt
+        return out
+
+    out = {}
+    for w, c in p.terms.items():
+        for m, zm in images(w.mu, False):
+            for n, zn in images(w.nu, True):
+                coeff = complex(c) * zm * zn
+                word = CuntzWord(m, n)
+                if word in out:
+                    merged = out[word] + coeff
+                    if merged:
+                        out[word] = merged
+                    else:
+                        del out[word]
+                elif coeff:
+                    out[word] = coeff
+    return P(p.d, _contract_full_sums(p.d, out), False)
 
 
 def reference_sigma(p):
@@ -574,6 +614,11 @@ class TestExactKernels:
                     got = gauge_act(g, pp)
                     assert not got.exact
                     assert float_bits(got) == float_bits(reference_gauge_act(g, pp, False))
+                    # the letter-by-letter association differs by rounding only
+                    old = letter_by_letter_gauge_act(g, pp, False)
+                    assert set(got.terms) == set(old.terms)
+                    for w, c in old.terms.items():
+                        assert abs(got.terms[w] - c) <= 1e-15 * max(1.0, abs(c))
 
     def test_sigma_is_the_sum_of_products(self, rng):
         for d in (1, 2, 3):
@@ -661,3 +706,52 @@ class TestNoPairwiseFractionArithmetic:
                 qrat_products[0] = 0
                 gauge_act(g, profile_poly(rng, d, n_terms, 3))
                 assert qrat_products[0] <= d ** 3
+
+
+class TestOneAccumulationPath:
+    """Floating products and gauge images run the numerator kernels too."""
+
+    @pytest.fixture
+    def accumulations(self, monkeypatch):
+        calls = [0]
+        original = cuntz._accumulate
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        def coerced(*args):
+            raise AssertionError("a kernel coerced the terms pairwise")
+
+        monkeypatch.setattr(cuntz, "_accumulate", counted)
+        monkeypatch.setattr(P, "_coerced_terms", coerced)
+        return calls
+
+    def test_floating_multiply(self, rng, accumulations):
+        p = profile_poly(rng, 2, 8, 2, exact=False)
+        for q in (profile_poly(rng, 2, 8, 2, exact=False), profile_poly(rng, 2, 8, 2)):
+            for a, b in ((p, q), (q, p)):
+                accumulations[0] = 0
+                assert not multiply(a, b).exact
+                assert accumulations[0] > 0
+
+    def test_floating_gauge_act(self, rng, accumulations):
+        u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        for g, p in ((u, profile_poly(rng, 2, 8, 2)),
+                     (u, profile_poly(rng, 2, 8, 2, exact=False)),
+                     (ROTATION, profile_poly(rng, 2, 8, 2, exact=False))):
+            accumulations[0] = 0
+            assert not gauge_act(g, p).exact
+            assert accumulations[0] > 0
+
+
+class TestDimension:
+    @pytest.mark.parametrize("d", [0, -1, -3])
+    def test_every_constructor_rejects_d_below_one(self, d):
+        for make in (lambda: P.unit(d), lambda: P.zero(d), lambda: P(d, {}, True),
+                     lambda: P.build(d, {}), lambda: P.word(d, (), ()),
+                     lambda: parse_expression("2 + 1/2", d)):
+            with pytest.raises(ValueError, match="at least 1"):
+                make()
+        with pytest.raises(ValueError):
+            P.generator(d, 1)

@@ -563,6 +563,20 @@ class TestNonFiniteProbes:
         with pytest.raises(ValueError, match=message):
             invert_cq(channel, [unit, probe], np.array([1.0, 0.5]))
 
+    def test_every_decade_reports_or_raises_without_warning(self):
+        # an overflow inside the solve is the "overflowed" ValueError; the
+        # pytest configuration turns any RuntimeWarning into a failure
+        channel = build_thermal_channel(self.SYSTEM, beta_grid(self.BETAS))
+        unit = np.eye(3, dtype=complex)
+        for k in range(309):
+            probe = np.diag([1.0, 10.0 ** k, 0.0]).astype(complex)
+            try:
+                result = invert_cq(channel, [unit, probe], np.array([1.0, 0.5]))
+            except ValueError as err:
+                assert "the inversion overflowed" in str(err)
+            else:
+                assert np.isfinite(result.residual)
+
     def test_nesting_check_rejects_nan(self):
         unit = np.eye(3, dtype=complex)
         probe = np.diag([1.0, np.nan, 0.0]).astype(complex)
