@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_SEED, rng_from_seed
+from .errors import EigenvalueGapError
 
 #: singular values above SPAN_RANK_CUT * max(sigma_max, 1) span; also the
 #: relative residual of span membership
@@ -253,7 +254,3 @@ def commutant_basis(mats, d: int) -> np.ndarray:
     y = np.zeros((null.shape[1], d, d), dtype=complex)
     y[:, row, col] = null.T
     return q @ y @ dagger(q)
-
-
-class EigenvalueGapError(RuntimeError):
-    """Spectrum could not be clustered at the grouping gap."""

@@ -16,18 +16,7 @@ import numpy as np
 
 from . import _linalg as la
 from .config import DIMENSION_CAP, SEED_RETRIES, STATE_TOL, rng_from_seed
-
-
-class DimensionCapError(ValueError):
-    """Ambient dimension exceeds the dense-matrix feasibility cap."""
-
-
-class CentralProjectionError(RuntimeError):
-    """Eigenvalue grouping stayed ambiguous after the retry budget."""
-
-
-class GenerationError(RuntimeError):
-    """A generated algebra is unresolved or misses one of its generators."""
+from .errors import CentralProjectionError, DimensionCapError, GenerationError
 
 
 def wedderburn_blocks(draw, leaders, seed: int, error, what: str):

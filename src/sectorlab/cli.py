@@ -2,11 +2,15 @@
 
 Exit codes: 0 = success (criterion satisfied where one applies),
 1 = criterion rejection (a successful computation whose selection
-criterion failed), 2 = input error, 3 = computation failed (a spectrum
-that could not be split into sectors or central projections, a failed
-linear-algebra routine, or memory exhausted).  All
+criterion failed), 2 = input error (also an output path that cannot be
+written), 3 = computation failed (a spectrum that could not be split
+into sectors or central projections, a failed linear-algebra routine,
+or memory exhausted).  All
 reports are deterministic for a fixed seed and print numbers with 17
 significant digits.
+
+Each subcommand's handler imports the engines it runs in its first lines,
+so a call loads only the modules on its own path.
 """
 
 from __future__ import annotations
@@ -18,16 +22,16 @@ import sys
 import numpy as np
 
 from . import serialize as io
-from . import _linalg as la
-from .algebra import CentralProjectionError, DimensionCapError, GenerationError
-from .channels import design_matrix, invert_cq
 from .config import CRITERION_TOL
-from .cuntz import ExpressionError, parse_expression
-from .dhrnet import dhr_check, invert_selected_state
-from .groups import IsotypicError
-from .models import bundle_examples
-from .sectors import decompose_sectors, estimate_charge, sector_energies
-from .thermal import build_thermal_channel, hierarchy_report
+from .errors import (
+    CentralProjectionError,
+    DimensionCapError,
+    EigenvalueGapError,
+    ExpressionError,
+    GenerationError,
+    InputFormatError,
+    IsotypicError,
+)
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -153,12 +157,14 @@ def _load_group_arg(value: str):
         return io.group_from_json(io.load_json(value))
     if ":" in value and os.sep not in value:
         return io.group_from_json(value)
-    raise io.InputFormatError(
+    raise InputFormatError(
         f"{value}: neither an existing file nor a built-in group name"
     )
 
 
 def _run_sectors_analyze(args) -> int:
+    from .sectors import decompose_sectors, estimate_charge, sector_energies
+
     field = io.algebra_from_json(io.load_json(args.field))
     group = _load_group_arg(args.group)
     rep = io.rep_from_json(io.load_json(args.rep), group=group)
@@ -188,6 +194,9 @@ def _run_sectors_analyze(args) -> int:
 
 
 def _run_thermal_estimate(args) -> int:
+    from .channels import design_matrix
+    from .thermal import build_thermal_channel, hierarchy_report
+
     system = io.system_from_json(io.load_json(args.system))
     grid = io.grid_from_json(io.load_json(args.grid))
     measured = io.measured_from_json(io.load_json(args.measured))
@@ -235,6 +244,8 @@ def _run_thermal_estimate(args) -> int:
 
 
 def _run_dhr_check(args) -> int:
+    from .dhrnet import dhr_check
+
     net = io.net_from_json(io.load_json(args.net))
     omega = io.state_from_json(io.load_json(args.state))
     vacuum = io.state_from_json(io.load_json(args.vacuum))
@@ -253,6 +264,8 @@ def _run_dhr_check(args) -> int:
 
 
 def _run_dhr_invert(args) -> int:
+    from .dhrnet import invert_selected_state
+
     net = io.net_from_json(io.load_json(args.net))
     omega = io.state_from_json(io.load_json(args.state))
     vacuum = io.state_from_json(io.load_json(args.vacuum))
@@ -269,6 +282,8 @@ def _run_dhr_invert(args) -> int:
 
 
 def _run_cuntz_nf(args) -> int:
+    from .cuntz import parse_expression
+
     poly = parse_expression(args.expr, args.d)
     if args.json or args.format == "json":
         terms = []
@@ -299,12 +314,14 @@ def _run_cuntz_nf(args) -> int:
 
 
 def _run_channels_invert(args) -> int:
+    from .channels import design_matrix, invert_cq
+
     channel = io.channel_from_json(io.load_json(args.channel))
     probes = io.probes_from_json(io.load_json(args.probes))
     measured = io.measured_from_json(io.load_json(args.data))
     missing = [n for n, _ in probes if n not in measured]
     if missing:
-        raise io.InputFormatError(f"data missing probe values: {missing}")
+        raise InputFormatError(f"data missing probe values: {missing}")
     mats = [m for _, m in probes]
     data = np.array([measured[n] for n, _ in probes])
     result = invert_cq(channel, mats, data)
@@ -332,6 +349,8 @@ def _run_channels_invert(args) -> int:
 
 
 def _run_examples_init(args) -> int:
+    from .models import bundle_examples
+
     dirs = bundle_examples(args.dir)
     _emit({"directories": dirs}, args)
     return EXIT_OK
@@ -360,15 +379,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (io.InputFormatError, ExpressionError, DimensionCapError) as err:
+    except (InputFormatError, ExpressionError, DimensionCapError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except FileNotFoundError as err:
-        print(f"error: {err.filename}: file not found", file=sys.stderr)
+    # an output path that cannot be written; a failed write() names no file
+    except OSError as err:
+        where = "" if err.filename is None else f"{err.filename}: "
+        print(f"error: {where}{err.strerror}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     # before ValueError: numpy's LinAlgError is one
     except (IsotypicError, CentralProjectionError, GenerationError,
-            la.EigenvalueGapError, np.linalg.LinAlgError, MemoryError) as err:
+            EigenvalueGapError, np.linalg.LinAlgError, MemoryError) as err:
         print(f"error: computation failed: {str(err) or type(err).__name__}",
               file=sys.stderr)
         return EXIT_COMPUTATION_FAILED

@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _linalg as la
+from .errors import ExpressionError
 
 
 @dataclass(frozen=True)
@@ -706,10 +707,6 @@ def format_polynomial(p: CuntzPolynomial) -> str:
         else:
             chunks.append(f"{_format_coeff(c, p.exact)} {word}")
     return " + ".join(chunks)
-
-
-class ExpressionError(ValueError):
-    """Malformed generator expression."""
 
 
 def _tokenize(text: str) -> list[str]:

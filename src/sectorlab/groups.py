@@ -16,6 +16,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import OperatorAlgebra, algebra_of, wedderburn_blocks
 from .config import DEFAULT_SEED, rng_from_seed
+from .errors import IsotypicError
 
 
 @dataclass(frozen=True)
@@ -384,10 +385,6 @@ class SectorDecomposition:
         """
         return OperatorAlgebra.from_blocks(
             self.unitary, list(zip(self.mult_dims, self.irrep_dims)))
-
-
-class IsotypicError(RuntimeError):
-    """Decomposition failed to resolve after the retry budget."""
 
 
 def _character_sort_key(irrep: np.ndarray):

@@ -4,6 +4,9 @@ Numbers print with 17 significant digits so every float survives a
 round trip through text.  Dictionaries keep construction order, which the
 builders keep deterministic; identical inputs therefore produce identical
 bytes.  The full schema catalogue lives in docs/schemas.md.
+
+Each loader imports the engine whose objects it builds, so reading one
+kind of input loads only that engine.
 """
 
 from __future__ import annotations
@@ -13,15 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, State, full_matrix_algebra, generate_algebra
-from .channels import ClassicalQuantumChannel, ClassifyingSpace
-from .dhrnet import LatticeNet
-from .groups import FiniteGroup, UnitaryRep, builtin_group
-from .thermal import HamiltonianSystem, ObservableHierarchy, ThermalGrid
-
-
-class InputFormatError(ValueError):
-    """Malformed or inconsistent input data."""
+from .errors import InputFormatError
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +134,8 @@ def state_to_json(s: State) -> dict:
 
 
 def state_from_json(obj) -> State:
+    from .algebra import State
+
     if "density" not in obj:
         raise InputFormatError("state object needs a 'density' field")
     s = State(matrix_from_json(obj["density"]), label=str(obj.get("label", "")))
@@ -148,6 +145,8 @@ def state_from_json(obj) -> State:
 
 def algebra_from_json(obj) -> OperatorAlgebra:
     """Either {"full_dim": d} or a list of generator matrices to close."""
+    from .algebra import full_matrix_algebra, generate_algebra
+
     if isinstance(obj, dict) and "full_dim" in obj:
         return full_matrix_algebra(int(obj["full_dim"]))
     if not isinstance(obj, list):
@@ -161,6 +160,8 @@ def algebra_from_json(obj) -> OperatorAlgebra:
 
 
 def group_from_json(obj) -> FiniteGroup:
+    from .groups import FiniteGroup, builtin_group
+
     if isinstance(obj, str):
         g = builtin_group(obj)
     elif isinstance(obj, dict) and "name" in obj:
@@ -181,6 +182,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def rep_from_json(obj, group: FiniteGroup | None = None) -> UnitaryRep:
+    from .groups import UnitaryRep
+
     if "matrices" not in obj:
         raise InputFormatError("representation object needs 'matrices'")
     if group is None:
@@ -204,6 +207,8 @@ def rep_to_json(rep: UnitaryRep, include_group: bool = True) -> dict:
 
 
 def net_from_json(obj) -> LatticeNet:
+    from .dhrnet import LatticeNet
+
     try:
         sites = int(obj["sites"])
         onsite_dim = int(obj["onsite_dim"])
@@ -234,6 +239,8 @@ def net_to_json(net: LatticeNet) -> dict:
 
 
 def system_from_json(obj) -> HamiltonianSystem:
+    from .thermal import HamiltonianSystem
+
     if "hamiltonian" not in obj:
         raise InputFormatError("system object needs 'hamiltonian'")
     number = obj.get("number")
@@ -251,6 +258,8 @@ def system_to_json(sys: HamiltonianSystem) -> dict:
 
 
 def grid_from_json(obj) -> ThermalGrid:
+    from .thermal import ThermalGrid
+
     pts = obj.get("points")
     if not isinstance(pts, list) or not pts:
         raise InputFormatError("grid object needs a nonempty 'points' list")
@@ -296,6 +305,8 @@ def measured_from_json(obj) -> dict[str, float]:
 
 
 def hierarchy_from_json(obj) -> ObservableHierarchy:
+    from .thermal import ObservableHierarchy
+
     levels = obj.get("levels")
     if not isinstance(levels, list):
         raise InputFormatError("hierarchy object needs a 'levels' list")
@@ -329,6 +340,8 @@ def _label_from_json(obj):
 
 
 def channel_from_json(obj) -> ClassicalQuantumChannel:
+    from .channels import ClassicalQuantumChannel, ClassifyingSpace
+
     space_obj = obj.get("space")
     fibres = obj.get("fibres")
     if not isinstance(space_obj, dict) or not isinstance(fibres, list):

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from sectorlab import channels, cli, thermal
+from sectorlab import channels, cli, sectors, thermal
 from sectorlab import serialize as io
 from sectorlab.algebra import vector_state
 from sectorlab.channels import ClassifyingSpace
@@ -107,6 +108,36 @@ def example_tree(tmp_path_factory):
     return base
 
 
+def subcommands(models, csv):
+    """Arguments of each subcommand on the example tree; CSVs go to ``csv``."""
+    z2, z3 = models / "z2_chain_2", models / "z2_chain_3"
+    g, m = models / "gibbs_two_level", models / "moment_grid_12"
+    return {
+        "cuntz nf": ["cuntz", "nf", "--d", "2", "--expr", "s1 s1* + s2 s2*"],
+        "thermal estimate": [
+            "thermal", "estimate", "--system", str(g / "system.json"),
+            "--grid", str(g / "grid.json"), "--measured", str(g / "measured.json"),
+            "--hierarchy", str(g / "hierarchy.json"), "--csv", str(csv)],
+        "channels invert": [
+            "channels", "invert", "--channel", str(m / "channel.json"),
+            "--probes", str(m / "probes.json"), "--data", str(m / "measured.json"),
+            "--tol", "1e-6", "--design-csv", str(csv)],
+        "dhr check": [
+            "dhr", "check", "--net", str(z3 / "net.json"),
+            "--state", str(z3 / "flipped_state.json"),
+            "--vacuum", str(z3 / "vacuum.json")],
+        "dhr invert": [
+            "dhr", "invert", "--net", str(z3 / "net.json"),
+            "--state", str(z3 / "flipped_state.json"),
+            "--vacuum", str(z3 / "vacuum.json")],
+        "sectors analyze": [
+            "sectors", "analyze", "--field", str(z2 / "field.json"),
+            "--group", str(z2 / "group.json"), "--rep", str(z2 / "rep.json"),
+            "--state", str(z2 / "charged_state.json"),
+            "--hamiltonian", str(z2 / "hamiltonian.json")],
+    }
+
+
 class TestCliCommands:
     def test_examples_init_idempotent(self, example_tree):
         before = {
@@ -164,7 +195,7 @@ class TestCliCommands:
             built.append(original(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(cli, "build_thermal_channel", kept)
+        monkeypatch.setattr(thermal, "build_thermal_channel", kept)
         code = cli.main([
             "thermal", "estimate", "--system", str(d / "system.json"),
             "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
@@ -441,7 +472,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise IsotypicError("unresolved")
 
-        monkeypatch.setattr(cli, "decompose_sectors", fail)
+        monkeypatch.setattr(sectors, "decompose_sectors", fail)
         d = example_tree / "z2_chain_2"
         code = cli.main(["sectors", "analyze", "--field", str(d / "field.json"),
                          "--group", str(d / "group.json"), "--rep", str(d / "rep.json")])
@@ -458,7 +489,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "decompose_sectors", fail)
+        monkeypatch.setattr(sectors, "decompose_sectors", fail)
         d = example_tree / "z2_chain_2"
         code = cli.main(["sectors", "analyze", "--field", str(d / "field.json"),
                          "--group", str(d / "group.json"), "--rep", str(d / "rep.json")])
@@ -482,6 +513,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "dimension must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("command, out", [
+        ("cuntz nf", True), ("thermal estimate", False), ("channels invert", False),
+    ], ids=["out", "csv", "design-csv"])
+    def test_output_path_at_a_directory_exits_2(self, command, out, example_tree,
+                                                tmp_path):
+        # --out at a directory, or the command's CSV path at one
+        argv = subcommands(example_tree, csv=tmp_path)[command]
+        proc = run_cli(*(["--out", str(tmp_path)] if out else []), *argv)
+        assert proc.returncode == cli.EXIT_INPUT_ERROR
+        assert proc.stderr.startswith(f"error: {tmp_path}: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_examples_dir_at_a_file_exits_2(self, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("")
+        proc = run_cli("examples", "init", "--dir", str(target))
+        assert proc.returncode == cli.EXIT_INPUT_ERROR
+        assert proc.stderr.startswith(f"error: {target}")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_exits_2(self):
+        proc = run_cli("--out", "/dev/full", "cuntz", "nf", "--d", "2", "--expr", "s1")
+        assert proc.returncode == cli.EXIT_INPUT_ERROR
+        assert proc.stderr.startswith("error: ") and "None" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_z3_clock_sectors(self, tmp_path):
         w = np.exp(2j * np.pi / 3)
@@ -517,3 +575,39 @@ def test_channels_invert_checks_separation_once(example_tree, monkeypatch, capsy
     assert len(calls) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["rank"] == 11 and report["sigma_min"] > 0
+
+
+ENGINES = {"algebra", "channels", "groups", "sectors", "dhrnet", "thermal",
+           "cuntz", "models"}
+
+# child: run one command through cli.main, then list the sectorlab modules
+# that the run loaded
+LOADED_BY = """
+import json, sys
+from sectorlab import cli
+code = cli.main(sys.argv[1:])
+mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("sectorlab."))
+print(json.dumps({"code": code, "modules": mods}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command, runs, unloaded", [
+    ("cuntz nf", "cuntz", ENGINES - {"cuntz"}),
+    ("thermal estimate", "thermal", {"groups", "sectors", "dhrnet", "cuntz", "models"}),
+    ("channels invert", "channels", {"groups", "sectors", "dhrnet", "cuntz", "models"}),
+    ("dhr check", "dhrnet", {"thermal", "cuntz", "models"}),
+    ("dhr invert", "dhrnet", {"thermal", "cuntz", "models"}),
+    ("sectors analyze", "sectors", {"thermal", "cuntz", "models"}),
+])
+def test_subcommand_loads_only_its_engines(command, runs, unloaded, example_tree,
+                                           tmp_path):
+    argv = ["--out", str(tmp_path / "report.json"),
+            *subcommands(example_tree, csv=tmp_path / "out.csv")[command]]
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert result["code"] == cli.EXIT_OK
+    loaded = set(result["modules"])
+    assert runs in loaded
+    assert not loaded & unloaded, sorted(loaded & unloaded)
