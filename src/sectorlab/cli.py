@@ -285,17 +285,17 @@ def _run_cuntz_nf(args) -> int:
     from .cuntz import parse_expression
 
     poly = parse_expression(args.expr, args.d)
+    terms = []
+    for w, c in poly.sorted_terms():
+        if poly.exact:
+            entry = {"mu": list(w.mu), "nu": list(w.nu),
+                     "re": str(c.re), "im": str(c.im)}
+        else:
+            z = complex(c)
+            entry = {"mu": list(w.mu), "nu": list(w.nu),
+                     "re": z.real, "im": z.imag}
+        terms.append(entry)
     if args.json or args.format == "json":
-        terms = []
-        for w, c in poly.sorted_terms():
-            if poly.exact:
-                entry = {"mu": list(w.mu), "nu": list(w.nu),
-                         "re": str(c.re), "im": str(c.im)}
-            else:
-                z = complex(c)
-                entry = {"mu": list(w.mu), "nu": list(w.nu),
-                         "re": z.real, "im": z.imag}
-            terms.append(entry)
         payload = {
             "d": args.d,
             "normal_form": str(poly),
@@ -304,6 +304,9 @@ def _run_cuntz_nf(args) -> int:
         }
         _emit(payload, args)
     else:
+        # the JSON report's finiteness check, so that a non-finite
+        # coefficient is the same input error in both formats
+        io.dumps_canonical(terms)
         text = str(poly) + "\n"
         if args.out:
             with open(args.out, "w") as fh:

@@ -15,10 +15,16 @@ rational; any float input switches the polynomial to floating mode.
 Both modes share the kernels (products, the gauge action): they write
 the inputs as numerator pairs over one common denominator (Gaussian
 integers when exact, float parts over 1 when not), accumulate pairs per
-output word and build one coefficient per word at the end.  The
-canonical endomorphism is a relabelling of words and does no arithmetic.
-A truncated Fock representation (sparse matrices over index strings of
-bounded length) serves as the independent oracle for the rewriting rules.
+output word and build one coefficient per word at the end.  A product
+visits only the pairs of terms that contract, found through an index of
+the right factor's creation strings and their prefixes.  The canonical
+endomorphism is a relabelling of words and does no arithmetic.
+
+A truncated Fock representation (matrices over index strings of bounded
+length) serves as the independent oracle for the rewriting rules:
+:func:`fock_matrix` returns it as a scipy sparse matrix, the only use of
+scipy here; :func:`fock_product_defect` composes the same index maps
+with numpy alone.
 """
 
 from __future__ import annotations
@@ -107,16 +113,6 @@ class CuntzWord(NamedTuple):
 UNIT_WORD = CuntzWord((), ())
 
 
-def _word_product(w1: CuntzWord, w2: CuntzWord) -> CuntzWord | None:
-    """psi_mu1 psi_nu1* . psi_mu2 psi_nu2*; None when the overlap mismatches."""
-    k = min(len(w1.nu), len(w2.mu))
-    if w1.nu[:k] != w2.mu[:k]:
-        return None
-    if len(w1.nu) <= len(w2.mu):
-        return CuntzWord(w1.mu + w2.mu[len(w1.nu):], w2.nu)
-    return CuntzWord(w1.mu, w2.nu + w1.nu[len(w2.mu):])
-
-
 def _is_exact_scalar(c) -> bool:
     return isinstance(c, (Fraction, QRat, numbers.Integral))
 
@@ -133,37 +129,39 @@ def _contract_full_sums(d: int, terms: dict) -> dict:
     s1 s1* + s2 s2* + 2 s1 s1 s1* s1* + 2 s1 s2 s2* s1* gives
     3 s1 s1* + s2 s2* however its terms are ordered.
     """
-    counts: dict[CuntzWord, int] = {}
-    for w in terms:
-        if w.mu and w.nu and w.mu[-1] == w.nu[-1]:
-            parent = CuntzWord(w.mu[:-1], w.nu[:-1])
+    # parents as plain (mu, nu) tuples, which hash and compare equal to the
+    # CuntzWord keys; a CuntzWord is made only for a family that merges
+    counts: dict[tuple, int] = {}
+    for mu, nu in terms:
+        if mu and nu and mu[-1] == nu[-1]:
+            parent = (mu[:-1], nu[:-1])
             counts[parent] = counts.get(parent, 0) + 1
     # parents whose family may be complete, by depth len(mu) + len(nu)
-    pending: dict[int, list[CuntzWord]] = {}
-    for parent, n in counts.items():
+    pending: dict[int, list[tuple]] = {}
+    for (mu, nu), n in counts.items():
         if n == d:
-            pending.setdefault(len(parent.mu) + len(parent.nu), []).append(parent)
+            pending.setdefault(len(mu) + len(nu), []).append((mu, nu))
     if not pending:
         return terms
     letters = range(1, d + 1)
     for depth in range(max(pending), -1, -1):
-        for parent in pending.pop(depth, ()):
-            kids = [CuntzWord(parent.mu + (i,), parent.nu + (i,)) for i in letters]
+        for mu, nu in pending.pop(depth, ()):
+            kids = [(mu + (i,), nu + (i,)) for i in letters]
             c = terms.get(kids[0])
             if c is None or any(terms.get(w) != c for w in kids[1:]):
                 continue
             for w in kids:
                 del terms[w]
+            parent = tuple.__new__(CuntzWord, (mu, nu))
             old = terms.get(parent)
             merged = c if old is None else old + c
             if merged:
                 terms[parent] = merged
             else:
                 del terms[parent]
-            if old is None and parent.mu and parent.nu and parent.mu[-1] == parent.nu[-1]:
+            if old is None and mu and nu and mu[-1] == nu[-1]:
                 # a new kid may complete its own parent's family
-                grand = CuntzWord(parent.mu[:-1], parent.nu[:-1])
-                pending.setdefault(depth - 2, []).append(grand)
+                pending.setdefault(depth - 2, []).append((mu[:-1], nu[:-1]))
     return terms
 
 
@@ -336,50 +334,99 @@ def _numerators(terms: dict, exact: bool) -> tuple[list, int]:
     ], den
 
 
-def _accumulate(out: dict, w: CuntzWord, re, im) -> None:
-    """Add the numerator re + im i to ``out[w]``; drop the word if it cancels.
-
-    A word that cancels and comes back is re-inserted at the end, so the
-    order of ``out`` is the order of pairwise accumulation.
-    """
-    acc = out.get(w)
-    if acc is None:
-        out[w] = [re, im]
-        return
-    acc[0] += re
-    acc[1] += im
-    if not (acc[0] or acc[1]):
-        del out[w]
+_ZERO = Fraction(0)
 
 
 def _from_numerators(d: int, out: dict, den: int, exact: bool) -> dict:
     """Accumulated numerators over ``den`` as contracted terms; a floating
-    (0, 0) pair, which only underflow makes, is dropped."""
+    (0, 0) pair, which only underflow makes, is dropped.
+
+    ``out`` maps plain (mu, nu) tuples to [re, im]; each key becomes one
+    CuntzWord here, in the order of ``out``.
+    """
+    new = tuple.__new__
     if exact:
-        terms = {w: QRat(Fraction(re, den), Fraction(im, den))
+        terms = {new(CuntzWord, w): QRat(Fraction(re, den) if re else _ZERO,
+                                         Fraction(im, den) if im else _ZERO)
                  for w, (re, im) in out.items()}
     else:
-        terms = {w: complex(re, im) for w, (re, im) in out.items() if re or im}
+        terms = {new(CuntzWord, w): complex(re, im)
+                 for w, (re, im) in out.items() if re or im}
     return _contract_full_sums(d, terms)
+
+
+class _PrefixMatches(dict):
+    """The terms of q that a left annihilation string nu contracts with.
+
+    psi_nu* psi_mu2 is non-zero iff one string is a prefix of the other:
+    mu2 = nu[:k] for some k <= |nu|, or mu2 extends nu.  q's positions are
+    indexed once by exact mu2 and by every proper prefix of mu2.  ``self[nu]``
+    (built on first use) lists the matching terms in q's order as
+    (mu tail, nu of the product, re, im): psi_mu1 psi_nu* times such a term
+    is psi_{mu1 + tail} psi_{nu of the product}*.
+    """
+
+    def __init__(self, qn: list):
+        super().__init__()
+        self.qn = qn
+        self.by_mu: dict = {}
+        self.by_prefix: dict = {}
+        for pos, ((mu, _), _, _) in enumerate(qn):
+            self.by_mu.setdefault(mu, []).append(pos)
+            for k in range(len(mu)):
+                self.by_prefix.setdefault(mu[:k], []).append(pos)
+
+    def __missing__(self, nu: tuple) -> list:
+        positions = list(self.by_prefix.get(nu, ()))
+        for k in range(len(nu) + 1):
+            positions += self.by_mu.get(nu[:k], ())
+        n = len(nu)
+        hits = []
+        for pos in sorted(positions):
+            (mu2, nu2), c, e = self.qn[pos]
+            if len(mu2) >= n:
+                hits.append((mu2[n:], nu2, c, e))
+            else:
+                hits.append(((), nu2 + nu[len(mu2):], c, e))
+        self[nu] = hits
+        return hits
 
 
 def multiply(p: CuntzPolynomial, q: CuntzPolynomial) -> CuntzPolynomial:
     """Product in normal form: prefix contraction term by term.
 
-    Numerator pairs accumulate per output word over the product of the two
-    common denominators; a floating pair is CPython's complex product.
+    Each term of p meets only the terms of q whose creation string is
+    prefix-comparable with its annihilation string (:class:`_PrefixMatches`),
+    in q's order.  Numerator pairs accumulate per output word over the
+    product of the two common denominators; a floating pair is CPython's
+    complex product.  A word that cancels and comes back is re-inserted at
+    the end, so the order of the terms is the order of pairwise
+    accumulation.
     """
     if p.d != q.d:
         raise ValueError("polynomials have different dimensions")
     exact = p.exact and q.exact
     pn, pden = _numerators(p.terms, exact)
     qn, qden = _numerators(q.terms, exact)
-    acc: dict[CuntzWord, list] = {}
-    for w1, a, b in pn:
-        for w2, c, e in qn:
-            w = _word_product(w1, w2)
-            if w is not None:
-                _accumulate(acc, w, a * c - b * e, a * e + b * c)
+    matches = _PrefixMatches(qn)
+    acc: dict[tuple, list] = {}
+    get = acc.get
+    for (mu1, nu1), a, b in pn:
+        for tail, nu, c, e in matches[nu1]:
+            w = (mu1 + tail, nu)
+            re = a * c - b * e
+            im = a * e + b * c
+            cur = get(w)
+            if cur is None:
+                acc[w] = [re, im]
+            else:
+                re = cur[0] + re
+                im = cur[1] + im
+                if re or im:
+                    cur[0] = re
+                    cur[1] = im
+                else:
+                    del acc[w]
     return CuntzPolynomial(p.d, _from_numerators(p.d, acc, pden * qden, exact), exact)
 
 
@@ -390,10 +437,11 @@ def canonical_endomorphism(p: CuntzPolynomial) -> CuntzPolynomial:
     unit word kept as it is (sum_i psi_i psi_i* is 1 in normal form).
     """
     out: dict[CuntzWord, object] = {}
+    new = tuple.__new__
     for i in range(1, p.d + 1):
-        for w, c in p.terms.items():
-            if w != UNIT_WORD and c:
-                out[CuntzWord((i,) + w.mu, (i,) + w.nu)] = c
+        for (mu, nu), c in p.terms.items():
+            if (mu or nu) and c:
+                out[new(CuntzWord, ((i,) + mu, (i,) + nu))] = c
     unit = p.terms.get(UNIT_WORD)
     if unit:
         out[UNIT_WORD] = unit
@@ -437,7 +485,8 @@ def _gauge(entry: dict, gden: int, p: CuntzPolynomial, exact: bool) -> CuntzPoly
     nu_memo: dict = {(): [((), 1, 0)]}
     terms, den = _numerators(p.terms, exact)
     lmax = max((len(w.mu) + len(w.nu) for w, _, _ in terms), default=0)
-    acc: dict[CuntzWord, list] = {}
+    acc: dict[tuple, list] = {}
+    get = acc.get
     for w, a, b in terms:
         scale = gden ** (lmax - len(w.mu) - len(w.nu))
         a *= scale
@@ -446,7 +495,21 @@ def _gauge(entry: dict, gden: int, p: CuntzPolynomial, exact: bool) -> CuntzPoly
         for m, x, y in _expand(w.mu, mu_memo, mu_cols):
             ca, cb = a * x - b * y, a * y + b * x
             for n, u, v in nus:
-                _accumulate(acc, CuntzWord(m, n), ca * u - cb * v, ca * v + cb * u)
+                # accumulated as in multiply
+                key = (m, n)
+                re = ca * u - cb * v
+                im = ca * v + cb * u
+                cur = get(key)
+                if cur is None:
+                    acc[key] = [re, im]
+                else:
+                    re = cur[0] + re
+                    im = cur[1] + im
+                    if re or im:
+                        cur[0] = re
+                        cur[1] = im
+                    else:
+                        del acc[key]
     return CuntzPolynomial(p.d, _from_numerators(p.d, acc, den * gden ** lmax, exact),
                            exact)
 
@@ -540,9 +603,10 @@ def _tails(span: int) -> np.ndarray:
 
 
 def _word_index_map(
-    d: int, offsets: np.ndarray, level: int, w: CuntzWord
+    d: int, offsets: np.ndarray, level: int, w: CuntzWord, top: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Columns and rows of the 0/1 Fock matrix of a single word."""
+    """Columns and rows of the 0/1 Fock matrix of a single word, on the
+    columns of strings of length <= top."""
     mu_idx = 0
     for letter in w.mu:
         mu_idx = mu_idx * d + (letter - 1)
@@ -550,13 +614,31 @@ def _word_index_map(
     for letter in w.nu:
         nu_idx = nu_idx * d + (letter - 1)
     cols_list, rows_list = [], []
-    for t in range(level - w.max_length() + 1):
+    for t in range(min(level - w.max_length(), top - len(w.nu)) + 1):
         tails = _tails(d ** t)
         cols_list.append(offsets[len(w.nu) + t] + nu_idx * d ** t + tails)
         rows_list.append(offsets[len(w.mu) + t] + mu_idx * d ** t + tails)
     if not cols_list:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(cols_list), np.concatenate(rows_list)
+
+
+def _fock_entries(
+    p: CuntzPolynomial, offsets: np.ndarray, level: int, top: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of p's Fock matrix on the columns of
+    strings of length <= top, word by word: entries of different words
+    that share a cell are listed apart, not summed."""
+    rows_list, cols_list, vals_list = [], [], []
+    for w, c in p.terms.items():
+        cols, rows = _word_index_map(p.d, offsets, level, w, top)
+        rows_list.append(rows)
+        cols_list.append(cols)
+        vals_list.append(np.full(cols.size, complex(c)))
+    if not rows_list:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=complex))
+    return np.concatenate(rows_list), np.concatenate(cols_list), np.concatenate(vals_list)
 
 
 def fock_matrix(p: CuntzPolynomial, level: int) -> "scipy.sparse.csr_matrix":
@@ -571,8 +653,8 @@ def fock_matrix(p: CuntzPolynomial, level: int) -> "scipy.sparse.csr_matrix":
     edge; :func:`fock_product_defect` says where the bottom edge still
     shows.
     """
-    # imported here: scipy.sparse costs a third of a second and only
-    # this oracle needs it
+    # imported here: scipy.sparse costs a third of a second, and of this
+    # module only this public oracle needs it
     import scipy.sparse as sp
 
     if level < p.max_word_length():
@@ -580,20 +662,9 @@ def fock_matrix(p: CuntzPolynomial, level: int) -> "scipy.sparse.csr_matrix":
             f"truncation level {level} below the longest word "
             f"({p.max_word_length()})"
         )
-    d = p.d
-    offsets = _string_offsets(d, level)
+    offsets = _string_offsets(p.d, level)
     n = int(offsets[-1])
-    rows_list, cols_list, vals_list = [], [], []
-    for w, c in p.terms.items():
-        cols, rows = _word_index_map(d, offsets, level, w)
-        rows_list.append(rows)
-        cols_list.append(cols)
-        vals_list.append(np.full(cols.size, complex(c)))
-    if not rows_list:
-        return sp.csr_matrix((n, n), dtype=complex)
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    vals = np.concatenate(vals_list)
+    rows, cols, vals = _fock_entries(p, offsets, level, level)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
 
 
@@ -611,8 +682,8 @@ def _word_product_defect(
     d = p.d
     offsets = _string_offsets(d, level)
     n = int(offsets[-1])
-    cq, rq = _word_index_map(d, offsets, level, next(iter(q.terms)))
-    cp, rp = _word_index_map(d, offsets, level, next(iter(p.terms)))
+    cq, rq = _word_index_map(d, offsets, level, next(iter(q.terms)), level)
+    cp, rp = _word_index_map(d, offsets, level, next(iter(p.terms)), level)
     through_p = np.full(n, -1, dtype=np.int32)
     through_p[cp] = rp
     composed = np.full(n_safe, -1, dtype=np.int32)
@@ -621,7 +692,7 @@ def _word_product_defect(
     expected = np.full(n_safe, -1, dtype=np.int32)
     prod = multiply(p, q)
     if not prod.is_zero():
-        cr, rr = _word_index_map(d, offsets, level, next(iter(prod.terms)))
+        cr, rr = _word_index_map(d, offsets, level, next(iter(prod.terms)), level)
         inside = cr < n_safe
         expected[cr[inside]] = rr[inside]
     return 0.0 if np.array_equal(composed, expected) else 1.0
@@ -643,9 +714,10 @@ def fock_product_defect(
     defect is 1.  On every other safe column the defect is zero up to
     coefficient rounding.  Returns (max absolute deviation, #safe columns).
 
-    Single words with unit coefficient are composed as 0/1 index maps,
-    which is the same truncated action without the sparse-matrix overhead;
-    anything else goes through explicit sparse products.
+    Single words with unit coefficient are composed as 0/1 index maps.
+    Anything else is composed on the safe columns only, as (row, column,
+    value) entries: F(q) and F(pq) on the safe columns, and p's words on
+    the strings that F(q) reaches there, with no sparse-matrix library.
     """
     if p.d != q.d:
         raise ValueError("polynomials have different dimensions")
@@ -655,16 +727,33 @@ def fock_product_defect(
     n_safe = fock_dimension(p.d, safe_len)
     if _is_plain_word(p) and _is_plain_word(q):
         return _word_product_defect(p, q, level, n_safe), n_safe
-    prod = multiply(p, q)
-    lhs = fock_matrix(p, level) @ fock_matrix(q, level)
-    rhs = fock_matrix(prod, level)
-    diff = (lhs - rhs).tocoo()
-    if diff.nnz == 0:
+    offsets = _string_offsets(p.d, level)
+    rq, cq, vq = _fock_entries(q, offsets, level, safe_len)
+    # F(q) maps a safe column to strings of length <= mid
+    mid = safe_len + q.max_word_length()
+    through = np.empty(int(offsets[mid + 1]), dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for w, c in p.terms.items():
+        cp, rp = _word_index_map(p.d, offsets, level, w, mid)
+        through.fill(-1)
+        through[cp] = rp
+        r = through[rq]
+        hit = r >= 0
+        rows.append(r[hit])
+        cols.append(cq[hit])
+        vals.append(complex(c) * vq[hit])
+    r, c, v = _fock_entries(multiply(p, q), offsets, level, safe_len)
+    rows.append(r)
+    cols.append(c)
+    vals.append(-v)
+    diff = np.concatenate(vals)
+    if not diff.size:
         return 0.0, n_safe
-    mask = diff.col < n_safe
-    if not mask.any():
-        return 0.0, n_safe
-    return float(np.abs(diff.data[mask]).max()), n_safe
+    # sum the entries per cell of F(p) F(q) - F(pq)
+    _, cell = np.unique(np.concatenate(rows) * n_safe + np.concatenate(cols),
+                        return_inverse=True)
+    worst = np.hypot(np.bincount(cell, diff.real), np.bincount(cell, diff.imag)).max()
+    return float(worst), n_safe
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert "dimension must be at least 1" in captured.err
 
+    # a 201-digit float squares past the float range; a 401-digit one is
+    # already infinite, and its product with a generator has a nan part
+    @pytest.mark.parametrize("expr, value", [
+        (f"({'1' * 201}.0 s1)({'1' * 201}.0 s1*)", "inf"),
+        (f"{'1' * 401}.0 s1", "nan"),
+    ], ids=["overflow", "infinite-literal"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_cuntz_nf_non_finite_coefficient_exits_2(self, expr, value, fmt, to_file,
+                                                     tmp_path, capsys):
+        target = tmp_path / "nf.txt"
+        argv = ["--format", fmt] + (["--out", str(target)] if to_file else [])
+        code = cli.main(argv + ["cuntz", "nf", "--d", "2", "--expr", expr])
+        assert code == cli.EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: non-finite value {value} in report\n"
+        assert not target.exists()
+
     @pytest.mark.parametrize("command, out", [
         ("cuntz nf", True), ("thermal estimate", False), ("channels invert", False),
     ], ids=["out", "csv", "design-csv"])

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from sectorlab.cuntz import (
     ExpressionError,
     QRat,
     _contract_full_sums,
-    _word_product,
     canonical_endomorphism,
     fock_dimension,
     fock_matrix,
@@ -249,6 +250,17 @@ class TestGaugeAction:
                 assert all(abs(complex(c)) <= 1e-10 for c in poly.terms.values())
 
 
+def sparse_product_defect(p, q, level):
+    """The defect from sparse products of the public oracle, on the safe columns."""
+    safe = level - p.max_word_length() - q.max_word_length()
+    if safe < 0:
+        return 0.0, 0
+    n_safe = fock_dimension(p.d, safe)
+    diff = (fock_matrix(p, level) @ fock_matrix(q, level)
+            - fock_matrix(multiply(p, q), level))[:, :n_safe]
+    return float(abs(diff).max()), n_safe
+
+
 class TestFockRepresentation:
     def test_unit_is_identity(self):
         for d, level in ((2, 3), (3, 2)):
@@ -335,6 +347,42 @@ class TestFockRepresentation:
             defect, _ = fock_product_defect(a, b, 12)
             assert defect <= 1e-12
 
+    def test_defect_matches_the_sparse_oracle(self, rng):
+        # levels one below, at and two above the safe edge: no safe column,
+        # the vacuum alone, and many
+        seen = set()
+        for d in (1, 2, 3):
+            for exact in (True, False):
+                for _ in range(6):
+                    p = random_poly(rng, d, n_terms=int(rng.integers(2, 5)), max_len=3,
+                                    exact=exact)
+                    q = random_poly(rng, d, n_terms=int(rng.integers(2, 5)), max_len=3,
+                                    exact=exact)
+                    edge = p.max_word_length() + q.max_word_length()
+                    for level in (edge - 1, edge, edge + 2):
+                        defect, n_safe = fock_product_defect(p, q, level)
+                        want, want_n = sparse_product_defect(p, q, level)
+                        assert n_safe == want_n
+                        assert abs(defect - want) <= 1e-12 * max(1.0, want)
+                        seen.add(min(n_safe, 2))
+        assert seen == {0, 1, 2}
+
+    def test_defect_path_leaves_scipy_unloaded(self):
+        code = (
+            "import sys\n"
+            "from sectorlab.cuntz import fock_matrix, fock_product_defect, parse_expression\n"
+            "p = parse_expression('s1 + 1/2 s2 s1* + 0.25 s2', 2)\n"
+            "q = parse_expression('s1* s2 + 3 s2* + s1 s1*', 2)\n"
+            "assert p.n_terms > 1 and q.n_terms > 1\n"
+            "fock_product_defect(p, q, 7)\n"
+            "print('scipy' in sys.modules)\n"
+            "import scipy.sparse as sp\n"
+            "print(sp.isspmatrix_csr(fock_matrix(p, 7)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
 
 class TestGaugeInvariantEmbedding:
     """Worked example: gauge-invariant words represented on the truncated
@@ -417,6 +465,16 @@ class TestExpressionGrammar:
 # ---------------------------------------------------------------------------
 # the kernels against the pairwise QRat and complex loops they replace
 # ---------------------------------------------------------------------------
+
+
+def _word_product(w1, w2):
+    """psi_mu1 psi_nu1* . psi_mu2 psi_nu2*; None when the overlap mismatches."""
+    k = min(len(w1.nu), len(w2.mu))
+    if w1.nu[:k] != w2.mu[:k]:
+        return None
+    if len(w1.nu) <= len(w2.mu):
+        return CuntzWord(w1.mu + w2.mu[len(w1.nu):], w2.nu)
+    return CuntzWord(w1.mu, w2.nu + w1.nu[len(w2.mu):])
 
 
 def reference_multiply(p, q):
@@ -640,6 +698,61 @@ class TestExactKernels:
             assert canonical_endomorphism(p) == canonical_endomorphism(P.build(d, terms))
 
 
+def assert_matches_reference(p, q):
+    got, want = multiply(p, q), reference_multiply(p, q)
+    assert got.exact == want.exact and got == want and str(got) == str(want)
+    assert list(got.terms) == list(want.terms)
+    if not got.exact:
+        assert float_bits(got) == float_bits(want)
+
+
+def random_coeff(rng, exact):
+    if exact:
+        return QRat(F(int(rng.integers(1, 6)), int(rng.integers(1, 4))),
+                    F(int(rng.integers(-2, 3))))
+    return complex(rng.standard_normal(), rng.standard_normal())
+
+
+class TestPrefixIndex:
+    """multiply visits only the prefix-matching pairs; its terms come in the
+    order, and with the float bits, of the all-pairs loop."""
+
+    def test_nested_prefix_right_factors(self, rng):
+        # creation strings s1, s1 s1, s1 s1 s1 (listed longest first) against
+        # annihilation strings shorter, equal, longer and off the chain
+        right = [((1, 1, 1), ()), ((1,), (2,)), ((1, 1), ()), ((1,), ()), ((2, 1), (1,)),
+                 ((1, 1), (2, 2))]
+        left = [((), nu) for nu in ((), (1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 2), (2,))]
+        left.append(((2,), (1, 1)))
+        for exact in (True, False):
+            for _ in range(5):
+                p = P.build(2, {CuntzWord(*w): random_coeff(rng, exact) for w in left})
+                q = P.build(2, {CuntzWord(*w): random_coeff(rng, exact)
+                                for w in right[::int(rng.choice([-1, 1]))]})
+                assert_matches_reference(p, q)
+                assert_matches_reference(q, p)
+                assert_matches_reference(q.adjoint(), p.adjoint())
+
+    def test_one_letter(self, rng):
+        # d = 1: every pair of strings is prefix-comparable
+        for exact in (True, False):
+            for _ in range(10):
+                p = profile_poly(rng, 1, int(rng.integers(1, 12)), 3, exact)
+                q = profile_poly(rng, 1, int(rng.integers(1, 12)), 3, exact)
+                assert_matches_reference(p, q)
+
+    def test_unit_word_on_either_side(self, rng):
+        for d in (1, 2, 3):
+            for exact in (True, False):
+                p = profile_poly(rng, d, 10, 2, exact)
+                q = profile_poly(rng, d, 10, 2, exact)
+                unit_first = P.build(d, {CuntzWord((), ()): random_coeff(rng, exact), **p.terms})
+                unit_last = P.build(d, {**q.terms, CuntzWord((), ()): random_coeff(rng, exact)})
+                for a, b in ((unit_first, unit_last), (unit_last, unit_first),
+                             (P.unit(d), q), (q, P.unit(d))):
+                    assert_matches_reference(a, b)
+
+
 class TestGaugeMatrixChecks:
     def test_near_unitary_rational_rejected(self):
         g = np.array([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5) + F(1, 10 ** 12)]], dtype=object)
@@ -709,12 +822,13 @@ class TestNoPairwiseFractionArithmetic:
 
 
 class TestOneAccumulationPath:
-    """Floating products and gauge images run the numerator kernels too."""
+    """Floating products and gauge images run the numerator kernels too:
+    each ends in the one call that builds coefficients from numerators."""
 
     @pytest.fixture
     def accumulations(self, monkeypatch):
         calls = [0]
-        original = cuntz._accumulate
+        original = cuntz._from_numerators
 
         def counted(*args):
             calls[0] += 1
@@ -723,7 +837,7 @@ class TestOneAccumulationPath:
         def coerced(*args):
             raise AssertionError("a kernel coerced the terms pairwise")
 
-        monkeypatch.setattr(cuntz, "_accumulate", counted)
+        monkeypatch.setattr(cuntz, "_from_numerators", counted)
         monkeypatch.setattr(P, "_coerced_terms", coerced)
         return calls
 
