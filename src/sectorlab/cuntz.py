@@ -157,7 +157,7 @@ def _contract_full_sums(d: int, terms: dict) -> dict:
             merged = c if old is None else old + c
             if merged:
                 terms[parent] = merged
-            else:
+            elif old is not None:
                 del terms[parent]
             if old is None and mu and nu and mu[-1] == nu[-1]:
                 # a new kid may complete its own parent's family
@@ -713,6 +713,9 @@ def fock_product_defect(
     vacuum column when nu is empty, as for (s1 + s2)(s1* + s2*), whose
     defect is 1.  On every other safe column the defect is zero up to
     coefficient rounding.  Returns (max absolute deviation, #safe columns).
+    The deviation is absolute, not relative: floating coefficients make it
+    round at the scale of the largest |c_p c_q|, c_p and c_q coefficients
+    of p and q, so it reads as zero only against that scale.
 
     Single words with unit coefficient are composed as 0/1 index maps.
     Anything else is composed on the safe columns only, as (row, column,

@@ -66,22 +66,53 @@ class LatticeNet:
         return tuple(range(self.n_sites))
 
     @cached_property
-    def global_rep(self) -> UnitaryRep:
-        return tensor_power_rep(self.onsite_rep, self.n_sites)
+    def _cache(self) -> dict:
+        # data that depend only on the net, each built once and read-only:
+        # per site count k <= n_sites its rep and observables, per region
+        # its site order, and the group span
+        return {}
 
-    @cached_property
-    def _observable_algebra(self) -> OperatorAlgebra:
-        return isotypic_decomposition(self.global_rep).observable_algebra()
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def _local_rep(self, k: int) -> UnitaryRep:
+        """The symmetry on k sites, g acting by U(g) on each."""
+        def build():
+            # a copy: at k = 1 the power shares the caller's on-site matrices
+            mats = np.array(tensor_power_rep(self.onsite_rep, k).matrices)
+            return UnitaryRep(self.onsite_rep.group, _read_only(mats))
+        return self._cached(("rep", k), build)
+
+    def _local_observables(self, k: int) -> OperatorAlgebra:
+        """The invariant part of k sites' tensor factor (see
+        :meth:`observable_algebra`)."""
+        def build():
+            alg = isotypic_decomposition(self._local_rep(k)).observable_algebra()
+            _read_only(alg.unitary)
+            return alg
+        return self._cached(("obs", k), build)
+
+    @property
+    def global_rep(self) -> UnitaryRep:
+        return self._local_rep(self.n_sites)
 
     def observable_algebra(self) -> OperatorAlgebra:
         """Global invariant algebra (the full chain's observables).
 
         The commutant of ``global_rep``, held as the Wedderburn data of its
         isotypic decomposition, whose eigenvalue grouping sets the
-        dimension (``IsotypicError`` when it stays ambiguous).  Morphism
-        checks read only its two generators.
+        dimension (``IsotypicError`` when it stays ambiguous).  Built once
+        per net, as the observables of every smaller site count are.
+        Morphism checks read only its two generators.
         """
-        return self._observable_algebra
+        return self._local_observables(self.n_sites)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def normalize_region(net: LatticeNet, region) -> tuple[int, ...]:
@@ -96,13 +127,16 @@ def complement_sites(net: LatticeNet, region) -> tuple[int, ...]:
     return tuple(s for s in net.sites if s not in region)
 
 
-def _site_order(net: LatticeNet, sites) -> np.ndarray:
-    """Row i in the chain's site order is row ``_site_order(net, sites)[i]``
-    of an operator written as factor (x) rest."""
-    rest = [s for s in net.sites if s not in sites]
-    perm = list(np.argsort(list(sites) + rest))
-    return np.arange(net.total_dim).reshape([net.onsite_dim] * net.n_sites) \
-        .transpose(perm).reshape(-1)
+def _site_order(net: LatticeNet, sites) -> tuple[np.ndarray, np.ndarray]:
+    """(order, back) for a normalized region: row i in the chain's site
+    order is row ``order[i]`` of an operator written as factor (x) rest, and
+    row a of the latter is row ``back[a]`` of the former."""
+    def build():
+        rest = [s for s in net.sites if s not in sites]
+        order = np.arange(net.total_dim).reshape([net.onsite_dim] * net.n_sites) \
+            .transpose(np.argsort(list(sites) + rest)).reshape(-1)
+        return _read_only(order), _read_only(np.argsort(order))
+    return net._cached(("order", tuple(sites)), build)
 
 
 def embed_factor_operator(net: LatticeNet, region, m: np.ndarray) -> np.ndarray:
@@ -112,7 +146,7 @@ def embed_factor_operator(net: LatticeNet, region, m: np.ndarray) -> np.ndarray:
     if m.shape[0] != net.onsite_dim ** len(sites):
         raise ValueError("operator dimension does not match the region factor")
     full = np.kron(m, np.eye(net.total_dim // m.shape[0], dtype=complex))
-    order = _site_order(net, sites)
+    order = _site_order(net, sites)[0]
     return full[np.ix_(order, order)]
 
 
@@ -133,13 +167,9 @@ def region_algebra(
     if not sites:
         return scalar_algebra(d)
     k = net.onsite_dim ** len(sites)
-    if observable:
-        local_rep = tensor_power_rep(net.onsite_rep, len(sites))
-        factor = isotypic_decomposition(local_rep).observable_algebra()
-    else:
-        factor = full_matrix_algebra(k)
+    factor = net._local_observables(len(sites)) if observable else full_matrix_algebra(k)
     rest = d // k
-    w = np.kron(factor.unitary, np.eye(rest, dtype=complex))[_site_order(net, sites)]
+    w = np.kron(factor.unitary, np.eye(rest, dtype=complex))[_site_order(net, sites)[0]]
     return OperatorAlgebra.from_blocks(w, [(m, n * rest) for m, n in factor.blocks])
 
 
@@ -188,12 +218,9 @@ def _observable_distance(delta: np.ndarray, net: LatticeNet, sites) -> float:
     """
     if not sites:
         return float(abs(np.trace(delta)))
-    if len(sites) == net.n_sites:
-        reduced, rep = delta, net.global_rep
-    else:
-        reduced = _partial_trace(delta, net, sites)
-        rep = tensor_power_rep(net.onsite_rep, len(sites))
-    return float(np.linalg.svd(average(reduced, rep), compute_uv=False).sum())
+    reduced = delta if len(sites) == net.n_sites else _partial_trace(delta, net, sites)
+    averaged = average(reduced, net._local_rep(len(sites)))
+    return float(np.linalg.svd(averaged, compute_uv=False).sum())
 
 
 def _partial_trace(m: np.ndarray, net: LatticeNet, sites) -> np.ndarray:
@@ -204,7 +231,7 @@ def _partial_trace(m: np.ndarray, net: LatticeNet, sites) -> np.ndarray:
     """
     k = net.onsite_dim ** len(sites)
     rest = net.total_dim // k
-    back = np.argsort(_site_order(net, sites))
+    back = _site_order(net, sites)[1]
     return np.trace(m[np.ix_(back, back)].reshape(k, rest, k, rest), axis1=1, axis2=3)
 
 
@@ -478,18 +505,23 @@ def invert_selected_state(
     distance is the norm of the difference functional restricted to it,
     the trace norm of the group average of rho - u* rho0 u (never below
     the largest difference on an orthonormal observable basis, the
-    distance of earlier versions).  Densities with non-finite entries
-    raise ``ValueError``.  Heuristic by design: a miss is not a proof that
-    no morphism exists.
+    distance of earlier versions).  A candidate acts on its region's legs
+    only, in the region-first site order where psi = u (x) 1: the normaliser
+    test and the pullback never embed it, and only the morphism returned
+    is embedded.  Densities with non-finite entries raise ``ValueError``.
+    Heuristic by design: a miss is not a proof that no morphism exists.
     """
     _check_states(omega, omega0, net)
     cands = candidates if candidates is not None else default_onsite_candidates(
         net.onsite_dim
     )
     sites = net.sites
-    group_span = la.orthonormalize_mats(net.global_rep.matrices)
+    d = net.total_dim
     tried = 0
     best = np.inf
+    # the normaliser verdict depends on the candidate word, not on where
+    # its region lies
+    normal: dict[tuple[int, ...], bool] = {}
     for region in enumerate_regions(net):
         if not region:
             dist = _observable_distance(omega.density - omega0.density, net, sites)
@@ -499,27 +531,55 @@ def invert_selected_state(
                 return InversionSearchReport(True, identity_morphism(net),
                                              (), dist, tried)
             continue
-        for combo in itertools.product(cands, repeat=len(region)):
+        # in region-first order psi = u (x) 1, so psi* rho0 psi contracts u
+        # on the region's legs only
+        k = net.onsite_dim ** len(region)
+        rest = d // k
+        order, back = _site_order(net, region)
+        rho0 = omega0.density[np.ix_(back, back)].reshape(k, rest * k * rest)
+        for word in itertools.product(range(len(cands)), repeat=len(region)):
             tried += 1
-            u = combo[0][1]
-            for _, nxt in combo[1:]:
-                u = np.kron(u, nxt)
-            name = "".join(n for n, _ in combo)
-            morph = localized_morphism(net, region, [u], f"{name}@{region}")
-            if not _normalizes(morph.multiplet.matrices[0], net, group_span):
+            u = np.asarray(cands[word[0]][1])
+            for i in word[1:]:
+                u = _kron(u, np.asarray(cands[i][1]))
+            u = la.as_complex_matrix(u)
+            if u.shape[0] != k:
+                raise ValueError("operator dimension does not match the region factor")
+            if word not in normal:
+                normal[word] = _normalizes(u, net, len(region))
+            if not normal[word]:
                 continue
-            rho = morph.multiplet.pullback_density(omega0.density)
+            rho = (la.dagger(u) @ rho0).reshape(k, rest, k, rest).transpose(0, 1, 3, 2) @ u
+            rho = rho.transpose(0, 1, 3, 2).reshape(d, d)[np.ix_(order, order)]
             dist = _observable_distance(omega.density - rho, net, sites)
             best = min(best, dist)
             if dist <= tol:
+                name = "".join(cands[i][0] for i in word)
+                morph = localized_morphism(net, region, [u], f"{name}@{region}")
                 return InversionSearchReport(True, morph, region, dist, tried)
     return InversionSearchReport(False, None, None, best, tried)
 
 
-def _normalizes(u: np.ndarray, net: LatticeNet, group_span: np.ndarray) -> bool:
-    """Whether u U(g) u* lies in span{U(h)} for every g (relative 1e-9)."""
-    for ug in net.global_rep.matrices:
-        img = u @ ug @ la.dagger(u)
-        if la.span_residual(group_span, img) > 1e-9 * la.hs_norm(img):
-            return False
-    return True
+def _normalizes(u: np.ndarray, net: LatticeNet, n_region: int) -> bool:
+    """Whether psi U(g) psi* lies in span{U(h)} for every g (relative 1e-9),
+    psi = u (x) 1 with u on the first ``n_region`` sites.
+
+    In region-first order U(g) = A_g (x) B_g, with A and B the symmetry on
+    the region and on the rest, so psi U(g) psi* = (u A_g u*) (x) B_g.  The
+    action is the same on every site, so U(h) is unchanged by reordering
+    the sites, and one orthonormal span serves every region.
+    """
+    span = net._cached("span", lambda: _read_only(
+        la.mats_to_rows(la.orthonormalize_mats(net.global_rep.matrices))))
+    a = net._local_rep(n_region).matrices
+    b = net._local_rep(net.n_sites - n_region).matrices
+    images = _kron(u @ a @ la.dagger(u), b).reshape(len(a), -1)
+    residual = np.linalg.norm(images - (images @ span.conj().T) @ span, axis=1)
+    return not np.any(residual > 1e-9 * np.linalg.norm(images, axis=1))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, stacked over the leading ones: the
+    same products, without np.kron's per-call overhead."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])

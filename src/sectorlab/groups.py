@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,10 +185,44 @@ class UnitaryRep:
                 if np.linalg.norm(res) > tol * self.dim:
                     raise ValueError(f"not a homomorphism at ({g},{h})")
 
+    @cached_property
+    def monomial(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(cols, phases) when every U(g) has one nonzero entry per row.
+
+        Row i of U(g) is then phases[g, i] at column cols[g, i], and U(g)
+        acts by index: (U(g) F)[i] = phases[g, i] F[cols[g, i]].  Entries
+        are compared with exact zero, so a rep with any other entry, however
+        small, is None and keeps the dense products.  Permutation, sign and
+        clock representations are monomial.  Computed once per rep, whose
+        matrices are taken as fixed (the dataclass is frozen).
+        """
+        nonzero = self.matrices != 0
+        if not np.all(np.count_nonzero(nonzero, axis=2) == 1):
+            return None
+        cols = np.argmax(nonzero, axis=2)
+        return cols, np.take_along_axis(self.matrices, cols[..., None], axis=2)[..., 0]
+
     def conjugate(self, g: int, f: np.ndarray) -> np.ndarray:
         """The action tau_g(F) = U(g) F U(g)*."""
-        u = self.matrices[g]
-        return u @ f @ la.dagger(u)
+        if self.monomial is None:
+            u = self.matrices[g]
+            return u @ f @ la.dagger(u)
+        return self._conjugates_by_index(slice(g, g + 1), f)[0]
+
+    def _conjugates_by_index(self, gs: slice, f: np.ndarray) -> np.ndarray:
+        """The stack of U(g) F U(g)* over a slice of the group, for a
+        monomial rep: entry (i, j) is phases_i F[cols_i, cols_j] conj(phases_j),
+        multiplied in the dense product's order."""
+        cols, phases = self.monomial[0][gs], self.monomial[1][gs]
+        return (phases[:, :, None] * f[cols[:, :, None], cols[:, None, :]]
+                * phases.conj()[:, None, :])
+
+    def images(self, e: np.ndarray) -> np.ndarray:
+        """The stack of U(g) e over the group, for a d x m matrix e."""
+        if self.monomial is None:
+            return self.matrices @ e
+        cols, phases = self.monomial
+        return phases[..., None] * e[cols]
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -231,6 +266,10 @@ def tensor_power_rep(rep: UnitaryRep, sites: int) -> UnitaryRep:
 # ---------------------------------------------------------------------------
 
 
+#: entries of one batch of conjugates in :func:`average` (1 MiB of complex)
+_BATCH_ENTRIES = 1 << 16
+
+
 def average(f: np.ndarray, rep: UnitaryRep) -> np.ndarray:
     """Group average m(F) = (1/|G|) sum_g U(g) F U(g)*.
 
@@ -241,10 +280,20 @@ def average(f: np.ndarray, rep: UnitaryRep) -> np.ndarray:
     f = la.as_complex_matrix(f)
     if f.shape[0] != rep.dim:
         raise ValueError("dimension mismatch between F and the representation")
+    n = rep.group.order
     out = np.zeros_like(f)
-    for u in rep.matrices:
-        out += u @ f @ la.dagger(u)
-    return out / rep.group.order
+    if rep.monomial is None:
+        for u in rep.matrices:
+            out += u @ f @ la.dagger(u)
+        return out / n
+    # by index, in batches of about _BATCH_ENTRIES entries; adding out into
+    # each batch's first term keeps the dense loop's order of sums
+    step = max(1, _BATCH_ENTRIES // f.size)
+    for start in range(0, n, step):
+        terms = rep._conjugates_by_index(slice(start, start + step), f)
+        terms[0] += out
+        out = terms.sum(axis=0)
+    return out / n
 
 
 def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlgebra:
@@ -388,10 +437,9 @@ class SectorDecomposition:
 
 
 def _character_sort_key(irrep: np.ndarray):
-    chars = [np.trace(u) for u in irrep]
-    return tuple(
-        (-round(float(c.real), 9), -round(float(c.imag), 9)) for c in chars
-    )
+    chars = np.trace(irrep, axis1=1, axis2=2)
+    return tuple((-round(re, 9), -round(im, 9))
+                 for re, im in zip(chars.real.tolist(), chars.imag.tolist()))
 
 
 def isotypic_decomposition(rep: UnitaryRep, seed: int = 0) -> SectorDecomposition:
@@ -421,7 +469,7 @@ def isotypic_decomposition(rep: UnitaryRep, seed: int = 0) -> SectorDecompositio
         return k, average(z, rep)
 
     def leaders(e, starts, ey):
-        ue = rep.matrices @ e
+        ue = rep.images(e)
         diag = np.einsum("dc,gdc->gc", e.conj(), ue)
         chars = np.add.reduceat(diag, starts[:-1], axis=1).T
         overlaps = (chars.conj() @ chars.T).real / n

@@ -18,6 +18,11 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def bits(a):
+    """The raw 64-bit words of an array, to compare floats bit for bit."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def kron_all(*mats):
     out = np.eye(1, dtype=complex)
     for m in mats:

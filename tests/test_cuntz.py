@@ -153,6 +153,18 @@ class TestContractionOrder:
             assert abs(diff[:, long_cols:]).max() == 0
 
 
+class TestZeroFamily:
+    """A raw polynomial whose complete family has zero coefficients merges
+    into a parent it never held: the result is zero, with no KeyError."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_product_and_sum(self, exact):
+        zero = QRat.of(0) if exact else 0j
+        raw = P(2, {CuntzWord((1,), (1,)): zero, CuntzWord((2,), (2,)): zero}, exact)
+        for out in (multiply(raw, P.unit(2)), raw + P.zero(2)):
+            assert out.is_zero() and out.exact == exact
+
+
 class TestAlgebraLaws:
     def test_associativity_exact(self, rng):
         # confluence: the normal form cannot depend on association order

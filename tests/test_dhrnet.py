@@ -33,6 +33,7 @@ from sectorlab.groups import (
     intertwiner_space,
     isotypic_decomposition,
     regular_rep,
+    tensor_power_rep,
 )
 from sectorlab.models import (
     coupled_chain_hamiltonian, z2_chain_net, z2_onsite_rep, z2_vacuum,
@@ -42,7 +43,7 @@ from sectorlab.thermal import HamiltonianSystem, gibbs_state
 
 from conftest import (
     SX, SY, SZ, I2, assert_observable_generators, assert_same_span, averaged_span,
-    dense_fixed_points, kron_all, permutation_rep,
+    bits, dense_fixed_points, kron_all, permutation_rep,
 )
 
 
@@ -687,7 +688,6 @@ class TestNormalizerTest:
     def test_agrees_with_basis_images(self, net3, rng):
         # the old test: every image of the observable basis stays in its span
         obs = net3.observable_algebra()
-        group_span = la.orthonormalize_mats(net3.global_rep.matrices)
         q, _ = np.linalg.qr(rng.standard_normal((2, 2))
                             + 1j * rng.standard_normal((2, 2)))
         cands = dhrnet.default_onsite_candidates(2) + [
@@ -701,7 +701,7 @@ class TestNormalizerTest:
                 morph = localized_morphism(net3, region, [u], "u")
                 old = all(la.span_residual(obs.basis, morph.apply_raw(b)) <= 1e-9
                           for b in obs.basis)
-                new = dhrnet._normalizes(morph.multiplet.matrices[0], net3, group_span)
+                new = dhrnet._normalizes(u, net3, len(region))
                 assert new == old, (region, [name for name, _ in combo])
                 verdicts.add(new)
         assert verdicts == {True, False}
@@ -720,3 +720,187 @@ class TestNonFiniteStates:
                 dhr_check(omega, omega0, net3)
             with pytest.raises(ValueError, match="non-finite"):
                 invert_selected_state(omega, omega0, net3)
+
+
+def _dense_distance(delta, net):
+    """Trace norm of the dense group average of delta over a fresh global rep."""
+    rep = tensor_power_rep(net.onsite_rep, net.n_sites)
+    avg = sum(u @ delta @ la.dagger(u) for u in rep.matrices) / rep.group.order
+    return float(np.linalg.svd(avg, compute_uv=False).sum())
+
+
+def dense_invert_selected_state(omega, omega0, net, candidates=None, tol=1e-8):
+    """The search as it was: every candidate embedded and multiplied at d x d
+    for the normaliser test, the pullback and the distance."""
+    cands = candidates if candidates is not None else dhrnet.default_onsite_candidates(
+        net.onsite_dim)
+    global_mats = tensor_power_rep(net.onsite_rep, net.n_sites).matrices
+    group_span = la.orthonormalize_mats(global_mats)
+    tried, best = 0, np.inf
+    for region in enumerate_regions(net):
+        if not region:
+            dist = _dense_distance(omega.density - omega0.density, net)
+            best, tried = min(best, dist), tried + 1
+            if dist <= tol:
+                return True, None, (), dist, tried
+            continue
+        for combo in itertools.product(cands, repeat=len(region)):
+            tried += 1
+            u = combo[0][1]
+            for _, nxt in combo[1:]:
+                u = np.kron(u, nxt)
+            name = "".join(n for n, _ in combo)
+            morph = localized_morphism(net, region, [u], f"{name}@{region}")
+            psi = morph.multiplet.matrices[0]
+            images = [psi @ ug @ la.dagger(psi) for ug in global_mats]
+            if any(la.span_residual(group_span, img) > 1e-9 * la.hs_norm(img)
+                   for img in images):
+                continue
+            dist = _dense_distance(omega.density - morph.multiplet.pullback_density(
+                omega0.density), net)
+            best = min(best, dist)
+            if dist <= tol:
+                return True, morph, region, dist, tried
+    return False, None, None, best, tried
+
+
+class TestRegionLocalInversion:
+    """The search on the region's legs against the dense loop it replaced."""
+
+    @staticmethod
+    def assert_same_search(omega, omega0, net, candidates=None):
+        got = invert_selected_state(omega, omega0, net, candidates)
+        found, morph, region, dist, tried = dense_invert_selected_state(
+            omega, omega0, net, candidates)
+        assert (got.found, got.region, got.n_tried) == (found, region, tried)
+        assert abs(got.distance - dist) <= 1e-12
+        if morph is not None:
+            assert got.morphism.label == morph.label
+            assert np.array_equal(got.morphism.multiplet.matrices[0],
+                                  morph.multiplet.matrices[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_default_candidates(self, n):
+        net, vac = z2_chain_net(n), z2_vacuum(n)
+        for flips in [(s,) for s in range(n)] + [(0, n - 1)] * (n > 1):
+            self.assert_same_search(_flip_state(n, flips), vac, net)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_non_normalising_candidates(self, n):
+        # H and a random unitary fail the normaliser test; S and Y pass it
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        cands = [("H", (SX + SZ) / np.sqrt(2)), ("Q", q), ("S", np.diag([1, 1j])),
+                 ("X", SX), ("Y", SY)]
+        net, vac = z2_chain_net(n), z2_vacuum(n)
+        for flips in [(s,) for s in range(n)] + [(0, n - 1)]:
+            self.assert_same_search(_flip_state(n, flips), vac, net, cands)
+        omega, omega0 = (State(_random_density(rng, net.total_dim)) for _ in range(2))
+        for ref in (vac, omega0):
+            self.assert_same_search(omega, ref, net, cands)
+            self.assert_same_search(omega, ref, net)
+        moved = selected_state(localized_morphism(net, [n - 1], [SY], "Y"), omega0)
+        self.assert_same_search(moved, omega0, net, cands)
+        assert invert_selected_state(moved, omega0, net, cands).found
+
+
+def _parent_site_order(net, sites):
+    rest = [s for s in net.sites if s not in sites]
+    perm = list(np.argsort(list(sites) + rest))
+    return np.arange(net.total_dim).reshape([net.onsite_dim] * net.n_sites) \
+        .transpose(perm).reshape(-1)
+
+
+def _fill(net):
+    """Run every cached path of the net once."""
+    n = net.n_sites
+    vac = State(np.diag(np.eye(net.total_dim)[0]).astype(complex))
+    omega = _flip_state(n, (0,))
+    dhr_check(omega, vac, net, all_subsets=True)
+    invert_selected_state(omega, vac, net)
+    for region in enumerate_regions(net, all_subsets=True)[1:] + [net.sites]:
+        haag_duality_check(net, region, observable=True)
+    localized_morphism(net, [0], [SX], "f0").validate()
+    net.observable_algebra()
+
+
+def _cached_arrays(net):
+    for key, value in net._cache.items():
+        if isinstance(value, tuple):
+            yield from ((key, a) for a in value)
+        elif hasattr(value, "matrices"):
+            yield key, value.matrices
+        elif hasattr(value, "unitary"):
+            yield key, value.unitary
+        else:
+            yield key, value
+
+
+class TestNetCache:
+    N = 3
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        nets = [z2_chain_net(self.N), LatticeNet(self.N, cyclic_rep_from_unitary(SX, 2))]
+        for net in nets:
+            _fill(net)
+        return nets
+
+    def test_cached_arrays_are_read_only(self, nets):
+        for net in nets:
+            arrays = list(_cached_arrays(net))
+            assert len(arrays) > 10
+            for key, a in arrays:
+                assert not a.flags.writeable, key
+                with pytest.raises(ValueError):
+                    a.flat[0] = a.flat[0]
+            assert net.onsite_rep.matrices.flags.writeable
+
+    def test_bounded_by_the_net(self, nets):
+        n = self.N
+        for net in nets:
+            kinds = [key[0] if isinstance(key, tuple) else key for key in net._cache]
+            assert kinds.count("rep") <= n and kinds.count("obs") <= n
+            assert kinds.count("order") <= 2 ** n and kinds.count("span") == 1
+
+    def test_nets_share_no_entry(self, nets):
+        a, b = nets
+        for (ka, x), (kb, y) in itertools.product(_cached_arrays(a), _cached_arrays(b)):
+            assert not np.shares_memory(x, y), (ka, kb)
+        assert not np.array_equal(a.global_rep.matrices, b.global_rep.matrices)
+
+    def test_equal_to_a_fresh_computation(self, nets):
+        for net in nets:
+            for key, value in net._cache.items():
+                kind = key[0] if isinstance(key, tuple) else key
+                if kind == "rep":
+                    fresh = tensor_power_rep(net.onsite_rep, key[1]).matrices
+                    assert np.array_equal(bits(value.matrices), bits(fresh)), key
+                elif kind == "obs":
+                    rep = tensor_power_rep(net.onsite_rep, key[1])
+                    fresh = isotypic_decomposition(rep).observable_algebra()
+                    assert value.blocks == fresh.blocks, key
+                    assert np.array_equal(bits(value.unitary), bits(fresh.unitary)), key
+                elif kind == "order":
+                    order = _parent_site_order(net, key[1])
+                    assert np.array_equal(value[0], order), key
+                    assert np.array_equal(value[1], np.argsort(order)), key
+                else:
+                    rep = tensor_power_rep(net.onsite_rep, net.n_sites)
+                    fresh = la.mats_to_rows(la.orthonormalize_mats(rep.matrices))
+                    assert np.array_equal(bits(value), bits(fresh)), key
+
+    def test_warm_net_answers_like_a_new_one(self, nets):
+        for warm in nets:
+            vac = State(np.diag(np.eye(warm.total_dim)[0]).astype(complex))
+            omega = _flip_state(self.N, (1,))
+            for region in enumerate_regions(warm, all_subsets=True)[1:]:
+                new = LatticeNet(warm.n_sites, warm.onsite_rep)
+                got, want = (region_algebra(net, region, observable=True)
+                             for net in (warm, new))
+                assert np.array_equal(bits(got.unitary), bits(want.unitary))
+            new = LatticeNet(warm.n_sites, warm.onsite_rep)
+            assert dhr_check(omega, vac, warm) == dhr_check(omega, vac, new)
+            new = LatticeNet(warm.n_sites, warm.onsite_rep)
+            assert invert_selected_state(omega, vac, warm).distance == \
+                invert_selected_state(omega, vac, new).distance

@@ -36,7 +36,7 @@ from sectorlab.models import z2_chain_net
 
 from conftest import (
     SX, SY, SZ, I2, assert_observable_generators, assert_same_algebra, assert_same_span,
-    averaged_span, dense_fixed_points, kron_all, permutation_rep,
+    averaged_span, bits, dense_fixed_points, kron_all, permutation_rep,
 )
 
 
@@ -493,3 +493,106 @@ class TestIsotypicWithoutSolves:
         assert dec.mult_dims == (128, 128)
         assert dec.irrep_dims == (1, 1)
         assert dec.reconstruction_residual(rep) <= 1e-10
+
+
+def _dense_average(f, rep):
+    out = np.zeros_like(f)
+    for u in rep.matrices:
+        out += u @ f @ la.dagger(u)
+    return out / rep.group.order
+
+
+def _phased_rep(rep, rng):
+    """D U(g) D* for a random diagonal unitary D: monomial, random phases."""
+    phases = np.exp(2j * np.pi * rng.random(rep.dim))
+    return rep_from_matrices(rep.group, phases[:, None] * rep.matrices * phases.conj())
+
+
+class TestIndexKernels:
+    """Monomial reps act by gathers; every result matches the dense product."""
+
+    #: entries real 0 or +-1: the gathers copy values, so results are bit-equal
+    REAL = {
+        "permutation S3": lambda: permutation_rep(3),
+        "regular S4": lambda: regular_rep(symmetric_group(4)),
+        "regular S5": lambda: regular_rep(symmetric_group(5)),  # several batches
+        "sigma_z chain, 3 sites": lambda: tensor_power_rep(z2_rep(), 3),
+        "sigma_z chain, 8 sites": lambda: tensor_power_rep(z2_rep(), 8),
+    }
+
+    def complex_reps(self, rng):
+        w = np.exp(2j * np.pi / 3)
+        return {
+            "clock:3": cyclic_rep_from_unitary(np.diag([1, w, w * w]), 3),
+            "quaternion spin^2": tensor_power_rep(quaternion_spin_rep(), 2),
+            "random phases, regular Q8": _phased_rep(regular_rep(quaternion_group()), rng),
+            "random phases, sigma_z^5": _phased_rep(tensor_power_rep(z2_rep(), 5), rng),
+        }
+
+    def kernels(self, rep, rng):
+        d = rep.dim
+        f = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        e = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+        dense = (_dense_average(f, rep),
+                 np.array([u @ f @ la.dagger(u) for u in rep.matrices]),
+                 rep.matrices @ e)
+        indexed = (average(f, rep),
+                   np.array([rep.conjugate(g, f) for g in range(rep.group.order)]),
+                   rep.images(e))
+        return dense, indexed
+
+    @pytest.mark.parametrize("name", list(REAL))
+    def test_real_entries_bit_equal(self, name, rng):
+        rep = self.REAL[name]()
+        assert rep.monomial is not None
+        for want, got in zip(*self.kernels(rep, rng)):
+            assert np.array_equal(bits(got), bits(want)), name
+
+    def test_complex_phases_within_rounding(self, rng):
+        for name, rep in self.complex_reps(rng).items():
+            rep.validate()
+            assert rep.monomial is not None, name
+            for want, got in zip(*self.kernels(rep, rng)):
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), name
+
+    def test_non_monomial_keeps_the_dense_products(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a non-monomial rep was acted on by index")
+
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        reg = regular_rep(symmetric_group(3))
+        tiny = reg.matrices.copy()
+        tiny[1, 0, 5] = 1e-300  # one entry off the permutation pattern
+        reps = [rep_from_matrices(reg.group, q @ reg.matrices @ la.dagger(q)),
+                rep_from_matrices(reg.group, tiny)]
+        monkeypatch.setattr(groups.UnitaryRep, "_conjugates_by_index", forbidden)
+        for rep in reps:
+            assert rep.monomial is None
+            for want, got in zip(*self.kernels(rep, rng)):
+                assert np.array_equal(bits(got), bits(want))
+
+
+def _parent_character_sort_key(irrep):
+    """The sort key as it was: one np.trace per group element."""
+    chars = [np.trace(u) for u in irrep]
+    return tuple((-round(float(c.real), 9), -round(float(c.imag), 9)) for c in chars)
+
+
+class TestCharacterSortKey:
+    BUILTIN = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
+               "symmetric:1", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5",
+               "quaternion:8"]
+
+    def assert_same_keys(self, rep, seeds):
+        for seed in seeds:
+            dec = isotypic_decomposition(rep, seed=seed)
+            for irrep in dec.irreps:
+                assert groups._character_sort_key(irrep) == _parent_character_sort_key(irrep)
+
+    @pytest.mark.parametrize("name", BUILTIN)
+    def test_regular_reps_of_the_builtin_groups(self, name):
+        self.assert_same_keys(regular_rep(builtin_group(name)), range(3))
+
+    def test_character_oracle_inputs(self):
+        for make in MULTIPLICITY_REPS:
+            self.assert_same_keys(make(), range(3))
