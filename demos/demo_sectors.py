@@ -43,9 +43,7 @@ print("  charge read back from the state:", back.weights)
 print("\n== charged vector for the balanced distribution ==")
 half = ProbabilityWeight(charge_space(decomp), np.array([0.5, 0.5]))
 mults = {m.label: m for m in model["charge_morphisms"]}
-report = induce_charged_state(
-    half, mults, np.array([1, 0, 0, 0]), net.global_rep,
-    decomp.observable_algebra())
+report = induce_charged_state(half, mults, np.array([1, 0, 0, 0]), net.global_rep)
 print("  Psi =", np.round(report.psi.real, 6))
 print("  worst deviation from the mixed state on group averages:",
       report.max_deviation)

@@ -34,7 +34,10 @@ for beta in (0.5, 1.0, 2.0):
     rho = gibbs_state(two_level_system(), beta)
     print(f"  beta={beta}: <sz> = {np.trace(rho.density @ sz).real:+.6f}"
           f"   (-tanh beta = {-np.tanh(beta):+.6f})")
-print("  KMS residual at beta=1:", kms_residual(two_level_system(), 1.0))
+print("  KMS residual of the beta=1 Gibbs state:",
+      kms_residual(gibbs_state(two_level_system(), 1.0), two_level_system(), 1.0))
+print("  KMS residual at beta=1 of the beta=2 Gibbs state:",
+      kms_residual(gibbs_state(two_level_system(), 2.0), two_level_system(), 1.0))
 
 print("\n== thermal functions on the grid ==")
 grid = two_level_grid()

@@ -34,6 +34,10 @@ AMBIGUITY_FLOOR = 1e-12
 #: a vector whose part outside a span is <= DEPENDENCE_CUT times its part
 #: inside lies in the span (the column test of Lawson-Hanson NNLS)
 DEPENDENCE_CUT = 100 * np.finfo(float).eps
+#: a multiplet implements a unital *-endomorphism of a representation's
+#: commutant when its unitality defect is <= MORPHISM_CUT * d and its
+#: residuals (:func:`~sectorlab.groups.endomorphism_residuals`) are <= MORPHISM_CUT
+MORPHISM_CUT = 1e-9
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -49,6 +53,13 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     return m
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, broadcast over the leading ones: the
+    same products, without np.kron's per-call overhead."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def mats_to_rows(mats: np.ndarray) -> np.ndarray:

@@ -31,10 +31,12 @@ from .groups import (
     UnitaryRep,
     _intertwiners,
     average,
+    endomorphism_residuals,
     isotypic_decomposition,
     tensor_power_rep,
+    trivial_rep,
 )
-from .sectors import ChargedMultiplet, implementing_deviations
+from .sectors import ChargedMultiplet
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class LatticeNet:
     @cached_property
     def _cache(self) -> dict:
         # data that depend only on the net, each built once and read-only:
-        # per site count k <= n_sites its rep and observables, per region
-        # its site order, and the group span
+        # per site count 1 <= k <= n_sites its rep and observables, and per
+        # region its site order
         return {}
 
     def _cached(self, key, build):
@@ -78,7 +80,11 @@ class LatticeNet:
         return self._cache[key]
 
     def _local_rep(self, k: int) -> UnitaryRep:
-        """The symmetry on k sites, g acting by U(g) on each."""
+        """The symmetry on k sites, g acting by U(g) on each (on C,
+        trivially, for k = 0)."""
+        if k == 0:
+            return trivial_rep(self.onsite_rep.group)
+
         def build():
             # a copy: at k = 1 the power shares the caller's on-site matrices
             mats = np.array(tensor_power_rep(self.onsite_rep, k).matrices)
@@ -105,7 +111,6 @@ class LatticeNet:
         isotypic decomposition, whose eigenvalue grouping sets the
         dimension (``IsotypicError`` when it stays ambiguous).  Built once
         per net, as the observables of every smaller site count are.
-        Morphism checks read only its two generators.
         """
         return self._local_observables(self.n_sites)
 
@@ -302,41 +307,45 @@ class LocalizedMorphism:
         return self.multiplet.apply(a)
 
     def validate(self) -> None:
-        """Check unitality, localization, and that observables map to observables.
+        """Check unitality, localization, and that rho is a unital
+        *-endomorphism of the observables.
 
-        With unitality sum psi_i psi_i* = 1, each check is exact on a small set:
-
+        - unitality: sum psi_i psi_i* = 1, to MORPHISM_CUT * d;
         - localization: rho is trivial on the complement's fields F(O') exactly
-          when every psi_i commutes with F(O'), i.e. equals its normalised
-          partial trace over O' embedded back into the region;
-        - multiplicativity: rho is multiplicative on a *-algebra exactly when
-          psi_i A = rho(A) psi_i for every A in it (Stinespring), and the A
-          with this relation form an algebra, so it suffices to check it on
-          the unit and the observables' two generators with their adjoints
-          (:func:`~sectorlab.sectors.implementing_deviations`);
-        - observables map to observables: rho is then a *-homomorphism, so
-          it suffices that rho(A) equals its group average on that same set.
+          when every psi_i commutes with F(O'), i.e. equals f_i (x) 1, f_i its
+          normalised partial trace over O' embedded back into the region;
+        - endomorphism: with unitality, rho maps the observables U' into
+          themselves multiplicatively iff psi_i* U(g) psi_j lies in
+          span{U(h)} for every i, j and g
+          (:func:`~sectorlab.groups.endomorphism_residuals`, on the f_i in
+          region-first site order).  The g = e blocks psi_i* psi_j alone
+          decide multiplicativity and are checked first.
 
-        Each generator and the unit are taken at unit Hilbert-Schmidt norm,
-        as the orthonormal basis elements of earlier versions were.  Each
-        check allows a residual of 1e-9 (1e-9 * d for unitality).
+        Each check allows ``MORPHISM_CUT``; none reads a basis, a generator
+        or a seed.
         """
-        tol = 1e-9
+        tol = la.MORPHISM_CUT
         net, psis = self.net, self.multiplet.matrices
         d = net.total_dim
-        total = sum(p @ la.dagger(p) for p in psis)
-        if np.linalg.norm(total - np.eye(d)) > tol * d:
+        if self.multiplet.unit_defect() > tol * d:
             raise ValueError("multiplet is not unital (sum psi psi* != 1)")
-        rest = d // net.onsite_dim ** len(self.region)
-        for p in psis:
-            local = _partial_trace(p, net, self.region) / rest
-            if np.linalg.norm(p - embed_factor_operator(net, self.region, local)) > tol:
+        k = len(self.region)
+        rest = d // net.onsite_dim ** k
+        factors = [_partial_trace(p, net, self.region) / rest for p in psis]
+        for p, f in zip(psis, factors):
+            if np.linalg.norm(p - embed_factor_operator(net, self.region, f)) > tol:
                 raise ValueError("morphism does not act trivially on the complement")
-        for img, dev in implementing_deviations(self.multiplet, net.observable_algebra()):
-            if np.linalg.norm(img - average(img, net.global_rep)) > tol:
-                raise ValueError("morphism image leaves the observable algebra")
-            if dev > tol:
-                raise ValueError("morphism is not multiplicative on the observables")
+        residuals = endomorphism_residuals(factors, net.global_rep, _legs(net, k))
+        if residuals[net.onsite_rep.group.identity] > tol:
+            raise ValueError("morphism is not multiplicative on the observables")
+        if residuals.max() > tol:
+            raise ValueError("morphism image leaves the observable algebra")
+
+
+def _legs(net: LatticeNet, k: int) -> tuple[UnitaryRep, UnitaryRep]:
+    """The symmetry on a k-site region and on the rest: in region-first
+    site order the net's U(g) is A_g (x) B_g."""
+    return net._local_rep(k), net._local_rep(net.n_sites - k)
 
 
 def localized_morphism(
@@ -498,18 +507,20 @@ def invert_selected_state(
     """Search for a localized morphism rho with omega = omega_0 o rho.
 
     Scans tensor products u of candidate on-site unitaries over every
-    interval, keeping only those that normalize the observable algebra:
-    u U(g) u* must lie in the span of the U(h) for every g, which by the
-    bicommutant theorem is Ad u mapping the invariant algebra onto itself.
+    interval, keeping only those for which Ad u maps the observable
+    algebra into itself: u* U(g) u must lie in the span of the U(h) for
+    every g, the test of :meth:`LocalizedMorphism.validate` for the
+    multiplet [u] (:func:`~sectorlab.groups.endomorphism_residuals`).
     A hit must reproduce omega on the whole observable algebra: the
     distance is the norm of the difference functional restricted to it,
     the trace norm of the group average of rho - u* rho0 u (never below
     the largest difference on an orthonormal observable basis, the
     distance of earlier versions).  A candidate acts on its region's legs
-    only, in the region-first site order where psi = u (x) 1: the normaliser
-    test and the pullback never embed it, and only the morphism returned
-    is embedded.  Densities with non-finite entries raise ``ValueError``.
-    Heuristic by design: a miss is not a proof that no morphism exists.
+    only, in the region-first site order where psi = u (x) 1: the
+    endomorphism test and the pullback never embed it, and only the
+    morphism returned is embedded.  Densities with non-finite entries
+    raise ``ValueError``.  Heuristic by design: a miss is not a proof that
+    no morphism exists.
     """
     _check_states(omega, omega0, net)
     cands = candidates if candidates is not None else default_onsite_candidates(
@@ -519,7 +530,7 @@ def invert_selected_state(
     d = net.total_dim
     tried = 0
     best = np.inf
-    # the normaliser verdict depends on the candidate word, not on where
+    # the endomorphism verdict depends on the candidate word, not on where
     # its region lies
     normal: dict[tuple[int, ...], bool] = {}
     for region in enumerate_regions(net):
@@ -541,12 +552,13 @@ def invert_selected_state(
             tried += 1
             u = np.asarray(cands[word[0]][1])
             for i in word[1:]:
-                u = _kron(u, np.asarray(cands[i][1]))
+                u = la.kron(u, np.asarray(cands[i][1]))
             u = la.as_complex_matrix(u)
             if u.shape[0] != k:
                 raise ValueError("operator dimension does not match the region factor")
             if word not in normal:
-                normal[word] = _normalizes(u, net, len(region))
+                normal[word] = endomorphism_residuals(
+                    [u], net.global_rep, _legs(net, len(region))).max() <= la.MORPHISM_CUT
             if not normal[word]:
                 continue
             rho = (la.dagger(u) @ rho0).reshape(k, rest, k, rest).transpose(0, 1, 3, 2) @ u
@@ -558,28 +570,3 @@ def invert_selected_state(
                 morph = localized_morphism(net, region, [u], f"{name}@{region}")
                 return InversionSearchReport(True, morph, region, dist, tried)
     return InversionSearchReport(False, None, None, best, tried)
-
-
-def _normalizes(u: np.ndarray, net: LatticeNet, n_region: int) -> bool:
-    """Whether psi U(g) psi* lies in span{U(h)} for every g (relative 1e-9),
-    psi = u (x) 1 with u on the first ``n_region`` sites.
-
-    In region-first order U(g) = A_g (x) B_g, with A and B the symmetry on
-    the region and on the rest, so psi U(g) psi* = (u A_g u*) (x) B_g.  The
-    action is the same on every site, so U(h) is unchanged by reordering
-    the sites, and one orthonormal span serves every region.
-    """
-    span = net._cached("span", lambda: _read_only(
-        la.mats_to_rows(la.orthonormalize_mats(net.global_rep.matrices))))
-    a = net._local_rep(n_region).matrices
-    b = net._local_rep(net.n_sites - n_region).matrices
-    images = _kron(u @ a @ la.dagger(u), b).reshape(len(a), -1)
-    residual = np.linalg.norm(images - (images @ span.conj().T) @ span, axis=1)
-    return not np.any(residual > 1e-9 * np.linalg.norm(images, axis=1))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of the last two axes, stacked over the leading ones: the
-    same products, without np.kron's per-call overhead."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])

@@ -224,6 +224,14 @@ class UnitaryRep:
         cols, phases = self.monomial
         return phases[..., None] * e[cols]
 
+    @cached_property
+    def span(self) -> np.ndarray:
+        """Orthonormal rows (row-major vec) spanning {U(g)}, the bicommutant
+        U''; computed once per rep and read-only."""
+        rows = la.mats_to_rows(la.orthonormalize_mats(self.matrices))
+        rows.flags.writeable = False
+        return rows
+
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
     mats = np.broadcast_to(np.eye(dim, dtype=complex), (group.order, dim, dim))
@@ -294,6 +302,47 @@ def average(f: np.ndarray, rep: UnitaryRep) -> np.ndarray:
         terms[0] += out
         out = terms.sum(axis=0)
     return out / n
+
+
+def endomorphism_residuals(factors, rep: UnitaryRep,
+                           legs: tuple[UnitaryRep, UnitaryRep] | None = None) -> np.ndarray:
+    """Per group element g, max_ij ||(1 - Pi)(psi_i* U(g) psi_j)||_HS / sqrt(d).
+
+    Pi projects onto span{U(h)} = U'' (``rep.span``).  With sum_i psi_i
+    psi_i* = 1, rho = sum_i psi_i . psi_i* is a unital *-endomorphism of
+    the commutant U' iff every residual vanishes.  Proof: V = sum_i e_i (x)
+    psi_i* is an isometry with rho(A) = V* (1 (x) A) V.
+
+    - rho is multiplicative on U' iff V V*, whose blocks are psi_i* psi_j,
+      commutes with 1 (x) U': for A, B in U', rho(AB) - rho(A) rho(B) =
+      V* (1 (x) A)(1 - V V*)(1 (x) B) V, which vanishes for every A, B iff
+      (1 - V V*)(1 (x) A) V = 0, i.e. iff V V* commutes with 1 (x) U' (a
+      *-algebra).  The commutant of 1 (x) U' is M_m (x) U'', so this is the
+      g = e case: psi_i* psi_j in U''.
+    - Given that, (1 (x) A) V = V rho(A) and V* (1 (x) A) = rho(A) V*, so
+      rho(A) U(g) = U(g) rho(A) for every A in U' iff V U(g) V*, whose blocks
+      are psi_i* U(g) psi_j, commutes with 1 (x) U', i.e. lies in M_m (x) U''.
+
+    ``factors`` f_i act on the first leg of C^d = C^k (x) C^r with psi_i =
+    f_i (x) 1, where ``legs`` = (A, B) gives U(g) = A_g (x) B_g as matrices
+    (a net's symmetry in region-first site order, which is its symmetry in
+    any order); the residual is then that of (f_i* A_g f_j) (x) B_g.  Without
+    ``legs`` the factors are the bare multiplet: k = d and B trivial.  The
+    verdict cut is ``MORPHISM_CUT``.
+    """
+    f = np.asarray(factors, dtype=complex)
+    local, rest = legs if legs is not None else (rep, None)
+    m, k = f.shape[0], f.shape[1]
+    # A_g f_j for every g and j, as (g, j, k, k)
+    af = local.images(f.transpose(1, 0, 2).reshape(k, m * k))
+    af = af.reshape(-1, k, m, k).transpose(0, 2, 1, 3)
+    blocks = la.dagger(f)[None, :, None] @ af[:, None]  # f_i* A_g f_j: (g, i, j, k, k)
+    if rest is not None:
+        blocks = la.kron(blocks, rest.matrices[:, None, None])
+    rows = blocks.reshape(len(blocks), m * m, -1)
+    span = rep.span
+    residual = np.linalg.norm(rows - (rows @ span.conj().T) @ span, axis=-1)
+    return residual.max(axis=1) / np.sqrt(rep.dim)
 
 
 def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlgebra:

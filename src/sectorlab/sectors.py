@@ -21,7 +21,13 @@ from .channels import (
     ClassifyingSpace,
     ProbabilityWeight,
 )
-from .groups import SectorDecomposition, UnitaryRep, average, isotypic_decomposition
+from .groups import (
+    SectorDecomposition,
+    UnitaryRep,
+    average,
+    endomorphism_residuals,
+    isotypic_decomposition,
+)
 
 #: a charge distribution is a probability weight over sector labels
 ChargeDistribution = ProbabilityWeight
@@ -89,12 +95,15 @@ class ChargedMultiplet:
             out += la.dagger(psi) @ rho @ psi
         return out
 
+    def unit_defect(self) -> float:
+        """||sum psi_i psi_i* - 1||_HS, zero iff the morphism is unital."""
+        total = sum(psi @ la.dagger(psi) for psi in self.matrices)
+        return float(np.linalg.norm(total - np.eye(self.dim)))
+
     def isometry_defect(self) -> tuple[float, float]:
         """(completeness, orthogonality) defects of the Cuntz relations."""
-        d = self.dim
-        eye = np.eye(d)
-        total = sum(psi @ la.dagger(psi) for psi in self.matrices)
-        completeness = float(np.linalg.norm(total - eye))
+        eye = np.eye(self.dim)
+        completeness = self.unit_defect()
         ortho = 0.0
         for i, a in enumerate(self.matrices):
             for j, b in enumerate(self.matrices):
@@ -112,48 +121,44 @@ def identity_multiplet(label: str, dim: int) -> ChargedMultiplet:
     return ChargedMultiplet(label, (np.eye(dim, dtype=complex),))
 
 
-def implementing_deviations(morphism: ChargedMultiplet, alg: OperatorAlgebra):
-    """(rho(A), max_i ||psi_i A - rho(A) psi_i||) for A in 1 / sqrt(d), the
-    two generators of ``alg`` and their adjoints.
+def _require_endomorphism(morphism: ChargedMultiplet, rep: UnitaryRep) -> None:
+    """``ValueError`` unless the multiplet implements a unital
+    *-endomorphism of the observables U', the commutant of ``rep``.
 
-    For any multiplet, partial ones included, the A with psi_i A =
-    rho(A) psi_i for every i form an algebra: for such A, rho(A) rho(B) =
-    sum_j psi_j A B psi_j* = rho(AB), so psi_i AB = rho(AB) psi_i when B
-    satisfies it too.  The relation holds on ``alg`` iff it holds here.
+    Unitality, sum psi_i psi_i* = 1, must hold to ``MORPHISM_CUT`` * d,
+    and every residual of :func:`~sectorlab.groups.endomorphism_residuals`
+    (psi_i* U(g) psi_j in span{U(h)}) must be within ``MORPHISM_CUT``: the
+    test of :meth:`~sectorlab.dhrnet.LocalizedMorphism.validate`, with no
+    basis, generator or seed of U'.
     """
-    gens = alg.generators
-    for a in [np.eye(alg.ambient_dim) / np.sqrt(alg.ambient_dim), *gens,
-              *(la.dagger(g) for g in gens)]:
-        image = morphism.apply(a)
-        yield image, max(float(np.linalg.norm(p @ a - image @ p)) for p in morphism.matrices)
+    unit = morphism.unit_defect()
+    if unit > la.MORPHISM_CUT * rep.dim:
+        raise ValueError(f"morphism {morphism.label!r} is not unital "
+                         f"(||sum psi psi* - 1|| = {unit:.3e})")
+    residual = float(endomorphism_residuals(morphism.matrices, rep).max())
+    if residual > la.MORPHISM_CUT:
+        raise ValueError(
+            f"morphism {morphism.label!r} is no unital *-endomorphism of the "
+            f"observable algebra (residual {residual:.3e})"
+        )
 
 
 def k_map(
     a: np.ndarray,
     vacuum: State,
     morphisms: Sequence[ChargedMultiplet],
-    obs_algebra: OperatorAlgebra | None = None,
+    rep: UnitaryRep | None = None,
 ) -> np.ndarray:
     """The classifying map: label gamma -> omega_0(rho_gamma(A)).
 
     Unital and positive when each rho_gamma is a unital *-endomorphism of
-    the observables.  Given ``obs_algebra``, each rho must fix its unit and,
-    on the elements of :func:`implementing_deviations`, be implemented
-    (so multiplicative) and map into ``obs_algebra``, to ``SPAN_RANK_CUT``.
+    the observables.  Given the symmetry ``rep``, each morphism must be one
+    of its commutant (:func:`_require_endomorphism`).
     """
     a = la.as_complex_matrix(a)
-    if obs_algebra is not None:
-        d = obs_algebra.ambient_dim
+    if rep is not None:
         for m in morphisms:
-            checks = list(implementing_deviations(m, obs_algebra))  # rho(1/sqrt(d)) first
-            defect = max(la.hs_norm(checks[0][0] - np.eye(d) / np.sqrt(d)),
-                         *(max(dev, la.hs_norm(img - obs_algebra.project(img)))
-                           for img, dev in checks))
-            if defect > la.SPAN_RANK_CUT:
-                raise ValueError(
-                    f"morphism {m.label!r} is no unital *-endomorphism of the "
-                    f"observable algebra (defect {defect:.3e})"
-                )
+            _require_endomorphism(m, rep)
     return np.array([
         np.trace(vacuum.density @ m.apply(a)) for m in morphisms
     ])
@@ -218,13 +223,12 @@ def induce_charged_state(
     multiplets: Mapping[str, ChargedMultiplet],
     omega0_vector: np.ndarray,
     rep: UnitaryRep,
-    obs_algebra: OperatorAlgebra,
 ) -> InducedStateReport:
     """Build Psi = sum_gamma sum_i sqrt(nu_gamma) psi_i* Omega_0 and verify it.
 
-    Precondition: each multiplet implements its morphism on the
-    observables, psi_i A = (sum_j psi_j A psi_j*) psi_i, checked to a
-    deviation of 1e-9 by :func:`implementing_deviations` on ``obs_algebra``.
+    Precondition: each multiplet with positive weight implements a unital
+    *-endomorphism of the observables, the commutant of ``rep``
+    (:func:`_require_endomorphism`).
     The returned report verifies, over the d^2 matrix units E_ab of the
     field algebra, that the charged mixture agrees with the vector state on
     group averages: |sum_gamma nu_gamma omega_0(rho_gamma(m(E_ab))) -
@@ -244,12 +248,7 @@ def induce_charged_state(
         if lab not in multiplets:
             raise ValueError(f"no multiplet supplied for charged label {lab!r}")
     for lab, _ in active:
-        for idx, (_, dev) in enumerate(implementing_deviations(multiplets[lab], obs_algebra)):
-            if dev > 1e-9:
-                raise ValueError(
-                    f"multiplet {lab!r} violates the implementing relation "
-                    f"on observable seed {idx} (deviation {dev:.3e})"
-                )
+        _require_endomorphism(multiplets[lab], rep)
     psi_vec = np.zeros(d, dtype=complex)
     for lab, w in active:
         for m in multiplets[lab].matrices:

@@ -25,7 +25,7 @@ from .channels import (
     invert_cq,
     invert_design,
 )
-from .config import CRITERION_TOL, rng_from_seed
+from .config import CRITERION_TOL
 
 
 @dataclass(frozen=True)
@@ -187,35 +187,35 @@ def log_partition(sys: HamiltonianSystem, beta: float, mu: float | None = None) 
 
 
 def kms_residual(
-    sys: HamiltonianSystem,
-    beta: float,
-    mu: float | None = None,
-    n_samples: int = 20,
-    seed: int = 0,
+    state: State, sys: HamiltonianSystem, beta: float, mu: float | None = None
 ) -> float:
-    """max |tr(rho A B) - tr(rho B e^{-bH'} A e^{bH'})| over random A, B.
+    """Largest violation of the beta-KMS condition by ``state``, on matrix units.
 
-    Zero (to rounding) for the Gibbs state: the finite-dimensional KMS
-    condition characterizing equilibrium.  In the energy eigenbasis the
-    second trace is sum_ij rho_j B_ij A_ji, so exp(+bH') is never formed;
-    a non-finite residual is reported as inf, never as a pass.
+    In the eigenbasis of H' = H - mu N (energies E_i, matrix units E_ij, r
+    the state's density there) omega(E_ij E_kl) = delta_jk r_li and
+    omega(E_kl e^{-bH'} E_ij e^{bH'}) = delta_li r_jk e^{-b(E_i - E_j)}.
+    They agree for every i, j, k, l iff r is diagonal and r_ii =
+    e^{-b(E_i - E_j)} r_jj: the Gibbs state, the only KMS state.  The
+    residual is the largest |r_il|, i != l, and |r_ii - e^{-b(E_i - E_j)}
+    r_jj| over the pairs with E_i >= E_j.  The reversed pair is the same
+    equation times e^{b(E_i - E_j)} >= 1, so exp(+bH') is never formed.
+    A density with a non-finite entry, or a non-finite residual, gives
+    inf, never a pass.
     """
-    vecs = sys._spectrum(mu)[1]
-    rho = la.dagger(vecs) @ gibbs_state(sys, beta, mu).density @ vecs
-    rng = rng_from_seed(seed)
-    diffs = []
-    for _ in range(n_samples):
-        a = la.random_hermitian(rng, sys.dim)
-        b = la.random_hermitian(rng, sys.dim)
-        a /= max(1.0, np.linalg.norm(a, 2))
-        b /= max(1.0, np.linalg.norm(b, 2))
-        a = la.dagger(vecs) @ a @ vecs
-        b = la.dagger(vecs) @ b @ vecs
-        lhs = np.trace(rho @ a @ b)
-        rhs = np.diag(rho) @ np.einsum("ji,ij->j", a, b)
-        diffs.append(abs(lhs - rhs))
+    _check_beta(beta)
+    if state.dim != sys.dim:
+        raise ValueError("state and Hamiltonian dimensions differ")
+    if not np.isfinite(state.density).all():
+        return np.inf
+    evals, vecs = sys._spectrum(mu)
+    r = la.dagger(vecs) @ state.density @ vecs
+    diag = np.diag(r)
+    gap = np.subtract.outer(evals, evals)  # E_i - E_j
+    down = gap >= 0
+    ratio = np.exp(-beta * np.where(down, gap, 0.0))
     # np.max keeps a NaN where the builtin max would drop it
-    worst = float(np.max(diffs, initial=0.0))
+    worst = float(np.max([np.abs(r - np.diag(diag)).max(),
+                          np.abs(diag[:, None] - ratio * diag[None, :])[down].max()]))
     return worst if np.isfinite(worst) else np.inf
 
 

@@ -184,8 +184,8 @@ def test_criterion_04_gibbs_kms():
             h = la.random_hermitian(rng, d)
             h /= np.linalg.norm(h, 2)
             beta = float(rng.uniform(0.5, 2.0))
-            assert kms_residual(HamiltonianSystem(h), beta,
-                                n_samples=15, seed=24) <= 1e-8
+            sys = HamiltonianSystem(h)
+            assert kms_residual(gibbs_state(sys, beta), sys, beta) <= 1e-8
         for beta in (0.5, 1.0, 2.0):
             rho = gibbs_state(two_level_system(), beta)
             val = np.trace(rho.density @ SIGMA_Z).real
@@ -315,9 +315,8 @@ def test_criterion_10_charged_vector_identity():
         net = model["net"]
         nu = ProbabilityWeight(charge_space(decomp), np.array([0.5, 0.5]))
         mults = {m.label: m for m in model["charge_morphisms"]}
-        obs = decomp.observable_algebra()
         report = induce_charged_state(
-            nu, mults, np.array([1, 0, 0, 0]), net.global_rep, obs)
+            nu, mults, np.array([1, 0, 0, 0]), net.global_rep)
         # verified across the full field basis (m(F) for all matrix units)
         assert report.max_deviation <= 1e-8
         assert report.norm_deviation <= 1e-10
@@ -326,7 +325,7 @@ def test_criterion_10_charged_vector_identity():
         channel = charging_channel(decomp, model["vacuum"],
                                    model["charge_morphisms"])
         mixed = apply_cq(channel, nu).density
-        for b in obs.basis:
+        for b in decomp.observable_algebra().basis:
             lhs = np.trace(mixed @ b)
             rhs = report.psi.conj() @ (b @ report.psi)
             assert abs(lhs - rhs) <= 1e-8

@@ -615,7 +615,7 @@ class TestNoBasisAtScale:
         sz2 = kron_all(np.eye(4), SZ, np.eye(32))
 
         def both():
-            return (k_map(sz2, vac, morphisms, obs_algebra=obs),
+            return (k_map(sz2, vac, morphisms, rep=net.global_rep),
                     state_distance_mod(flipped, vac, obs))
         (vals, dist), peak = _peak_mb(both)
         assert np.allclose(vals, [1.0, -1.0]) and peak < 64

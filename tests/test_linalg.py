@@ -128,3 +128,30 @@ def test_nnls_dependence_cut(factor, weights):
     x, _, converged = channels._nnls(a, np.array([1.0, 1.0]))
     assert converged
     assert np.allclose(x, weights, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
+def test_morphism_cut(factor, accepted):
+    # psi = (X + eps Z) (x) 1 on a 2-site Z2 chain leaves span{U(h)} by 2 eps
+    # (HS / sqrt(d)), and psi = sqrt(1 + t) 1 misses unitality by t sqrt(d);
+    # both are cut at 1e-9 (1e-9 * d for unitality), on the region's factor
+    # in validate and on the bare multiplet in k_map
+    from sectorlab.dhrnet import localized_morphism
+    from sectorlab.models import z2_chain_net, z2_vacuum
+    from sectorlab.sectors import k_map
+
+    net, vac = z2_chain_net(2), z2_vacuum(2)
+    sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    eps, t = factor * 1e-9 / 2, factor * 1e-9 * 2
+    for name, region, f in (("x", [0], sx + eps * sz),
+                            ("unit", [0, 1], np.sqrt(1 + t) * np.eye(4))):
+        morph = localized_morphism(net, region, [f], name)
+        verdicts = set()
+        for check in (morph.validate,
+                      lambda: k_map(np.eye(4), vac, [morph.multiplet], rep=net.global_rep)):
+            try:
+                check()
+                verdicts.add(True)
+            except ValueError:
+                verdicts.add(False)
+        assert verdicts == {accepted}, name

@@ -97,24 +97,22 @@ class TestKMap:
     def test_invariant_sz_signs(self, chain2):
         a = kron_all(SZ, I2)
         vals = k_map(a, chain2["vacuum"], chain2["charge_morphisms"],
-                     obs_algebra=chain2["decomposition"].observable_algebra())
+                     rep=chain2["net"].global_rep)
         assert np.allclose(vals, [1.0, -1.0])
 
     def test_algebra_preservation_enforced(self, chain2):
-        obs = chain2["decomposition"].observable_algebra()
         hadamard = (SX + SZ) / np.sqrt(2)
         bad = ChargedMultiplet("bad", (kron_all(hadamard, I2),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no unital"):
             k_map(np.eye(4), chain2["vacuum"],
-                  [chain2["charge_morphisms"][0], bad], obs_algebra=obs)
+                  [chain2["charge_morphisms"][0], bad], rep=chain2["net"].global_rep)
 
     def test_non_unital_multiplet_rejected(self, chain2):
         # omega_0(rho(1)) = 1/2 for psi = 1 / sqrt(2): omega_0 o rho is no state
-        obs = chain2["decomposition"].observable_algebra()
         half = ChargedMultiplet("half", (np.eye(4) / np.sqrt(2),))
         assert k_map(np.eye(4), chain2["vacuum"], [half]) == pytest.approx([0.5])
         with pytest.raises(ValueError, match="unital"):
-            k_map(np.eye(4), chain2["vacuum"], [half], obs_algebra=obs)
+            k_map(np.eye(4), chain2["vacuum"], [half], rep=chain2["net"].global_rep)
 
     def test_central_projection_multiplet_rejected(self, chain2):
         # psi = P, the even projection, implements rho = P . P on the
@@ -122,8 +120,7 @@ class TestKMap:
         dec = chain2["decomposition"]
         even = ChargedMultiplet("even", (dec.projections[0],))
         with pytest.raises(ValueError, match="unital"):
-            k_map(np.eye(4), chain2["vacuum"], [even],
-                  obs_algebra=dec.observable_algebra())
+            k_map(np.eye(4), chain2["vacuum"], [even], rep=chain2["net"].global_rep)
 
     def test_positivity(self, chain2, rng):
         for _ in range(25):
@@ -210,9 +207,7 @@ class TestInducedChargedState:
         net = chain2["net"]
         nu = ProbabilityWeight(charge_space(dec), np.array([1.0, 0.0]))
         mults = {m.label: m for m in chain2["charge_morphisms"]}
-        report = induce_charged_state(
-            nu, mults, np.array([1, 0, 0, 0]), net.global_rep,
-            dec.observable_algebra())
+        report = induce_charged_state(nu, mults, np.array([1, 0, 0, 0]), net.global_rep)
         assert np.allclose(report.psi, [1, 0, 0, 0])
         assert report.max_deviation <= 1e-12
 
@@ -221,9 +216,7 @@ class TestInducedChargedState:
         net = chain2["net"]
         nu = ProbabilityWeight(charge_space(dec), np.array([0.5, 0.5]))
         mults = {m.label: m for m in chain2["charge_morphisms"]}
-        report = induce_charged_state(
-            nu, mults, np.array([1, 0, 0, 0]), net.global_rep,
-            dec.observable_algebra())
+        report = induce_charged_state(nu, mults, np.array([1, 0, 0, 0]), net.global_rep)
         expected = np.zeros(4); expected[0] = expected[2] = 1 / np.sqrt(2)
         assert np.allclose(report.psi, expected)
         assert report.max_deviation <= 1e-8
@@ -235,14 +228,13 @@ class TestInducedChargedState:
         dec, rep = chain2["decomposition"], chain2["net"].global_rep
         nu = ProbabilityWeight(charge_space(dec), np.array(weights))
         mults = {m.label: m for m in chain2["charge_morphisms"]}
-        obs = dec.observable_algebra()
         vacua = [np.array([1, 0, 0, 0], dtype=complex)]
         for _ in range(4):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             vacua.append(v / np.linalg.norm(v))
         worst = []
         for vac in vacua:
-            report = induce_charged_state(nu, mults, vac, rep, obs)
+            report = induce_charged_state(nu, mults, vac, rep)
             rho0 = np.outer(vac, vac.conj())
             mixture = sum(w * mults[lab].pullback_density(rho0)
                           for lab, w in zip(dec.labels, weights) if w > 0)
@@ -267,21 +259,19 @@ class TestInducedChargedState:
         mults = {dec.labels[0]: identity_multiplet(dec.labels[0], 4)}
         with pytest.raises(ValueError):
             induce_charged_state(nu, mults, np.array([1, 0, 0, 0]),
-                                 chain2["net"].global_rep,
-                                 dec.observable_algebra())
+                                 chain2["net"].global_rep)
 
     def test_implementing_relation_enforced(self, chain2):
         dec = chain2["decomposition"]
         nu = ProbabilityWeight(charge_space(dec), np.array([0.0, 1.0]))
         # site-1 projectors sum to a unital multiplet but pinch off-diagonal
-        # observables, so psi A != rho(A) psi on the even basis
+        # observables: psi_0* psi_0 = P0 (x) 1 is outside span{U(g)}
         p0 = kron_all(np.diag([1.0, 0.0]).astype(complex), I2)
         p1 = kron_all(np.diag([0.0, 1.0]).astype(complex), I2)
         bad = {dec.labels[1]: ChargedMultiplet(dec.labels[1], (p0, p1))}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no unital"):
             induce_charged_state(nu, bad, np.array([1, 0, 0, 0]),
-                                 chain2["net"].global_rep,
-                                 dec.observable_algebra())
+                                 chain2["net"].global_rep)
 
 
 class TestMultiplets:

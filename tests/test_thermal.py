@@ -1,13 +1,13 @@
+import itertools
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
 
 from sectorlab import _linalg as la
 from sectorlab import thermal
-from sectorlab.algebra import full_matrix_algebra
+from sectorlab.algebra import State, full_matrix_algebra, vector_state
 from sectorlab.channels import (
     ProbabilityWeight,
     apply_cq,
@@ -154,27 +154,56 @@ class TestGibbsState:
         for d in (2, 5, 16):
             h = la.random_hermitian(rng, d)
             h /= np.linalg.norm(h, 2)
-            res = kms_residual(HamiltonianSystem(h), 1.3, n_samples=10)
+            sys = HamiltonianSystem(h)
+            res = kms_residual(gibbs_state(sys, 1.3), sys, 1.3)
             assert res <= 1e-8
 
     def test_kms_wide_spectrum_stays_finite(self):
         # beta * spread = 800: exp(+beta H) would overflow
         sys = HamiltonianSystem(np.diag([0.0, 1.0, 2.0, 800.0]).astype(complex))
         with np.errstate(over="raise", invalid="raise"):
-            res = kms_residual(sys, 1.0)
+            res = kms_residual(gibbs_state(sys, 1.0), sys, 1.0)
         assert np.isfinite(res) and res <= 1e-12
 
-    def test_kms_detects_coherent_state(self, monkeypatch):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        monkeypatch.setattr(thermal, "gibbs_state",
-                            lambda *a: types.SimpleNamespace(density=plus))
-        assert kms_residual(HamiltonianSystem(SZ), 1.0) > 1e-3
+    def test_kms_detects_coherent_state(self):
+        plus = State(np.full((2, 2), 0.5, dtype=complex))
+        assert kms_residual(plus, HamiltonianSystem(SZ), 1.0) > 1e-3
 
-    def test_kms_non_finite_is_never_a_pass(self, monkeypatch):
-        nan = np.full((2, 2), np.nan, dtype=complex)
-        monkeypatch.setattr(thermal, "gibbs_state",
-                            lambda *a: types.SimpleNamespace(density=nan))
-        assert kms_residual(HamiltonianSystem(SZ), 1.0) == np.inf
+    def test_kms_matches_matrix_unit_loop(self, rng):
+        # oracle: every pair of matrix units E_ij, E_kl of the eigenbasis,
+        # with E_i >= E_j so that no factor exceeds 1
+        h = la.random_hermitian(rng, 4)
+        sys = HamiltonianSystem(h)
+        evals, vecs = np.linalg.eigh(h)
+        for beta in (0.4, 1.7):
+            for state in (gibbs_state(sys, beta), gibbs_state(sys, 2 * beta),
+                          vector_state(rng.standard_normal(4) + 1j * rng.standard_normal(4))):
+                r = vecs.conj().T @ state.density @ vecs
+                loop = 0.0
+                for i, j, k, l in itertools.product(range(4), repeat=4):
+                    if evals[i] >= evals[j]:
+                        lhs = (j == k) * r[l, i]
+                        rhs = (l == i) * r[j, k] * np.exp(-beta * (evals[i] - evals[j]))
+                        loop = max(loop, abs(lhs - rhs))
+                assert kms_residual(state, sys, beta) == pytest.approx(loop, abs=1e-14)
+        assert kms_residual(gibbs_state(sys, 0.4), sys, 0.4) <= 1e-14
+        assert kms_residual(gibbs_state(sys, 0.8), sys, 0.4) > 1e-3
+
+    def test_kms_reads_a_coherence(self):
+        # the Gibbs diagonal with a coherence c between the levels: the
+        # diagonal satisfies KMS and the residual is c
+        sys = HamiltonianSystem(SZ)
+        for c in (1e-9, 1e-3):
+            rho = gibbs_state(sys, 1.0).density + c * SX
+            assert kms_residual(State(rho), sys, 1.0) == pytest.approx(c, rel=1e-6)
+
+    def test_kms_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            kms_residual(State(np.eye(3) / 3), HamiltonianSystem(SZ), 1.0)
+
+    def test_kms_non_finite_is_never_a_pass(self):
+        nan = State(np.full((2, 2), np.nan, dtype=complex))
+        assert kms_residual(nan, HamiltonianSystem(SZ), 1.0) == np.inf
 
     def test_chemical_potential_shifts_weights(self):
         sys = HamiltonianSystem(SZ, number=np.diag([1.0, 0.0]).astype(complex))
@@ -231,7 +260,7 @@ class TestCachedSpectrum:
     def test_kms_residual_diagonalises_once(self, eigh_calls):
         sys = self.mu_system()
         for beta in (0.5, 1.0, 2.0):
-            assert kms_residual(sys, beta, mu=0.3, n_samples=3) <= 1e-10
+            assert kms_residual(gibbs_state(sys, beta, 0.3), sys, beta, mu=0.3) <= 1e-10
         assert len(eigh_calls) == 1
 
     def test_entropy_density_diagonalises_once_per_mu(self, eigh_calls):
