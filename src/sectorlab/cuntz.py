@@ -14,10 +14,13 @@ Coefficients stay exact complex rationals as long as every input is
 rational; any float input switches the polynomial to floating mode.
 Both modes share the kernels (products, the gauge action): they write
 the inputs as numerator pairs over one common denominator (Gaussian
-integers when exact, float parts over 1 when not), accumulate pairs per
-output word and build one coefficient per word at the end.  A product
-visits only the pairs of terms that contract, found through an index of
-the right factor's creation strings and their prefixes.  The canonical
+integers when exact, float parts over 1 when not) and accumulate pairs
+per output word.  The full-sum contraction then runs on those pairs,
+which is sound because one denominator serves every word, and only the
+words that survive it get a coefficient: one Fraction per distinct
+numerator and one QRat per distinct pair when exact.  A product visits
+only the pairs of terms that contract, found through an index of the
+right factor's creation strings and their prefixes.  The canonical
 endomorphism is a relabelling of words and does no arithmetic.
 
 A truncated Fock representation (matrices over index strings of bounded
@@ -32,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -117,7 +121,27 @@ def _is_exact_scalar(c) -> bool:
     return isinstance(c, (Fraction, QRat, numbers.Integral))
 
 
-def _contract_full_sums(d: int, terms: dict) -> dict:
+def _value_sum(old, c):
+    return c if old is None else old + c
+
+
+def _pair_differs(a, b) -> bool:
+    """``a != b`` for numerator pairs (or a None ``a``) as for their complex
+    coefficients: part by part, so that a NaN part differs even from itself
+    (a list or tuple comparison would call one NaN object equal to itself)."""
+    return a is None or a[0] != b[0] or a[1] != b[1]
+
+
+def _pair_sum(old, c):
+    """old + c for numerator pairs (c when old is None); None when zero."""
+    if old is None:
+        return c if c[0] or c[1] else None
+    re = old[0] + c[0]
+    im = old[1] + c[1]
+    return [re, im] if re or im else None
+
+
+def _contract_full_sums(d: int, terms: dict, differ=operator.ne, add=_value_sum) -> dict:
     """Collapse every literal complete sum psi_{mu i} psi_{nu i}* with equal
     coefficients into its parent word psi_mu psi_nu*, deepest families first.
 
@@ -128,6 +152,14 @@ def _contract_full_sums(d: int, terms: dict) -> dict:
     and its result depends only on the term map, not on its order:
     s1 s1* + s2 s2* + 2 s1 s1 s1* s1* + 2 s1 s2 s2* s1* gives
     3 s1 s1* + s2 s2* however its terms are ordered.
+
+    Keys are CuntzWords or plain (mu, nu) tuples.  Values take part only
+    through two functions of (old, c), old a value or None for a word not
+    in the map: ``differ`` is true unless old is a coefficient equal to
+    c, and ``add`` returns old + c (c when old is None), falsy exactly
+    when zero.  The defaults serve QRat and complex values; the kernels
+    contract their numerator pairs with :func:`_pair_differs` and
+    :func:`_pair_sum`.
     """
     # parents as plain (mu, nu) tuples, which hash and compare equal to the
     # CuntzWord keys; a CuntzWord is made only for a family that merges
@@ -144,17 +176,18 @@ def _contract_full_sums(d: int, terms: dict) -> dict:
     if not pending:
         return terms
     letters = range(1, d + 1)
+    get = terms.get
     for depth in range(max(pending), -1, -1):
         for mu, nu in pending.pop(depth, ()):
             kids = [(mu + (i,), nu + (i,)) for i in letters]
-            c = terms.get(kids[0])
-            if c is None or any(terms.get(w) != c for w in kids[1:]):
+            c = get(kids[0])
+            if c is None or any(differ(get(w), c) for w in kids[1:]):
                 continue
             for w in kids:
                 del terms[w]
             parent = tuple.__new__(CuntzWord, (mu, nu))
-            old = terms.get(parent)
-            merged = c if old is None else old + c
+            old = get(parent)
+            merged = add(old, c)
             if merged:
                 terms[parent] = merged
             elif old is not None:
@@ -338,21 +371,37 @@ _ZERO = Fraction(0)
 
 
 def _from_numerators(d: int, out: dict, den: int, exact: bool) -> dict:
-    """Accumulated numerators over ``den`` as contracted terms; a floating
-    (0, 0) pair, which only underflow makes, is dropped.
+    """Accumulated numerators over ``den`` as contracted terms.
 
-    ``out`` maps plain (mu, nu) tuples to [re, im]; each key becomes one
-    CuntzWord here, in the order of ``out``.
+    ``out`` maps plain (mu, nu) tuples to [re, im].  Every word shares
+    ``den``, so two pairs are equal exactly when their coefficients are, and
+    a merge adds pairs part by part: the contraction runs on the pairs, and
+    only the words that survive it become CuntzWords with coefficients, in
+    the order of ``out``.  An exact output builds one Fraction per distinct
+    nonzero numerator and one QRat per distinct pair.  A floating (0, 0)
+    pair, which only underflow makes, is dropped before the contraction.
     """
     new = tuple.__new__
-    if exact:
-        terms = {new(CuntzWord, w): QRat(Fraction(re, den) if re else _ZERO,
-                                         Fraction(im, den) if im else _ZERO)
-                 for w, (re, im) in out.items()}
-    else:
-        terms = {new(CuntzWord, w): complex(re, im)
-                 for w, (re, im) in out.items() if re or im}
-    return _contract_full_sums(d, terms)
+    if not exact:
+        out = {w: pair for w, pair in out.items() if pair[0] or pair[1]}
+        out = _contract_full_sums(d, out, _pair_differs, _pair_sum)
+        return {new(CuntzWord, w): complex(re, im) for w, (re, im) in out.items()}
+    out = _contract_full_sums(d, out, _pair_differs, _pair_sum)
+    parts = {0: _ZERO}
+    coeffs: dict[tuple, QRat] = {}
+    terms = {}
+    for w, (re, im) in out.items():
+        c = coeffs.get((re, im))
+        if c is None:
+            x = parts.get(re)
+            if x is None:
+                x = parts[re] = Fraction(re, den)
+            y = parts.get(im)
+            if y is None:
+                y = parts[im] = Fraction(im, den)
+            c = coeffs[re, im] = QRat(x, y)
+        terms[new(CuntzWord, w)] = c
+    return terms
 
 
 class _PrefixMatches(dict):
@@ -474,7 +523,7 @@ def _gauge(entry: dict, gden: int, p: CuntzPolynomial, exact: bool) -> CuntzPoly
     p's coefficients are written over one denominator Q; each mu string is
     expanded under G and each nu string under conj(G) once (memoised by
     prefix); numerators accumulate over Q gden^Lmax, Lmax the longest
-    |mu| + |nu|, and one coefficient is built per output word.  An image is
+    |mu| + |nu|, and contracted as in :func:`_from_numerators`.  An image is
     c (prod of mu entries) (prod of conjugated nu entries), left to right.
     """
     letters = range(1, p.d + 1)

@@ -34,7 +34,6 @@ from .groups import (
     endomorphism_residuals,
     isotypic_decomposition,
     tensor_power_rep,
-    trivial_rep,
 )
 from .sectors import ChargedMultiplet
 
@@ -82,9 +81,6 @@ class LatticeNet:
     def _local_rep(self, k: int) -> UnitaryRep:
         """The symmetry on k sites, g acting by U(g) on each (on C,
         trivially, for k = 0)."""
-        if k == 0:
-            return trivial_rep(self.onsite_rep.group)
-
         def build():
             # a copy: at k = 1 the power shares the caller's on-site matrices
             mats = np.array(tensor_power_rep(self.onsite_rep, k).matrices)

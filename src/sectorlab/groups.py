@@ -262,7 +262,14 @@ def cyclic_rep_from_unitary(u: np.ndarray, n: int) -> UnitaryRep:
 
 
 def tensor_power_rep(rep: UnitaryRep, sites: int) -> UnitaryRep:
-    """Site-wise action on a chain: g acts by U(g) on every tensor factor."""
+    """Site-wise action on a chain: g acts by U(g) on every tensor factor.
+
+    No sites is the trivial representation on C.
+    """
+    if sites < 0:
+        raise ValueError(f"number of sites must be non-negative, got {sites}")
+    if sites == 0:
+        return trivial_rep(rep.group)
     mats = rep.matrices
     for _ in range(sites - 1):
         mats = np.array([np.kron(a, b) for a, b in zip(mats, rep.matrices)])

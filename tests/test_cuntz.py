@@ -710,12 +710,15 @@ class TestExactKernels:
             assert canonical_endomorphism(p) == canonical_endomorphism(P.build(d, terms))
 
 
-def assert_matches_reference(p, q):
-    got, want = multiply(p, q), reference_multiply(p, q)
+def assert_same_output(got, want):
     assert got.exact == want.exact and got == want and str(got) == str(want)
     assert list(got.terms) == list(want.terms)
     if not got.exact:
         assert float_bits(got) == float_bits(want)
+
+
+def assert_matches_reference(p, q):
+    assert_same_output(multiply(p, q), reference_multiply(p, q))
 
 
 def random_coeff(rng, exact):
@@ -869,6 +872,153 @@ class TestOneAccumulationPath:
             accumulations[0] = 0
             assert not gauge_act(g, p).exact
             assert accumulations[0] > 0
+
+
+def cancelling_parent(d, c):
+    """A complete family under s1 s1* with coefficient c, and the parent
+    with -c: the merge cancels the parent to zero."""
+    terms = {CuntzWord((1, i), (1, i)): c for i in range(1, d + 1)}
+    terms[CuntzWord((1,), (1,))] = -c
+    return terms
+
+
+def chained_families(d, c):
+    """A complete family under s1 s1* and the other kids of the unit's
+    family, all with c: the new parent s1 s1* completes its own family."""
+    terms = {CuntzWord((1, i), (1, i)): c for i in range(1, d + 1)}
+    terms.update({CuntzWord((i,), (i,)): c for i in range(2, d + 1)})
+    return terms
+
+
+class TestContractionOnNumerators:
+    """The kernels contract their numerator pairs before any coefficient is
+    built; outputs equal the value-level references in ==, term order,
+    text and float bits."""
+
+    def test_constructed_merges(self):
+        for d in (1, 2, 3):
+            for exact in (True, False):
+                c = QRat(F(1, 2), F(-1, 3)) if exact else complex(0.5, -1 / 3)
+                cancel = P(d, cancelling_parent(d, c), exact)
+                chain = P(d, chained_families(d, c), exact)
+                assert multiply(P.unit(d), cancel).is_zero()
+                assert multiply(chain, P.unit(d)) == P.unit(d).scale(c)
+                assert gauge_act(np.eye(d, dtype=int), chain) == P.unit(d).scale(c)
+
+    def test_parity_sweep_on_family_rich_outputs(self, rng):
+        for d in (1, 2, 3):
+            letters = range(1, d + 1)
+            for exact in (True, False):
+                coerce = (lambda c: c) if exact else complex
+                for _ in range(25):
+                    terms = family_rich_terms(rng, d)
+                    c = coerce(QRat.of(int(rng.choice([-2, -1, 1, 2]))))
+                    terms.update(cancelling_parent(d, c) if rng.integers(0, 2)
+                                 else chained_families(d, c))
+                    raw = P(d, {w: coerce(v) for w, v in shuffled(rng, terms).items()}, exact)
+                    words = [P.unit(d), P.generator(d, int(rng.choice(letters))),
+                             P.generator(d, int(rng.choice(letters))).adjoint(),
+                             P.build(d, {random_word(rng, d, 2): coerce(QRat.of(1))})]
+                    for x in words:
+                        assert_same_output(multiply(x, raw), reference_multiply(x, raw))
+                        assert_same_output(multiply(raw, x), reference_multiply(raw, x))
+                    gauges = exact_gauges(rng, d)
+                    if not exact:
+                        gauges.append(np.linalg.qr(rng.standard_normal((d, d))
+                                                   + 1j * rng.standard_normal((d, d)))[0])
+                    for g in gauges:
+                        assert_same_output(gauge_act(g, raw), reference_gauge_act(g, raw, exact))
+
+
+class TestFloatPairContraction:
+    """Floating numerator pairs merge exactly when their complex
+    coefficients are equal: a NaN part differs even from the same NaN
+    object, 0.0 equals -0.0, and inf equals inf.  Each family is checked
+    against the contraction of its complex coefficients."""
+
+    @staticmethod
+    def families(d):
+        """(kid pairs, parent pair or None) for the family under s1 s2*."""
+        nan, inf = float("nan"), float("inf")
+        one_pair = [nan, 1.0]
+        yield [one_pair] * d, None  # one list, so one NaN object, in every kid
+        yield [[nan, 1.0] for _ in range(d)], None  # one NaN object, distinct lists
+        yield [[float("nan"), 1.0] for _ in range(d)], None  # distinct NaN objects
+        yield [[1.0, nan] for _ in range(d)], [2.0, 0.0]
+        yield [[1.0, -0.0 if i % 2 else 0.0] for i in range(d)], None
+        yield [[-0.0 if i % 2 else 0.0, 2.0] for i in range(d)], [0.0, -2.0]
+        yield [[-0.0 if i % 2 else 0.0, 2.0] for i in range(d)], [-0.0, 1.0]
+        yield [[inf, -1.0] for _ in range(d)], None
+        yield [[inf, -1.0] for _ in range(d)], [-inf, 1.0]
+        yield [[inf, 0.0] for _ in range(d - 1)] + [[-inf, 0.0]], None
+
+    def test_families_merge_as_complex_values_do(self):
+        parent_word = ((1,), (2,))
+        for d in (1, 2, 3):
+            for kids, parent in self.families(d):
+                items = [(((1, i), (2, i)), pair) for i, pair in zip(range(1, d + 1), kids)]
+                orders = [items]
+                if parent is not None:
+                    orders = [[(parent_word, parent)] + items, items + [(parent_word, parent)]]
+                for order in orders:
+                    values = {CuntzWord(*w): complex(*pair) for w, pair in order}
+                    want = _contract_full_sums(d, values)
+                    got = cuntz._from_numerators(d, dict(order), 1, False)
+                    assert list(got) == list(want)
+                    assert [(z.real.hex(), z.imag.hex()) for z in got.values()] == \
+                        [(z.real.hex(), z.imag.hex()) for z in want.values()]
+
+
+class TestOneCoefficientPerDistinctValue:
+    """An exact kernel builds one Fraction per distinct nonzero numerator and
+    one QRat per distinct coefficient of its contracted output."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"Fraction": 0, "QRat": 0}
+        new, init = Fraction.__new__, QRat.__init__
+
+        def counted_new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counted_init(self, *args):
+            counts["QRat"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(QRat, "__init__", counted_init)
+        return counts
+
+    @staticmethod
+    def check(counts, run):
+        counts.update(Fraction=0, QRat=0)
+        out = run()
+        coeffs = set(out.terms.values())
+        parts = {x for c in coeffs for x in (c.re, c.im) if x}
+        assert out.exact
+        assert counts["Fraction"] <= len(parts)
+        assert counts["QRat"] <= len(coeffs)
+        return out.n_terms - len(coeffs)
+
+    def test_multiply_and_gauge_act(self, rng, built):
+        as_qrat = np.vectorize(QRat.of, otypes=[object])
+        for d in (1, 2, 3):
+            p = P.build(d, {random_word(rng, d, 3): QRat.of(int(rng.choice([-1, 1, 2])))
+                            for _ in range(12)})
+            q = P.build(d, family_rich_terms(rng, d))
+            r = profile_poly(rng, d, 24, 3)
+            # small integer coefficients repeat, so one build per word is
+            # too many there
+            assert self.check(built, lambda: multiply(p, q)) > 0
+            assert self.check(built, lambda: multiply(q, p)) > 0
+            self.check(built, lambda: multiply(r, p))
+            for g in exact_gauges(rng, d):
+                # entries as QRat, so that reading g builds no Fraction
+                g = as_qrat(g)
+                assert self.check(built, lambda: gauge_act(g, p)) > 0
+        heavy, rotation = profile_poly(rng, 2, 32, 4), as_qrat(ROTATION)
+        assert self.check(built, lambda: gauge_act(rotation, heavy)) > 0
 
 
 class TestDimension:

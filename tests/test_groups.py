@@ -97,6 +97,16 @@ class TestRepresentations:
         assert rep.dim == 8
         assert np.allclose(rep.matrices[1], kron_all(SZ, SZ, SZ))
 
+    def test_tensor_power_of_no_sites_is_trivial(self):
+        onsite = z2_rep()
+        rep = tensor_power_rep(onsite, 0)
+        assert rep.group is onsite.group and rep.dim == 1
+        assert np.array_equal(rep.matrices, np.ones((2, 1, 1)))
+
+    def test_tensor_power_rejects_negative_sites(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            tensor_power_rep(z2_rep(), -1)
+
 
 class TestAverage:
     def test_identity_is_fixed(self):
