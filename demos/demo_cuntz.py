@@ -10,7 +10,6 @@ import numpy as np
 from sectorlab.cuntz import (
     CuntzPolynomial,
     canonical_endomorphism,
-    fock_matrix,
     fock_product_defect,
     gauge_act,
     multiply,
@@ -51,6 +50,8 @@ b = P.word(2, (2,), (1,))
 print("  word product:", multiply(a, b))
 defect, n_safe = fock_product_defect(a, b, level=10)
 print(f"  matrix check at level 10: defect {defect} on {n_safe} safe columns")
-m = fock_matrix(P.word(2, (1,), (1,)), 1).toarray().real
+# at level 1, s1 prepends "1" to the empty string and annihilates the rest
+fock_s1 = np.zeros((3, 3))
+fock_s1[1, 0] = 1.0
 print("  fock(s1 s1*) at level 1 (basis '', '1', '2'):")
-print(m)
+print(fock_s1 @ fock_s1.T)

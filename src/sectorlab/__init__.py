@@ -26,7 +26,7 @@ _EXPORTS = {
         "apply_cq", "invert_cq", "separation_check", "verify_positive_unital",
     ),
     "config": ("DEFAULT_SEED", "DIMENSION_CAP"),
-    "cuntz": ("CuntzPolynomial", "canonical_endomorphism", "fock_matrix", "gauge_act"),
+    "cuntz": ("CuntzPolynomial", "canonical_endomorphism", "gauge_act"),
     "dhrnet": (
         "LatticeNet", "LocalizedMorphism", "dhr_check", "haag_duality_check",
         "localized_morphism", "region_algebra", "selected_state",

@@ -96,13 +96,6 @@ def span_residual(basis: np.ndarray, m: np.ndarray) -> float:
     return hs_norm(m - project_onto_span(basis, m))
 
 
-def same_span(b1: np.ndarray, b2: np.ndarray, tol: float) -> bool:
-    if b1.shape[0] != b2.shape[0]:
-        return False
-    return all(span_residual(b, m) <= tol * max(1.0, hs_norm(m))
-               for b, other in ((b2, b1), (b1, b2)) for m in other)
-
-
 def _svd_rank(s: np.ndarray) -> int:
     """Number of singular values above ``SPAN_RANK_CUT`` * max(sigma_max, 1)."""
     smax = s[0] if s.size else 0.0

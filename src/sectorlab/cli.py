@@ -177,7 +177,6 @@ def _run_sectors_analyze(args) -> int:
                                  decomp.irrep_dims)
         ],
         "center_dim": decomp.n_sectors,
-        "field_algebra_full": decomp.field_algebra_full,
         "reconstruction_residual": decomp.reconstruction_residual(rep),
     }
     if args.state:

@@ -23,11 +23,11 @@ only the pairs of terms that contract, found through an index of the
 right factor's creation strings and their prefixes.  The canonical
 endomorphism is a relabelling of words and does no arithmetic.
 
-A truncated Fock representation (matrices over index strings of bounded
-length) serves as the independent oracle for the rewriting rules:
-:func:`fock_matrix` returns it as a scipy sparse matrix, the only use of
-scipy here; :func:`fock_product_defect` composes the same index maps
-with numpy alone.
+A truncated Fock representation serves as the independent oracle for
+the rewriting rules: on index strings of length <= level, s_i prepends
+the letter i (annihilating strings at the top length) and s_i* strips a
+matching first letter.  :func:`fock_product_defect` composes its index
+maps with numpy alone.
 """
 
 from __future__ import annotations
@@ -688,33 +688,6 @@ def _fock_entries(
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=complex))
     return np.concatenate(rows_list), np.concatenate(cols_list), np.concatenate(vals_list)
-
-
-def fock_matrix(p: CuntzPolynomial, level: int) -> "scipy.sparse.csr_matrix":
-    """Matrix of ``p`` on index strings of length <= level (sparse CSR).
-
-    Generators act by prepending a letter (annihilating strings already at
-    the top length: the truncation edge) and their adjoints by stripping a
-    matching first letter.  As matrix products, psi_i* psi_j = delta_ij
-    holds on strings below the top level and sum_i psi_i psi_i* equals
-    1 - |empty><empty| (the Fock vacuum is the bottom edge).  Oracle
-    comparisons therefore restrict to the safe columns, away from the top
-    edge; :func:`fock_product_defect` says where the bottom edge still
-    shows.
-    """
-    # imported here: scipy.sparse costs a third of a second, and of this
-    # module only this public oracle needs it
-    import scipy.sparse as sp
-
-    if level < p.max_word_length():
-        raise ValueError(
-            f"truncation level {level} below the longest word "
-            f"({p.max_word_length()})"
-        )
-    offsets = _string_offsets(p.d, level)
-    n = int(offsets[-1])
-    rows, cols, vals = _fock_entries(p, offsets, level, level)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
 
 
 def _is_plain_word(p: CuntzPolynomial) -> bool:

@@ -356,9 +356,14 @@ def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlge
     """The invariant subalgebra {A in F : tau_g(A) = A for all g}, F^G.
 
     Requires tau_g(F) = F, checked on F's two generators for every g
-    (``ValueError`` otherwise).  Then the group average maps F onto F^G, so
-    the averages of F's projections of a random Hermitian and a random
-    complex matrix are generic elements of F^G, from which
+    (``ValueError`` otherwise).  The check is exact for any generating set:
+    tau_g is a *-automorphism of B(C^d), so tau_g(F) is the *-algebra
+    generated by the generators' images, which lies in F exactly when they
+    do, and it has F's dimension, so it is then all of F.  The copy basis W
+    the generators are built in moves only the rounding of the membership
+    tests.  Then the group average maps F onto F^G, so the averages of F's
+    projections of a random Hermitian and a random complex matrix are
+    generic elements of F^G, from which
     :func:`~sectorlab.algebra.algebra_of` finds its Wedderburn data.  For
     F = B(C^d) this is U', which ``isotypic_decomposition(rep)`` labels.
     """
@@ -443,7 +448,6 @@ class SectorDecomposition:
     unitary: np.ndarray
     projections: np.ndarray
     irreps: tuple[np.ndarray, ...]
-    field_algebra_full: bool = True
 
     @property
     def n_sectors(self) -> int:

@@ -9,7 +9,7 @@ the charge distribution back off any state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from .channels import (
     ClassifyingSpace,
     ProbabilityWeight,
 )
+from .config import STATE_TOL
 from .groups import (
     SectorDecomposition,
     UnitaryRep,
@@ -39,22 +40,25 @@ def charge_space(decomp: SectorDecomposition) -> ClassifyingSpace:
 
 def decompose_sectors(f_alg: OperatorAlgebra, rep: UnitaryRep,
                       seed: int = 0) -> SectorDecomposition:
-    """Sector decomposition of a symmetry acting on a field algebra.
+    """Sector decomposition of a symmetry acting on the full field algebra.
 
-    The observable algebra is the fixed-point algebra of the action; for a
-    full field algebra it is the representation's commutant, whose blocks
-    are exactly the isotypic components of the implementing
-    representation, and :meth:`SectorDecomposition.observable_algebra`
-    builds it from them (no commutant solve).  A non-full field algebra
-    still gets the decomposition relative to the representation's
-    commutant, with the ``field_algebra_full`` flag cleared; if the action
-    maps F onto itself, F^G is :func:`~sectorlab.groups.fixed_point_algebra`.
+    The field algebra must be all of B(C^d) (``ValueError`` otherwise).
+    Its fixed-point algebra, the observables, is then the representation's
+    commutant, whose blocks are exactly the isotypic components of the
+    implementing representation, and
+    :meth:`SectorDecomposition.observable_algebra` builds it from them (no
+    commutant solve).  For a smaller F the observables F^G
+    (:func:`~sectorlab.groups.fixed_point_algebra`) have another centre.
     """
-    if rep.dim != f_alg.ambient_dim:
+    d = f_alg.ambient_dim
+    if rep.dim != d:
         raise ValueError("representation and field algebra dimensions differ")
-    dec = isotypic_decomposition(rep, seed)
-    full = f_alg.dim == f_alg.ambient_dim ** 2
-    return replace(dec, field_algebra_full=full)
+    if f_alg.dim != d * d:
+        raise ValueError(
+            f"the field algebra must be the full matrix algebra B(C^{d}) "
+            f"(dimension {d * d}), got dimension {f_alg.dim}"
+        )
+    return isotypic_decomposition(rep, seed)
 
 
 @dataclass(frozen=True)
@@ -195,13 +199,12 @@ def estimate_charge(
     return ProbabilityWeight(charge_space(decomp), vals / vals.sum())
 
 
-def vacuum_label(
-    decomp: SectorDecomposition, omega0: State, tol: float = 1e-10
-) -> str:
-    """The sector carrying the designated vacuum; requires full support."""
+def vacuum_label(decomp: SectorDecomposition, omega0: State) -> str:
+    """The sector carrying the designated vacuum; requires full support
+    (a charge weight within ``STATE_TOL`` of one)."""
     nu = estimate_charge(omega0, decomp)
     idx = int(np.argmax(nu.weights))
-    if abs(nu.weights[idx] - 1.0) > tol:
+    if abs(nu.weights[idx] - 1.0) > STATE_TOL:
         raise ValueError(
             f"vacuum state is not supported in a single sector: {nu.weights}"
         )
@@ -281,36 +284,4 @@ def sector_energies(
         cols = w[:, sl]
         restricted = la.dagger(cols) @ h @ cols
         out[label] = float(np.linalg.eigvalsh(restricted).min())
-    return out
-
-
-def find_charged_unitaries(
-    decomp: SectorDecomposition,
-    vacuum: State,
-    candidates: Sequence[np.ndarray],
-) -> dict[str, ChargedMultiplet]:
-    """Scan a generating set for unitaries carrying the vacuum into each sector.
-
-    Only the abelian case is automated: a single unitary u is assigned to
-    label gamma when omega_0 o Ad(u) is supported entirely in that sector
-    (its charge weight there is within 1e-10 of one).
-    Candidates are scanned in order; the first hit per label wins.  Labels
-    without a hit are simply absent from the result.
-    """
-    d = decomp.ambient_dim
-    out: dict[str, ChargedMultiplet] = {}
-    vac = vacuum_label(decomp, vacuum, tol=1e-8)
-    out[vac] = identity_multiplet(vac, d)
-    for cand in candidates:
-        u = la.as_complex_matrix(cand)
-        if np.linalg.norm(la.dagger(u) @ u - np.eye(d)) > 1e-10 * d:
-            continue
-        mult = ChargedMultiplet("candidate", (u,))
-        nu = estimate_charge(
-            State(mult.pullback_density(vacuum.density)), decomp
-        )
-        idx = int(np.argmax(nu.weights))
-        if abs(nu.weights[idx] - 1.0) <= 1e-10 and decomp.labels[idx] not in out:
-            lab = decomp.labels[idx]
-            out[lab] = ChargedMultiplet(lab, (u,))
     return out

@@ -144,14 +144,15 @@ def state_from_json(obj) -> State:
 
 
 def algebra_from_json(obj) -> OperatorAlgebra:
-    """Either {"full_dim": d} or a list of generator matrices to close."""
-    from .algebra import full_matrix_algebra, generate_algebra
+    """The full matrix algebra B(C^d), given as {"full_dim": d}."""
+    from .algebra import full_matrix_algebra
 
-    if isinstance(obj, dict) and "full_dim" in obj:
-        return full_matrix_algebra(int(obj["full_dim"]))
-    if not isinstance(obj, list):
-        raise InputFormatError("algebra must be {'full_dim': d} or a matrix list")
-    return generate_algebra([matrix_from_json(m) for m in obj])
+    if not (isinstance(obj, dict) and "full_dim" in obj):
+        raise InputFormatError(
+            'field algebra must be {"full_dim": d}, the full matrix algebra '
+            "B(C^d); no other field algebra is supported"
+        )
+    return full_matrix_algebra(int(obj["full_dim"]))
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ class TestFixedPointAlgebra:
         comm = commutant(fixed)
         group_alg = generate_algebra(list(rep.matrices))
         assert comm.dim == group_alg.dim
-        assert la.same_span(comm.basis, group_alg.basis, 1e-8)
+        assert_same_span(la.mats_to_rows(comm.basis), la.mats_to_rows(group_alg.basis))
 
 
 class TestIsotypicDecomposition:

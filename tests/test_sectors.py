@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from sectorlab import _linalg as la
+from sectorlab import cli
+from sectorlab import serialize as io
 from sectorlab.algebra import (
     State,
     center,
@@ -24,7 +28,6 @@ from sectorlab.sectors import (
     charge_space,
     decompose_sectors,
     estimate_charge,
-    find_charged_unitaries,
     identity_multiplet,
     induce_charged_state,
     k_map,
@@ -61,13 +64,29 @@ class TestDecomposeSectors:
         dec = chain2["decomposition"]
         assert dec.mult_dims == (2, 2)
         assert dec.irrep_dims == (1, 1)
-        assert dec.field_algebra_full
 
-    def test_non_full_field_flagged(self):
-        rep = cyclic_rep_from_unitary(SZ, 2)
-        small = generate_algebra([SZ])
-        dec = decompose_sectors(small, rep)
-        assert not dec.field_algebra_full
+    def test_non_full_field_rejected(self, tmp_path, capsys):
+        # F = the diagonal algebra, Z2 by sigma_x: F^G = C1 has a
+        # one-dimensional centre, not the two sectors of B(C^2)^G
+        diagonal = np.diag([1.0, 0.0]).astype(complex)
+        rep = cyclic_rep_from_unitary(SX, 2)
+        with pytest.raises(ValueError, match="full matrix algebra"):
+            decompose_sectors(generate_algebra([diagonal]), rep)
+        files = {
+            "field": [io.matrix_to_json(diagonal)],
+            "rep": io.rep_to_json(rep),
+            "state": io.state_to_json(vector_state(np.ones(2) / np.sqrt(2))),
+        }
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        code = cli.main([
+            "sectors", "analyze", "--field", str(tmp_path / "field.json"),
+            "--group", "cyclic:2", "--rep", str(tmp_path / "rep.json"),
+            "--state", str(tmp_path / "state.json"),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert '{"full_dim": d}' in err
 
     def test_centre_identity(self, chain2):
         # centre of the observable algebra = span of the projections,
@@ -290,11 +309,3 @@ class TestMultiplets:
         energies = sector_energies(chain2["decomposition"], h)
         assert energies["gamma0"] == pytest.approx(-1.0)
         assert energies["gamma1"] == pytest.approx(1.0)
-
-    def test_automatic_charged_search(self, chain2):
-        dec = chain2["decomposition"]
-        found = find_charged_unitaries(
-            dec, chain2["vacuum"],
-            [kron_all(SZ, I2), kron_all(SX, I2), kron_all(I2, SX)])
-        assert set(found) == set(dec.labels)
-        assert not found["gamma1"].is_partial()
