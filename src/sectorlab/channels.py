@@ -193,11 +193,24 @@ def design_matrix(channel: ClassicalQuantumChannel, probes) -> np.ndarray:
     One real matrix product: Re tr(P F) = sum_ab Re(P_ba F_ab) is the real
     inner product of conj(P^T) and F, both read as float arrays.  Exact for
     any P and F, Hermitian or not.
+
+    Raises ``ValueError`` naming the probe's index and shape when a probe
+    is not d x d, with d the fibres' dimension.
     """
-    ps = np.asarray(list(probes), dtype=complex)
-    lhs = np.conjugate(ps.transpose(0, 2, 1), order="C")
     fibres = channel.densities()
-    return lhs.view(float).reshape(len(ps), -1) @ fibres.view(float).reshape(
+    d = fibres.shape[1]
+    probes = list(probes)
+    try:
+        ps = np.asarray(probes, dtype=complex)
+    except ValueError:  # probes of different shapes, or not numbers
+        ps = None
+    if ps is None or ps.shape[1:] != (d, d):
+        for j, p in enumerate(probes):
+            if np.shape(p) != (d, d):
+                raise ValueError(f"probe {j} has shape {np.shape(p)}, but the fibres are {(d, d)}")
+        ps = np.asarray(probes, dtype=complex).reshape(len(probes), d, d)
+    lhs = np.conjugate(ps.transpose(0, 2, 1), order="C")
+    return lhs.view(float).reshape(len(ps), 2 * d * d) @ fibres.view(float).reshape(
         len(fibres), -1).T
 
 
@@ -256,18 +269,55 @@ class InversionResult:
 MAX_ITERATIONS = 100_000
 
 
-def _solve_on(a: np.ndarray, c: np.ndarray, cols: list[int]):
+def _solve_on(a: np.ndarray, c: np.ndarray, cols: list[int], check: bool = False):
     """Least squares on ``cols`` by complete QR: Q, the solution, and the
-    residual's coordinates in the orthogonal complement of those columns."""
+    residual's coordinates in the orthogonal complement of those columns.
+
+    With ``check``, None instead when some column's part outside the span
+    of the columns listed before it, |R_ii|, is at most ``DEPENDENCE_CUT``
+    times its norm: the dependence test of :func:`_nnls`, to rounding.
+    """
     q, r = np.linalg.qr(a[:, cols], mode="complete")
-    qc = q.T @ c
     k = len(cols)
+    if check:
+        if k > len(r):
+            return None
+        top = r[:k]
+        outside = top.diagonal()
+        if (outside * outside <= la.DEPENDENCE_CUT ** 2 * (top * top).sum(axis=0)).any():
+            return None
+    qc = q.T @ c
     z = np.zeros(a.shape[1])
     z[cols] = np.linalg.solve(r[:k], qc[:k])
     return q, z, qc[k:]
 
 
-def _nnls(a: np.ndarray, c: np.ndarray):
+def _step_back(a, c, y, trial, solved, iters):
+    """From the feasible ``y``, step towards the solution on ``trial`` until
+    it is positive there.
+
+    ``solved`` is :func:`_solve_on` of ``trial``.  While a coefficient of the
+    solution z is <= 0, move y towards z until the first such coefficient
+    of y hits zero, drop it from ``trial`` and solve again.  Returns
+    (trial, Q, z, the residual's complement coordinates), or None when
+    ``MAX_ITERATIONS`` cuts the loop short, and the solve count.
+    """
+    q, z, rest = solved
+    while z[trial].min(initial=np.inf) <= 0:
+        if iters >= MAX_ITERATIONS:
+            return None, iters
+        bad = [i for i in trial if z[i] <= 0]
+        ratios = y[bad] / (y[bad] - z[bad])
+        t = int(np.argmin(ratios))
+        y = y + ratios[t] * (z - y)
+        y[bad[t]] = 0.0
+        trial = [i for i in trial if y[i] > 0]
+        iters += 1
+        q, z, rest = _solve_on(a, c, trial)
+    return (trial, q, z, rest), iters
+
+
+def _nnls(a: np.ndarray, c: np.ndarray, start: np.ndarray | None = None):
     """Lawson-Hanson argmin ||a x - c|| over x >= 0: x, solves, converged.
 
     Duals come from the residual's coordinates outside the passive span, so
@@ -277,12 +327,28 @@ def _nnls(a: np.ndarray, c: np.ndarray):
     positive trial coefficient; a refused column waits until x changes.  The solve stops when no dual is
     positive, or when an outer step fails to reduce the residual (in exact
     arithmetic every step does, so the duals left are rounding noise).
+
+    Without ``start`` the solve begins at x = 0.  A non-negative ``start``
+    is a feasible point, which Lawson-Hanson accepts as well (Lawson &
+    Hanson 1974, ch. 23): the solve begins on its support, stepping back
+    towards ``start`` while a coefficient is <= 0, and keeps that point
+    only if the support passes the dependence test and the residual there
+    is below ||c||, the residual at x = 0; otherwise it begins at x = 0,
+    and the solves spent on the start are counted all the same.
     """
     x = np.zeros(a.shape[1])
     cols: list[int] = []
     refused: list[int] = []
     q, rest = np.eye(a.shape[0]), c
     iters = 0
+    support = [] if start is None else np.flatnonzero(start > 0).tolist()
+    if support:
+        iters = 1
+        solved = _solve_on(a, c, support, check=True)
+        if solved is not None:
+            warm, iters = _step_back(a, c, start, support, solved, iters)
+            if warm is not None and np.linalg.norm(warm[3]) < np.linalg.norm(c):
+                cols, q, x, rest = warm
     while iters < MAX_ITERATIONS:
         k = len(cols)
         qa = q.T @ a
@@ -296,22 +362,13 @@ def _nnls(a: np.ndarray, c: np.ndarray):
             continue
         trial = cols + [j]
         iters += 1
-        q_t, z, rest_t = _solve_on(a, c, trial)
-        if z[j] <= 0:
+        solved = _solve_on(a, c, trial)
+        if solved[1][j] <= 0:
             continue
-        y = x
-        while z[trial].min() <= 0:
-            if iters >= MAX_ITERATIONS:
-                return x, iters, False
-            # step towards z until the first passive coefficient hits zero
-            bad = [i for i in trial if z[i] <= 0]
-            ratios = y[bad] / (y[bad] - z[bad])
-            t = int(np.argmin(ratios))
-            y = y + ratios[t] * (z - y)
-            y[bad[t]] = 0.0
-            trial = [i for i in trial if y[i] > 0]
-            iters += 1
-            q_t, z, rest_t = _solve_on(a, c, trial)
+        done, iters = _step_back(a, c, x, trial, solved, iters)
+        if done is None:
+            return x, iters, False
+        trial, q_t, z, rest_t = done
         if np.linalg.norm(rest_t) >= np.linalg.norm(rest):
             return x, iters, True
         x, cols, q, rest, refused = z, trial, q_t, rest_t, []
@@ -356,6 +413,15 @@ def invert_design(
     overflow inside it, or a weight that is not finite), with no
     ``RuntimeWarning``.
     """
+    return _invert(m, data, space)[0]
+
+
+def _invert(m, data, space: ClassifyingSpace, start: np.ndarray | None = None):
+    """:func:`invert_design` with its NNLS begun at ``start`` (see
+    :func:`_nnls`): the result, and the raw NNLS solution, taken before the
+    tie-break and the scaling to sum 1, which is a feasible start for the
+    same space under other design rows.
+    """
     m = np.asarray(m, dtype=float)
     data = np.asarray(data, dtype=float).reshape(-1)
     if m.shape[0] == 0:
@@ -374,13 +440,14 @@ def invert_design(
                             "no finite weight")
     try:
         with np.errstate(over="raise"):
-            x, iters, converged = _nnls(np.vstack([m - data[:, None], np.ones(n)]),
-                                        target)
+            raw, iters, converged = _nnls(np.vstack([m - data[:, None], np.ones(n)]),
+                                          target, start)
     except FloatingPointError as err:
         raise overflowed from err
-    total = x.sum()
+    total = raw.sum()
     if not (np.isfinite(total) and total > 0):
         raise overflowed
+    x = raw
     sep = _separation(m, n)
     if not sep.passed:
         aug = np.vstack([m, np.ones(n)])
@@ -388,7 +455,7 @@ def invert_design(
         # the rounding slack of ProbabilityWeight
         if tie.min() >= -1e-12:
             x = np.clip(tie, 0.0, None)
-    x /= x.sum()
+    x = x / x.sum()
     # KKT: with g the gradient and lam the multiplier of sum x = 1,
     # g + lam = 0 on the support and g + lam >= 0 off it
     g = m.T @ (m @ x - data)
@@ -404,4 +471,4 @@ def invert_design(
         rank=sep.rank,
         sigma_min=sep.sigma_min,
         nullspace_dim=n - sep.rank,
-    )
+    ), raw

@@ -21,9 +21,9 @@ from .channels import (
     ClassicalQuantumChannel,
     ClassifyingSpace,
     InversionResult,
+    _invert,
     design_matrix,
     invert_cq,
-    invert_design,
 )
 from .config import CRITERION_TOL
 
@@ -321,13 +321,19 @@ class ObservableHierarchy:
         """Span inclusion of consecutive levels, to a relative residual of 1e-9.
 
         A probe with a NaN or infinite entry is a ``ValueError``: its residual
-        could be NaN, which no comparison rejects.
+        could be NaN, which no comparison rejects.  So is a probe whose shape
+        differs from the first probe's.
         """
+        first = None
         for lname, probes in self.levels:
             for pname, m in probes:
                 if not np.isfinite(m).all():
                     raise ValueError(
                         f"probe {pname!r} of level {lname!r} has non-finite entries")
+                first = first or (pname, m.shape)
+                if m.shape != first[1]:
+                    raise ValueError(f"probe {pname!r} of level {lname!r} has shape "
+                                     f"{m.shape}, but probe {first[0]!r} has {first[1]}")
         for (n1, p1), (n2, p2) in zip(self.levels, self.levels[1:]):
             if not p2:
                 raise ValueError(f"level {n2!r} is empty but follows {n1!r}")
@@ -430,7 +436,16 @@ def hierarchy_report(
     Where every design entry has one nonzero product (occupation probes)
     the rows are bit for bit those :func:`s_thermal_check` builds for the
     level alone; otherwise they agree to rounding, since a BLAS product's
-    summation order depends on the block's shape.  Residuals are
+    summation order depends on the block's shape.
+
+    Each level's NNLS solve begins at the coarser level's raw solution (see
+    :func:`~sectorlab.channels._nnls`): a feasible point, so every level
+    still reaches its own optimum, and on nested levels it usually lies
+    close to it, which saves most of the solves a start at zero needs.  A
+    level's residual and fitted values agree with :func:`s_thermal_check`
+    to rounding, and so do its weights where the level is ``unique``; on a
+    rank-deficient level the weights are an optimum with that fit, not
+    necessarily the one :func:`s_thermal_check` returns.  Residuals are
     non-decreasing with the level (larger probe sets can only fit worse);
     the report records the finest accepted level, or None when even the
     coarsest fails (or the hierarchy is empty).
@@ -448,10 +463,11 @@ def hierarchy_report(
                 mats.append(m)
         levels.append((name, [row[n] for n in names], data))
     design = design_matrix(channel, mats) if mats else None
-    verdicts = [
-        _verdict(name, invert_design(design[idx], data, channel.space), tol)
-        for name, idx, data in levels
-    ]
+    verdicts = []
+    start = None
+    for name, idx, data in levels:
+        result, start = _invert(design[idx], data, channel.space, start)
+        verdicts.append(_verdict(name, result, tol))
     residuals = [v.residual for v in verdicts]
     monotone = all(
         r1 <= r2 + 1e-12 for r1, r2 in zip(residuals, residuals[1:])

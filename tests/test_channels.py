@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,16 @@ class TestInvertCq:
         assert got.shape == (p, k)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4), (3, 3), (4,)])
+    def test_misshaped_probe_rejected(self, two_point_channel, shape):
+        # (4, 1), (1, 4) and (4,) hold d^2 = 4 entries, the fibres' count
+        probe = np.ones(shape)
+        msg = re.escape(f"probe 1 has shape {shape}, but the fibres are (2, 2)")
+        with pytest.raises(ValueError, match=msg):
+            design_matrix(two_point_channel, [SZ, probe])
+        with pytest.raises(ValueError, match=msg):
+            invert_cq(two_point_channel, [SZ, probe], np.array([0.2, 0.1]))
+
     def test_densities_built_lazily_and_read_only(self, two_point_channel):
         assert two_point_channel._densities is None  # not built by __init__
         stack = two_point_channel.densities()
@@ -312,3 +323,68 @@ class TestInconsistentData:
         assert result.residual == pytest.approx(oracle, rel=1e-9, abs=1e-12)
         assert result.kkt_residual <= 1e-9
         assert result.converged and result.iterations >= 1
+
+
+class TestWarmStart:
+    """Lawson-Hanson from any feasible start reaches the optimum from x = 0."""
+
+    @staticmethod
+    def problem(seed, p):
+        """Five diagonal fibres on C^5, ``p`` diagonal probes, inconsistent data."""
+        rng = np.random.default_rng(seed)
+        n = 5
+        fibres = [State(np.diag(w), label=str(i))
+                  for i, w in enumerate(rng.dirichlet(np.ones(n), size=n))]
+        ch = ClassicalQuantumChannel(ClassifyingSpace(tuple(range(n))), fibres)
+        probes = [np.diag(rng.standard_normal(n)).astype(complex) for _ in range(p)]
+        return rng, design_matrix(ch, probes), 3.0 * rng.standard_normal(p), ch.space
+
+    @staticmethod
+    def system(m, data):
+        """The [M - data 1^T; 1^T] system that invert_design hands to _nnls."""
+        a = np.vstack([m - data[:, None], np.ones(m.shape[1])])
+        return a, np.concatenate([np.zeros(len(data)), [1.0]])
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("kind", ["zero", "optimum", "random", "stale"])
+    def test_every_start_reaches_the_optimum(self, seed, p, kind):
+        # p = 2 and 4 are rank-deficient (a random support may be dependent,
+        # and is then refused); p = 6 is unique
+        rng, m, data, space = self.problem(seed, p)
+        a, c = self.system(m, data)
+        cold, cold_iters, _ = channels._nnls(a, c)
+        if kind == "zero":
+            start = np.zeros(m.shape[1])
+        elif kind == "optimum":
+            start = cold
+        elif kind == "random":
+            start = np.zeros(m.shape[1])
+            support = rng.choice(m.shape[1], int(rng.integers(1, m.shape[1] + 1)), replace=False)
+            start[support] = rng.uniform(0.1, 1.0, len(support))
+        else:  # the optimum for other data
+            start = channels._nnls(*self.system(m, 3.0 * rng.standard_normal(p)))[0]
+        x, iters, converged = channels._nnls(a, c, start)
+        assert converged
+        assert abs(np.linalg.norm(a @ x - c) - np.linalg.norm(a @ cold - c)) <= 1e-14
+        if kind == "zero":
+            assert (x.tobytes(), iters) == (cold.tobytes(), cold_iters)
+        if kind == "optimum":
+            assert iters == 1
+            assert np.abs(x - cold).max() <= 1e-14
+        result = channels._invert(m, data, space, start)[0]
+        assert result.residual == pytest.approx(simplex_optimum(m, data), rel=1e-9, abs=1e-12)
+        assert result.kkt_residual <= 1e-9
+        assert result.converged
+
+    def test_dependent_support_starts_cold(self):
+        # columns 0 and 1 are equal: a start on both costs the refused solve
+        # and then runs as from x = 0; a start on the optimum's support
+        # {0, 2} costs one solve
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        c = np.array([1.0, 2.0, 3.0])
+        cold, cold_iters, _ = channels._nnls(a, c)
+        x, iters, converged = channels._nnls(a, c, np.array([0.5, 0.5, 0.0]))
+        assert converged and (x.tobytes(), iters) == (cold.tobytes(), cold_iters + 1)
+        x, iters, converged = channels._nnls(a, c, np.array([0.5, 0.0, 1.0]))
+        assert converged and iters == 1 and np.abs(x - cold).max() <= 1e-14

@@ -341,6 +341,57 @@ class TestCliCommands:
         assert "non-finite" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (3, 3)])
+    def test_thermal_estimate_misshaped_probe_is_an_input_error(
+            self, shape, example_tree, tmp_path):
+        # the two-level fibres are 2 x 2; a 1 x 4 probe has their four entries
+        d = example_tree / "gibbs_two_level"
+        probe = io.matrix_to_json(np.ones(shape, dtype=complex))
+        bad = tmp_path / "hierarchy.json"
+        bad.write_text(json.dumps({"levels": [{"name": "only", "probes": [
+            {"name": "energy", "matrix": probe}]}]}))
+        proc = run_cli(
+            "thermal", "estimate", "--system", str(d / "system.json"),
+            "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+            "--hierarchy", str(bad),
+        )
+        assert proc.returncode == 2
+        assert f"probe 0 has shape {shape}, but the fibres are (2, 2)" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_thermal_estimate_mixed_probe_shapes_are_an_input_error(
+            self, example_tree, tmp_path):
+        d = example_tree / "gibbs_two_level"
+        hierarchy = json.loads((d / "hierarchy.json").read_text())
+        hierarchy["levels"][1]["probes"][1]["matrix"] = io.matrix_to_json(
+            np.array([[1.0, 0.0, 0.0, -1.0]], dtype=complex))
+        bad = tmp_path / "hierarchy.json"
+        bad.write_text(json.dumps(hierarchy))
+        proc = run_cli(
+            "thermal", "estimate", "--system", str(d / "system.json"),
+            "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+            "--hierarchy", str(bad),
+        )
+        assert proc.returncode == 2
+        assert "probe 'energy' of level 'energy' has shape (1, 4)" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("shape", [(1, 144), (144, 1), (3, 3)])
+    def test_channels_invert_misshaped_probe_is_an_input_error(
+            self, shape, example_tree, tmp_path):
+        d = example_tree / "moment_grid_12"
+        probes = json.loads((d / "probes.json").read_text())
+        probes[2]["matrix"] = io.matrix_to_json(np.ones(shape, dtype=complex))
+        bad = tmp_path / "probes.json"
+        bad.write_text(json.dumps(probes))
+        proc = run_cli(
+            "channels", "invert", "--channel", str(d / "channel.json"),
+            "--probes", str(bad), "--data", str(d / "measured.json"),
+        )
+        assert proc.returncode == 2
+        assert f"probe 2 has shape {shape}, but the fibres are (12, 12)" in proc.stderr
+        assert proc.stdout == ""
+
     def test_thermal_estimate_reports_solver_state(self, example_tree, capsys):
         d = example_tree / "moment_grid_12"
         args = ["thermal", "estimate", "--system", str(d / "system.json"),

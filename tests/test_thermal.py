@@ -1,4 +1,5 @@
 import itertools
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from sectorlab.algebra import State, full_matrix_algebra, vector_state
 from sectorlab.channels import (
     ProbabilityWeight,
     apply_cq,
+    design_matrix,
     evaluation_matrix,
     forward_data,
     invert_cq,
@@ -484,13 +486,10 @@ def _occupation(n: int, k: int) -> np.ndarray:
     return p
 
 
-def verdict_bytes(v):
-    """Every field of a verdict, floats and weights as their exact bytes."""
-    return (v.level, v.accepted, v.weight_estimate.weights.tobytes(),
-            float(v.residual).hex(), v.tolerance, v.unique, v.rank,
-            float(v.sigma_min).hex(), v.nullspace_dim,
-            [(k, float(m).hex(), float(s).hex()) for k, (m, s) in v.moments.items()],
-            v.iterations, float(v.kkt_residual).hex(), v.converged)
+def same_verdict_fields(v):
+    """The fields a level's verdict shares with its own solve, sigma_min as bits."""
+    return (v.level, v.accepted, v.unique, v.rank, v.nullspace_dim, v.converged,
+            v.tolerance, float(v.sigma_min).hex())
 
 
 class TestSharedDesign:
@@ -500,11 +499,20 @@ class TestSharedDesign:
     @pytest.mark.parametrize("mu", [False, True])
     @pytest.mark.parametrize("inverted", [False, True])
     def test_report_equals_per_level_checks(self, seed, mu, inverted):
+        # a level's solve continues from the coarser level's, so the optimum
+        # it reaches agrees with the level's own solve to rounding; where the
+        # level is rank-deficient it may be another optimum with the same fit
         measured, hier, channel = nested_occupations(seed, mu, inverted)
         report = hierarchy_report(measured, hier, channel, tol=1e-8)
-        alone = [s_thermal_check(measured, probes, channel, tol=1e-8, level_name=name)
-                 for name, probes in hier.levels]
-        assert [verdict_bytes(v) for v in report.verdicts] == [verdict_bytes(v) for v in alone]
+        for v, (name, probes) in zip(report.verdicts, hier.levels):
+            alone = s_thermal_check(measured, probes, channel, tol=1e-8, level_name=name)
+            assert same_verdict_fields(v) == same_verdict_fields(alone)
+            assert abs(v.residual - alone.residual) <= 1e-14
+            m = design_matrix(channel, [p for _, p in probes])
+            w, w_alone = v.weight_estimate.weights, alone.weight_estimate.weights
+            assert np.abs(m @ w - m @ w_alone).max() <= 1e-14
+            if v.unique:
+                assert np.abs(w - w_alone).max() <= 1e-12
         assert not report.verdicts[0].unique  # the coarse levels are rank-deficient
         if inverted:
             assert not report.verdicts[-1].accepted
@@ -556,6 +564,60 @@ class TestSharedDesign:
         hier = ObservableHierarchy((("unit", (("unit", I2),)), ("none", ())))
         with pytest.raises(ValueError, match="at least one probe"):
             hierarchy_report({"unit": 1.0}, hier, channel)
+
+
+class TestLevelStarts:
+    """Each level's solve continues from the coarser level's raw solution."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", ["reversed", "disjoint", "shuffled"])
+    def test_any_level_order_reaches_each_levels_optimum(self, seed, order):
+        # a start from a level that is not nested in this one is still a
+        # feasible point: each level reaches its own optimum
+        measured, hier, channel = nested_occupations(seed, inverted=bool(seed % 2))
+        probes = hier.levels[-1][1]
+        if order == "reversed":
+            levels = hier.levels[::-1]
+        elif order == "disjoint":
+            levels = tuple((f"D{i}", probes[i::3]) for i in range(3))
+        else:
+            rng = np.random.default_rng(seed)
+            levels = tuple(
+                (f"R{i}", tuple(probes[k] for k in rng.choice(len(probes), size, replace=False)))
+                for i, size in enumerate(rng.integers(1, len(probes) + 1, 4)))
+        report = hierarchy_report(measured, ObservableHierarchy(levels), channel, tol=1e-8)
+        for v, (name, level) in zip(report.verdicts, levels):
+            alone = s_thermal_check(measured, level, channel, tol=1e-8, level_name=name)
+            assert same_verdict_fields(v) == same_verdict_fields(alone)
+            assert abs(v.residual - alone.residual) <= 1e-14
+            assert v.kkt_residual <= 1e-12
+
+    def test_nested_levels_save_solves(self):
+        # exact mixtures of three Gibbs states on a 12-point grid, levels of
+        # 12, 14 and 16 of the 16 occupations (every level unique): 111
+        # least-squares solves over the four reports against 187 level by level
+        warm, cold = [], []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n, g = 16, 12
+            energies = np.concatenate([[0.0], np.geomspace(0.05, n, n - 1)])
+            channel = build_thermal_channel(HamiltonianSystem(np.diag(energies).astype(complex)),
+                                            beta_grid(np.geomspace(0.05, 20.0, g)))
+            order = rng.permutation(n)
+            hier = ObservableHierarchy(tuple(
+                (f"L{s}", tuple((f"occ{k}", _occupation(n, k)) for k in order[:s]))
+                for s in (12, 14, 16)))
+            weights = np.zeros(g)
+            weights[rng.choice(g, 3, replace=False)] = rng.dirichlet(np.ones(3))
+            pops = np.tensordot(weights, channel.densities(), axes=1).diagonal().real
+            measured = {f"occ{k}": float(p) for k, p in enumerate(pops)}
+            report = hierarchy_report(measured, hier, channel, tol=1e-8)
+            assert all(v.accepted and v.unique for v in report.verdicts)
+            warm.append([v.iterations for v in report.verdicts])
+            cold.append([s_thermal_check(measured, probes, channel, tol=1e-8).iterations
+                         for _, probes in hier.levels])
+        assert warm == [[13, 10, 7], [27, 5, 3], [11, 8, 2], [18, 4, 3]]
+        assert cold == [[13, 8, 14], [27, 12, 28], [11, 12, 13], [18, 15, 16]]
 
 
 class TestProbeNames:
@@ -612,6 +674,15 @@ class TestNonFiniteProbes:
         hier = ObservableHierarchy((("p", (("p", probe),)),
                                     ("all", (("unit", unit), ("p", probe)))))
         with pytest.raises(ValueError, match="probe 'p' of level 'p' has non-finite"):
+            hier.validate_nesting()
+
+    def test_nesting_check_rejects_mixed_shapes(self):
+        # a 1 x 4 probe among 2 x 2 ones; the span check would stack them
+        flat = np.array([[1.0, 0.0, 0.0, -1.0]], dtype=complex)
+        hier = ObservableHierarchy((("unit", (("unit", I2),)),
+                                    ("energy", (("unit", I2), ("energy", flat)))))
+        with pytest.raises(ValueError, match=re.escape(
+                "probe 'energy' of level 'energy' has shape (1, 4), but probe 'unit' has (2, 2)")):
             hier.validate_nesting()
 
 
