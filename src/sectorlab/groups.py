@@ -502,6 +502,15 @@ def _character_sort_key(irrep: np.ndarray):
                  for re, im in zip(chars.real.tolist(), chars.imag.tolist()))
 
 
+def _twirl(ux: np.ndarray, irrep: np.ndarray) -> np.ndarray:
+    """(1/|G|) sum_g U(g) x (1_mult (x) irrep(g))*, copy by copy, from the
+    images ux[g] = U(g) x of a sector's d x (mult * dim) columns x."""
+    n, d, width = ux.shape
+    dim = irrep.shape[1]
+    ux = ux.reshape(n, d * width // dim, dim).transpose(1, 0, 2).reshape(-1, n * dim)
+    return (ux @ irrep.conj().transpose(0, 2, 1).reshape(n * dim, dim)).reshape(d, width) / n
+
+
 def isotypic_decomposition(rep: UnitaryRep, seed: int = 0) -> SectorDecomposition:
     """Decompose a representation into isotypic blocks H_gamma (x) V_gamma.
 
@@ -514,7 +523,12 @@ def isotypic_decomposition(rep: UnitaryRep, seed: int = 0) -> SectorDecompositio
     <chi_j, chi_j> = |G|, else the next seed is tried.  These inner
     products are integers, so copies with <chi_i, chi_j> / |G| > 1/2 form
     one sector, exactly.  The copies are aligned with the group average of
-    a random complex matrix.  Labels are canonical: sorted by irrep
+    a random complex matrix.  Each sector's aligned columns X are then
+    twirled, X -> (1/|G|) sum_g U(g) X (1 (x) irrep(g))*, the orthogonal
+    projection onto the intertwiners of 1 (x) irrep into U: eigenvectors
+    of K that are off by delta (about eps / the smallest eigenvalue gap of
+    K) come back invariant, and orthonormal, to O(delta^2).  Labels are
+    canonical: sorted by irrep
     dimension ascending, then by character values in descending
     lexicographic order (the trivial irrep sorts first among
     one-dimensional labels).
@@ -542,11 +556,14 @@ def isotypic_decomposition(rep: UnitaryRep, seed: int = 0) -> SectorDecompositio
     found = wedderburn_blocks(draw, leaders, seed, IsotypicError,
                               "isotypic decomposition")
     e, starts, ue = seen["e"], seen["starts"], seen["ue"]
-    sectors = []
+    ux = rep.images(np.concatenate([sec[0] for sec in found], axis=1))
+    sectors, start = [], 0
     for cols, mult, dim, lead in found:
         lead_cols = slice(starts[lead], starts[lead + 1])
         irrep = la.dagger(e[:, lead_cols]) @ ue[:, :, lead_cols]
-        sectors.append((cols, irrep, mult, dim))
+        twirled = _twirl(ux[:, :, start:start + cols.shape[1]], irrep)
+        sectors.append((twirled, irrep, mult, dim))
+        start += cols.shape[1]
     sectors.sort(key=lambda sec: (sec[3], _character_sort_key(sec[1])))
     return SectorDecomposition(
         group=rep.group,

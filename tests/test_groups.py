@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sectorlab import _linalg as la
 from sectorlab import groups
@@ -447,6 +447,8 @@ class TestIsotypicProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(make=st.sampled_from(COMPLETE_REPS), seed=st.integers(0, 10_000))
+    # regular rep of Z_8 whose K has two eigenvalues 7.5e-7 * |K| apart
+    @example(make=COMPLETE_REPS[5], seed=5391)
     def test_every_irrep_resolved(self, make, seed):
         rep = make()
         dec = isotypic_decomposition(rep, seed=seed)
