@@ -6,15 +6,22 @@ orthonormal under the trace inner product <A, B> = tr(A* B).
 
 This module makes every rank, null, eigenvalue-grouping and copy-linkage
 decision of the package, at the fixed cuts below or by numpy's eps rule
-(:func:`eps_rank`); no caller sets any of them.  Eigenvalues are grouped
-by one rule on one scale, relative to the largest |eigenvalue|.
+(:func:`eps_rank`), and fixes the cuts of the verdicts the criteria report
+(partial multiplets, positive unital maps, real thermal functions, the
+inversion's tie-break, monotone residuals); no caller sets any of them.
+Input checks use the cuts of :mod:`sectorlab.config`.  Three comparisons
+that several checks share live here: :func:`relation_holds` (unitarity,
+group relations), :func:`near` (Hermiticity, commutation) and
+:func:`in_span` (membership).
+Eigenvalues are grouped by one rule on one scale, relative to the largest
+|eigenvalue|.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_SEED, rng_from_seed
+from .config import DEFAULT_SEED, UNITARY_TOL, rng_from_seed
 from .errors import EigenvalueGapError
 
 #: singular values above SPAN_RANK_CUT * max(sigma_max, 1) span; also the
@@ -38,6 +45,22 @@ DEPENDENCE_CUT = 100 * np.finfo(float).eps
 #: commutant when its unitality defect is <= MORPHISM_CUT * d and its
 #: residuals (:func:`~sectorlab.groups.endomorphism_residuals`) are <= MORPHISM_CUT
 MORPHISM_CUT = 1e-9
+#: a multiplet is partial when either Cuntz-relation defect (Frobenius) is
+#: above ISOMETRY_CUT, absolute
+ISOMETRY_CUT = 1e-10
+#: a map is positive and unital when every phi(1) is within
+#: POSITIVE_UNITAL_CUT of 1 and its smallest Hermitian-part eigenvalue is
+#: >= -POSITIVE_UNITAL_CUT, both absolute
+POSITIVE_UNITAL_CUT = 1e-9
+#: a probe's thermal function is real when the probe is Hermitian to
+#: HERMITIAN_CUT (:func:`near`, absolute below unit scale)
+HERMITIAN_CUT = 1e-12
+#: the inversion takes its minimum-norm tie-break when every entry is
+#: >= -TIE_SLACK, absolute
+TIE_SLACK = 1e-12
+#: a hierarchy's residuals are monotone when each is <= the next one plus
+#: MONOTONE_SLACK, absolute
+MONOTONE_SLACK = 1e-12
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -46,6 +69,24 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+def relation_holds(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether ||x - y||_F <= ``UNITARY_TOL`` * d for d x d matrices: the test
+    of unitarity (x = U* U, y = 1) and of a group's relations.  NaN fails."""
+    return hs_norm(x - y) <= UNITARY_TOL * x.shape[-1]
+
+
+def near(x: np.ndarray, y: np.ndarray, cut: float, ref: np.ndarray | None = None) -> bool:
+    """Whether ||x - y||_F <= cut * max(1, ||ref||), ``ref`` defaulting to x:
+    the test of Hermiticity (y = x*) and commutation.  NaN fails."""
+    return hs_norm(x - y) <= cut * max(1.0, hs_norm(x if ref is None else ref))
+
+
+def in_span(m: np.ndarray, pm: np.ndarray) -> bool:
+    """Whether ``m`` lies in a span, given its projection ``pm`` onto it:
+    :func:`near` at ``SPAN_RANK_CUT``."""
+    return near(m, pm, SPAN_RANK_CUT)
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -91,11 +132,6 @@ def project_onto_span(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.tensordot(mats_to_rows(basis).conj() @ m.reshape(-1), basis, axes=(0, 0))
 
 
-def span_residual(basis: np.ndarray, m: np.ndarray) -> float:
-    """Distance of ``m`` from the span of an orthonormal stack."""
-    return hs_norm(m - project_onto_span(basis, m))
-
-
 def _svd_rank(s: np.ndarray) -> int:
     """Number of singular values above ``SPAN_RANK_CUT`` * max(sigma_max, 1)."""
     smax = s[0] if s.size else 0.0
@@ -129,9 +165,9 @@ def row_space(a: np.ndarray) -> np.ndarray:
     return vh[:_svd_rank(s)]
 
 
-def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return scale * (a + a.conj().T) / 2.0
+    return (a + a.conj().T) / 2.0
 
 
 def group_eigenvalues(vals: np.ndarray):

@@ -193,16 +193,16 @@ class OperatorAlgebra:
         return out
 
     def contains(self, m: np.ndarray) -> bool:
-        """Whether ``m`` lies in the algebra, to ``SPAN_RANK_CUT`` * max(1, ||m||)."""
+        """Whether ``m`` lies in the algebra (:func:`~sectorlab._linalg.in_span`)."""
         m = np.asarray(m, dtype=complex)
-        return la.hs_norm(m - self.project(m)) <= la.SPAN_RANK_CUT * max(1.0, la.hs_norm(m))
+        return la.in_span(m, self.project(m))
 
     def validate(self) -> None:
-        """Check that W is a d x d unitary to 1e-10: exactly when the matrix
-        units of the algebra the data describe are orthonormal."""
+        """Check that W is a d x d unitary to ``UNITARY_TOL`` * d: exactly when
+        the matrix units of the algebra the data describe are orthonormal."""
         w, d = self.unitary, self.ambient_dim
-        if w.shape != (d, d) or not np.allclose(la.dagger(w) @ w, np.eye(d), atol=1e-10):
-            raise ValueError("unitary is not a d x d unitary to 1e-10")
+        if w.shape != (d, d) or not la.relation_holds(la.dagger(w) @ w, np.eye(d)):
+            raise ValueError("unitary is not a d x d unitary")
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ class State:
         """Check Hermiticity, positivity and unit trace at ``STATE_TOL``."""
         self.check_finite()
         rho, t = self.density, STATE_TOL
-        if np.linalg.norm(rho - la.dagger(rho)) > t * max(1.0, la.hs_norm(rho)):
+        if not la.near(rho, la.dagger(rho), t):
             raise ValueError(f"density not Hermitian ({self.label!r})")
         evals = np.linalg.eigvalsh((rho + la.dagger(rho)) / 2)
         if evals.min() < -t:

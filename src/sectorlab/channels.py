@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, State
+from .config import WEIGHT_SLACK, WEIGHT_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,9 @@ class ProbabilityWeight:
         object.__setattr__(self, "weights", w)
         if w.shape != (self.space.size,):
             raise ValueError("weight vector length must match the label count")
-        if w.min() < -1e-12:
+        if w.min() < -WEIGHT_SLACK:
             raise ValueError(f"negative weight {w.min():.3e}")
-        if abs(w.sum() - 1.0) > 1e-10:
+        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
 
     def l1_distance(self, other: "ProbabilityWeight") -> float:
@@ -164,8 +165,9 @@ def verify_positive_unital(map_matrix: np.ndarray, alg: OperatorAlgebra) -> Posi
     the margin is the least eigenvalue of the Hermitian parts of the Y_a
     (the least Re phi on a pure state of one block), and the leakage the
     largest |Im phi| there.  The codomain is commutative, so positivity is
-    complete positivity.  Passes when every phi(1) is within 1e-9 of 1 and
-    the margin is at least -1e-9; failures are reported, never raised.
+    complete positivity.  Passes when every phi(1) is within
+    ``POSITIVE_UNITAL_CUT`` of 1 and the margin is at least
+    -``POSITIVE_UNITAL_CUT``; failures are reported, never raised.
     """
     m = np.asarray(map_matrix)
     if m.shape[1] != alg.dim:
@@ -178,7 +180,7 @@ def verify_positive_unital(map_matrix: np.ndarray, alg: OperatorAlgebra) -> Posi
         margin = min(margin, float(np.linalg.eigvalsh((y + la.dagger(y)) / 2).min()))
         leak = max(leak, float(np.abs(np.linalg.eigvalsh((y - la.dagger(y)) / 2j)).max()))
     unitality = float(np.max(np.abs(unit - 1.0)))
-    passed = unitality <= 1e-9 and margin >= -1e-9
+    passed = unitality <= la.POSITIVE_UNITAL_CUT and margin >= -la.POSITIVE_UNITAL_CUT
     return PositiveUnitalReport(unitality, margin, leak, passed)
 
 
@@ -452,8 +454,7 @@ def _invert(m, data, space: ClassifyingSpace, start: np.ndarray | None = None):
     if not sep.passed:
         aug = np.vstack([m, np.ones(n)])
         tie = np.linalg.lstsq(aug, aug @ x, rcond=None)[0]
-        # the rounding slack of ProbabilityWeight
-        if tie.min() >= -1e-12:
+        if tie.min() >= -la.TIE_SLACK:
             x = np.clip(tie, 0.0, None)
     x = x / x.sum()
     # KKT: with g the gradient and lam the multiplier of sum x = 1,

@@ -600,7 +600,7 @@ def gauge_act(g: np.ndarray, p: CuntzPolynomial) -> CuntzPolynomial:
         gc = np.asarray(g, dtype=complex)
         if not np.isfinite(gc).all():
             raise ValueError("gauge matrix has non-finite entries")
-        if np.linalg.norm(la.dagger(gc) @ gc - np.eye(d)) > 1e-10 * d:
+        if not la.relation_holds(la.dagger(gc) @ gc, np.eye(d)):
             raise ValueError("gauge matrix is not unitary")
     gn, _ = _numerators(cells, False)
     return _gauge({key: (re, im) for key, re, im in gn}, 1, p, False)
@@ -690,36 +690,6 @@ def _fock_entries(
     return np.concatenate(rows_list), np.concatenate(cols_list), np.concatenate(vals_list)
 
 
-def _is_plain_word(p: CuntzPolynomial) -> bool:
-    if p.n_terms != 1:
-        return False
-    c = next(iter(p.terms.values()))
-    return complex(c) == 1.0
-
-
-def _word_product_defect(
-    p: CuntzPolynomial, q: CuntzPolynomial, level: int, n_safe: int
-) -> float:
-    """Fast path: compose the 0/1 partial maps of two single words."""
-    d = p.d
-    offsets = _string_offsets(d, level)
-    n = int(offsets[-1])
-    cq, rq = _word_index_map(d, offsets, level, next(iter(q.terms)), level)
-    cp, rp = _word_index_map(d, offsets, level, next(iter(p.terms)), level)
-    through_p = np.full(n, -1, dtype=np.int32)
-    through_p[cp] = rp
-    composed = np.full(n_safe, -1, dtype=np.int32)
-    inside = cq < n_safe
-    composed[cq[inside]] = through_p[rq[inside]]
-    expected = np.full(n_safe, -1, dtype=np.int32)
-    prod = multiply(p, q)
-    if not prod.is_zero():
-        cr, rr = _word_index_map(d, offsets, level, next(iter(prod.terms)), level)
-        inside = cr < n_safe
-        expected[cr[inside]] = rr[inside]
-    return 0.0 if np.array_equal(composed, expected) else 1.0
-
-
 def fock_product_defect(
     p: CuntzPolynomial, q: CuntzPolynomial, level: int
 ) -> tuple[float, int]:
@@ -739,8 +709,7 @@ def fock_product_defect(
     round at the scale of the largest |c_p c_q|, c_p and c_q coefficients
     of p and q, so it reads as zero only against that scale.
 
-    Single words with unit coefficient are composed as 0/1 index maps.
-    Anything else is composed on the safe columns only, as (row, column,
+    The product is composed on the safe columns only, as (row, column,
     value) entries: F(q) and F(pq) on the safe columns, and p's words on
     the strings that F(q) reaches there, with no sparse-matrix library.
     """
@@ -750,8 +719,6 @@ def fock_product_defect(
     if safe_len < 0:
         return 0.0, 0
     n_safe = fock_dimension(p.d, safe_len)
-    if _is_plain_word(p) and _is_plain_word(q):
-        return _word_product_defect(p, q, level, n_safe), n_safe
     offsets = _string_offsets(p.d, level)
     rq, cq, vq = _fock_entries(q, offsets, level, safe_len)
     # F(q) maps a safe column to strings of length <= mid

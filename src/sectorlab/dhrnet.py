@@ -353,30 +353,26 @@ def localized_morphism(
         embed_factor_operator(net, sites, la.as_complex_matrix(m))
         for m in factor_matrices
     )
-    return LocalizedMorphism(
-        net, sites, ChargedMultiplet(label, mats, region=frozenset(sites))
-    )
+    return LocalizedMorphism(net, sites, ChargedMultiplet(label, mats))
 
 
 def identity_morphism(net: LatticeNet, label: str = "identity") -> LocalizedMorphism:
-    mult = ChargedMultiplet(label, (np.eye(net.total_dim, dtype=complex),),
-                            region=frozenset())
-    return LocalizedMorphism(net, (), mult)
+    return LocalizedMorphism(
+        net, (), ChargedMultiplet(label, (np.eye(net.total_dim, dtype=complex),)))
 
 
 def apply_morphism(morph: LocalizedMorphism, a: np.ndarray) -> np.ndarray:
     """Apply the morphism to an observable; rejects non-observables.
 
-    ``a`` is an observable when its distance from its group average is at
-    most 1e-9 * max(1, ||a||).
+    ``a`` is an observable when it lies (:func:`~sectorlab._linalg.in_span`)
+    in the observables, onto which the group average is the trace-orthogonal
+    projection.
     """
     a = la.as_complex_matrix(a)
-    # the group average is the trace-orthogonal projection onto the observables
-    res = la.hs_norm(a - average(a, morph.net.global_rep))
-    if res > 1e-9 * max(1.0, la.hs_norm(a)):
-        raise ValueError(
-            f"operator is outside the observable algebra (residual {res:.3e})"
-        )
+    avg = average(a, morph.net.global_rep)
+    if not la.in_span(a, avg):
+        raise ValueError("operator is outside the observable algebra "
+                         f"(residual {la.hs_norm(a - avg):.3e})")
     return morph.apply_raw(a)
 
 
@@ -403,9 +399,7 @@ def compose_morphisms(
     )
     region = tuple(sorted(set(m1.region) | set(m2.region)))
     lab = label if label is not None else f"{m1.label}*{m2.label}"
-    return LocalizedMorphism(
-        m1.net, region, ChargedMultiplet(lab, mats, region=frozenset(region))
-    )
+    return LocalizedMorphism(m1.net, region, ChargedMultiplet(lab, mats))
 
 
 def solve_intertwiners(

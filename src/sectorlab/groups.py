@@ -168,21 +168,18 @@ class UnitaryRep:
         return int(self.matrices.shape[-1])
 
     def validate(self) -> None:
-        """Check unitarity and the homomorphism law to 1e-10 * dim."""
-        tol = 1e-10
+        """Check unitarity and the homomorphism law
+        (:func:`~sectorlab._linalg.relation_holds`)."""
         n = self.group.order
         if self.matrices.shape != (n, self.dim, self.dim):
             raise ValueError("need one matrix per group element")
-        eye = np.eye(self.dim)
+        m, t, eye = self.matrices, self.group.table, np.eye(self.dim)
         for g in range(n):
-            u = self.matrices[g]
-            if np.linalg.norm(la.dagger(u) @ u - eye) > tol * self.dim:
+            if not la.relation_holds(la.dagger(m[g]) @ m[g], eye):
                 raise ValueError(f"matrix for element {g} is not unitary")
-        t = self.group.table
         for g in range(n):
             for h in range(n):
-                res = self.matrices[g] @ self.matrices[h] - self.matrices[t[g, h]]
-                if np.linalg.norm(res) > tol * self.dim:
+                if not la.relation_holds(m[g] @ m[h], m[t[g, h]]):
                     raise ValueError(f"not a homomorphism at ({g},{h})")
 
     @cached_property
@@ -255,7 +252,7 @@ def cyclic_rep_from_unitary(u: np.ndarray, n: int) -> UnitaryRep:
     """Representation of cyclic:n generated by a unitary with u^n = 1."""
     u = la.as_complex_matrix(u)
     d = u.shape[0]
-    if np.linalg.norm(np.linalg.matrix_power(u, n) - np.eye(d)) > 1e-10 * d:
+    if not la.relation_holds(np.linalg.matrix_power(u, n), np.eye(d)):
         raise ValueError(f"generator does not satisfy u^{n} = 1")
     mats = np.array([np.linalg.matrix_power(u, k) for k in range(n)])
     return UnitaryRep(cyclic_group(n), mats)

@@ -64,8 +64,7 @@ def z2_chain_sector_model(n_sites: int, seed: int = 0) -> dict:
     flip = z2_flip_morphism(net, 0)
     morphisms = [
         identity_multiplet(decomp.labels[0], net.total_dim),
-        ChargedMultiplet(decomp.labels[1], flip.multiplet.matrices,
-                         region=frozenset({0})),
+        ChargedMultiplet(decomp.labels[1], flip.multiplet.matrices),
     ]
     return {
         "net": net,
@@ -198,71 +197,54 @@ def cuntz_samples() -> list[dict]:
     return samples
 
 
-def _write(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        fh.write(io.dumps_canonical(payload))
-
-
 def bundle_examples(base_dir: str) -> list[str]:
     """Write the worked models under ``base_dir``; returns the directories.
 
     Idempotent: regenerating produces byte-identical files.
     """
-    written = []
-
-    d2 = os.path.join(base_dir, "z2_chain_2")
-    os.makedirs(d2, exist_ok=True)
     model = z2_chain_sector_model(2)
-    net = model["net"]
-    _write(os.path.join(d2, "net.json"), io.net_to_json(net))
-    _write(os.path.join(d2, "group.json"), {"name": "cyclic:2"})
-    _write(os.path.join(d2, "rep.json"),
-           io.rep_to_json(net.global_rep, include_group=True))
-    _write(os.path.join(d2, "field.json"), {"full_dim": net.total_dim})
-    _write(os.path.join(d2, "vacuum.json"), io.state_to_json(model["vacuum"]))
-    charged = selected_state(model["flip_morphism"], model["vacuum"])
-    _write(os.path.join(d2, "charged_state.json"), io.state_to_json(charged))
-    _write(os.path.join(d2, "hamiltonian.json"),
-           io.matrix_to_json(coupled_chain_hamiltonian(2)))
-    written.append(d2)
-
-    d3 = os.path.join(base_dir, "z2_chain_3")
-    os.makedirs(d3, exist_ok=True)
-    net3 = z2_chain_net(3)
-    vac3 = z2_vacuum(3)
-    _write(os.path.join(d3, "net.json"), io.net_to_json(net3))
-    _write(os.path.join(d3, "vacuum.json"), io.state_to_json(vac3))
-    flipped = selected_state(z2_flip_morphism(net3, 1), vac3)
-    _write(os.path.join(d3, "flipped_state.json"), io.state_to_json(flipped))
-    written.append(d3)
-
-    g2 = os.path.join(base_dir, "gibbs_two_level")
-    os.makedirs(g2, exist_ok=True)
-    _write(os.path.join(g2, "system.json"), io.system_to_json(two_level_system()))
-    _write(os.path.join(g2, "grid.json"), io.grid_to_json(two_level_grid()))
-    _write(os.path.join(g2, "probes.json"), io.probes_to_json(two_level_probes()))
-    _write(os.path.join(g2, "hierarchy.json"),
-           io.hierarchy_to_json(two_level_hierarchy()))
-    _write(os.path.join(g2, "measured.json"), {"values": two_level_measured()})
-    written.append(g2)
-
-    mg = os.path.join(base_dir, "moment_grid_12")
-    os.makedirs(mg, exist_ok=True)
-    _write(os.path.join(mg, "system.json"), io.system_to_json(moment_system()))
-    _write(os.path.join(mg, "grid.json"), io.grid_to_json(moment_grid()))
-    _write(os.path.join(mg, "probes.json"), io.probes_to_json(moment_probes()))
-    _write(os.path.join(mg, "hierarchy.json"),
-           io.hierarchy_to_json(moment_hierarchy()))
-    _write(os.path.join(mg, "measured.json"), {"values": moment_measured()})
-    _write(os.path.join(mg, "true_weights.json"),
-           {"weights": [float(w) for w in moment_true_weights().weights]})
-    channel = build_thermal_channel(moment_system(), moment_grid())
-    _write(os.path.join(mg, "channel.json"), io.channel_to_json(channel))
-    written.append(mg)
-
-    cd = os.path.join(base_dir, "cuntz_d2")
-    os.makedirs(cd, exist_ok=True)
-    _write(os.path.join(cd, "expressions.json"), {"samples": cuntz_samples()})
-    written.append(cd)
-
+    net, vac = model["net"], model["vacuum"]
+    net3, vac3 = z2_chain_net(3), z2_vacuum(3)
+    files = {
+        "z2_chain_2": {
+            "net.json": io.net_to_json(net),
+            "group.json": {"name": "cyclic:2"},
+            "rep.json": io.rep_to_json(net.global_rep),
+            "field.json": {"full_dim": net.total_dim},
+            "vacuum.json": io.state_to_json(vac),
+            "charged_state.json": io.state_to_json(selected_state(model["flip_morphism"], vac)),
+            "hamiltonian.json": io.matrix_to_json(coupled_chain_hamiltonian(2)),
+        },
+        "z2_chain_3": {
+            "net.json": io.net_to_json(net3),
+            "vacuum.json": io.state_to_json(vac3),
+            "flipped_state.json": io.state_to_json(
+                selected_state(z2_flip_morphism(net3, 1), vac3)),
+        },
+        "gibbs_two_level": {
+            "system.json": io.system_to_json(two_level_system()),
+            "grid.json": io.grid_to_json(two_level_grid()),
+            "probes.json": io.probes_to_json(two_level_probes()),
+            "hierarchy.json": io.hierarchy_to_json(two_level_hierarchy()),
+            "measured.json": {"values": two_level_measured()},
+        },
+        "moment_grid_12": {
+            "system.json": io.system_to_json(moment_system()),
+            "grid.json": io.grid_to_json(moment_grid()),
+            "probes.json": io.probes_to_json(moment_probes()),
+            "hierarchy.json": io.hierarchy_to_json(moment_hierarchy()),
+            "measured.json": {"values": moment_measured()},
+            "true_weights.json": {"weights": [float(w) for w in moment_true_weights().weights]},
+            "channel.json": io.channel_to_json(
+                build_thermal_channel(moment_system(), moment_grid())),
+        },
+        "cuntz_d2": {"expressions.json": {"samples": cuntz_samples()}},
+    }
+    written = []
+    for name, payloads in files.items():
+        d = os.path.join(base_dir, name)
+        os.makedirs(d, exist_ok=True)
+        for fname, payload in payloads.items():
+            io.write_report(os.path.join(d, fname), payload)
+        written.append(d)
     return written

@@ -73,7 +73,6 @@ class ChargedMultiplet:
 
     label: str
     matrices: tuple[np.ndarray, ...]
-    region: frozenset | None = None
 
     def __post_init__(self):
         mats = tuple(la.as_complex_matrix(m) for m in self.matrices)
@@ -116,9 +115,9 @@ class ChargedMultiplet:
         return completeness, ortho
 
     def is_partial(self) -> bool:
-        """True when either Cuntz-relation defect exceeds 1e-10."""
+        """True when either Cuntz-relation defect exceeds ``ISOMETRY_CUT``."""
         c, o = self.isometry_defect()
-        return max(c, o) > 1e-10
+        return max(c, o) > la.ISOMETRY_CUT
 
 
 def identity_multiplet(label: str, dim: int) -> ChargedMultiplet:
@@ -242,7 +241,7 @@ def induce_charged_state(
     """
     omega0_vector = np.asarray(omega0_vector, dtype=complex).reshape(-1)
     d = omega0_vector.shape[0]
-    if abs(np.linalg.norm(omega0_vector) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(omega0_vector) - 1.0) > STATE_TOL:
         raise ValueError("vacuum vector must be normalized")
     active = [
         (lab, w) for lab, w in zip(nu.space.labels, nu.weights) if w > 0

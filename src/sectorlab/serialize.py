@@ -198,13 +198,10 @@ def rep_from_json(obj, group: FiniteGroup | None = None) -> UnitaryRep:
     return rep
 
 
-def rep_to_json(rep: UnitaryRep, include_group: bool = True) -> dict:
-    out: dict = {}
-    if include_group:
-        name = rep.group.name
-        out["group"] = name if name else group_to_json(rep.group)
-    out["matrices"] = [matrix_to_json(m) for m in rep.matrices]
-    return out
+def rep_to_json(rep: UnitaryRep) -> dict:
+    name = rep.group.name
+    return {"group": name if name else group_to_json(rep.group),
+            "matrices": [matrix_to_json(m) for m in rep.matrices]}
 
 
 def net_from_json(obj) -> LatticeNet:

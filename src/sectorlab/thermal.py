@@ -25,7 +25,7 @@ from .channels import (
     design_matrix,
     invert_cq,
 )
-from .config import CRITERION_TOL
+from .config import CRITERION_TOL, OPERATOR_TOL
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,14 @@ class HamiltonianSystem:
     def __post_init__(self):
         h = _frozen_operator(self.hamiltonian, "Hamiltonian")
         object.__setattr__(self, "hamiltonian", h)
-        if np.linalg.norm(h - la.dagger(h)) > 1e-10 * max(1.0, la.hs_norm(h)):
+        if not la.near(h, la.dagger(h), OPERATOR_TOL):
             raise ValueError("Hamiltonian must be Hermitian")
         if self.number is not None:
             n = _frozen_operator(self.number, "number operator")
             object.__setattr__(self, "number", n)
-            if np.linalg.norm(n - la.dagger(n)) > 1e-10 * max(1.0, la.hs_norm(n)):
+            if not la.near(n, la.dagger(n), OPERATOR_TOL):
                 raise ValueError("number operator must be Hermitian")
-            if np.linalg.norm(h @ n - n @ h) > 1e-10 * max(1.0, la.hs_norm(h)):
+            if not la.near(h @ n, n @ h, OPERATOR_TOL, ref=h):
                 raise ValueError("number operator must commute with H")
 
     @property
@@ -230,7 +230,7 @@ def thermal_function(
     vals = np.array([
         np.trace(gibbs_state(sys, b, m).density @ a) for b, m in grid.points
     ])
-    if np.linalg.norm(a - la.dagger(a)) <= 1e-12 * max(1.0, la.hs_norm(a)):
+    if la.near(a, la.dagger(a), la.HERMITIAN_CUT):
         return vals.real
     return vals
 
@@ -318,11 +318,10 @@ class ObservableHierarchy:
         return len(self.levels)
 
     def validate_nesting(self) -> None:
-        """Span inclusion of consecutive levels, to a relative residual of 1e-9.
+        """Span inclusion of consecutive levels (:func:`~sectorlab._linalg.in_span`).
 
-        A probe with a NaN or infinite entry is a ``ValueError``: its residual
-        could be NaN, which no comparison rejects.  So is a probe whose shape
-        differs from the first probe's.
+        A probe with a NaN or infinite entry is a ``ValueError`` that says
+        so, as is a probe whose shape differs from the first probe's.
         """
         first = None
         for lname, probes in self.levels:
@@ -339,7 +338,7 @@ class ObservableHierarchy:
                 raise ValueError(f"level {n2!r} is empty but follows {n1!r}")
             span = la.orthonormalize_mats([m for _, m in p2])
             for pname, m in p1:
-                if la.span_residual(span, m) > 1e-9 * max(1.0, la.hs_norm(m)):
+                if not la.in_span(m, la.project_onto_span(span, m)):
                     raise ValueError(
                         f"probe {pname!r} of level {n1!r} not within level {n2!r}"
                     )
@@ -470,7 +469,7 @@ def hierarchy_report(
         verdicts.append(_verdict(name, result, tol))
     residuals = [v.residual for v in verdicts]
     monotone = all(
-        r1 <= r2 + 1e-12 for r1, r2 in zip(residuals, residuals[1:])
+        r1 <= r2 + la.MONOTONE_SLACK for r1, r2 in zip(residuals, residuals[1:])
     )
     accepted = [v.level for v in verdicts if v.accepted]
     return HierarchyReport(

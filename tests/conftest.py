@@ -43,6 +43,11 @@ def averaged_span(basis, rep):
     return svd_rows(avg.reshape(len(avg), -1))
 
 
+def span_residual(basis, m):
+    """Distance of ``m`` from the span of an orthonormal stack."""
+    return la.hs_norm(m - la.project_onto_span(basis, m))
+
+
 def assert_same_span(a, b, tol=1e-8):
     """Two orthonormal row stacks span the same space (equal projectors)."""
     assert a.shape == b.shape

@@ -79,6 +79,8 @@ from sectorlab.thermal import (
     thermal_function,
 )
 
+from conftest import span_residual
+
 
 @contextmanager
 def criterion(num: int, name: str):
@@ -243,7 +245,7 @@ def test_criterion_07_intertwiners():
         assert space
         span = np.array(space)
         transporter = np.kron(SIGMA_X, SIGMA_X).astype(complex)
-        assert la.span_residual(span, transporter) <= 1e-9
+        assert span_residual(span, transporter) <= 1e-9
         obs = net.observable_algebra()
         for t in space:
             for b in obs.basis:

@@ -28,7 +28,9 @@ from sectorlab.groups import (
 from sectorlab.models import z2_chain_net, z2_flip_morphism, z2_onsite_rep, z2_vacuum
 from sectorlab.sectors import decompose_sectors, identity_multiplet, k_map
 
-from conftest import SX, SZ, I2, assert_same_span, kron_all, permutation_rep
+from conftest import (
+    SX, SZ, I2, assert_same_span, kron_all, permutation_rep, span_residual,
+)
 
 
 def closure_dim_bruteforce(generators, include_unit=True):
@@ -234,7 +236,7 @@ class TestCommutant:
             double = commutant(commutant(alg))
             assert double.dim == alg.dim
             for b in double.basis:
-                assert la.span_residual(alg.basis, b) <= 1e-8
+                assert span_residual(alg.basis, b) <= 1e-8
 
 
 BLOCK_LISTS = st.lists(
@@ -498,7 +500,7 @@ def assert_closed_forms(alg, rng):
     assert len(projs) == z.dim
     assert np.linalg.norm(sum(projs) - np.eye(d)) <= 1e-9
     for i, p in enumerate(projs):
-        assert la.span_residual(z_oracle, p) <= 1e-9
+        assert span_residual(z_oracle, p) <= 1e-9
         for j, q in enumerate(projs):
             assert np.linalg.norm(p @ q - (p if i == j else 0)) <= 1e-9
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -36,7 +36,7 @@ from sectorlab.models import z2_chain_net
 
 from conftest import (
     SX, SY, SZ, I2, assert_observable_generators, assert_same_algebra, assert_same_span,
-    averaged_span, bits, dense_fixed_points, kron_all, permutation_rep,
+    averaged_span, bits, dense_fixed_points, kron_all, permutation_rep, span_residual,
 )
 
 
@@ -176,7 +176,7 @@ class TestFixedPointAlgebra:
         fixed = fixed_point_algebra(full_matrix_algebra(4), rep)
         for _ in range(10):
             m = average(la.random_hermitian(rng, 4), rep)
-            assert la.span_residual(fixed.basis, m) <= 1e-9
+            assert span_residual(fixed.basis, m) <= 1e-9
 
     @pytest.mark.parametrize("region, dim", [((0,), 2), ((0, 1), 8), ((0, 2), 8)])
     def test_proper_subalgebra_matches_averaged_span(self, region, dim):

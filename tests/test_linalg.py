@@ -1,9 +1,13 @@
-"""Every rank, null, grouping and linkage cut of ``_linalg``, just inside and outside.
+"""Every cut of ``_linalg`` and ``config``, just inside and outside.
 
 Each test puts one input 1 % on either side of a cut, written out as a
 number, so a change that moves a cut fails here instead of silently
-changing a dimension.
+changing a dimension or a verdict.  A scan of the package's source keeps
+every cut in those two modules.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,3 +159,201 @@ def test_morphism_cut(factor, accepted):
             except ValueError:
                 verdicts.add(False)
         assert verdicts == {accepted}, name
+
+
+def test_no_literal_cuts_outside_linalg_and_config():
+    # a float literal below 1e-6 is a cut; it belongs with the named ones
+    package = Path(__file__).resolve().parents[1] / "src" / "sectorlab"
+    hits = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("_linalg.py", "config.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and 0 < abs(node.value) < 1e-6
+    ]
+    assert not hits, f"{len(hits)} literal cuts: {hits}"
+
+
+def _verdict(check) -> bool:
+    try:
+        check()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
+def test_unitary_tol(factor, accepted):
+    # ||X - Y||_F <= 1e-10 * d: sqrt(1 + t) times a unitary misses unitarity
+    # by t ||1||_F = t sqrt(d), and a phase e^{i theta} X with X^2 = 1 misses
+    # the relation X^2 = 1 by |e^{2 i theta} - 1| sqrt(d) = 2 sin(theta) sqrt(d)
+    from sectorlab.algebra import OperatorAlgebra
+    from sectorlab.cuntz import gauge_act, parse_expression
+    from sectorlab.groups import UnitaryRep, cyclic_group, cyclic_rep_from_unitary
+
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    for d in (2, 4):
+        t = factor * 1e-10 * np.sqrt(d)
+        eye = np.eye(d, dtype=complex)
+        assert la.relation_holds((1 + t) * eye, eye) is accepted
+        w = np.sqrt(1 + t) * eye
+        assert _verdict(OperatorAlgebra.from_blocks(w, [(d, 1)]).validate) is accepted
+        x = np.kron(sx, np.eye(d // 2))
+        bad_unitary = UnitaryRep(cyclic_group(2), [eye, np.sqrt(1 + t) * x])
+        phased = np.exp(1j * np.arcsin(t / 2)) * x
+        bad_relation = UnitaryRep(cyclic_group(2), [eye, phased])
+        assert _verdict(bad_unitary.validate) is accepted
+        assert _verdict(bad_relation.validate) is accepted
+        assert _verdict(lambda: cyclic_rep_from_unitary(phased, 2)) is accepted
+        if d == 2:
+            assert _verdict(lambda: gauge_act(w, parse_expression("s1", 2))) is accepted
+
+
+def test_unitary_tol_is_frobenius():
+    # np.allclose's default rtol let W = sqrt(1 + 5e-6) 1 pass at d = 4
+    from sectorlab.algebra import OperatorAlgebra
+
+    w = np.sqrt(1 + 5e-6) * np.eye(4, dtype=complex)
+    with pytest.raises(ValueError, match="not a d x d unitary"):
+        OperatorAlgebra.from_blocks(w, [(4, 1)]).validate()
+
+
+def test_relations_reject_nan():
+    from sectorlab.groups import UnitaryRep, cyclic_group, cyclic_rep_from_unitary
+
+    bad = np.array([[0.0, np.nan], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryRep(cyclic_group(2), [np.eye(2), bad]).validate()
+    with pytest.raises(ValueError, match="does not satisfy"):
+        cyclic_rep_from_unitary(bad, 2)
+
+
+@pytest.mark.parametrize("scale", [0.25, 4.0])
+@pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
+def test_operator_tol(scale, factor, accepted):
+    # ||x - y||_F <= 1e-10 * max(1, ||ref||) for H = scale diag(0, 2): an
+    # entry e at (0, 1) alone is off Hermiticity by e sqrt(2) (for N = 1 +
+    # e E_01, with ||N|| about sqrt(2)), and N = 1 + e (E_01 + E_10) fails to
+    # commute with H by 2 sqrt(2) e scale
+    from sectorlab.thermal import HamiltonianSystem
+
+    cut = factor * 1e-10 * max(1.0, 2 * scale)
+    h = scale * np.diag([0.0, 2.0]).astype(complex)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert _verdict(lambda: HamiltonianSystem(h + cut / np.sqrt(2) * skew)) is accepted
+    n = np.eye(2) + factor * 1e-10 * skew
+    assert _verdict(lambda: HamiltonianSystem(h, n)) is accepted
+    flip = skew + skew.T
+    assert _verdict(lambda: HamiltonianSystem(h, np.eye(2) + cut / (2 * np.sqrt(2) * scale)
+                                              * flip)) is accepted
+
+
+@pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
+def test_state_tol(factor, accepted):
+    # Hermiticity to 1e-10 * max(1, ||rho||), and a vacuum vector's norm
+    # within 1e-10 of 1
+    from sectorlab.algebra import State
+    from sectorlab.dhrnet import identity_morphism
+    from sectorlab.models import z2_chain_net
+    from sectorlab.sectors import induce_charged_state
+
+    e = factor * 1e-10 / np.sqrt(2)
+    rho = np.array([[0.5, e], [0.0, 0.5]], dtype=complex)
+    assert _verdict(State(rho).validate) is accepted
+    net = z2_chain_net(2)
+    nu = channels.ProbabilityWeight(channels.ClassifyingSpace(("id",)), np.ones(1))
+    vac = (1 + factor * 1e-10) * np.eye(4)[0]
+    mults = {"id": identity_morphism(net, "id").multiplet}
+    assert _verdict(lambda: induce_charged_state(nu, mults, vac, net.global_rep)) is accepted
+
+
+@pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
+def test_weight_tols(factor, accepted):
+    # entries >= -1e-12 and a sum within 1e-10 of 1, both absolute
+    space = channels.ClassifyingSpace(("a", "b"))
+    for w in ([1.0, -factor * 1e-12], [0.5, 0.5 + factor * 1e-10]):
+        assert _verdict(lambda: channels.ProbabilityWeight(space, np.array(w))) is accepted
+
+
+@pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
+def test_membership_cut(factor, accepted):
+    # ||m - P m|| <= 1e-9 * max(1, ||m||): 1 + e Z is off the scalars by
+    # e sqrt(2) with ||m|| about sqrt(2); 1 + e X (x) 1 is off the Z (x) Z
+    # invariant observables by 2 e with ||a|| about 2; diag(1, e) is off the
+    # span of diag(1, 0) by e with ||m|| about 1
+    from sectorlab.algebra import scalar_algebra
+    from sectorlab.dhrnet import apply_morphism, identity_morphism
+    from sectorlab.models import z2_chain_net
+    from sectorlab.thermal import ObservableHierarchy
+
+    e = factor * 1e-9
+    z = np.diag([1.0, -1.0]).astype(complex)
+    assert scalar_algebra(2).contains(np.eye(2) + e * z) is accepted
+    morph = identity_morphism(z2_chain_net(2))
+    a = np.eye(4) + e * np.kron([[0, 1], [1, 0]], np.eye(2))
+    assert _verdict(lambda: apply_morphism(morph, a)) is accepted
+    hier = ObservableHierarchy((("coarse", (("m", np.diag([1.0, e])),)),
+                                ("fine", (("p", np.diag([1.0, 0.0])),))))
+    assert _verdict(hier.validate_nesting) is accepted
+
+
+@pytest.mark.parametrize("factor, partial", [(INSIDE, False), (OUTSIDE, True)])
+def test_isometry_cut(factor, partial):
+    # sqrt(1 + t) 1 misses both Cuntz relations by t sqrt(2), cut at 1e-10
+    from sectorlab.sectors import ChargedMultiplet
+
+    t = factor * 1e-10 / np.sqrt(2)
+    assert ChargedMultiplet("m", (np.sqrt(1 + t) * np.eye(2),)).is_partial() is partial
+
+
+@pytest.mark.parametrize("factor, passed", [(INSIDE, True), (OUTSIDE, False)])
+def test_positive_unital_cut(factor, passed):
+    # a row on B(C^2)'s units E_00, E_01, E_10, E_11: phi(1) is the sum of
+    # the diagonal entries and the margin their least value
+    from sectorlab.algebra import full_matrix_algebra
+
+    e = factor * 1e-9
+    alg = full_matrix_algebra(2)
+    assert channels.verify_positive_unital(np.array([[0.5 + e, 0, 0, 0.5]]), alg).passed is passed
+    assert channels.verify_positive_unital(np.array([[1 + e, 0, 0, -e]]), alg).passed is passed
+
+
+@pytest.mark.parametrize("factor, real", [(INSIDE, True), (OUTSIDE, False)])
+def test_hermitian_cut(factor, real):
+    # diag(0, 1) + e E_01 is off Hermiticity by e sqrt(2), cut at 1e-12
+    from sectorlab.thermal import HamiltonianSystem, beta_grid, thermal_function
+
+    a = np.array([[0.0, factor * 1e-12 / np.sqrt(2)], [0.0, 1.0]], dtype=complex)
+    vals = thermal_function(HamiltonianSystem(np.diag([0.0, 1.0])), beta_grid([1.0]), a)
+    assert np.isrealobj(vals) is real
+
+
+@pytest.mark.parametrize("factor, weights", [(INSIDE, [2 / 3, 1 / 3, 0.0]),
+                                             (OUTSIDE, [5 / 6, 0.0, 1 / 6])])
+def test_tie_slack(factor, weights):
+    # probe values (0, 1, 2) and data 1/3 - 2 delta: the minimum-norm fit
+    # is (2/3 + delta, 1/3, -delta), taken (and clipped) when -delta >= -1e-12;
+    # otherwise the NNLS vertex stays
+    delta = factor * 1e-12
+    space = channels.ClassifyingSpace(("a", "b", "c"))
+    result = channels.invert_design(np.array([[0.0, 1.0, 2.0]]), np.array([1 / 3 - 2 * delta]),
+                                    space)
+    assert not result.unique
+    assert np.allclose(result.weight.weights, weights, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("factor, monotone", [(INSIDE, True), (OUTSIDE, False)])
+def test_monotone_slack(factor, monotone):
+    # the coarse probe's value lies delta above its largest thermal value,
+    # so its residual is delta, against 0 at the consistent fine level
+    from sectorlab.thermal import (HamiltonianSystem, ObservableHierarchy, beta_grid,
+                                   build_thermal_channel, hierarchy_report, thermal_function)
+
+    sys_, grid = HamiltonianSystem(np.diag([0.0, 1.0])), beta_grid([0.5, 1.0])
+    a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    hier = ObservableHierarchy((("coarse", (("c", a),)), ("fine", (("a", a), ("b", b)))))
+    vals = thermal_function(sys_, grid, a)
+    measured = {"c": vals.max() + factor * 1e-12, "a": vals[1], "b": 1 - vals[1]}
+    report = hierarchy_report(measured, hier, build_thermal_channel(sys_, grid))
+    assert report.residual_monotone is monotone

@@ -35,7 +35,7 @@ from sectorlab.sectors import (
     vacuum_label,
 )
 
-from conftest import SX, SZ, I2, kron_all
+from conftest import SX, SZ, I2, kron_all, span_residual
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestDecomposeSectors:
         z = center(obs)
         assert z.dim == dec.n_sectors
         for p in dec.projections:
-            assert la.span_residual(z.basis, p) <= 1e-9
+            assert span_residual(z.basis, p) <= 1e-9
 
 
 class TestKMap:
