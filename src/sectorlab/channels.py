@@ -197,22 +197,20 @@ def design_matrix(channel: ClassicalQuantumChannel, probes) -> np.ndarray:
     any P and F, Hermitian or not.
 
     Raises ``ValueError`` naming the probe's index and shape when a probe
-    is not d x d, with d the fibres' dimension.
+    is not d x d, with d the fibres' dimension.  The probes are copied once:
+    each is transposed into one stack, which is conjugated in place.
     """
     fibres = channel.densities()
     d = fibres.shape[1]
     probes = list(probes)
-    try:
-        ps = np.asarray(probes, dtype=complex)
-    except ValueError:  # probes of different shapes, or not numbers
-        ps = None
-    if ps is None or ps.shape[1:] != (d, d):
-        for j, p in enumerate(probes):
-            if np.shape(p) != (d, d):
-                raise ValueError(f"probe {j} has shape {np.shape(p)}, but the fibres are {(d, d)}")
-        ps = np.asarray(probes, dtype=complex).reshape(len(probes), d, d)
-    lhs = np.conjugate(ps.transpose(0, 2, 1), order="C")
-    return lhs.view(float).reshape(len(ps), 2 * d * d) @ fibres.view(float).reshape(
+    lhs = np.empty((len(probes), d, d), dtype=complex)
+    for j, p in enumerate(probes):
+        p = np.asarray(p)
+        if p.shape != (d, d):
+            raise ValueError(f"probe {j} has shape {p.shape}, but the fibres are {(d, d)}")
+        lhs[j] = p.T
+    np.conjugate(lhs, out=lhs)
+    return lhs.view(float).reshape(len(lhs), 2 * d * d) @ fibres.view(float).reshape(
         len(fibres), -1).T
 
 

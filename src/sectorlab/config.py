@@ -28,7 +28,9 @@ UNITARY_TOL = 1e-10
 
 #: a Hamiltonian H and its number operator N are each Hermitian to
 #: OPERATOR_TOL * max(1, its norm) and commute to OPERATOR_TOL * max(1, ||H||)
-#: (:func:`sectorlab._linalg.near`), absolute below unit scale
+#: (:func:`sectorlab._linalg.near`), absolute below unit scale; the
+#: off-sector blocks of a Hamiltonian given to ``sector_energies`` are zero to
+#: OPERATOR_TOL * max(1, ||H||)
 OPERATOR_TOL = 1e-10
 
 #: a probability weight's entries are >= -WEIGHT_SLACK and its sum is within

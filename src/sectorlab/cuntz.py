@@ -11,14 +11,16 @@ term map (not of its order), but not a canonical form for the underlying
 algebra element: 1 + 2 s1 s1* and 3 s1 s1* + s2 s2* are one element.
 
 Coefficients stay exact complex rationals as long as every input is
-rational; any float input switches the polynomial to floating mode.
+rational; any float input switches the polynomial to floating mode.  An
+exact coefficient (QRat) is one canonical triple of integers (a, b, den),
+the value (a + b i) / den, so its arithmetic is integer arithmetic.
 Both modes share the kernels (products, the gauge action): they write
 the inputs as numerator pairs over one common denominator (Gaussian
 integers when exact, float parts over 1 when not) and accumulate pairs
 per output word.  The full-sum contraction then runs on those pairs,
 which is sound because one denominator serves every word, and only the
-words that survive it get a coefficient: one Fraction per distinct
-numerator and one QRat per distinct pair when exact.  A product visits
+words that survive it get a coefficient: when exact, one QRat per
+distinct pair, reduced with one gcd and with no Fraction.  A product visits
 only the pairs of terms that contract, found through an index of the
 right factor's creation strings and their prefixes.  The canonical
 endomorphism is a relabelling of words and does no arithmetic.
@@ -46,56 +48,146 @@ from . import _linalg as la
 from .errors import ExpressionError
 
 
-@dataclass(frozen=True)
 class QRat:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    Held as one canonical triple (a, b, den): the value (a + b i) / den
+    with den > 0 and gcd(a, b, den) = 1.  Each value has one triple, so
+    ``==`` and ``hash`` compare triples, and arithmetic is integer
+    arithmetic on them.  ``re`` and ``im`` build their Fractions only when
+    read.  Instances are immutable; every one is made by ``QRat(re, im)``
+    or by :func:`_qrat`.
+    """
+
+    __slots__ = ("_t",)
+
+    def __init__(self, re, im):
+        try:
+            # a Fraction's own fields: its numerator and denominator
+            # properties cost one call each.  int() keeps numpy integers,
+            # which wrap on overflow, out of the triple
+            if type(re) is Fraction:
+                p, q = re._numerator, re._denominator
+            else:
+                p, q = int(re.numerator), int(re.denominator)
+            if type(im) is Fraction:
+                r, s = im._numerator, im._denominator
+            else:
+                r, s = int(im.numerator), int(im.denominator)
+        except AttributeError:
+            raise TypeError(f"not exactly representable: {re!r}, {im!r}") from None
+        if q == s:
+            _set_triple(self, (p, r, q))
+        else:
+            g = math.gcd(q, s)
+            _set_triple(self, (p * (s // g), r * (q // g), q // g * s))
 
     @staticmethod
     def of(value) -> "QRat":
-        if isinstance(value, QRat):
-            return value
-        if isinstance(value, (int, Fraction, numbers.Integral)):
-            return QRat(Fraction(int(value) if isinstance(value, numbers.Integral)
-                                 else value), Fraction(0))
-        raise TypeError(f"not exactly representable: {value!r}")
+        return value if isinstance(value, QRat) else _qrat(*_triple(value))
+
+    @property
+    def re(self) -> Fraction:
+        a, _, den = self._t
+        return Fraction(a, den)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, den = self._t
+        return Fraction(b, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QRat is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QRat is immutable")
+
+    def __reduce__(self):
+        return _qrat, self._t
 
     def __add__(self, other: "QRat") -> "QRat":
-        return QRat(self.re + other.re, self.im + other.im)
+        a, b, d = self._t
+        c, e, f = other._t
+        g = math.gcd(d, f)
+        d, f = d // g, f // g
+        return _canonical(a * f + c * d, b * f + e * d, d * f * g)
 
     def __sub__(self, other: "QRat") -> "QRat":
-        return QRat(self.re - other.re, self.im - other.im)
+        c, e, f = other._t
+        return self + _qrat(-c, -e, f)
 
     def __mul__(self, other: "QRat") -> "QRat":
-        return QRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._t
+        c, e, f = other._t
+        return _canonical(a * c - b * e, a * e + b * c, d * f)
 
     def __neg__(self) -> "QRat":
-        return QRat(-self.re, -self.im)
+        a, b, d = self._t
+        return _qrat(-a, -b, d)
 
     def conjugate(self) -> "QRat":
-        return QRat(self.re, -self.im)
+        a, b, d = self._t
+        return _qrat(a, -b, d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QRat):
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self) -> int:
+        return hash(self._t)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._t[0] or self._t[1])
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # CPython rounds int / int correctly, as float(Fraction) does
+        a, b, den = self._t
+        return complex(a / den, b / den)
+
+    def __repr__(self) -> str:
+        return f"QRat(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
+        a, b, _ = self._t
+        if not b:
             return str(self.re)
-        if not self.re:
+        if not a:
             return f"{self.im}i"
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if b > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}i)"
 
 
-QRAT_ONE = QRat(Fraction(1), Fraction(0))
+_set_triple = QRat._t.__set__
+
+
+def _qrat(a: int, b: int, den: int) -> QRat:
+    """The QRat of a canonical triple (den > 0, gcd(a, b, den) = 1)."""
+    q = object.__new__(QRat)
+    _set_triple(q, (a, b, den))
+    return q
+
+
+def _triple(value) -> tuple[int, int, int]:
+    """The canonical triple of an integer, Fraction or QRat; builds no QRat."""
+    if isinstance(value, QRat):
+        return value._t
+    if isinstance(value, (int, numbers.Integral)):
+        return int(value), 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    raise TypeError(f"not exactly representable: {value!r}")
+
+
+def _canonical(a: int, b: int, den: int) -> QRat:
+    """The QRat (a + b i) / den for den > 0: one gcd."""
+    g = math.gcd(a, b, den)
+    if g == 1:
+        return _qrat(a, b, den)
+    return _qrat(a // g, b // g, den // g)
+
+
+QRAT_ONE = _qrat(1, 0, 1)
 
 
 class CuntzWord(NamedTuple):
@@ -352,22 +444,15 @@ def _numerators(terms: dict, exact: bool) -> tuple[list, int]:
 
     Returns ([(key, re, im), ...], den) in the order of ``terms``: each
     coefficient is (re + im i) / den: Gaussian integers over the lcm of the
-    denominators when exact, else float parts over den = 1.
+    QRat triples' denominators when exact, else float parts over den = 1.
     """
     if not exact:
         return [(key, z.real, z.imag)
                 for key, z in zip(terms, map(complex, terms.values()))], 1
-    coeffs = [QRat.of(c) for c in terms.values()]
-    den = math.lcm(*(c.re.denominator for c in coeffs),
-                   *(c.im.denominator for c in coeffs))
-    return [
-        (key, c.re.numerator * (den // c.re.denominator),
-         c.im.numerator * (den // c.im.denominator))
-        for key, c in zip(terms, coeffs)
-    ], den
-
-
-_ZERO = Fraction(0)
+    triples = [_triple(c) for c in terms.values()]
+    den = math.lcm(*{t[2] for t in triples})
+    return [(key, a * (den // e), b * (den // e))
+            for key, (a, b, e) in zip(terms, triples)], den
 
 
 def _from_numerators(d: int, out: dict, den: int, exact: bool) -> dict:
@@ -377,9 +462,10 @@ def _from_numerators(d: int, out: dict, den: int, exact: bool) -> dict:
     ``den``, so two pairs are equal exactly when their coefficients are, and
     a merge adds pairs part by part: the contraction runs on the pairs, and
     only the words that survive it become CuntzWords with coefficients, in
-    the order of ``out``.  An exact output builds one Fraction per distinct
-    nonzero numerator and one QRat per distinct pair.  A floating (0, 0)
-    pair, which only underflow makes, is dropped before the contraction.
+    the order of ``out``.  An exact output builds one QRat per distinct
+    pair, straight from its numerators with one gcd, and no Fraction.  A
+    floating (0, 0) pair, which only underflow makes, is dropped before the
+    contraction.
     """
     new = tuple.__new__
     if not exact:
@@ -387,19 +473,12 @@ def _from_numerators(d: int, out: dict, den: int, exact: bool) -> dict:
         out = _contract_full_sums(d, out, _pair_differs, _pair_sum)
         return {new(CuntzWord, w): complex(re, im) for w, (re, im) in out.items()}
     out = _contract_full_sums(d, out, _pair_differs, _pair_sum)
-    parts = {0: _ZERO}
     coeffs: dict[tuple, QRat] = {}
     terms = {}
     for w, (re, im) in out.items():
         c = coeffs.get((re, im))
         if c is None:
-            x = parts.get(re)
-            if x is None:
-                x = parts[re] = Fraction(re, den)
-            y = parts.get(im)
-            if y is None:
-                y = parts[im] = Fraction(im, den)
-            c = coeffs[re, im] = QRat(x, y)
+            c = coeffs[re, im] = _canonical(re, im, den)
         terms[new(CuntzWord, w)] = c
     return terms
 
@@ -841,7 +920,7 @@ def _parse_scalar(tok: str):
         return value
     if isinstance(value, float):
         return complex(0.0, value)
-    return QRat(Fraction(0), Fraction(value))
+    return QRat(0, value)
 
 
 class _Parser:

@@ -21,7 +21,7 @@ from .channels import (
     ClassifyingSpace,
     ProbabilityWeight,
 )
-from .config import STATE_TOL
+from .config import OPERATOR_TOL, STATE_TOL
 from .groups import (
     SectorDecomposition,
     UnitaryRep,
@@ -274,12 +274,32 @@ def sector_energies(
     """Report: minimum of a supplied Hamiltonian's spectrum in each sector.
 
     Purely descriptive output (the relation between energy and charge is
-    not a claim this package makes).
+    not a claim this package makes).  H must be a finite d x d matrix,
+    Hermitian as :class:`~sectorlab.thermal.HamiltonianSystem` requires
+    (:func:`~sectorlab._linalg.near` at ``OPERATOR_TOL``), and must not
+    mix sectors: the blocks of W* H W between different sectors must be
+    ``near`` zero at ``OPERATOR_TOL`` relative to H.  ``ValueError``
+    otherwise, since a sector's minimum is then no property of H.
     """
     h = la.as_complex_matrix(hamiltonian)
-    out = {}
     w = decomp.unitary
-    for label, sl in zip(decomp.labels, decomp.block_slices()):
+    d = w.shape[0]
+    if h.shape != (d, d):
+        raise ValueError(f"Hamiltonian must be {d} x {d}, got {h.shape[0]} x {h.shape[1]}")
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian has non-finite entries")
+    if not la.near(h, la.dagger(h), OPERATOR_TOL):
+        raise ValueError("Hamiltonian must be Hermitian")
+    slices = decomp.block_slices()
+    off = la.dagger(w) @ h @ w
+    for sl in slices:
+        off[sl, sl] = 0
+    if not la.near(off, np.zeros_like(off), OPERATOR_TOL, ref=h):
+        raise ValueError("Hamiltonian mixes sectors: W* H W has off-sector blocks")
+    out = {}
+    for label, sl in zip(decomp.labels, slices):
+        # each sector's own product, not a slice of the whole one, whose
+        # sums may round differently
         cols = w[:, sl]
         restricted = la.dagger(cols) @ h @ cols
         out[label] = float(np.linalg.eigvalsh(restricted).min())

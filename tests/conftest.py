@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,16 @@ def rng():
 def bits(a):
     """The raw 64-bit words of an array, to compare floats bit for bit."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def peak_mb(call):
+    """(call(), the peak of memory traced during the call in MB)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def kron_all(*mats):

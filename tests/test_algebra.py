@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +27,7 @@ from sectorlab.models import z2_chain_net, z2_flip_morphism, z2_onsite_rep, z2_v
 from sectorlab.sectors import decompose_sectors, identity_multiplet, k_map
 
 from conftest import (
-    SX, SZ, I2, assert_same_span, kron_all, permutation_rep, span_residual,
+    SX, SZ, I2, assert_same_span, kron_all, peak_mb, permutation_rep, span_residual,
 )
 
 
@@ -570,24 +568,15 @@ class TestClosedForms:
             OperatorAlgebra(2, [np.eye(2) / np.sqrt(2)], contains_unit=False)
 
 
-def _peak_mb(call):
-    tracemalloc.start()
-    try:
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
 class TestNoBasisAtScale:
     # none may build a basis of B(C^d): 4 GiB at d = 128, 64 GiB at d = 256
     def test_commutant_of_full_matrix_algebra_256(self):
-        comm, peak = _peak_mb(lambda: commutant(full_matrix_algebra(256)))
+        comm, peak = peak_mb(lambda: commutant(full_matrix_algebra(256)))
         assert comm.dim == 1 and peak < 64
 
     def test_decompose_sectors_on_full_matrix_algebra_128(self):
         rep = tensor_power_rep(z2_onsite_rep(), 7)
-        dec, peak = _peak_mb(lambda: decompose_sectors(full_matrix_algebra(128), rep))
+        dec, peak = peak_mb(lambda: decompose_sectors(full_matrix_algebra(128), rep))
         assert dec.mult_dims == (64, 64)
         assert peak < 64
 
@@ -597,7 +586,7 @@ class TestNoBasisAtScale:
         def both():
             return (haag_duality_check(net, (3, 4), observable=True),
                     haag_duality_check(net, (0, 1, 2), observable=False))
-        (obs, field), peak = _peak_mb(both)
+        (obs, field), peak = peak_mb(both)
         assert (obs.lhs_dim, obs.rhs_dim) == (2 * 4 ** 2, 2 * 4)
         assert field.passes and field.lhs_dim == 4 ** 3
         assert peak < 64
@@ -607,7 +596,7 @@ class TestNoBasisAtScale:
     def test_fixed_point_algebra_on_eight_sites(self, region, blocks):
         net = z2_chain_net(8)
         f = full_matrix_algebra(256) if region is None else region_algebra(net, region)
-        fixed, peak = _peak_mb(lambda: fixed_point_algebra(f, net.global_rep))
+        fixed, peak = peak_mb(lambda: fixed_point_algebra(f, net.global_rep))
         assert sorted(fixed.blocks) == blocks and peak < 64
 
     def test_k_map_and_state_distance_on_eight_sites(self):
@@ -620,7 +609,7 @@ class TestNoBasisAtScale:
         def both():
             return (k_map(sz2, vac, morphisms, rep=net.global_rep),
                     state_distance_mod(flipped, vac, obs))
-        (vals, dist), peak = _peak_mb(both)
+        (vals, dist), peak = peak_mb(both)
         assert np.allclose(vals, [1.0, -1.0]) and peak < 64
         # the group average is the trace-preserving projection onto the observables
         proj = average(flipped.density - vac.density, net.global_rep)

@@ -22,7 +22,7 @@ from sectorlab.channels import (
     verify_positive_unital,
 )
 
-from conftest import SZ, I2
+from conftest import SZ, I2, peak_mb
 
 
 def _rotated(evals, seed):
@@ -263,6 +263,23 @@ class TestInvertCq:
             design_matrix(two_point_channel, [SZ, probe])
         with pytest.raises(ValueError, match=msg):
             invert_cq(two_point_channel, [SZ, probe], np.array([0.2, 0.1]))
+
+    def test_design_matrix_holds_one_probe_stack(self, rng):
+        # 128 probes at d = 128 are one 32 MB complex stack; each probe is
+        # transposed into it and conjugated in place, so the peak is about
+        # one stack (two when the stack was copied to transpose it)
+        d, n = 128, 128
+        base = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+        probes = [base[j % 4] for j in range(n)]
+        fibres = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        channel = ClassicalQuantumChannel.from_densities(
+            ClassifyingSpace(("a", "b")), fibres, ["a", "b"])
+        m, peak = peak_mb(lambda: design_matrix(channel, probes))
+        stack = n * d * d * 16 / 2 ** 20
+        assert peak < 1.25 * stack
+        expected = np.einsum("pij,kji->pk", base, fibres).real
+        assert np.abs(m[:4] - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(m[4:8], m[:4])
 
     def test_densities_built_lazily_and_read_only(self, two_point_channel):
         assert two_point_channel._densities is None  # not built by __init__

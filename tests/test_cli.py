@@ -93,6 +93,12 @@ class TestJsonRoundTrips:
             assert float(io.format_float(x)) == x
 
 
+MIXED_EXPR = "1/2 s1 s2* - 2/3i s2 + 5/6 s1 s1* + 1/6 s2 s2* + (1/3 - 7/4i) s1 s1 s2*"
+MIXED_FORM = "5/6 s1 s1* + 1/2 s1 s2* + -2/3i s2 + 1/6 s2 s2* + (1/3-7/4i) s1 s1 s2*"
+FLOAT_EXPR = "(1/3 + 2i)(s1 - 3/4i s2*) + 0.1 s1 s1*"
+FLOAT_FORM = "(1.5-0.25i) s2* + (0.33333333333333331+2i) s1 + 0.10000000000000001 s1 s1*"
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "sectorlab.cli", *args],
@@ -482,6 +488,36 @@ class TestCliCommands:
         report = json.loads(proc.stdout)
         assert report["normal_form"] == "1"
         assert report["exact"]
+
+    @pytest.mark.parametrize("expr, fmt, stdout", [
+        (MIXED_EXPR, "text", MIXED_FORM + "\n"),
+        (MIXED_EXPR, "json",
+         '{\n  "d": 2,\n  "normal_form": "' + MIXED_FORM + '",\n  "exact": true,\n'
+         '  "terms": [\n'
+         '    {\n      "mu": [1],\n      "nu": [1],\n      "re": "5/6",\n      "im": "0"\n    },\n'
+         '    {\n      "mu": [1],\n      "nu": [2],\n      "re": "1/2",\n      "im": "0"\n    },\n'
+         '    {\n      "mu": [2],\n      "nu": [],\n      "re": "0",\n      "im": "-2/3"\n    },\n'
+         '    {\n      "mu": [2],\n      "nu": [2],\n      "re": "1/6",\n      "im": "0"\n    },\n'
+         '    {\n      "mu": [1, 1],\n      "nu": [2],\n      "re": "1/3",\n'
+         '      "im": "-7/4"\n    }\n  ]\n}\n'),
+        (FLOAT_EXPR, "text", FLOAT_FORM + "\n"),
+        (FLOAT_EXPR, "json",
+         '{\n  "d": 2,\n  "normal_form": "' + FLOAT_FORM + '",\n  "exact": false,\n'
+         '  "terms": [\n'
+         '    {\n      "mu": [],\n      "nu": [2],\n      "re": 1.5,\n      "im": -0.25\n    },\n'
+         '    {\n      "mu": [1],\n      "nu": [],\n      "re": 0.33333333333333331,\n'
+         '      "im": 2.0\n    },\n'
+         '    {\n      "mu": [1],\n      "nu": [1],\n      "re": 0.10000000000000001,\n'
+         '      "im": 0.0\n    }\n  ]\n}\n'),
+    ], ids=["exact-text", "exact-json", "float-text", "float-json"])
+    def test_cuntz_nf_bytes_pinned(self, expr, fmt, stdout, capsys):
+        # mixed denominators, purely imaginary and complex coefficients: a
+        # change of coefficient representation must not move a byte
+        args = ["cuntz", "nf", "--d", "2", "--expr", expr]
+        assert cli.main(["--format", "text", *args] if fmt == "text"
+                        else [*args, "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (stdout, "")
 
     def test_cuntz_bad_expression(self):
         proc = run_cli("cuntz", "nf", "--d", "2", "--expr", "s9 +")

@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from sectorlab import cuntz
 from sectorlab.cuntz import (
@@ -1015,13 +1018,14 @@ class TestFloatPairContraction:
 
 
 class TestOneCoefficientPerDistinctValue:
-    """An exact kernel builds one Fraction per distinct nonzero numerator and
-    one QRat per distinct coefficient of its contracted output."""
+    """An exact kernel builds no Fraction and at most one QRat per distinct
+    coefficient of its contracted output.  Only the kernel call is counted:
+    reading ``re`` or ``im`` afterwards builds Fractions by design."""
 
     @pytest.fixture
     def built(self, monkeypatch):
         counts = {"Fraction": 0, "QRat": 0}
-        new, init = Fraction.__new__, QRat.__init__
+        new, init, make = Fraction.__new__, QRat.__init__, cuntz._qrat
 
         def counted_new(cls, *args, **kwargs):
             counts["Fraction"] += 1
@@ -1031,23 +1035,36 @@ class TestOneCoefficientPerDistinctValue:
             counts["QRat"] += 1
             init(self, *args)
 
+        def counted_make(*args):
+            counts["QRat"] += 1
+            return make(*args)
+
+        # QRat(re, im) and cuntz._qrat make every QRat
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
         monkeypatch.setattr(QRat, "__init__", counted_init)
+        monkeypatch.setattr(cuntz, "_qrat", counted_make)
         return counts
 
     @staticmethod
     def check(counts, run):
         counts.update(Fraction=0, QRat=0)
         out = run()
+        during = dict(counts)
         coeffs = set(out.terms.values())
-        parts = {x for c in coeffs for x in (c.re, c.im) if x}
         assert out.exact
-        assert counts["Fraction"] <= len(parts)
-        assert counts["QRat"] <= len(coeffs)
+        assert during["Fraction"] == 0
+        assert during["QRat"] <= len(coeffs)
         return out.n_terms - len(coeffs)
 
+    def test_counter_sees_every_constructor(self, built):
+        half, third = F(1, 2), F(1, 3)
+        built.update(Fraction=0, QRat=0)
+        QRat(half, third) + QRat.of(2) * QRat(1, 0)
+        assert built == {"Fraction": 0, "QRat": 5}
+        QRat(1, 0).re
+        assert built == {"Fraction": 1, "QRat": 6}
+
     def test_multiply_and_gauge_act(self, rng, built):
-        as_qrat = np.vectorize(QRat.of, otypes=[object])
         for d in (1, 2, 3):
             p = P.build(d, {random_word(rng, d, 3): QRat.of(int(rng.choice([-1, 1, 2])))
                             for _ in range(12)})
@@ -1058,12 +1075,120 @@ class TestOneCoefficientPerDistinctValue:
             assert self.check(built, lambda: multiply(p, q)) > 0
             assert self.check(built, lambda: multiply(q, p)) > 0
             self.check(built, lambda: multiply(r, p))
+            self.check(built, lambda: multiply(r, r))
             for g in exact_gauges(rng, d):
-                # entries as QRat, so that reading g builds no Fraction
-                g = as_qrat(g)
+                # integer, Fraction and QRat entries alike
                 assert self.check(built, lambda: gauge_act(g, p)) > 0
-        heavy, rotation = profile_poly(rng, 2, 32, 4), as_qrat(ROTATION)
-        assert self.check(built, lambda: gauge_act(rotation, heavy)) > 0
+                self.check(built, lambda: gauge_act(g, r))
+        heavy = profile_poly(rng, 2, 32, 4)
+        assert self.check(built, lambda: gauge_act(ROTATION, heavy)) > 0
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60))
+PAIRS = st.tuples(FRACTIONS, FRACTIONS)
+#: parts far outside the float grid, to test rounding
+WIDE = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+
+
+def pair_text(re, im):
+    """The text of the pair (re, im) as QRat has always written it."""
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    sign = "+" if im >= 0 else "-"
+    return f"({re}{sign}{abs(im)}i)"
+
+
+def parts(q):
+    return q.re, q.im
+
+
+class TestQRatAgainstFractionPairs:
+    """QRat holds a canonical integer triple; every operation must agree with
+    the same operation on (re, im) pairs of Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=PAIRS, y=PAIRS)
+    def test_arithmetic_and_text(self, x, y):
+        p, q = QRat(*x), QRat(*y)
+        assert parts(p) == x
+        assert parts(p + q) == (x[0] + y[0], x[1] + y[1])
+        assert parts(p - q) == (x[0] - y[0], x[1] - y[1])
+        assert parts(p * q) == (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+        assert parts(-p) == (-x[0], -x[1])
+        assert parts(p.conjugate()) == (x[0], -x[1])
+        assert (p == q) is (x == y)
+        assert (p != q) is (x != y)
+        assert bool(p) is (x != (0, 0))
+        assert str(p) == pair_text(*x)
+        assert repr(p) == f"QRat(re={x[0]!r}, im={x[1]!r})"
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=PAIRS, k=st.integers(2, 10**9))
+    def test_equal_values_hash_equal(self, x, k):
+        """The same value reached over different denominators."""
+        direct = QRat(*x)
+        parted = QRat(x[0], 0) + QRat(0, x[1])
+        detour = QRat(x[0] + Fraction(1, k), x[1]) - QRat(Fraction(1, k), 0)
+        scaled = direct * QRat(k, 0) * QRat(Fraction(1, k), 0)
+        for q in (parted, detour, scaled):
+            assert q == direct
+            assert hash(q) == hash(direct)
+        assert len({direct, parted, detour, scaled}) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(re=st.one_of(FRACTIONS, WIDE), im=st.one_of(FRACTIONS, WIDE))
+    def test_complex_has_the_bits_of_the_float_parts(self, re, im):
+        z, want = complex(QRat(re, im)), complex(float(re), float(im))
+        assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_only_qrats_compare_equal(self):
+        assert QRat(1, 0) != 1
+        assert QRat(1, 0) != Fraction(1)
+        assert QRat(1, 0) != complex(1)
+        assert QRat.of(1) == QRat(Fraction(2, 2), Fraction(0))
+
+    def test_numpy_integer_parts_are_python_ints(self):
+        big = np.int64(2 ** 62)
+        q = QRat(big, np.int64(3)) * QRat(np.int64(4), 0)
+        assert parts(q) == (2 ** 64, 12)
+        assert all(type(x) is int for x in QRat(np.int64(5), np.int32(-2))._t)
+
+    def test_inexact_parts_rejected(self):
+        for bad in ((0.5, 0), (Fraction(1), 1.5), (1j, 0)):
+            with pytest.raises(TypeError):
+                QRat(*bad)
+        with pytest.raises(TypeError):
+            QRat.of(0.5)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        q = QRat(Fraction(-3, 4), Fraction(5, 6))
+        p = parse_expression("1/2 s1 s2* - 2/3i s2 + 5/6 s1 s1* + 1/6 s2 s2*", 2)
+        for x in (q, p):
+            for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+                assert twin == x
+                assert str(twin) == str(x)
+        assert hash(pickle.loads(pickle.dumps(q))) == hash(q)
+
+    def test_object_matrix_keeps_its_shape(self):
+        rows = [[QRat(F(3, 5), F(0)), QRat(F(0), F(4, 5))],
+                [QRat(F(0), F(4, 5)), QRat(F(3, 5), F(0))]]
+        g = np.asarray(rows)
+        assert g.shape == (2, 2)
+        assert g.dtype == object
+        p = parse_expression("1/2 s1 s2* - 2/3i s2", 2)
+        assert gauge_act(g, p) == gauge_act(GAUSSIAN, p)
+        assert gauge_act(g, p).exact
+
+    def test_immutable(self):
+        q = QRat(Fraction(1, 2), Fraction(1, 3))
+        for name in ("re", "im", "_t", "other"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, Fraction(1))
+        with pytest.raises(AttributeError):
+            del q._t
+        assert q == QRat(Fraction(1, 2), Fraction(1, 3))
 
 
 class TestDimension:

@@ -357,3 +357,24 @@ def test_monotone_slack(factor, monotone):
     measured = {"c": vals.max() + factor * 1e-12, "a": vals[1], "b": 1 - vals[1]}
     report = hierarchy_report(measured, hier, build_thermal_channel(sys_, grid))
     assert report.residual_monotone is monotone
+
+
+@pytest.mark.parametrize("scale", [0.25, 4.0])
+@pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
+def test_operator_tol_in_sector_energies(scale, factor, accepted):
+    # sigma_z splits C^2 into two one-dimensional sectors; for H =
+    # scale diag(0, 2), an entry e at (0, 1) alone is off Hermiticity by
+    # e sqrt(2), and e at (0, 1) and (1, 0) mixes the sectors by e sqrt(2),
+    # each against 1e-10 * max(1, ||H||)
+    from sectorlab.algebra import full_matrix_algebra
+    from sectorlab.groups import cyclic_rep_from_unitary
+    from sectorlab.sectors import decompose_sectors, sector_energies
+
+    decomp = decompose_sectors(full_matrix_algebra(2),
+                               cyclic_rep_from_unitary(np.diag([1.0, -1.0]), 2))
+    cut = factor * 1e-10 * max(1.0, 2 * scale)
+    h = scale * np.diag([0.0, 2.0]).astype(complex)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert _verdict(lambda: sector_energies(decomp, h + cut / np.sqrt(2) * skew)) is accepted
+    flip = skew + skew.T
+    assert _verdict(lambda: sector_energies(decomp, h + cut / np.sqrt(2) * flip)) is accepted

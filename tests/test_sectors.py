@@ -309,3 +309,74 @@ class TestMultiplets:
         energies = sector_energies(chain2["decomposition"], h)
         assert energies["gamma0"] == pytest.approx(-1.0)
         assert energies["gamma1"] == pytest.approx(1.0)
+
+
+class TestSectorEnergyInputs:
+    """``sector_energies`` reads only finite, Hermitian, d x d Hamiltonians
+    that do not mix sectors; ``sectors analyze --hamiltonian`` exits 2 on
+    any other."""
+
+    @staticmethod
+    def analyze(tmp_path, capsys, h):
+        model = z2_chain_sector_model(2)
+        files = {
+            "field": {"full_dim": 4},
+            "rep": io.rep_to_json(model["net"].global_rep),
+            "hamiltonian": io.matrix_to_json(h),
+        }
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        code = cli.main([
+            "sectors", "analyze", "--field", str(tmp_path / "field.json"),
+            "--group", "cyclic:2", "--rep", str(tmp_path / "rep.json"),
+            "--hamiltonian", str(tmp_path / "hamiltonian.json"),
+        ])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_one_sided_entry_rejected(self, tmp_path, capsys):
+        # a lone 50 at (0, 3): eigvalsh would read one triangle and report
+        # gamma0 = -35.87
+        h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        h[0, 3] = 50.0
+        with pytest.raises(ValueError, match="Hamiltonian must be Hermitian"):
+            sector_energies(z2_chain_sector_model(2)["decomposition"], h)
+        code, out, err = self.analyze(tmp_path, capsys, h)
+        assert code == 2 and out == ""
+        assert "Hamiltonian must be Hermitian" in err
+
+    def test_nan_entry_rejected(self, tmp_path, capsys):
+        h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        h[1, 1] = np.nan
+        with pytest.raises(ValueError, match="Hamiltonian has non-finite entries"):
+            sector_energies(z2_chain_sector_model(2)["decomposition"], h)
+        code, out, err = self.analyze(tmp_path, capsys, h)
+        assert code == 2 and out == ""
+        assert "Hamiltonian has non-finite entries" in err
+
+    def test_wrong_shape_rejected(self, tmp_path, capsys):
+        code, out, err = self.analyze(tmp_path, capsys, np.eye(2))
+        assert code == 2 and out == ""
+        assert "Hamiltonian must be 4 x 4, got 2 x 2" in err
+        with pytest.raises(ValueError, match="Hamiltonian must be 4 x 4, got 4 x 2"):
+            sector_energies(z2_chain_sector_model(2)["decomposition"], np.ones((4, 2)))
+
+    def test_sector_mixing_rejected(self, tmp_path, capsys):
+        # the sectors of sigma_z (x) sigma_z are span{|00>, |11>} and
+        # span{|01>, |10>}: a coupling of |00> and |01> mixes them, one of
+        # |00> and |11> does not
+        h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        inside = h.copy()
+        inside[0, 3] = inside[3, 0] = 50.0
+        energies = sector_energies(z2_chain_sector_model(2)["decomposition"], inside)
+        assert energies["gamma0"] == pytest.approx(1.5 - np.hypot(1.5, 50.0))
+        h[0, 1] = h[1, 0] = 0.5
+        code, out, err = self.analyze(tmp_path, capsys, h)
+        assert code == 2 and out == ""
+        assert "Hamiltonian mixes sectors" in err
+
+    def test_bundled_hamiltonian_accepted(self, tmp_path, capsys):
+        code, out, err = self.analyze(tmp_path, capsys, -kron_all(SZ, SZ))
+        assert code == 0 and err == ""
+        energies = json.loads(out)["sector_energies"]
+        assert energies == {"gamma0": pytest.approx(-1.0), "gamma1": pytest.approx(1.0)}
