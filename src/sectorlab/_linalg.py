@@ -148,17 +148,6 @@ def eps_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
     return int(np.sum(s > cutoff))
 
 
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the nullspace of ``a``, via SVD."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    # a wide system needs the full V for its nullspace; a tall one never
-    # needs the full U, which would be (rows x rows)
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    return vh[_svd_rank(s):].conj()
-
-
 def row_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the row space of ``a``, via SVD."""
     _, s, vh = np.linalg.svd(np.asarray(a, dtype=complex), full_matrices=False)

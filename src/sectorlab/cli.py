@@ -25,9 +25,7 @@ from . import serialize as io
 from .config import CRITERION_TOL
 from .errors import (
     CentralProjectionError,
-    DimensionCapError,
     EigenvalueGapError,
-    ExpressionError,
     GenerationError,
     InputFormatError,
     IsotypicError,
@@ -381,9 +379,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (InputFormatError, ExpressionError, DimensionCapError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     # an output path that cannot be written; a failed write() names no file
     except OSError as err:
         where = "" if err.filename is None else f"{err.filename}: "

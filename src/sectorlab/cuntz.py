@@ -290,6 +290,28 @@ def _contract_full_sums(d: int, terms: dict, differ=operator.ne, add=_value_sum)
     return terms
 
 
+def _checked_word(d: int, w) -> CuntzWord:
+    """``w`` as a CuntzWord; ``ValueError`` for a letter outside 1..d."""
+    word = w if isinstance(w, CuntzWord) else CuntzWord(tuple(w[0]), tuple(w[1]))
+    for letter in word.mu + word.nu:
+        if not 1 <= letter <= d:
+            raise ValueError(f"letter {letter} outside 1..{d}")
+    return word
+
+
+def _summed(d: int, terms: dict, items) -> dict:
+    """``terms`` with each (word, coefficient) of ``items`` added in, a word
+    whose sum is zero dropped, then contracted."""
+    for w, c in items:
+        if w in terms:
+            c = terms[w] + c
+        if c:
+            terms[w] = c
+        elif w in terms:
+            del terms[w]
+    return _contract_full_sums(d, terms)
+
+
 @dataclass(frozen=True, eq=False)
 class CuntzPolynomial:
     """Finite combination of normal-form words with dimension d.
@@ -311,20 +333,9 @@ class CuntzPolynomial:
     def build(d: int, raw_terms: dict) -> "CuntzPolynomial":
         """Normalize a word -> coefficient mapping into a polynomial."""
         exact = all(_is_exact_scalar(c) for c in raw_terms.values())
-        terms: dict[CuntzWord, object] = {}
-        for w, c in raw_terms.items():
-            word = w if isinstance(w, CuntzWord) else CuntzWord(tuple(w[0]), tuple(w[1]))
-            for letter in word.mu + word.nu:
-                if not 1 <= letter <= d:
-                    raise ValueError(f"letter {letter} outside 1..{d}")
-            coeff = QRat.of(c) if exact else complex(c)
-            if word in terms:
-                coeff = terms[word] + coeff
-            if coeff:
-                terms[word] = coeff
-            elif word in terms:
-                del terms[word]
-        return CuntzPolynomial(d, _contract_full_sums(d, terms), exact)
+        items = ((_checked_word(d, w), QRat.of(c) if exact else complex(c))
+                 for w, c in raw_terms.items())
+        return CuntzPolynomial(d, _summed(d, {}, items), exact)
 
     # -- constructors ------------------------------------------------------
 
@@ -390,14 +401,9 @@ class CuntzPolynomial:
         if self.d != other.d:
             raise ValueError("polynomials have different dimensions")
         exact = self.exact and other.exact
-        out = self._coerced_terms(exact)
-        for w, c in other._coerced_terms(exact).items():
-            merged = out[w] + c if w in out else c
-            if merged:
-                out[w] = merged
-            elif w in out:
-                del out[w]
-        return CuntzPolynomial(self.d, _contract_full_sums(self.d, out), exact)
+        terms = _summed(self.d, self._coerced_terms(exact),
+                        other._coerced_terms(exact).items())
+        return CuntzPolynomial(self.d, terms, exact)
 
     def __neg__(self) -> "CuntzPolynomial":
         return CuntzPolynomial(self.d, {w: -c for w, c in self.terms.items()},
@@ -410,14 +416,9 @@ class CuntzPolynomial:
         if not self.terms:
             return self
         exact = self.exact and _is_exact_scalar(scalar)
-        if exact:
-            s = QRat.of(scalar)
-            terms = {w: c * s for w, c in self.terms.items()}
-        else:
-            s = complex(scalar)
-            terms = {w: complex(c) * s for w, c in self.terms.items()}
-        terms = {w: c for w, c in terms.items() if c}
-        return CuntzPolynomial(self.d, terms, exact)
+        s = QRat.of(scalar) if exact else complex(scalar)
+        terms = {w: c * s for w, c in self._coerced_terms(exact).items()}
+        return CuntzPolynomial(self.d, {w: c for w, c in terms.items() if c}, exact)
 
     def __mul__(self, other):
         if isinstance(other, CuntzPolynomial):

@@ -69,8 +69,7 @@ class LatticeNet:
     @cached_property
     def _cache(self) -> dict:
         # data that depend only on the net, each built once and read-only:
-        # per site count 1 <= k <= n_sites its rep and observables, and per
-        # region its site order
+        # per site count k its rep and observables
         return {}
 
     def _cached(self, key, build):
@@ -128,16 +127,23 @@ def complement_sites(net: LatticeNet, region) -> tuple[int, ...]:
     return tuple(s for s in net.sites if s not in region)
 
 
-def _site_order(net: LatticeNet, sites) -> tuple[np.ndarray, np.ndarray]:
-    """(order, back) for a normalized region: row i in the chain's site
-    order is row ``order[i]`` of an operator written as factor (x) rest, and
-    row a of the latter is row ``back[a]`` of the former."""
-    def build():
-        rest = [s for s in net.sites if s not in sites]
-        order = np.arange(net.total_dim).reshape([net.onsite_dim] * net.n_sites) \
-            .transpose(np.argsort(list(sites) + rest)).reshape(-1)
-        return _read_only(order), _read_only(np.argsort(order))
-    return net._cached(("order", tuple(sites)), build)
+def _move_legs(net: LatticeNet, sites, m: np.ndarray, back: bool = False,
+               cols: bool = True) -> np.ndarray:
+    """``m`` with its site legs moved from the chain's site order to
+    region-first order (the region's sites, then the rest, each ascending),
+    or ``back``: the row and column legs of an operator, or with ``cols``
+    false the row legs only (of a Wedderburn unitary W).  A transpose: every
+    entry keeps its bits.  ``m`` may come with its legs grouped otherwise,
+    as (k, rest, k, rest); the result is a d x c matrix."""
+    n, d0 = net.n_sites, net.onsite_dim
+    legs = list(sites) + [s for s in net.sites if s not in sites]
+    if back:
+        legs = np.argsort(legs).tolist()
+    if cols:
+        m = m.reshape([d0] * 2 * n).transpose(legs + [n + s for s in legs])
+    else:
+        m = m.reshape([d0] * n + [-1]).transpose(legs + [n])
+    return m.reshape(net.total_dim, -1)
 
 
 def embed_factor_operator(net: LatticeNet, region, m: np.ndarray) -> np.ndarray:
@@ -147,8 +153,7 @@ def embed_factor_operator(net: LatticeNet, region, m: np.ndarray) -> np.ndarray:
     if m.shape[0] != net.onsite_dim ** len(sites):
         raise ValueError("operator dimension does not match the region factor")
     full = np.kron(m, np.eye(net.total_dim // m.shape[0], dtype=complex))
-    order = _site_order(net, sites)[0]
-    return full[np.ix_(order, order)]
+    return _move_legs(net, sites, full, back=True)
 
 
 def region_algebra(
@@ -170,7 +175,8 @@ def region_algebra(
     k = net.onsite_dim ** len(sites)
     factor = net._local_observables(len(sites)) if observable else full_matrix_algebra(k)
     rest = d // k
-    w = np.kron(factor.unitary, np.eye(rest, dtype=complex))[_site_order(net, sites)[0]]
+    w = _move_legs(net, sites, np.kron(factor.unitary, np.eye(rest, dtype=complex)),
+                   back=True, cols=False)
     return OperatorAlgebra.from_blocks(w, [(m, n * rest) for m, n in factor.blocks])
 
 
@@ -232,8 +238,7 @@ def _partial_trace(m: np.ndarray, net: LatticeNet, sites) -> np.ndarray:
     """
     k = net.onsite_dim ** len(sites)
     rest = net.total_dim // k
-    back = _site_order(net, sites)[1]
-    return np.trace(m[np.ix_(back, back)].reshape(k, rest, k, rest), axis1=1, axis2=3)
+    return np.trace(_move_legs(net, sites, m).reshape(k, rest, k, rest), axis1=1, axis2=3)
 
 
 @dataclass(frozen=True)
@@ -308,8 +313,8 @@ class LocalizedMorphism:
 
         - unitality: sum psi_i psi_i* = 1, to MORPHISM_CUT * d;
         - localization: rho is trivial on the complement's fields F(O') exactly
-          when every psi_i commutes with F(O'), i.e. equals f_i (x) 1, f_i its
-          normalised partial trace over O' embedded back into the region;
+          when every psi_i commutes with F(O'), i.e. equals f_i (x) 1 in
+          region-first site order, f_i its normalised partial trace over O';
         - endomorphism: with unitality, rho maps the observables U' into
           themselves multiplicatively iff psi_i* U(g) psi_j lies in
           span{U(h)} for every i, j and g
@@ -325,13 +330,18 @@ class LocalizedMorphism:
         d = net.total_dim
         if self.multiplet.unit_defect() > tol * d:
             raise ValueError("multiplet is not unital (sum psi psi* != 1)")
-        k = len(self.region)
-        rest = d // net.onsite_dim ** k
-        factors = [_partial_trace(p, net, self.region) / rest for p in psis]
-        for p, f in zip(psis, factors):
-            if np.linalg.norm(p - embed_factor_operator(net, self.region, f)) > tol:
+        k = net.onsite_dim ** len(self.region)
+        rest = d // k
+        one = np.eye(rest, dtype=complex)
+        factors = []
+        for p in psis:
+            q = _move_legs(net, self.region, p)
+            f = np.trace(q.reshape(k, rest, k, rest), axis1=1, axis2=3) / rest
+            if np.linalg.norm(q - np.kron(f, one)) > tol:
                 raise ValueError("morphism does not act trivially on the complement")
-        residuals = endomorphism_residuals(factors, net.global_rep, _legs(net, k))
+            factors.append(f)
+        residuals = endomorphism_residuals(factors, net.global_rep,
+                                           _legs(net, len(self.region)))
         if residuals[net.onsite_rep.group.identity] > tol:
             raise ValueError("morphism is not multiplicative on the observables")
         if residuals.max() > tol:
@@ -536,8 +546,7 @@ def invert_selected_state(
         # on the region's legs only
         k = net.onsite_dim ** len(region)
         rest = d // k
-        order, back = _site_order(net, region)
-        rho0 = omega0.density[np.ix_(back, back)].reshape(k, rest * k * rest)
+        rho0 = _move_legs(net, region, omega0.density).reshape(k, rest * k * rest)
         for word in itertools.product(range(len(cands)), repeat=len(region)):
             tried += 1
             u = np.asarray(cands[word[0]][1])
@@ -552,7 +561,7 @@ def invert_selected_state(
             if not normal[word]:
                 continue
             rho = (la.dagger(u) @ rho0).reshape(k, rest, k, rest).transpose(0, 1, 3, 2) @ u
-            rho = rho.transpose(0, 1, 3, 2).reshape(d, d)[np.ix_(order, order)]
+            rho = _move_legs(net, region, rho.transpose(0, 1, 3, 2), back=True)
             dist = _observable_distance(omega.density - rho, net, sites)
             best = min(best, dist)
             if dist <= tol:

@@ -65,9 +65,7 @@ class FiniteGroup:
             raise ValueError("inverse law fails")
         t = self.table
         if n <= 64:
-            lhs = t[t, :]
-            rhs = t[:, t].transpose(1, 2, 0)
-            if not np.array_equal(lhs, rhs.transpose(2, 0, 1)):
+            if not np.array_equal(t[t, :], t[:, t]):
                 # fall back to the direct check for a readable error
                 for a, b, c in itertools.product(range(n), repeat=3):
                     if t[t[a, b], c] != t[a, t[b, c]]:

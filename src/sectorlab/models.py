@@ -13,7 +13,7 @@ import numpy as np
 
 from . import serialize as io
 from .algebra import State, full_matrix_algebra, vector_state
-from .channels import ProbabilityWeight
+from .channels import ProbabilityWeight, forward_data
 from .cuntz import parse_expression
 from .dhrnet import LatticeNet, LocalizedMorphism, localized_morphism, selected_state
 from .groups import UnitaryRep, cyclic_rep_from_unitary
@@ -116,7 +116,6 @@ def two_level_hierarchy() -> ObservableHierarchy:
 
 def two_level_measured(beta: float = 1.0) -> dict[str, float]:
     sys = two_level_system()
-    grid = two_level_grid()
     vals = {}
     for name, m in two_level_probes():
         # exact Gibbs value of the probe at the given beta
@@ -169,8 +168,6 @@ def moment_measured() -> dict[str, float]:
     """Forward-simulated probe data of the bump mixture (hierarchy probes)."""
     channel = build_thermal_channel(moment_system(), moment_grid())
     weights = moment_true_weights()
-    from .channels import forward_data
-
     hierarchy = moment_hierarchy()
     names = [n for n, _ in hierarchy.levels[-1][1]]
     mats = [m for _, m in hierarchy.levels[-1][1]]

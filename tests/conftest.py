@@ -54,6 +54,18 @@ def averaged_span(basis, rep):
     return svd_rows(avg.reshape(len(avg), -1))
 
 
+def nullspace(a):
+    """Oracle: orthonormal rows spanning the nullspace of ``a``, by SVD with
+    the library's span cut."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=complex)
+    # a wide system needs the full V for its nullspace; a tall one never
+    # needs the full U, which would be (rows x rows)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vh[la._svd_rank(s):].conj()
+
+
 def span_residual(basis, m):
     """Distance of ``m`` from the span of an orthonormal stack."""
     return la.hs_norm(m - la.project_onto_span(basis, m))

@@ -36,7 +36,8 @@ from sectorlab.models import z2_chain_net
 
 from conftest import (
     SX, SY, SZ, I2, assert_observable_generators, assert_same_algebra, assert_same_span,
-    averaged_span, bits, dense_fixed_points, kron_all, permutation_rep, span_residual,
+    averaged_span, bits, dense_fixed_points, kron_all, nullspace, permutation_rep,
+    span_residual,
 )
 
 
@@ -54,7 +55,7 @@ def kronecker_intertwiners(rep1, rep2):
         np.kron(np.eye(d2), u1.T) - np.kron(u2, np.eye(d1))
         for u1, u2 in zip(rep1.matrices, rep2.matrices)
     ])
-    return la.nullspace(system)
+    return nullspace(system)
 
 
 class TestFiniteGroup:
@@ -168,7 +169,7 @@ class TestFixedPointAlgebra:
         # nullspace oracle: {A : U A U* = A} for U = sz x sz
         u = kron_all(SZ, SZ)
         system = np.kron(u, u.conj()) - np.eye(16)
-        null = la.nullspace(system)
+        null = nullspace(system)
         assert null.shape[0] == 8
 
     def test_range_of_average_equals_fixed_points(self, rng):
