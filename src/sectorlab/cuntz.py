@@ -233,15 +233,28 @@ def _pair_sum(old, c):
     return [re, im] if re or im else None
 
 
-def _contract_full_sums(d: int, terms: dict, differ=operator.ne, add=_value_sum) -> dict:
+def _contract_full_sums(d: int, terms: dict, differ=operator.ne, add=_value_sum,
+                        key=None) -> dict:
     """Collapse every literal complete sum psi_{mu i} psi_{nu i}* with equal
     coefficients into its parent word psi_mu psi_nu*, deepest families first.
 
+    Candidates: one pass over the map counts the kids of each (parent,
+    coefficient), so a family is verified only when all d kids are present
+    with one coefficient.  A dense map whose kids all differ, such as a
+    rotation's gauge image, is returned after that count without a single
+    lookup.
+
     The parent of a word is unique, so the families of one depth are
     disjoint, and merging one changes only its parent, two letters shorter:
-    after the families of depth n, only those of depth n - 2 can gain or
-    lose kids.  One pass from the deepest families up is therefore complete,
-    and its result depends only on the term map, not on its order:
+    after the families of depth n, only those of depth n - 2 can gain,
+    lose or change kids.  The count describes the map before any merge, so
+    a merge that leaves its parent in the map, with a new or changed
+    coefficient, re-queues the family one level up, of which the parent is
+    a kid; a merge that cancels its parent only takes a kid away.  Every
+    family that can merge when its depth comes is then a candidate or
+    re-queued (and is verified once), so one pass from the deepest
+    families up is complete.
+    Its result depends only on the term map, not on its order:
     s1 s1* + s2 s2* + 2 s1 s1 s1* s1* + 2 s1 s2 s2* s1* gives
     3 s1 s1* + s2 s2* however its terms are ordered.
 
@@ -249,22 +262,26 @@ def _contract_full_sums(d: int, terms: dict, differ=operator.ne, add=_value_sum)
     through two functions of (old, c), old a value or None for a word not
     in the map: ``differ`` is true unless old is a coefficient equal to
     c, and ``add`` returns old + c (c when old is None), falsy exactly
-    when zero.  The defaults serve QRat and complex values; the kernels
-    contract their numerator pairs with :func:`_pair_differs` and
-    :func:`_pair_sum`.
+    when zero; and through ``key``, which makes a value hashable for the
+    count (None: the value itself).  Values that ``differ`` calls equal
+    must have equal keys; equal keys may still differ (one NaN object), as
+    every candidate is verified.  The defaults serve QRat and complex
+    values; the kernels contract their numerator pairs with
+    :func:`_pair_differs`, :func:`_pair_sum` and ``tuple``.
     """
     # parents as plain (mu, nu) tuples, which hash and compare equal to the
     # CuntzWord keys; a CuntzWord is made only for a family that merges
     counts: dict[tuple, int] = {}
-    for mu, nu in terms:
+    for (mu, nu), c in terms.items():
         if mu and nu and mu[-1] == nu[-1]:
-            parent = (mu[:-1], nu[:-1])
-            counts[parent] = counts.get(parent, 0) + 1
-    # parents whose family may be complete, by depth len(mu) + len(nu)
-    pending: dict[int, list[tuple]] = {}
-    for (mu, nu), n in counts.items():
+            family = (mu[:-1], nu[:-1], c if key is None else key(c))
+            counts[family] = counts.get(family, 0) + 1
+    # parents whose kids may all share one coefficient, by depth len(mu) + len(nu);
+    # a dict per depth keeps them in order and verifies each once
+    pending: dict[int, dict[tuple, None]] = {}
+    for (mu, nu, _), n in counts.items():
         if n == d:
-            pending.setdefault(len(mu) + len(nu), []).append((mu, nu))
+            pending.setdefault(len(mu) + len(nu), {})[mu, nu] = None
     if not pending:
         return terms
     letters = range(1, d + 1)
@@ -282,11 +299,11 @@ def _contract_full_sums(d: int, terms: dict, differ=operator.ne, add=_value_sum)
             merged = add(old, c)
             if merged:
                 terms[parent] = merged
+                if mu and nu and mu[-1] == nu[-1]:
+                    # a new or changed kid may complete its own parent's family
+                    pending.setdefault(depth - 2, {})[mu[:-1], nu[:-1]] = None
             elif old is not None:
                 del terms[parent]
-            if old is None and mu and nu and mu[-1] == nu[-1]:
-                # a new kid may complete its own parent's family
-                pending.setdefault(depth - 2, []).append((mu[:-1], nu[:-1]))
     return terms
 
 
@@ -471,9 +488,9 @@ def _from_numerators(d: int, out: dict, den: int, exact: bool) -> dict:
     new = tuple.__new__
     if not exact:
         out = {w: pair for w, pair in out.items() if pair[0] or pair[1]}
-        out = _contract_full_sums(d, out, _pair_differs, _pair_sum)
+        out = _contract_full_sums(d, out, _pair_differs, _pair_sum, tuple)
         return {new(CuntzWord, w): complex(re, im) for w, (re, im) in out.items()}
-    out = _contract_full_sums(d, out, _pair_differs, _pair_sum)
+    out = _contract_full_sums(d, out, _pair_differs, _pair_sum, tuple)
     coeffs: dict[tuple, QRat] = {}
     terms = {}
     for w, (re, im) in out.items():
@@ -849,6 +866,7 @@ def _format_word(w: CuntzWord) -> str:
     parts = [f"s{i}" for i in w.mu]
     parts += [f"s{i}*" for i in reversed(w.nu)]
     return " ".join(parts) if parts else "1"
+
 
 def _coeff_is_one(c, exact: bool) -> bool:
     return (c == QRAT_ONE) if exact else (complex(c) == 1.0)

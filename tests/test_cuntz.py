@@ -1,6 +1,7 @@
 import copy
 import functools
 import itertools
+import operator
 import pickle
 import subprocess
 import sys
@@ -1015,6 +1016,189 @@ class TestFloatPairContraction:
                     assert list(got) == list(want)
                     assert [(z.real.hex(), z.imag.hex()) for z in got.values()] == \
                         [(z.real.hex(), z.imag.hex()) for z in want.values()]
+
+
+def naive_contraction(d, terms):
+    """Merge one complete family of equal coefficients, of the greatest
+    depth, until none is left: the rule itself, with no count or queue."""
+    terms = dict(terms)
+    while True:
+        complete = []
+        for mu, nu in terms:
+            if mu and nu and mu[-1] == nu[-1]:
+                kids = [(mu[:-1] + (i,), nu[:-1] + (i,)) for i in range(1, d + 1)]
+                if all(w in terms for w in kids) and \
+                        all(terms[w] == terms[kids[0]] for w in kids[1:]):
+                    complete.append((mu[:-1], nu[:-1]))
+        if not complete:
+            return terms
+        mu, nu = max(complete, key=lambda w: len(w[0]) + len(w[1]))
+        c = terms[mu + (1,), nu + (1,)]
+        for i in range(1, d + 1):
+            del terms[mu + (i,), nu + (i,)]
+        merged = terms[mu, nu] + c if (mu, nu) in terms else c
+        if merged:
+            terms[mu, nu] = merged
+        else:
+            terms.pop((mu, nu), None)
+
+
+SMALL = (F(-1), F(1), F(2), F(1, 2), F(-1, 2), F(3, 2))
+
+
+@st.composite
+def planted_maps(draw):
+    """(d, items, special): a shuffled term map of small rational
+    coefficients with families planted under parents of depth 0-3 (one
+    family, a two-level tree, or a family that changes an existing kid of
+    its parent's family so that it completes), the parents themselves at
+    random and stray words; ``special`` picks a NaN, +-0 or inf family of
+    :class:`TestFloatPairContraction` for floating maps, or is None."""
+    d = draw(st.integers(1, 3))
+    letter = st.integers(1, d)
+    coeff = st.sampled_from(SMALL)
+
+    def word(depth):
+        n = draw(st.integers(0, depth))
+        return (tuple(draw(st.lists(letter, min_size=n, max_size=n))),
+                tuple(draw(st.lists(letter, min_size=depth - n, max_size=depth - n))))
+
+    def parent():
+        return word(draw(st.integers(0, 3)))
+
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        mu, nu = parent()
+        c = draw(coeff)
+        kind = draw(st.sampled_from(["family", "tree", "changed"]))
+        if kind == "family":
+            terms.update({(mu + (i,), nu + (i,)): c for i in range(1, d + 1)})
+        elif kind == "tree":
+            terms.update({(mu + t, nu + t): c
+                          for t in itertools.product(range(1, d + 1), repeat=2)})
+        else:
+            x, a = draw(letter), draw(coeff.filter(lambda v: v != c))
+            terms.update({(mu + (i,), nu + (i,)): c for i in range(1, d + 1)})
+            terms[mu + (x,), nu + (x,)] = a
+            terms.update({(mu + (x, j), nu + (x, j)): c - a for j in range(1, d + 1)})
+        if draw(st.booleans()):
+            terms[mu, nu] = draw(coeff)
+    for _ in range(draw(st.integers(0, 4))):
+        terms[word(draw(st.integers(0, 5)))] = draw(coeff)
+    special = draw(st.none() | st.integers(0, 9))
+    if special is not None:
+        special = (parent(), special)
+    return d, draw(st.permutations(list(terms.items()))), special
+
+
+def float_items(d, items, special):
+    """Floating numerator pairs of ``items``, a special family placed in."""
+    pairs = [(w, [float(c), 0.0]) for w, c in items]
+    if special is not None:
+        (mu, nu), k = special
+        kids, parent = list(TestFloatPairContraction.families(d))[k]
+        words = [(mu + (i,), nu + (i,)) for i in range(1, d + 1)]
+        pairs = list(zip(words, kids)) + [(w, pair) for w, pair in pairs
+                                          if w not in words and w != (mu, nu)]
+        if parent is not None:
+            pairs.append(((mu, nu), parent))
+    return pairs
+
+
+def bits_of(terms):
+    return {tuple(w): (complex(z).real.hex(), complex(z).imag.hex()) for w, z in terms.items()}
+
+
+class CountedLookups(dict):
+    """A term map that counts the calls of its ``get``."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+
+class TestCandidateFamilies:
+    """The contraction verifies only families whose d kids share one
+    coefficient, and re-queues the family one level up whenever a merge
+    leaves its parent new or changed."""
+
+    # s1 s1* + 1/2 (s2 s2* + s2 s1 s1* s2* + s2 s2 s2* s2*): the family under
+    # s2 s2* merges into s2 s2*, a kid of the unit's family, and changes it
+    # from 1/2 to 1, which completes the unit's family
+    CASCADE = {((1,), (1,)): F(1), ((2,), (2,)): F(1, 2),
+               ((2, 1), (2, 1)): F(1, 2), ((2, 2), (2, 2)): F(1, 2)}
+
+    def test_a_changed_kid_completes_the_family_above(self):
+        d = 2
+        for order in itertools.permutations(self.CASCADE.items()):
+            assert P.build(d, {CuntzWord(*w): c for w, c in order}) == P.unit(d)
+            exact = cuntz._from_numerators(d, {w: [int(2 * c), 0] for w, c in order}, 2, True)
+            assert exact == {cuntz.UNIT_WORD: QRat.of(1)}
+            floating = cuntz._from_numerators(d, {w: [float(c), 0.0] for w, c in order}, 1, False)
+            assert bits_of(floating) == bits_of({cuntz.UNIT_WORD: 1 + 0j})
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_maps())
+    def test_equals_the_naive_contraction(self, case):
+        d, items, special = case
+        exact = {CuntzWord(*w): QRat.of(c) for w, c in items}
+        want = naive_contraction(d, exact)
+        assert _contract_full_sums(d, dict(exact)) == want
+        pairs = [(w, [c.numerator * (2 // c.denominator), 0]) for w, c in items]
+        got = cuntz._from_numerators(d, dict(pairs), 2, True)
+        assert got == want
+        pairs = float_items(d, items, special)
+        values = {CuntzWord(*w): complex(*pair) for w, pair in pairs}
+        want = bits_of(naive_contraction(d, values))
+        assert bits_of(_contract_full_sums(d, dict(values))) == want
+        got = _contract_full_sums(d, dict(pairs), cuntz._pair_differs, cuntz._pair_sum, tuple)
+        assert bits_of({w: complex(*pair) for w, pair in got.items()}) == want
+
+    def test_dense_map_of_distinct_kids_needs_no_lookup(self, rng, monkeypatch):
+        # the rotation's gauge image of 32 terms up to length 4 holds every
+        # word of length <= 4 in mu and in nu, so every family is complete,
+        # but no two kids share a numerator pair
+        maps = []
+        original = cuntz._contract_full_sums
+
+        def captured(d, terms, *args):
+            if args:
+                maps.append({w: list(pair) for w, pair in terms.items()})
+            return original(d, terms, *args)
+
+        monkeypatch.setattr(cuntz, "_contract_full_sums", captured)
+        gauge_act(ROTATION, profile_poly(rng, 2, 32, 4))
+        (acc,) = maps
+        families = {}
+        for (mu, nu), pair in acc.items():
+            if mu and nu and mu[-1] == nu[-1]:
+                families.setdefault((mu[:-1], nu[:-1]), set()).add(tuple(pair))
+        assert len(acc) == 31 * 31 and len(families) == 15 * 15
+        assert all(len(pairs) == 2 for pairs in families.values())
+        terms = CountedLookups(acc)
+        out = original(2, terms, cuntz._pair_differs, cuntz._pair_sum, tuple)
+        assert terms.lookups == 0 and out == acc
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_planted_map_verifies_each_candidate_once(self, d):
+        # three lone families under parents that are no kids; a two-level
+        # tree under s1, whose d merges each re-queue the family under s1;
+        # a family under s_d s_d*, which re-queues the unit's family
+        terms = {}
+        for c, (mu, nu) in enumerate([((), (1,)), ((), (1, 1)), ((1, 1, 1), ())], 1):
+            terms.update({(mu + (i,), nu + (i,)): c for i in range(1, d + 1)})
+        terms.update({((1,) + t, t): 5 for t in itertools.product(range(1, d + 1), repeat=2)})
+        terms.update({((d, i), (d, i)): 7 for i in range(1, d + 1)})
+        exact = {CuntzWord(*w): QRat.of(c) for w, c in terms.items()}
+        want = naive_contraction(d, exact)
+        exact = CountedLookups(exact)
+        assert _contract_full_sums(d, exact) == want
+        # d + 1 lookups (the kids, then the parent) per merged family; when
+        # d > 1 the unit's family is re-queued and stops at its first kid
+        merged = 3 + (d + 1) + 1 + (d == 1)
+        assert exact.lookups == merged * (d + 1) + (d > 1)
 
 
 class TestOneCoefficientPerDistinctValue:
