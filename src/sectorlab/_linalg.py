@@ -38,9 +38,11 @@ GRAM_WINDOW = 1e-6
 GROUPING_GAP = 1e-8
 #: eigenvalue differences <= AMBIGUITY_FLOOR * max|eigenvalue| are ties
 AMBIGUITY_FLOOR = 1e-12
+#: machine epsilon of float64, read once (numpy's eps rule, :func:`eps_rank`)
+_EPS = float(np.finfo(float).eps)
 #: a vector whose part outside a span is <= DEPENDENCE_CUT times its part
 #: inside lies in the span (the column test of Lawson-Hanson NNLS)
-DEPENDENCE_CUT = 100 * np.finfo(float).eps
+DEPENDENCE_CUT = 100 * _EPS
 #: a multiplet implements a unital *-endomorphism of a representation's
 #: commutant when its unitality defect is <= MORPHISM_CUT * d and its
 #: residuals (:func:`~sectorlab.groups.endomorphism_residuals`) are <= MORPHISM_CUT
@@ -144,8 +146,8 @@ def eps_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
     numpy's ``matrix_rank`` rule, for the singular values ``s`` (descending)
     of a matrix of the given shape.
     """
-    cutoff = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    return int(np.sum(s > cutoff))
+    cutoff = max(shape) * _EPS * (s[0] if s.size else 0.0)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def row_space(a: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ def wedderburn_blocks(draw, leaders, seed: int, error, what: str):
             last_err = err
             continue
         blocks = []
-        for lead in np.unique(leader):
+        for lead in sorted(set(leader.tolist())):
             columns = []
             for j in np.flatnonzero(leader == lead):
                 s = ey[starts[j]:starts[j + 1], starts[lead]:starts[lead + 1]]

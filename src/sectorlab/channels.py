@@ -237,19 +237,56 @@ def separation_check(
     Full column rank means the probe family discriminates every weight on
     the grid, so the moment problem has a unique solution.
     """
-    return _separation(design_matrix(channel, probes), channel.space.size)
+    return _separation(_augmented(design_matrix(channel, probes)),
+                       channel.space.size)[0]
 
 
-def _separation(m: np.ndarray, n_labels: int) -> SeparationReport:
-    """The rank test of :func:`separation_check` on a given design matrix.
+def _augmented(m: np.ndarray) -> np.ndarray:
+    """[M; 1^T]: the design rows and the normalization row."""
+    aug = np.empty((m.shape[0] + 1, m.shape[1]))
+    aug[:-1] = m
+    aug[-1] = 1.0
+    return aug
+
+
+def _separation(aug: np.ndarray, n_labels: int):
+    """The rank test of :func:`separation_check` on a given [M; 1^T].
 
     The rank is numpy's eps rule, :func:`~sectorlab._linalg.eps_rank`.
+    Returns the report and, when ``aug`` has fewer rows than labels (such a
+    design never separates), the right singular vectors (rows) of that same
+    SVD, for the inversion's tie-break; otherwise None, and the singular
+    values are computed without vectors.
     """
-    aug = np.vstack([m, np.ones(m.shape[1])])
-    svals = np.linalg.svd(aug, compute_uv=False)
+    vh = None
+    if aug.shape[0] < n_labels:
+        _, svals, vh = np.linalg.svd(aug, full_matrices=False)
+    else:
+        svals = np.linalg.svd(aug, compute_uv=False)
     rank = la.eps_rank(svals, aug.shape)
     sigma_min = float(svals[-1]) if svals.size else 0.0
-    return SeparationReport(rank == n_labels, rank, sigma_min, n_labels)
+    return SeparationReport(rank == n_labels, rank, sigma_min, n_labels), vh
+
+
+def _tie_break(aug: np.ndarray, x: np.ndarray, rank: int,
+               vh: np.ndarray | None) -> np.ndarray:
+    """The minimum-norm solution of A y = A x, A = ``aug`` of eps rank ``rank``.
+
+    It is V_r V_r^T x, the orthogonal projection of x onto row(A) =
+    span(V_r), V_r the right singular vectors of A's ``rank`` largest
+    singular values: the solutions are x + null(A), and null(A) is the
+    orthogonal complement of row(A), so y = V_r V_r^T x + z with z in null(A)
+    solves A y = A x and has |y|^2 = |V_r V_r^T x|^2 + |z|^2, least at z = 0
+    (Lawson & Hanson 1974, ch. 7; Golub & Van Loan, *Matrix Computations*,
+    5.5).  Singular values under numpy's eps rule count as zero, as in
+    ``np.linalg.lstsq`` with its default cut.  ``vh`` holds A's right
+    singular vectors (rows) when :func:`_separation` kept them; None takes
+    one SVD with vectors here.
+    """
+    if vh is None:
+        vh = np.linalg.svd(aug, full_matrices=False)[2]
+    v = vh[:rank]
+    return v.T @ (v @ x)
 
 
 @dataclass(frozen=True)
@@ -407,6 +444,14 @@ def invert_design(
     [M; 1^T] rho = [M; 1^T] rho_hat for the NNLS optimum rho_hat when that
     is non-negative (it fits equally well), else rho_hat.
 
+    That minimum-norm solution is V_r V_r^T rho_hat, the orthogonal
+    projection of rho_hat onto row([M; 1^T]) = span(V_r): every solution is
+    rho_hat plus a null vector, the null space is the row space's
+    orthogonal complement, so the solution in the row space has the least
+    norm (:func:`_tie_break`).  V_r is read off the rank test's own SVD
+    when [M; 1^T] has fewer rows than labels; a rank-deficient design with
+    at least as many rows takes one SVD with vectors more.
+
     Raises ``ValueError`` before any solve when M has no row, a NaN or
     infinite entry, or a shape that does not match the data and the space,
     or when the data are not finite; and when the solve overflows (a numpy
@@ -435,12 +480,14 @@ def _invert(m, data, space: ClassifyingSpace, start: np.ndarray | None = None):
         raise ValueError("probe data must be finite")
     if not np.isfinite(m).all():
         raise ValueError("design matrix has non-finite entries")
-    target = np.concatenate([np.zeros(m.shape[0]), [1.0]])
+    aug = _augmented(m)
+    target = np.zeros(len(aug))
+    target[-1] = 1.0
     overflowed = ValueError("the inversion overflowed: the probes' scale gives "
                             "no finite weight")
     try:
         with np.errstate(over="raise"):
-            raw, iters, converged = _nnls(np.vstack([m - data[:, None], np.ones(n)]),
+            raw, iters, converged = _nnls(aug - np.append(data, 0.0)[:, None],
                                           target, start)
     except FloatingPointError as err:
         raise overflowed from err
@@ -448,10 +495,9 @@ def _invert(m, data, space: ClassifyingSpace, start: np.ndarray | None = None):
     if not (np.isfinite(total) and total > 0):
         raise overflowed
     x = raw
-    sep = _separation(m, n)
+    sep, vh = _separation(aug, n)
     if not sep.passed:
-        aug = np.vstack([m, np.ones(n)])
-        tie = np.linalg.lstsq(aug, aug @ x, rcond=None)[0]
+        tie = _tie_break(aug, x, sep.rank, vh)
         if tie.min() >= -la.TIE_SLACK:
             x = np.clip(tie, 0.0, None)
     x = x / x.sum()

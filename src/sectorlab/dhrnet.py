@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +36,9 @@ from .groups import (
     isotypic_decomposition,
     tensor_power_rep,
 )
-from .sectors import ChargedMultiplet
+
+if TYPE_CHECKING:  # sectors loads channels, which no lattice check runs
+    from .sectors import ChargedMultiplet
 
 
 @dataclass(frozen=True)
@@ -358,6 +361,8 @@ def localized_morphism(
     net: LatticeNet, region, factor_matrices, label: str
 ) -> LocalizedMorphism:
     """Build a morphism from matrices given on the region's tensor factor."""
+    from .sectors import ChargedMultiplet
+
     sites = normalize_region(net, region)
     mats = tuple(
         embed_factor_operator(net, sites, la.as_complex_matrix(m))
@@ -367,6 +372,8 @@ def localized_morphism(
 
 
 def identity_morphism(net: LatticeNet, label: str = "identity") -> LocalizedMorphism:
+    from .sectors import ChargedMultiplet
+
     return LocalizedMorphism(
         net, (), ChargedMultiplet(label, (np.eye(net.total_dim, dtype=complex),)))
 
@@ -403,6 +410,8 @@ def compose_morphisms(
     m1: LocalizedMorphism, m2: LocalizedMorphism, label: str | None = None
 ) -> LocalizedMorphism:
     """Composition (doubling as the monoidal product of the category)."""
+    from .sectors import ChargedMultiplet
+
     _check_same_net(m1, m2)
     mats = tuple(
         a @ b for a in m1.multiplet.matrices for b in m2.multiplet.matrices

@@ -70,7 +70,10 @@ class HamiltonianSystem:
     def _spectrum(self, mu: float | None) -> tuple[np.ndarray, np.ndarray]:
         """``eigh(H - mu N)``: eigenvalues and eigenvectors, cached per mu.
 
-        The arrays are shared by every later call, so they are read-only.
+        An H - mu N with no imaginary part is diagonalised in real
+        arithmetic, so its eigenvectors are a float array and the Gibbs
+        products built from them are real.  The arrays are shared by every
+        later call, so they are read-only.
         """
         cached = self._spectra.get(mu)
         if cached is None:
@@ -78,7 +81,7 @@ class HamiltonianSystem:
             h = self.effective_hamiltonian(mu)
             if not np.isfinite(h).all():
                 raise ValueError(f"H - mu N has non-finite entries at mu={mu}")
-            cached = np.linalg.eigh(h)
+            cached = np.linalg.eigh(h if h.imag.any() else h.real)
             for a in cached:
                 a.setflags(write=False)
             self._spectra[mu] = cached
@@ -155,7 +158,8 @@ def gibbs_state(
     """exp(-beta (H - mu N)) / Z, overflow-guarded by a spectral shift.
 
     Reads the system's cached spectrum of H - mu N, so repeated calls at
-    one mu cost a scaled outer product each, not a diagonalisation.
+    one mu cost a scaled outer product each, not a diagonalisation; a real
+    product when H - mu N is real.
     """
     _check_beta(beta)
     evals, vecs = sys._spectrum(mu)
@@ -241,9 +245,9 @@ def build_thermal_channel(
     """The c->q channel whose fibres are the grid's Gibbs states.
 
     One batched product (V w) V* per distinct mu, over the (points, d)
-    Boltzmann weights of that mu's points, fills the read-only (points, d, d)
-    density stack; the fibre states are read-only views of it, each bit for
-    bit :func:`gibbs_state` at its point.
+    Boltzmann weights of that mu's points (real when H - mu N is), fills the
+    read-only complex (points, d, d) density stack; the fibre states are
+    read-only views of it, each bit for bit :func:`gibbs_state` at its point.
     """
     by_mu: dict = {}
     for i, (_, mu) in enumerate(grid.points):

@@ -21,6 +21,13 @@ from sectorlab.channels import (
     uniform_weight,
     verify_positive_unital,
 )
+from sectorlab.thermal import (
+    HamiltonianSystem,
+    ObservableHierarchy,
+    beta_grid,
+    build_thermal_channel,
+    hierarchy_report,
+)
 
 from conftest import SZ, I2, peak_mb
 
@@ -405,3 +412,120 @@ class TestWarmStart:
         assert converged and (x.tobytes(), iters) == (cold.tobytes(), cold_iters + 1)
         x, iters, converged = channels._nnls(a, c, np.array([0.5, 0.0, 1.0]))
         assert converged and iters == 1 and np.abs(x - cold).max() <= 1e-14
+
+
+def lstsq_tie(aug, x):
+    """Oracle: numpy's minimum-norm least-squares solution of aug y = aug x."""
+    return np.linalg.lstsq(aug, aug @ x, rcond=None)[0]
+
+
+class TestTieBreak:
+    """The tie-break projects the NNLS optimum onto row([M; 1^T])."""
+
+    N_LABELS = 8
+
+    @classmethod
+    def design(cls, kind, seed):
+        """[M; 1^T] of a seeded channel on 8 labels; never separating.
+
+        ``wide``: 4 random probes on generic qubit-pair fibres (full row
+        rank); ``unit``: the unit and two random probes (a probe row equals
+        the normalization row); ``duplicates``: two random probes twice and
+        a third; ``tall``: 9 diagonal probes on diagonal fibres of C^4, more
+        rows than labels but rank 4.
+        """
+        rng = np.random.default_rng(seed)
+        n = cls.N_LABELS
+        if kind == "tall":
+            fibres = [State(np.diag(w)) for w in rng.dirichlet(np.ones(4), size=n)]
+            probes = [np.diag(rng.standard_normal(4)).astype(complex) for _ in range(9)]
+        else:
+            fibres = [State((a @ la.dagger(a)) / np.trace(a @ la.dagger(a)))
+                      for a in rng.standard_normal((n, 4, 4))
+                      + 1j * rng.standard_normal((n, 4, 4))]
+            rand = [la.random_hermitian(rng, 4) for _ in range(4)]
+            probes = {"wide": rand,
+                      "unit": [np.eye(4, dtype=complex), *rand[:2]],
+                      "duplicates": [rand[0], rand[1], rand[0], rand[1], rand[2]]}[kind]
+        ch = ClassicalQuantumChannel(ClassifyingSpace(tuple(range(n))), fibres)
+        return channels._augmented(design_matrix(ch, probes))
+
+    @pytest.mark.parametrize("kind, rank", [("wide", 5), ("unit", 3),
+                                            ("duplicates", 4), ("tall", 4)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_projection_is_the_minimum_norm_solution(self, kind, rank, seed):
+        aug = self.design(kind, seed)
+        sep, vh = channels._separation(aug, self.N_LABELS)
+        assert not sep.passed and sep.rank == rank
+        # the rank test keeps its vectors exactly when rows < labels
+        assert (vh is None) == (kind == "tall")
+        x = np.random.default_rng(100 + seed).uniform(0.0, 1.0, self.N_LABELS)
+        tie = channels._tie_break(aug, x, sep.rank, vh)
+        assert np.abs(tie - lstsq_tie(aug, x)).max() <= 1e-12
+        # same fitted values, to rounding at M's scale
+        scale = np.linalg.norm(aug) * np.linalg.norm(x)
+        assert np.abs(aug @ tie - aug @ x).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("kind", ["wide", "unit", "duplicates", "tall"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inversion_takes_the_oracles_tie(self, kind, seed):
+        # data of an interior weight: the NNLS optimum is one of many exact
+        # fits, and the reported weight is the oracle's tie when non-negative
+        aug = self.design(kind, seed)
+        m = aug[:-1]
+        rng = np.random.default_rng(200 + seed)
+        data = m @ rng.dirichlet(np.ones(self.N_LABELS))
+        space = ClassifyingSpace(tuple(range(self.N_LABELS)))
+        result, raw = channels._invert(m, data, space)
+        oracle = lstsq_tie(aug, raw)
+        expected = raw if oracle.min() < -la.TIE_SLACK else np.clip(oracle, 0.0, None)
+        assert np.abs(result.weight.weights - expected / expected.sum()).max() <= 1e-12
+        assert not result.unique and result.residual <= 1e-12
+
+    def test_a_second_svd_only_for_tall_rank_deficient_designs(self, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        space = ClassifyingSpace(tuple(range(self.N_LABELS)))
+        for kind, expected in [("wide", [True]), ("tall", [False, True])]:
+            calls.clear()
+            m = self.design(kind, 0)[:-1]
+            channels._invert(m, m @ np.full(self.N_LABELS, 1 / self.N_LABELS), space)
+            assert calls == expected, kind
+
+    def test_hierarchy_takes_one_svd_per_level_and_no_lstsq(self, monkeypatch):
+        # 32 levels, 50 betas, 16 nested occupation levels: every level has
+        # fewer rows than labels, so its rank test's SVD is its only one
+        rng = np.random.default_rng(7)
+        n, g = 32, 50
+        energies = np.concatenate([[0.0], np.geomspace(0.05, n, n - 1)])
+        channel = build_thermal_channel(HamiltonianSystem(np.diag(energies)),
+                                        beta_grid(np.geomspace(0.05, 20.0, g)))
+        order = rng.permutation(n)
+        occ = {k: np.diag((np.arange(n) == k).astype(float)) for k in range(n)}
+        hier = ObservableHierarchy(tuple(
+            (f"L{s}", tuple((f"occ{k}", occ[k]) for k in order[:s]))
+            for s in range(2, n + 1, 2)))
+        pops = channel.densities()[[3, 20, 41]].mean(axis=0).diagonal().real
+        measured = {f"occ{k}": float(p) for k, p in enumerate(pops)}
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        report = hierarchy_report(measured, hier, channel, tol=1e-8)
+        assert len(report.verdicts) == 16
+        assert len(calls) == 16
+        assert all(v.accepted and not v.unique for v in report.verdicts)

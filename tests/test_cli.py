@@ -701,7 +701,7 @@ print(json.dumps({"code": code, "modules": mods}), file=sys.stderr)
     ("cuntz nf", "cuntz", ENGINES - {"cuntz"}),
     ("thermal estimate", "thermal", {"groups", "sectors", "dhrnet", "cuntz", "models"}),
     ("channels invert", "channels", {"groups", "sectors", "dhrnet", "cuntz", "models"}),
-    ("dhr check", "dhrnet", {"thermal", "cuntz", "models"}),
+    ("dhr check", "dhrnet", {"thermal", "cuntz", "models", "sectors", "channels"}),
     ("dhr invert", "dhrnet", {"thermal", "cuntz", "models"}),
     ("sectors analyze", "sectors", {"thermal", "cuntz", "models"}),
 ])
@@ -717,3 +717,15 @@ def test_subcommand_loads_only_its_engines(command, runs, unloaded, example_tree
     loaded = set(result["modules"])
     assert runs in loaded
     assert not loaded & unloaded, sorted(loaded & unloaded)
+
+
+def test_sectors_analyze_leaves_numpy_ma_unloaded(example_tree, tmp_path):
+    # numpy.ma costs about 9 ms to import; the Wedderburn split needs none of it
+    argv = ["--out", str(tmp_path / "report.json"),
+            *subcommands(example_tree, csv=tmp_path / "out.csv")["sectors analyze"]]
+    child = ("import sys\nfrom sectorlab import cli\ncode = cli.main(sys.argv[1:])\n"
+             "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", child, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(cli.EXIT_OK), "False"]

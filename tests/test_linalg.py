@@ -118,8 +118,9 @@ def test_separation_rank_is_numpys_rule():
     ranks = set()
     for k in range(1, 9):
         m = np.array([[0.0, k * np.finfo(float).eps]])
-        sep = channels._separation(m, 2)
-        assert sep.rank == np.linalg.matrix_rank(np.vstack([m, np.ones(2)]))
+        aug = np.vstack([m, np.ones(2)])
+        sep = channels._separation(aug, 2)[0]
+        assert sep.rank == np.linalg.matrix_rank(aug)
         ranks.add(sep.rank)
     assert ranks == {1, 2}
 

@@ -271,6 +271,92 @@ class TestCachedSpectrum:
         assert np.all(np.isfinite(s)) and np.all(s > 0)
 
 
+def real_system(kind: str, with_number: bool):
+    """A real H on C^6, diagonal or rotated by a seeded orthogonal matrix,
+    with a real commuting N if ``with_number``; and a grid to match."""
+    rng = np.random.default_rng(11)
+    energies = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 3.0, 5))])
+    number = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0])
+    q = np.eye(6) if kind == "diagonal" else np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    h = (q * energies) @ q.T
+    n = (q * number) @ q.T if with_number else None
+    betas = (0.3, 1.0, 2.5, 7.0)
+    grid = (ThermalGrid(tuple((b, mu) for b in betas for mu in (0.0, 0.45)))
+            if with_number else beta_grid(betas))
+    return HamiltonianSystem(h, number=n), grid
+
+
+def complex_reference(sys: HamiltonianSystem, beta: float, mu):
+    """The Gibbs density and eigenbasis from a complex eigh of H - mu N."""
+    evals, vecs = np.linalg.eigh(sys.effective_hamiltonian(mu).astype(complex))
+    w = np.exp(-beta * (evals - evals.min()))
+    return (vecs * (w / w.sum())) @ vecs.conj().T, evals, vecs
+
+
+def kms_reference(rho, evals, vecs, beta):
+    """The KMS residual of ``rho`` in a given complex eigenbasis."""
+    r = vecs.conj().T @ rho @ vecs
+    gap = np.subtract.outer(evals, evals)
+    down = gap >= 0
+    diag = np.diag(r)
+    return max(np.abs(r - np.diag(diag)).max(),
+               np.abs(diag[:, None] - np.exp(-beta * gap) * diag[None, :])[down].max())
+
+
+class TestRealHamiltonians:
+    """A real H - mu N is diagonalised in real arithmetic; the states agree
+    with a complex diagonalisation to rounding."""
+
+    CASES = [("diagonal", False), ("diagonal", True),
+             ("rotated", False), ("rotated", True)]
+
+    @pytest.mark.parametrize("kind, with_number", CASES)
+    def test_spectrum_is_real(self, kind, with_number):
+        sys, grid = real_system(kind, with_number)
+        for _, mu in grid.points:
+            evals, vecs = sys._spectrum(mu)
+            assert evals.dtype == np.float64 and vecs.dtype == np.float64
+
+    @pytest.mark.parametrize("kind, with_number", CASES)
+    def test_fibres_are_gibbs_states_bit_for_bit(self, kind, with_number):
+        sys, grid = real_system(kind, with_number)
+        channel = build_thermal_channel(sys, grid)
+        assert channel.densities().dtype == np.complex128
+        for (beta, mu), fibre in zip(grid.points, channel.fibre_states):
+            assert np.array_equal(fibre.density, gibbs_state(sys, beta, mu).density)
+
+    @pytest.mark.parametrize("kind, with_number", CASES)
+    def test_agrees_with_complex_diagonalisation(self, kind, with_number):
+        sys, grid = real_system(kind, with_number)
+        rng = np.random.default_rng(5)
+        coherent = vector_state(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        for beta, mu in grid.points:
+            ref, evals, vecs = complex_reference(sys, beta, mu)
+            state = gibbs_state(sys, beta, mu)
+            assert np.abs(state.density - ref).max() <= 1e-13
+            for probe in (state, coherent):
+                expected = kms_reference(probe.density, evals, vecs, beta)
+                assert abs(kms_residual(probe, sys, beta, mu) - expected) <= 1e-13
+
+    @pytest.mark.parametrize("where", ["hamiltonian", "number"])
+    def test_imaginary_entry_keeps_complex_vectors(self, where):
+        # one imaginary pair in H, or in an N that acts inside a degenerate
+        # eigenspace of a real H, makes H - mu N complex
+        if where == "hamiltonian":
+            h = real_system("rotated", False)[0].hamiltonian.copy()
+            h[1, 4] += 1e-3j
+            h[4, 1] -= 1e-3j
+            sys, mu = HamiltonianSystem(h), None
+        else:
+            n = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
+            n[1, 2], n[2, 1] = 0.3j, -0.3j
+            sys, mu = HamiltonianSystem(np.diag([0.0, 1.5, 1.5, 2.0]), number=n), 0.45
+        evals, vecs = sys._spectrum(mu)
+        assert evals.dtype == np.float64 and vecs.dtype == np.complex128
+        ref, _, _ = complex_reference(sys, 1.0, mu)
+        assert np.abs(gibbs_state(sys, 1.0, mu).density - ref).max() <= 1e-13
+
+
 class TestThermalFunctions:
     def test_unit_observable_is_one(self):
         vals = thermal_function(two_level_system(), two_level_grid(), I2)
