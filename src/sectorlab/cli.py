@@ -273,6 +273,7 @@ def _run_dhr_invert(args) -> int:
         "label": None if result.morphism is None else result.morphism.label,
         "distance": result.distance,
         "candidates_tried": result.n_tried,
+        "miss": result.miss,
     }
     _emit(payload, args)
     return EXIT_OK if result.found else EXIT_REJECTED

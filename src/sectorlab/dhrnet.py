@@ -504,6 +504,7 @@ class InversionSearchReport:
     region: tuple[int, ...] | None
     distance: float
     n_tried: int
+    miss: str | None = None
 
 
 def invert_selected_state(
@@ -515,45 +516,64 @@ def invert_selected_state(
 ) -> InversionSearchReport:
     """Search for a localized morphism rho with omega = omega_0 o rho.
 
-    Scans tensor products u of candidate on-site unitaries over every
-    interval, keeping only those for which Ad u maps the observable
-    algebra into itself: u* U(g) u must lie in the span of the U(h) for
-    every g, the test of :meth:`LocalizedMorphism.validate` for the
-    multiplet [u] (:func:`~sectorlab.groups.endomorphism_residuals`).
-    A hit must reproduce omega on the whole observable algebra: the
-    distance is the norm of the difference functional restricted to it,
-    the trace norm of the group average of rho - u* rho0 u (never below
-    the largest difference on an orthonormal observable basis, the
-    distance of earlier versions).  A candidate acts on its region's legs
-    only, in the region-first site order where psi = u (x) 1: the
-    endomorphism test and the pullback never embed it, and only the
-    morphism returned is embedded.  Densities with non-finite entries
-    raise ``ValueError``.  Heuristic by design: a miss is not a proof that
-    no morphism exists.
+    Scans tensor products u of candidate on-site unitaries over the
+    intervals that :func:`dhr_check` finds to be witnesses, keeping only
+    those for which Ad u maps the observable algebra into itself: u* U(g) u
+    must lie in the span of the U(h) for every g, the test of
+    :meth:`LocalizedMorphism.validate` for the multiplet [u]
+    (:func:`~sectorlab.groups.endomorphism_residuals`).  A hit must
+    reproduce omega on the whole observable algebra: the distance is the
+    norm of the difference functional restricted to it, the trace norm of
+    the group average of rho - u* rho0 u (never below the largest
+    difference on an orthonormal observable basis, the distance of earlier
+    versions).  A candidate acts on its region's legs only, in the
+    region-first site order where psi = u (x) 1: the endomorphism test and
+    the pullback never embed it, and only the morphism returned is
+    embedded.
+
+    Only witness regions are searched, and that loses no hit: a rho
+    localised in O is trivial on A(O'), so omega_0 o rho = omega_0 there
+    and every candidate in O is at least ``dhr_check``'s distance for O,
+    ||(omega - omega0)|A(O')||, away from omega.  Each region's bound is
+    computed when the scan, in :func:`enumerate_regions` order, reaches it;
+    the empty region's is the identity's own distance.  ``n_tried`` counts
+    the identity and the words of the regions searched.  A miss names its
+    kind in ``miss``: ``"excluded"`` when no region is a witness, a proof
+    that no interval-localised morphism gives omega, with the smallest
+    bound as its ``distance``; ``"not_found"`` otherwise, with the smallest
+    distance seen, heuristic: not a proof that no morphism exists.  A
+    candidate that is not a d0 x d0 matrix, or a density with non-finite
+    entries, raises ``ValueError``.
     """
     _check_states(omega, omega0, net)
-    cands = candidates if candidates is not None else default_onsite_candidates(
-        net.onsite_dim
-    )
+    d0 = net.onsite_dim
+    cands = candidates if candidates is not None else default_onsite_candidates(d0)
+    for name, m in cands:
+        if la.as_complex_matrix(m).shape != (d0, d0):
+            raise ValueError(f"candidate {name!r} is not a {d0} x {d0} on-site operator")
     sites = net.sites
     d = net.total_dim
+    delta = omega.density - omega0.density
     tried = 0
-    best = np.inf
+    best = least = np.inf
     # the endomorphism verdict depends on the candidate word, not on where
     # its region lies
     normal: dict[tuple[int, ...], bool] = {}
     for region in enumerate_regions(net):
+        bound = _observable_distance(delta, net, complement_sites(net, region))
+        least = min(least, bound)
         if not region:
-            dist = _observable_distance(omega.density - omega0.density, net, sites)
-            best = min(best, dist)
+            best = bound
             tried += 1
-            if dist <= tol:
+            if bound <= tol:
                 return InversionSearchReport(True, identity_morphism(net),
-                                             (), dist, tried)
+                                             (), bound, tried)
+            continue
+        if bound > tol:
             continue
         # in region-first order psi = u (x) 1, so psi* rho0 psi contracts u
         # on the region's legs only
-        k = net.onsite_dim ** len(region)
+        k = d0 ** len(region)
         rest = d // k
         rho0 = _move_legs(net, region, omega0.density).reshape(k, rest * k * rest)
         for word in itertools.product(range(len(cands)), repeat=len(region)):
@@ -562,8 +582,6 @@ def invert_selected_state(
             for i in word[1:]:
                 u = la.kron(u, np.asarray(cands[i][1]))
             u = la.as_complex_matrix(u)
-            if u.shape[0] != k:
-                raise ValueError("operator dimension does not match the region factor")
             if word not in normal:
                 normal[word] = endomorphism_residuals(
                     [u], net.global_rep, _legs(net, len(region))).max() <= la.MORPHISM_CUT
@@ -577,4 +595,6 @@ def invert_selected_state(
                 name = "".join(cands[i][0] for i in word)
                 morph = localized_morphism(net, region, [u], f"{name}@{region}")
                 return InversionSearchReport(True, morph, region, dist, tried)
-    return InversionSearchReport(False, None, None, best, tried)
+    if least > tol:  # no region is a witness
+        return InversionSearchReport(False, None, None, least, tried, "excluded")
+    return InversionSearchReport(False, None, None, best, tried, "not_found")

@@ -447,6 +447,22 @@ class TestCliCommands:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["found"] and report["region"] == [1]
+        # the identity, then X on the one witness region searched first
+        assert (report["miss"], report["candidates_tried"]) == (None, 2)
+
+    def test_dhr_invert_provable_miss(self, example_tree, tmp_path):
+        d = example_tree / "z2_chain_3"
+        vec = np.zeros(8)
+        vec[0b101] = 1.0
+        state = tmp_path / "ends.json"
+        state.write_text(io.dumps_canonical(io.state_to_json(vector_state(vec, "ends"))))
+        proc = run_cli("dhr", "invert", "--net", str(d / "net.json"),
+                       "--state", str(state), "--vacuum", str(d / "vacuum.json"))
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert not report["found"] and report["region"] is None
+        assert (report["miss"], report["candidates_tried"]) == ("excluded", 1)
+        assert report["distance"] == 2.0
 
     def test_dhr_non_finite_state_is_an_input_error(self, example_tree, tmp_path):
         d = example_tree / "z2_chain_3"

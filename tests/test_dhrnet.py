@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sectorlab import _linalg as la, dhrnet, groups, sectors
 from sectorlab.algebra import (
@@ -635,6 +636,8 @@ class TestInversionSearch:
         result = invert_selected_state(State(gibbs.density), vac, net2, tol=1e-8)
         assert not result.found
         assert result.distance > 1e-3
+        # no interval is a witness: only the identity was tried
+        assert (result.miss, result.n_tried) == ("excluded", 1)
 
 
 def _random_density(rng, d):
@@ -829,19 +832,32 @@ def dense_invert_selected_state(omega, omega0, net, candidates=None, tol=1e-8):
 
 
 class TestRegionLocalInversion:
-    """The search on the region's legs against the dense loop it replaced."""
+    """The search on the region's legs and in witness regions only, against
+    the dense loop over every region that it replaced."""
 
     @staticmethod
     def assert_same_search(omega, omega0, net, candidates=None):
         got = invert_selected_state(omega, omega0, net, candidates)
         found, morph, region, dist, tried = dense_invert_selected_state(
             omega, omega0, net, candidates)
-        assert (got.found, got.region, got.n_tried) == (found, region, tried)
-        assert abs(got.distance - dist) <= 1e-12
-        if morph is not None:
-            assert got.morphism.label == morph.label
-            assert np.array_equal(got.morphism.multiplet.matrices[0],
-                                  morph.multiplet.matrices[0])
+        assert (got.found, got.region) == (found, region)
+        assert got.n_tried <= tried
+        if found:
+            assert got.miss is None
+            assert abs(got.distance - dist) <= 1e-12
+            if morph is not None:
+                assert got.morphism.label == morph.label
+                assert np.array_equal(got.morphism.multiplet.matrices[0],
+                                      morph.multiplet.matrices[0])
+            return
+        report = dhr_check(omega, omega0, net)
+        if report.passes:
+            # the regions searched are a subset of the oracle's
+            assert got.miss == "not_found"
+            assert got.distance >= dist - 1e-12
+        else:
+            assert got.miss == "excluded"
+            assert got.distance == min(d for _, d in report.distances)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_default_candidates(self, n):
@@ -866,6 +882,90 @@ class TestRegionLocalInversion:
         moved = selected_state(localized_morphism(net, [n - 1], [SY], "Y"), omega0)
         self.assert_same_search(moved, omega0, net, cands)
         assert invert_selected_state(moved, omega0, net, cands).found
+
+    def test_not_found_searches_only_witness_regions(self):
+        # (omega0 + omega0 o flip_1) / 2 holds at every interval through
+        # site 1, but no single unitary gives it
+        net, vac = z2_chain_net(3), z2_vacuum(3)
+        omega = State((vac.density + _flip_state(3, (1,)).density) / 2)
+        self.assert_same_search(omega, vac, net)
+        result = invert_selected_state(omega, vac, net)
+        assert result.miss == "not_found"
+        # the identity, then X, Z, XZ on (1,) and 9 words on (0, 1) and (1, 2)
+        assert result.n_tried == 1 + 3 + 9 + 9
+
+    def test_provable_miss_at_the_cap(self, monkeypatch):
+        net, vac = z2_chain_net(8), z2_vacuum(8)
+        omega = _flip_state(8, (0, 7))
+        report = dhr_check(omega, vac, net)
+        assert not report.passes
+        calls = []
+        observable_distance = dhrnet._observable_distance
+
+        def counted(delta, net, sites):
+            calls.append(tuple(sites))
+            return observable_distance(delta, net, sites)
+
+        monkeypatch.setattr(dhrnet, "_observable_distance", counted)
+        result = invert_selected_state(omega, vac, net)
+        assert calls == [complement_sites(net, r) for r in enumerate_regions(net)]
+        assert (result.found, result.miss, result.n_tried) == (False, "excluded", 1)
+        assert result.distance == min(d for _, d in report.distances)
+
+    def test_candidates_validated_before_the_search(self):
+        net, vac = z2_chain_net(3), z2_vacuum(3)
+        states = [vac, _flip_state(3, (1,)), _flip_state(3, (0, 2))]
+        for bad in (np.eye(4), np.ones((2, 3))):
+            cands = [("X", SX), ("B", bad)]
+            for omega in states:
+                with pytest.raises(ValueError, match="'B' is not a 2 x 2"):
+                    invert_selected_state(omega, vac, net, cands)
+
+
+@st.composite
+def proper_interval_words(draw):
+    """A chain of 2-5 sites, a proper interval of it and an X/Z/XZ word on it."""
+    n = draw(st.integers(2, 5))
+    length = draw(st.integers(1, n - 1))
+    start = draw(st.integers(0, n - length))
+    word = draw(st.lists(st.sampled_from(["X", "Z", "XZ"]),
+                         min_size=length, max_size=length))
+    return n, tuple(range(start, start + length)), word
+
+
+@st.composite
+def flips_at_both_ends(draw):
+    """A chain of 2-5 sites and a flip set holding both end sites, which no
+    proper interval holds."""
+    n = draw(st.integers(2, 5))
+    inner = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+    return n, [0] + [s for s, f in enumerate(inner, 1) if f] + [n - 1]
+
+
+class TestLocalityAdjunction:
+    """Inverting a selected state gives back an equivalent morphism, and a
+    state that no proper interval holds is proven to have none."""
+
+    MATS = {"X": SX, "Z": SZ, "XZ": SX @ SZ}
+
+    @settings(max_examples=30, deadline=None)
+    @given(proper_interval_words())
+    def test_inversion_finds_an_equivalent_morphism(self, case):
+        n, region, word = case
+        net = z2_chain_net(n)
+        rho = localized_morphism(net, region, [kron_all(*(self.MATS[w] for w in word))],
+                                 "".join(word))
+        result = invert_selected_state(selected_state(rho, z2_vacuum(n)), z2_vacuum(n), net)
+        assert result.found and result.miss is None
+        assert solve_intertwiners(rho, result.morphism)
+
+    @settings(max_examples=30, deadline=None)
+    @given(flips_at_both_ends())
+    def test_flips_at_both_ends_are_excluded(self, case):
+        n, flips = case
+        net, vac = z2_chain_net(n), z2_vacuum(n)
+        result = invert_selected_state(_flip_state(n, flips), vac, net)
+        assert (result.found, result.miss, result.n_tried) == (False, "excluded", 1)
 
 
 def _parent_site_order(net, sites):
