@@ -33,12 +33,12 @@ _EXPORTS = {
         "solve_intertwiners",
     ),
     "groups": (
-        "FiniteGroup", "SectorDecomposition", "UnitaryRep", "average",
+        "ChargedMultiplet", "FiniteGroup", "SectorDecomposition", "UnitaryRep", "average",
         "builtin_group", "fixed_point_algebra", "intertwiner_space",
         "isotypic_decomposition",
     ),
     "sectors": (
-        "ChargedMultiplet", "charging_channel", "decompose_sectors",
+        "charging_channel", "decompose_sectors",
         "estimate_charge", "induce_charged_state", "k_map",
     ),
     "thermal": (

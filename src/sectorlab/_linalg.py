@@ -7,7 +7,7 @@ orthonormal under the trace inner product <A, B> = tr(A* B).
 This module makes every rank, null, eigenvalue-grouping and copy-linkage
 decision of the package, at the fixed cuts below or by numpy's eps rule
 (:func:`eps_rank`), and fixes the cuts of the verdicts the criteria report
-(partial multiplets, positive unital maps, real thermal functions, the
+(unital *-endomorphisms, positive unital maps, real thermal functions, the
 inversion's tie-break, monotone residuals); no caller sets any of them.
 Input checks use the cuts of :mod:`sectorlab.config`.  Three comparisons
 that several checks share live here: :func:`relation_holds` (unitarity,
@@ -18,6 +18,8 @@ Eigenvalues are grouped by one rule on one scale, relative to the largest
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,11 +47,8 @@ _EPS = float(np.finfo(float).eps)
 DEPENDENCE_CUT = 100 * _EPS
 #: a multiplet implements a unital *-endomorphism of a representation's
 #: commutant when its unitality defect is <= MORPHISM_CUT * d and its
-#: residuals (:func:`~sectorlab.groups.endomorphism_residuals`) are <= MORPHISM_CUT
+#: residuals are <= MORPHISM_CUT (:func:`~sectorlab.groups.endomorphism_failure`)
 MORPHISM_CUT = 1e-9
-#: a multiplet is partial when either Cuntz-relation defect (Frobenius) is
-#: above ISOMETRY_CUT, absolute
-ISOMETRY_CUT = 1e-10
 #: a map is positive and unital when every phi(1) is within
 #: POSITIVE_UNITAL_CUT of 1 and its smallest Hermitian-part eigenvalue is
 #: >= -POSITIVE_UNITAL_CUT, both absolute
@@ -81,8 +80,12 @@ def relation_holds(x: np.ndarray, y: np.ndarray) -> bool:
 
 def near(x: np.ndarray, y: np.ndarray, cut: float, ref: np.ndarray | None = None) -> bool:
     """Whether ||x - y||_F <= cut * max(1, ||ref||), ``ref`` defaulting to x:
-    the test of Hermiticity (y = x*) and commutation.  NaN fails."""
-    return hs_norm(x - y) <= cut * max(1.0, hs_norm(x if ref is None else ref))
+    the test of Hermiticity (y = x*) and commutation.  NaN fails, and so
+    does a norm that overflows, with no ``RuntimeWarning``: inf <= inf would
+    pass anything."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = hs_norm(x if ref is None else ref)
+        return math.isfinite(scale) and hs_norm(x - y) <= cut * max(1.0, scale)
 
 
 def in_span(m: np.ndarray, pm: np.ndarray) -> bool:

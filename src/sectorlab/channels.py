@@ -417,21 +417,8 @@ def invert_cq(
 ) -> InversionResult:
     """Recover a probability weight from probe expectations.
 
-    :func:`invert_design` on the channel's :func:`design_matrix` for the
-    probes.
-    """
-    probes = list(probes)
-    if not probes:
-        raise ValueError("at least one probe is required")
-    return invert_design(design_matrix(channel, probes), data, channel.space)
-
-
-def invert_design(
-    m: np.ndarray, data: np.ndarray, space: ClassifyingSpace
-) -> InversionResult:
-    """Recover a weight on ``space`` from design rows M and their values.
-
-    Minimizes ||M rho - data||_2 over the probability simplex, where
+    With M the channel's :func:`design_matrix` for the probes, minimizes
+    ||M rho - data||_2 over the probability simplex, where
     M rho - data = (M - data 1^T) rho: one Lawson-Hanson NNLS solve on
     [M - data 1^T; 1^T] against (0, ..., 0, 1), scaled to sum 1, as for
     least-distance programming (Lawson & Hanson 1974, ch. 23); M^T M is
@@ -458,11 +445,14 @@ def invert_design(
     overflow inside it, or a weight that is not finite), with no
     ``RuntimeWarning``.
     """
-    return _invert(m, data, space)[0]
+    probes = list(probes)
+    if not probes:
+        raise ValueError("at least one probe is required")
+    return _invert(design_matrix(channel, probes), data, channel.space)[0]
 
 
 def _invert(m, data, space: ClassifyingSpace, start: np.ndarray | None = None):
-    """:func:`invert_design` with its NNLS begun at ``start`` (see
+    """:func:`invert_cq` on design rows M, with its NNLS begun at ``start`` (see
     :func:`_nnls`): the result, and the raw NNLS solution, taken before the
     tie-break and the scaling to sum 1, which is a feasible start for the
     same space under other design rows.

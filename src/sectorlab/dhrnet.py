@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,21 +28,25 @@ from .algebra import (
 )
 from .config import CRITERION_TOL, DIMENSION_CAP
 from .groups import (
+    ChargedMultiplet,
     UnitaryRep,
     _intertwiners,
     average,
-    endomorphism_residuals,
+    endomorphism_failure,
+    identity_multiplet,
     isotypic_decomposition,
     tensor_power_rep,
 )
 
-if TYPE_CHECKING:  # sectors loads channels, which no lattice check runs
-    from .sectors import ChargedMultiplet
-
 
 @dataclass(frozen=True)
 class LatticeNet:
-    """A chain of ``n_sites`` sites with a per-site symmetry action."""
+    """A chain of ``n_sites`` sites with a per-site symmetry action.
+
+    At most as many sites as max(d0, 2)^n_sites <= ``DIMENSION_CAP`` allows,
+    for on-site dimension d0: the site count is checked before any power is
+    formed, and one-dimensional sites get a qubit chain's bound.
+    """
 
     n_sites: int
     onsite_rep: UnitaryRep
@@ -51,10 +54,13 @@ class LatticeNet:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("need at least one site")
-        if self.onsite_dim ** self.n_sites > DIMENSION_CAP:
+        fits = 0
+        while max(self.onsite_dim, 2) ** (fits + 1) <= DIMENSION_CAP:
+            fits += 1
+        if self.n_sites > fits:
             raise ValueError(
-                f"total dimension {self.onsite_dim ** self.n_sites} exceeds "
-                f"the cap {DIMENSION_CAP}"
+                f"{self.n_sites} sites exceed the cap: at most {fits} sites of "
+                f"dimension {self.onsite_dim} (total dimension cap {DIMENSION_CAP})"
             )
 
     @property
@@ -311,44 +317,28 @@ class LocalizedMorphism:
         return self.multiplet.apply(a)
 
     def validate(self) -> None:
-        """Check unitality, localization, and that rho is a unital
+        """Check that rho is localized in its region and is a unital
         *-endomorphism of the observables.
 
-        - unitality: sum psi_i psi_i* = 1, to MORPHISM_CUT * d;
         - localization: rho is trivial on the complement's fields F(O') exactly
           when every psi_i commutes with F(O'), i.e. equals f_i (x) 1 in
-          region-first site order, f_i its normalised partial trace over O';
-        - endomorphism: with unitality, rho maps the observables U' into
-          themselves multiplicatively iff psi_i* U(g) psi_j lies in
-          span{U(h)} for every i, j and g
-          (:func:`~sectorlab.groups.endomorphism_residuals`, on the f_i in
-          region-first site order).  The g = e blocks psi_i* psi_j alone
-          decide multiplicativity and are checked first.
+          region-first site order, f_i its normalised partial trace over O',
+          to ``MORPHISM_CUT``;
+        - endomorphism: :func:`~sectorlab.groups.endomorphism_failure` of the
+          f_i in region-first site order (unitality, multiplicativity,
+          invariance).
 
-        Each check allows ``MORPHISM_CUT``; none reads a basis, a generator
-        or a seed.
+        None reads a basis, a generator or a seed.
         """
-        tol = la.MORPHISM_CUT
-        net, psis = self.net, self.multiplet.matrices
-        d = net.total_dim
-        if self.multiplet.unit_defect() > tol * d:
-            raise ValueError("multiplet is not unital (sum psi psi* != 1)")
-        k = net.onsite_dim ** len(self.region)
-        rest = d // k
-        one = np.eye(rest, dtype=complex)
-        factors = []
-        for p in psis:
-            q = _move_legs(net, self.region, p)
-            f = np.trace(q.reshape(k, rest, k, rest), axis1=1, axis2=3) / rest
-            if np.linalg.norm(q - np.kron(f, one)) > tol:
+        net, region = self.net, self.region
+        rest = net.total_dim // net.onsite_dim ** len(region)
+        factors = [_partial_trace(p, net, region) / rest for p in self.multiplet.matrices]
+        for p, f in zip(self.multiplet.matrices, factors):
+            if not np.linalg.norm(p - embed_factor_operator(net, region, f)) <= la.MORPHISM_CUT:
                 raise ValueError("morphism does not act trivially on the complement")
-            factors.append(f)
-        residuals = endomorphism_residuals(factors, net.global_rep,
-                                           _legs(net, len(self.region)))
-        if residuals[net.onsite_rep.group.identity] > tol:
-            raise ValueError("morphism is not multiplicative on the observables")
-        if residuals.max() > tol:
-            raise ValueError("morphism image leaves the observable algebra")
+        failure = endomorphism_failure(factors, net.global_rep, _legs(net, len(region)))
+        if failure is not None:
+            raise ValueError(f"morphism {self.label!r} is {failure}")
 
 
 def _legs(net: LatticeNet, k: int) -> tuple[UnitaryRep, UnitaryRep]:
@@ -361,8 +351,6 @@ def localized_morphism(
     net: LatticeNet, region, factor_matrices, label: str
 ) -> LocalizedMorphism:
     """Build a morphism from matrices given on the region's tensor factor."""
-    from .sectors import ChargedMultiplet
-
     sites = normalize_region(net, region)
     mats = tuple(
         embed_factor_operator(net, sites, la.as_complex_matrix(m))
@@ -372,10 +360,7 @@ def localized_morphism(
 
 
 def identity_morphism(net: LatticeNet, label: str = "identity") -> LocalizedMorphism:
-    from .sectors import ChargedMultiplet
-
-    return LocalizedMorphism(
-        net, (), ChargedMultiplet(label, (np.eye(net.total_dim, dtype=complex),)))
+    return LocalizedMorphism(net, (), identity_multiplet(label, net.total_dim))
 
 
 def apply_morphism(morph: LocalizedMorphism, a: np.ndarray) -> np.ndarray:
@@ -410,8 +395,6 @@ def compose_morphisms(
     m1: LocalizedMorphism, m2: LocalizedMorphism, label: str | None = None
 ) -> LocalizedMorphism:
     """Composition (doubling as the monoidal product of the category)."""
-    from .sectors import ChargedMultiplet
-
     _check_same_net(m1, m2)
     mats = tuple(
         a @ b for a in m1.multiplet.matrices for b in m2.multiplet.matrices
@@ -518,10 +501,10 @@ def invert_selected_state(
 
     Scans tensor products u of candidate on-site unitaries over the
     intervals that :func:`dhr_check` finds to be witnesses, keeping only
-    those for which Ad u maps the observable algebra into itself: u* U(g) u
-    must lie in the span of the U(h) for every g, the test of
-    :meth:`LocalizedMorphism.validate` for the multiplet [u]
-    (:func:`~sectorlab.groups.endomorphism_residuals`).  A hit must
+    those for which Ad u is a unital *-endomorphism of the observable
+    algebra, the test of :meth:`LocalizedMorphism.validate` for the
+    multiplet [u] (:func:`~sectorlab.groups.endomorphism_failure`, once
+    per word).  A hit must
     reproduce omega on the whole observable algebra: the distance is the
     norm of the difference functional restricted to it, the trace norm of
     the group average of rho - u* rho0 u (never below the largest
@@ -583,8 +566,8 @@ def invert_selected_state(
                 u = la.kron(u, np.asarray(cands[i][1]))
             u = la.as_complex_matrix(u)
             if word not in normal:
-                normal[word] = endomorphism_residuals(
-                    [u], net.global_rep, _legs(net, len(region))).max() <= la.MORPHISM_CUT
+                normal[word] = endomorphism_failure(
+                    [u], net.global_rep, _legs(net, len(region))) is None
             if not normal[word]:
                 continue
             rho = (la.dagger(u) @ rho0).reshape(k, rest, k, rest).transpose(0, 1, 3, 2) @ u

@@ -131,19 +131,18 @@ def quaternion_group() -> FiniteGroup:
 BUILTIN_GROUPS = {
     "cyclic": cyclic_group,
     "symmetric": symmetric_group,
-    "quaternion": lambda n=8: quaternion_group(),
 }
 
 
 def builtin_group(spec: str) -> FiniteGroup:
     """Resolve a name like ``cyclic:2``, ``symmetric:3`` or ``quaternion:8``."""
     name, _, arg = spec.partition(":")
-    if name not in BUILTIN_GROUPS:
-        raise ValueError(f"unknown built-in group {spec!r}")
     if name == "quaternion":
         if arg and int(arg) != 8:
             raise ValueError("only quaternion:8 is available")
         return quaternion_group()
+    if name not in BUILTIN_GROUPS:
+        raise ValueError(f"unknown built-in group {spec!r}")
     if not arg:
         raise ValueError(f"built-in group {name!r} needs an order, e.g. {name}:2")
     return BUILTIN_GROUPS[name](int(arg))
@@ -306,6 +305,42 @@ def average(f: np.ndarray, rep: UnitaryRep) -> np.ndarray:
     return out / n
 
 
+@dataclass(frozen=True)
+class ChargedMultiplet:
+    """A multiplet psi_1..psi_m in the field algebra implementing a morphism.
+
+    The action is A -> sum_i psi_i A psi_i*; :func:`endomorphism_failure`
+    decides whether it is a unital *-endomorphism of the observables.
+    """
+
+    label: str
+    matrices: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        mats = tuple(la.as_complex_matrix(m) for m in self.matrices)
+        if not mats:
+            raise ValueError("multiplet needs at least one matrix")
+        object.__setattr__(self, "matrices", mats)
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """The morphism action sum_i psi_i A psi_i*."""
+        out = np.zeros_like(self.matrices[0])
+        for psi in self.matrices:
+            out += psi @ a @ la.dagger(psi)
+        return out
+
+    def pullback_density(self, rho: np.ndarray) -> np.ndarray:
+        """Density of omega o morphism for omega with density rho."""
+        out = np.zeros_like(self.matrices[0])
+        for psi in self.matrices:
+            out += la.dagger(psi) @ rho @ psi
+        return out
+
+
+def identity_multiplet(label: str, dim: int) -> ChargedMultiplet:
+    return ChargedMultiplet(label, (np.eye(dim, dtype=complex),))
+
+
 def endomorphism_residuals(factors, rep: UnitaryRep,
                            legs: tuple[UnitaryRep, UnitaryRep] | None = None) -> np.ndarray:
     """Per group element g, max_ij ||(1 - Pi)(psi_i* U(g) psi_j)||_HS / sqrt(d).
@@ -345,6 +380,40 @@ def endomorphism_residuals(factors, rep: UnitaryRep,
     span = rep.span
     residual = np.linalg.norm(rows - (rows @ span.conj().T) @ span, axis=-1)
     return residual.max(axis=1) / np.sqrt(rep.dim)
+
+
+def endomorphism_failure(factors, rep: UnitaryRep,
+                         legs: tuple[UnitaryRep, UnitaryRep] | None = None) -> str | None:
+    """Why the multiplet psi_i = f_i (x) 1 implements no unital
+    *-endomorphism of the commutant U' of ``rep``, or None when it does.
+
+    ``factors`` and ``legs`` are those of :func:`endomorphism_residuals`,
+    with C^d = C^k (x) C^rest.  Three checks, in this order:
+
+    - unitality: ||sum_i psi_i psi_i* - 1||_HS = ||sum_i f_i f_i* - 1||_HS
+      sqrt(rest) <= ``MORPHISM_CUT`` * d;
+    - multiplicativity: the residual at g = e (the blocks psi_i* psi_j)
+      <= ``MORPHISM_CUT``;
+    - invariance: every residual <= ``MORPHISM_CUT``.
+
+    NaN fails each.  Localized morphisms, the classifying map, the induced
+    charged state and the locality inversion all decide by this test; the
+    failure names the first check that fails, with its value.
+    """
+    f = np.asarray(factors, dtype=complex)
+    k = f.shape[1]
+    unit = la.hs_norm((f @ la.dagger(f)).sum(axis=0) - np.eye(k)) * np.sqrt(rep.dim // k)
+    no = "no unital *-endomorphism of the observables: "
+    if not unit <= la.MORPHISM_CUT * rep.dim:
+        return no + f"not unital (||sum psi psi* - 1|| = {unit:.3e})"
+    residuals = endomorphism_residuals(f, rep, legs)
+    at_e = residuals[rep.group.identity]
+    if not at_e <= la.MORPHISM_CUT:
+        return no + f"not multiplicative on the observables (residual {at_e:.3e})"
+    worst = residuals.max()
+    if not worst <= la.MORPHISM_CUT:
+        return no + f"its image leaves the observable algebra (residual {worst:.3e})"
+    return None
 
 
 def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlgebra:

@@ -16,8 +16,8 @@ from .algebra import State, full_matrix_algebra, vector_state
 from .channels import ProbabilityWeight, forward_data
 from .cuntz import parse_expression
 from .dhrnet import LatticeNet, LocalizedMorphism, localized_morphism, selected_state
-from .groups import UnitaryRep, cyclic_rep_from_unitary
-from .sectors import ChargedMultiplet, decompose_sectors, identity_multiplet
+from .groups import ChargedMultiplet, UnitaryRep, cyclic_rep_from_unitary, identity_multiplet
+from .sectors import decompose_sectors
 from .thermal import (
     HamiltonianSystem,
     ObservableHierarchy,

@@ -22,11 +22,15 @@ from .channels import (
     ProbabilityWeight,
 )
 from .config import OPERATOR_TOL, STATE_TOL
+# ChargedMultiplet and identity_multiplet live in groups; this path names
+# them too
 from .groups import (
+    ChargedMultiplet,
     SectorDecomposition,
     UnitaryRep,
     average,
-    endomorphism_residuals,
+    endomorphism_failure,
+    identity_multiplet,
     isotypic_decomposition,
 )
 
@@ -61,91 +65,6 @@ def decompose_sectors(f_alg: OperatorAlgebra, rep: UnitaryRep,
     return isotypic_decomposition(rep, seed)
 
 
-@dataclass(frozen=True)
-class ChargedMultiplet:
-    """A multiplet psi_1..psi_m in the field algebra implementing a morphism.
-
-    The action is A -> sum_i psi_i A psi_i*.  A full multiplet satisfies
-    the Cuntz-type relations sum psi_i psi_i* = 1 and psi_i* psi_j =
-    delta_ij; multiplets that only implement the morphism are flagged
-    ``partial`` by :meth:`isometry_defect`.
-    """
-
-    label: str
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = tuple(la.as_complex_matrix(m) for m in self.matrices)
-        if not mats:
-            raise ValueError("multiplet needs at least one matrix")
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].shape[0]
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """The morphism action sum_i psi_i A psi_i*."""
-        out = np.zeros_like(self.matrices[0])
-        for psi in self.matrices:
-            out += psi @ a @ la.dagger(psi)
-        return out
-
-    def pullback_density(self, rho: np.ndarray) -> np.ndarray:
-        """Density of omega o morphism for omega with density rho."""
-        out = np.zeros_like(self.matrices[0])
-        for psi in self.matrices:
-            out += la.dagger(psi) @ rho @ psi
-        return out
-
-    def unit_defect(self) -> float:
-        """||sum psi_i psi_i* - 1||_HS, zero iff the morphism is unital."""
-        total = sum(psi @ la.dagger(psi) for psi in self.matrices)
-        return float(np.linalg.norm(total - np.eye(self.dim)))
-
-    def isometry_defect(self) -> tuple[float, float]:
-        """(completeness, orthogonality) defects of the Cuntz relations."""
-        eye = np.eye(self.dim)
-        completeness = self.unit_defect()
-        ortho = 0.0
-        for i, a in enumerate(self.matrices):
-            for j, b in enumerate(self.matrices):
-                target = eye if i == j else 0.0
-                ortho = max(ortho, float(np.linalg.norm(la.dagger(a) @ b - target)))
-        return completeness, ortho
-
-    def is_partial(self) -> bool:
-        """True when either Cuntz-relation defect exceeds ``ISOMETRY_CUT``."""
-        c, o = self.isometry_defect()
-        return max(c, o) > la.ISOMETRY_CUT
-
-
-def identity_multiplet(label: str, dim: int) -> ChargedMultiplet:
-    return ChargedMultiplet(label, (np.eye(dim, dtype=complex),))
-
-
-def _require_endomorphism(morphism: ChargedMultiplet, rep: UnitaryRep) -> None:
-    """``ValueError`` unless the multiplet implements a unital
-    *-endomorphism of the observables U', the commutant of ``rep``.
-
-    Unitality, sum psi_i psi_i* = 1, must hold to ``MORPHISM_CUT`` * d,
-    and every residual of :func:`~sectorlab.groups.endomorphism_residuals`
-    (psi_i* U(g) psi_j in span{U(h)}) must be within ``MORPHISM_CUT``: the
-    test of :meth:`~sectorlab.dhrnet.LocalizedMorphism.validate`, with no
-    basis, generator or seed of U'.
-    """
-    unit = morphism.unit_defect()
-    if unit > la.MORPHISM_CUT * rep.dim:
-        raise ValueError(f"morphism {morphism.label!r} is not unital "
-                         f"(||sum psi psi* - 1|| = {unit:.3e})")
-    residual = float(endomorphism_residuals(morphism.matrices, rep).max())
-    if residual > la.MORPHISM_CUT:
-        raise ValueError(
-            f"morphism {morphism.label!r} is no unital *-endomorphism of the "
-            f"observable algebra (residual {residual:.3e})"
-        )
-
-
 def k_map(
     a: np.ndarray,
     vacuum: State,
@@ -156,12 +75,15 @@ def k_map(
 
     Unital and positive when each rho_gamma is a unital *-endomorphism of
     the observables.  Given the symmetry ``rep``, each morphism must be one
-    of its commutant (:func:`_require_endomorphism`).
+    of its commutant (:func:`~sectorlab.groups.endomorphism_failure`,
+    ``ValueError`` otherwise).
     """
     a = la.as_complex_matrix(a)
     if rep is not None:
         for m in morphisms:
-            _require_endomorphism(m, rep)
+            failure = endomorphism_failure(m.matrices, rep)
+            if failure is not None:
+                raise ValueError(f"morphism {m.label!r} is {failure}")
     return np.array([
         np.trace(vacuum.density @ m.apply(a)) for m in morphisms
     ])
@@ -230,7 +152,8 @@ def induce_charged_state(
 
     Precondition: each multiplet with positive weight implements a unital
     *-endomorphism of the observables, the commutant of ``rep``
-    (:func:`_require_endomorphism`).
+    (:func:`~sectorlab.groups.endomorphism_failure`, ``ValueError``
+    otherwise).
     The returned report verifies, over the d^2 matrix units E_ab of the
     field algebra, that the charged mixture agrees with the vector state on
     group averages: |sum_gamma nu_gamma omega_0(rho_gamma(m(E_ab))) -
@@ -250,7 +173,9 @@ def induce_charged_state(
         if lab not in multiplets:
             raise ValueError(f"no multiplet supplied for charged label {lab!r}")
     for lab, _ in active:
-        _require_endomorphism(multiplets[lab], rep)
+        failure = endomorphism_failure(multiplets[lab].matrices, rep)
+        if failure is not None:
+            raise ValueError(f"morphism {lab!r} is {failure}")
     psi_vec = np.zeros(d, dtype=complex)
     for lab, w in active:
         for m in multiplets[lab].matrices:

@@ -12,6 +12,7 @@ kind of input loads only that engine.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -115,9 +116,23 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _count(obj, key: str, least: int = 0) -> int:
+    """``obj[key]`` as a count: ``InputFormatError`` unless it is a finite,
+    integral number of at least ``least`` (``KeyError`` when it is missing)."""
+    value = obj[key]
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (math.isfinite(number) and number == int(number) and number >= least):
+        raise InputFormatError(
+            f"'{key}' must be an integer of at least {least}, got {value!r}")
+    return int(number)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _count(obj, "rows"), _count(obj, "cols")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as err:
@@ -152,7 +167,7 @@ def algebra_from_json(obj) -> OperatorAlgebra:
             'field algebra must be {"full_dim": d}, the full matrix algebra '
             "B(C^d); no other field algebra is supported"
         )
-    return full_matrix_algebra(int(obj["full_dim"]))
+    return full_matrix_algebra(_count(obj, "full_dim"))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +223,8 @@ def net_from_json(obj) -> LatticeNet:
     from .dhrnet import LatticeNet
 
     try:
-        sites = int(obj["sites"])
-        onsite_dim = int(obj["onsite_dim"])
+        sites = _count(obj, "sites", least=1)
+        onsite_dim = _count(obj, "onsite_dim")
     except (KeyError, TypeError) as err:
         raise InputFormatError(f"bad net object: {err}") from err
     group = group_from_json(obj.get("group", "cyclic:2"))

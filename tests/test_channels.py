@@ -365,7 +365,7 @@ class TestWarmStart:
 
     @staticmethod
     def system(m, data):
-        """The [M - data 1^T; 1^T] system that invert_design hands to _nnls."""
+        """The [M - data 1^T; 1^T] system that invert_cq hands to _nnls."""
         a = np.vstack([m - data[:, None], np.ones(m.shape[1])])
         return a, np.concatenate([np.zeros(len(data)), [1.0]])
 

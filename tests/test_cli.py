@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -37,6 +38,64 @@ class TestJsonRoundTrips:
     def test_matrix_shape_mismatch(self):
         with pytest.raises(io.InputFormatError):
             io.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.9, -1])
+    @pytest.mark.parametrize("field", ["rows", "cols", "sites", "onsite_dim"])
+    def test_counts_must_be_integral(self, field, value):
+        # a count is a finite, integral, non-negative number (sites >= 1):
+        # int() would raise OverflowError on inf and read 2.9 as 2
+        net = io.net_to_json(z2_chain_net(2))
+        obj = net if field in ("sites", "onsite_dim") else net["onsite_rep"][0]
+        obj[field] = value
+        with pytest.raises(io.InputFormatError, match=f"'{field}' must be an integer"):
+            io.net_from_json(net)
+
+    @pytest.mark.parametrize("value", [float("inf"), 2.9, -1])
+    def test_field_dimension_is_a_count(self, value):
+        assert io.algebra_from_json({"full_dim": 4.0}).ambient_dim == 4
+        with pytest.raises(io.InputFormatError, match="'full_dim' must be an integer"):
+            io.algebra_from_json({"full_dim": value})
+
+    def test_integral_float_counts_accepted(self):
+        net = io.net_to_json(z2_chain_net(2))
+        net["sites"], net["onsite_rep"][0]["rows"] = 2.0, 2.0
+        assert io.net_from_json(net).n_sites == 2
+        with pytest.raises(io.InputFormatError, match="'sites' must be an integer of at least 1"):
+            io.net_from_json({**net, "sites": 0})
+
+    def test_infinite_rows_exit_2(self, example_tree, tmp_path):
+        z3 = example_tree / "z2_chain_3"
+        state = json.loads((z3 / "flipped_state.json").read_text())
+        state["density"]["rows"] = float("inf")  # written as Infinity
+        (tmp_path / "state.json").write_text(json.dumps(state))
+        proc = run_cli("dhr", "check", "--net", str(z3 / "net.json"),
+                       "--state", str(tmp_path / "state.json"),
+                       "--vacuum", str(z3 / "vacuum.json"))
+        assert proc.returncode == cli.EXIT_INPUT_ERROR
+        assert "'rows' must be an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_site_count_checked_before_the_power(self, example_tree, tmp_path):
+        # 2 ** int(1e308) would be formed exactly; the child runs under an
+        # address-space cap and a time limit so that a regression cannot
+        # take the machine's memory
+        z3 = example_tree / "z2_chain_3"
+        net = json.loads((z3 / "net.json").read_text())
+        net["sites"] = 1e308
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        cap = 2 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sectorlab.cli", "dhr", "check",
+             "--net", str(tmp_path / "net.json"), "--state", str(z3 / "flipped_state.json"),
+             "--vacuum", str(z3 / "vacuum.json")],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit, env=env)
+        assert proc.returncode == cli.EXIT_INPUT_ERROR, proc.stderr
+        assert "sites exceed the cap: at most 8 sites of dimension 2" in proc.stderr
 
     def test_state(self):
         s = vector_state([1, 1j], "plus-i")
@@ -718,7 +777,7 @@ print(json.dumps({"code": code, "modules": mods}), file=sys.stderr)
     ("thermal estimate", "thermal", {"groups", "sectors", "dhrnet", "cuntz", "models"}),
     ("channels invert", "channels", {"groups", "sectors", "dhrnet", "cuntz", "models"}),
     ("dhr check", "dhrnet", {"thermal", "cuntz", "models", "sectors", "channels"}),
-    ("dhr invert", "dhrnet", {"thermal", "cuntz", "models"}),
+    ("dhr invert", "dhrnet", {"thermal", "cuntz", "models", "sectors", "channels"}),
     ("sectors analyze", "sectors", {"thermal", "cuntz", "models"}),
 ])
 def test_subcommand_loads_only_its_engines(command, runs, unloaded, example_tree,

@@ -32,6 +32,7 @@ from sectorlab.dhrnet import (
 from sectorlab.groups import (
     builtin_group,
     cyclic_rep_from_unitary,
+    endomorphism_failure,
     endomorphism_residuals,
     fixed_point_algebra,
     intertwiner_space,
@@ -195,6 +196,19 @@ class TestDhrCheck:
     def test_dimension_mismatch(self, net3):
         with pytest.raises(ValueError):
             dhr_check(z2_vacuum(2), z2_vacuum(3), net3)
+
+
+class TestSiteCap:
+    @pytest.mark.parametrize("onsite, fits", [
+        (z2_onsite_rep(), 8), (permutation_rep(3), 5),
+        (groups.trivial_rep(groups.cyclic_group(2)), 8),
+    ], ids=["d0=2", "d0=3", "d0=1"])
+    def test_most_sites_within_the_cap(self, onsite, fits):
+        # max(d0, 2) ** n_sites <= 256, compared before d0 ** n_sites is formed
+        assert LatticeNet(fits, onsite).n_sites == fits
+        with pytest.raises(ValueError, match=f"{fits + 1} sites exceed the cap: "
+                                             f"at most {fits} sites"):
+            LatticeNet(fits + 1, onsite)
 
 
 class TestMorphisms:
@@ -639,6 +653,21 @@ class TestInversionSearch:
         # no interval is a witness: only the identity was tried
         assert (result.miss, result.n_tried) == ("excluded", 1)
 
+    def test_non_unital_word_refused(self, net3):
+        # c X with c^2 = 1 + 5e-9 keeps every residual at zero and selects
+        # c^2 times the flipped state, within tol = 1e-8 of it, but misses
+        # unitality by 5e-9 sqrt(8) > 1e-9 * 8: validate refuses the
+        # morphism, and so does the search, by the same test
+        vac, omega = z2_vacuum(3), _flip_state(3, (1,))
+        cx = np.sqrt(1 + 5e-9) * SX
+        with pytest.raises(ValueError, match="not unital"):
+            localized_morphism(net3, [1], [cx], "cX").validate()
+        result = invert_selected_state(omega, vac, net3, candidates=[("cX", cx)])
+        assert not result.found and result.miss == "not_found"
+        result = invert_selected_state(omega, vac, net3, candidates=[("cX", cx), ("X", SX)])
+        assert result.morphism.label == "X@(1,)"
+        result.morphism.validate()
+
 
 def _random_density(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -767,8 +796,8 @@ class TestNormalizerTest:
                 morph = localized_morphism(net3, region, [u], "u")
                 old = all(span_residual(obs.basis, morph.apply_raw(b)) <= 1e-9
                           for b in obs.basis)
-                new = endomorphism_residuals([u], net3.global_rep, dhrnet._legs(
-                    net3, len(region))).max() <= la.MORPHISM_CUT
+                new = endomorphism_failure([u], net3.global_rep, dhrnet._legs(
+                    net3, len(region))) is None
                 assert new == old, (region, [name for name, _ in combo])
                 verdicts.add(new)
         assert verdicts == {True, False}

@@ -81,6 +81,13 @@ class TestFiniteGroup:
         assert builtin_group("quaternion:8").order == 8
         with pytest.raises(ValueError):
             builtin_group("lie:su2")
+        # only the families that take an order sit in the table
+        assert set(groups.BUILTIN_GROUPS) == {"cyclic", "symmetric"}
+        assert builtin_group("quaternion").name == "quaternion:8"
+        with pytest.raises(ValueError, match="only quaternion:8"):
+            builtin_group("quaternion:4")
+        with pytest.raises(ValueError, match="needs an order"):
+            builtin_group("cyclic")
 
 
 class TestRepresentations:
@@ -147,6 +154,47 @@ class TestAverage:
                            rep.matrices.conj()) / 6
         for f, mf in zip(fs, direct):
             assert np.abs(average(f, rep) - mf).max() <= 1e-14
+
+
+class TestEndomorphismFailure:
+    """One test decides whether a multiplet implements a unital
+    *-endomorphism of the observables: unitality, then multiplicativity
+    (the residual at g = e), then invariance (every residual)."""
+
+    rep = tensor_power_rep(z2_rep(), 2)
+
+    def failure(self, *mats):
+        return groups.endomorphism_failure(np.array(mats), self.rep)
+
+    def test_unitary_flip_passes(self):
+        assert self.failure(kron_all(SX, I2)) is None
+        assert self.failure(np.eye(4)) is None
+
+    def test_each_check_names_itself(self):
+        # 2 X keeps every residual at zero but maps 1 to 4
+        assert groups.endomorphism_residuals([2 * kron_all(SX, I2)], self.rep).max() == 0
+        assert "not unital" in self.failure(2 * kron_all(SX, I2))
+        p0 = kron_all(np.diag([1.0, 0.0]), I2)
+        assert "not multiplicative" in self.failure(p0, np.eye(4) - p0)
+        assert "leaves the observable algebra" in self.failure(kron_all((SX + SZ) / np.sqrt(2), I2))
+
+    def test_nan_fails(self):
+        bad = kron_all(SX, I2)
+        bad[0, 1] = np.nan
+        assert self.failure(bad) is not None
+
+    def test_factors_agree_with_the_embedded_multiplet(self):
+        # psi = f (x) 1 on a 2-site chain, read on its first site's legs
+        legs = (z2_rep(), z2_rep())
+        kinds = set()
+        for f in (SX, SZ, 2 * SX, (SX + SZ) / np.sqrt(2), np.diag([1.0, 0.0])):
+            on_legs = groups.endomorphism_failure([f], self.rep, legs)
+            embedded = self.failure(kron_all(f, I2))
+            # the same verdict and the same failing check; values may round apart
+            kind = [None if r is None else r.split(" (")[0] for r in (on_legs, embedded)]
+            assert kind[0] == kind[1], f
+            kinds.add(kind[0])
+        assert len(kinds) == 3
 
 
 class TestFixedPointAlgebra:

@@ -232,6 +232,18 @@ def test_relations_reject_nan():
         cyclic_rep_from_unitary(bad, 2)
 
 
+def test_near_fails_an_overflowing_norm():
+    # ||x - x*|| and ||x|| both overflow for a lone 1e308 off the diagonal;
+    # a Hermitian x whose norm overflows cannot be told apart and fails too
+    # (warnings are errors in this suite, so the verdict comes without one)
+    lone = np.array([[0.0, 1e308], [0.0, 0.0]], dtype=complex)
+    assert not la.near(lone, la.dagger(lone), 1e-10)
+    big = np.full((2, 2), 1e308, dtype=complex)
+    assert not la.near(big, big, 1e-10)
+    assert not la.near(np.zeros((2, 2)), np.zeros((2, 2)), 1e-10, ref=big)
+    assert la.near(np.eye(2) * 1e150, np.eye(2) * 1e150, 1e-10)
+
+
 @pytest.mark.parametrize("scale", [0.25, 4.0])
 @pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
 def test_operator_tol(scale, factor, accepted):
@@ -301,15 +313,6 @@ def test_membership_cut(factor, accepted):
     assert _verdict(hier.validate_nesting) is accepted
 
 
-@pytest.mark.parametrize("factor, partial", [(INSIDE, False), (OUTSIDE, True)])
-def test_isometry_cut(factor, partial):
-    # sqrt(1 + t) 1 misses both Cuntz relations by t sqrt(2), cut at 1e-10
-    from sectorlab.sectors import ChargedMultiplet
-
-    t = factor * 1e-10 / np.sqrt(2)
-    assert ChargedMultiplet("m", (np.sqrt(1 + t) * np.eye(2),)).is_partial() is partial
-
-
 @pytest.mark.parametrize("factor, passed", [(INSIDE, True), (OUTSIDE, False)])
 def test_positive_unital_cut(factor, passed):
     # a row on B(C^2)'s units E_00, E_01, E_10, E_11: phi(1) is the sum of
@@ -340,8 +343,8 @@ def test_tie_slack(factor, weights):
     # otherwise the NNLS vertex stays
     delta = factor * 1e-12
     space = channels.ClassifyingSpace(("a", "b", "c"))
-    result = channels.invert_design(np.array([[0.0, 1.0, 2.0]]), np.array([1 / 3 - 2 * delta]),
-                                    space)
+    result = channels._invert(np.array([[0.0, 1.0, 2.0]]), np.array([1 / 3 - 2 * delta]),
+                              space)[0]
     assert not result.unique
     assert np.allclose(result.weight.weights, weights, rtol=0, atol=1e-9)
 

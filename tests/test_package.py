@@ -26,10 +26,10 @@ DEFINED_IN = {
     "dhrnet": ["LatticeNet", "LocalizedMorphism", "dhr_check", "haag_duality_check",
                "localized_morphism", "region_algebra", "selected_state",
                "solve_intertwiners"],
-    "groups": ["FiniteGroup", "SectorDecomposition", "UnitaryRep", "average",
+    "groups": ["ChargedMultiplet", "FiniteGroup", "SectorDecomposition", "UnitaryRep", "average",
                "builtin_group", "fixed_point_algebra", "intertwiner_space",
                "isotypic_decomposition"],
-    "sectors": ["ChargedMultiplet", "charging_channel", "decompose_sectors",
+    "sectors": ["charging_channel", "decompose_sectors",
                 "estimate_charge", "induce_charged_state", "k_map"],
     "thermal": ["HamiltonianSystem", "ObservableHierarchy", "ThermalGrid",
                 "build_thermal_channel", "gibbs_state", "hierarchy_report",
@@ -155,6 +155,26 @@ def test_import_loads_a_submodule_on_first_use():
     loaded = _loaded_after("import sectorlab; sectorlab.gauge_act")
     assert "sectorlab.cuntz" in loaded
     assert "sectorlab.thermal" not in loaded and "sectorlab.algebra" not in loaded
+
+
+def test_charged_multiplet_resolves_through_groups():
+    # the lattice checks use the class without the sector and channel engines
+    from sectorlab import groups, sectors
+
+    assert sectors.ChargedMultiplet is groups.ChargedMultiplet
+    assert sectors.identity_multiplet is groups.identity_multiplet
+    loaded = _loaded_after("import sectorlab; sectorlab.ChargedMultiplet")
+    assert "sectorlab.groups" in loaded
+    assert "sectorlab.sectors" not in loaded and "sectorlab.channels" not in loaded
+
+
+def test_folded_and_deleted_names_are_gone():
+    from sectorlab import _linalg, channels, groups
+
+    assert not hasattr(channels, "invert_design")  # folded into invert_cq
+    assert not hasattr(_linalg, "ISOMETRY_CUT")
+    for name in ("is_partial", "isometry_defect", "unit_defect"):
+        assert not hasattr(groups.ChargedMultiplet, name)
 
 
 def test_errors_module_imports_nothing_from_the_package():

@@ -294,16 +294,6 @@ class TestInducedChargedState:
 
 
 class TestMultiplets:
-    def test_unitary_multiplet_is_full(self):
-        m = ChargedMultiplet("u", (kron_all(SX, I2),))
-        assert not m.is_partial()
-
-    def test_partial_multiplet_flagged(self):
-        iso = np.zeros((4, 4), dtype=complex)
-        iso[0, 0] = 1.0
-        m = ChargedMultiplet("p", (iso,))
-        assert m.is_partial()
-
     def test_sector_energies(self, chain2):
         h = -kron_all(SZ, SZ)
         energies = sector_energies(chain2["decomposition"], h)
@@ -341,6 +331,15 @@ class TestSectorEnergyInputs:
         h[0, 3] = 50.0
         with pytest.raises(ValueError, match="Hamiltonian must be Hermitian"):
             sector_energies(z2_chain_sector_model(2)["decomposition"], h)
+        code, out, err = self.analyze(tmp_path, capsys, h)
+        assert code == 2 and out == ""
+        assert "Hamiltonian must be Hermitian" in err
+
+    def test_overflowing_entry_rejected(self, tmp_path, capsys):
+        # a lone 1e308 at (0, 3): both Frobenius norms of the Hermiticity
+        # test overflow, and inf <= inf must not pass
+        h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        h[0, 3] = 1e308
         code, out, err = self.analyze(tmp_path, capsys, h)
         assert code == 2 and out == ""
         assert "Hamiltonian must be Hermitian" in err
