@@ -10,12 +10,15 @@ reports are deterministic for a fixed seed and print numbers with 17
 significant digits.
 
 Each subcommand's handler imports the engines it runs in its first lines,
-so a call loads only the modules on its own path.
+so a call loads only the modules on its own path.  Every input file goes
+through :func:`sectorlab.serialize.read`, so a file of the wrong shape is
+an input error that names it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -60,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--rep", required=True)
     an.add_argument("--state")
     an.add_argument("--hamiltonian")
+    an.set_defaults(run=_run_sectors_analyze)
 
     th = sub.add_parser("thermal", help="thermality criterion")
     th_sub = th.add_subparsers(dest="subcommand", required=True)
@@ -71,20 +75,19 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--tol", type=float, default=CRITERION_TOL)
     est.add_argument("--csv", help="write thermal functions of the finest "
                                    "level's probes here")
+    est.set_defaults(run=_run_thermal_estimate)
 
     dhr = sub.add_parser("dhr", help="locality selection criterion")
     dhr_sub = dhr.add_subparsers(dest="subcommand", required=True)
-    chk = dhr_sub.add_parser("check")
-    chk.add_argument("--net", required=True)
-    chk.add_argument("--state", required=True)
-    chk.add_argument("--vacuum", required=True)
-    chk.add_argument("--tol", type=float, default=CRITERION_TOL)
+    net_args = argparse.ArgumentParser(add_help=False)
+    net_args.add_argument("--net", required=True)
+    net_args.add_argument("--state", required=True)
+    net_args.add_argument("--vacuum", required=True)
+    net_args.add_argument("--tol", type=float, default=CRITERION_TOL)
+    chk = dhr_sub.add_parser("check", parents=[net_args])
     chk.add_argument("--all-subsets", action="store_true")
-    inv = dhr_sub.add_parser("invert")
-    inv.add_argument("--net", required=True)
-    inv.add_argument("--state", required=True)
-    inv.add_argument("--vacuum", required=True)
-    inv.add_argument("--tol", type=float, default=CRITERION_TOL)
+    chk.set_defaults(run=_run_dhr_check)
+    dhr_sub.add_parser("invert", parents=[net_args]).set_defaults(run=_run_dhr_invert)
 
     cz = sub.add_parser("cuntz", help="word arithmetic")
     cz_sub = cz.add_subparsers(dest="subcommand", required=True)
@@ -93,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     nf.add_argument("--expr", required=True)
     nf.add_argument("--json", action="store_true",
                     help="emit the term list as JSON instead of plain text")
+    nf.set_defaults(run=_run_cuntz_nf)
 
     ch = sub.add_parser("channels", help="moment-problem inversion")
     ch_sub = ch.add_subparsers(dest="subcommand", required=True)
@@ -103,11 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     cin.add_argument("--tol", type=float, default=CRITERION_TOL)
     cin.add_argument("--design-csv", dest="design_csv",
                      help="export the design matrix for external audit")
+    cin.set_defaults(run=_run_channels_invert)
 
     ex = sub.add_parser("examples", help="bundled worked models")
     ex_sub = ex.add_subparsers(dest="subcommand", required=True)
     init = ex_sub.add_parser("init")
     init.add_argument("--dir", default="sectorlab_examples")
+    init.set_defaults(run=_run_examples_init)
 
     return p
 
@@ -141,7 +147,10 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def _emit(report: dict, args) -> None:
-    text = _render(report, args.format)
+    _write(_render(report, args.format), args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -152,7 +161,7 @@ def _emit(report: dict, args) -> None:
 def _load_group_arg(value: str):
     """A group argument is either a JSON file or a built-in name (cyclic:2)."""
     if os.path.exists(value):
-        return io.group_from_json(io.load_json(value))
+        return io.read(value, io.group_from_json)
     if ":" in value and os.sep not in value:
         return io.group_from_json(value)
     raise InputFormatError(
@@ -160,12 +169,20 @@ def _load_group_arg(value: str):
     )
 
 
+def _check_values(measured: dict, names: list, data_path, probes_path) -> None:
+    """An input error naming both files unless every probe has a value."""
+    missing = [n for n in dict.fromkeys(names) if n not in measured]
+    if missing:
+        raise InputFormatError(
+            f"{data_path}: no values for the probes {missing} of {probes_path}")
+
+
 def _run_sectors_analyze(args) -> int:
     from .sectors import decompose_sectors, estimate_charge, sector_energies
 
-    field = io.algebra_from_json(io.load_json(args.field))
+    field = io.read(args.field, io.algebra_from_json)
     group = _load_group_arg(args.group)
-    rep = io.rep_from_json(io.load_json(args.rep), group=group)
+    rep = io.read(args.rep, functools.partial(io.rep_from_json, group=group))
     decomp = decompose_sectors(field, rep, seed=args.seed)
     report = {
         "labels": list(decomp.labels),
@@ -178,13 +195,13 @@ def _run_sectors_analyze(args) -> int:
         "reconstruction_residual": decomp.reconstruction_residual(rep),
     }
     if args.state:
-        omega = io.state_from_json(io.load_json(args.state))
+        omega = io.read(args.state, io.state_from_json)
         nu = estimate_charge(omega, decomp)
         report["charges"] = {
             lab: float(w) for lab, w in zip(decomp.labels, nu.weights)
         }
     if args.hamiltonian:
-        h = io.matrix_from_json(io.load_json(args.hamiltonian))
+        h = io.read(args.hamiltonian, io.matrix_from_json)
         report["sector_energies"] = sector_energies(decomp, h)
     _emit(report, args)
     return EXIT_OK
@@ -194,10 +211,12 @@ def _run_thermal_estimate(args) -> int:
     from .channels import design_matrix
     from .thermal import build_thermal_channel, hierarchy_report
 
-    system = io.system_from_json(io.load_json(args.system))
-    grid = io.grid_from_json(io.load_json(args.grid))
-    measured = io.measured_from_json(io.load_json(args.measured))
-    hierarchy = io.hierarchy_from_json(io.load_json(args.hierarchy))
+    system = io.read(args.system, io.system_from_json)
+    grid = io.read(args.grid, io.grid_from_json)
+    measured = io.read(args.measured, io.measured_from_json)
+    hierarchy = io.read(args.hierarchy, io.hierarchy_from_json)
+    _check_values(measured, [n for _, probes in hierarchy.levels for n, _ in probes],
+                  args.measured, args.hierarchy)
     channel = build_thermal_channel(system, grid)
     report = hierarchy_report(measured, hierarchy, channel, tol=args.tol)
     payload = {
@@ -240,12 +259,17 @@ def _run_thermal_estimate(args) -> int:
     return EXIT_OK if payload["max_accepted_level"] is not None else EXIT_REJECTED
 
 
+def _read_net_and_states(args):
+    """The net, the state and the vacuum of a ``dhr`` subcommand."""
+    return (io.read(args.net, io.net_from_json),
+            io.read(args.state, io.state_from_json),
+            io.read(args.vacuum, io.state_from_json))
+
+
 def _run_dhr_check(args) -> int:
     from .dhrnet import dhr_check
 
-    net = io.net_from_json(io.load_json(args.net))
-    omega = io.state_from_json(io.load_json(args.state))
-    vacuum = io.state_from_json(io.load_json(args.vacuum))
+    net, omega, vacuum = _read_net_and_states(args)
     report = dhr_check(omega, vacuum, net, tol=args.tol,
                        all_subsets=args.all_subsets)
     payload = {
@@ -263,9 +287,7 @@ def _run_dhr_check(args) -> int:
 def _run_dhr_invert(args) -> int:
     from .dhrnet import invert_selected_state
 
-    net = io.net_from_json(io.load_json(args.net))
-    omega = io.state_from_json(io.load_json(args.state))
-    vacuum = io.state_from_json(io.load_json(args.vacuum))
+    net, omega, vacuum = _read_net_and_states(args)
     result = invert_selected_state(omega, vacuum, net, tol=args.tol)
     payload = {
         "found": result.found,
@@ -305,24 +327,19 @@ def _run_cuntz_nf(args) -> int:
         # the JSON report's finiteness check, so that a non-finite
         # coefficient is the same input error in both formats
         io.dumps_canonical(terms)
-        text = str(poly) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(str(poly) + "\n", args)
     return EXIT_OK
 
 
 def _run_channels_invert(args) -> int:
     from .channels import design_matrix, invert_cq
 
-    channel = io.channel_from_json(io.load_json(args.channel))
-    probes = io.probes_from_json(io.load_json(args.probes))
-    measured = io.measured_from_json(io.load_json(args.data))
-    missing = [n for n, _ in probes if n not in measured]
-    if missing:
-        raise InputFormatError(f"data missing probe values: {missing}")
+    channel = io.read(args.channel, io.channel_from_json)
+    probes = io.read(args.probes, io.probes_from_json)
+    measured = io.read(args.data, io.measured_from_json)
+    if not probes:
+        raise InputFormatError(f"{args.probes}: at least one probe is required")
+    _check_values(measured, [n for n, _ in probes], args.data, args.probes)
     mats = [m for _, m in probes]
     data = np.array([measured[n] for n, _ in probes])
     result = invert_cq(channel, mats, data)
@@ -357,29 +374,10 @@ def _run_examples_init(args) -> int:
     return EXIT_OK
 
 
-def run(args) -> int:
-    if args.command == "sectors":
-        return _run_sectors_analyze(args)
-    if args.command == "thermal":
-        return _run_thermal_estimate(args)
-    if args.command == "dhr":
-        if args.subcommand == "check":
-            return _run_dhr_check(args)
-        return _run_dhr_invert(args)
-    if args.command == "cuntz":
-        return _run_cuntz_nf(args)
-    if args.command == "channels":
-        return _run_channels_invert(args)
-    if args.command == "examples":
-        return _run_examples_init(args)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return run(args)
+        return args.run(args)
     # an output path that cannot be written; a failed write() names no file
     except OSError as err:
         where = "" if err.filename is None else f"{err.filename}: "

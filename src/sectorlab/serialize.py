@@ -6,7 +6,11 @@ builders keep deterministic; identical inputs therefore produce identical
 bytes.  The full schema catalogue lives in docs/schemas.md.
 
 Each loader imports the engine whose objects it builds, so reading one
-kind of input loads only that engine.
+kind of input loads only that engine.  A loader indexes its JSON as the
+schema says and checks only what Python would accept: a count's value, a
+matrix's size, a value the engines reject.  :func:`read` turns the
+``KeyError`` or ``TypeError`` of any other misshapen input into an
+``InputFormatError`` that names the file.
 """
 
 from __future__ import annotations
@@ -131,12 +135,9 @@ def _count(obj, key: str, least: int = 0) -> int:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    try:
-        rows, cols = _count(obj, "rows"), _count(obj, "cols")
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as err:
-        raise InputFormatError(f"bad matrix object: {err}") from err
+    rows, cols = _count(obj, "rows"), _count(obj, "cols")
+    re = np.asarray(obj["re"], dtype=float)
+    im = np.asarray(obj["im"], dtype=float)
     if re.size != rows * cols or im.size != rows * cols:
         raise InputFormatError(
             f"matrix entries ({re.size}) do not match {rows}x{cols}"
@@ -151,8 +152,6 @@ def state_to_json(s: State) -> dict:
 def state_from_json(obj) -> State:
     from .algebra import State
 
-    if "density" not in obj:
-        raise InputFormatError("state object needs a 'density' field")
     s = State(matrix_from_json(obj["density"]), label=str(obj.get("label", "")))
     s.validate()
     return s
@@ -176,13 +175,14 @@ def algebra_from_json(obj) -> OperatorAlgebra:
 
 
 def group_from_json(obj) -> FiniteGroup:
-    from .groups import FiniteGroup, builtin_group
+    from .groups import FiniteGroup, builtin_group, check_order
 
     if isinstance(obj, str):
         g = builtin_group(obj)
     elif isinstance(obj, dict) and "name" in obj:
         g = builtin_group(str(obj["name"]))
     elif isinstance(obj, dict) and "table" in obj:
+        check_order(len(obj["table"]))
         g = FiniteGroup(np.asarray(obj["table"], dtype=int),
                         name=str(obj.get("label", "")))
     else:
@@ -200,11 +200,7 @@ def group_to_json(g: FiniteGroup) -> dict:
 def rep_from_json(obj, group: FiniteGroup | None = None) -> UnitaryRep:
     from .groups import UnitaryRep
 
-    if "matrices" not in obj:
-        raise InputFormatError("representation object needs 'matrices'")
     if group is None:
-        if "group" not in obj:
-            raise InputFormatError("representation object needs 'group'")
         group = group_from_json(obj["group"])
     rep = UnitaryRep(group, np.array([
         matrix_from_json(m) for m in obj["matrices"]
@@ -222,11 +218,8 @@ def rep_to_json(rep: UnitaryRep) -> dict:
 def net_from_json(obj) -> LatticeNet:
     from .dhrnet import LatticeNet
 
-    try:
-        sites = _count(obj, "sites", least=1)
-        onsite_dim = _count(obj, "onsite_dim")
-    except (KeyError, TypeError) as err:
-        raise InputFormatError(f"bad net object: {err}") from err
+    sites = _count(obj, "sites", least=1)
+    onsite_dim = _count(obj, "onsite_dim")
     group = group_from_json(obj.get("group", "cyclic:2"))
     rep = rep_from_json({"matrices": obj["onsite_rep"]}, group=group)
     if rep.dim != onsite_dim:
@@ -254,8 +247,6 @@ def net_to_json(net: LatticeNet) -> dict:
 def system_from_json(obj) -> HamiltonianSystem:
     from .thermal import HamiltonianSystem
 
-    if "hamiltonian" not in obj:
-        raise InputFormatError("system object needs 'hamiltonian'")
     number = obj.get("number")
     return HamiltonianSystem(
         matrix_from_json(obj["hamiltonian"]),
@@ -273,16 +264,12 @@ def system_to_json(sys: HamiltonianSystem) -> dict:
 def grid_from_json(obj) -> ThermalGrid:
     from .thermal import ThermalGrid
 
-    pts = obj.get("points")
-    if not isinstance(pts, list) or not pts:
+    pts = obj["points"]
+    if not pts:
         raise InputFormatError("grid object needs a nonempty 'points' list")
-    points = []
-    for p in pts:
-        if "beta" not in p:
-            raise InputFormatError("every grid point needs 'beta'")
-        points.append((float(p["beta"]),
-                       float(p["mu"]) if "mu" in p and p["mu"] is not None else None))
-    return ThermalGrid(tuple(points))
+    return ThermalGrid(tuple(
+        (float(p["beta"]), None if p.get("mu") is None else float(p["mu"]))
+        for p in pts))
 
 
 def grid_to_json(grid: ThermalGrid) -> dict:
@@ -296,14 +283,7 @@ def grid_to_json(grid: ThermalGrid) -> dict:
 
 
 def probes_from_json(obj) -> list[tuple[str, np.ndarray]]:
-    if not isinstance(obj, list):
-        raise InputFormatError("probes must be a list of {'name','matrix'}")
-    out = []
-    for item in obj:
-        if "name" not in item or "matrix" not in item:
-            raise InputFormatError("each probe needs 'name' and 'matrix'")
-        out.append((str(item["name"]), matrix_from_json(item["matrix"])))
-    return out
+    return [(str(item["name"]), matrix_from_json(item["matrix"])) for item in obj]
 
 
 def probes_to_json(probes) -> list:
@@ -311,24 +291,15 @@ def probes_to_json(probes) -> list:
 
 
 def measured_from_json(obj) -> dict[str, float]:
-    vals = obj.get("values")
-    if not isinstance(vals, dict):
-        raise InputFormatError("measured data needs a 'values' mapping")
-    return {str(k): float(v) for k, v in vals.items()}
+    return {str(k): float(v) for k, v in obj["values"].items()}
 
 
 def hierarchy_from_json(obj) -> ObservableHierarchy:
     from .thermal import ObservableHierarchy
 
-    levels = obj.get("levels")
-    if not isinstance(levels, list):
-        raise InputFormatError("hierarchy object needs a 'levels' list")
-    parsed = []
-    for lv in levels:
-        if "name" not in lv or "probes" not in lv:
-            raise InputFormatError("each level needs 'name' and 'probes'")
-        parsed.append((str(lv["name"]), tuple(probes_from_json(lv["probes"]))))
-    h = ObservableHierarchy(tuple(parsed))
+    h = ObservableHierarchy(tuple(
+        (str(lv["name"]), tuple(probes_from_json(lv["probes"])))
+        for lv in obj["levels"]))
     h.validate_nesting()
     return h
 
@@ -355,16 +326,13 @@ def _label_from_json(obj):
 def channel_from_json(obj) -> ClassicalQuantumChannel:
     from .channels import ClassicalQuantumChannel, ClassifyingSpace
 
-    space_obj = obj.get("space")
-    fibres = obj.get("fibres")
-    if not isinstance(space_obj, dict) or not isinstance(fibres, list):
-        raise InputFormatError("channel object needs 'space' and 'fibres'")
+    space_obj = obj["space"]
     labels = tuple(_label_from_json(l) for l in space_obj.get("labels", []))
     names = space_obj.get("coord_names")
     space = ClassifyingSpace(labels,
                              None if names is None else tuple(names))
     return ClassicalQuantumChannel(
-        space, tuple(state_from_json(s) for s in fibres)
+        space, tuple(state_from_json(s) for s in obj["fibres"])
     )
 
 
@@ -386,3 +354,26 @@ def load_json(path):
         ) from err
     except OSError as err:
         raise InputFormatError(f"{path}: {err.strerror}") from err
+
+
+def read(path, loader):
+    """The object that ``loader`` builds from the JSON file at ``path``.
+
+    The one place where an input file becomes an object.  A field the
+    loader misses (``KeyError``) or a value of the wrong shape or type
+    (``TypeError``, ``AttributeError``, ``OverflowError``) is an
+    ``InputFormatError`` naming the file, and so is any other input error
+    of the loader's.  ``numpy.linalg.LinAlgError``, a ``ValueError`` of the
+    computation, passes through.
+    """
+    obj = load_json(path)
+    try:
+        return loader(obj)
+    except KeyError as err:
+        raise InputFormatError(f"{path}: missing field {err}") from err
+    except (TypeError, AttributeError, OverflowError) as err:
+        raise InputFormatError(f"{path}: malformed input: {err}") from err
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as err:
+        raise InputFormatError(f"{path}: {err}") from err

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -804,3 +806,133 @@ def test_sectors_analyze_leaves_numpy_ma_unloaded(example_tree, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(cli.EXIT_OK), "False"]
+
+
+# every file argument of every subcommand: (command, option)
+FILE_ARGS = [
+    (command, argv[i])
+    for command, argv in subcommands(Path("m"), csv=Path("c")).items()
+    for i in range(len(argv) - 1)
+    if argv[i].startswith("--") and argv[i + 1].endswith(".json")
+]
+WHOLE_FILE = [5, "x", [], None, {}]
+FIELD_VALUES = [None, "x", [0], {"x": 0}]
+DELETE = object()
+
+
+def field_paths(obj, path=()):
+    """Paths of the object members in ``obj``; a list is entered through its
+    first element only."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from field_paths(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        yield from field_paths(obj[0], path + (0,))
+
+
+def mutated(obj, path, value):
+    """A copy of ``obj`` with the member at ``path`` replaced, or deleted."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    parent = obj
+    for key in head:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return obj
+
+
+def run_main(argv, capsys):
+    code = cli.main(argv)
+    _, err = capsys.readouterr()
+    return code, err
+
+
+def test_every_malformed_input_file_exits_2_naming_it(example_tree, tmp_path, capsys):
+    # each file argument in turn: the whole file replaced, and each member
+    # replaced by a value of another type or deleted.  A run ends with the
+    # unmutated code (the member was optional or any string will do) or
+    # with exit 2 and a message naming the file; an escaping exception, the
+    # traceback of a real run, fails the test
+    failures = []
+    for command, option in FILE_ARGS:
+        argv = ["--out", str(tmp_path / "report"),
+                *subcommands(example_tree, csv=tmp_path / "out.csv")[command]]
+        i = argv.index(option) + 1
+        expected, _ = run_main(argv, capsys)
+        original = json.loads(Path(argv[i]).read_text())
+        bad = tmp_path / f"mutated_{Path(argv[i]).name}"
+        cases = [((), v) for v in WHOLE_FILE] + [
+            (path, v) for path in field_paths(original)
+            for v in FIELD_VALUES + [DELETE]]
+        for path, value in cases:
+            bad.write_text(json.dumps(mutated(original, path, value)))
+            try:
+                code, err = run_main([*argv[:i], str(bad), *argv[i + 1:]], capsys)
+            except Exception as exc:  # each escape is a finding
+                code, err = None, repr(exc)
+            last = err.strip().splitlines()[-1] if err.strip() else ""
+            named = last.startswith("error:") and str(bad) in last
+            if not (code == expected or (code == cli.EXIT_INPUT_ERROR and named)):
+                failures.append(f"{command} {option} {path} <- {value!r}: {code} {last}")
+    assert len(FILE_ARGS) == 18
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("command, option, path, value", [
+    ("thermal estimate", "--system", (), 5),
+    ("thermal estimate", "--grid", (), []),
+    ("channels invert", "--channel", (), []),
+    ("thermal estimate", "--measured", ("values", "unit"), None),
+    ("thermal estimate", "--grid", ("points",), [{"beta": None}]),
+    ("thermal estimate", "--hierarchy", ("levels", 0, "probes"), [5]),
+    ("dhr check", "--net", ("group",), {"order": 2, "table": [[0, 1], [1, float("inf")]]}),
+], ids=["system-5", "grid-list", "channel-list", "null-value", "null-beta",
+        "probe-5", "infinite-table-entry"])
+def test_wrong_type_is_an_input_error(command, option, path, value, example_tree,
+                                      tmp_path, capsys):
+    # each once escaped the loaders as a TypeError or OverflowError: a
+    # traceback and exit 1, the code of a rejection
+    argv = subcommands(example_tree, csv=tmp_path / "out.csv")[command]
+    i = argv.index(option) + 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutated(json.loads(Path(argv[i]).read_text()), path, value)))
+    code, err = run_main([*argv[:i], str(bad), *argv[i + 1:]], capsys)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert err.startswith(f"error: {bad}: ")
+
+
+def test_group_table_above_the_cap_exits_2(example_tree, tmp_path, capsys):
+    # the order is read off the table's length before numpy reads the
+    # table, which would fail on these ragged rows
+    d = example_tree / "z2_chain_2"
+    bad = tmp_path / "group.json"
+    bad.write_text(json.dumps({"table": [[0]] + [[0, 1]] * 256}))
+    code, err = run_main(["sectors", "analyze", "--field", str(d / "field.json"),
+                          "--group", str(bad), "--rep", str(d / "rep.json")], capsys)
+    assert code == cli.EXIT_INPUT_ERROR
+    assert err.startswith(f"error: {bad}: group order 257 exceeds the cap 256")
+
+
+def test_input_files_are_read_only_through_serialize_read():
+    # cli.py reads no JSON itself, and no loader catches its own errors:
+    # serialize.read is the one boundary that names the file
+    package = Path(cli.__file__).parent
+    cli_hits = [
+        node.lineno for node in ast.walk(ast.parse((package / "cli.py").read_text()))
+        if (isinstance(node, ast.Name) and node.id == "load_json")
+        or (isinstance(node, ast.Attribute) and node.attr == "load_json")
+    ]
+    assert not cli_hits, f"cli.py uses load_json at lines {cli_hits}"
+    loader_hits = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(ast.parse((package / "serialize.py").read_text()))
+        if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_from_json")
+        for node in ast.walk(fn) if isinstance(node, ast.Try)
+    ]
+    assert not loader_hits, f"loaders with a try statement: {loader_hits}"

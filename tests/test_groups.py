@@ -70,6 +70,44 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             FiniteGroup(np.array([[0, 1], [0, 1]])).validate()
 
+    def test_associativity_checked_on_every_triple_above_order_64(self):
+        # an intercalate of Z_128 (rows 1 and 65, columns 6 and 70) swapped:
+        # still a Latin square with identity 0 and inverses, but not a group,
+        # and no triple of a 2000-triple sample need hit its few failures
+        n = 128
+        idx = np.arange(n)
+        table = (idx[:, None] + idx[None, :]) % n
+        rows, cols = np.ix_([1, 1 + n // 2], [6, 6 + n // 2])
+        table[rows, cols] = table[rows, cols][::-1]
+        bad = FiniteGroup(table)
+        assert bad.identity == 0 and np.all(table[idx, bad.inverses] == 0)
+        with pytest.raises(ValueError, match=r"associativity fails at \(\d+,\d+,\d+\)"):
+            bad.validate()
+        cyclic_group(n).validate()
+
+    def test_orders_above_the_cap_rejected_before_any_table(self):
+        # a table of 200000**2 entries would be built first; the child runs
+        # under an address-space cap and a time limit
+        child = ("from sectorlab.groups import builtin_group\n"
+                 "try:\n    builtin_group('cyclic:200000')\n"
+                 "except ValueError as err:\n    print(err)\n")
+        cap = 1 << 30
+
+        def limit():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, timeout=60, preexec_fn=limit, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "group order 200000 exceeds the cap 256, the " \
+                              "largest regular representation held\n"
+        assert builtin_group("symmetric:5").order == 120
+        builtin_group("cyclic:256").validate()
+        with pytest.raises(ValueError, match="group order 257 exceeds the cap 256"):
+            cyclic_group(257).validate()
+
     def test_conjugacy_class_counts(self):
         assert len(cyclic_group(5).conjugacy_classes()) == 5
         assert len(symmetric_group(3).conjugacy_classes()) == 3
