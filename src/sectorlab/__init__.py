@@ -19,7 +19,7 @@ _EXPORTS = {
     "algebra": (
         "OperatorAlgebra", "State", "center", "commutant", "full_matrix_algebra",
         "generate_algebra", "minimal_central_projections", "scalar_algebra",
-        "state_distance_mod", "vector_state",
+        "vector_state",
     ),
     "channels": (
         "ClassicalQuantumChannel", "ClassifyingSpace", "ProbabilityWeight",
@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "groups": (
         "ChargedMultiplet", "FiniteGroup", "SectorDecomposition", "UnitaryRep", "average",
-        "builtin_group", "fixed_point_algebra", "intertwiner_space",
+        "builtin_group", "intertwiner_space",
         "isotypic_decomposition",
     ),
     "sectors": (

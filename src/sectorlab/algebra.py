@@ -321,18 +321,3 @@ def minimal_central_projections(alg: OperatorAlgebra) -> list[np.ndarray]:
         return (-rank, tuple(-x for x in diag))
     return sorted((w @ la.dagger(w) for w, _, _ in alg.block_columns()), key=sort_key)
 
-
-def state_distance_mod(
-    omega1: State, omega2: State, sub: OperatorAlgebra
-) -> float:
-    """Norm of omega1 - omega2 restricted to ``sub``: sup |omega1(B) - omega2(B)|
-    over B in ``sub`` with ||B|| <= 1, the trace norm of the projection
-    W (+ t_a / n_a (x) 1_n) W* of the density difference onto ``sub`` (as
-    :func:`~sectorlab.dhrnet.dhr_check`): the sum of the trace norms of the
-    partial traces t_a.  Zero exactly when the states agree on ``sub``; a
-    pseudo-metric for fixed ``sub``, independent of its Wedderburn unitary.
-    """
-    if omega1.dim != omega2.dim or omega1.dim != sub.ambient_dim:
-        raise ValueError("states and subalgebra must share the ambient dimension")
-    diff = omega1.density - omega2.density
-    return float(sum(np.linalg.norm(t, "nuc") for *_, t in sub.partial_traces(diff)))

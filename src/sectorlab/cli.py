@@ -245,12 +245,12 @@ def _run_thermal_estimate(args) -> int:
     }
     _emit(payload, args)
     if args.csv:
-        probes = hierarchy.levels[-1][1] if hierarchy.levels else ()
+        # the loader and hierarchy_report rejected every empty hierarchy or level
+        probes = hierarchy.levels[-1][1]
         header = ["beta", "mu"] + [name for name, _ in probes]
         rows = []
         # probe expectations on the channel's Gibbs states, column i = point i
-        values = (design_matrix(channel, [m for _, m in probes]) if probes
-                  else np.zeros((0, len(grid.points))))
+        values = design_matrix(channel, [m for _, m in probes])
         for i, (beta, mu) in enumerate(grid.points):
             rows.append([beta, 0.0 if mu is None else mu]
                         + [float(v) for v in values[:, i]])

@@ -210,13 +210,6 @@ class UnitaryRep:
         cols = np.argmax(nonzero, axis=2)
         return cols, np.take_along_axis(self.matrices, cols[..., None], axis=2)[..., 0]
 
-    def conjugate(self, g: int, f: np.ndarray) -> np.ndarray:
-        """The action tau_g(F) = U(g) F U(g)*."""
-        if self.monomial is None:
-            u = self.matrices[g]
-            return u @ f @ la.dagger(u)
-        return self._conjugates_by_index(slice(g, g + 1), f)[0]
-
     def _conjugates_by_index(self, gs: slice, f: np.ndarray) -> np.ndarray:
         """The stack of U(g) F U(g)* over a slice of the group, for a
         monomial rep: entry (i, j) is phases_i F[cols_i, cols_j] conj(phases_j),
@@ -280,12 +273,12 @@ def tensor_power_rep(rep: UnitaryRep, sites: int) -> UnitaryRep:
         return trivial_rep(rep.group)
     mats = rep.matrices
     for _ in range(sites - 1):
-        mats = np.array([np.kron(a, b) for a, b in zip(mats, rep.matrices)])
+        mats = la.kron(mats, rep.matrices)
     return UnitaryRep(rep.group, mats)
 
 
 # ---------------------------------------------------------------------------
-# conditional expectation, fixed points and intertwiners
+# conditional expectation and intertwiners
 # ---------------------------------------------------------------------------
 
 
@@ -428,36 +421,6 @@ def endomorphism_failure(factors, rep: UnitaryRep,
     if not worst <= la.MORPHISM_CUT:
         return no + f"its image leaves the observable algebra (residual {worst:.3e})"
     return None
-
-
-def fixed_point_algebra(f_alg: OperatorAlgebra, rep: UnitaryRep) -> OperatorAlgebra:
-    """The invariant subalgebra {A in F : tau_g(A) = A for all g}, F^G.
-
-    Requires tau_g(F) = F, checked on F's two generators for every g
-    (``ValueError`` otherwise).  The check is exact for any generating set:
-    tau_g is a *-automorphism of B(C^d), so tau_g(F) is the *-algebra
-    generated by the generators' images, which lies in F exactly when they
-    do, and it has F's dimension, so it is then all of F.  The copy basis W
-    the generators are built in moves only the rounding of the membership
-    tests.  Then the group average maps F onto F^G, so the averages of F's
-    projections of a random Hermitian and a random complex matrix are
-    generic elements of F^G, from which
-    :func:`~sectorlab.algebra.algebra_of` finds its Wedderburn data.  For
-    F = B(C^d) this is U', which ``isotypic_decomposition(rep)`` labels.
-    """
-    if rep.dim != f_alg.ambient_dim:
-        raise ValueError("representation dimension must match the ambient algebra")
-    d = f_alg.ambient_dim
-    for g in range(rep.group.order):
-        if not all(f_alg.contains(rep.conjugate(g, x)) for x in f_alg.generators):
-            raise ValueError(f"group element {g} does not map the algebra onto itself")
-
-    def draw(rng):
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return (average(f_alg.project(la.random_hermitian(rng, d)), rep),
-                average(f_alg.project(z), rep))
-
-    return algebra_of(draw)
 
 
 def _intertwiners(element, d1: int) -> np.ndarray:

@@ -51,8 +51,8 @@ def decompose_sectors(f_alg: OperatorAlgebra, rep: UnitaryRep,
     commutant, whose blocks are exactly the isotypic components of the
     implementing representation, and
     :meth:`SectorDecomposition.observable_algebra` builds it from them (no
-    commutant solve).  For a smaller F the observables F^G
-    (:func:`~sectorlab.groups.fixed_point_algebra`) have another centre.
+    commutant solve).  For a smaller F the observables F^G have another
+    centre.
     """
     d = f_alg.ambient_dim
     if rep.dim != d:

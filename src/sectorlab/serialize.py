@@ -8,7 +8,8 @@ bytes.  The full schema catalogue lives in docs/schemas.md.
 Each loader imports the engine whose objects it builds, so reading one
 kind of input loads only that engine.  A loader indexes its JSON as the
 schema says and checks only what Python would accept: a count's value, a
-matrix's size, a value the engines reject.  :func:`read` turns the
+matrix's size, a value the engines reject.  Every number it reads passes
+:func:`_number`, which takes only a JSON number.  :func:`read` turns the
 ``KeyError`` or ``TypeError`` of any other misshapen input into an
 ``InputFormatError`` that names the file.
 """
@@ -120,24 +121,53 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+#: the types of a JSON number as ``json`` reads it; a bool is not one of them
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _number(value, integral: bool = False) -> float | int:
+    """A number of an input file: ``InputFormatError`` unless ``value`` is a
+    JSON number, never a bool, and integral when ``integral``.  Returned as
+    an int when ``integral``, otherwise as a float, so NaN and the
+    infinities pass on to the engines, which reject them with their own
+    messages."""
+    if type(value) not in _NUMBER_TYPES:
+        raise InputFormatError(f"{value!r} is not a number")
+    if not integral:
+        return float(value)
+    if type(value) is float and not (math.isfinite(value) and value == int(value)):
+        raise InputFormatError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _numbers(values, integral: bool = False) -> np.ndarray:
+    """A list of numbers, or of such lists, read by :func:`_number` into a
+    float array, or an int array when ``integral``.  A flat list of floats
+    and ints, each of which :func:`_number` passes, goes to numpy in one
+    call."""
+    if integral or not set(map(type, values)) <= _NUMBER_TYPES:
+        values = [_numbers(v, integral) if type(v) is list else _number(v, integral)
+                  for v in values]
+    return np.array(values, dtype=int if integral else float)
+
+
 def _count(obj, key: str, least: int = 0) -> int:
-    """``obj[key]`` as a count: ``InputFormatError`` unless it is a finite,
+    """``obj[key]`` as a count: ``InputFormatError`` unless it is an
     integral number of at least ``least`` (``KeyError`` when it is missing)."""
     value = obj[key]
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not (math.isfinite(number) and number == int(number) and number >= least):
+        number = _number(value, integral=True)
+    except InputFormatError:
+        number = None
+    if number is None or number < least:
         raise InputFormatError(
             f"'{key}' must be an integer of at least {least}, got {value!r}")
-    return int(number)
+    return number
 
 
 def matrix_from_json(obj) -> np.ndarray:
     rows, cols = _count(obj, "rows"), _count(obj, "cols")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    re, im = _numbers(obj["re"]), _numbers(obj["im"])
     if re.size != rows * cols or im.size != rows * cols:
         raise InputFormatError(
             f"matrix entries ({re.size}) do not match {rows}x{cols}"
@@ -183,7 +213,7 @@ def group_from_json(obj) -> FiniteGroup:
         g = builtin_group(str(obj["name"]))
     elif isinstance(obj, dict) and "table" in obj:
         check_order(len(obj["table"]))
-        g = FiniteGroup(np.asarray(obj["table"], dtype=int),
+        g = FiniteGroup(_numbers(obj["table"], integral=True),
                         name=str(obj.get("label", "")))
     else:
         raise InputFormatError(
@@ -268,7 +298,7 @@ def grid_from_json(obj) -> ThermalGrid:
     if not pts:
         raise InputFormatError("grid object needs a nonempty 'points' list")
     return ThermalGrid(tuple(
-        (float(p["beta"]), None if p.get("mu") is None else float(p["mu"]))
+        (_number(p["beta"]), None if p.get("mu") is None else _number(p["mu"]))
         for p in pts))
 
 
@@ -291,12 +321,14 @@ def probes_to_json(probes) -> list:
 
 
 def measured_from_json(obj) -> dict[str, float]:
-    return {str(k): float(v) for k, v in obj["values"].items()}
+    return {str(k): _number(v) for k, v in obj["values"].items()}
 
 
 def hierarchy_from_json(obj) -> ObservableHierarchy:
     from .thermal import ObservableHierarchy
 
+    if not obj["levels"]:
+        raise InputFormatError("a hierarchy needs at least one level")
     h = ObservableHierarchy(tuple(
         (str(lv["name"]), tuple(probes_from_json(lv["probes"])))
         for lv in obj["levels"]))
@@ -319,7 +351,7 @@ def _label_to_json(label):
 
 def _label_from_json(obj):
     if isinstance(obj, list):
-        return tuple(float(x) for x in obj)
+        return tuple(_number(x) for x in obj)
     return str(obj)
 
 

@@ -21,6 +21,7 @@ from .channels import (
     ClassicalQuantumChannel,
     ClassifyingSpace,
     InversionResult,
+    ProbabilityWeight,
     _invert,
     design_matrix,
     invert_cq,
@@ -349,46 +350,28 @@ class ObservableHierarchy:
 
 
 @dataclass(frozen=True)
-class ThermalVerdict:
-    """Outcome of the thermality check at one probe level.
-
-    ``rank`` and ``sigma_min`` are the rank and smallest singular value of
-    the level's design matrix with the normalization row; ``iterations``,
-    ``kkt_residual`` and ``converged`` are the solver's state; all as in
-    ``InversionResult``.
-    """
+class ThermalVerdict(InversionResult):
+    """Outcome of the thermality check at one probe level: the level's
+    inversion (``rank`` and ``sigma_min`` are those of its design matrix
+    with the normalization row) and whether its residual is within
+    ``tolerance``."""
 
     level: str
     accepted: bool
-    weight_estimate: object  # ProbabilityWeight
-    residual: float
     tolerance: float
-    unique: bool
-    rank: int
-    sigma_min: float
-    nullspace_dim: int
-    moments: dict
-    iterations: int
-    kkt_residual: float
-    converged: bool
+
+    @property
+    def weight_estimate(self) -> ProbabilityWeight:
+        return self.weight
+
+    @property
+    def moments(self) -> dict[str, tuple[float, float]]:
+        return self.weight.moments()
 
 
 def _verdict(level_name: str, result: InversionResult, tol: float) -> ThermalVerdict:
-    return ThermalVerdict(
-        level=level_name,
-        accepted=result.residual <= tol,
-        weight_estimate=result.weight,
-        residual=result.residual,
-        tolerance=tol,
-        unique=result.unique,
-        rank=result.rank,
-        sigma_min=result.sigma_min,
-        nullspace_dim=result.nullspace_dim,
-        moments=result.weight.moments(),
-        iterations=result.iterations,
-        kkt_residual=result.kkt_residual,
-        converged=result.converged,
-    )
+    return ThermalVerdict(**vars(result), level=level_name,
+                          accepted=result.residual <= tol, tolerance=tol)
 
 
 def _level_data(measured: Mapping[str, float], level: ProbeSet) -> tuple[list, np.ndarray]:

@@ -15,14 +15,10 @@ from sectorlab.algebra import (
     generate_algebra,
     minimal_central_projections,
     scalar_algebra,
-    state_distance_mod,
-    vector_state,
 )
 
-from sectorlab.dhrnet import LatticeNet, haag_duality_check, region_algebra
-from sectorlab.groups import (
-    average, builtin_group, fixed_point_algebra, regular_rep, tensor_power_rep,
-)
+from sectorlab.dhrnet import LatticeNet, dhr_check, haag_duality_check, region_algebra
+from sectorlab.groups import average, builtin_group, regular_rep, tensor_power_rep
 from sectorlab.models import z2_chain_net, z2_flip_morphism, z2_onsite_rep, z2_vacuum
 from sectorlab.sectors import decompose_sectors, identity_multiplet, k_map
 
@@ -405,59 +401,6 @@ class TestStates:
         with pytest.raises(ValueError, match="non-finite"):
             State(np.diag([np.inf, 0.0])).validate()
 
-    def test_distance_zero_on_equal_states(self):
-        s = vector_state([1, 0])
-        assert state_distance_mod(s, s, full_matrix_algebra(2)) == 0.0
-
-    def test_distance_zero_modulo_scalars(self):
-        s0, s1 = vector_state([1, 0]), vector_state([0, 1])
-        assert state_distance_mod(s0, s1, scalar_algebra(2)) <= 1e-15
-
-    def test_distance_on_diagonal_algebra(self):
-        s0, s1 = vector_state([1, 0]), vector_state([0, 1])
-        diag = generate_algebra([SZ])
-        # trace norm of the projection onto the span of the basis
-        proj = la.project_onto_span(diag.basis, s0.density - s1.density)
-        expected = np.linalg.svd(proj, compute_uv=False).sum()
-        assert expected == pytest.approx(2.0)
-        assert state_distance_mod(s0, s1, diag) == pytest.approx(expected)
-
-    def test_distance_does_not_depend_on_the_unitary(self):
-        # W is fixed only up to a unitary on each block's copy index, which
-        # moves the matrix units but not the algebra
-        net, vac = z2_chain_net(3), z2_vacuum(3)
-        obs = net.observable_algebra()
-        flip = kron_all(I2, SX, I2)
-        flipped = State(flip @ vac.density @ flip)
-        rng, d = np.random.default_rng(0), obs.ambient_dim
-        cols = []
-        for w, k, n in obs.block_columns():
-            u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-            cols.append(np.einsum("xin,ij->xjn", w.reshape(d, k, n), u).reshape(d, k * n))
-        rotated = OperatorAlgebra.from_blocks(np.concatenate(cols, axis=1), obs.blocks)
-        assert all(rotated.contains(g) and obs.contains(h)
-                   for g, h in zip(obs.generators, rotated.generators))
-        for sub in (obs, rotated):
-            assert state_distance_mod(flipped, vac, sub) == pytest.approx(2.0, abs=1e-12)
-
-    def test_pseudo_metric_properties(self, rng):
-        sub = generate_algebra([SZ])
-        states = []
-        for _ in range(3):
-            h = la.random_hermitian(rng, 2)
-            rho = h @ h.conj().T
-            states.append(State(rho / np.trace(rho).real))
-        a, b, c = states
-        dab = state_distance_mod(a, b, sub)
-        dba = state_distance_mod(b, a, sub)
-        assert dab == pytest.approx(dba, abs=1e-12)
-        assert dab <= state_distance_mod(a, c, sub) + state_distance_mod(c, b, sub) + 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            state_distance_mod(vector_state([1, 0]), vector_state([1, 0, 0]),
-                               scalar_algebra(2))
-
 
 # ---------------------------------------------------------------------------
 # closed forms on Wedderburn data against dense solves on the basis
@@ -545,6 +488,18 @@ class TestClosedForms:
     def test_observable_algebras(self, onsite, n, rng):
         assert_closed_forms(LatticeNet(n, onsite).observable_algebra(), rng)
 
+    def test_copy_index_unitary_keeps_the_algebra(self, rng):
+        # W is fixed only up to a unitary on each block's copy index, which
+        # moves the matrix units but not the algebra
+        obs = z2_chain_net(3).observable_algebra()
+        d, cols = obs.ambient_dim, []
+        for w, k, n in obs.block_columns():
+            u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+            cols.append(np.einsum("xin,ij->xjn", w.reshape(d, k, n), u).reshape(d, k * n))
+        rotated = OperatorAlgebra.from_blocks(np.concatenate(cols, axis=1), obs.blocks)
+        assert all(rotated.contains(g) and obs.contains(h)
+                   for g, h in zip(obs.generators, rotated.generators))
+
     def test_no_commutant_solve(self, monkeypatch, rng):
         d, basis, _ = block_algebra([(2, 1), (1, 2), (2, 2)], 0)
         algs = [OperatorAlgebra(d, basis), _random_data([(3, 2), (1, 5)], 0),
@@ -566,6 +521,9 @@ class TestClosedForms:
             OperatorAlgebra(2, basis)
         with pytest.raises(ValueError, match="unital"):
             OperatorAlgebra(2, [np.eye(2) / np.sqrt(2)], contains_unit=False)
+        p = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="unital"):
+            OperatorAlgebra(2, np.array([p, np.diag([0.0, 0.0])]))
 
 
 class TestNoBasisAtScale:
@@ -591,14 +549,6 @@ class TestNoBasisAtScale:
         assert field.passes and field.lhs_dim == 4 ** 3
         assert peak < 64
 
-    @pytest.mark.parametrize("region, blocks", [(None, [(128, 1)] * 2), ((1,), [(1, 128)] * 2)],
-                             ids=["full", "1"])
-    def test_fixed_point_algebra_on_eight_sites(self, region, blocks):
-        net = z2_chain_net(8)
-        f = full_matrix_algebra(256) if region is None else region_algebra(net, region)
-        fixed, peak = peak_mb(lambda: fixed_point_algebra(f, net.global_rep))
-        assert sorted(fixed.blocks) == blocks and peak < 64
-
     def test_k_map_and_state_distance_on_eight_sites(self):
         net, vac = z2_chain_net(8), z2_vacuum(8)
         obs = net.observable_algebra()
@@ -608,9 +558,11 @@ class TestNoBasisAtScale:
 
         def both():
             return (k_map(sz2, vac, morphisms, rep=net.global_rep),
-                    state_distance_mod(flipped, vac, obs))
-        (vals, dist), peak = peak_mb(both)
+                    dhr_check(flipped, vac, net).distances[0])
+        (vals, (region, dist)), peak = peak_mb(both)
         assert np.allclose(vals, [1.0, -1.0]) and peak < 64
+        # the empty region's distance is the one on the global observables
+        assert region == ()
         # the group average is the trace-preserving projection onto the observables
         proj = average(flipped.density - vac.density, net.global_rep)
         assert dist == pytest.approx(np.linalg.svd(proj, compute_uv=False).sum(), abs=1e-12)

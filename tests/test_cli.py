@@ -892,12 +892,27 @@ def test_every_malformed_input_file_exits_2_naming_it(example_tree, tmp_path, ca
     ("thermal estimate", "--grid", ("points",), [{"beta": None}]),
     ("thermal estimate", "--hierarchy", ("levels", 0, "probes"), [5]),
     ("dhr check", "--net", ("group",), {"order": 2, "table": [[0, 1], [1, float("inf")]]}),
+    ("sectors analyze", "--hamiltonian", ("rows",), "4"),
+    ("sectors analyze", "--hamiltonian", ("re", 0), "-1.0"),
+    ("sectors analyze", "--hamiltonian", ("re", 0), None),
+    ("thermal estimate", "--measured", ("values", "unit"), True),
+    ("thermal estimate", "--grid", ("points", 0, "beta"), "0.5"),
+    ("dhr check", "--net", ("group",), {"table": [[0, 1.9], [1.2, 0]]}),
+    ("dhr check", "--net", ("group",), {"table": [[0, "1"], ["1", 0]]}),
+    ("dhr check", "--net", ("group",), {"table": [[0, True], [True, 0]]}),
+    ("channels invert", "--channel", ("space", "labels", 0, 0), "4.0"),
+    ("thermal estimate", "--hierarchy", ("levels",), []),
 ], ids=["system-5", "grid-list", "channel-list", "null-value", "null-beta",
-        "probe-5", "infinite-table-entry"])
+        "probe-5", "infinite-table-entry", "string-count", "string-entry", "null-entry",
+        "bool-value", "string-beta", "fractional-table", "string-table", "bool-table",
+        "string-label", "no-level"])
 def test_wrong_type_is_an_input_error(command, option, path, value, example_tree,
                                       tmp_path, capsys):
-    # each once escaped the loaders as a TypeError or OverflowError: a
-    # traceback and exit 1, the code of a rejection
+    # the first seven once escaped the loaders as a TypeError or
+    # OverflowError: a traceback and exit 1, the code of a rejection.  The
+    # strings, booleans and fractions were read as numbers and ran to exit
+    # 0; the null entry, read as NaN, exited 2 naming no file; a hierarchy
+    # with no level tested nothing and exited 1
     argv = subcommands(example_tree, csv=tmp_path / "out.csv")[command]
     i = argv.index(option) + 1
     bad = tmp_path / "bad.json"
@@ -936,3 +951,18 @@ def test_input_files_are_read_only_through_serialize_read():
         for node in ast.walk(fn) if isinstance(node, ast.Try)
     ]
     assert not loader_hits, f"loaders with a try statement: {loader_hits}"
+
+
+def test_numbers_are_read_only_through_one_helper():
+    # float() reads "4" and True as numbers, and dtype=int reads 1.9 as 1:
+    # a loader takes every number through serialize._number instead
+    hits = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(ast.parse(Path(io.__file__).read_text()))
+        if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_from_json")
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "int"))
+        or (isinstance(node, ast.keyword) and node.arg == "dtype")
+    ]
+    assert not hits, f"loaders that convert numbers themselves: {hits}"

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sectorlab import _linalg as la, dhrnet, groups, sectors
 from sectorlab.algebra import (
-    OperatorAlgebra, State, full_matrix_algebra, generate_algebra, state_distance_mod,
-    vector_state,
+    OperatorAlgebra, State, full_matrix_algebra, generate_algebra, vector_state,
 )
 from sectorlab.channels import (
     ClassifyingSpace, ProbabilityWeight, evaluation_matrix, verify_positive_unital,
@@ -34,7 +33,6 @@ from sectorlab.groups import (
     cyclic_rep_from_unitary,
     endomorphism_failure,
     endomorphism_residuals,
-    fixed_point_algebra,
     intertwiner_space,
     isotypic_decomposition,
     regular_rep,
@@ -750,12 +748,14 @@ class TestBasisFreeDistance:
         proj = la.project_onto_span(obs.basis, omega.density - vac.density)
         distance = np.linalg.svd(proj, compute_uv=False).sum()
         monkeypatch.setattr(OperatorAlgebra, "basis", property(forbidden))
-        fixed = fixed_point_algebra(region_algebra(net3, (0, 1)), net3.global_rep)
-        assert fixed.dim == 8
-        fixed.validate()
+        region_obs = region_algebra(net3, (0, 1), observable=True)
+        assert region_obs.dim == 8
+        region_obs.validate()
         assert np.allclose(k_map(kron_all(SZ, SZ, I2), vac, [flip], rep=net3.global_rep),
                            [-1.0])
-        assert state_distance_mod(omega, vac, obs) == pytest.approx(distance, abs=1e-12)
+        # the empty region's distance is the one on the global observables
+        assert dhr_check(omega, vac, net3).distances[0] == (
+            (), pytest.approx(distance, abs=1e-12))
         table = evaluation_matrix([vac.density, omega.density], obs)
         assert verify_positive_unital(table, obs).passed
         obs.validate()
@@ -774,7 +774,7 @@ class TestBasisFreeDistance:
             r0 = localized_morphism(net, [0], [SX], "f0")
             r1 = localized_morphism(net, [1], [SX], "f1")
             assert len(solve_intertwiners(r0, r1)) == 2
-        assert fixed_point_algebra(full_matrix_algebra(8), net3.global_rep).dim == 32
+        assert net3.observable_algebra().dim == 32
         omega = _flip_state(3, (1,))
         assert invert_selected_state(omega, z2_vacuum(3), net3).region == (1,)
 

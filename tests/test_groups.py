@@ -8,20 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from sectorlab import _linalg as la
 from sectorlab import groups
-from sectorlab.algebra import (
-    OperatorAlgebra,
-    commutant,
-    full_matrix_algebra,
-    generate_algebra,
-)
-from sectorlab.dhrnet import region_algebra
+from sectorlab.algebra import commutant, generate_algebra
 from sectorlab.groups import (
     FiniteGroup,
     average,
     builtin_group,
     cyclic_group,
     cyclic_rep_from_unitary,
-    fixed_point_algebra,
     intertwiner_space,
     isotypic_decomposition,
     quaternion_group,
@@ -32,12 +25,9 @@ from sectorlab.groups import (
     trivial_rep,
 )
 
-from sectorlab.models import z2_chain_net
-
 from conftest import (
-    SX, SY, SZ, I2, assert_observable_generators, assert_same_algebra, assert_same_span,
-    averaged_span, bits, dense_fixed_points, kron_all, nullspace, permutation_rep,
-    span_residual,
+    SX, SY, SZ, I2, assert_observable_generators, assert_same_span, bits, kron_all,
+    nullspace, permutation_rep, span_residual,
 )
 
 
@@ -142,6 +132,15 @@ class TestRepresentations:
         rep.validate()
         assert rep.dim == 8
         assert np.allclose(rep.matrices[1], kron_all(SZ, SZ, SZ))
+        # the batched product is bit for bit one np.kron per group element
+        w = np.exp(2j * np.pi / 3)
+        for onsite in (z2_rep(), regular_rep(symmetric_group(3)), permutation_rep(3),
+                       cyclic_rep_from_unitary(np.diag([1, w, w * w]), 3)):
+            want = onsite.matrices
+            for k in (1, 2, 3):
+                got = tensor_power_rep(onsite, k).matrices
+                assert np.array_equal(bits(got), bits(want)), (onsite.group.name, k)
+                want = np.array([np.kron(a, b) for a, b in zip(want, onsite.matrices)])
 
     def test_tensor_power_of_no_sites_is_trivial(self):
         onsite = z2_rep()
@@ -167,10 +166,12 @@ class TestAverage:
 
     def test_conditional_expectation_properties(self, rng):
         rep = tensor_power_rep(z2_rep(), 2)
+        obs = isotypic_decomposition(rep).observable_algebra()
         for _ in range(100):
             f = la.random_hermitian(rng, 4)
             mf = average(f, rep)
-            # idempotent
+            # onto the observables, and idempotent
+            assert span_residual(obs.basis, mf) <= 1e-9
             assert np.linalg.norm(average(mf, rep) - mf) <= 1e-9
             # positive
             sq = f @ f.conj().T
@@ -235,86 +236,6 @@ class TestEndomorphismFailure:
         assert len(kinds) == 3
 
 
-class TestFixedPointAlgebra:
-    def test_trivial_group_fixes_everything(self):
-        f = full_matrix_algebra(2)
-        fixed = fixed_point_algebra(f, trivial_rep(cyclic_group(1), 2))
-        assert fixed.dim == 4
-
-    def test_z2_on_m2_gives_diagonal(self):
-        fixed = fixed_point_algebra(full_matrix_algebra(2), z2_rep())
-        assert fixed.dim == 2
-        for b in fixed.basis:
-            assert np.linalg.norm(b - np.diag(np.diag(b))) <= 1e-12
-
-    def test_two_site_even_algebra(self):
-        rep = tensor_power_rep(z2_rep(), 2)
-        fixed = fixed_point_algebra(full_matrix_algebra(4), rep)
-        assert fixed.dim == 8
-        fixed.validate()
-        # nullspace oracle: {A : U A U* = A} for U = sz x sz
-        u = kron_all(SZ, SZ)
-        system = np.kron(u, u.conj()) - np.eye(16)
-        null = nullspace(system)
-        assert null.shape[0] == 8
-
-    def test_range_of_average_equals_fixed_points(self, rng):
-        rep = tensor_power_rep(z2_rep(), 2)
-        fixed = fixed_point_algebra(full_matrix_algebra(4), rep)
-        for _ in range(10):
-            m = average(la.random_hermitian(rng, 4), rep)
-            assert span_residual(fixed.basis, m) <= 1e-9
-
-    @pytest.mark.parametrize("region, dim", [((0,), 2), ((0, 1), 8), ((0, 2), 8)])
-    def test_proper_subalgebra_matches_averaged_span(self, region, dim):
-        net = z2_chain_net(3)
-        f = region_algebra(net, region)
-        fixed = fixed_point_algebra(f, net.global_rep)
-        assert fixed.dim == dim
-        assert_same_span(la.mats_to_rows(fixed.basis), averaged_span(f.basis, net.global_rep))
-        fixed.validate()
-
-    def test_non_unital_algebra_rejected(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError, match="unital"):
-            fixed_point_algebra(OperatorAlgebra(2, p[None], contains_unit=False), z2_rep())
-        with pytest.raises(ValueError, match="unital"):
-            OperatorAlgebra(2, np.array([p, np.diag([0.0, 0.0])]))
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("region", [None, (0, 1), (1,)], ids=["full", "01", "1"])
-    def test_agrees_with_dense_oracle_on_chains(self, n, region):
-        net = z2_chain_net(n)
-        f = full_matrix_algebra(net.total_dim) if region is None else region_algebra(net, region)
-        assert_same_algebra(fixed_point_algebra(f, net.global_rep),
-                            dense_fixed_points(f, net.global_rep))
-
-    @pytest.mark.parametrize("onsite, n", [
-        (regular_rep(builtin_group("symmetric:3")), 2), (permutation_rep(3), 3),
-    ], ids=["s3-regular-2", "s3-permutation-3"])
-    def test_agrees_with_dense_oracle_on_nonabelian_nets(self, onsite, n):
-        rep = tensor_power_rep(onsite, n)
-        f = full_matrix_algebra(rep.dim)
-        fixed = fixed_point_algebra(f, rep)
-        assert_same_algebra(fixed, dense_fixed_points(f, rep))
-        assert fixed.dim == isotypic_decomposition(rep).observable_algebra().dim
-
-    def test_non_invariant_algebra_rejected(self):
-        # the Hadamard swaps Z and X, so it moves the diagonal algebra of M_2
-        hadamard = cyclic_rep_from_unitary((SX + SZ) / np.sqrt(2), 2)
-        diagonal = OperatorAlgebra.from_blocks(np.eye(2), [(1, 1), (1, 1)])
-        with pytest.raises(ValueError, match="onto itself"):
-            fixed_point_algebra(diagonal, hadamard)
-
-    def test_commutant_of_fixed_points_is_group_algebra(self):
-        rep = tensor_power_rep(z2_rep(), 2)
-        fixed = fixed_point_algebra(full_matrix_algebra(4), rep)
-        comm = commutant(fixed)
-        group_alg = generate_algebra(list(rep.matrices))
-        assert comm.dim == group_alg.dim
-        assert_same_span(la.mats_to_rows(comm.basis), la.mats_to_rows(group_alg.basis))
-
-
 class TestIsotypicDecomposition:
     def test_trivial_group_single_label(self):
         dec = isotypic_decomposition(trivial_rep(cyclic_group(1), 2))
@@ -340,6 +261,15 @@ class TestIsotypicDecomposition:
         evals = np.linalg.eigvalsh(kron_all(SZ, SZ).real)
         assert sorted(np.sum(evals == v) for v in (-1, 1)) == [2, 2]
         assert dec.reconstruction_residual(rep) <= 1e-8
+        # the observables U' against the nullspace of U (x) conj(U) - 1, and
+        # their commutant against the group algebra U''
+        obs = dec.observable_algebra()
+        obs.validate()
+        u = kron_all(SZ, SZ)
+        assert obs.dim == nullspace(np.kron(u, u.conj()) - np.eye(16)).shape[0] == 8
+        comm, group_alg = commutant(obs), generate_algebra(list(rep.matrices))
+        assert comm.dim == group_alg.dim
+        assert_same_span(la.mats_to_rows(comm.basis), la.mats_to_rows(group_alg.basis))
 
     def test_s3_regular_rep(self):
         rep = regular_rep(symmetric_group(3))
@@ -632,12 +562,11 @@ class TestIndexKernels:
         d = rep.dim
         f = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         e = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
-        dense = (_dense_average(f, rep),
-                 np.array([u @ f @ la.dagger(u) for u in rep.matrices]),
-                 rep.matrices @ e)
-        indexed = (average(f, rep),
-                   np.array([rep.conjugate(g, f) for g in range(rep.group.order)]),
-                   rep.images(e))
+        dense = [_dense_average(f, rep), rep.matrices @ e]
+        indexed = [average(f, rep), rep.images(e)]
+        if rep.monomial is not None:
+            dense.append(np.array([u @ f @ la.dagger(u) for u in rep.matrices]))
+            indexed.append(rep._conjugates_by_index(slice(None), f))
         return dense, indexed
 
     @pytest.mark.parametrize("name", list(REAL))

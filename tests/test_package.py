@@ -16,8 +16,7 @@ from sectorlab import errors
 DEFINED_IN = {
     "algebra": ["OperatorAlgebra", "State", "center", "commutant",
                 "full_matrix_algebra", "generate_algebra",
-                "minimal_central_projections", "scalar_algebra",
-                "state_distance_mod", "vector_state"],
+                "minimal_central_projections", "scalar_algebra", "vector_state"],
     "channels": ["ClassicalQuantumChannel", "ClassifyingSpace", "ProbabilityWeight",
                  "apply_cq", "invert_cq", "separation_check",
                  "verify_positive_unital"],
@@ -27,7 +26,7 @@ DEFINED_IN = {
                "localized_morphism", "region_algebra", "selected_state",
                "solve_intertwiners"],
     "groups": ["ChargedMultiplet", "FiniteGroup", "SectorDecomposition", "UnitaryRep", "average",
-               "builtin_group", "fixed_point_algebra", "intertwiner_space",
+               "builtin_group", "intertwiner_space",
                "isotypic_decomposition"],
     "sectors": ["charging_channel", "decompose_sectors",
                 "estimate_charge", "induce_charged_state", "k_map"],
