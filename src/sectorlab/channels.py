@@ -8,7 +8,7 @@ expectations, solved as least squares on the probability simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,53 +79,86 @@ def uniform_weight(space: ClassifyingSpace) -> ProbabilityWeight:
     return ProbabilityWeight(space, np.full(space.size, 1.0 / space.size))
 
 
-@dataclass(frozen=True)
 class ClassicalQuantumChannel:
-    """A c->q channel: one fibre state per label of the classifying space."""
+    """A c->q channel: one fibre state per label of the classifying space.
 
-    space: ClassifyingSpace
-    fibre_states: tuple[State, ...]
-    _densities: np.ndarray | None = field(default=None, init=False, repr=False,
-                                          compare=False)
+    Made from its fibre states, or by :meth:`from_densities` from a stack of
+    densities, in which case the states are built only when
+    :attr:`fibre_states` is first read.  The criterion path (:attr:`dim`,
+    :func:`apply_cq`, :func:`design_matrix`) reads the stack.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "fibre_states", tuple(self.fibre_states))
-        if len(self.fibre_states) != self.space.size:
+    def __init__(self, space: ClassifyingSpace, fibre_states):
+        states = tuple(fibre_states)
+        if len(states) != space.size:
             raise ValueError("need exactly one fibre state per label")
-        dims = {s.dim for s in self.fibre_states}
-        if len(dims) != 1:
+        if len({s.dim for s in states}) != 1:
             raise ValueError("fibre states must share one dimension")
+        self.space = space
+        self._fibre_states: tuple[State, ...] | None = states
+        self._densities: np.ndarray | None = None
+        self._labels = None
 
     @property
     def dim(self) -> int:
-        return self.fibre_states[0].dim
+        if self._densities is not None:
+            return self._densities.shape[1]
+        return self._fibre_states[0].dim
 
     @classmethod
     def from_densities(cls, space: ClassifyingSpace, densities: np.ndarray,
                        labels) -> "ClassicalQuantumChannel":
-        """The channel on a (labels, d, d) stack of densities, copying nothing.
+        """The channel on a (labels, d, d) stack of densities.
 
-        The stack is made read-only and kept as :meth:`densities`; each fibre
-        state is a read-only view of its slice, named by ``labels``.
+        The stack keeps the dtype it was computed in: float64 when it is
+        real, complex otherwise.  A C-contiguous float64 or complex128 stack
+        is not copied; it is made read-only and kept as :meth:`densities`.
+        ``labels`` names the fibres in order; it is iterated, and the fibre
+        states built, only when :attr:`fibre_states` is first read, so a
+        generator defers formatting the names too.
         """
-        stack = np.asarray(densities, dtype=complex)
+        real = np.isrealobj(densities)
+        stack = np.ascontiguousarray(densities, dtype=float if real else complex)
         stack.setflags(write=False)
-        channel = cls(space, tuple(State(rho, label=name)
-                                   for rho, name in zip(stack, labels)))
-        object.__setattr__(channel, "_densities", stack)
+        if stack.ndim != 3 or stack.shape[0] != space.size:
+            raise ValueError("need exactly one fibre state per label")
+        if stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"fibre densities of shape {stack.shape[1:]} are not square")
+        channel = cls.__new__(cls)
+        channel.space = space
+        channel._fibre_states = None
+        channel._densities = stack
+        channel._labels = labels
         return channel
 
-    def densities(self) -> np.ndarray:
-        """The (labels, d, d) stack of fibre densities.
+    @property
+    def fibre_states(self) -> tuple[State, ...]:
+        """The fibre states, one per label in the space's order.
 
-        Built on first use and kept (a channel made by :meth:`from_densities`
-        returns the stack it was made from); the stack is read-only because
-        every later call returns the same array.
+        For a channel made by :meth:`from_densities` they are built on first
+        read and then kept, read-only: a fibre is a view of a complex stack's
+        slice, or a complex copy of a real one.
+        """
+        if self._fibre_states is None:
+            states = tuple(State(rho, label=name) for rho, name in
+                           zip(self._densities, self._labels, strict=True))
+            for s in states:
+                s.density.setflags(write=False)
+            self._fibre_states, self._labels = states, None
+        return self._fibre_states
+
+    def densities(self) -> np.ndarray:
+        """The read-only (labels, d, d) stack of fibre densities.
+
+        A channel made by :meth:`from_densities` returns the stack it was
+        made from, float64 when that is real.  A channel made from states
+        builds a complex stack on first use and keeps it.  Every call
+        returns the same array, so it is read-only.
         """
         if self._densities is None:
-            stack = np.array([s.density for s in self.fibre_states], dtype=complex)
+            stack = np.array([s.density for s in self._fibre_states], dtype=complex)
             stack.setflags(write=False)
-            object.__setattr__(self, "_densities", stack)
+            self._densities = stack
         return self._densities
 
 
@@ -192,26 +225,35 @@ def verify_positive_unital(map_matrix: np.ndarray, alg: OperatorAlgebra) -> Posi
 def design_matrix(channel: ClassicalQuantumChannel, probes) -> np.ndarray:
     """M[j, i] = Re tr(probe_j fibre_i) (probes are Hermitian).
 
-    One real matrix product: Re tr(P F) = sum_ab Re(P_ba F_ab) is the real
-    inner product of conj(P^T) and F, both read as float arrays.  Exact for
-    any P and F, Hermitian or not.
+    One row per probe, each one matrix-vector product of the same shape
+    against the channel's stack, so a probe's row has the same bits
+    whichever probes are asked with it.  Re tr(P F) = sum_ab Re(P_ba F_ab):
+    against a real stack that is the product with Re(P^T), against a
+    complex one the real inner product of conj(P^T) and F, both read as
+    float arrays.  Exact for any P, Hermitian or not, and for any F.
 
     Raises ``ValueError`` naming the probe's index and shape when a probe
-    is not d x d, with d the fibres' dimension.  The probes are copied once:
-    each is transposed into one stack, which is conjugated in place.
+    is not d x d, with d the fibres' dimension.  No stack of the probes is
+    made: each is transposed into one d x d buffer in turn.
     """
     fibres = channel.densities()
-    d = fibres.shape[1]
+    n, d = fibres.shape[:2]
+    real = np.isrealobj(fibres)
+    flat = (fibres if real else fibres.view(float)).reshape(n, -1)
+    buf = np.empty((d, d), dtype=fibres.dtype)
+    row = (buf if real else buf.view(float)).reshape(-1)
     probes = list(probes)
-    lhs = np.empty((len(probes), d, d), dtype=complex)
+    m = np.empty((len(probes), n))
     for j, p in enumerate(probes):
         p = np.asarray(p)
         if p.shape != (d, d):
             raise ValueError(f"probe {j} has shape {p.shape}, but the fibres are {(d, d)}")
-        lhs[j] = p.T
-    np.conjugate(lhs, out=lhs)
-    return lhs.view(float).reshape(len(lhs), 2 * d * d) @ fibres.view(float).reshape(
-        len(fibres), -1).T
+        if real:
+            buf[...] = p.T.real
+        else:
+            np.conjugate(p.T, out=buf)
+        m[j] = flat @ row
+    return m
 
 
 def forward_data(

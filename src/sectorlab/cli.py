@@ -227,6 +227,7 @@ def _run_thermal_estimate(args) -> int:
                 "residual": v.residual,
                 "kkt_residual": v.kkt_residual,
                 "converged": v.converged,
+                "iterations": v.iterations,
                 "tolerance": v.tolerance,
                 "unique": v.unique,
                 "rank": v.rank,
@@ -349,6 +350,7 @@ def _run_channels_invert(args) -> int:
         "residual": result.residual,
         "kkt_residual": result.kkt_residual,
         "converged": result.converged,
+        "iterations": result.iterations,
         "unique": result.unique,
         "rank": result.rank,
         "sigma_min": result.sigma_min,

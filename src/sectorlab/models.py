@@ -17,7 +17,6 @@ from .channels import ProbabilityWeight, forward_data
 from .cuntz import parse_expression
 from .dhrnet import LatticeNet, LocalizedMorphism, localized_morphism, selected_state
 from .groups import ChargedMultiplet, UnitaryRep, cyclic_rep_from_unitary, identity_multiplet
-from .sectors import decompose_sectors
 from .thermal import (
     HamiltonianSystem,
     ObservableHierarchy,
@@ -57,6 +56,8 @@ def z2_chain_sector_model(n_sites: int, seed: int = 0) -> dict:
     The charged morphism is conjugation by a single-site spin flip; its
     multiplet together with the identity covers both parity sectors.
     """
+    from .sectors import decompose_sectors
+
     net = z2_chain_net(n_sites)
     field = full_matrix_algebra(net.total_dim)
     decomp = decompose_sectors(field, net.global_rep, seed=seed)
@@ -199,8 +200,7 @@ def bundle_examples(base_dir: str) -> list[str]:
 
     Idempotent: regenerating produces byte-identical files.
     """
-    model = z2_chain_sector_model(2)
-    net, vac = model["net"], model["vacuum"]
+    net, vac = z2_chain_net(2), z2_vacuum(2)
     net3, vac3 = z2_chain_net(3), z2_vacuum(3)
     files = {
         "z2_chain_2": {
@@ -209,7 +209,7 @@ def bundle_examples(base_dir: str) -> list[str]:
             "rep.json": io.rep_to_json(net.global_rep),
             "field.json": {"full_dim": net.total_dim},
             "vacuum.json": io.state_to_json(vac),
-            "charged_state.json": io.state_to_json(selected_state(model["flip_morphism"], vac)),
+            "charged_state.json": io.state_to_json(selected_state(z2_flip_morphism(net, 0), vac)),
             "hamiltonian.json": io.matrix_to_json(coupled_chain_hamiltonian(2)),
         },
         "z2_chain_3": {

@@ -246,9 +246,12 @@ def build_thermal_channel(
     """The c->q channel whose fibres are the grid's Gibbs states.
 
     One batched product (V w) V* per distinct mu, over the (points, d)
-    Boltzmann weights of that mu's points (real when H - mu N is), fills the
-    read-only complex (points, d, d) density stack; the fibre states are
-    read-only views of it, each bit for bit :func:`gibbs_state` at its point.
+    Boltzmann weights of that mu's points, fills the read-only (points, d,
+    d) density stack.  The stack is float64 when every mu's H - mu N is
+    real, and complex otherwise.  The fibre states and their ``gibbs(...)``
+    labels are built only when first read (see
+    :meth:`~sectorlab.channels.ClassicalQuantumChannel.from_densities`);
+    each fibre is bit for bit :func:`gibbs_state` at its point.
     """
     by_mu: dict = {}
     for i, (_, mu) in enumerate(grid.points):
@@ -261,10 +264,11 @@ def build_thermal_channel(
     if len(blocks) == 1:
         stack = blocks[0][1]
     else:
-        stack = np.empty((grid.size, sys.dim, sys.dim), dtype=complex)
+        stack = np.empty((grid.size, sys.dim, sys.dim),
+                         dtype=np.result_type(*(fibres for _, fibres in blocks)))
         for idx, fibres in blocks:
             stack[idx] = fibres
-    labels = [_gibbs_label(b, m) for b, m in grid.points]
+    labels = (_gibbs_label(b, m) for b, m in grid.points)
     return ClassicalQuantumChannel.from_densities(grid.to_space(), stack, labels)
 
 
@@ -419,10 +423,10 @@ def hierarchy_report(
     One :func:`~sectorlab.channels.design_matrix` over the hierarchy's
     distinct probe names serves every level, and each level inverts on its
     own rows of it, so a probe has one row however many levels list it.
-    Where every design entry has one nonzero product (occupation probes)
-    the rows are bit for bit those :func:`s_thermal_check` builds for the
-    level alone; otherwise they agree to rounding, since a BLAS product's
-    summation order depends on the block's shape.
+    The design computes each probe's row on its own, so the rows are bit
+    for bit those :func:`s_thermal_check` builds for the level alone.  It
+    reads the channel's density stack, not its fibre states, so a channel
+    from :func:`build_thermal_channel` builds no state here.
 
     Each level's NNLS solve begins at the coarser level's raw solution (see
     :func:`~sectorlab.channels._nnls`): a feasible point, so every level

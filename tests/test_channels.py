@@ -529,3 +529,65 @@ class TestTieBreak:
         assert len(report.verdicts) == 16
         assert len(calls) == 16
         assert all(v.accepted and not v.unique for v in report.verdicts)
+
+
+def dense_channels(rng, d, k=5):
+    """Channels on k random dense d x d fibres: a float64 stack and a complex one."""
+    real = rng.standard_normal((k, d, d))
+    space = ClassifyingSpace(tuple(range(k)))
+    return [ClassicalQuantumChannel.from_densities(space, f, map(str, range(k)))
+            for f in (real, real + 1j * rng.standard_normal((k, d, d)))]
+
+
+class TestDesignRows:
+    """One product per probe: a row's bits do not depend on the other probes,
+    and a real stack stays real."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 12, 19, 32])
+    def test_every_row_subset_is_bit_equal_to_the_full_design(self, d):
+        rng = np.random.default_rng(d)
+        probes = [la.random_hermitian(rng, d) for _ in range(6)]
+        for channel in dense_channels(rng, d):
+            full = design_matrix(channel, probes)
+            assert np.array_equal(design_matrix(channel, probes[::-1]), full[::-1])
+            for size in range(1, len(probes)):
+                for subset in itertools.combinations(range(len(probes)), size):
+                    rows = design_matrix(channel, [probes[j] for j in subset])
+                    assert np.array_equal(rows, full[list(subset)]), (d, subset)
+
+    @pytest.mark.parametrize("d", [2, 5, 16, 32])
+    def test_real_rows_match_the_complex_formula(self, d):
+        # probes that are not Hermitian against fibres that are not symmetric
+        rng = np.random.default_rng(100 + d)
+        channel = dense_channels(rng, d, k=6)[0]
+        fibres = channel.densities()
+        assert fibres.dtype == np.float64
+        probes = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+        expected = np.einsum("pij,kji->pk", probes, fibres.astype(complex)).real
+        scale = np.outer(np.linalg.norm(probes, axis=(1, 2)),
+                         np.linalg.norm(fibres, axis=(1, 2)))
+        assert np.all(np.abs(design_matrix(channel, list(probes)) - expected) <= 1e-15 * scale)
+
+    def test_mixture_on_a_real_stack(self, rng):
+        # the complex sum the stack was once stored for, to rounding
+        h = _rotated(np.array([0.0, 0.3, 1.1, 2.0]), seed=4).real
+        channel = build_thermal_channel(HamiltonianSystem(h), beta_grid([0.2, 0.9, 3.0, 8.0]))
+        stack = channel.densities()
+        assert stack.dtype == np.float64
+        w = ProbabilityWeight(channel.space, rng.dirichlet(np.ones(4)))
+        mix = apply_cq(channel, w).density
+        assert mix.dtype == np.complex128
+        reference = np.tensordot(w.weights, stack.astype(complex), axes=(0, 0))
+        assert np.abs(mix - reference).max() <= 4 * np.finfo(float).eps
+
+    def test_no_probe_stack_is_copied(self, rng):
+        # 128 probes at d = 128 would be a 32 MB complex stack; one row at a
+        # time needs one d x d buffer
+        d, n = 128, 128
+        base = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+        probes = [base[j % 4] for j in range(n)]
+        for channel in dense_channels(rng, d, k=2):
+            m, peak = peak_mb(lambda: design_matrix(channel, probes))
+            assert peak < 4 * d * d * 16 / 2 ** 20
+            assert np.array_equal(m[4:8], m[:4])
+

@@ -202,6 +202,7 @@ def subcommands(models, csv):
             "--group", str(z2 / "group.json"), "--rep", str(z2 / "rep.json"),
             "--state", str(z2 / "charged_state.json"),
             "--hamiltonian", str(z2 / "hamiltonian.json")],
+        "examples init": ["examples", "init", "--dir", str(csv.parent / "examples")],
     }
 
 
@@ -760,6 +761,39 @@ def test_channels_invert_checks_separation_once(example_tree, monkeypatch, capsy
     assert report["rank"] == 11 and report["sigma_min"] > 0
 
 
+def test_reports_print_the_solve_count(example_tree, capsys):
+    # `iterations`, the least-squares solves of each inversion, in JSON and
+    # text, equal to the count the library returns for the same inputs
+    d = example_tree / "moment_grid_12"
+    thermal_args = ["thermal", "estimate", "--system", str(d / "system.json"),
+                    "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+                    "--hierarchy", str(d / "hierarchy.json")]
+    invert_args = ["channels", "invert", "--channel", str(d / "channel.json"),
+                   "--probes", str(d / "probes.json"), "--data", str(d / "measured.json")]
+    measured = io.read(d / "measured.json", io.measured_from_json)
+    report = thermal.hierarchy_report(
+        measured, io.read(d / "hierarchy.json", io.hierarchy_from_json),
+        build_thermal_channel(io.read(d / "system.json", io.system_from_json),
+                              io.read(d / "grid.json", io.grid_from_json)))
+    expected = [v.iterations for v in report.verdicts]
+    probes = io.read(d / "probes.json", io.probes_from_json)
+    inverted = channels.invert_cq(io.read(d / "channel.json", io.channel_from_json),
+                                  [m for _, m in probes],
+                                  np.array([measured[n] for n, _ in probes]))
+    assert min(expected + [inverted.iterations]) > 0
+    assert cli.main(thermal_args) == cli.EXIT_OK
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert [lv["iterations"] for lv in levels] == expected
+    assert cli.main(invert_args) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["iterations"] == inverted.iterations
+    assert cli.main(["--format", "text", *thermal_args]) == cli.EXIT_OK
+    text = capsys.readouterr().out.splitlines()
+    assert [f"levels[{i}].iterations = {n}" for i, n in enumerate(expected)] == [
+        line for line in text if ".iterations" in line]
+    assert cli.main(["--format", "text", *invert_args]) == cli.EXIT_OK
+    assert f"iterations = {inverted.iterations}" in capsys.readouterr().out.splitlines()
+
+
 ENGINES = {"algebra", "channels", "groups", "sectors", "dhrnet", "thermal",
            "cuntz", "models"}
 
@@ -781,6 +815,7 @@ print(json.dumps({"code": code, "modules": mods}), file=sys.stderr)
     ("dhr check", "dhrnet", {"thermal", "cuntz", "models", "sectors", "channels"}),
     ("dhr invert", "dhrnet", {"thermal", "cuntz", "models", "sectors", "channels"}),
     ("sectors analyze", "sectors", {"thermal", "cuntz", "models"}),
+    ("examples init", "models", {"sectors"}),
 ])
 def test_subcommand_loads_only_its_engines(command, runs, unloaded, example_tree,
                                            tmp_path):

@@ -321,7 +321,7 @@ class TestRealHamiltonians:
     def test_fibres_are_gibbs_states_bit_for_bit(self, kind, with_number):
         sys, grid = real_system(kind, with_number)
         channel = build_thermal_channel(sys, grid)
-        assert channel.densities().dtype == np.complex128
+        assert channel.densities().dtype == np.float64
         for (beta, mu), fibre in zip(grid.points, channel.fibre_states):
             assert np.array_equal(fibre.density, gibbs_state(sys, beta, mu).density)
 
@@ -695,7 +695,10 @@ class TestLevelStarts:
                 for s in (12, 14, 16)))
             weights = np.zeros(g)
             weights[rng.choice(g, 3, replace=False)] = rng.dirichlet(np.ones(3))
-            pops = np.tensordot(weights, channel.densities(), axes=1).diagonal().real
+            # the mixture summed in complex arithmetic, as when the pinned
+            # counts were taken: a real sum moves the data's last bits
+            pops = np.tensordot(weights, channel.densities().astype(complex),
+                                axes=1).diagonal().real
             measured = {f"occ{k}": float(p) for k, p in enumerate(pops)}
             report = hierarchy_report(measured, hier, channel, tol=1e-8)
             assert all(v.accepted and v.unique for v in report.verdicts)
@@ -799,3 +802,60 @@ class TestBatchedChannel:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestFloatStack:
+    """The density stack is float64 when every mu's H - mu N is real, and
+    complex otherwise; fibre states are built only when read."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "rotated"])
+    def test_real_h_minus_mu_n_gives_a_float_stack(self, kind):
+        for with_number in (False, True):
+            sys, grid = real_system(kind, with_number)
+            if with_number:
+                assert {mu for _, mu in grid.points} == {0.0, 0.45}
+            assert build_thermal_channel(sys, grid).densities().dtype == np.float64
+
+    def test_imaginary_entry_gives_a_complex_stack(self):
+        h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        h[0, 2], h[2, 0] = 0.25j, -0.25j
+        channel = build_thermal_channel(HamiltonianSystem(h), beta_grid([0.5, 2.0]))
+        assert channel.densities().dtype == np.complex128
+
+    def test_one_complex_mu_block_makes_the_stack_complex(self):
+        # H - mu N = (1 - mu) sigma_y is real (zero) at mu = 1 only
+        sy = np.array([[0, -1j], [1j, 0]])
+        sys = HamiltonianSystem(sy, number=sy)
+        grid = ThermalGrid(((0.5, 0.0), (2.0, 0.0), (0.5, 1.0)))
+        channel = build_thermal_channel(sys, grid)
+        assert channel.densities().dtype == np.complex128
+        for (beta, mu), fibre in zip(grid.points, channel.fibre_states):
+            assert np.array_equal(fibre.density, gibbs_state(sys, beta, mu).density)
+
+    def test_report_builds_no_state(self, monkeypatch):
+        made = []
+        original = State.__post_init__
+
+        def counted(state):
+            made.append(state.label)
+            original(state)
+
+        monkeypatch.setattr(State, "__post_init__", counted)
+        sys, grid = real_system("rotated", with_number=True)
+        channel = build_thermal_channel(sys, grid)
+        rng = np.random.default_rng(5)
+        probes = [(f"p{i}", la.random_hermitian(rng, sys.dim)) for i in range(4)]
+        hier = ObservableHierarchy((("coarse", tuple(probes[:2])), ("fine", tuple(probes))))
+        mix = channel.densities().mean(axis=0)
+        measured = {name: float(np.trace(m @ mix).real) for name, m in probes}
+        report = hierarchy_report(measured, hier, channel, tol=1e-8)
+        assert report.max_accepted_level == "fine"
+        assert made == []
+        fibres = channel.fibre_states
+        assert len(made) == grid.size and channel.fibre_states is fibres
+        for (beta, mu), fibre in zip(grid.points, fibres):
+            direct = gibbs_state(sys, beta, mu)
+            assert np.array_equal(fibre.density, direct.density)
+            assert fibre.label == direct.label
+            assert not fibre.density.flags.writeable
+
