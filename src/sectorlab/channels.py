@@ -9,6 +9,7 @@ expectations, solved as least squares on the probability simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,13 +80,24 @@ def uniform_weight(space: ClassifyingSpace) -> ProbabilityWeight:
     return ProbabilityWeight(space, np.full(space.size, 1.0 / space.size))
 
 
+class SpectralBlock(NamedTuple):
+    """Fibres that share one eigenbasis: fibre ``rows[i]`` is
+    V diag(``weights[i]``) V*, with V = ``vectors`` unitary (real orthogonal
+    when it is a float array) and ``weights`` a (len(rows), d) array."""
+
+    rows: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+
+
 class ClassicalQuantumChannel:
     """A c->q channel: one fibre state per label of the classifying space.
 
-    Made from its fibre states, or by :meth:`from_densities` from a stack of
-    densities, in which case the states are built only when
-    :attr:`fibre_states` is first read.  The criterion path (:attr:`dim`,
-    :func:`apply_cq`, :func:`design_matrix`) reads the stack.
+    Made from its fibre states, or by :meth:`from_spectra` from the
+    eigenbases and eigenvalue rows of its fibres, in which case the density
+    stack and the states are built only when first read.  The criterion
+    path (:attr:`dim`, :func:`design_matrix`) reads the spectral data of
+    such a channel and the stack of any other.
     """
 
     def __init__(self, space: ClassifyingSpace, fibre_states):
@@ -98,50 +110,56 @@ class ClassicalQuantumChannel:
         self._fibre_states: tuple[State, ...] | None = states
         self._densities: np.ndarray | None = None
         self._labels = None
+        self.spectra: tuple[SpectralBlock, ...] | None = None
 
     @property
     def dim(self) -> int:
-        if self._densities is not None:
-            return self._densities.shape[1]
+        if self.spectra is not None:
+            return self.spectra[0].vectors.shape[0]
         return self._fibre_states[0].dim
 
     @classmethod
-    def from_densities(cls, space: ClassifyingSpace, densities: np.ndarray,
-                       labels) -> "ClassicalQuantumChannel":
-        """The channel on a (labels, d, d) stack of densities.
+    def from_spectra(cls, space: ClassifyingSpace, blocks,
+                     labels) -> "ClassicalQuantumChannel":
+        """The channel whose fibres are given by :class:`SpectralBlock` s.
 
-        The stack keeps the dtype it was computed in: float64 when it is
-        real, complex otherwise.  A C-contiguous float64 or complex128 stack
-        is not copied; it is made read-only and kept as :meth:`densities`.
-        ``labels`` names the fibres in order; it is iterated, and the fibre
-        states built, only when :attr:`fibre_states` is first read, so a
-        generator defers formatting the names too.
+        Every label's index is in exactly one block's ``rows``.  The blocks
+        are kept as :attr:`spectra`, with read-only arrays.  ``labels``
+        names the fibres in order; it is iterated, and the fibre states
+        built, only when :attr:`fibre_states` is first read, so a generator
+        defers formatting the names too.
         """
-        real = np.isrealobj(densities)
-        stack = np.ascontiguousarray(densities, dtype=float if real else complex)
-        stack.setflags(write=False)
-        if stack.ndim != 3 or stack.shape[0] != space.size:
+        blocks = tuple(SpectralBlock(np.asarray(b.rows, dtype=np.intp), b.vectors,
+                                     b.weights) for b in blocks)
+        d = blocks[0].vectors.shape[0]
+        if sorted(i for b in blocks for i in b.rows) != list(range(space.size)):
             raise ValueError("need exactly one fibre state per label")
-        if stack.shape[1] != stack.shape[2]:
-            raise ValueError(f"fibre densities of shape {stack.shape[1:]} are not square")
+        for b in blocks:
+            if b.vectors.shape != (d, d) or b.weights.shape != (len(b.rows), d):
+                raise ValueError(f"a block of {b.vectors.shape} eigenvectors and "
+                                 f"{b.weights.shape} eigenvalue rows does not give "
+                                 f"{len(b.rows)} fibres of dimension {d}")
+            for a in b:
+                a.setflags(write=False)
         channel = cls.__new__(cls)
         channel.space = space
         channel._fibre_states = None
-        channel._densities = stack
+        channel._densities = None
         channel._labels = labels
+        channel.spectra = blocks
         return channel
 
     @property
     def fibre_states(self) -> tuple[State, ...]:
         """The fibre states, one per label in the space's order.
 
-        For a channel made by :meth:`from_densities` they are built on first
+        For a channel made by :meth:`from_spectra` they are built on first
         read and then kept, read-only: a fibre is a view of a complex stack's
         slice, or a complex copy of a real one.
         """
         if self._fibre_states is None:
             states = tuple(State(rho, label=name) for rho, name in
-                           zip(self._densities, self._labels, strict=True))
+                           zip(self.densities(), self._labels, strict=True))
             for s in states:
                 s.density.setflags(write=False)
             self._fibre_states, self._labels = states, None
@@ -150,16 +168,34 @@ class ClassicalQuantumChannel:
     def densities(self) -> np.ndarray:
         """The read-only (labels, d, d) stack of fibre densities.
 
-        A channel made by :meth:`from_densities` returns the stack it was
-        made from, float64 when that is real.  A channel made from states
-        builds a complex stack on first use and keeps it.  Every call
-        returns the same array, so it is read-only.
+        Built on first use and kept; every call returns the same array, so
+        it is read-only.  A channel made from states stacks them as complex
+        matrices.  A channel made by :meth:`from_spectra` forms each fibre as
+        (V w) V* in place in the stack, by the product :func:`gibbs_state
+        <sectorlab.thermal.gibbs_state>` uses, so a fibre has its bits; the
+        stack is float64 when every block's V is real, complex otherwise.
         """
         if self._densities is None:
-            stack = np.array([s.density for s in self._fibre_states], dtype=complex)
+            if self.spectra is None:
+                stack = np.array([s.density for s in self._fibre_states], dtype=complex)
+            else:
+                stack = _spectral_stack(self.spectra, self.space.size, self.dim)
             stack.setflags(write=False)
             self._densities = stack
         return self._densities
+
+
+def _spectral_stack(blocks, n: int, d: int) -> np.ndarray:
+    """The (n, d, d) stack of the fibres V diag(w) V*, one product per fibre
+    written into its slice: no temporary but one d x d buffer per block."""
+    stack = np.empty((n, d, d), dtype=np.result_type(*(b.vectors for b in blocks)))
+    for rows, vecs, weights in blocks:
+        adjoint = la.dagger(vecs)
+        scaled = np.empty_like(vecs)
+        for i, w in zip(rows, weights):
+            np.multiply(vecs, w, out=scaled)
+            np.matmul(scaled, adjoint, out=stack[i])
+    return stack
 
 
 def apply_cq(channel: ClassicalQuantumChannel, rho: ProbabilityWeight) -> State:
@@ -225,35 +261,61 @@ def verify_positive_unital(map_matrix: np.ndarray, alg: OperatorAlgebra) -> Posi
 def design_matrix(channel: ClassicalQuantumChannel, probes) -> np.ndarray:
     """M[j, i] = Re tr(probe_j fibre_i) (probes are Hermitian).
 
-    One row per probe, each one matrix-vector product of the same shape
-    against the channel's stack, so a probe's row has the same bits
-    whichever probes are asked with it.  Re tr(P F) = sum_ab Re(P_ba F_ab):
-    against a real stack that is the product with Re(P^T), against a
-    complex one the real inner product of conj(P^T) and F, both read as
-    float arrays.  Exact for any P, Hermitian or not, and for any F.
+    Each probe's row is computed on its own, so it has the same bits
+    whichever probes are asked with it.  No stack of the probes is made.
 
-    Raises ``ValueError`` naming the probe's index and shape when a probe
-    is not d x d, with d the fibres' dimension.  No stack of the probes is
-    made: each is transposed into one d x d buffer in turn.
+    On a channel made by :meth:`~ClassicalQuantumChannel.from_spectra` the
+    row of P over a block is W d, d = Re diag(V* P V): for F_i = V diag(W_i)
+    V*, Re tr(P F_i) = sum_k W_ik Re(V* P V)_kk.  That is one d x d product
+    P V (Re(P) V for a real V) and one column reduction per block, and no
+    fibre is formed.  Any other channel reads its complex stack: the real
+    inner product of conj(P^T) and each fibre, read as float arrays.  Both
+    are exact for any P, Hermitian or not.
+
+    A probe with a NaN or infinite entry gets a row of NaN, computed with
+    no floating-point warning.  Raises ``ValueError`` naming the probe's
+    index and shape when a probe is not d x d, with d the fibres' dimension.
     """
-    fibres = channel.densities()
-    n, d = fibres.shape[:2]
-    real = np.isrealobj(fibres)
-    flat = (fibres if real else fibres.view(float)).reshape(n, -1)
-    buf = np.empty((d, d), dtype=fibres.dtype)
-    row = (buf if real else buf.view(float)).reshape(-1)
+    d = channel.dim
     probes = list(probes)
-    m = np.empty((len(probes), n))
+    m = np.empty((len(probes), channel.space.size))
+    row = _stack_row(channel) if channel.spectra is None else _spectral_row(channel)
     for j, p in enumerate(probes):
         p = np.asarray(p)
         if p.shape != (d, d):
             raise ValueError(f"probe {j} has shape {p.shape}, but the fibres are {(d, d)}")
-        if real:
-            buf[...] = p.T.real
+        if np.isfinite(p).all():
+            row(p, m[j])
         else:
-            np.conjugate(p.T, out=buf)
-        m[j] = flat @ row
+            m[j] = np.nan
     return m
+
+
+def _spectral_row(channel: ClassicalQuantumChannel):
+    """The row filler on the channel's spectral blocks: out[rows] = W d."""
+    ones = np.ones(channel.dim)
+    blocks = [(rows, vecs, weights, vecs.dtype == float)
+              for rows, vecs, weights in channel.spectra]
+
+    def row(p, out):
+        for rows, vecs, weights, real in blocks:
+            pv = (np.ascontiguousarray(p.real) if real else p) @ vecs
+            # d_k = Re (V* P V)_kk: the column sums of Re(conj(V) * PV)
+            pv *= vecs if real else vecs.conj()
+            out[rows] = weights @ (ones @ pv).real
+    return row
+
+
+def _stack_row(channel: ClassicalQuantumChannel):
+    """The row filler on the channel's complex stack, with its d x d buffer."""
+    fibres = channel.densities()
+    flat = fibres.view(float).reshape(len(fibres), -1)
+    buf = np.empty(fibres.shape[1:], dtype=complex)
+
+    def row(p, out):
+        np.conjugate(p.T, out=buf)
+        out[:] = flat @ buf.view(float).reshape(-1)
+    return row
 
 
 def forward_data(

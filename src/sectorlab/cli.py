@@ -208,7 +208,6 @@ def _run_sectors_analyze(args) -> int:
 
 
 def _run_thermal_estimate(args) -> int:
-    from .channels import design_matrix
     from .thermal import build_thermal_channel, hierarchy_report
 
     system = io.read(args.system, io.system_from_json)
@@ -250,11 +249,12 @@ def _run_thermal_estimate(args) -> int:
         probes = hierarchy.levels[-1][1]
         header = ["beta", "mu"] + [name for name, _ in probes]
         rows = []
-        # probe expectations on the channel's Gibbs states, column i = point i
-        values = design_matrix(channel, [m for _, m in probes])
+        # probe expectations on the channel's Gibbs states: the report's
+        # design rows, entry i = point i
+        values = [report.design_rows[name] for name, _ in probes]
         for i, (beta, mu) in enumerate(grid.points):
             rows.append([beta, 0.0 if mu is None else mu]
-                        + [float(v) for v in values[:, i]])
+                        + [float(v[i]) for v in values])
         with open(args.csv, "w") as fh:
             fh.write(io.format_csv(rows, header))
     return EXIT_OK if payload["max_accepted_level"] is not None else EXIT_REJECTED

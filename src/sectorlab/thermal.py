@@ -22,6 +22,7 @@ from .channels import (
     ClassifyingSpace,
     InversionResult,
     ProbabilityWeight,
+    SpectralBlock,
     _invert,
     design_matrix,
     invert_cq,
@@ -245,13 +246,15 @@ def build_thermal_channel(
 ) -> ClassicalQuantumChannel:
     """The c->q channel whose fibres are the grid's Gibbs states.
 
-    One batched product (V w) V* per distinct mu, over the (points, d)
-    Boltzmann weights of that mu's points, fills the read-only (points, d,
-    d) density stack.  The stack is float64 when every mu's H - mu N is
-    real, and complex otherwise.  The fibre states and their ``gibbs(...)``
-    labels are built only when first read (see
-    :meth:`~sectorlab.channels.ClassicalQuantumChannel.from_densities`);
-    each fibre is bit for bit :func:`gibbs_state` at its point.
+    Every Gibbs state at one mu is diagonal in the eigenbasis V of H - mu N,
+    so the channel is held as its spectral data: for each distinct mu, the
+    grid indices of its points, V from the system's cached ``eigh`` and the
+    (points, d) Boltzmann weights (see
+    :meth:`~sectorlab.channels.ClassicalQuantumChannel.from_spectra`).  No
+    density is formed here.  The stack, the fibre states and their
+    ``gibbs(...)`` labels are built only when first read; each fibre is then
+    bit for bit :func:`gibbs_state` at its point, float64 when every mu's
+    H - mu N is real.
     """
     by_mu: dict = {}
     for i, (_, mu) in enumerate(grid.points):
@@ -260,16 +263,9 @@ def build_thermal_channel(
     for mu, idx in by_mu.items():
         evals, vecs = sys._spectrum(mu)
         w = _boltzmann(evals, [grid.points[i][0] for i in idx])
-        blocks.append((idx, (vecs * w[:, None, :]) @ la.dagger(vecs)))
-    if len(blocks) == 1:
-        stack = blocks[0][1]
-    else:
-        stack = np.empty((grid.size, sys.dim, sys.dim),
-                         dtype=np.result_type(*(fibres for _, fibres in blocks)))
-        for idx, fibres in blocks:
-            stack[idx] = fibres
+        blocks.append(SpectralBlock(idx, vecs, w))
     labels = (_gibbs_label(b, m) for b, m in grid.points)
-    return ClassicalQuantumChannel.from_densities(grid.to_space(), stack, labels)
+    return ClassicalQuantumChannel.from_spectra(grid.to_space(), blocks, labels)
 
 
 def entropy_density(
@@ -407,9 +403,15 @@ def s_thermal_check(
 
 @dataclass(frozen=True)
 class HierarchyReport:
+    """The verdicts level by level, and ``design_rows``: each probe name's
+    row of the design matrix the levels inverted on, its values at the
+    grid's points."""
+
     verdicts: tuple[ThermalVerdict, ...]
     max_accepted_level: str | None
     residual_monotone: bool
+    design_rows: Mapping[str, np.ndarray] = field(default_factory=dict, repr=False,
+                                                  compare=False)
 
 
 def hierarchy_report(
@@ -424,9 +426,10 @@ def hierarchy_report(
     distinct probe names serves every level, and each level inverts on its
     own rows of it, so a probe has one row however many levels list it.
     The design computes each probe's row on its own, so the rows are bit
-    for bit those :func:`s_thermal_check` builds for the level alone.  It
-    reads the channel's density stack, not its fibre states, so a channel
-    from :func:`build_thermal_channel` builds no state here.
+    for bit those :func:`s_thermal_check` builds for the level alone.  On a
+    channel from :func:`build_thermal_channel` it reads the spectral data,
+    so no density and no state is built here.  The rows are kept in the
+    report as ``design_rows``.
 
     Each level's NNLS solve begins at the coarser level's raw solution (see
     :func:`~sectorlab.channels._nnls`): a feasible point, so every level
@@ -467,4 +470,5 @@ def hierarchy_report(
         verdicts=tuple(verdicts),
         max_accepted_level=accepted[-1] if accepted else None,
         residual_monotone=monotone,
+        design_rows={pname: design[i] for pname, i in row.items()},
     )

@@ -11,6 +11,7 @@ from sectorlab.channels import (
     ClassicalQuantumChannel,
     ClassifyingSpace,
     ProbabilityWeight,
+    SpectralBlock,
     apply_cq,
     design_matrix,
     evaluation_matrix,
@@ -272,15 +273,15 @@ class TestInvertCq:
             invert_cq(two_point_channel, [SZ, probe], np.array([0.2, 0.1]))
 
     def test_design_matrix_holds_one_probe_stack(self, rng):
-        # 128 probes at d = 128 are one 32 MB complex stack; each probe is
-        # transposed into it and conjugated in place, so the peak is about
-        # one stack (two when the stack was copied to transpose it)
+        # 128 probes at d = 128 would be one 32 MB complex stack; the design
+        # makes none, since each probe's row is computed on its own with one
+        # d x d buffer, so the peak stays well under one such stack
         d, n = 128, 128
         base = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
         probes = [base[j % 4] for j in range(n)]
         fibres = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
-        channel = ClassicalQuantumChannel.from_densities(
-            ClassifyingSpace(("a", "b")), fibres, ["a", "b"])
+        channel = ClassicalQuantumChannel(
+            ClassifyingSpace(("a", "b")), tuple(State(f) for f in fibres))
         m, peak = peak_mb(lambda: design_matrix(channel, probes))
         stack = n * d * d * 16 / 2 ** 20
         assert peak < 1.25 * stack
@@ -531,17 +532,38 @@ class TestTieBreak:
         assert all(v.accepted and not v.unique for v in report.verdicts)
 
 
+def orthogonal(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+
+def unitary(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+
 def dense_channels(rng, d, k=5):
-    """Channels on k random dense d x d fibres: a float64 stack and a complex one."""
-    real = rng.standard_normal((k, d, d))
+    """Channels on k fibres of dimension d: one on random dense complex
+    states (the stack route), one on a real eigenbasis, and one on two
+    complex eigenbases (both factorised), with random real eigenvalue rows."""
     space = ClassifyingSpace(tuple(range(k)))
-    return [ClassicalQuantumChannel.from_densities(space, f, map(str, range(k)))
-            for f in (real, real + 1j * rng.standard_normal((k, d, d)))]
+    fibres = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    half = k // 2
+    return [
+        ClassicalQuantumChannel(space, tuple(State(f) for f in fibres)),
+        ClassicalQuantumChannel.from_spectra(
+            space, [SpectralBlock(range(k), orthogonal(rng, d),
+                                  rng.standard_normal((k, d)))], map(str, range(k))),
+        ClassicalQuantumChannel.from_spectra(
+            space, [SpectralBlock(range(half), unitary(rng, d),
+                                  rng.standard_normal((half, d))),
+                    SpectralBlock(range(half, k), unitary(rng, d),
+                                  rng.standard_normal((k - half, d)))],
+            map(str, range(k))),
+    ]
 
 
 class TestDesignRows:
     """One product per probe: a row's bits do not depend on the other probes,
-    and a real stack stays real."""
+    and a real eigenbasis keeps the products real."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 7, 12, 19, 32])
     def test_every_row_subset_is_bit_equal_to_the_full_design(self, d):
@@ -557,13 +579,17 @@ class TestDesignRows:
 
     @pytest.mark.parametrize("d", [2, 5, 16, 32])
     def test_real_rows_match_the_complex_formula(self, d):
-        # probes that are not Hermitian against fibres that are not symmetric
+        # probes that are not Hermitian against a real eigenbasis; the
+        # reference is the trace against the fibres V diag(w) V^T formed in
+        # complex arithmetic
         rng = np.random.default_rng(100 + d)
-        channel = dense_channels(rng, d, k=6)[0]
-        fibres = channel.densities()
-        assert fibres.dtype == np.float64
+        channel = dense_channels(rng, d, k=6)[1]
+        (block,) = channel.spectra
+        vecs = block.vectors
+        assert vecs.dtype == np.float64
+        fibres = np.einsum("ak,ik,bk->iab", vecs, block.weights, vecs).astype(complex)
         probes = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
-        expected = np.einsum("pij,kji->pk", probes, fibres.astype(complex)).real
+        expected = np.einsum("pij,kji->pk", probes, fibres).real
         scale = np.outer(np.linalg.norm(probes, axis=(1, 2)),
                          np.linalg.norm(fibres, axis=(1, 2)))
         assert np.all(np.abs(design_matrix(channel, list(probes)) - expected) <= 1e-15 * scale)
@@ -582,12 +608,13 @@ class TestDesignRows:
 
     def test_no_probe_stack_is_copied(self, rng):
         # 128 probes at d = 128 would be a 32 MB complex stack; one row at a
-        # time needs one d x d buffer
+        # time needs a few d x d buffers
         d, n = 128, 128
         base = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
         probes = [base[j % 4] for j in range(n)]
         for channel in dense_channels(rng, d, k=2):
+            if channel.spectra is None:
+                channel.densities()  # the fibres' own stack is not the probes'
             m, peak = peak_mb(lambda: design_matrix(channel, probes))
             assert peak < 4 * d * d * 16 / 2 ** 20
             assert np.array_equal(m[4:8], m[:4])
-

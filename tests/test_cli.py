@@ -284,6 +284,29 @@ class TestCliCommands:
             assert np.allclose(table[:, 2 + j], thermal_function(system, grid, m),
                                rtol=0, atol=1e-12)
 
+    def test_thermal_estimate_csv_reuses_the_report_design(
+            self, example_tree, tmp_path, monkeypatch):
+        # the CSV's thermal functions are the report's own design rows
+        d = example_tree / "moment_grid_12"
+        csv_path = tmp_path / "tf.csv"
+        calls = []
+        original = channels.design_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(channels, "design_matrix", counted)
+        monkeypatch.setattr(thermal, "design_matrix", counted)
+        code = cli.main([
+            "thermal", "estimate", "--system", str(d / "system.json"),
+            "--grid", str(d / "grid.json"), "--measured", str(d / "measured.json"),
+            "--hierarchy", str(d / "hierarchy.json"), "--csv", str(csv_path),
+        ])
+        assert code == 0
+        assert len(calls) == 1
+        assert len(csv_path.read_text().splitlines()) == 1 + len(moment_grid().points)
+
     def test_import_leaves_scipy_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c",

@@ -10,6 +10,7 @@ from sectorlab import _linalg as la
 from sectorlab import thermal
 from sectorlab.algebra import State, full_matrix_algebra, vector_state
 from sectorlab.channels import (
+    ClassicalQuantumChannel,
     ProbabilityWeight,
     apply_cq,
     design_matrix,
@@ -45,7 +46,7 @@ from sectorlab.thermal import (
     thermal_function,
 )
 
-from conftest import SX, SZ, I2
+from conftest import SX, SZ, I2, peak_mb
 
 
 class TestHamiltonianSystem:
@@ -859,3 +860,113 @@ class TestFloatStack:
             assert fibre.label == direct.label
             assert not fibre.density.flags.writeable
 
+
+
+def eigenbasis_system(d: int, complex_basis: bool, with_number: bool, seed: int):
+    """H = V diag(e) V* on C^d, with N = V diag(n) V* when ``with_number``,
+    for a seeded random V, real orthogonal or complex unitary."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    if complex_basis:
+        a = a + 1j * rng.standard_normal((d, d))
+    v = np.linalg.qr(a)[0]
+    h = (v * rng.uniform(-2.0, 3.0, d)) @ v.conj().T
+    n = (v * rng.integers(0, 4, d)) @ v.conj().T if with_number else None
+    return HamiltonianSystem((h + h.conj().T) / 2,
+                             number=None if n is None else (n + n.conj().T) / 2)
+
+
+class TestFactorisedDesign:
+    """A Gibbs channel's design rows come from its spectral data,
+    W Re diag(V* P V), and the criterion path forms no density."""
+
+    BETAS = (0.05, 0.4, 1.3, 6.0)
+
+    @pytest.mark.parametrize("complex_basis", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("with_number", [False, True], ids=["one-mu", "two-mu"])
+    def test_rows_match_the_stack_route(self, complex_basis, with_number):
+        # the same fibres held as states take the stack route; the rows
+        # agree to d eps |P|_F (a Gibbs fibre has |F|_F <= 1)
+        eps = np.finfo(float).eps
+        for d in range(1, 33):
+            sys = eigenbasis_system(d, complex_basis, with_number, seed=d)
+            grid = (ThermalGrid(tuple((b, mu) for b in self.BETAS for mu in (0.0, 0.7)))
+                    if with_number else beta_grid(self.BETAS))
+            channel = build_thermal_channel(sys, grid)
+            assert len(channel.spectra) == (2 if with_number else 1)
+            # a 1 x 1 Hermitian H - mu N is real
+            real = d == 1 or not complex_basis
+            assert {b.vectors.dtype for b in channel.spectra} == {
+                np.dtype(float if real else complex)}
+            rng = np.random.default_rng(1000 + d)
+            probes = [10.0 ** k * la.random_hermitian(rng, d) for k in (-3, 0, 4)]
+            probes.append(probes[1].T)  # a view that is not C-contiguous
+            stacked = ClassicalQuantumChannel(channel.space, channel.fibre_states)
+            assert stacked.spectra is None
+            got = design_matrix(channel, probes)
+            reference = design_matrix(stacked, probes)
+            norms = np.linalg.norm(probes, axis=(1, 2))
+            assert np.all(np.abs(got - reference) <= d * eps * norms[:, None]), d
+
+    def test_criterion_path_forms_no_density(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("densities() read on the criterion path")
+
+        monkeypatch.setattr(ClassicalQuantumChannel, "densities", refused)
+        sys = eigenbasis_system(6, True, True, seed=3)
+        grid = ThermalGrid(tuple((b, mu) for b in self.BETAS for mu in (0.0, 0.7)))
+        channel = build_thermal_channel(sys, grid)
+        rng = np.random.default_rng(4)
+        probes = [(f"p{i}", la.random_hermitian(rng, 6)) for i in range(5)]
+        hier = ObservableHierarchy((("coarse", tuple(probes[:2])), ("fine", tuple(probes))))
+        weights = rng.dirichlet(np.ones(grid.size))
+        mix = sum(w * gibbs_state(sys, b, mu).density
+                  for w, (b, mu) in zip(weights, grid.points))
+        measured = {name: float(np.trace(m @ mix).real) for name, m in probes}
+        report = hierarchy_report(measured, hier, channel, tol=1e-8)
+        assert report.max_accepted_level == "fine"
+        mats = [m for _, m in probes]
+        data = np.array([measured[name] for name, _ in probes])
+        assert invert_cq(channel, mats, data).residual <= 1e-8
+        assert s_thermal_check(measured, hier.levels[1][1], channel, tol=1e-8).accepted
+        assert channel._densities is None and channel._fibre_states is None
+
+    @pytest.mark.parametrize("c", [10.0 ** k for k in range(-9, 13)])
+    def test_shift_and_scale_leave_the_design_the_same(self, c):
+        # H + c 1 has the same Gibbs states; so has c H at beta / c
+        for sys, grid, probes in [
+                (two_level_system(), two_level_grid(), two_level_hierarchy().levels[-1][1]),
+                (moment_system(), moment_grid(), moment_probes())]:
+            mats = [m for _, m in probes]
+            design = design_matrix(build_thermal_channel(sys, grid), mats)
+            shifted = HamiltonianSystem(sys.hamiltonian + c * np.eye(sys.dim))
+            scaled = HamiltonianSystem(c * sys.hamiltonian)
+            slow = beta_grid([b / c for b, _ in grid.points])
+            for other in (design_matrix(build_thermal_channel(shifted, grid), mats),
+                          design_matrix(build_thermal_channel(scaled, slow), mats)):
+                assert np.abs(other - design).max() <= np.finfo(float).eps
+
+    def test_non_finite_probe_gives_a_nan_row_without_warning(self):
+        # the configuration turns a RuntimeWarning into a failure
+        channel = build_thermal_channel(eigenbasis_system(3, False, False, seed=1),
+                                        beta_grid(self.BETAS))
+        stacked = ClassicalQuantumChannel(channel.space, channel.fibre_states)
+        unit = np.eye(3, dtype=complex)
+        for entry in (np.inf, -np.inf, np.nan):
+            probe = np.diag([1.0, entry, 0.0]).astype(complex)
+            for ch in (channel, stacked):
+                m = design_matrix(ch, [unit, probe])
+                assert np.all(np.isnan(m[1]))
+                assert np.allclose(m[0], 1.0, rtol=0, atol=1e-14)
+
+    def test_read_stack_is_built_in_place(self):
+        # d = 32, 50 points: the stack (400 KB) and one d x d buffer, no
+        # batched temporary the size of the stack
+        sys = eigenbasis_system(32, False, False, seed=2)
+        grid = beta_grid(np.geomspace(0.05, 20.0, 50))
+        channel = build_thermal_channel(sys, grid)
+        stack, peak = peak_mb(channel.densities)
+        assert stack.shape == (50, 32, 32) and stack.dtype == np.float64
+        assert peak < (stack.nbytes + 4 * 32 * 32 * 8) / 2 ** 20
+        for (beta, _), rho in zip(grid.points[::7], stack[::7]):
+            assert np.array_equal(rho.astype(complex), gibbs_state(sys, beta).density)
