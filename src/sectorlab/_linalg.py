@@ -45,6 +45,10 @@ _EPS = float(np.finfo(float).eps)
 #: a vector whose part outside a span is <= DEPENDENCE_CUT times its part
 #: inside lies in the span (the column test of Lawson-Hanson NNLS)
 DEPENDENCE_CUT = 100 * _EPS
+#: an NNLS run stops once its residual is <= RESIDUAL_FLOOR * (||c|| +
+#: ||A||_F ||x||): the rounding level of a least-squares residual, under
+#: which every dual left is noise
+RESIDUAL_FLOOR = 16 * _EPS
 #: a multiplet implements a unital *-endomorphism of a representation's
 #: commutant when its unitality defect is <= MORPHISM_CUT * d and its
 #: residuals are <= MORPHISM_CUT (:func:`~sectorlab.groups.endomorphism_failure`)

@@ -8,6 +8,7 @@ expectations, solved as least squares on the probability simplex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -199,10 +200,19 @@ def _spectral_stack(blocks, n: int, d: int) -> np.ndarray:
 
 
 def apply_cq(channel: ClassicalQuantumChannel, rho: ProbabilityWeight) -> State:
-    """The dual channel on weights: the mixture sum_i rho_i * fibre_i."""
+    """The dual channel on weights: the mixture sum_i rho_i * fibre_i.
+
+    On a channel made by :meth:`~ClassicalQuantumChannel.from_spectra` it is
+    the sum over blocks of V diag(rho^T W) V*, one d x d product per block,
+    and no fibre is formed; any other channel sums its stack.
+    """
     if rho.space.labels != channel.space.labels:
         raise ValueError("weight and channel live on different classifying spaces")
-    density = np.tensordot(rho.weights, channel.densities(), axes=(0, 0))
+    if channel.spectra is None:
+        density = np.tensordot(rho.weights, channel.densities(), axes=(0, 0))
+    else:
+        density = sum((vecs * (rho.weights[rows] @ weights)) @ la.dagger(vecs)
+                      for rows, vecs, weights in channel.spectra)
     return State(density, label="cq-mixture")
 
 
@@ -458,6 +468,14 @@ def _step_back(a, c, y, trial, solved, iters):
     return (trial, q, z, rest), iters
 
 
+def _residual_floor(norm_c: float, norm_a: float, x: np.ndarray) -> float:
+    """``RESIDUAL_FLOOR`` (||c|| + ||a||_F ||x||), the rounding level of a
+    least-squares residual at x; -inf, which stops nothing, when that bound
+    is not finite."""
+    level = la.RESIDUAL_FLOOR * (norm_c + norm_a * float(np.linalg.norm(x)))
+    return level if math.isfinite(level) else -math.inf
+
+
 def _nnls(a: np.ndarray, c: np.ndarray, start: np.ndarray | None = None):
     """Lawson-Hanson argmin ||a x - c|| over x >= 0: x, solves, converged.
 
@@ -465,34 +483,68 @@ def _nnls(a: np.ndarray, c: np.ndarray, start: np.ndarray | None = None):
     they stay accurate far below the rounding level of c - a x.  A column
     enters only if it passes the original dependence test (part outside the
     span > 100 eps times part inside, ``_linalg.DEPENDENCE_CUT``) and gets a
-    positive trial coefficient; a refused column waits until x changes.  The solve stops when no dual is
-    positive, or when an outer step fails to reduce the residual (in exact
-    arithmetic every step does, so the duals left are rounding noise).
+    positive trial coefficient; a refused column waits until x changes.  The
+    solve stops when no dual is positive; when the residual is at most
+    ``_linalg.RESIDUAL_FLOOR`` (||c|| + ||a||_F ||x||), the rounding level
+    of a least-squares residual, so that every dual left is noise (a bound
+    that is not finite, as when ||a||_F overflows, stops nothing; under the
+    inversion's overflow check such an ||a||_F is an overflow); or when
+    an outer step fails to reduce the residual (in exact arithmetic every
+    step does, so the duals left are rounding noise).
 
-    Without ``start`` the solve begins at x = 0.  A non-negative ``start``
-    is a feasible point, which Lawson-Hanson accepts as well (Lawson &
-    Hanson 1974, ch. 23): the solve begins on its support, stepping back
-    towards ``start`` while a coefficient is <= 0, and keeps that point
-    only if the support passes the dependence test and the residual there
-    is below ||c||, the residual at x = 0; otherwise it begins at x = 0,
-    and the solves spent on the start are counted all the same.
+    A non-negative ``start`` with a positive entry is a feasible point,
+    which Lawson-Hanson accepts as well (Lawson & Hanson 1974, ch. 23): the
+    solve begins on its support, stepping back towards ``start`` while a
+    coefficient is <= 0, and keeps that point only if the support passes
+    the dependence test and the residual there is below ||c||, the residual
+    at x = 0; otherwise it begins at x = 0, and the solves spent on the
+    start are counted all the same.
+
+    With no such start (``start`` None or zero) on an ``a`` with at least
+    as many rows as columns, the run first solves least squares on all
+    columns, with the dependence test.  A solution that passes and is
+    positive everywhere is the optimum and is kept with no second solve;
+    one that passes with some positive coefficient hands its positive part
+    to the start above; otherwise the run begins at x = 0.  This solve is
+    counted too.  It replaces the walk of one column per solve that a start
+    at zero takes through nearly collinear columns.
     """
-    x = np.zeros(a.shape[1])
+    n = a.shape[1]
+    x = np.zeros(n)
     cols: list[int] = []
     refused: list[int] = []
-    q, rest = np.eye(a.shape[0]), c
+    # q is None while Q is the identity, so that Q^T a is a itself
+    q, rest = None, c
     iters = 0
     support = [] if start is None else np.flatnonzero(start > 0).tolist()
-    if support:
+    if not support and a.shape[0] >= n:
         iters = 1
+        solved = _solve_on(a, c, list(range(n)), check=True)
+        if solved is not None and np.isfinite(solved[1]).all():
+            if (solved[1] > 0).all():
+                cols, (q, x, rest) = list(range(n)), solved
+            else:
+                start = np.maximum(solved[1], 0.0)
+                support = np.flatnonzero(start).tolist()
+    norm_c, norm_a = float(np.linalg.norm(c)), float(np.linalg.norm(a))
+    rest_norm = norm_c if q is None else float(np.linalg.norm(rest))
+    if support:
+        iters += 1
         solved = _solve_on(a, c, support, check=True)
         if solved is not None:
             warm, iters = _step_back(a, c, start, support, solved, iters)
-            if warm is not None and np.linalg.norm(warm[3]) < np.linalg.norm(c):
-                cols, q, x, rest = warm
+            if warm is not None:
+                warm_norm = float(np.linalg.norm(warm[3]))
+                if warm_norm < norm_c:
+                    (cols, q, x, rest), rest_norm = warm, warm_norm
+    # at x = 0 the residual is ||c||, above the floor unless c = 0, where
+    # no dual is positive either
+    floor = _residual_floor(norm_c, norm_a, x) if cols else -math.inf
     while iters < MAX_ITERATIONS:
+        if rest_norm <= floor:
+            return x, iters, True
         k = len(cols)
-        qa = q.T @ a
+        qa = a if q is None else q.T @ a
         dual = qa[k:].T @ rest
         dual[cols + refused] = -np.inf
         j = int(np.argmax(dual))
@@ -510,9 +562,11 @@ def _nnls(a: np.ndarray, c: np.ndarray, start: np.ndarray | None = None):
         if done is None:
             return x, iters, False
         trial, q_t, z, rest_t = done
-        if np.linalg.norm(rest_t) >= np.linalg.norm(rest):
+        norm_t = float(np.linalg.norm(rest_t))
+        if norm_t >= rest_norm:
             return x, iters, True
-        x, cols, q, rest, refused = z, trial, q_t, rest_t, []
+        x, cols, q, rest, rest_norm, refused = z, trial, q_t, rest_t, norm_t, []
+        floor = _residual_floor(norm_c, norm_a, x)
     return x, iters, False
 
 
@@ -526,8 +580,13 @@ def invert_cq(
     M rho - data = (M - data 1^T) rho: one Lawson-Hanson NNLS solve on
     [M - data 1^T; 1^T] against (0, ..., 0, 1), scaled to sum 1, as for
     least-distance programming (Lawson & Hanson 1974, ch. 23); M^T M is
-    never formed.  ``iterations`` counts least-squares solves; ``converged``
-    is False only if ``MAX_ITERATIONS`` cut the solve short; ``kkt_residual``
+    never formed.  With at least as many probes as labels less one, the
+    solve first takes least squares on every label, and begins at its
+    positive part, or keeps it when it is positive everywhere; it stops once
+    its residual is at the rounding level ``_linalg.RESIDUAL_FLOOR`` (see
+    :func:`_nnls`).  ``iterations`` counts least-squares solves, that first
+    one included; ``converged`` is False only if ``MAX_ITERATIONS`` cut the
+    solve short, and True when it stopped at the floor; ``kkt_residual``
     is the largest violation of the simplex optimality conditions at the
     reported weight.  Inconsistent data gives a positive residual, never an
     exception.  If [M; 1^T] is rank-deficient (non-unique, nullspace

@@ -333,7 +333,7 @@ def _run_cuntz_nf(args) -> int:
 
 
 def _run_channels_invert(args) -> int:
-    from .channels import design_matrix, invert_cq
+    from .channels import _invert, design_matrix
 
     channel = io.read(args.channel, io.channel_from_json)
     probes = io.read(args.probes, io.probes_from_json)
@@ -343,7 +343,10 @@ def _run_channels_invert(args) -> int:
     _check_values(measured, [n for n, _ in probes], args.data, args.probes)
     mats = [m for _, m in probes]
     data = np.array([measured[n] for n, _ in probes])
-    result = invert_cq(channel, mats, data)
+    # invert_cq on the design computed here, whose rows the CSV writes: each
+    # row is computed on its own, so they are the solve's rows bit for bit
+    m = design_matrix(channel, mats)
+    result = _invert(m, data, channel.space)[0]
     payload = {
         "labels": [io._label_to_json(l) for l in channel.space.labels],
         "weights": [float(w) for w in result.weight.weights],
@@ -358,7 +361,6 @@ def _run_channels_invert(args) -> int:
     }
     _emit(payload, args)
     if args.design_csv:
-        m = design_matrix(channel, mats)
         header = ["probe"] + [str(io._label_to_json(l))
                               for l in channel.space.labels]
         rows = [[name] + [float(x) for x in m[j]]

@@ -38,6 +38,11 @@ OPERATOR_TOL = 1e-10
 WEIGHT_SLACK = 1e-12
 WEIGHT_SUM_TOL = 1e-10
 
+#: a thermal grid point has beta and |mu| at most GRID_BOUND, so that the
+#: moments of a weight on the grid, sums of squared differences of the
+#: coordinates, stay finite
+GRID_BOUND = 1e150
+
 DEFAULT_SEED = 0
 
 #: seeds a randomised spectral split tries before it gives up

@@ -27,7 +27,7 @@ from .channels import (
     design_matrix,
     invert_cq,
 )
-from .config import CRITERION_TOL, OPERATOR_TOL
+from .config import CRITERION_TOL, GRID_BOUND, OPERATOR_TOL
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,12 @@ def _check_beta(beta: float) -> None:
 
 @dataclass(frozen=True)
 class ThermalGrid:
-    """Finite list of (beta, mu) points; mu is None on mu-free grids."""
+    """Finite list of (beta, mu) points; mu is None on mu-free grids.
+
+    Every beta is positive and finite, and beta and |mu| are at most
+    ``GRID_BOUND`` (1e150), so that a weight's moments on the grid are
+    finite; a point outside is a ``ValueError`` naming it.
+    """
 
     points: tuple
 
@@ -126,6 +131,9 @@ class ThermalGrid:
                 raise ValueError(f"grid point {(beta, mu)} is not finite")
             if beta <= 0:
                 raise ValueError(f"inverse temperature must be positive, got {beta}")
+            if max(beta, 0.0 if mu is None else abs(mu)) > GRID_BOUND:
+                raise ValueError(f"grid point {(beta, mu)} is beyond the bound "
+                                 f"{GRID_BOUND:g} on beta and |mu|")
             pts.append((beta, mu))
         if len(set(pts)) != len(pts):
             raise ValueError("grid points must be distinct")
@@ -177,9 +185,12 @@ def _boltzmann(evals: np.ndarray, beta) -> np.ndarray:
     """exp(-beta e) / Z, from the spectrum shifted to start at 0 (no overflow).
 
     For a (g,) array of betas, the (g, d) array of the g weight rows; each
-    row is bit for bit the row of its beta alone.
+    row is bit for bit the row of its beta alone.  An exponent that
+    overflows is -inf, whose weight exp(-inf) = 0 is exact, so it raises no
+    warning; the ground state's exponent is 0, so Z >= 1.
     """
-    w = np.exp(np.multiply.outer(-np.asarray(beta), evals - evals.min()))
+    with np.errstate(over="ignore"):
+        w = np.exp(np.multiply.outer(-np.asarray(beta), evals - evals.min()))
     w /= w.sum(axis=-1, keepdims=True)
     return w
 
@@ -434,7 +445,13 @@ def hierarchy_report(
     Each level's NNLS solve begins at the coarser level's raw solution (see
     :func:`~sectorlab.channels._nnls`): a feasible point, so every level
     still reaches its own optimum, and on nested levels it usually lies
-    close to it, which saves most of the solves a start at zero needs.  A
+    close to it, which saves most of the solves a start at zero needs.  The
+    first level, or one whose start is zero, begins as
+    :func:`~sectorlab.channels.invert_cq` does: at the positive part of the
+    least-squares solution on every label when it has at least as many
+    probes as labels less one, else at zero.  Every level stops once its
+    residual is at the rounding level ``_linalg.RESIDUAL_FLOOR``, where the
+    duals left are noise.  A
     level's residual and fitted values agree with :func:`s_thermal_check`
     to rounding, and so do its weights where the level is ``unique``; on a
     rank-deficient level the weights are an optimum with that fit, not

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sectorlab import _linalg as la
 from sectorlab import channels
@@ -403,16 +404,92 @@ class TestWarmStart:
         assert result.converged
 
     def test_dependent_support_starts_cold(self):
-        # columns 0 and 1 are equal: a start on both costs the refused solve
-        # and then runs as from x = 0; a start on the optimum's support
-        # {0, 2} costs one solve
+        # columns 0 and 1 are equal: the cold run's solve on all columns is
+        # refused, then it walks from x = 0 in two solves; a start on both
+        # costs its refused solve and then walks the same way; a start on the
+        # optimum's support {0, 2} costs one solve
         a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
         c = np.array([1.0, 2.0, 3.0])
         cold, cold_iters, _ = channels._nnls(a, c)
+        assert cold_iters == 3
         x, iters, converged = channels._nnls(a, c, np.array([0.5, 0.5, 0.0]))
-        assert converged and (x.tobytes(), iters) == (cold.tobytes(), cold_iters + 1)
+        assert converged and (x.tobytes(), iters) == (cold.tobytes(), 3)
         x, iters, converged = channels._nnls(a, c, np.array([0.5, 0.0, 1.0]))
         assert converged and iters == 1 and np.abs(x - cold).max() <= 1e-14
+
+
+class TestLeastSquaresStart:
+    """A cold run on at least as many rows as columns first solves least
+    squares on all columns."""
+
+    def test_positive_solution_is_kept_with_one_solve(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, 1.0]])
+        c = a @ np.array([0.25, 0.75])
+        x, iters, converged = channels._nnls(a, c)
+        assert converged and iters == 1
+        assert np.abs(x - [0.25, 0.75]).max() <= 1e-15
+
+    @staticmethod
+    def traced_supports(monkeypatch):
+        """The column lists of every least-squares solve, in order."""
+        supports = []
+        original = channels._solve_on
+
+        def traced(a, c, cols, check=False):
+            supports.append(list(cols))
+            return original(a, c, cols, check)
+
+        monkeypatch.setattr(channels, "_solve_on", traced)
+        return supports
+
+    def test_mixed_signs_start_at_the_positive_part(self, monkeypatch):
+        # the solution (1, -1, 2) on the identity: its positive part (1, 0, 2)
+        # is the optimum, reached by the all-columns solve and one on {0, 2}
+        supports = self.traced_supports(monkeypatch)
+        x, iters, converged = channels._nnls(np.eye(3), np.array([1.0, -1.0, 2.0]))
+        assert converged and iters == 2 and supports == [[0, 1, 2], [0, 2]]
+        assert x.tolist() == [1.0, 0.0, 2.0]
+
+    def test_wide_systems_start_at_zero(self, monkeypatch):
+        supports = self.traced_supports(monkeypatch)
+        x, iters, converged = channels._nnls(np.array([[1.0, 2.0, 0.5]]), np.array([2.0]))
+        assert converged and iters == 1 and supports == [[1]]
+        assert x.tolist() == [0.0, 1.0, 0.0]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), labels=st.integers(2, 6),
+           probes=st.integers(1, 8), kind=st.sampled_from(["full", "repeated", "low-rank"]),
+           consistent=st.booleans(), k=st.integers(0, 7))
+    def test_optimum_matches_the_brute_force_oracle(self, seed, labels, probes, kind,
+                                                   consistent, k):
+        # tall and wide, full-rank and rank-deficient designs, probes scaled
+        # by 10^k; consistent data come from a weight, inconsistent ones are
+        # moved off by noise of unit size.  The problem is homogeneous, so
+        # the oracle runs at scale 1.  The NNLS optimum (before the
+        # tie-break, whose absolute slack is ROADMAP item 1) fits as well as
+        # the oracle's to 1e-14 of the problem's scale, and the reported
+        # weight gets the oracle's verdict.  From 10^8 on, item 1's
+        # overflow error and wrong optima show
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((probes, labels))
+        if kind == "repeated":
+            m[:, 1] = m[:, 0]
+        elif kind == "low-rank":
+            r = int(rng.integers(1, max(2, min(probes, labels))))
+            m = rng.standard_normal((probes, r)) @ rng.standard_normal((r, labels))
+        w = np.zeros(labels)
+        support = rng.choice(labels, int(rng.integers(1, labels + 1)), replace=False)
+        w[support] = rng.dirichlet(np.ones(len(support)))
+        noise = np.zeros(probes) if consistent else 3.0 * rng.standard_normal(probes)
+        s = 10.0 ** k
+        design, data = s * m, s * (m @ w) + noise
+        result, raw = channels._invert(design, data, ClassifyingSpace(tuple(range(labels))))
+        oracle = s * simplex_optimum(m, m @ w + noise / s)
+        scale = np.linalg.norm(design) + np.linalg.norm(data)
+        assert result.converged
+        assert np.linalg.norm(design @ (raw / raw.sum()) - data) <= oracle + 1e-14 * scale
+        tol = 1e-8 * scale
+        assert (result.residual <= tol) == (oracle <= tol)
 
 
 def lstsq_tie(aug, x):

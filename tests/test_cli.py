@@ -307,6 +307,29 @@ class TestCliCommands:
         assert len(calls) == 1
         assert len(csv_path.read_text().splitlines()) == 1 + len(moment_grid().points)
 
+    def test_channels_invert_design_csv_reuses_the_solve_design(
+            self, example_tree, tmp_path, monkeypatch):
+        # the CSV's rows are the design the solve ran on, computed once
+        d = example_tree / "moment_grid_12"
+        csv_path = tmp_path / "design.csv"
+        calls = []
+        original = channels.design_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(channels, "design_matrix", counted)
+        code = cli.main([
+            "channels", "invert", "--channel", str(d / "channel.json"),
+            "--probes", str(d / "probes.json"), "--data", str(d / "measured.json"),
+            "--design-csv", str(csv_path)])
+        assert code == 0
+        (design,) = calls
+        table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2,
+                           usecols=range(1, design.shape[1] + 1))
+        assert np.array_equal(table, design)
+
     def test_import_leaves_scipy_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -379,6 +402,31 @@ class TestCliCommands:
             assert level["sigma_min"] == sep.sigma_min
             assert level["nullspace_dim"] == channel.space.size - sep.rank
         assert levels[-1]["rank"] == 11 and levels[-1]["sigma_min"] > 0
+
+    @pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 2)])
+    def test_thermal_estimate_beta_bound(self, example_tree, tmp_path, factor, code):
+        # beta up to 1e150 gives finite moments and no warning; above it the
+        # grid is an input error that names its file, before any exponent
+        d = example_tree / "gibbs_two_level"
+        grid = json.loads((d / "grid.json").read_text())
+        grid["points"][-1]["beta"] = factor * 1e150
+        path = tmp_path / "big_grid.json"
+        path.write_text(json.dumps(grid))
+        proc = run_cli(
+            "thermal", "estimate", "--system", str(d / "system.json"),
+            "--grid", str(path), "--measured", str(d / "measured.json"),
+            "--hierarchy", str(d / "hierarchy.json"),
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Warning" not in proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+            moments = [lv["moments"]["beta"] for lv in json.loads(proc.stdout)["levels"]]
+            assert all(np.isfinite(m["variance"]) and m["variance"] > 0 for m in moments)
+        else:
+            assert proc.stderr.splitlines()[-1] == (
+                f"error: {path}: grid point ({factor * 1e150!r}, None) is beyond "
+                "the bound 1e+150 on beta and |mu|")
 
     @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
     def test_thermal_estimate_non_finite_beta_is_an_input_error(

@@ -17,4 +17,5 @@ def tree(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_the_corpus(name, tree, tmp_path):
     got, want = run_case(name, tree, tmp_path), stored(name)
-    assert got == want, "moved fields:\n" + "\n".join(moved_fields(name, want, got))
+    if got != want:
+        pytest.fail("moved fields:\n" + "\n".join(moved_fields(name, want, got)))

@@ -137,6 +137,34 @@ def test_nnls_dependence_cut(factor, weights):
     assert np.allclose(x, weights, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("factor, solves", [(INSIDE, 1), (OUTSIDE, 2)])
+def test_nnls_residual_floor(factor, solves):
+    # a wide system (no solve on all columns): after column 0 enters, x =
+    # (1, 0, 0) and the residual is eta, against 16 eps (||c|| + ||a||_F ||x||)
+    # = 16 eps (1 + sqrt 2); at or under it the run stops, above it column 1
+    # enters too
+    eta = factor * 16 * np.finfo(float).eps * (1 + np.sqrt(2))
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    x, iters, converged = channels._nnls(a, np.array([1.0, eta]))
+    assert converged and iters == solves
+    assert x.tolist() == [1.0, 0.0 if solves == 1 else eta, 0.0]
+
+
+@pytest.mark.parametrize("floor", [np.inf, np.nan])
+def test_nnls_floor_that_is_not_finite_stops_nothing(monkeypatch, floor):
+    # the run of test_nnls_residual_floor inside the floor, with the floor
+    # not finite: it runs on as with no floor at all
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    c = np.array([1.0, 0.5 * 16 * np.finfo(float).eps])
+    monkeypatch.setattr(la, "RESIDUAL_FLOOR", 0.0)
+    unfloored = channels._nnls(a, c)
+    monkeypatch.setattr(la, "RESIDUAL_FLOOR", floor)
+    x, iters, converged = channels._nnls(a, c)
+    assert converged and iters == unfloored[1] == 2
+    assert x.tobytes() == unfloored[0].tobytes()
+    assert channels._residual_floor(1.0, np.inf, np.ones(2)) == -np.inf
+
+
 @pytest.mark.parametrize("factor, accepted", [(INSIDE, True), (OUTSIDE, False)])
 def test_morphism_cut(factor, accepted):
     # psi = (X + eps Z) (x) 1 on a 2-site Z2 chain leaves span{U(h)} by 2 eps
@@ -165,15 +193,19 @@ def test_morphism_cut(factor, accepted):
 
 
 def test_no_literal_cuts_outside_linalg_and_config():
-    # a float literal below 1e-6 is a cut; it belongs with the named ones
+    # a float literal below 1e-6 is a cut, and so is a multiple of machine
+    # epsilon (finfo, as in RESIDUAL_FLOOR and DEPENDENCE_CUT); they belong
+    # with the named ones
     package = Path(__file__).resolve().parents[1] / "src" / "sectorlab"
     hits = [
-        f"{path.name}:{node.lineno} {node.value!r}"
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
         for path in sorted(package.glob("*.py"))
         if path.name not in ("_linalg.py", "config.py")
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Constant) and isinstance(node.value, float)
-        and 0 < abs(node.value) < 1e-6
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-6)
+        or (isinstance(node, (ast.Attribute, ast.Name))
+            and getattr(node, "attr", getattr(node, "id", None)) in ("finfo", "_EPS"))
     ]
     assert not hits, f"{len(hits)} literal cuts: {hits}"
 

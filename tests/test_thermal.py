@@ -94,6 +94,30 @@ class TestThermalGrid:
         with pytest.raises(ValueError, match=r"grid point .* is not finite"):
             ThermalGrid(pts)
 
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    @pytest.mark.parametrize("point", [(1.0, None), (1.0, 1.0), (1.0, -1.0)],
+                             ids=["beta", "mu", "-mu"])
+    def test_coordinate_bound(self, factor, accepted, point):
+        # beta and |mu| up to 1e150: a weight's moments stay finite
+        b, m = point
+        pt = (factor * 1e150 * b, None) if m is None else (1.0, factor * 1e150 * m)
+        pts = ((0.5, None if m is None else 0.0), pt)
+        if accepted:
+            grid = ThermalGrid(pts)
+            weight = ProbabilityWeight(grid.to_space(), np.array([0.5, 0.5]))
+            assert all(np.isfinite(v) for mv in weight.moments().values() for v in mv)
+        else:
+            with pytest.raises(ValueError, match=r"beyond the bound 1e\+150"):
+                ThermalGrid(pts)
+
+    def test_boltzmann_weights_underflow_without_warning(self):
+        # beta (E - E_0) = 1e310 overflows to inf: its weight is exp(-inf) = 0,
+        # exactly; the suite turns a RuntimeWarning into a failure
+        sys = HamiltonianSystem(np.diag([0.0, 1.0, 1e10]))
+        assert np.array_equal(gibbs_state(sys, 1e300).density, np.diag([1.0, 0.0, 0.0]))
+        (block,) = build_thermal_channel(sys, beta_grid([1e-300, 1e150])).spectra
+        assert np.array_equal(block.weights[1], [1.0, 0.0, 0.0])
+
     def test_non_finite_beta_grid_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
             beta_grid([1.0, np.nan])
@@ -681,8 +705,8 @@ class TestLevelStarts:
 
     def test_nested_levels_save_solves(self):
         # exact mixtures of three Gibbs states on a 12-point grid, levels of
-        # 12, 14 and 16 of the 16 occupations (every level unique): 111
-        # least-squares solves over the four reports against 187 level by level
+        # 12, 14 and 16 of the 16 occupations (every level unique): 37
+        # least-squares solves over the four reports against 71 level by level
         warm, cold = [], []
         for seed in range(4):
             rng = np.random.default_rng(seed)
@@ -706,8 +730,8 @@ class TestLevelStarts:
             warm.append([v.iterations for v in report.verdicts])
             cold.append([s_thermal_check(measured, probes, channel, tol=1e-8).iterations
                          for _, probes in hier.levels])
-        assert warm == [[13, 10, 7], [27, 5, 3], [11, 8, 2], [18, 4, 3]]
-        assert cold == [[13, 8, 14], [27, 12, 28], [11, 12, 13], [18, 15, 16]]
+        assert warm == [[4, 3, 1], [7, 2, 1], [7, 2, 1], [6, 2, 1]]
+        assert cold == [[4, 6, 6], [7, 7, 4], [7, 6, 6], [6, 6, 6]]
 
 
 class TestProbeNames:
@@ -907,6 +931,24 @@ class TestFactorisedDesign:
             reference = design_matrix(stacked, probes)
             norms = np.linalg.norm(probes, axis=(1, 2))
             assert np.all(np.abs(got - reference) <= d * eps * norms[:, None]), d
+
+    @pytest.mark.parametrize("complex_basis", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("with_number", [False, True], ids=["one-mu", "two-mu"])
+    def test_mixture_matches_the_stack_route(self, complex_basis, with_number):
+        # apply_cq sums V diag(rho^T W) V* over the blocks and forms no
+        # fibre; the stack's mixture agrees to d eps (each |F|_F <= 1)
+        eps = np.finfo(float).eps
+        for d in range(1, 33):
+            sys = eigenbasis_system(d, complex_basis, with_number, seed=d)
+            grid = (ThermalGrid(tuple((b, mu) for b in self.BETAS for mu in (0.0, 0.7)))
+                    if with_number else beta_grid(self.BETAS))
+            channel = build_thermal_channel(sys, grid)
+            rho = ProbabilityWeight(channel.space,
+                                    np.random.default_rng(d).dirichlet(np.ones(grid.size)))
+            got = apply_cq(channel, rho).density
+            assert channel._densities is None and channel._fibre_states is None
+            reference = np.tensordot(rho.weights, channel.densities(), axes=(0, 0))
+            assert np.abs(got - reference).max() <= d * eps, d
 
     def test_criterion_path_forms_no_density(self, monkeypatch):
         def refused(self):
