@@ -1,4 +1,4 @@
-"""Golden reports of the thermality path: exit codes and report bytes.
+"""Golden reports of the CLI: exit codes and report bytes.
 
 Each case runs one CLI command in process on the ``examples init`` tree,
 once with ``--format json`` and once with ``--format text``, and keeps the
@@ -47,6 +47,26 @@ CASES = {
         "channels", "invert", "--channel", "{tree}/moment_grid_12/channel.json",
         "--probes", "{tree}/moment_grid_12/probes.json",
         "--data", "{tree}/moment_grid_12/measured.json", "--design-csv", "{csv}"],
+    "sectors_analyze_z2_chain_2": [
+        "sectors", "analyze", "--field", "{tree}/z2_chain_2/field.json",
+        "--group", "{tree}/z2_chain_2/group.json", "--rep", "{tree}/z2_chain_2/rep.json",
+        "--state", "{tree}/z2_chain_2/charged_state.json",
+        "--hamiltonian", "{tree}/z2_chain_2/hamiltonian.json"],
+    "dhr_check_z2_chain_3": [
+        "dhr", "check", "--net", "{tree}/z2_chain_3/net.json",
+        "--state", "{tree}/z2_chain_3/flipped_state.json",
+        "--vacuum", "{tree}/z2_chain_3/vacuum.json"],
+    "dhr_check_all_subsets_z2_chain_3": [
+        "dhr", "check", "--net", "{tree}/z2_chain_3/net.json",
+        "--state", "{tree}/z2_chain_3/flipped_state.json",
+        "--vacuum", "{tree}/z2_chain_3/vacuum.json", "--all-subsets"],
+    "dhr_invert_z2_chain_3": [
+        "dhr", "invert", "--net", "{tree}/z2_chain_3/net.json",
+        "--state", "{tree}/z2_chain_3/flipped_state.json",
+        "--vacuum", "{tree}/z2_chain_3/vacuum.json"],
+    # the fourth sample of the tree's cuntz_d2/expressions.json
+    "cuntz_nf": ["cuntz", "nf", "--d", "2", "--expr", "(s1 s2*) (s2 s1*)"],
+    "cuntz_nf_json": ["cuntz", "nf", "--d", "2", "--expr", "(s1 s2*) (s2 s1*)", "--json"],
 }
 
 
@@ -88,8 +108,11 @@ def run_all(base: Path) -> dict[str, dict[str, bytes]]:
 
 
 def stored(name: str) -> dict[str, bytes]:
-    """The case's stored outputs, keyed like :func:`run_case`'s."""
+    """The case's stored outputs, keyed like :func:`run_case`'s; empty for a
+    case the corpus does not hold yet."""
     codes = json.loads((HERE / "exit_codes.json").read_text())
+    if name not in codes:
+        return {}
     out = {"exit": str(codes[name]).encode()}
     for ext in ("json", "txt", "csv"):
         path = HERE / f"{name}.{ext}"
@@ -116,7 +139,9 @@ def _fields(ext: str, data: bytes) -> dict[str, str]:
         walk("", json.loads(text))
         return leaves
     if ext == "txt":
-        return dict(line.split(" = ", 1) for line in text.splitlines())
+        # a plain-text normal form has no " = ": keyed by its line number
+        return dict(line.split(" = ", 1) if " = " in line else (f"line {i}", line)
+                    for i, line in enumerate(text.splitlines()))
     if ext == "csv":
         rows = list(csv.reader(io.StringIO(text)))
         return {f"{row[0]}.{col}": cell for row in rows[1:]

@@ -1,4 +1,4 @@
-"""The thermality path's reports, byte for byte against the golden corpus.
+"""The CLI's reports, byte for byte against the golden corpus.
 
 ``tests/golden/corpus.py`` holds the cases and regenerates the corpus; a
 mismatch fails and names every moved field, it never skips.
