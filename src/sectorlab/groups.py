@@ -218,12 +218,13 @@ class UnitaryRep:
         return (phases[:, :, None] * f[cols[:, :, None], cols[:, None, :]]
                 * phases.conj()[:, None, :])
 
-    def images(self, e: np.ndarray) -> np.ndarray:
-        """The stack of U(g) e over the group, for a d x m matrix e."""
+    def images(self, e: np.ndarray, gs: slice = slice(None)) -> np.ndarray:
+        """The stack of U(g) e over a slice of the group (all of it by
+        default), for a d x m matrix e."""
         if self.monomial is None:
-            return self.matrices @ e
+            return self.matrices[gs] @ e
         cols, phases = self.monomial
-        return phases[..., None] * e[cols]
+        return phases[gs, :, None] * e[cols[gs]]
 
     @cached_property
     def span(self) -> np.ndarray:
@@ -477,53 +478,51 @@ class SectorDecomposition:
     """Sector data of a representation: H_gamma (x) V_gamma blocks.
 
     ``unitary`` W satisfies W* U(g) W = direct_sum over labels of
-    1_{mult} (x) irrep(g), with blocks in label order.  ``projections``
-    are the minimal central projections P_gamma in the original basis.
+    1_{mult} (x) irrep(g), with blocks in label order; the rest is read off
+    W and the irreps.
     """
 
     group: FiniteGroup
-    ambient_dim: int
     labels: tuple[str, ...]
     mult_dims: tuple[int, ...]
-    irrep_dims: tuple[int, ...]
     unitary: np.ndarray
-    projections: np.ndarray
     irreps: tuple[np.ndarray, ...]
 
     @property
     def n_sectors(self) -> int:
         return len(self.labels)
 
-    def block_slices(self) -> list[slice]:
-        out, start = [], 0
-        for m, dv in zip(self.mult_dims, self.irrep_dims):
-            out.append(slice(start, start + m * dv))
-            start += m * dv
-        return out
+    @property
+    def ambient_dim(self) -> int:
+        return self.unitary.shape[0]
+
+    @property
+    def irrep_dims(self) -> tuple[int, ...]:
+        return tuple(irr.shape[-1] for irr in self.irreps)
+
+    @property
+    def projections(self) -> np.ndarray:
+        """The (n, d, d) stack of minimal central projections P_gamma =
+        W_gamma W_gamma*, formed on each read; no path of the package reads it."""
+        return np.array([w @ la.dagger(w) for w, _, _ in self.observable_algebra().block_columns()])
 
     def characters(self) -> np.ndarray:
         """Character table slice: chi[label, g] = tr irrep_label(g)."""
         return np.array([[np.trace(u) for u in irr] for irr in self.irreps])
 
-    def block_rep_matrix(self, g: int) -> np.ndarray:
-        """The direct sum over labels of 1_mult (x) irrep(g)."""
-        blocks = [
-            np.kron(np.eye(m), irr[g])
-            for m, irr in zip(self.mult_dims, self.irreps)
-        ]
-        d = self.ambient_dim
-        out = np.zeros((d, d), dtype=complex)
-        for sl, b in zip(self.block_slices(), blocks):
-            out[sl, sl] = b
-        return out
-
     def reconstruction_residual(self, rep: UnitaryRep) -> float:
-        """max_g || U(g) - W (direct sum 1 (x) irrep(g)) W* ||_F."""
+        """The larger of || W W* - 1 ||_F and max_g || U(g) W - W (direct sum
+        1 (x) irrep(g)) ||_F: zero exactly when max_g || U(g) - W (direct sum
+        1 (x) irrep(g)) W* ||_F is, and equal to it for a unitary W; one g at
+        a time, with U(g) W by index for a monomial rep."""
         w = self.unitary
-        res = 0.0
+        res = float(np.linalg.norm(w @ la.dagger(w) - np.eye(len(w))))
+        # W_gamma with one row per (ambient index, copy), on which irrep(g) acts
+        copies = [(wg.reshape(-1, dv), irr) for (wg, _, dv), irr
+                  in zip(self.observable_algebra().block_columns(), self.irreps)]
         for g in range(self.group.order):
-            rebuilt = w @ self.block_rep_matrix(g) @ la.dagger(w)
-            res = max(res, float(np.linalg.norm(rep.matrices[g] - rebuilt)))
+            wb = np.concatenate([(c @ irr[g]).reshape(len(w), -1) for c, irr in copies], axis=1)
+            res = max(res, float(np.linalg.norm(rep.images(w, slice(g, g + 1))[0] - wb)))
         return res
 
     def observable_algebra(self) -> OperatorAlgebra:
@@ -576,7 +575,7 @@ def isotypic_decomposition(rep: UnitaryRep, seed: int = 0) -> SectorDecompositio
     """
     d = rep.dim
     n = rep.group.order
-    seen = {}
+    irreps = {}  # lead copy -> its irrep, from the seed that resolves
 
     def draw(rng):
         k = average(la.random_hermitian(rng, d), rep)
@@ -590,29 +589,27 @@ def isotypic_decomposition(rep: UnitaryRep, seed: int = 0) -> SectorDecompositio
         overlaps = (chars.conj() @ chars.T).real / n
         if not np.all(np.rint(np.diag(overlaps)) == 1):
             raise IsotypicError("an eigenspace of K is reducible")
-        seen.update(e=e, starts=starts, ue=ue)
         # each copy's sector is led by the first copy equivalent to it
-        return np.argmax(overlaps > 0.5, axis=0)
+        leader = np.argmax(overlaps > 0.5, axis=0)
+        # the lead copies' irreps; the stack ue goes with this call
+        for lead in set(leader.tolist()):
+            cols = slice(starts[lead], starts[lead + 1])
+            irreps[lead] = la.dagger(e[:, cols]) @ ue[:, :, cols]
+        return leader
 
     found = wedderburn_blocks(draw, leaders, seed, IsotypicError,
                               "isotypic decomposition")
-    e, starts, ue = seen["e"], seen["starts"], seen["ue"]
     ux = rep.images(np.concatenate([sec[0] for sec in found], axis=1))
     sectors, start = [], 0
     for cols, mult, dim, lead in found:
-        lead_cols = slice(starts[lead], starts[lead + 1])
-        irrep = la.dagger(e[:, lead_cols]) @ ue[:, :, lead_cols]
-        twirled = _twirl(ux[:, :, start:start + cols.shape[1]], irrep)
-        sectors.append((twirled, irrep, mult, dim))
+        twirled = _twirl(ux[:, :, start:start + cols.shape[1]], irreps[lead])
+        sectors.append((twirled, irreps[lead], mult, dim))
         start += cols.shape[1]
     sectors.sort(key=lambda sec: (sec[3], _character_sort_key(sec[1])))
     return SectorDecomposition(
         group=rep.group,
-        ambient_dim=d,
         labels=tuple(f"gamma{k}" for k in range(len(sectors))),
         mult_dims=tuple(sec[2] for sec in sectors),
-        irrep_dims=tuple(sec[3] for sec in sectors),
         unitary=np.concatenate([sec[0] for sec in sectors], axis=1),
-        projections=np.array([sec[0] @ la.dagger(sec[0]) for sec in sectors]),
         irreps=tuple(sec[1] for sec in sectors),
     )

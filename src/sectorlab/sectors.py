@@ -114,9 +114,12 @@ def charging_channel(
 def estimate_charge(
     omega: State, decomp: SectorDecomposition
 ) -> ChargeDistribution:
-    """Charge distribution nu_gamma = tr(rho P_gamma) from the projections."""
-    vals = np.einsum("kij,ji->k", decomp.projections, omega.density).real
-    vals = np.clip(vals, 0.0, None)
+    """Charge distribution nu_gamma = tr(rho P_gamma) = Re tr(W_gamma* rho
+    W_gamma), from the product rho W and one column sum per sector."""
+    w = decomp.unitary
+    diag = (w.conj() * (omega.density @ w)).real.sum(axis=0)
+    widths = [m * dv for m, dv in zip(decomp.mult_dims, decomp.irrep_dims)]
+    vals = np.clip(np.add.reduceat(diag, np.cumsum([0] + widths[:-1])), 0.0, None)
     return ProbabilityWeight(charge_space(decomp), vals / vals.sum())
 
 
@@ -215,17 +218,16 @@ def sector_energies(
         raise ValueError("Hamiltonian has non-finite entries")
     if not la.near(h, la.dagger(h), OPERATOR_TOL):
         raise ValueError("Hamiltonian must be Hermitian")
-    slices = decomp.block_slices()
+    blocks = [cols for cols, _, _ in decomp.observable_algebra().block_columns()]
     off = la.dagger(w) @ h @ w
-    for sl in slices:
-        off[sl, sl] = 0
+    sector = np.repeat(np.arange(len(blocks)), [cols.shape[1] for cols in blocks])
+    off[sector[:, None] == sector] = 0
     if not la.near(off, np.zeros_like(off), OPERATOR_TOL, ref=h):
         raise ValueError("Hamiltonian mixes sectors: W* H W has off-sector blocks")
     out = {}
-    for label, sl in zip(decomp.labels, slices):
+    for label, cols in zip(decomp.labels, blocks):
         # each sector's own product, not a slice of the whole one, whose
         # sums may round differently
-        cols = w[:, sl]
         restricted = la.dagger(cols) @ h @ cols
         out[label] = float(np.linalg.eigvalsh(restricted).min())
     return out

@@ -48,6 +48,12 @@ def kronecker_intertwiners(rep1, rep2):
     return nullspace(system)
 
 
+def block_slices(dec):
+    """The column slice of W that each sector occupies, in label order."""
+    ends = np.cumsum([m * dv for m, dv in zip(dec.mult_dims, dec.irrep_dims)])
+    return [slice(end - m * dv, end) for end, m, dv in zip(ends, dec.mult_dims, dec.irrep_dims)]
+
+
 class TestFiniteGroup:
     @pytest.mark.parametrize("group", [
         cyclic_group(1), cyclic_group(2), cyclic_group(7),
@@ -305,7 +311,7 @@ class TestIsotypicDecomposition:
         dec = isotypic_decomposition(rep)
         d, w = dec.ambient_dim, dec.unitary
         expected = []
-        for sl, m, dv in zip(dec.block_slices(), dec.mult_dims, dec.irrep_dims):
+        for sl, m, dv in zip(block_slices(dec), dec.mult_dims, dec.irrep_dims):
             for a in range(m):
                 for b in range(m):
                     unit = np.zeros((m, m))
