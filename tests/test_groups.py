@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -528,6 +529,71 @@ class TestIsotypicWithoutSolves:
         assert dec.mult_dims == (128, 128)
         assert dec.irrep_dims == (1, 1)
         assert dec.reconstruction_residual(rep) <= 1e-10
+
+
+def dense_reconstruction_residual(dec, rep):
+    """Oracle: max_g ||U(g) - W B(g) W*||_F, with B(g) the direct sum of
+    1_mult (x) irrep(g) formed as one d x d matrix."""
+    w, res = dec.unitary, 0.0
+    for g in range(rep.group.order):
+        b = np.zeros_like(w)
+        for sl, m, irr in zip(block_slices(dec), dec.mult_dims, dec.irreps):
+            b[sl, sl] = np.kron(np.eye(m), irr[g])
+        res = max(res, float(np.linalg.norm(rep.matrices[g] - w @ b @ la.dagger(w))))
+    return res
+
+
+class TestReconstructionResidual:
+    """The larger of ||W W* - 1||_F and max_g ||U(g) W - W B(g)||_F,
+    against the dense formula."""
+
+    PERTURBED = pytest.mark.parametrize("make", [
+        lambda: tensor_power_rep(z2_rep(), 3),
+        lambda: regular_rep(symmetric_group(4)),
+        lambda: tensor_power_rep(permutation_rep(3), 2),
+        lambda: tensor_power_rep(quaternion_spin_rep(), 3),
+    ], ids=["z2-3", "s4-regular", "s3-permutation-2", "q8-spin-3"])
+
+    @pytest.mark.parametrize("make", COMPLETE_REPS + MULTIPLICITY_REPS)
+    def test_agrees_with_the_dense_formula(self, make):
+        rep = make()
+        dec = isotypic_decomposition(rep)
+        new, dense = dec.reconstruction_residual(rep), dense_reconstruction_residual(dec, rep)
+        assert new <= 1e-12 and abs(new - dense) <= 1e-13
+
+    @PERTURBED
+    def test_a_moved_phase_or_swapped_columns_shows_by_both_routes(self, make):
+        rep = make()
+        dec = isotypic_decomposition(rep)
+        # the last irrep at a non-identity element, its phase moved by 1e-6
+        g = (rep.group.identity + 1) % rep.group.order
+        moved = dec.irreps[-1].copy()
+        moved[g] *= np.exp(1e-6j)
+        w = dec.unitary.copy()
+        w[:, [0, -1]] = w[:, [-1, 0]]  # the first and the last sector's columns
+        for bad, floor in ((dataclasses.replace(dec, irreps=dec.irreps[:-1] + (moved,)), 9e-7),
+                           (dataclasses.replace(dec, unitary=w), 0.5)):
+            new, dense = bad.reconstruction_residual(rep), dense_reconstruction_residual(bad, rep)
+            assert new >= floor and dense >= floor
+            assert abs(new - dense) <= 1e-13 * max(1.0, dense)
+
+    @PERTURBED
+    def test_a_non_unitary_intertwiner_shows_by_both_routes(self, make):
+        # each W below still intertwines U with the block representation,
+        # so only the unitarity of W can tell it from a decomposition
+        rep = make()
+        dec = isotypic_decomposition(rep)
+        sl = block_slices(dec)[-1]
+        dv = dec.irrep_dims[-1]
+        scaled, doubled = dec.unitary.copy(), dec.unitary.copy()
+        scaled[:, sl] *= 1.5  # one sector's columns scaled
+        doubled[:, sl.start:sl.start + dv] = doubled[:, sl.stop - dv:sl.stop]  # a copy twice
+        if dec.mult_dims[-1] == 1:
+            doubled[:, sl] = 0.0  # a sector with one copy is dropped instead
+        for w in (scaled, doubled, np.zeros_like(dec.unitary)):
+            bad = dataclasses.replace(dec, unitary=w)
+            new, dense = bad.reconstruction_residual(rep), dense_reconstruction_residual(bad, rep)
+            assert new >= 0.5 and dense >= 0.5
 
 
 def _dense_average(f, rep):

@@ -15,13 +15,18 @@ from sectorlab.algebra import (
 )
 from sectorlab.channels import ProbabilityWeight, apply_cq
 from sectorlab.groups import (
+    SectorDecomposition,
     average,
     cyclic_group,
     cyclic_rep_from_unitary,
+    isotypic_decomposition,
+    quaternion_group,
+    regular_rep,
+    symmetric_group,
     tensor_power_rep,
     trivial_rep,
 )
-from sectorlab.models import z2_chain_sector_model
+from sectorlab.models import bundle_examples, z2_chain_sector_model
 from sectorlab.sectors import (
     ChargedMultiplet,
     charging_channel,
@@ -35,7 +40,7 @@ from sectorlab.sectors import (
     vacuum_label,
 )
 
-from conftest import SX, SZ, I2, kron_all, span_residual
+from conftest import SX, SZ, I2, kron_all, permutation_rep, span_residual
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +223,50 @@ class TestEstimateCharge:
         mixed = State(np.eye(4) / 4, "mixed")
         with pytest.raises(ValueError):
             vacuum_label(chain2["decomposition"], mixed)
+
+    @pytest.mark.parametrize("make", [
+        lambda: tensor_power_rep(cyclic_rep_from_unitary(SZ, 2), 4),
+        lambda: regular_rep(symmetric_group(4)),
+        lambda: regular_rep(quaternion_group()),
+        lambda: tensor_power_rep(permutation_rep(3), 2),
+    ], ids=["z2-4", "s4-regular", "q8-regular", "s3-permutation-2"])
+    def test_equals_the_trace_with_the_projections(self, make, rng):
+        dec = isotypic_decomposition(make())
+        d = dec.ambient_dim
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = a @ la.dagger(a)
+        rho /= np.trace(rho).real
+        nu = estimate_charge(State(rho), dec)
+        # normalised as estimate_charge does: W is unitary only to rounding,
+        # so sum_gamma tr(rho P_gamma) may miss 1 by a few eps
+        want = np.array([np.trace(rho @ p).real for p in dec.projections])
+        assert np.abs(nu.weights - want / want.sum()).max() <= 1e-15
+
+
+def test_no_library_path_reads_the_projections(monkeypatch, tmp_path, capsys):
+    """The projection stack is an export: the decomposition, the charges, the
+    vacuum label, the residual, the sector energies and ``sectors analyze``
+    never form it."""
+    def forbidden(self):
+        raise AssertionError("a library path read the projection stack")
+
+    monkeypatch.setattr(SectorDecomposition, "projections", property(forbidden))
+    model = z2_chain_sector_model(3)
+    dec, rep = model["decomposition"], model["net"].global_rep
+    assert dec.reconstruction_residual(rep) <= 1e-12
+    assert vacuum_label(dec, model["vacuum"]) == "gamma0"
+    assert estimate_charge(State(np.eye(8) / 8), dec).weights.tolist() == [0.5, 0.5]
+    assert set(sector_energies(dec, np.diag(np.arange(8.0)))) == {"gamma0", "gamma1"}
+    assert isotypic_decomposition(regular_rep(symmetric_group(4))).n_sectors == 5
+    tree = tmp_path / "examples"
+    bundle_examples(str(tree))
+    z2 = tree / "z2_chain_2"
+    assert cli.main([
+        "sectors", "analyze", "--field", str(z2 / "field.json"),
+        "--group", str(z2 / "group.json"), "--rep", str(z2 / "rep.json"),
+        "--state", str(z2 / "charged_state.json"),
+        "--hamiltonian", str(z2 / "hamiltonian.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["charges"] == {"gamma0": 0.0, "gamma1": 1.0}
 
 
 class TestInducedChargedState:
