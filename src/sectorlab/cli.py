@@ -202,7 +202,12 @@ def _run_sectors_analyze(args) -> int:
         }
     if args.hamiltonian:
         h = io.read(args.hamiltonian, io.matrix_from_json)
-        report["sector_energies"] = sector_energies(decomp, h)
+        try:
+            report["sector_energies"] = sector_energies(decomp, h)
+        except np.linalg.LinAlgError:
+            raise
+        except ValueError as err:  # H unfit for the sectors: name the file, as io.read does
+            raise InputFormatError(f"{args.hamiltonian}: {err}") from err
     _emit(report, args)
     return EXIT_OK
 

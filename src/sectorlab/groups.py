@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, algebra_of, wedderburn_blocks
-from .config import DIMENSION_CAP
+from .config import DIMENSION_CAP, UNITARY_TOL
 from .errors import DimensionCapError, IsotypicError
 
 
@@ -179,18 +179,33 @@ class UnitaryRep:
         return int(self.matrices.shape[-1])
 
     def validate(self) -> None:
-        """Check unitarity and the homomorphism law
-        (:func:`~sectorlab._linalg.relation_holds`)."""
+        """Check that every entry is finite, then unitarity and the homomorphism
+        law on every pair (:func:`~sectorlab._linalg.relation_holds`).  For a
+        monomial rep U(g) U(h) has columns cols_h[cols_g] and phases ph_g
+        ph_h[cols_g]: its squared distance to U(gh) sums |ph - ph'|^2 over
+        rows whose columns agree and |ph|^2 + |ph'|^2 over the others."""
         n = self.group.order
         if self.matrices.shape != (n, self.dim, self.dim):
             raise ValueError("need one matrix per group element")
+        finite = np.isfinite(self.matrices).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"matrix for element {np.argmin(finite)} is not unitary: "
+                             "it has non-finite entries")
         m, t, eye = self.matrices, self.group.table, np.eye(self.dim)
         for g in range(n):
             if not la.relation_holds(la.dagger(m[g]) @ m[g], eye):
                 raise ValueError(f"matrix for element {g} is not unitary")
         for g in range(n):
-            for h in range(n):
-                if not la.relation_holds(m[g] @ m[h], m[t[g, h]]):
+            if self.monomial is None:
+                holds = (la.relation_holds(m[g] @ m[h], m[t[g, h]]) for h in range(n))
+            else:  # every h at once, one row per h
+                cols, ph = self.monomial
+                same = cols[:, cols[g]] == cols[t[g]]
+                prod, want = ph[g] * ph[:, cols[g]], ph[t[g]]
+                sq = np.where(same, np.abs(prod - want) ** 2, np.abs(prod) ** 2 + np.abs(want) ** 2)
+                holds = np.sqrt(sq.sum(axis=1)) <= UNITARY_TOL * self.dim
+            for h, ok in enumerate(holds):
+                if not ok:
                     raise ValueError(f"not a homomorphism at ({g},{h})")
 
     @cached_property

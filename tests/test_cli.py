@@ -77,6 +77,26 @@ class TestJsonRoundTrips:
         assert "'rows' must be an integer" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("option, model, name", [
+        ("--rep", "z2_chain_2", "rep.json"), ("--net", "z2_chain_3", "net.json")])
+    def test_infinite_matrix_entry_exits_2_before_any_product(self, example_tree, tmp_path,
+                                                               option, model, name):
+        # the unitarity product of an infinite entry printed numpy's
+        # "invalid value encountered in matmul" before the exit
+        obj = json.loads((example_tree / model / name).read_text())
+        mats = obj["matrices"] if option == "--rep" else obj["onsite_rep"]
+        mats[1]["re"][0] = float("inf")  # written as Infinity
+        (tmp_path / name).write_text(json.dumps(obj))
+        z2, z3 = example_tree / "z2_chain_2", example_tree / "z2_chain_3"
+        args = (["sectors", "analyze", "--field", str(z2 / "field.json"), "--group",
+                 "cyclic:2", "--rep", str(tmp_path / name)] if option == "--rep" else
+                ["dhr", "check", "--net", str(tmp_path / name),
+                 "--state", str(z3 / "flipped_state.json"), "--vacuum", str(z3 / "vacuum.json")])
+        proc = run_cli(*args)
+        assert proc.returncode == cli.EXIT_INPUT_ERROR
+        assert proc.stderr == (f"error: {tmp_path / name}: matrix for element 1 is not "
+                               "unitary: it has non-finite entries\n")
+
     def test_site_count_checked_before_the_power(self, example_tree, tmp_path):
         # 2 ** int(1e308) would be formed exactly; the child runs under an
         # address-space cap and a time limit so that a regression cannot

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from sectorlab import groups
 from sectorlab.algebra import commutant, generate_algebra
 from sectorlab.groups import (
     FiniteGroup,
+    UnitaryRep,
     average,
     builtin_group,
     cyclic_group,
@@ -25,6 +27,8 @@ from sectorlab.groups import (
     tensor_power_rep,
     trivial_rep,
 )
+
+from sectorlab.config import UNITARY_TOL
 
 from conftest import (
     SX, SY, SZ, I2, assert_observable_generators, assert_same_span, bits, kron_all,
@@ -594,6 +598,79 @@ class TestReconstructionResidual:
             bad = dataclasses.replace(dec, unitary=w)
             new, dense = bad.reconstruction_residual(rep), dense_reconstruction_residual(bad, rep)
             assert new >= 0.5 and dense >= 0.5
+
+
+def dense_homomorphism_defects(rep):
+    """Oracle: ||U(g) U(h) - U(gh)||_F for every pair (g, h), by dense products."""
+    m, t, n = rep.matrices, rep.group.table, rep.group.order
+    return np.array([[la.hs_norm(m[g] @ m[h] - m[t[g, h]]) for h in range(n)] for g in range(n)])
+
+
+def dense_verdict(rep):
+    """The dense all-pairs check's message: its first failing pair, or None."""
+    bad = np.argwhere(~(dense_homomorphism_defects(rep) <= UNITARY_TOL * rep.dim))
+    return None if len(bad) == 0 else "not a homomorphism at ({},{})".format(*bad[0])
+
+
+class TestMonomialValidate:
+    """A monomial rep's homomorphism law, checked by index, gives the dense
+    check's verdict and first failing pair."""
+
+    REPS = {
+        "cyclic6-regular": lambda: regular_rep(cyclic_group(6)),
+        "s3-regular": lambda: regular_rep(symmetric_group(3)),
+        "q8-spin-2": lambda: tensor_power_rep(quaternion_spin_rep(), 2),
+        "clock": _clock_rep,
+    }
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    @pytest.mark.parametrize("name", list(REPS))
+    def test_a_moved_phase_at_the_cut(self, name, factor):
+        rep = self.REPS[name]()
+        cut = UNITARY_TOL * rep.dim
+
+        def moved(angle):
+            mats = rep.matrices.copy()
+            mats[1, 0, np.flatnonzero(mats[1, 0])] *= np.exp(1j * angle)
+            return UnitaryRep(rep.group, mats)
+
+        # the largest defect is linear in the angle: scale it to factor * cut
+        probe = 1e-6
+        angle = factor * cut * probe / dense_homomorphism_defects(moved(probe)).max()
+        bad = moved(angle)
+        assert bad.monomial is not None
+        assert dense_homomorphism_defects(bad).max() / cut == pytest.approx(factor, rel=1e-3)
+        want = dense_verdict(bad)
+        assert (want is None) == (factor < 1)
+        if want is None:
+            bad.validate()
+        else:
+            with pytest.raises(ValueError, match=re.escape(want)):
+                bad.validate()
+
+    @pytest.mark.parametrize("name", list(REPS))
+    def test_two_columns_swapped(self, name):
+        rep = self.REPS[name]()
+        mats = rep.matrices.copy()
+        mats[1][:, [0, 1]] = mats[1][:, [1, 0]]
+        bad = UnitaryRep(rep.group, mats)
+        assert bad.monomial is not None
+        want = dense_verdict(bad)
+        assert want is not None
+        with pytest.raises(ValueError, match=re.escape(want)):
+            bad.validate()
+
+    def test_non_monomial_keeps_the_dense_check(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        rep = regular_rep(symmetric_group(3))
+        mats = q @ rep.matrices @ la.dagger(q)
+        mats[1] = mats[1] @ np.diag(np.exp(1j * np.array([0, 0, 0, 0, 0, 2e-9])))
+        bad = UnitaryRep(rep.group, mats)
+        assert bad.monomial is None
+        want = dense_verdict(bad)
+        assert want is not None
+        with pytest.raises(ValueError, match=re.escape(want)):
+            bad.validate()
 
 
 def _dense_average(f, rep):

@@ -423,6 +423,28 @@ class TestSectorEnergyInputs:
         assert code == 2 and out == ""
         assert "Hamiltonian mixes sectors" in err
 
+    @pytest.mark.parametrize("entry, message", [
+        ((0, 3), "Hamiltonian must be Hermitian"),
+        ((0, 1), "Hamiltonian mixes sectors: W* H W has off-sector blocks"),
+    ], ids=["non-hermitian", "mixing"])
+    def test_engine_errors_name_the_file(self, tmp_path, capsys, entry, message):
+        h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+        h[entry] = 0.5
+        if message.startswith("Hamiltonian mixes"):
+            h[entry[::-1]] = 0.5
+        code, out, err = self.analyze(tmp_path, capsys, h)
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path / 'hamiltonian.json'}: {message}\n"
+
+    def test_only_the_engines_value_errors_become_input_errors(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def broken(decomp, h):
+            raise TypeError("a fault of the engine, not of the file")
+
+        monkeypatch.setattr("sectorlab.sectors.sector_energies", broken)
+        with pytest.raises(TypeError, match="a fault of the engine"):
+            self.analyze(tmp_path, capsys, np.eye(4))
+
     def test_bundled_hamiltonian_accepted(self, tmp_path, capsys):
         code, out, err = self.analyze(tmp_path, capsys, -kron_all(SZ, SZ))
         assert code == 0 and err == ""
